@@ -200,6 +200,7 @@ def _cmd_synth(args) -> int:
             "bisection_tol": found.tol,
             "feasibility_evaluations": found.iterations,
             "audit_warnings": found.audit_warnings,
+            "probes": found.probes,
             "diagnostics": _scalar_diagnostics(getattr(ctrl, "diagnostics", {})),
         }
     _write_json(args.out, controller_to_json_dict(ctrl))

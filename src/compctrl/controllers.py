@@ -244,9 +244,34 @@ class ZeroController:
         return np.zeros(self.m)
 
 
-def synth_h2_ih(
-    plant: LtiPlant, causality: str = CAUSAL, _P0=None
-) -> StateFeedbackController:
+def _saddle_gains(
+    P: np.ndarray,
+    A: np.ndarray,
+    Bu: np.ndarray,
+    Bw: np.ndarray,
+    gamma: Optional[float],
+    causality: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (Kx, Kw) of u = -Kx x - Kw w for one step with cost-to-go P.
+
+    Causal: Kx = H^{-1}B_u'PA and Kw = H^{-1}B_u'PB_w, H = I + B_u'PB_u.
+    Strictly causal: u cannot read w, so the u-part of the game's saddle
+    point is Kx = (I + B_u'MB_u)^{-1}B_u'MA with
+    M = P + PB_w(gamma^2 I - B_w'PB_w)^{-1}B_w'P, the cost-to-go after the
+    maximizing disturbance (M = P for gamma = None, the LQR limit).
+    """
+    m, p = Bu.shape[1], Bw.shape[1]
+    if causality == STRICT and gamma is not None:
+        PBw = P @ Bw
+        P = sym(P + PBw @ solve_sym(gamma**2 * np.eye(p) - Bw.T @ PBw, PBw.T))
+    H = np.eye(m) + Bu.T @ P @ Bu
+    Kx = solve_sym(H, Bu.T @ P @ A)
+    if causality == STRICT:
+        return Kx, np.zeros((m, p))
+    return Kx, solve_sym(H, Bu.T @ P @ Bw)
+
+
+def synth_h2_ih(plant: LtiPlant, causality: str = CAUSAL) -> StateFeedbackController:
     """Steady-state LQR, optionally with the causal disturbance feedforward.
 
     The strictly causal variant is plain state feedback
@@ -262,16 +287,11 @@ def synth_h2_ih(
         raise ValueError("precondition failed: (A, B_u) not stabilizable")
     if not pbh_detectable(plant.A, plant.Q_half):
         raise ValueError("precondition failed: (A, Q^{1/2}) not detectable")
-    fp = dare_fixed_point(plant.A, plant.Bu, np.eye(plant.m), plant.Q, P0=_P0)
+    fp = dare_fixed_point(plant.A, plant.Bu, np.eye(plant.m), plant.Q)
     if not fp.converged:
         raise ValueError(f"LQR fixed point failed: {fp.reason}")
     P = fp.P
-    H = np.eye(plant.m) + plant.Bu.T @ P @ plant.Bu
-    Kx = solve_sym(H, plant.Bu.T @ P @ plant.A)
-    if causality == CAUSAL:
-        Kw = solve_sym(H, plant.Bu.T @ P @ plant.Bw)
-    else:
-        Kw = np.zeros((plant.m, plant.p))
+    Kx, Kw = _saddle_gains(P, plant.A, plant.Bu, plant.Bw, None, causality)
     if not is_stable(plant.A - plant.Bu @ Kx):
         raise ValueError("LQR closed loop is not stable")
     return StateFeedbackController(
@@ -365,12 +385,13 @@ def synth_hinf(
     gamma: float,
     causality: str = CAUSAL,
     horizon: Optional[int] = None,
-    _P0=None,
 ) -> Union[StateFeedbackController, Infeasible]:
     """Disturbance-attenuation controller at level gamma.
 
     Causal law u = -H^{-1}B_u'P(Ax + B_w w); strictly causal law
-    u = -H^{-1}B_u'PA x.  Feasibility is gated by the per-step matrix
+    u = -(I + B_u'MB_u)^{-1}B_u'MA x with
+    M = P + PB_w(gamma^2 I - B_w'PB_w)^{-1}B_w'P (P_{t+1} in place of P in
+    the finite horizon).  Feasibility is gated by the per-step matrix
     inequalities (finite horizon) or the fixed-point conditions plus
     strictly-causal extras (infinite horizon); infeasible gammas come back as
     :class:`Infeasible` values.
@@ -387,17 +408,12 @@ def synth_hinf(
                 [np.zeros((plant.p, plant.m)), -(gamma**2) * np.eye(plant.p)],
             ]
         )
-        fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q, P0=_P0)
+        fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
         bad = _gate_fixed_point(fp, plant.Bu, plant.Bw, gamma, causality)
         if bad is not None:
             return bad
         P = fp.P
-        H = np.eye(plant.m) + plant.Bu.T @ P @ plant.Bu
-        Kx = solve_sym(H, plant.Bu.T @ P @ plant.A)
-        if causality == CAUSAL:
-            Kw = solve_sym(H, plant.Bu.T @ P @ plant.Bw)
-        else:
-            Kw = np.zeros((plant.m, plant.p))
+        Kx, Kw = _saddle_gains(P, plant.A, plant.Bu, plant.Bw, gamma, causality)
         return StateFeedbackController(
             kind="hinf",
             causality=causality,
@@ -429,10 +445,9 @@ def synth_hinf(
     Kx = np.zeros((T, m, plant.n))
     Kw = np.zeros((T, m, p))
     for t in range(T):
-        BuPn = plant.Bu[t].T @ sched.P[t + 1]
-        Kx[t] = solve_sym(sched.H[t], BuPn @ plant.A[t])
-        if causality == CAUSAL:
-            Kw[t] = solve_sym(sched.H[t], BuPn @ plant.Bw[t])
+        Kx[t], Kw[t] = _saddle_gains(
+            sched.P[t + 1], plant.A[t], plant.Bu[t], plant.Bw[t], gamma, causality
+        )
     return StateFeedbackController(
         kind="hinf", causality=causality, horizon=T, gamma=gamma, Kx=Kx, Kw=Kw
     )
@@ -445,7 +460,6 @@ def synth_competitive(
     horizon: Optional[int] = None,
     _factor=None,
     _outer=None,
-    _P0=None,
 ) -> Union[CompetitiveController, Infeasible]:
     """Ratio-optimal controller at ratio bound gamma^2.
 
@@ -477,17 +491,12 @@ def synth_competitive(
                 [np.zeros((d, m)), -(gamma**2) * np.eye(d)],
             ]
         )
-        fp = dare_fixed_point(syn.Ahat, Btil, Rtil, syn.Qhat, P0=_P0)
+        fp = dare_fixed_point(syn.Ahat, Btil, Rtil, syn.Qhat)
         bad = _gate_fixed_point(fp, syn.Buhat, syn.Bwhat, gamma, causality)
         if bad is not None:
             return bad
         P = fp.P
-        H = np.eye(m) + syn.Buhat.T @ P @ syn.Buhat
-        Kxi = solve_sym(H, syn.Buhat.T @ P @ syn.Ahat)
-        if causality == CAUSAL:
-            Kwp = solve_sym(H, syn.Buhat.T @ P @ syn.Bwhat)
-        else:
-            Kwp = np.zeros((m, d))
+        Kxi, Kwp = _saddle_gains(P, syn.Ahat, syn.Buhat, syn.Bwhat, gamma, causality)
         return CompetitiveController(
             kind="competitive",
             causality=causality,
@@ -518,10 +527,9 @@ def synth_competitive(
     Kxi = np.zeros((T, m, 2 * n))
     Kwp = np.zeros((T, m, n))
     for t in range(T):
-        BuPn = syn.Buhat[t].T @ sched.P[t + 1]
-        Kxi[t] = solve_sym(sched.H[t], BuPn @ syn.Ahat[t])
-        if causality == CAUSAL:
-            Kwp[t] = solve_sym(sched.H[t], BuPn @ syn.Bwhat[t])
+        Kxi[t], Kwp[t] = _saddle_gains(
+            sched.P[t + 1], syn.Ahat[t], syn.Buhat[t], syn.Bwhat[t], gamma, causality
+        )
     return CompetitiveController(
         kind="competitive",
         causality=causality,

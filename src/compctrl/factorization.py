@@ -38,7 +38,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .model import LtiPlant, LtvPlant, inv_sqrt_pd, sqrt_psd
-from .riccati import is_stable, pbh_detectable, pbh_stabilizable, spectral_radius, sym
+from .riccati import (
+    _sda,
+    is_stable,
+    pbh_detectable,
+    pbh_stabilizable,
+    spectral_radius,
+    sym,
+)
 
 __all__ = [
     "FactorizationError",
@@ -103,7 +110,7 @@ class SpectralFactor:
     Sigma_inv_half: np.ndarray
     A_whiten: np.ndarray  # A - K Q^{1/2}
     residual: float
-    iterations: int
+    iterations: int  # doublings of the fixed-point solve
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,8 @@ class OuterFactor:
     D: np.ndarray  # (p, p)
     A_inv: np.ndarray  # (n, n)
     residual: float
-    iterations: int  # value-iteration steps after the doubling start
-    doublings: int
+    iterations: int  # doublings, or value-iteration steps when D_H'D_H is singular
+    doublings: int  # 0 when D_H'D_H is singular
 
 
 @dataclass(frozen=True)
@@ -232,18 +239,17 @@ def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
     )
 
 
-def spectral_factor_ih(
-    plant: LtiPlant,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    P0: Optional[np.ndarray] = None,
-) -> SpectralFactor:
+def spectral_factor_ih(plant: LtiPlant) -> SpectralFactor:
     """Stabilizing fixed point of P = APA' + B_u B_u' - K Sigma K'.
 
     Preconditions (PBH rank tests, singular-value threshold 1e-8): (A, B_u)
-    stabilizable and (A, Q^{1/2}) detectable.  The iteration starts from
-    P = 0 (or a PSD warm start ``P0``, e.g. from a nearby plant); failure to
-    converge within the cap reports "no-stabilizing-solution".
+    stabilizable and (A, Q^{1/2}) detectable.  The filter Riccati equation
+    is the control one of the dual problem (A', Q^{1/2}', I, B_u B_u'), so
+    the doubling core solves it; ``iterations`` counts doublings, k of them
+    standing for 2^k value-iteration steps from P = 0.  A failed solve
+    (singular, non-finite or divergent iterates, or the doubling cap) raises
+    "no-stabilizing-solution", as does a whitening closed loop A - K Q^{1/2}
+    that is not stable.
     """
     A, Bu, Qh = plant.A, plant.Bu, plant.Q_half
     n = plant.n
@@ -251,23 +257,14 @@ def spectral_factor_ih(
         raise FactorizationError("precondition failed: (A, B_u) not stabilizable")
     if not pbh_detectable(A, Qh):
         raise FactorizationError("precondition failed: (A, Q^{1/2}) not detectable")
-    eye = np.eye(n)
     BBt = Bu @ Bu.T
-    P = np.zeros((n, n)) if P0 is None else np.asarray(P0, dtype=float).copy()
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        Sig = sym(eye + Qh @ P @ Qh)
-        K = np.linalg.solve(Sig, (A @ P @ Qh).T).T
-        Pn = sym(A @ P @ A.T + BBt - K @ Sig @ K.T)
-        diff = np.abs(Pn - P).max()
-        P = Pn
-        if diff < tol * max(1.0, np.abs(P).max()):
-            converged = True
-            break
-    if not converged:
-        raise FactorizationError("no-stabilizing-solution: fixed point did not converge")
-    Sig = sym(eye + Qh @ P @ Qh)
+    P, iterations, reason = _sda(A.T, sym(Qh.T @ Qh), sym(BBt))
+    if P is None:
+        raise FactorizationError(
+            f"no-stabilizing-solution: fixed point failed after {iterations} "
+            f"doublings ({reason})"
+        )
+    Sig = sym(np.eye(n) + Qh @ P @ Qh)
     K = np.linalg.solve(Sig, (A @ P @ Qh).T).T
     residual = float(np.abs(sym(A @ P @ A.T + BBt - K @ Sig @ K.T) - P).max())
     A_whiten = A - K @ Qh
@@ -288,45 +285,6 @@ def spectral_factor_ih(
     )
 
 
-def _doubling_start(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, max_iter: int = 64
-) -> tuple[Optional[np.ndarray], int]:
-    """Structure-preserving doubling for X = A'XA + C'C - S'R^{-1}S.
-
-    With D'D invertible the cross term is removed (A0 = A - B(D'D)^{-1}D'C,
-    H0 = C'(I - D(D'D)^{-1}D')C, G0 = B(D'D)^{-1}B') and, with
-    W = I + G_k H_k, the iterates
-
-        A_{k+1} = A_k W^{-1} A_k,  G_{k+1} = G_k + A_k W^{-1} G_k A_k',
-        H_{k+1} = H_k + A_k' H_k W^{-1} A_k
-
-    converge quadratically to X (Chu, Fan and Lin, 2005).  Returns
-    (X or None, steps); None when D'D is singular or the iterates stall.
-    """
-    DD = D.T @ D
-    lam = np.linalg.eigvalsh(DD)
-    if lam.min() <= 1e-12 * max(lam.max(), np.finfo(float).tiny):
-        return None, 0
-    DC = D.T @ C
-    E = np.linalg.solve(DD, DC)
-    Ak = A - B @ E
-    Gk = sym(B @ np.linalg.solve(DD, B.T))
-    Hk = sym(C.T @ C - DC.T @ E)
-    eye = np.eye(A.shape[0])
-    for k in range(1, max_iter + 1):
-        W = eye + Gk @ Hk
-        WA = np.linalg.solve(W, Ak)
-        Hn = sym(Hk + Ak.T @ Hk @ WA)
-        Gk = sym(Gk + Ak @ np.linalg.solve(W, Gk) @ Ak.T)
-        Ak = Ak @ WA
-        if not np.isfinite(Hn).all():
-            return None, k
-        if np.abs(Hn - Hk).max() <= 1e-14 * max(1.0, np.abs(Hn).max()):
-            return Hn, k
-        Hk = Hn
-    return None, max_iter
-
-
 def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
     """Outer factor of the w' filter, for the exact reduction when p < n.
 
@@ -339,11 +297,15 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
 
     gives L(z) = R^{1/2} (I + F (zI - A_w)^{-1} B_w) with F = R^{-1}S, so
     C = R^{1/2}F and D = R^{1/2}.  The factor is gamma-independent, so a
-    gamma search computes it once.  Doubling supplies the starting point,
-    which value iteration (the convergence rule of spectral_factor_ih) then
-    accepts within a step or two; when D_H'D_H is singular, value iteration
-    starts from X = 0 instead.  Failure to converge, or an L^{-1} that is
-    not stable (H has a zero on the unit circle), raises FactorizationError.
+    gamma search computes it once.  With D_H'D_H invertible the cross term
+    is removed (A_0 = A_w - B_w(D_H'D_H)^{-1}D_H'C_H,
+    G_0 = B_w(D_H'D_H)^{-1}B_w', H_0 = C_H'(I - D_H(D_H'D_H)^{-1}D_H')C_H)
+    and the doubling core solves the equation; ``iterations`` and
+    ``doublings`` then both count doublings.  Doubling cannot start when
+    D_H'D_H is singular; value iteration from X = 0 solves that case, with
+    ``iterations`` counting its steps and ``doublings`` = 0.  Failure to
+    converge, or an L^{-1} that is not stable (H has a zero on the unit
+    circle), raises FactorizationError.
     """
     A, B = factor.A_whiten, plant.Bw
     M = factor.Sigma_inv_half @ plant.Q_half
@@ -359,19 +321,24 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
             F = np.linalg.pinv(R) @ S
         return R, S, F
 
-    X, doublings = _doubling_start(A, B, C_H, D_H)
-    if X is None:
-        X = np.zeros_like(A)
-    converged = False
-    for iterations in range(1, 100_001):
-        _, S, F = gain(X)
-        Xn = sym(A.T @ X @ A + CC - S.T @ F)
-        diff = np.abs(Xn - X).max()
-        X = Xn
-        if diff < 1e-12 * max(1.0, np.abs(X).max()):
-            converged = True
-            break
-    if not converged:
+    lam = np.linalg.eigvalsh(DD)
+    if lam.min() > 1e-12 * max(lam.max(), np.finfo(float).tiny):
+        E = np.linalg.solve(DD, DC)
+        X, iterations, reason = _sda(
+            A - B @ E, sym(B @ np.linalg.solve(DD, B.T)), sym(CC - DC.T @ E)
+        )
+        doublings = iterations
+    else:
+        X, doublings, reason = np.zeros_like(A), 0, "no-stabilizing-solution"
+        for iterations in range(1, 100_001):
+            _, S, F = gain(X)
+            Xn = sym(A.T @ X @ A + CC - S.T @ F)
+            diff = np.abs(Xn - X).max()
+            X = Xn
+            if diff < 1e-12 * max(1.0, np.abs(X).max()):
+                reason = None
+                break
+    if reason is not None:
         raise FactorizationError("no-stabilizing-solution: outer factor did not converge")
     R, S, F = gain(X)
     residual = float(np.abs(sym(A.T @ X @ A + CC - S.T @ F) - X).max())

@@ -41,7 +41,7 @@ from .controllers import (
     synth_h2_ih,
     synth_hinf,
 )
-from .factorization import FactorizationError, WPrimeFilter, spectral_factor_ih
+from .factorization import FactorizationError, WPrimeFilter
 from .model import LtiPlant
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import DisturbanceSpec, RolloutResult, generate, spec_from_json_dict, spec_to_json_dict
@@ -113,8 +113,8 @@ class RelinearizingController:
     the level is resolved at construction from the linearization about
     ``theta_init`` (bisection optimum times ``gamma_policy["margin"]``, or an
     explicit ``gamma_policy["fixed"]`` level) and then held fixed.  Gains are
-    cached per bin; fixed-point iterations for new bins warm-start from the
-    initial bin's solution, which keeps the cache independent of visit order.
+    cached per bin; each bin is synthesized from its own linearization alone,
+    so the cache is independent of the order in which bins are visited.
     """
 
     def __init__(
@@ -140,52 +140,23 @@ class RelinearizingController:
 
         policy = dict(gamma_policy or {})
         self.gamma: Optional[float] = None
-        self._P0_factor = None
-        self._P0_riccati = None
-        if kind == "competitive":
-            factor0 = spectral_factor_ih(plant0)
-            self._P0_factor = factor0.P
-            if "fixed" in policy:
-                self.gamma = float(policy["fixed"])
-            else:
-                margin = float(policy.get("margin", DEFAULT_GAMMA_MARGIN))
-                found = min_gamma_competitive(plant0, causality=causality, audit=False)
-                if not found.ok:
-                    raise MpcInfeasibleError(
-                        f"initial linearization: {found.reason or 'no feasible gamma'}"
-                    )
-                self.gamma = margin * found.gamma
-            ctrl0 = synth_competitive(
-                plant0, self.gamma, causality=causality, _factor=factor0
+        if kind != "h2" and "fixed" in policy:
+            self.gamma = float(policy["fixed"])
+        elif kind != "h2":
+            find = min_gamma_competitive if kind == "competitive" else min_gamma_hinf
+            margin = float(policy.get("margin", DEFAULT_GAMMA_MARGIN))
+            found = find(plant0, causality=causality, audit=False)
+            if not found.ok:
+                raise MpcInfeasibleError(
+                    f"initial linearization: {found.reason or 'no feasible gamma'}"
+                )
+            self.gamma = margin * found.gamma
+        ctrl0 = self._synth(plant0)
+        if isinstance(ctrl0, Infeasible):
+            raise MpcInfeasibleError(
+                f"initial linearization infeasible at gamma={self.gamma}"
             )
-            if isinstance(ctrl0, Infeasible):
-                raise MpcInfeasibleError(
-                    f"initial linearization infeasible at gamma={self.gamma}"
-                )
-            self._P0_riccati = ctrl0.diagnostics.get("P")
-            self._cache[self._bin_init] = ctrl0
-        elif kind == "hinf":
-            if "fixed" in policy:
-                self.gamma = float(policy["fixed"])
-            else:
-                margin = float(policy.get("margin", DEFAULT_GAMMA_MARGIN))
-                found = min_gamma_hinf(plant0, causality=causality, audit=False)
-                if not found.ok:
-                    raise MpcInfeasibleError(
-                        f"initial linearization: {found.reason or 'no feasible gamma'}"
-                    )
-                self.gamma = margin * found.gamma
-            ctrl0 = synth_hinf(plant0, self.gamma, causality=causality)
-            if isinstance(ctrl0, Infeasible):
-                raise MpcInfeasibleError(
-                    f"initial linearization infeasible at gamma={self.gamma}"
-                )
-            self._P0_riccati = ctrl0.diagnostics.get("P")
-            self._cache[self._bin_init] = ctrl0
-        else:
-            ctrl0 = synth_h2_ih(plant0, causality=causality)
-            self._P0_riccati = ctrl0.diagnostics.get("P")
-            self._cache[self._bin_init] = ctrl0
+        self._cache[self._bin_init] = ctrl0
 
         self.last_wprime = np.zeros(2)
         self.reset()
@@ -196,6 +167,13 @@ class RelinearizingController:
     def _plant_at(self, b: int) -> LtiPlant:
         return linearize_pendulum(self.params, b * self.quantum)
 
+    def _synth(self, plant: LtiPlant):
+        """Controller for one bin's linearization at the fixed level."""
+        if self.kind == "h2":
+            return synth_h2_ih(plant, causality=self.causality)
+        synth = synth_competitive if self.kind == "competitive" else synth_hinf
+        return synth(plant, self.gamma, causality=self.causality)
+
     def reset(self) -> None:
         self._xi = np.zeros(2)  # the plant copy of the exact synthetic state
         self._nu = np.zeros(2)
@@ -205,23 +183,8 @@ class RelinearizingController:
         ctrl = self._cache.get(b)
         if ctrl is not None:
             return ctrl
-        plant = self._plant_at(b)
         try:
-            if self.kind == "competitive":
-                factor = spectral_factor_ih(plant, P0=self._P0_factor)
-                ctrl = synth_competitive(
-                    plant,
-                    self.gamma,
-                    causality=self.causality,
-                    _factor=factor,
-                    _P0=self._P0_riccati,
-                )
-            elif self.kind == "hinf":
-                ctrl = synth_hinf(
-                    plant, self.gamma, causality=self.causality, _P0=self._P0_riccati
-                )
-            else:
-                ctrl = synth_h2_ih(plant, causality=self.causality, _P0=self._P0_riccati)
+            ctrl = self._synth(self._plant_at(b))
         except (ValueError, FactorizationError) as exc:
             raise MpcInfeasibleError(f"bin {b}: {exc}") from exc
         if isinstance(ctrl, Infeasible):

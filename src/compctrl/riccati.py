@@ -6,9 +6,18 @@ Two related objects live here:
   problem, which carries per-step existence conditions for causal and
   strictly causal disturbance-attenuating controllers, and
 
-* the corresponding infinite-horizon fixed point, iterated from P = 0, whose
-  acceptance requires (1) a stable closed loop, (2) matching inertia of the
-  weight R~ and of H~ = R~ + B~'PB~, and (3) P PSD.
+* the corresponding infinite-horizon fixed point, whose acceptance requires
+  (1) a stable closed loop, (2) matching inertia of the weight R~ and of
+  H~ = R~ + B~'PB~, and (3) P PSD.
+
+Every infinite-horizon fixed point of the package (the game and LQR
+Riccati equations here, the spectral and outer factors in
+:mod:`compctrl.factorization`) is solved by one structure-preserving
+doubling core, :func:`_sda`.  Its k-th iterate is the value-iteration
+iterate from zero at step 2^k, so the verdicts of value iteration carry over
+when each doubling is checked as value iteration checks each step, while the
+number of steps falls from thousands near the feasibility boundary to a few
+dozen.
 
 Feasibility failures are reported as structured verdicts with reason codes
 ("singular-Htilde", "no-stabilizing-solution", ...) rather than exceptions,
@@ -24,7 +33,7 @@ matrices of moderate norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,6 +62,12 @@ INERTIA_TOL = 1e-10
 STABILITY_MARGIN = 1e-9
 #: relative pivot guard for symmetric solves
 PIVOT_GUARD = 1e-12
+#: doubling cap; k doublings stand for 2^k value-iteration steps
+MAX_DOUBLINGS = 64
+#: a fixed-point iterate with ||P||_inf above this counts as divergent
+DIVERGENCE_NORM = 1e12
+#: relative tolerance on negative eigenvalues of a doubling's increment
+INCREMENT_TOL = 1e-9
 
 
 class SingularHtildeError(ValueError):
@@ -247,15 +262,19 @@ def hinf_backward(plant: LtvPlant, gamma: float) -> RiccatiSchedule:
 class RiccatiFixedPoint:
     """Converged (or failed) fixed point of the backward recursion.
 
+    ``iterations`` counts doublings: after k of them the solver holds the
+    value-iteration iterate P_{2^k} (see :func:`dare_fixed_point`).
     residual is the infinity-norm one-step recursion defect at the returned P.
     The three acceptance checks mirror the infinite-horizon existence theorem:
     closed-loop spectral radius < 1, inertia(R~) == inertia(H~), and P PSD.
-    When the iteration fails, reason is "singular-Htilde",
-    "no-stabilizing-solution" (divergence or iteration cap), or
-    "condition-violated" (an inertia flip of H~ part way through, which
-    certifies infeasibility: the k-th iterate is the k-step game value, and a
-    failed finite-horizon existence condition cannot recover at longer
-    horizons).  The checks are None on failure.
+    When the solve fails, reason is the verdict of the first value-iteration
+    step that fails, located from the doublings: "singular-Htilde" (H~
+    singular), "condition-violated" (H~ with the wrong inertia, or an
+    iterate that decreased; both certify infeasibility, because the k-th
+    value-iteration iterate is the k-step game value, and a failed
+    finite-horizon existence condition cannot recover at longer horizons),
+    or "no-stabilizing-solution" (divergence, a singular doubling step, or
+    the doubling cap).  The checks are None on failure.
     """
 
     P: Optional[np.ndarray]
@@ -287,98 +306,148 @@ class RiccatiFixedPoint:
         return "condition-violated"
 
 
+def _sda(
+    A: np.ndarray,
+    G: np.ndarray,
+    H: np.ndarray,
+    gate: Optional[Callable[[np.ndarray], Optional[str]]] = None,
+    tol_abs: float = 0.0,
+    tol_rel: float = 1e-12,
+) -> tuple[Optional[np.ndarray], int, Optional[str]]:
+    """Structure-preserving doubling for X = A'XA + H - A'XB(R + B'XB)^{-1}B'XA.
+
+    Starts from A_0 = A, G_0 = BR^{-1}B' and H_0 = H; with W = I + G_k H_k,
+
+        A_{k+1} = A_k W^{-1} A_k,  G_{k+1} = G_k + A_k W^{-1} G_k A_k',
+        H_{k+1} = H_k + A_k' H_k W^{-1} A_k
+
+    (Chu, Fan and Lin, 2005; Anderson's doubling, 1978).  Level k is the
+    map X -> H_k + A_k'X(I + G_kX)^{-1}A_k, which advances value iteration
+    by 2^k steps, so H_k is the value-iteration iterate X_{2^k} from X_0 = 0.
+
+    Each new iterate is checked as value iteration checks each step: a
+    non-finite value or ||H||_inf > 1e12 is "no-stabilizing-solution", and
+    ``gate(H_k)`` may return a reason code.  Value iteration from zero
+    increases while every step is well posed, so an increment with a
+    negative eigenvalue ("condition-violated") means a step between two
+    samples was not.  A failure (also a singular W) is bisected with the
+    stored levels, from the last good iterate in steps of 2^(k-1), ..., 1,
+    and its reason is the one of the first single step that fails.
+    Convergence is declared, before the increment and gate checks, when the
+    increment drops below tol_abs + tol_rel * max(1, ||H||_inf).
+
+    Returns (X or None, doublings, reason).
+    """
+    n = A.shape[0]
+    eye = np.eye(n)
+
+    def check(X: np.ndarray, Y: np.ndarray) -> Optional[str]:
+        if not np.isfinite(Y).all() or np.abs(Y).max() > DIVERGENCE_NORM:
+            return "no-stabilizing-solution"
+        if np.linalg.eigvalsh(Y - X).min() < -INCREMENT_TOL * max(1.0, np.abs(Y).max()):
+            return "condition-violated"
+        return None if gate is None else gate(Y)
+
+    def first_failure(X: np.ndarray, levels: list, reason: str) -> str:
+        # bisect the steps after the good sample X; the last pass is the
+        # single step (level 0) after the last good iterate
+        bad = None
+        for Aj, Gj, Hj in levels[::-1] + levels[:1]:
+            try:
+                Y = Hj + sym(Aj.T @ X @ np.linalg.solve(eye + Gj @ X, Aj))
+                bad = check(X, Y)
+            except np.linalg.LinAlgError:
+                bad = "no-stabilizing-solution"
+            if bad is None:
+                X = Y
+        # None: every step passed, so the samples do not bracket one failure
+        return bad or reason
+
+    reason = None if gate is None else gate(H)
+    if reason is not None:
+        return None, 0, reason
+    levels: list = []
+    for k in range(1, MAX_DOUBLINGS + 1):
+        try:
+            WAG = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+        except np.linalg.LinAlgError:
+            return None, k, first_failure(H, levels, "no-stabilizing-solution")
+        WA, WG = WAG[:, :n], WAG[:, n:]
+        Hn = H + sym(A.T @ H @ WA)
+        scale = max(1.0, np.abs(Hn).max())
+        if (
+            np.isfinite(Hn).all()
+            and scale <= DIVERGENCE_NORM
+            and np.abs(Hn - H).max() < tol_abs + tol_rel * scale
+        ):
+            return Hn, k, None
+        reason = check(H, Hn)
+        if reason is not None:
+            return None, k, first_failure(H, levels, reason)
+        levels.append((A, G, H))
+        G = sym(G + A @ WG @ A.T)
+        A = A @ WA
+        H = Hn
+    return None, MAX_DOUBLINGS, "no-stabilizing-solution"
+
+
 def dare_fixed_point(
     A: np.ndarray,
     Btil: np.ndarray,
     Rtil: np.ndarray,
     Q: np.ndarray,
-    tol_abs: float = 1e-11,
-    tol_rel: float = 1e-9,
-    max_iter: int = 100_000,
-    P0: Optional[np.ndarray] = None,
 ) -> RiccatiFixedPoint:
-    """Iterate P <- Q + A'PA - A'PB~ H~^{-1} B~'PA from P = 0 to a fixed point.
+    """Fixed point of P = Q + A'PA - A'PB~ H~^{-1} B~'PA by doubling.
 
-    Convergence is declared when the update norm drops below
-    tol_abs + tol_rel * max(1, ||P||_inf).  The relative term matters: for
-    indefinite weights near the feasibility boundary ||P|| grows without
-    bound and float64 cannot realize an absolute 1e-11 update on a matrix of
-    norm 1e4, so a purely absolute test would misreport feasible problems as
-    divergent.  Divergence (||P||_inf > 1e12) and the iteration cap both
-    yield reason "no-stabilizing-solution".
-
-    ``P0`` warm-starts the iteration from a PSD guess (e.g. the solution of a
-    nearby problem); the acceptance checks on the converged solution are
-    unchanged.
+    The solve runs :func:`_sda` on (A, B~R~^{-1}B~', Q), i.e. it samples
+    value iteration from P = 0 at the steps 2^k, and checks every sample as
+    value iteration checks every step: H~ = R~ + B~'PB~, equilibrated, must
+    be nonsingular ("singular-Htilde") with the inertia of R~
+    ("condition-violated").  Convergence is declared when the update norm
+    drops below 1e-11 + 1e-9 * max(1, ||P||_inf).  The relative term
+    matters: for indefinite weights near the feasibility boundary ||P||
+    grows without bound and float64 cannot realize an absolute 1e-11 update
+    on a matrix of norm 1e4.  The converged P then passes the residual step
+    and the three acceptance checks.
     """
     A = np.asarray(A, dtype=float)
     Btil = np.asarray(Btil, dtype=float)
     Rtil = np.asarray(Rtil, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    N = A.shape[0]
-    P = np.zeros((N, N)) if P0 is None else np.asarray(P0, dtype=float).copy()
     inertia_R = inertia(Rtil)
-    tiny = np.finfo(float).tiny
 
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        Htil = sym(Rtil + Btil.T @ P @ Btil)
-        Hhat, S = equilibrate_sym(Htil)
-        lam, V = np.linalg.eigh(Hhat)
-        abs_lam = np.abs(lam)
-        if abs_lam.min() <= PIVOT_GUARD * max(abs_lam.max(), tiny):
-            return RiccatiFixedPoint(
-                P=None, residual=None, iterations=iterations,
-                converged=False, reason="singular-Htilde",
-            )
-        n_pos = int(np.sum(lam > INERTIA_TOL))
-        n_neg = int(np.sum(lam < -INERTIA_TOL))
-        if (n_pos, n_neg, lam.size - n_pos - n_neg) != inertia_R:
-            return RiccatiFixedPoint(
-                P=None, residual=None, iterations=iterations,
-                converged=False, reason="condition-violated",
-            )
-        BtPA = Btil.T @ P @ A
-        Y = V.T @ (BtPA * S[:, None])
-        Pn = sym(Q + A.T @ P @ A - BtPA.T @ ((V @ (Y / lam[:, None])) * S[:, None]))
-        if not np.isfinite(Pn).all() or np.abs(Pn).max() > 1e12:
-            return RiccatiFixedPoint(
-                P=None, residual=None, iterations=iterations,
-                converged=False, reason="no-stabilizing-solution",
-            )
-        diff = np.abs(Pn - P).max()
-        P = Pn
-        if diff < tol_abs + tol_rel * max(1.0, np.abs(P).max()):
-            converged = True
-            break
-    if not converged:
-        return RiccatiFixedPoint(
-            P=None, residual=None, iterations=iterations,
-            converged=False, reason="no-stabilizing-solution",
-        )
+    def gate(P: np.ndarray) -> Optional[str]:
+        Hhat, _ = equilibrate_sym(Rtil + Btil.T @ P @ Btil)
+        abs_lam = np.abs(np.linalg.eigvalsh(Hhat))
+        if abs_lam.min() <= PIVOT_GUARD * max(abs_lam.max(), np.finfo(float).tiny):
+            return "singular-Htilde"
+        return None if inertia(Hhat) == inertia_R else "condition-violated"
 
-    def step(P: np.ndarray) -> np.ndarray:
+    # value iteration's first step checks H~ = R~ at P = 0
+    reason = gate(np.zeros_like(Q))
+    P, iterations = None, 0
+    if reason is None:
+        G = sym(Btil @ solve_sym(Rtil, Btil.T))
+        P, iterations, reason = _sda(A, G, sym(Q), gate, tol_abs=1e-11, tol_rel=1e-9)
+    if P is not None:  # the residual step and the acceptance checks
         Htil = Rtil + Btil.T @ P @ Btil
         BtPA = Btil.T @ P @ A
-        Pn = Q + A.T @ P @ A - BtPA.T @ solve_sym(Htil, BtPA)
-        return 0.5 * (Pn + Pn.T)
-
-    try:
-        residual = float(np.abs(step(P) - P).max())
-        Htil = Rtil + Btil.T @ P @ Btil
-        Acl = A - Btil @ solve_sym(Htil, Btil.T @ P @ A)
-    except SingularHtildeError:
+        try:
+            K = solve_sym(Htil, BtPA)
+        except SingularHtildeError:
+            P, reason = None, "singular-Htilde"
+    if P is None:
         return RiccatiFixedPoint(
             P=None, residual=None, iterations=iterations,
-            converged=False, reason="singular-Htilde",
+            converged=False, reason=reason,
         )
+    Pn = Q + A.T @ P @ A - BtPA.T @ K
     return RiccatiFixedPoint(
         P=P,
-        residual=residual,
+        residual=float(np.abs(0.5 * (Pn + Pn.T) - P).max()),
         iterations=iterations,
         converged=True,
-        closed_loop_radius=spectral_radius(Acl),
+        closed_loop_radius=spectral_radius(A - Btil @ K),
         inertia_match=inertia(Rtil) == inertia(Htil),
         psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9),
     )

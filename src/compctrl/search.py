@@ -7,11 +7,16 @@ feasible and then bisected to an absolute width ``tol``.  The returned level
 is the feasible upper end of the final bracket, together with the controller
 synthesized there.
 
-After the bracket converges, an eight-point monotonicity audit re-evaluates
-four levels below the bracket (skipping a 2*tol layer where the fixed-point
-iteration slows down critically) expecting infeasibility, and four levels
-above expecting feasibility; violations are reported as warnings on the
-result, never as exceptions.
+After the bracket (lo, hi] converges, an eight-point monotonicity audit
+re-evaluates the four levels lo - 2*tol, ..., lo - 5*tol expecting
+infeasibility and the four levels hi + tol, ..., hi + 4*tol expecting
+feasibility; violations are reported as warnings on the result, never as
+exceptions.  The levels are fixed offsets, so a search's probe sequence
+depends only on the verdicts.
+
+Every probe is logged twice: ``history`` keeps (gamma, feasible) pairs and
+``probes`` keeps a record per probe with the reason code of a rejection and
+the fixed-point doublings it took (None where no fixed point was solved).
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ class GammaSearchResult:
     ``gamma`` is the certified feasible level (upper end of the final
     bracket); ``controller`` was synthesized at exactly that level.  If the
     doubling phase hits the cap without finding a feasible level, ``reason``
-    is "unbounded-gamma" and ``controller`` is None.
+    is "unbounded-gamma" and ``controller`` is None.  ``probes`` parallels
+    ``history`` with one ``{gamma, feasible, reason, iterations}`` record per
+    probe.
     """
 
     gamma: Optional[float]
@@ -46,6 +53,7 @@ class GammaSearchResult:
     iterations: int = 0
     tol: float = 1e-3
     history: list = field(default_factory=list)
+    probes: list = field(default_factory=list)
     audit_warnings: list = field(default_factory=list)
 
     @property
@@ -71,11 +79,21 @@ def min_gamma(
     if gamma_hi_init <= gamma_floor:
         raise ValueError("gamma_hi_init must exceed gamma_floor")
     history = []
+    probes = []
 
     def probe(g: float):
         res = feasibility(g)
         feas = not isinstance(res, Infeasible)
         history.append((g, feas))
+        info = getattr(res, "diagnostics", None) if feas else res.details
+        probes.append(
+            {
+                "gamma": g,
+                "feasible": feas,
+                "reason": None if feas else res.reason,
+                "iterations": (info or {}).get("iterations"),
+            }
+        )
         return res, feas
 
     lo = gamma_floor
@@ -92,6 +110,7 @@ def min_gamma(
                 iterations=len(history),
                 tol=tol,
                 history=history,
+                probes=probes,
             )
         res, feas = probe(hi)
     controller = res
@@ -133,6 +152,7 @@ def min_gamma(
         iterations=len(history),
         tol=tol,
         history=history,
+        probes=probes,
         audit_warnings=warnings,
     )
 

@@ -113,3 +113,66 @@ def sinusoid_response_power(loop_A, loop_B, loop_C, loop_D, omega, v):
     n = loop_A.shape[0]
     Tv = (loop_C @ np.linalg.solve(z * np.eye(n) - loop_A, loop_B) + loop_D) @ v
     return 0.5 * float(np.vdot(Tv, Tv).real)
+
+
+def game_value_iteration(A, Btil, Rtil, Q, max_iter=100_000):
+    """Reference verdict route: value iteration P <- Ric(P) from P = 0.
+
+    Returns (P or None, feasible, reason, steps).  Every step checks
+    H~ = R~ + B~'PB~ after the symmetric scaling S H~ S, S = diag(1/sqrt(row
+    max)): a pivot ratio min|lam|/max|lam| <= 1e-12 is "singular-Htilde",
+    an inertia other than that of R~ (sign threshold 1e-10) is
+    "condition-violated", and a non-finite P, ||P||_inf > 1e12 or the step
+    cap are "no-stabilizing-solution".  The iteration stops when the update
+    norm drops below 1e-11 + 1e-9 * max(1, ||P||_inf).  A converged P is
+    feasible when the closed loop has spectral radius < 1 - 1e-9, the
+    unscaled H~ keeps the inertia of R~, and P is PSD (min eigenvalue
+    >= -1e-9); otherwise the reason is "condition-violated".
+    """
+    A, Btil, Rtil, Q = (np.asarray(M, dtype=float) for M in (A, Btil, Rtil, Q))
+
+    def scaled_eig(H):
+        H = 0.5 * (H + H.T)
+        S = 1.0 / np.sqrt(np.maximum(np.abs(H).max(axis=1), np.finfo(float).tiny))
+        lam, V = np.linalg.eigh(H * S[:, None] * S[None, :])
+        return lam, V, S
+
+    def signs(lam):
+        n_pos, n_neg = int(np.sum(lam > 1e-10)), int(np.sum(lam < -1e-10))
+        return n_pos, n_neg, lam.size - n_pos - n_neg
+
+    def solve(H, B):
+        lam, V, S = scaled_eig(H)
+        return (V @ ((V.T @ (B * S[:, None])) / lam[:, None])) * S[:, None]
+
+    inertia_R = signs(np.linalg.eigvalsh(0.5 * (Rtil + Rtil.T)))
+    P = np.zeros_like(Q)
+    for step in range(1, max_iter + 1):
+        Htil = Rtil + Btil.T @ P @ Btil
+        lam = scaled_eig(Htil)[0]
+        if np.abs(lam).min() <= 1e-12 * max(np.abs(lam).max(), np.finfo(float).tiny):
+            return None, False, "singular-Htilde", step
+        if signs(lam) != inertia_R:
+            return None, False, "condition-violated", step
+        BtPA = Btil.T @ P @ A
+        Pn = Q + A.T @ P @ A - BtPA.T @ solve(Htil, BtPA)
+        Pn = 0.5 * (Pn + Pn.T)
+        if not np.isfinite(Pn).all() or np.abs(Pn).max() > 1e12:
+            return None, False, "no-stabilizing-solution", step
+        diff = np.abs(Pn - P).max()
+        P = Pn
+        if diff < 1e-11 + 1e-9 * max(1.0, np.abs(P).max()):
+            break
+    else:
+        return None, False, "no-stabilizing-solution", max_iter
+    Htil = Rtil + Btil.T @ P @ Btil
+    lam = scaled_eig(Htil)[0]
+    if np.abs(lam).min() <= 1e-12 * max(np.abs(lam).max(), np.finfo(float).tiny):
+        return None, False, "singular-Htilde", step
+    Acl = A - Btil @ solve(Htil, Btil.T @ P @ A)
+    feasible = (
+        np.abs(np.linalg.eigvals(Acl)).max() < 1.0 - 1e-9
+        and signs(np.linalg.eigvalsh(0.5 * (Htil + Htil.T))) == inertia_R
+        and np.linalg.eigvalsh(P).min() >= -1e-9
+    )
+    return P, bool(feasible), None if feasible else "condition-violated", step

@@ -239,20 +239,42 @@ def test_certified_ratio_is_attained_on_lifted_operators(rng):
     really reaches: the largest generalized eigenvalue of T_K'T_K against the
     clairvoyant Gram G'(I + FF')^{-1}G, over disturbances on the first Tw of
     T steps, from impulse-stacked operators.  Covers p < n (the outer-factor
-    reduction) and p = n (the doubled plant)."""
-    T, Tw = 120, 60
+    reduction) and p = n (the doubled plant), causal and strictly causal.
+
+    The finite-horizon levels (T_f = 40, disturbances on all but the last
+    step, which no cost sees) are bounds: attenuation ||T_K w||^2 against
+    ||w||^2, and the ratio, which the doubled plant leaves loose for p < n.
+    """
+    T, Tw, T_f = 120, 60, 40
     for n, m, p in ((3, 1, 1), (3, 2, 2), (4, 2, 1), (2, 1, 2)):
         plant = random_lti(rng, n=n, m=m, p=p)
-        found = min_gamma_competitive(plant, audit=False)
-        assert found.ok
         F, G = impulse_stacked_maps(plant.to_ltv(T))
         G = G[:, : Tw * p]
         gram = G.T @ np.linalg.solve(np.eye(F.shape[0]) + F @ F.T, G)
-        TK = _stepped_closed_loop_map(plant, found.controller, T, Tw)
-        attained = eigh(TK.T @ TK, gram, eigvals_only=True)[-1]
-        certified = found.gamma**2
-        assert attained <= certified
-        assert attained >= 0.99 * certified, (n, m, p, attained, certified)
+        F, G = impulse_stacked_maps(plant.to_ltv(T_f))
+        G = G[:, : (T_f - 1) * p]
+        gram_f = G.T @ np.linalg.solve(np.eye(F.shape[0]) + F @ F.T, G)
+        for causality in ("causal", "strictly-causal"):
+            case = (n, m, p, causality)
+            found = min_gamma_competitive(plant, causality=causality, audit=False)
+            assert found.ok
+            TK = _stepped_closed_loop_map(plant, found.controller, T, Tw)
+            attained = eigh(TK.T @ TK, gram, eigvals_only=True)[-1]
+            certified = found.gamma**2
+            assert attained <= certified, (case, attained, certified)
+            assert attained >= 0.99 * certified, (case, attained, certified)
+
+            found = min_gamma_competitive(
+                plant, causality=causality, horizon=T_f, audit=False
+            )
+            TK = _stepped_closed_loop_map(plant, found.controller, T_f, T_f - 1)
+            attained = eigh(TK.T @ TK, gram_f, eigvals_only=True)[-1]
+            assert attained <= found.gamma**2, (case, attained, found.gamma**2)
+
+            found = min_gamma_hinf(plant, causality=causality, horizon=T_f, audit=False)
+            TK = _stepped_closed_loop_map(plant, found.controller, T_f, T_f - 1)
+            attained = np.linalg.eigvalsh(TK.T @ TK)[-1]
+            assert attained <= found.gamma**2, (case, attained, found.gamma**2)
 
 
 def test_disturbance_filter_ignores_future_inputs(rng):

@@ -108,6 +108,12 @@ def test_synth_bisected_competitive(tmp_path, plant_file):
     assert report["gamma_bracket"][0] < report["gamma"]
     assert report["audit_warnings"] == []
     assert report["feasibility_evaluations"] > 0
+    probes = report["probes"]
+    assert len(probes) == report["feasibility_evaluations"]
+    assert report["gamma"] in {p["gamma"] for p in probes if p["feasible"]}
+    for p in probes:
+        assert isinstance(p["iterations"], int)
+        assert (p["reason"] is None) == p["feasible"]
     ctrl = controller_from_json_dict(json.load(open(out)))
     assert ctrl.kind == "competitive"
     assert ctrl.gamma == report["gamma"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_discrete_are
 
 from conftest import random_lti, random_ltv, scalar_lti
 from oracles import impulse_stacked_maps
@@ -19,6 +20,7 @@ from compctrl.factorization import (
     wprime_step,
 )
 from compctrl.model import LtiPlant, build_dense_operators
+from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable
 
 
@@ -104,12 +106,17 @@ def test_spectral_factor_scalar_frozen():
     assert is_stable(factor.A_whiten)
 
 
-def test_spectral_factor_warm_start(rng):
-    plant = random_lti(rng, n=3, m=2, p=1)
-    cold = spectral_factor_ih(plant)
-    warm = spectral_factor_ih(plant, P0=cold.P)
-    assert warm.iterations <= 2
-    assert_allclose(warm.P, cold.P, rtol=1e-9, atol=1e-12)
+def test_spectral_factor_pendulum_doubles():
+    # A is within 1e-3 of I, where value iteration from zero needs 8-10k steps
+    plant = linearize_pendulum(PendulumParams(), 0.0)
+    factor = spectral_factor_ih(plant)
+    assert factor.iterations <= 20
+    # the filter Riccati equation is the control one of the dual problem
+    ref = solve_discrete_are(
+        plant.A.T, plant.Q_half.T, plant.Bu @ plant.Bu.T, np.eye(plant.n)
+    )
+    assert_allclose(factor.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+    assert factor.residual < 1e-10 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("seed", range(5))

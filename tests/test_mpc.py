@@ -241,10 +241,10 @@ def test_deterministic_across_fresh_controllers():
 
 
 def test_warm_cache_is_visit_order_independent():
-    # Gains synthesized for a new bin warm-start from the *initial* bin's
-    # solution, never from whichever bin happened to be solved last, so a
-    # controller reused across seeds replays exactly the trajectories that
-    # fresh controllers produce.
+    # Each bin's gains come from its own linearization alone, never from
+    # whichever bin happened to be solved before it, so a controller reused
+    # across seeds replays exactly the trajectories that fresh controllers
+    # produce.
     scenario = PendulumScenario(
         steps=400,
         disturbance=DisturbanceSpec(

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
 from conftest import random_lti, scalar_lti
-from oracles import lqr_value_iteration
+from oracles import game_value_iteration, lqr_value_iteration
 
 from compctrl.riccati import (
     Verdict,
@@ -18,6 +18,8 @@ from compctrl.riccati import (
     spectral_radius,
     sym,
 )
+from compctrl.mpc import PendulumParams, linearize_pendulum
+from compctrl.search import min_gamma_hinf
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -191,25 +193,70 @@ def test_game_fixed_point_matches_scipy_when_oracle_applies():
     assert agreed >= 6
 
 
-def test_warm_start_agrees_with_cold(rng):
-    plant = random_lti(rng, n=3, m=2)
-    cold = dare_fixed_point(plant.A, plant.Bu, np.eye(2), plant.Q)
-    warm = dare_fixed_point(plant.A, plant.Bu, np.eye(2), plant.Q, P0=cold.P)
-    assert warm.feasible
-    assert warm.iterations <= 2
-    assert_allclose(warm.P, cold.P, rtol=1e-8)
-
-
-def test_warm_start_nearby_problem(rng):
-    plant = random_lti(rng, n=3, m=1, p=1, radius=0.7)
+def _hinf_game(plant, gamma):
+    """(A, B~, R~, Q) of the attenuation game at level gamma."""
     Bt = np.hstack([plant.Bu, plant.Bw])
-    loose = dare_fixed_point(plant.A, Bt, np.diag([1.0, -30.0]), plant.Q)
-    tight_cold = dare_fixed_point(plant.A, Bt, np.diag([1.0, -28.0]), plant.Q)
-    tight_warm = dare_fixed_point(
-        plant.A, Bt, np.diag([1.0, -28.0]), plant.Q, P0=loose.P
-    )
-    assert tight_cold.feasible and tight_warm.feasible
-    assert_allclose(tight_warm.P, tight_cold.P, rtol=1e-6, atol=1e-9)
+    Rt = np.diag(np.r_[np.ones(plant.m), -(gamma**2) * np.ones(plant.p)])
+    return plant.A, Bt, Rt, plant.Q
+
+
+def test_boeing_game_riccati_doubles_near_optimum(boeing):
+    # the certified level, 1.7e-5 relative above the optimum: value
+    # iteration from zero needs about 8,000 steps here
+    game = _hinf_game(boeing, 28.234375)
+    fp = dare_fixed_point(*game)
+    assert fp.feasible
+    assert fp.iterations <= 20
+    A, Bt, Rt, Q = game
+    ref = solve_discrete_are(A, Bt, Q, Rt)
+    assert_allclose(fp.P, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("case", ["boeing", 0, 1, 2])
+def test_doubling_verdicts_match_value_iteration(case, boeing):
+    """Doubling reproduces value iteration's verdict on a gamma grid.
+
+    The grid brackets the optimal level gamma* (from the package search,
+    which only places the grid).  At every level the verdict and reason code
+    must equal those of the value-iteration oracle; at feasible levels the
+    solution must agree with the oracle (to its stopping rule's accuracy)
+    and with scipy's QZ route.
+    """
+    if case == "boeing":
+        plant, g_opt = boeing, 28.234375
+    else:
+        rng = np.random.default_rng(7000 + case)
+        plant = random_lti(rng, n=4, m=1 + case % 2, p=2)
+        g_opt = min_gamma_hinf(plant, audit=False).gamma
+    feasible_seen = set()
+    for f in (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0):
+        game = _hinf_game(plant, f * g_opt)
+        fp = dare_fixed_point(*game)
+        P_ref, feasible, reason, _ = game_value_iteration(*game)
+        assert (fp.feasible, fp.failure_reason) == (feasible, reason), f
+        feasible_seen.add(feasible)
+        if feasible:
+            scale = np.abs(P_ref).max()
+            assert_allclose(fp.P, P_ref, rtol=0, atol=1e-5 * scale)
+            A, Bt, Rt, Q = game
+            ref = solve_discrete_are(A, Bt, Q, Rt)
+            assert_allclose(fp.P, ref, rtol=0, atol=1e-8 * scale)
+    assert feasible_seen == {True, False}
+
+
+def test_doubling_reports_the_first_failing_step():
+    """Doubling can jump past value iteration's first failure; bisecting the
+    failing doubling down to single steps recovers value iteration's reason.
+
+    At gamma = 1 on the pendulum (B_u = B_w) the disturbance cancels the
+    control exactly and P grows by about 0.2 % a step.  H~ loses its inertia
+    near step 9,740 while ||P||_inf stays below 1e12 until about step 11,060,
+    and the doublings sample P_8192 and then P_16384, past both.
+    """
+    game = _hinf_game(linearize_pendulum(PendulumParams(), 0.0), 1.0)
+    _, feasible, reason, _ = game_value_iteration(*game)
+    assert (feasible, reason) == (False, "condition-violated")
+    assert dare_fixed_point(*game).failure_reason == "condition-violated"
 
 
 def test_feasibility_monotone_in_gamma():

@@ -32,6 +32,13 @@ def test_bisection_converges_to_threshold():
     assert result.audit_warnings == []
     # history records every probe as (gamma, feasible)
     assert all(isinstance(g, float) and isinstance(f, bool) for g, f in result.history)
+    # probes parallel history; the predicate's verdicts carry no iterations
+    assert [(p["gamma"], p["feasible"]) for p in result.probes] == result.history
+    assert all(
+        p["reason"] == (None if p["feasible"] else "condition-violated")
+        and p["iterations"] is None
+        for p in result.probes
+    )
 
 
 def test_bisection_tightens_from_above():
