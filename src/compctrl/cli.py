@@ -32,6 +32,7 @@ import numpy as np
 
 from .controllers import (
     Infeasible,
+    _cost_of_controls,
     controller_from_json_dict,
     controller_to_json_dict,
     offline_optimal,
@@ -49,7 +50,7 @@ from .factorization import (
     whitening_fh,
     wprime_run,
 )
-from .freq import sweep, write_sweep_csv
+from .freq import open_loop_maps, sweep, write_sweep_csv
 from .model import (
     LtiPlant,
     LtvPlant,
@@ -321,15 +322,6 @@ def _check(name, value, threshold):
     }
 
 
-def _cost_of_controls(ltv: LtvPlant, u: np.ndarray, w: np.ndarray) -> float:
-    x = ltv.x0.copy()
-    total = 0.0
-    for t in range(ltv.T):
-        total += float(x @ ltv.Q[t] @ x + u[t] @ u[t])
-        x = ltv.A[t] @ x + ltv.Bu[t] @ u[t] + ltv.Bw[t] @ w[t]
-    return total
-
-
 def run_verification(plant, horizon: int, seed: int) -> dict:
     """Machinery self-checks on one plant; returns a JSON-ready report."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -407,11 +399,9 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
         for omega in np.linspace(0.0, np.pi, 64):
             z = np.exp(1j * omega)
             Dz = delta_transfer(lti, factor, z)
-            n = lti.n
-            X = np.linalg.solve(z * np.eye(n) - lti.A, lti.Bu)
-            Fz = lti.Q_half @ X
+            Fz = open_loop_maps(lti, z)[0]
             lhs_z = Dz @ Dz.conj().T
-            rhs_z = np.eye(n) + Fz @ Fz.conj().T
+            rhs_z = np.eye(lti.n) + Fz @ Fz.conj().T
             worst = max(
                 worst,
                 float(

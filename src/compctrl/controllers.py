@@ -32,7 +32,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .factorization import (
-    SpectralFactor,
     SyntheticSystem,
     SyntheticSystemFH,
     WPrimeFilter,
@@ -47,7 +46,6 @@ from .riccati import (
     RiccatiFixedPoint,
     dare_fixed_point,
     hinf_backward,
-    is_stable,
     pbh_detectable,
     pbh_stabilizable,
     solve_sym,
@@ -287,13 +285,12 @@ def synth_h2_ih(plant: LtiPlant, causality: str = CAUSAL) -> StateFeedbackContro
         raise ValueError("precondition failed: (A, B_u) not stabilizable")
     if not pbh_detectable(plant.A, plant.Q_half):
         raise ValueError("precondition failed: (A, Q^{1/2}) not detectable")
-    fp = dare_fixed_point(plant.A, plant.Bu, np.eye(plant.m), plant.Q)
-    if not fp.converged:
-        raise ValueError(f"LQR fixed point failed: {fp.reason}")
-    P = fp.P
-    Kx, Kw = _saddle_gains(P, plant.A, plant.Bu, plant.Bw, None, causality)
-    if not is_stable(plant.A - plant.Bu @ Kx):
-        raise ValueError("LQR closed loop is not stable")
+    res = _attenuation(plant, None, causality)
+    if isinstance(res, Infeasible):
+        if res.reason == "condition-violated":  # converged, not stabilizing
+            raise ValueError("LQR closed loop is not stable")
+        raise ValueError(f"LQR fixed point failed: {res.reason}")
+    Kx, Kw, diagnostics = res
     return StateFeedbackController(
         kind="h2",
         causality=causality,
@@ -301,7 +298,7 @@ def synth_h2_ih(plant: LtiPlant, causality: str = CAUSAL) -> StateFeedbackContro
         gamma=None,
         Kx=Kx,
         Kw=Kw,
-        diagnostics={"residual": fp.residual, "iterations": fp.iterations, "P": P},
+        diagnostics={k: diagnostics[k] for k in ("residual", "iterations", "P")},
     )
 
 
@@ -320,8 +317,8 @@ def _gate_fixed_point(
     reported only), plus a final positivity condition that is only testable
     when its matrix is square and symmetric; otherwise it is reported as
     "condition-untestable" and validated empirically by the cost-bound suite.
+    gamma = None (the LQR limit) leaves the causal conditions only.
     """
-    g2 = gamma * gamma
     if not fp.converged:
         return Infeasible(
             fp.reason or "no-stabilizing-solution",
@@ -337,8 +334,8 @@ def _gate_fixed_point(
     }
     if not fp.feasible:
         return Infeasible("condition-violated", gamma, details)
-    if causality == STRICT:
-        P = fp.P
+    if causality == STRICT and gamma is not None:
+        P, g2 = fp.P, gamma * gamma
         u_eig = float(np.linalg.eigvalsh(sym(Bu.T @ P @ Bu)).max())
         w_eig = float(np.linalg.eigvalsh(sym(Bw.T @ P @ Bw)).max())
         details["strict_u_channel_ok"] = bool(u_eig < g2 - STRICT_MARGIN)
@@ -380,6 +377,63 @@ def _normalize_horizon(plant, horizon):
     return "fh", plant.to_ltv(int(horizon))
 
 
+def _attenuation(plant, gamma: Optional[float], causality: str):
+    """Attenuation gains at level gamma: ``(Kx, Kw, diagnostics)`` or Infeasible.
+
+    The one synthesis core of every state-feedback family.  An
+    :class:`LtiPlant` is gated by the fixed-point conditions of the game
+    Riccati equation with R~ = diag(I, -gamma^2 I) (gamma = None: its LQR
+    limit, R~ = I on u alone); an :class:`LtvPlant` by the per-step
+    conditions of the backward recursion.  The gains are those of
+    :func:`_saddle_gains`, per step in the finite horizon.
+    """
+    m, p = plant.m, plant.p
+    if isinstance(plant, LtiPlant):
+        if gamma is None:
+            Btil, Rtil = plant.Bu, np.eye(m)
+        else:
+            Btil = np.hstack([plant.Bu, plant.Bw])
+            Rtil = np.block(
+                [
+                    [np.eye(m), np.zeros((m, p))],
+                    [np.zeros((p, m)), -(gamma**2) * np.eye(p)],
+                ]
+            )
+        fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
+        bad = _gate_fixed_point(fp, plant.Bu, plant.Bw, gamma, causality)
+        if bad is not None:
+            return bad
+        Kx, Kw = _saddle_gains(fp.P, plant.A, plant.Bu, plant.Bw, gamma, causality)
+        diagnostics = {
+            "residual": fp.residual,
+            "iterations": fp.iterations,
+            "closed_loop_radius": fp.closed_loop_radius,
+            "P": fp.P,
+        }
+        return Kx, Kw, diagnostics
+
+    sched = hinf_backward(plant, gamma)
+    gate = sched.causal if causality == CAUSAL else sched.strictly_causal_w
+    if not gate.ok:
+        return Infeasible(
+            gate.reason or "condition-violated",
+            gamma,
+            {
+                "first_violation": gate.first_violation,
+                "strictly_causal_u_ok": sched.strictly_causal_u.ok,
+                "strictly_causal_w_ok": sched.strictly_causal_w.ok,
+            },
+        )
+    T = plant.T
+    Kx = np.zeros((T, m, plant.n))
+    Kw = np.zeros((T, m, p))
+    for t in range(T):
+        Kx[t], Kw[t] = _saddle_gains(
+            sched.P[t + 1], plant.A[t], plant.Bu[t], plant.Bw[t], gamma, causality
+        )
+    return Kx, Kw, {}
+
+
 def synth_hinf(
     plant,
     gamma: float,
@@ -400,57 +454,33 @@ def synth_hinf(
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     mode, plant = _normalize_horizon(plant, horizon)
-    if mode == "ih":
-        Btil = np.hstack([plant.Bu, plant.Bw])
-        Rtil = np.block(
-            [
-                [np.eye(plant.m), np.zeros((plant.m, plant.p))],
-                [np.zeros((plant.p, plant.m)), -(gamma**2) * np.eye(plant.p)],
-            ]
-        )
-        fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
-        bad = _gate_fixed_point(fp, plant.Bu, plant.Bw, gamma, causality)
-        if bad is not None:
-            return bad
-        P = fp.P
-        Kx, Kw = _saddle_gains(P, plant.A, plant.Bu, plant.Bw, gamma, causality)
-        return StateFeedbackController(
-            kind="hinf",
-            causality=causality,
-            horizon=None,
-            gamma=gamma,
-            Kx=Kx,
-            Kw=Kw,
-            diagnostics={
-                "residual": fp.residual,
-                "iterations": fp.iterations,
-                "closed_loop_radius": fp.closed_loop_radius,
-                "P": P,
-            },
-        )
-
-    sched = hinf_backward(plant, gamma)
-    gate = sched.causal if causality == CAUSAL else sched.strictly_causal_w
-    if not gate.ok:
-        return Infeasible(
-            gate.reason or "condition-violated",
-            gamma,
-            {
-                "first_violation": gate.first_violation,
-                "strictly_causal_u_ok": sched.strictly_causal_u.ok,
-                "strictly_causal_w_ok": sched.strictly_causal_w.ok,
-            },
-        )
-    T, m, p = plant.T, plant.m, plant.p
-    Kx = np.zeros((T, m, plant.n))
-    Kw = np.zeros((T, m, p))
-    for t in range(T):
-        Kx[t], Kw[t] = _saddle_gains(
-            sched.P[t + 1], plant.A[t], plant.Bu[t], plant.Bw[t], gamma, causality
-        )
+    res = _attenuation(plant, gamma, causality)
+    if isinstance(res, Infeasible):
+        return res
+    Kx, Kw, diagnostics = res
     return StateFeedbackController(
-        kind="hinf", causality=causality, horizon=T, gamma=gamma, Kx=Kx, Kw=Kw
+        kind="hinf",
+        causality=causality,
+        horizon=None if mode == "ih" else plant.T,
+        gamma=gamma,
+        Kx=Kx,
+        Kw=Kw,
+        diagnostics=diagnostics,
     )
+
+
+def _synthetic_plant(plant) -> Union[SyntheticSystem, SyntheticSystemFH]:
+    """The gamma-independent synthetic plant of a normalized plant.
+
+    Infinite horizon: from the spectral factor, plus the outer factor of the
+    w' filter when p < n (the exact plant).  Finite horizon: from the
+    whitening schedule (the doubled plant).
+    """
+    if isinstance(plant, LtvPlant):
+        return build_synthetic(plant, whitening_fh(plant))
+    factor = spectral_factor_ih(plant)
+    outer = outer_factor_ih(plant, factor) if plant.p < plant.n else None
+    return build_synthetic(plant, factor, outer)
 
 
 def synth_competitive(
@@ -458,115 +488,75 @@ def synth_competitive(
     gamma: float,
     causality: str = CAUSAL,
     horizon: Optional[int] = None,
-    _factor=None,
-    _outer=None,
+    _synthetic=None,
 ) -> Union[CompetitiveController, Infeasible]:
     """Ratio-optimal controller at ratio bound gamma^2.
 
-    Builds the whitening/spectral factor, the synthetic plant, and runs
-    attenuation synthesis there; the returned controller steps the w'
-    filter and the autonomous synthetic state online.  In the infinite
-    horizon with fewer disturbance channels than states (p < n) the
-    synthetic plant is the exact one built from the outer factor of the w'
-    filter, so gamma^2 is feasible for the causal law exactly when it bounds
-    the worst-case ratio; otherwise it is the doubled plant.  ``_factor`` and ``_outer``
-    let a caller (the gamma search) reuse the gamma-independent
-    factorizations.
+    Builds the synthetic plant and runs attenuation synthesis there; the
+    returned controller steps the w' filter and the autonomous synthetic
+    state online.  In the infinite horizon with fewer disturbance channels
+    than states (p < n) the synthetic plant is the exact one built from the
+    outer factor of the w' filter, so gamma^2 is feasible for the causal law
+    exactly when it bounds the worst-case ratio; otherwise it is the doubled
+    plant.  ``_synthetic`` lets a caller (the gamma search) pass the
+    synthetic plant of the same normalized plant, which does not depend on
+    gamma, instead of rebuilding it on every call.
     """
     _check_causality(causality)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     mode, plant = _normalize_horizon(plant, horizon)
-    if mode == "ih":
-        factor = _factor if _factor is not None else spectral_factor_ih(plant)
-        outer = None
-        if plant.p < plant.n:
-            outer = _outer if _outer is not None else outer_factor_ih(plant, factor)
-        syn = build_synthetic(plant, factor, outer)
-        m, d = plant.m, syn.Bwhat.shape[1]
-        Btil = np.hstack([syn.Buhat, syn.Bwhat])
-        Rtil = np.block(
-            [
-                [np.eye(m), np.zeros((m, d))],
-                [np.zeros((d, m)), -(gamma**2) * np.eye(d)],
-            ]
-        )
-        fp = dare_fixed_point(syn.Ahat, Btil, Rtil, syn.Qhat)
-        bad = _gate_fixed_point(fp, syn.Buhat, syn.Bwhat, gamma, causality)
-        if bad is not None:
-            return bad
-        P = fp.P
-        Kxi, Kwp = _saddle_gains(P, syn.Ahat, syn.Buhat, syn.Bwhat, gamma, causality)
-        return CompetitiveController(
-            kind="competitive",
-            causality=causality,
-            horizon=None,
-            gamma=gamma,
-            synthetic=syn,
-            Kxi=Kxi,
-            Kwp=Kwp,
-            diagnostics={
-                "residual": fp.residual,
-                "iterations": fp.iterations,
-                "closed_loop_radius": fp.closed_loop_radius,
-                "P": P,
-            },
-        )
-
-    factor = _factor if _factor is not None else whitening_fh(plant)
-    syn = build_synthetic(plant, factor)
-    sched = hinf_backward(syn.as_ltv_plant(), gamma)
-    gate = sched.causal if causality == CAUSAL else sched.strictly_causal_w
-    if not gate.ok:
-        return Infeasible(
-            gate.reason or "condition-violated",
-            gamma,
-            {"first_violation": gate.first_violation},
-        )
-    T, n, m = plant.T, plant.n, plant.m
-    Kxi = np.zeros((T, m, 2 * n))
-    Kwp = np.zeros((T, m, n))
-    for t in range(T):
-        Kxi[t], Kwp[t] = _saddle_gains(
-            sched.P[t + 1], syn.Ahat[t], syn.Buhat[t], syn.Bwhat[t], gamma, causality
-        )
+    syn = _synthetic if _synthetic is not None else _synthetic_plant(plant)
+    res = _attenuation(
+        syn.as_lti_plant() if mode == "ih" else syn.as_ltv_plant(), gamma, causality
+    )
+    if isinstance(res, Infeasible):
+        return res
+    Kxi, Kwp, diagnostics = res
     return CompetitiveController(
         kind="competitive",
         causality=causality,
-        horizon=T,
+        horizon=None if mode == "ih" else plant.T,
         gamma=gamma,
         synthetic=syn,
         Kxi=Kxi,
         Kwp=Kwp,
+        diagnostics=diagnostics,
     )
 
 
-def _offline_riccati(plant: LtvPlant, w: np.ndarray) -> np.ndarray:
-    """Affine backward sweep for the clairvoyant problem (O(T) memory/time)."""
-    T, m = plant.T, plant.m
-    n = plant.n
+def _affine_sweep(plant: LtvPlant, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clairvoyant policy u_t = -K_t x_t - h_t for the known disturbance w.
+
+    One affine backward Riccati sweep (O(T) memory and time): the cost-to-go
+    from step t is x'P_t x + 2 b_t'x + const, so K_t = H^{-1}B_u'P_{t+1}A and
+    h_t = H^{-1}B_u'(P_{t+1}B_w w_t + b_{t+1}) with H = I + B_u'P_{t+1}B_u.
+    """
+    T, n, m = plant.T, plant.n, plant.m
     P = np.zeros((n, n))
     b = np.zeros(n)
-    Ks = np.zeros((T, m, n))
-    hs = np.zeros((T, m))
+    K = np.zeros((T, m, n))
+    h = np.zeros((T, m))
     for t in range(T - 1, -1, -1):
-        A, Bu, Q = plant.A[t], plant.Bu[t], plant.Q[t]
+        A, Bu = plant.A[t], plant.Bu[t]
         g = plant.Bw[t] @ w[t]
         H = np.eye(m) + Bu.T @ P @ Bu
-        K = np.linalg.solve(H, Bu.T @ P @ A)
-        h = np.linalg.solve(H, Bu.T @ (P @ g + b))
-        Acl = A - Bu @ K
-        gk = g - Bu @ h
-        b = K.T @ h + Acl.T @ (P @ gk + b)
-        P = sym(Q + K.T @ K + Acl.T @ P @ Acl)
-        Ks[t] = K
-        hs[t] = h
+        K[t] = np.linalg.solve(H, Bu.T @ P @ A)
+        h[t] = np.linalg.solve(H, Bu.T @ (P @ g + b))
+        Acl = A - Bu @ K[t]
+        b = K[t].T @ h[t] + Acl.T @ (P @ (g - Bu @ h[t]) + b)
+        P = sym(plant.Q[t] + K[t].T @ K[t] + Acl.T @ P @ Acl)
+    return K, h
+
+
+def _cost_of_controls(plant: LtvPlant, u: np.ndarray, w: np.ndarray) -> float:
+    """Cost sum_t x_t'Q_t x_t + u_t'u_t of open-loop controls u against w."""
     x = plant.x0.copy()
-    u = np.zeros((T, m))
-    for t in range(T):
-        u[t] = -(Ks[t] @ x) - hs[t]
+    total = 0.0
+    for t in range(plant.T):
+        total += float(x @ plant.Q[t] @ x + u[t] @ u[t])
         x = plant.A[t] @ x + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
-    return u
+    return total
 
 
 def offline_optimal(
@@ -599,13 +589,13 @@ def offline_optimal(
         ).reshape(plant.T, plant.m)
         opt = float(gw @ np.linalg.solve(np.eye(ops.n * ops.T) + ops.F @ ops.F.T, gw))
     elif method == "riccati":
-        u = _offline_riccati(plant, w)
-        s_cost = 0.0
-        x = np.zeros(plant.n)
+        K, h = _affine_sweep(plant, w)
+        x = plant.x0.copy()
+        u = np.zeros((plant.T, plant.m))
         for t in range(plant.T):
-            s_cost += float(x @ plant.Q[t] @ x + u[t] @ u[t])
+            u[t] = -(K[t] @ x) - h[t]
             x = plant.A[t] @ x + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
-        opt = s_cost
+        opt = _cost_of_controls(plant, u, w)
     else:
         raise ValueError("method must be None, 'dense', or 'riccati'")
     return u, opt

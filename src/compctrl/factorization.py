@@ -163,6 +163,17 @@ class SyntheticSystem:
     def m(self) -> int:
         return self.Buhat.shape[1]
 
+    def as_lti_plant(self) -> LtiPlant:
+        """View the synthetic system as an ordinary time-invariant plant."""
+        return LtiPlant(
+            A=self.Ahat,
+            Bu=self.Buhat,
+            Bw=self.Bwhat,
+            Q=self.Qhat,
+            R_half=np.eye(self.m),
+            x0=np.zeros(self.Ahat.shape[0]),
+        )
+
 
 @dataclass(frozen=True)
 class SyntheticSystemFH:

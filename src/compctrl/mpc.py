@@ -36,7 +36,7 @@ from .controllers import (
     CompetitiveController,
     ControllerState,
     Infeasible,
-    StateFeedbackController,
+    _affine_sweep,
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
@@ -44,7 +44,8 @@ from .controllers import (
 from .factorization import FactorizationError, WPrimeFilter
 from .model import LtiPlant
 from .search import min_gamma_competitive, min_gamma_hinf
-from .sim import DisturbanceSpec, RolloutResult, generate, spec_from_json_dict, spec_to_json_dict
+from .sim import DisturbanceSpec, RolloutResult, _rollout_loop, _StopRollout, cost_ratio, generate
+from .sim import spec_from_json_dict, spec_to_json_dict
 
 __all__ = [
     "PendulumParams",
@@ -62,7 +63,6 @@ __all__ = [
 ]
 
 SCENARIO_SCHEMA_VERSION = 1
-DIVERGENCE_NORM = 1e6
 DEFAULT_QUANTUM = 1e-3
 DEFAULT_GAMMA_MARGIN = 1.01
 
@@ -102,8 +102,10 @@ def linearize_pendulum(params: PendulumParams, theta: float) -> LtiPlant:
     )
 
 
-class MpcInfeasibleError(RuntimeError):
+class MpcInfeasibleError(_StopRollout):
     """Synthesis failed for some visited linearization at the fixed gamma."""
+
+    status = "infeasible-linearization"
 
 
 class RelinearizingController:
@@ -211,53 +213,25 @@ class RelinearizingController:
         return ctrl.step(ControllerState(), x, w)
 
 
-def _simulate(params, policy_step, w, x0, dynamics, theta_lin=0.0):
-    """Shared rollout loop for controllers and the comparator."""
+def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
+    """Roll ``policy`` against the pendulum, with unit cost weights.
+
+    ``dynamics`` is "nonlinear" or "linear" (the linearization about
+    theta_lin).
+    """
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
-    T = w.shape[0]
-    x = np.zeros((T + 1, 2))
-    x[0] = np.asarray(x0, dtype=float).reshape(2)
-    u = np.zeros((T, 1))
-    wprime = np.zeros((T, 2))
-    step_cost = np.zeros(T)
-    cum = np.zeros(T)
-    if dynamics == "linear":
-        lin = linearize_pendulum(params, theta_lin)
-    running = 0.0
-    status = "ok"
-    steps = 0
-    for t in range(T):
-        try:
-            u_t, wp_t = policy_step(t, x[t], w[t])
-        except MpcInfeasibleError:
-            status = "infeasible-linearization"
-            break
-        u[t] = u_t
-        wprime[t] = wp_t
-        step_cost[t] = float(x[t] @ x[t] + u_t @ u_t)
-        running += step_cost[t]
-        cum[t] = running
-        if dynamics == "nonlinear":
-            x[t + 1] = pendulum_step(params, x[t], u_t, w[t])
-        else:
-            x[t + 1] = lin.A @ x[t] + lin.Bu @ u_t + lin.Bw @ w[t]
-        steps = t + 1
-        if not np.all(np.isfinite(x[t + 1])) or np.linalg.norm(x[t + 1]) > DIVERGENCE_NORM:
-            status = "diverged"
-            break
-    return RolloutResult(
-        w=w[:steps],
-        wprime=wprime[:steps],
-        x=x[: steps + 1],
-        u=u[:steps],
-        step_cost=step_cost[:steps],
-        cum_cost=cum[:steps],
-        total_cost=running,
-        status=status,
-        steps_completed=steps,
-    )
+    lin = linearize_pendulum(params, theta_lin) if dynamics == "linear" else None
+
+    def advance(t, x, u, w_t):
+        if lin is None:
+            return pendulum_step(params, x, u, w_t)
+        return lin.A @ x + lin.Bu @ u + lin.Bw @ w_t
+
+    x0 = np.asarray(x0, dtype=float).reshape(2)
+    Q = np.broadcast_to(np.eye(2), (w.shape[0], 2, 2))
+    return _rollout_loop(w, x0, 1, Q, policy, advance)
 
 
 def run_pendulum(
@@ -280,51 +254,6 @@ def run_pendulum(
     return _simulate(params, policy, w, x0, dynamics, theta_lin)
 
 
-class _ClairvoyantComparator:
-    """Per-bin affine backward passes over the full disturbance record."""
-
-    def __init__(self, params: PendulumParams, w: np.ndarray, quantum: float):
-        self.params = params
-        self.w = np.asarray(w, dtype=float).reshape(-1, 1)
-        self.quantum = float(quantum)
-        self._passes: dict = {}
-
-    def _pass_for(self, b: int):
-        cached = self._passes.get(b)
-        if cached is not None:
-            return cached
-        plant = linearize_pendulum(self.params, b * self.quantum)
-        A, Bu, Bw, Q = plant.A, plant.Bu, plant.Bw, plant.Q
-        T = self.w.shape[0]
-        Ps = np.zeros((T + 1, 2, 2))
-        bs = np.zeros((T + 1, 2))
-        P = np.zeros((2, 2))
-        bvec = np.zeros(2)
-        for t in range(T - 1, -1, -1):
-            g = Bw @ self.w[t]
-            H = np.eye(1) + Bu.T @ P @ Bu
-            K = np.linalg.solve(H, Bu.T @ P @ A)
-            h = np.linalg.solve(H, Bu.T @ (P @ g + bvec))
-            Acl = A - Bu @ K
-            gk = g - Bu @ h
-            bvec = K.T @ h + Acl.T @ (P @ gk + bvec)
-            P = Q + K.T @ K + Acl.T @ P @ Acl
-            P = 0.5 * (P + P.T)
-            Ps[t] = P
-            bs[t] = bvec
-        self._passes[b] = (plant, Ps, bs)
-        return self._passes[b]
-
-    def step(self, t: int, x: np.ndarray) -> np.ndarray:
-        b = int(round(float(x[0]) / self.quantum))
-        plant, Ps, bs = self._pass_for(b)
-        A, Bu, Bw = plant.A, plant.Bu, plant.Bw
-        P1, b1 = Ps[t + 1], bs[t + 1]
-        H = np.eye(1) + Bu.T @ P1 @ Bu
-        rhs = Bu.T @ (P1 @ (A @ x + Bw @ self.w[t]) + b1)
-        return -np.linalg.solve(H, rhs)
-
-
 def clairvoyant_comparator_run(
     params: PendulumParams,
     w: np.ndarray,
@@ -332,13 +261,25 @@ def clairvoyant_comparator_run(
     quantum: float = DEFAULT_QUANTUM,
     dynamics: str = "nonlinear",
 ) -> RolloutResult:
-    """Roll the receding-horizon clairvoyant comparator on the same record."""
-    comp = _ClairvoyantComparator(params, w, quantum)
+    """Roll the receding-horizon clairvoyant comparator on the same record.
+
+    At step t in bin b it applies u_t = -K_t x_t - h_t of the affine sweep
+    over the whole record for the linearization of bin b; each bin's sweep
+    is computed once and cached.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1, 1)
+    sweeps: dict = {}
+    no_wprime = np.zeros(2)
 
     def policy(t, x, w_t):
-        return comp.step(t, x), np.zeros(2)
+        b = int(round(float(x[0]) / quantum))
+        if b not in sweeps:
+            plant = linearize_pendulum(params, b * quantum)
+            sweeps[b] = _affine_sweep(plant.to_ltv(w.shape[0]), w)
+        K, h = sweeps[b]
+        return -(K[t] @ x) - h[t], no_wprime
 
-    return _simulate(params, policy, np.asarray(w, dtype=float), x0, dynamics)
+    return _simulate(params, policy, w, x0, dynamics)
 
 
 @dataclass(frozen=True)
@@ -426,10 +367,7 @@ def run_scenario(
     comparator = clairvoyant_comparator_run(
         scenario.params, w, x0=scenario.x0, quantum=scenario.quantum
     )
-    if comparator.total_cost < 1e-12:
-        ratio = 1.0 if result.total_cost < 1e-12 else "degenerate-denominator"
-    else:
-        ratio = result.total_cost / comparator.total_cost
+    ratio = cost_ratio(result.total_cost, comparator.total_cost)
     return {
         "rollout": result,
         "comparator": comparator,

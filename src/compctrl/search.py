@@ -25,9 +25,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .controllers import Infeasible, synth_competitive, synth_hinf
-from .factorization import outer_factor_ih, spectral_factor_ih, whitening_fh
-from .model import LtiPlant, LtvPlant
+from .controllers import (
+    Infeasible,
+    _normalize_horizon,
+    _synthetic_plant,
+    synth_competitive,
+    synth_hinf,
+)
 
 __all__ = ["GammaSearchResult", "min_gamma", "min_gamma_hinf", "min_gamma_competitive"]
 
@@ -185,25 +189,15 @@ def min_gamma_competitive(
 ) -> GammaSearchResult:
     """Smallest certifiable cost-ratio level gamma (the ratio bound is gamma^2).
 
-    The gamma-independent disturbance factorization (and, in the infinite
-    horizon with p < n, the outer factor of the w' filter) is computed once
-    and reused across all probes.
+    The gamma-independent synthetic plant (the disturbance factorization
+    and, in the infinite horizon with p < n, the outer factor of the w'
+    filter) is built once and reused across all probes.
     """
-    outer = None
-    if isinstance(plant, LtiPlant) and horizon is None:
-        factor = spectral_factor_ih(plant)
-        if plant.p < plant.n:
-            outer = outer_factor_ih(plant, factor)
-    else:
-        ltv = plant if isinstance(plant, LtvPlant) else plant.to_ltv(int(horizon))
-        factor = whitening_fh(ltv)
-        plant, horizon = ltv, None
+    _, plant = _normalize_horizon(plant, horizon)
+    syn = _synthetic_plant(plant)
 
     def feas(g: float):
-        return synth_competitive(
-            plant, g, causality=causality, horizon=horizon, _factor=factor,
-            _outer=outer,
-        )
+        return synth_competitive(plant, g, causality=causality, _synthetic=syn)
 
     return min_gamma(
         feas, gamma_floor=1.0, gamma_hi_init=gamma_hi_init, tol=tol, audit=audit

@@ -26,7 +26,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .controllers import (
-    CompetitiveController,
     OfflineController,
     control_step,
     offline_optimal,
@@ -183,6 +182,58 @@ class RolloutResult:
     steps_completed: int
 
 
+class _StopRollout(RuntimeError):
+    """Raised by a rollout policy to end the run with the class's ``status``."""
+
+    status = "stopped"
+
+
+def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
+    """The loop of every rollout.
+
+    Per step ``policy(t, x_t, w_t)`` gives (u_t, w'_t), the step costs
+    x_t'Q_t x_t + u_t'u_t and ``advance(t, x_t, u_t, w_t)`` gives x_{t+1}.
+    A divergent state or a :class:`_StopRollout` from the policy ends the
+    run; the arrays keep the steps completed.
+    """
+    T, n = w.shape[0], x0.shape[0]
+    x = np.zeros((T + 1, n))
+    x[0] = x0
+    u = np.zeros((T, m))
+    wprime = np.zeros((T, n))
+    step_cost = np.zeros(T)
+    cum = np.zeros(T)
+    running = 0.0
+    status = "ok"
+    steps = 0
+    for t in range(T):
+        try:
+            u_t, wprime[t] = policy(t, x[t], w[t])
+        except _StopRollout as stop:
+            status = stop.status
+            break
+        u[t] = u_t
+        step_cost[t] = float(x[t] @ Q[t] @ x[t] + u_t @ u_t)
+        running += step_cost[t]
+        cum[t] = running
+        x[t + 1] = advance(t, x[t], u_t, w[t])
+        steps = t + 1
+        if not np.all(np.isfinite(x[t + 1])) or np.linalg.norm(x[t + 1]) > DIVERGENCE_NORM:
+            status = "diverged"
+            break
+    return RolloutResult(
+        w=w[:steps],
+        wprime=wprime[:steps],
+        x=x[: steps + 1],
+        u=u[:steps],
+        step_cost=step_cost[:steps],
+        cum_cost=cum[:steps],
+        total_cost=running,
+        status=status,
+        steps_completed=steps,
+    )
+
+
 def _as_ltv(plant, T: int) -> LtvPlant:
     if isinstance(plant, LtvPlant):
         if plant.T != T:
@@ -203,50 +254,20 @@ def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
     if controller.horizon is not None and controller.horizon != T:
         raise ValueError("controller horizon does not match the disturbance length")
 
-    n, m = ltv.n, ltv.m
-    if isinstance(controller, OfflineController):
-        u_all, _ = offline_optimal(ltv, w)
-        mode = "batch"
-    else:
-        state = controller.make_state()
-        mode = "online"
+    no_wprime = np.zeros(ltv.n)
+    state = controller.make_state()
+    u_all = offline_optimal(ltv, w)[0] if isinstance(controller, OfflineController) else None
 
-    x = np.zeros((T + 1, n))
-    x[0] = ltv.x0
-    u = np.zeros((T, m))
-    wprime = np.zeros((T, n))
-    step_cost = np.zeros(T)
-    cum = np.zeros(T)
-    running = 0.0
-    status = "ok"
-    steps = 0
-    for t in range(T):
-        if mode == "online":
-            if isinstance(controller, CompetitiveController):
-                wprime[t] = state.filter.wprime_now()
-            u_t, state = control_step(controller, state, x[t], w[t])
-        else:
-            u_t = u_all[t]
-        u[t] = u_t
-        step_cost[t] = float(x[t] @ ltv.Q[t] @ x[t] + u_t @ u_t)
-        running += step_cost[t]
-        cum[t] = running
-        x[t + 1] = ltv.A[t] @ x[t] + ltv.Bu[t] @ u_t + ltv.Bw[t] @ w[t]
-        steps = t + 1
-        if not np.all(np.isfinite(x[t + 1])) or np.linalg.norm(x[t + 1]) > DIVERGENCE_NORM:
-            status = "diverged"
-            break
-    return RolloutResult(
-        w=w[:steps],
-        wprime=wprime[:steps],
-        x=x[: steps + 1],
-        u=u[:steps],
-        step_cost=step_cost[:steps],
-        cum_cost=cum[:steps],
-        total_cost=running,
-        status=status,
-        steps_completed=steps,
-    )
+    def policy(t, x, w_t):
+        if u_all is not None:
+            return u_all[t], no_wprime
+        wp = no_wprime if state.filter is None else state.filter.wprime_now()
+        return control_step(controller, state, x, w_t)[0], wp
+
+    def advance(t, x, u_t, w_t):
+        return ltv.A[t] @ x + ltv.Bu[t] @ u_t + ltv.Bw[t] @ w_t
+
+    return _rollout_loop(w, ltv.x0, ltv.m, ltv.Q, policy, advance)
 
 
 @dataclass

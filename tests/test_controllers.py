@@ -7,6 +7,7 @@ from oracles import brute_force_offline, rollout_cost, stacked_opt_cost
 
 from compctrl.controllers import (
     CompetitiveController,
+    _synthetic_plant,
     Infeasible,
     OfflineController,
     StateFeedbackController,
@@ -19,7 +20,7 @@ from compctrl.controllers import (
     synth_h2_ih,
     synth_hinf,
 )
-from compctrl.factorization import spectral_factor_ih
+from compctrl.factorization import SyntheticSystemFH
 from compctrl.riccati import is_stable
 from compctrl.search import min_gamma_competitive, min_gamma_hinf
 from compctrl.sim import rollout
@@ -213,11 +214,22 @@ def test_competitive_causality_split(rng):
         assert not np.array_equal(u1[t0 + 1], u2[t0 + 1])
 
 
-def test_competitive_reuses_provided_factor(rng):
-    plant = random_lti(rng, n=2, m=1, p=1)
-    factor = spectral_factor_ih(plant)
-    a = synth_competitive(plant, 3.0, _factor=factor)
-    b = synth_competitive(plant, 3.0)
+@pytest.mark.parametrize(
+    "p, horizon",
+    [(2, None), (1, None), (1, 12)],
+    ids=["doubled", "exact", "finite-horizon"],
+)
+def test_competitive_reuses_provided_factor(p, horizon, rng):
+    plant = random_lti(rng, n=2, m=1, p=p)
+    normalized = plant if horizon is None else plant.to_ltv(horizon)
+    syn = _synthetic_plant(normalized)
+    a = synth_competitive(normalized, 3.0, _synthetic=syn)
+    b = synth_competitive(plant, 3.0, horizon=horizon)
+    assert isinstance(a, CompetitiveController)
+    assert a.synthetic is syn
+    assert isinstance(syn, SyntheticSystemFH) == (horizon is not None)
+    if horizon is None:
+        assert syn.exact == (p < 2)
     assert np.array_equal(a.Kxi, b.Kxi)
     assert np.array_equal(a.Kwp, b.Kwp)
 

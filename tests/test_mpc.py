@@ -225,6 +225,25 @@ def test_infeasible_bin_truncates_run():
     assert res.x.shape[0] == res.steps_completed + 1
 
 
+def test_divergence_truncates_pendulum_runs():
+    # a huge torque throws the state past the divergence norm in one step;
+    # the controller and the comparator share the rollout loop's truncation
+    params = PendulumParams()
+    w = np.full((50, 1), 1e12)
+    ctrl = RelinearizingController(params, kind="h2", quantum=0.01)
+    runs = (
+        run_pendulum(params, ctrl, w),
+        clairvoyant_comparator_run(params, w, quantum=0.01),
+    )
+    for res in runs:
+        assert res.status == "diverged"
+        assert res.steps_completed == 1
+        assert res.x.shape == (2, 2)
+        assert res.u.shape == (1, 1)
+        assert res.w.shape == (1, 1)
+        assert res.total_cost == res.cum_cost[-1]
+
+
 def test_deterministic_across_fresh_controllers():
     scenario = PendulumScenario(
         steps=250,

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_lti, scalar_lti
 
+from compctrl import controllers
 from compctrl.controllers import CompetitiveController, Infeasible, StateFeedbackController
 from compctrl.search import (
     GAMMA_CAP,
@@ -161,6 +162,26 @@ def test_min_gamma_competitive_floor_is_one(rng):
     result = min_gamma_competitive(plant, audit=False)
     assert result.ok
     assert all(g > 1.0 for g, _ in result.history)
+
+
+@pytest.mark.parametrize("horizon", [None, 40])
+def test_competitive_search_builds_synthetic_plant_once(horizon, rng, monkeypatch):
+    # the synthetic plant does not depend on gamma, so one search builds it
+    # once however many levels it probes (p < n: the exact plant when
+    # horizon is None, the whitening schedule's doubled plant otherwise)
+    plant = random_lti(rng, n=3, m=1, p=1)
+    build = controllers.build_synthetic
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(controllers, "build_synthetic", counting)
+    result = min_gamma_competitive(plant, horizon=horizon)
+    assert result.ok
+    assert len(result.history) > 10
+    assert len(calls) == 1
 
 
 def test_min_gamma_hinf_fh(rng):
