@@ -147,6 +147,9 @@ def _cmd_synth(args) -> int:
     plant = _load_plant(args.plant)
     kind = args.kind
     if kind == "h2":
+        for flag, value in (("--gamma", args.gamma), ("--horizon", args.horizon)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to --kind h2")
         ctrl = synth_h2_ih(plant, causality=args.causality)
         report = {
             "kind": kind,

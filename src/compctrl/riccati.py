@@ -10,6 +10,10 @@ Two related objects live here:
   (1) a stable closed loop, (2) matching inertia of the weight R~ and of
   H~ = R~ + B~'PB~, and (3) P PSD.
 
+Both horizons share one existence test, :func:`_game_step_test` (H~,
+equilibrated, nonsingular with the inertia of R~; at every backward step and
+every doubling), and one strictly causal condition, B_w'PB_w < gamma^2 I.
+
 Every infinite-horizon fixed point of the package (the game and LQR
 Riccati equations here, the spectral and outer factors in
 :mod:`compctrl.factorization`) is solved by one structure-preserving
@@ -88,12 +92,10 @@ def equilibrate_sym(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Hs * S[:, None] * S[None, :], S
 
 
-def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve H X = B for symmetric (possibly indefinite) H.
+def _pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equilibrated eigendecomposition S H S = V diag(lam) V' as (lam, V, S).
 
-    The matrix is first equilibrated, then factored by the symmetric
-    eigendecomposition; the eigenvalues act as pivots and the solve is
-    rejected when min|lam| <= 1e-12 * max|lam| after scaling.
+    Raises SingularHtildeError when min|lam| <= 1e-12 * max|lam|.
     """
     Hhat, S = equilibrate_sym(H)
     lam, V = np.linalg.eigh(Hhat)
@@ -103,8 +105,24 @@ def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"symmetric solve rejected: |pivot| ratio "
             f"{abs_lam.min():.3e}/{abs_lam.max():.3e}"
         )
+    return lam, V, S
+
+
+def _solve_pivots(pivots: tuple, B: np.ndarray) -> np.ndarray:
+    """Solve H X = B from the (lam, V, S) of :func:`_pivots`."""
+    lam, V, S = pivots
     Y = V.T @ (B * S[:, None])
     return (V @ (Y / lam[:, None])) * S[:, None]
+
+
+def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve H X = B for symmetric (possibly indefinite) H.
+
+    The matrix is first equilibrated, then factored by the symmetric
+    eigendecomposition; the eigenvalues act as pivots and the solve is
+    rejected when min|lam| <= 1e-12 * max|lam| after scaling.
+    """
+    return _solve_pivots(_pivots(H), B)
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -164,28 +182,60 @@ class Verdict:
         return self.ok
 
 
+def _game_step_test(
+    Htil: np.ndarray, inertia_R: tuple[int, int, int]
+) -> tuple[Optional[str], Optional[tuple]]:
+    """The existence test of one game Riccati step, H~ = R~ + B~'PB~.
+
+    H~, equilibrated, must be nonsingular ("singular-Htilde") and have the
+    inertia of R~ ("condition-violated"): the finite-horizon existence
+    condition of the min-max problem (Hassibi, Sayed and Kailath,
+    *Indefinite-Quadratic Estimation and Control*, 1999).  Returns the
+    reason (None when the step passes) and the pivots of H~ (None when
+    singular), which the step's solve reuses.
+    """
+    try:
+        pivots = _pivots(Htil)
+    except SingularHtildeError:
+        return "singular-Htilde", None
+    lam = pivots[0]
+    signs = (int(np.sum(lam > INERTIA_TOL)), int(np.sum(lam < -INERTIA_TOL)))
+    return (None if signs == inertia_R[:2] else "condition-violated"), pivots
+
+
+def _strictly_causal_ok(P: np.ndarray, Bw: np.ndarray, gamma: float) -> bool:
+    """The one-step-delay condition B_w'PB_w < gamma^2 I (margin 1e-9).
+
+    P is the cost-to-go after the step: P_{t+1} in the finite horizon, the
+    fixed point in the infinite one.
+    """
+    lam_max = np.linalg.eigvalsh(sym(Bw.T @ P @ Bw)).max()
+    return bool(lam_max < gamma * gamma - STRICT_MARGIN)
+
+
 @dataclass
 class RiccatiSchedule:
-    """Backward-recursion output {P_t} plus per-step gate matrices and verdicts.
+    """Backward-recursion output {P_t} plus two existence verdicts.
 
-    P has T+1 entries with P[T] = 0.  H[t] = I + B_u,t' P_{t+1} B_u,t and
-    Htilde[t] = R~ + B~_t' P_{t+1} B~_t, t = 0..T-1.  Three existence verdicts
-    are carried: the causal condition
+    P has T+1 entries with P[T] = 0.  ``causal`` holds when every step passes
+    the game step test (H~ = R~ + B~_t'P_{t+1}B~_t nonsingular with the
+    inertia of R~).  While P_{t+1} is PSD, H = I + B_u'P_{t+1}B_u > 0, and by
+    the Schur complement that test is the causal condition
 
-        B_w'[P - P B_u H^{-1} B_u' P] B_w < gamma^2 I     (strict, margin 1e-9)
+        B_w'[P - P B_u H^{-1} B_u' P] B_w < gamma^2 I.
 
-    and two one-step-delay (strictly causal) conditions, reported separately:
-    the u-channel form B_u' P B_u < gamma^2 I and the w-channel form
-    B_w' P B_w < gamma^2 I.  The w-channel gates strictly causal synthesis;
-    the u-channel is computed for diagnostic parity.
+    ``strictly_causal_w`` adds the one-step-delay condition
+    B_w'P_{t+1}B_w < gamma^2 I at every step.  The recursion stops at the
+    first step (counting backward from T-1) that fails the step test: that
+    step is ``causal.first_violation`` and the entries P[0..t] stay zero.
+    A strictly causal failure reports the first step, in the same order,
+    whose one-step-delay condition fails, or else the causal failure; a
+    singular H~ reports "singular-Htilde" on both verdicts.
     """
 
     gamma: float
     P: np.ndarray  # (T+1, N, N)
-    H: list
-    Htilde: list
     causal: Verdict
-    strictly_causal_u: Verdict
     strictly_causal_w: Verdict
 
     @property
@@ -196,66 +246,35 @@ class RiccatiSchedule:
 def hinf_backward(plant: LtvPlant, gamma: float) -> RiccatiSchedule:
     """Backward recursion P_t = Q_t + A'PA - A'PB~ H~^{-1} B~'PA at level gamma.
 
-    R~ = diag(I_m, -gamma^2 I_p).  A singular H~ (or singular H in the causal
-    condition) aborts with verdict reason "singular-Htilde" on all conditions;
-    the recursion itself is otherwise always well defined.
+    R~ = diag(I_m, -gamma^2 I_p).  Each step runs :func:`_game_step_test` on
+    H~ and solves with its pivots; the first failing step ends the
+    recursion with reason "singular-Htilde" or "condition-violated".
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     T, N, m, p = plant.T, plant.n, plant.m, plant.p
-    g2 = gamma * gamma
-    Rtil = np.block(
-        [[np.eye(m), np.zeros((m, p))], [np.zeros((p, m)), -g2 * np.eye(p)]]
-    )
+    Rtil = np.diag(np.r_[np.ones(m), -gamma * gamma * np.ones(p)])
+    inertia_R = inertia(Rtil)
     P = np.zeros((T + 1, N, N))
-    H_list: list = [None] * T
-    Ht_list: list = [None] * T
-    causal_bad: list[int] = []
-    strict_u_bad: list[int] = []
-    strict_w_bad: list[int] = []
-
+    causal = strict = Verdict(True)
     for t in range(T - 1, -1, -1):
         A, Bu, Bw, Q = plant.A[t], plant.Bu[t], plant.Bw[t], plant.Q[t]
         Pn = P[t + 1]
+        if strict and not _strictly_causal_ok(Pn, Bw, gamma):
+            strict = Verdict(False, "condition-violated", t)
         Btil = np.hstack([Bu, Bw])
-        Htil = Rtil + Btil.T @ Pn @ Btil
-        Ht_list[t] = Htil
-        H = np.eye(m) + Bu.T @ Pn @ Bu
-        H_list[t] = H
-        try:
-            BtPA = Btil.T @ Pn @ A
-            Pt = Q + A.T @ Pn @ A - BtPA.T @ solve_sym(Htil, BtPA)
-            # causal condition needs H^{-1} as well
-            PBu = Pn @ Bu
-            closed = Pn - PBu @ solve_sym(H, PBu.T)
-        except SingularHtildeError:
-            bad = Verdict(False, "singular-Htilde", t)
-            return RiccatiSchedule(
-                gamma=gamma, P=P, H=H_list, Htilde=Ht_list,
-                causal=bad, strictly_causal_u=bad, strictly_causal_w=bad,
-            )
+        reason, pivots = _game_step_test(Rtil + Btil.T @ Pn @ Btil, inertia_R)
+        if reason is not None:
+            causal = Verdict(False, reason, t)
+            # a strictly causal law is also causal, so a causal failure fails
+            # both verdicts; a singular H~ gives both its reason
+            if strict or reason == "singular-Htilde":
+                strict = causal
+            break
+        BtPA = Btil.T @ Pn @ A
+        Pt = Q + A.T @ Pn @ A - BtPA.T @ _solve_pivots(pivots, BtPA)
         P[t] = 0.5 * (Pt + Pt.T)
-        if np.linalg.eigvalsh(sym(Bw.T @ closed @ Bw)).max() >= g2 - STRICT_MARGIN:
-            causal_bad.append(t)
-        if np.linalg.eigvalsh(sym(Bu.T @ Pn @ Bu)).max() >= g2 - STRICT_MARGIN:
-            strict_u_bad.append(t)
-        if np.linalg.eigvalsh(sym(Bw.T @ Pn @ Bw)).max() >= g2 - STRICT_MARGIN:
-            strict_w_bad.append(t)
-
-    def verdict(bad: list[int]) -> Verdict:
-        if not bad:
-            return Verdict(True)
-        return Verdict(False, "condition-violated", min(bad))
-
-    return RiccatiSchedule(
-        gamma=gamma,
-        P=P,
-        H=H_list,
-        Htilde=Ht_list,
-        causal=verdict(causal_bad),
-        strictly_causal_u=verdict(strict_u_bad),
-        strictly_causal_w=verdict(strict_w_bad),
-    )
+    return RiccatiSchedule(gamma=gamma, P=P, causal=causal, strictly_causal_w=strict)
 
 
 @dataclass
@@ -401,8 +420,9 @@ def dare_fixed_point(
 
     The solve runs :func:`_sda` on (A, B~R~^{-1}B~', Q), i.e. it samples
     value iteration from P = 0 at the steps 2^k, and checks every sample as
-    value iteration checks every step: H~ = R~ + B~'PB~, equilibrated, must
-    be nonsingular ("singular-Htilde") with the inertia of R~
+    value iteration checks every step, with the game step test of
+    :func:`hinf_backward`: H~ = R~ + B~'PB~, equilibrated, must be
+    nonsingular ("singular-Htilde") with the inertia of R~
     ("condition-violated").  Convergence is declared when the update norm
     drops below 1e-11 + 1e-9 * max(1, ||P||_inf).  The relative term
     matters: for indefinite weights near the feasibility boundary ||P||
@@ -417,11 +437,7 @@ def dare_fixed_point(
     inertia_R = inertia(Rtil)
 
     def gate(P: np.ndarray) -> Optional[str]:
-        Hhat, _ = equilibrate_sym(Rtil + Btil.T @ P @ Btil)
-        abs_lam = np.abs(np.linalg.eigvalsh(Hhat))
-        if abs_lam.min() <= PIVOT_GUARD * max(abs_lam.max(), np.finfo(float).tiny):
-            return "singular-Htilde"
-        return None if inertia(Hhat) == inertia_R else "condition-violated"
+        return _game_step_test(Rtil + Btil.T @ P @ Btil, inertia_R)[0]
 
     # value iteration's first step checks H~ = R~ at P = 0
     reason = gate(np.zeros_like(Q))
@@ -448,6 +464,6 @@ def dare_fixed_point(
         iterations=iterations,
         converged=True,
         closed_loop_radius=spectral_radius(A - Btil @ K),
-        inertia_match=inertia(Rtil) == inertia(Htil),
+        inertia_match=inertia(Htil) == inertia_R,
         psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9),
     )

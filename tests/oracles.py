@@ -176,3 +176,39 @@ def game_value_iteration(A, Btil, Rtil, Q, max_iter=100_000):
         and np.linalg.eigvalsh(P).min() >= -1e-9
     )
     return P, bool(feasible), None if feasible else "condition-violated", step
+
+
+def schur_backward(plant, gamma):
+    """Reference finite-horizon route: the game recursion with Schur checks.
+
+    Runs P_t = Q + A'PA - A'PB~ H~^{-1} B~'PA, with B~ = [B_u, B_w],
+    R~ = diag(I, -gamma^2 I) and P = P_{t+1}, from P_T = 0 down to t = 0
+    whatever the checks say.  Each step t first checks, with
+    H = I + B_u'PB_u and margin 1e-9, the causal condition in its
+    Schur-complement form, B_w'(P - PB_u H^{-1}B_u'P)B_w < gamma^2 I, and
+    the one-step-delay condition B_w'PB_w < gamma^2 I.  Returns
+    (P, causal_bad, strict_bad): P as (T+1, n, n) and, for each condition,
+    the steps where it fails in the order visited (descending t).  A
+    singular H~ or H raises LinAlgError.
+    """
+    T, n, m, p = plant.T, plant.n, plant.m, plant.p
+    g2 = gamma * gamma
+    Rtil = np.diag(np.r_[np.ones(m), -g2 * np.ones(p)])
+    P = np.zeros((T + 1, n, n))
+    causal_bad, strict_bad = [], []
+    for t in range(T - 1, -1, -1):
+        A, Bu, Bw = plant.A[t], plant.Bu[t], plant.Bw[t]
+        Pn = P[t + 1]
+        PBu = Pn @ Bu
+        closed = Pn - PBu @ np.linalg.solve(np.eye(m) + Bu.T @ PBu, PBu.T)
+        for M, bad in ((closed, causal_bad), (Pn, strict_bad)):
+            S = Bw.T @ M @ Bw
+            if np.linalg.eigvalsh(0.5 * (S + S.T)).max() >= g2 - 1e-9:
+                bad.append(t)
+        Btil = np.hstack([Bu, Bw])
+        BtPA = Btil.T @ Pn @ A
+        Pt = plant.Q[t] + A.T @ Pn @ A - BtPA.T @ np.linalg.solve(
+            Rtil + Btil.T @ Pn @ Btil, BtPA
+        )
+        P[t] = 0.5 * (Pt + Pt.T)
+    return P, causal_bad, strict_bad

@@ -128,6 +128,20 @@ def test_synth_bad_plant_path_exits_1(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--horizon", "50"), ("--gamma", "3")], ids=["horizon", "gamma"]
+)
+def test_synth_h2_rejects_level_and_horizon(tmp_path, plant_file, flag, value):
+    # h2 is the steady-state LQR law: a horizon or a level would be ignored
+    out = tmp_path / "h2.json"
+    proc = run_cli(
+        "synth", "--plant", plant_file, "--kind", "h2", flag, value, "--out", str(out),
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and flag in proc.stderr
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     proc = run_cli()
     assert proc.returncode == 2

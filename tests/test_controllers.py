@@ -21,6 +21,8 @@ from compctrl.controllers import (
     synth_hinf,
 )
 from compctrl.factorization import SyntheticSystemFH
+from compctrl.freq import closed_loop, peak_gain
+from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable
 from compctrl.search import min_gamma_competitive, min_gamma_hinf
 from compctrl.sim import rollout
@@ -115,6 +117,24 @@ def test_hinf_attenuation_bound_in_time_domain(rng):
         w = np.random.default_rng(7000 + seed).standard_normal((400, 2))
         res = rollout(plant, ctrl, w)
         assert res.total_cost <= gamma**2 * float(np.sum(w * w)) + 1e-9
+
+
+def test_hinf_strictly_causal_attains_levels_below_the_old_gate():
+    """B_w'PB_w < gamma^2 I is the whole strictly causal condition.
+
+    On the dt = 0.05 pendulum linearization an extra positivity gate used to
+    refuse gamma in [1.0518, 1.0664), and the search certified 1.0664.  The
+    law at 1.053 closes a stable loop whose peak gain stays within 1.053.
+    """
+    plant = linearize_pendulum(PendulumParams(dt=0.05), 0.0)
+    ctrl = synth_hinf(plant, 1.053, causality="strictly-causal")
+    assert isinstance(ctrl, StateFeedbackController)
+    loop = closed_loop(plant, ctrl)
+    assert is_stable(loop.A)
+    assert peak_gain(loop, np.linspace(0.0, np.pi, 20001)) <= 1.053
+    found = min_gamma_hinf(plant, causality="strictly-causal")
+    assert found.ok and found.gamma < 1.055
+    assert found.audit_warnings == []
 
 
 def test_hinf_large_gamma_limits_to_lqr(rng):

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
-from conftest import random_lti, scalar_lti
-from oracles import game_value_iteration, lqr_value_iteration
+from conftest import random_lti, random_ltv, scalar_lti
+from oracles import game_value_iteration, lqr_value_iteration, schur_backward
 
 from compctrl.riccati import (
     Verdict,
@@ -18,6 +18,7 @@ from compctrl.riccati import (
     spectral_radius,
     sym,
 )
+from compctrl import controllers
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.search import min_gamma_hinf
 
@@ -300,13 +301,10 @@ def test_backward_recursion_scalar_w_channel_violation():
 
 
 def test_backward_recursion_terminal_and_shapes(rng):
-    from conftest import random_ltv
-
     plant = random_ltv(rng, T=6, n=2, m=2, p=1)
     sched = hinf_backward(plant, gamma=8.0)
     assert sched.P.shape == (7, 2, 2)
     assert np.array_equal(sched.P[6], np.zeros((2, 2)))
-    assert len(sched.H) == 6 and len(sched.Htilde) == 6
     # P_t symmetric PSD when the causal condition holds
     if sched.causal.ok:
         for t in range(7):
@@ -336,6 +334,62 @@ def test_backward_recursion_gamma_limit_is_lqr(rng):
         P = plant.Q + plant.A.T @ P @ plant.A - plant.A.T @ P @ plant.Bu @ K
         P = 0.5 * (P + P.T)
     assert_allclose(sched.P[0], P, rtol=1e-6, atol=1e-8)
+
+
+def _fh_case(case, boeing):
+    if case == "boeing":
+        return boeing.to_ltv(40)
+    if case == "doubled":
+        return controllers._synthetic_plant(boeing.to_ltv(40)).as_ltv_plant()
+    rng = np.random.default_rng(7100 + case)
+    return random_ltv(rng, T=30, n=3 + case % 2, m=1 + case % 2, p=1 + case % 2)
+
+
+@pytest.mark.parametrize("case", ["boeing", "doubled", 0, 1, 2])
+def test_backward_verdicts_match_schur_recursion(case, boeing):
+    """The step test gives the Schur-complement recursion's verdicts.
+
+    The grid brackets the causal and the strictly causal optimum (from the
+    package search, which only places the grid).  At every level both
+    verdicts must equal those of the oracle, which checks the causal
+    condition in Schur-complement form and runs to t = 0.  A causal failure
+    is the first failing step the oracle visits, and the recursion stops
+    there: P is the oracle's after it and zero from it down.  A strictly
+    causal failure is the first step where B_w'P_{t+1}B_w < gamma^2 I fails.
+    """
+    plant = _fh_case(case, boeing)
+    optima = [
+        min_gamma_hinf(plant, causality=c, audit=False).gamma
+        for c in ("causal", "strictly-causal")
+    ]
+    seen = set()
+    for g_opt in optima:
+        for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
+            gamma = f * g_opt
+            sched = hinf_backward(plant, gamma)
+            P_ref, causal_bad, strict_bad = schur_backward(plant, gamma)
+            pairs = ((sched.causal, causal_bad), (sched.strictly_causal_w, strict_bad))
+            for verdict, bad in pairs:
+                assert verdict.ok == (not bad), (gamma, bad)
+                if bad:
+                    assert verdict.reason == "condition-violated"
+                    assert verdict.first_violation == bad[0]
+            stop = sched.causal.first_violation
+            tail = 0 if stop is None else stop + 1
+            assert not sched.P[:tail].any()
+            scale = max(1.0, np.abs(P_ref[tail:]).max())
+            assert_allclose(sched.P[tail:], P_ref[tail:], rtol=0, atol=1e-10 * scale)
+            seen.add((sched.causal.ok, sched.strictly_causal_w.ok))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_backward_singular_step_fails_both_verdicts(boeing):
+    # at gamma = 1, H~ at the second step (P = Q) is singular on Boeing,
+    # where B_w'QB_w < I also fails: the singular step decides both reasons
+    sched = hinf_backward(boeing.to_ltv(40), 1.0)
+    assert sched.causal == Verdict(False, "singular-Htilde", 38)
+    assert sched.strictly_causal_w == sched.causal
+    assert not sched.P[:39].any() and sched.P[39].any()
 
 
 def test_verdict_dataclass():

@@ -6,6 +6,7 @@ from conftest import random_lti, scalar_lti
 
 from compctrl import controllers
 from compctrl.controllers import CompetitiveController, Infeasible, StateFeedbackController
+from compctrl.freq import closed_loop, peak_gain
 from compctrl.search import (
     GAMMA_CAP,
     GammaSearchResult,
@@ -141,10 +142,13 @@ def test_min_gamma_hinf_strictly_causal_is_harder():
     causal = min_gamma_hinf(plant, audit=False)
     strict = min_gamma_hinf(plant, causality="strictly-causal", audit=False)
     assert strict.ok
-    # for a = 0 the fixed point is P = 1, so the one-step-delay positivity
-    # condition reads 1 + 1/(1 - gamma^2) > 0, i.e. gamma^2 > 2
-    assert_allclose(strict.gamma, np.sqrt(2.0), atol=2e-3)
+    # x_{t+1} = u_t + w_t: u = 0 gives x_{t+1} = w_t, a ratio of 1, and
+    # w_0 = 1 alone (x_0 = 0, so u_0 = 0) forces a ratio of at least 1;
+    # the fixed point is P = 1, so B_w'PB_w < gamma^2 I reads gamma > 1
+    assert_allclose(strict.gamma, 1.0, atol=2e-3)
     assert strict.gamma > causal.gamma
+    loop = closed_loop(plant, strict.controller)
+    assert peak_gain(loop, np.linspace(0.0, np.pi, 2001)) <= strict.gamma
 
 
 def test_min_gamma_competitive_scalar(rng):
