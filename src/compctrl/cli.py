@@ -305,6 +305,8 @@ def _cmd_mpc(args) -> int:
         "comparator_cost": comp.total_cost,
         "comparator_status": comp.status,
         "ratio_to_comparator": out["ratio_to_comparator"],
+        "bins_synthesized": controller.bins_synthesized,
+        "bin_cache_hits": controller.bin_cache_hits,
     }
     if args.out:
         _write_json(args.out, summary)

@@ -30,7 +30,7 @@ gamma-dependent failure; the gamma search consumes these verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -500,28 +500,56 @@ def synth_competitive(
     )
 
 
-def _affine_sweep(plant: LtvPlant, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clairvoyant policy u_t = -K_t x_t - h_t for the known disturbance w.
+class AffineSchedule(NamedTuple):
+    """Read-only K (T, m, n) and M (T, m+n, n+p) of :func:`_affine_schedule`."""
 
-    One affine backward Riccati sweep (O(T) memory and time): the cost-to-go
-    from step t is x'P_t x + 2 b_t'x + const, so K_t = H^{-1}B_u'P_{t+1}A and
-    h_t = H^{-1}B_u'(P_{t+1}B_w w_t + b_{t+1}) with H = I + B_u'P_{t+1}B_u.
+    K: np.ndarray
+    M: np.ndarray
+
+
+def _affine_schedule(plant: LtvPlant) -> AffineSchedule:
+    """The w-independent part of the clairvoyant policy u_t = -K_t x_t - h_t.
+
+    One backward Riccati sweep.  The cost-to-go from step t is
+    x'P_t x + 2 b_t'x + const.  With H = I + B_u'P_{t+1}B_u,
+    K_t = H^{-1}B_u'P_{t+1}A and, for v_t = P_{t+1}B_w w_t + b_{t+1},
+    h_t = H^{-1}B_u'v_t and b_t = (A - B_u K_t)'v_t.  So
+    M_t = L_t [I, P_{t+1}B_w] with L_t = [H^{-1}B_u'; (A - B_u K_t)'] gives
+    [h_t; b_t] = M_t [b_{t+1}; w_t] and depends on the plant alone; h
+    depends on w linearly (:func:`_affine_pass`).
     """
-    T, n, m = plant.T, plant.n, plant.m
+    T, n, m, p = plant.T, plant.n, plant.m, plant.p
     P = np.zeros((n, n))
-    b = np.zeros(n)
-    K = np.zeros((T, m, n))
-    h = np.zeros((T, m))
+    K = np.empty((T, m, n))
+    M = np.empty((T, m + n, n + p))
     for t in range(T - 1, -1, -1):
         A, Bu = plant.A[t], plant.Bu[t]
-        g = plant.Bw[t] @ w[t]
-        H = np.eye(m) + Bu.T @ P @ Bu
-        K[t] = np.linalg.solve(H, Bu.T @ P @ A)
-        h[t] = np.linalg.solve(H, Bu.T @ (P @ g + b))
+        BuP = Bu.T @ P
+        G = np.linalg.solve(np.eye(m) + BuP @ Bu, np.hstack([BuP @ A, Bu.T]))
+        K[t] = G[:, :n]
         Acl = A - Bu @ K[t]
-        b = K[t].T @ h[t] + Acl.T @ (P @ (g - Bu @ h[t]) + b)
+        L = np.vstack([G[:, n:], Acl.T])
+        M[t, :, :n] = L
+        M[t, :, n:] = L @ (P @ plant.Bw[t])
         P = sym(plant.Q[t] + K[t].T @ K[t] + Acl.T @ P @ Acl)
-    return K, h
+    K.flags.writeable = False
+    M.flags.writeable = False
+    return AffineSchedule(K, M)
+
+
+def _affine_pass(schedule: AffineSchedule, w: np.ndarray) -> np.ndarray:
+    """The offsets h (shape (T, m)) of the schedule's policy for w (T, p).
+
+    One linear backward pass [h_t; b_t] = M_t [b_{t+1}; w_t] from b_T = 0;
+    the w_t terms of all steps are formed at once.
+    """
+    _, m, n = schedule.K.shape
+    y = np.einsum("tij,tj->ti", schedule.M[:, :, n:], w)
+    b = np.zeros(n)
+    for Mb, yt in zip(schedule.M[::-1, :, :n], y[::-1]):
+        yt += Mb @ b
+        b = yt[m:]
+    return y[:, :m]
 
 
 def _cost_of_controls(plant: LtvPlant, u: np.ndarray, w: np.ndarray) -> float:
@@ -564,7 +592,8 @@ def offline_optimal(
         ).reshape(plant.T, plant.m)
         opt = float(gw @ np.linalg.solve(np.eye(ops.n * ops.T) + ops.F @ ops.F.T, gw))
     elif method == "riccati":
-        K, h = _affine_sweep(plant, w)
+        schedule = _affine_schedule(plant)
+        K, h = schedule.K, _affine_pass(schedule, w)
         x = plant.x0.copy()
         u = np.zeros((plant.T, plant.m))
         for t in range(plant.T):

@@ -19,13 +19,16 @@ silently retuning.
 
 The cost comparator is a receding-horizon clairvoyant: at every step it
 applies the first move of the exact affine optimal policy for the dynamics
-frozen at the current bin, given the entire future disturbance.  Since the
-backward affine recursion depends only on the future, one O(T) pass per bin
-serves every step that lands in that bin.
+frozen at the current bin, given the entire future disturbance.  The policy's
+Riccati schedule does not depend on the disturbance, so it is computed once
+per (linearization, T) and cached across records.  The offsets depend on the
+record linearly: one linear backward pass per record and bin, from the end of
+the record to the bin's first visit, serves every step that lands in the bin.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,10 +36,12 @@ from typing import Optional
 import numpy as np
 
 from .controllers import (
+    AffineSchedule,
     CompetitiveController,
     ControllerState,
     Infeasible,
-    _affine_sweep,
+    _affine_pass,
+    _affine_schedule,
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
@@ -117,6 +122,8 @@ class RelinearizingController:
     explicit ``gamma_policy["fixed"]`` level) and then held fixed.  Gains are
     cached per bin; each bin is synthesized from its own linearization alone,
     so the cache is independent of the order in which bins are visited.
+    ``bins_synthesized`` counts the bins synthesized so far, the initial one
+    included; ``bin_cache_hits`` counts the steps whose bin was cached.
     """
 
     def __init__(
@@ -137,6 +144,8 @@ class RelinearizingController:
         self.quantum = float(quantum)
         self.relinearize = bool(relinearize)
         self._cache: dict = {}
+        self.bins_synthesized = 0
+        self.bin_cache_hits = 0
         self._bin_init = self._bin_of(theta_init)
         plant0 = self._plant_at(self._bin_init)
 
@@ -159,6 +168,7 @@ class RelinearizingController:
                 f"initial linearization infeasible at gamma={self.gamma}"
             )
         self._cache[self._bin_init] = ctrl0
+        self.bins_synthesized = 1
 
         self.last_wprime = np.zeros(2)
         self.reset()
@@ -184,6 +194,7 @@ class RelinearizingController:
     def _get(self, b: int):
         ctrl = self._cache.get(b)
         if ctrl is not None:
+            self.bin_cache_hits += 1
             return ctrl
         try:
             ctrl = self._synth(self._plant_at(b))
@@ -194,6 +205,7 @@ class RelinearizingController:
                 f"bin {b} (theta={b * self.quantum:.3f}) infeasible at gamma={self.gamma}"
             )
         self._cache[b] = ctrl
+        self.bins_synthesized += 1
         return ctrl
 
     def step(self, x, w) -> np.ndarray:
@@ -254,6 +266,17 @@ def run_pendulum(
     return _simulate(params, policy, w, x0, dynamics, theta_lin)
 
 
+@functools.lru_cache(maxsize=1)
+def _comparator_schedules(params: PendulumParams, T: int) -> dict:
+    """theta -> read-only affine schedule of the linearization at theta.
+
+    The comparator fills the dict lazily.  Only the last (params, T) family
+    is held, so the memory is bounded by the bins one family of runs visits
+    (about 88 KB per bin at T = 1001).
+    """
+    return {}
+
+
 def clairvoyant_comparator_run(
     params: PendulumParams,
     w: np.ndarray,
@@ -263,21 +286,31 @@ def clairvoyant_comparator_run(
 ) -> RolloutResult:
     """Roll the receding-horizon clairvoyant comparator on the same record.
 
-    At step t in bin b it applies u_t = -K_t x_t - h_t of the affine sweep
-    over the whole record for the linearization of bin b; each bin's sweep
-    is computed once and cached.
+    At step t in bin b it applies u_t = -K_t x_t - h_t, the clairvoyant
+    policy over the whole record for the linearization of bin b.  K and the
+    rest of the bin's Riccati schedule are computed once per (linearization,
+    T) and reused by later records; h takes one linear pass per record and
+    bin, over the steps from the bin's first visit to the end.
     """
     w = np.asarray(w, dtype=float).reshape(-1, 1)
-    sweeps: dict = {}
+    T = w.shape[0]
+    schedules = _comparator_schedules(params, T)
+    laws: dict = {}
     no_wprime = np.zeros(2)
 
     def policy(t, x, w_t):
         b = int(round(float(x[0]) / quantum))
-        if b not in sweeps:
-            plant = linearize_pendulum(params, b * quantum)
-            sweeps[b] = _affine_sweep(plant.to_ltv(w.shape[0]), w)
-        K, h = sweeps[b]
-        return -(K[t] @ x) - h[t], no_wprime
+        if b not in laws:
+            theta = b * quantum
+            schedule = schedules.get(theta)
+            if schedule is None:
+                plant = linearize_pendulum(params, theta).to_ltv(T)
+                schedule = schedules[theta] = _affine_schedule(plant)
+            # the steps before the bin's first visit never read its offsets
+            tail = AffineSchedule(schedule.K[t:], schedule.M[t:])
+            laws[b] = (t, tail.K, _affine_pass(tail, w[t:]))
+        t0, K, h = laws[b]
+        return -(K[t - t0] @ x) - h[t - t0], no_wprime
 
     return _simulate(params, policy, w, x0, dynamics)
 

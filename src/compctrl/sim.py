@@ -218,7 +218,7 @@ def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
         cum[t] = running
         x[t + 1] = advance(t, x[t], u_t, w[t])
         steps = t + 1
-        if not np.all(np.isfinite(x[t + 1])) or np.linalg.norm(x[t + 1]) > DIVERGENCE_NORM:
+        if not np.linalg.norm(x[t + 1]) <= DIVERGENCE_NORM:  # also NaN and inf
             status = "diverged"
             break
     return RolloutResult(

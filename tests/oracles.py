@@ -212,3 +212,29 @@ def schur_backward(plant, gamma):
         )
         P[t] = 0.5 * (Pt + Pt.T)
     return P, causal_bad, strict_bad
+
+
+def affine_sweep(plant, w):
+    """Reference clairvoyant policy u_t = -K_t x_t - h_t for a known w.
+
+    One affine backward Riccati sweep: the cost-to-go from step t is
+    x'P_t x + 2 b_t'x + const, so K_t = H^{-1}B_u'P_{t+1}A and
+    h_t = H^{-1}B_u'(P_{t+1}B_w w_t + b_{t+1}) with H = I + B_u'P_{t+1}B_u;
+    b_t and P_t follow from the closed loop A - B_u K_t.  Returns (K, h).
+    """
+    T, n, m = plant.T, plant.n, plant.m
+    P = np.zeros((n, n))
+    b = np.zeros(n)
+    K = np.zeros((T, m, n))
+    h = np.zeros((T, m))
+    for t in range(T - 1, -1, -1):
+        A, Bu = plant.A[t], plant.Bu[t]
+        g = plant.Bw[t] @ w[t]
+        H = np.eye(m) + Bu.T @ P @ Bu
+        K[t] = np.linalg.solve(H, Bu.T @ P @ A)
+        h[t] = np.linalg.solve(H, Bu.T @ (P @ g + b))
+        Acl = A - Bu @ K[t]
+        b = K[t].T @ h[t] + Acl.T @ (P @ (g - Bu @ h[t]) + b)
+        Pt = plant.Q[t] + K[t].T @ K[t] + Acl.T @ P @ Acl
+        P = 0.5 * (Pt + Pt.T)
+    return K, h

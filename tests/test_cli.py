@@ -298,9 +298,12 @@ def test_mpc_scenario_run(tmp_path):
     assert summary["seed"] == 2
     assert summary["ratio_to_comparator"] >= 1.0 - 1e-9
     assert summary["comparator_status"] == "ok"
+    assert summary["bins_synthesized"] >= 1
+    assert summary["bin_cache_hits"] >= 0
     with open(trace, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 120
+    assert "bins_synthesized" not in rows[0] and "bin_cache_hits" not in rows[0]
 
 
 def test_mpc_infeasible_scenario_exits_2(tmp_path):

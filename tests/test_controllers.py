@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_lti, random_ltv, random_unstable_stabilizable, scalar_lti
-from oracles import brute_force_offline, rollout_cost, stacked_opt_cost
+from oracles import affine_sweep, brute_force_offline, rollout_cost, stacked_opt_cost
 
 from compctrl.controllers import (
     CompetitiveController,
+    _affine_pass,
+    _affine_schedule,
     _synthetic_plant,
     Infeasible,
     OfflineController,
@@ -281,6 +283,37 @@ def test_offline_matches_brute_force(seed):
         assert_allclose(u, u_ref, atol=1e-8)
         assert opt == pytest.approx(opt_ref, rel=1e-8, abs=1e-12)
     assert opt_ref == pytest.approx(stacked_opt_cost(plant, w), rel=1e-8, abs=1e-12)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize(
+    "case", ["p<n-0", "p<n-1", "p=n-0", "p=n-1", "pendulum"]
+)
+def test_affine_schedule_and_pass_match_sweep_oracle(case):
+    # the w-independent schedule followed by the linear pass is the affine
+    # sweep, split at its dependence on w
+    rng = np.random.default_rng(8100 + sum(map(ord, case)))
+    if case == "pendulum":
+        plant = linearize_pendulum(PendulumParams(), 0.03).to_ltv(1001)
+    else:
+        n = 3
+        plant = random_ltv(rng, T=40, n=n, m=2, p=n if case.startswith("p=n") else 1)
+    w = rng.standard_normal((plant.T, plant.p))
+    K_ref, h_ref = affine_sweep(plant, w)
+    schedule = _affine_schedule(plant)
+    h = _affine_pass(schedule, w)
+    assert schedule.K.shape == K_ref.shape and h.shape == h_ref.shape
+    assert _rel(schedule.K, K_ref) < 1e-12
+    assert _rel(h, h_ref) < 1e-12
+    # the schedule serves any disturbance: the pass is linear in w
+    w2 = rng.standard_normal(w.shape)
+    assert _rel(_affine_pass(schedule, w2), affine_sweep(plant, w2)[1]) < 1e-12
+    for arr in schedule:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_offline_cost_equals_simulation(rng):

@@ -23,7 +23,9 @@ from compctrl import (
     run_pendulum,
     run_scenario,
 )
-from compctrl.mpc import scenario_from_json_dict, scenario_to_json_dict
+from compctrl.controllers import ZeroController
+from compctrl.mpc import _comparator_schedules, scenario_from_json_dict, scenario_to_json_dict
+from compctrl.sim import rollout
 
 QUANTUM = 0.05  # coarse bins keep per-test synthesis counts small
 
@@ -244,6 +246,28 @@ def test_divergence_truncates_pendulum_runs():
         assert res.total_cost == res.cum_cost[-1]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_disturbance_diverges_after_one_step(bad):
+    # a NaN or inf state has a NaN or inf norm, which the one divergence
+    # test of the rollout loop catches at the first step
+    params = PendulumParams()
+    w = np.zeros((20, 1))
+    w[0] = bad
+    ctrl = RelinearizingController(params, kind="h2", quantum=0.01)
+    runs = (
+        rollout(linearize_pendulum(params, 0.0), ZeroController(m=1), w),
+        run_pendulum(params, ctrl, w),
+        clairvoyant_comparator_run(params, w, quantum=0.01),
+    )
+    for res in runs:
+        assert res.status == "diverged"
+        assert res.steps_completed == 1
+        assert res.x.shape == (2, 2) and res.u.shape == (1, 1)
+        assert res.w.shape == (1, 1) and res.step_cost.shape == (1,)
+        assert not np.all(np.isfinite(res.x[1]))
+
+
 def test_deterministic_across_fresh_controllers():
     scenario = PendulumScenario(
         steps=250,
@@ -307,6 +331,48 @@ def test_comparator_matches_offline_optimal_on_linear_single_bin():
     u_opt, opt = offline_optimal(lin.to_ltv(200), w)
     assert_allclose(comp.total_cost, opt, rtol=1e-10, atol=0)
     assert np.abs(comp.u - u_opt).max() < 1e-12
+
+
+def test_comparator_is_independent_of_its_schedule_cache():
+    # the cached schedules depend only on (params, T, theta), so a cold
+    # cache, one warmed by other records and one last filled by another
+    # family give identical runs
+    params = PendulumParams()
+    spec = DisturbanceSpec(
+        "mixture",
+        {
+            "components": [
+                DisturbanceSpec("step", {"levels": [1.5]}),
+                DisturbanceSpec("white-gaussian", {"sigma": 1.0}),
+            ],
+            "weights": [1.0, 1.0],
+        },
+    )
+    w = generate(spec, 300, 1, seed=4)
+
+    def run():
+        return clairvoyant_comparator_run(params, w, quantum=0.01)
+
+    _comparator_schedules.cache_clear()
+    cold = run()
+    schedules = _comparator_schedules(params, 300)
+    assert len(schedules) > 1  # the record visits several bins
+    for seed in (5, 6):
+        clairvoyant_comparator_run(params, generate(spec, 300, 1, seed=seed), quantum=0.01)
+    warm = run()
+    clairvoyant_comparator_run(PendulumParams(dt=2e-3), w[:200], quantum=0.01)
+    other_family = run()
+    _comparator_schedules.cache_clear()
+    clairvoyant_comparator_run(params, w, quantum=0.02)
+    other_quantum = run()
+    for res in (warm, other_family, other_quantum):
+        assert_array_equal(res.x, cold.x)
+        assert_array_equal(res.u, cold.u)
+        assert res.total_cost == cold.total_cost
+    for schedule in _comparator_schedules(params, 300).values():
+        for arr in schedule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_comparator_beats_causal_controller():
