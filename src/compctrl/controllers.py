@@ -24,7 +24,10 @@ sense:
 
 Synthesis returns either a controller or an :class:`Infeasible` verdict (a
 plain value with a reason code), never an exception, for every
-gamma-dependent failure; the gamma search consumes these verdicts.
+gamma-dependent failure.  It is a verdict step (:func:`_attenuation`, the
+existence test, which keeps the Riccati solve it passed) followed by a gain
+step (:func:`_attenuation_gains`); the gamma search probes with the verdict
+step alone and runs the gain step once, at the level it certifies.
 """
 
 from __future__ import annotations
@@ -194,14 +197,9 @@ class CompetitiveController:
             Ahat, Buhat, Bwhat = syn.Ahat[t], syn.Buhat[t], syn.Bwhat[t]
             Kxi, Kwp = self.Kxi[t], self.Kwp[t]
         elif syn.exact:
-            n = syn.n
-            nu = state.filter.nu
-            state.filter.step(w_t)  # validates w_t and advances nu
-            w_t = np.asarray(w_t, dtype=float).reshape(-1)
-            wpp = syn.C_outer @ nu + syn.D_outer @ w_t  # w''_t
-            u = -(self.Kxi @ np.concatenate([state.xi, nu])) - (self.Kwp @ wpp)
-            A, Bu = syn.Ahat[:n, :n], syn.Buhat[:n]
-            state.xi = A @ state.xi + Bu @ u + syn.B_filter @ w_t
+            filt = state.filter
+            u, state.xi, filt.nu = self.exact_step(state.xi, filt.nu, w_t)
+            filt.t += 1
             state.t = t + 1
             return u
         else:
@@ -212,6 +210,24 @@ class CompetitiveController:
         state.xi = Ahat @ state.xi + Buhat @ u + Bwhat @ wp
         state.t = t + 1
         return u
+
+    def exact_step(self, xi, nu, w_t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step of the exact law from (xi_t, nu_t): (u_t, xi_{t+1}, nu_{t+1}).
+
+        Mutates nothing, so a caller that carries the synthetic state across
+        several controllers (the gain-scheduled pendulum controller) steps
+        it directly.  Infinite horizon, exact synthetic system only.
+        """
+        syn = self.synthetic
+        w_t = np.asarray(w_t, dtype=float).reshape(-1)
+        p = syn.B_filter.shape[1]
+        if w_t.shape != (p,):
+            raise ValueError(f"disturbance has dimension {w_t.shape[0]}, expected {p}")
+        n = syn.n
+        wpp = syn.C_outer @ nu + syn.D_outer @ w_t  # w''_t
+        u = -(self.Kxi @ np.concatenate([xi, nu])) - (self.Kwp @ wpp)
+        xi = syn.Ahat[:n, :n] @ xi + syn.Buhat[:n] @ u + syn.B_filter @ w_t
+        return u, xi, syn.A_filter @ nu + syn.B_filter @ w_t
 
 
 @dataclass(frozen=True)
@@ -293,7 +309,7 @@ def synth_h2_ih(plant: LtiPlant, causality: str = CAUSAL) -> StateFeedbackContro
         if res.reason == "condition-violated":  # converged, not stabilizing
             raise ValueError("LQR closed loop is not stable")
         raise ValueError(f"LQR fixed point failed: {res.reason}")
-    Kx, Kw, diagnostics = res
+    Kx, Kw = _attenuation_gains(res)
     return StateFeedbackController(
         kind="h2",
         causality=causality,
@@ -301,7 +317,7 @@ def synth_h2_ih(plant: LtiPlant, causality: str = CAUSAL) -> StateFeedbackContro
         gamma=None,
         Kx=Kx,
         Kw=Kw,
-        diagnostics={k: diagnostics[k] for k in ("residual", "iterations", "P")},
+        diagnostics={k: res.diagnostics[k] for k in ("residual", "iterations", "P")},
     )
 
 
@@ -340,28 +356,42 @@ def _gate_fixed_point(
     return None
 
 
-def _normalize_horizon(plant, horizon):
-    """Resolve (plant, horizon) into ('fh', LtvPlant) or ('ih', LtiPlant)."""
+def _normalize_horizon(plant, horizon) -> Union[LtiPlant, LtvPlant]:
+    """Resolve (plant, horizon) into an LtvPlant (finite) or an LtiPlant."""
     if isinstance(plant, LtvPlant):
         if horizon is not None and horizon != plant.T:
             raise ValueError("horizon argument conflicts with the plant's horizon")
-        return "fh", plant
+        return plant
     if not isinstance(plant, LtiPlant):
         raise TypeError("plant must be LtiPlant or LtvPlant")
-    if horizon is None:
-        return "ih", plant
-    return "fh", plant.to_ltv(int(horizon))
+    return plant if horizon is None else plant.to_ltv(int(horizon))
+
+
+class AttenuationSolve(NamedTuple):
+    """A feasible verdict of :func:`_attenuation`: the game Riccati solve at
+    level gamma, from which :func:`_attenuation_gains` builds the gains.
+
+    ``P`` is the fixed point (n, n) of a time-invariant plant or the backward
+    schedule (T+1, n, n) of a time-varying one.  ``diagnostics`` holds the
+    fixed point's residual, doublings, closed-loop radius and P (empty in
+    the finite horizon).
+    """
+
+    plant: Union[LtiPlant, LtvPlant]
+    gamma: Optional[float]
+    causality: str
+    P: np.ndarray
+    diagnostics: dict
 
 
 def _attenuation(plant, gamma: Optional[float], causality: str):
-    """Attenuation gains at level gamma: ``(Kx, Kw, diagnostics)`` or Infeasible.
+    """The verdict at level gamma: an :class:`AttenuationSolve` or Infeasible.
 
-    The one synthesis core of every state-feedback family.  An
+    The one existence test of every state-feedback family.  An
     :class:`LtiPlant` is gated by the fixed-point conditions of the game
     Riccati equation with R~ = diag(I, -gamma^2 I) (gamma = None: its LQR
     limit, R~ = I on u alone); an :class:`LtvPlant` by the per-step
-    conditions of the backward recursion.  The gains are those of
-    :func:`_saddle_gains`, per step in the finite horizon.
+    conditions of the backward recursion.  No gain is computed here.
     """
     m, p = plant.m, plant.p
     if isinstance(plant, LtiPlant):
@@ -379,14 +409,13 @@ def _attenuation(plant, gamma: Optional[float], causality: str):
         bad = _gate_fixed_point(fp, plant.Bw, gamma, causality)
         if bad is not None:
             return bad
-        Kx, Kw = _saddle_gains(fp.P, plant.A, plant.Bu, plant.Bw, gamma, causality)
         diagnostics = {
             "residual": fp.residual,
             "iterations": fp.iterations,
             "closed_loop_radius": fp.closed_loop_radius,
             "P": fp.P,
         }
-        return Kx, Kw, diagnostics
+        return AttenuationSolve(plant, gamma, causality, fp.P, diagnostics)
 
     sched = hinf_backward(plant, gamma)
     gate = sched.causal if causality == CAUSAL else sched.strictly_causal_w
@@ -399,14 +428,41 @@ def _attenuation(plant, gamma: Optional[float], causality: str):
                 "strictly_causal_w_ok": sched.strictly_causal_w.ok,
             },
         )
+    return AttenuationSolve(plant, gamma, causality, sched.P, {})
+
+
+def _attenuation_gains(solve: AttenuationSolve) -> tuple[np.ndarray, np.ndarray]:
+    """The gains (Kx, Kw) of :func:`_saddle_gains` on a solve, per step in
+    the finite horizon."""
+    plant, gamma, causality = solve.plant, solve.gamma, solve.causality
+    if isinstance(plant, LtiPlant):
+        return _saddle_gains(solve.P, plant.A, plant.Bu, plant.Bw, gamma, causality)
     T = plant.T
-    Kx = np.zeros((T, m, plant.n))
-    Kw = np.zeros((T, m, p))
+    Kx = np.zeros((T, plant.m, plant.n))
+    Kw = np.zeros((T, plant.m, plant.p))
     for t in range(T):
         Kx[t], Kw[t] = _saddle_gains(
-            sched.P[t + 1], plant.A[t], plant.Bu[t], plant.Bw[t], gamma, causality
+            solve.P[t + 1], plant.A[t], plant.Bu[t], plant.Bw[t], gamma, causality
         )
-    return Kx, Kw, {}
+    return Kx, Kw
+
+
+def _horizon_of(solve: AttenuationSolve) -> Optional[int]:
+    return solve.plant.T if isinstance(solve.plant, LtvPlant) else None
+
+
+def _hinf_controller(solve: AttenuationSolve) -> StateFeedbackController:
+    """The attenuation controller of a feasible verdict."""
+    Kx, Kw = _attenuation_gains(solve)
+    return StateFeedbackController(
+        kind="hinf",
+        causality=solve.causality,
+        horizon=_horizon_of(solve),
+        gamma=solve.gamma,
+        Kx=Kx,
+        Kw=Kw,
+        diagnostics=solve.diagnostics,
+    )
 
 
 def synth_hinf(
@@ -428,20 +484,11 @@ def synth_hinf(
     _check_causality(causality)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    mode, plant = _normalize_horizon(plant, horizon)
+    plant = _normalize_horizon(plant, horizon)
     res = _attenuation(plant, gamma, causality)
     if isinstance(res, Infeasible):
         return res
-    Kx, Kw, diagnostics = res
-    return StateFeedbackController(
-        kind="hinf",
-        causality=causality,
-        horizon=None if mode == "ih" else plant.T,
-        gamma=gamma,
-        Kx=Kx,
-        Kw=Kw,
-        diagnostics=diagnostics,
-    )
+    return _hinf_controller(res)
 
 
 def _synthetic_plant(plant) -> Union[SyntheticSystem, SyntheticSystemFH]:
@@ -458,12 +505,33 @@ def _synthetic_plant(plant) -> Union[SyntheticSystem, SyntheticSystemFH]:
     return build_synthetic(plant, factor, outer)
 
 
+def _as_plant(syn: Union[SyntheticSystem, SyntheticSystemFH]):
+    """The synthetic system as the plant its attenuation problem is posed on."""
+    return syn.as_ltv_plant() if isinstance(syn, SyntheticSystemFH) else syn.as_lti_plant()
+
+
+def _competitive_controller(
+    syn: Union[SyntheticSystem, SyntheticSystemFH], solve: AttenuationSolve
+) -> CompetitiveController:
+    """The ratio-optimal controller of a feasible verdict on ``_as_plant(syn)``."""
+    Kxi, Kwp = _attenuation_gains(solve)
+    return CompetitiveController(
+        kind="competitive",
+        causality=solve.causality,
+        horizon=_horizon_of(solve),
+        gamma=solve.gamma,
+        synthetic=syn,
+        Kxi=Kxi,
+        Kwp=Kwp,
+        diagnostics=solve.diagnostics,
+    )
+
+
 def synth_competitive(
     plant,
     gamma: float,
     causality: str = CAUSAL,
     horizon: Optional[int] = None,
-    _synthetic=None,
 ) -> Union[CompetitiveController, Infeasible]:
     """Ratio-optimal controller at ratio bound gamma^2.
 
@@ -473,31 +541,17 @@ def synth_competitive(
     than states (p < n) the synthetic plant is the exact one built from the
     outer factor of the w' filter, so gamma^2 is feasible for the causal law
     exactly when it bounds the worst-case ratio; otherwise it is the doubled
-    plant.  ``_synthetic`` lets a caller (the gamma search) pass the
-    synthetic plant of the same normalized plant, which does not depend on
-    gamma, instead of rebuilding it on every call.
+    plant.
     """
     _check_causality(causality)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    mode, plant = _normalize_horizon(plant, horizon)
-    syn = _synthetic if _synthetic is not None else _synthetic_plant(plant)
-    res = _attenuation(
-        syn.as_lti_plant() if mode == "ih" else syn.as_ltv_plant(), gamma, causality
-    )
+    plant = _normalize_horizon(plant, horizon)
+    syn = _synthetic_plant(plant)
+    res = _attenuation(_as_plant(syn), gamma, causality)
     if isinstance(res, Infeasible):
         return res
-    Kxi, Kwp, diagnostics = res
-    return CompetitiveController(
-        kind="competitive",
-        causality=causality,
-        horizon=None if mode == "ih" else plant.T,
-        gamma=gamma,
-        synthetic=syn,
-        Kxi=Kxi,
-        Kwp=Kwp,
-        diagnostics=diagnostics,
-    )
+    return _competitive_controller(syn, res)
 
 
 class AffineSchedule(NamedTuple):

@@ -46,7 +46,7 @@ from .controllers import (
     synth_h2_ih,
     synth_hinf,
 )
-from .factorization import FactorizationError, WPrimeFilter
+from .factorization import FactorizationError
 from .model import LtiPlant
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import DisturbanceSpec, RolloutResult, _rollout_loop, _StopRollout, cost_ratio, generate
@@ -213,13 +213,7 @@ class RelinearizingController:
         ctrl = self._get(self._bin_of(theta))
         if isinstance(ctrl, CompetitiveController):
             self.last_wprime = ctrl.synthetic.M_filter @ self._nu
-            state = ControllerState(
-                t=0, xi=self._xi, filter=WPrimeFilter(ctrl.synthetic)
-            )
-            state.filter.nu = self._nu
-            u = ctrl.step(state, x, w)
-            self._xi = state.xi
-            self._nu = state.filter.nu
+            u, self._xi, self._nu = ctrl.exact_step(self._xi, self._nu, w)
             return u
         self.last_wprime = np.zeros(2)
         return ctrl.step(ControllerState(), x, w)

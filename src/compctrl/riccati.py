@@ -257,12 +257,12 @@ def hinf_backward(plant: LtvPlant, gamma: float) -> RiccatiSchedule:
     inertia_R = inertia(Rtil)
     P = np.zeros((T + 1, N, N))
     causal = strict = Verdict(True)
+    Btils = np.concatenate([plant.Bu, plant.Bw], axis=2)  # B~_t = [B_u, B_w]
     for t in range(T - 1, -1, -1):
-        A, Bu, Bw, Q = plant.A[t], plant.Bu[t], plant.Bw[t], plant.Q[t]
+        A, Bw, Btil, Q = plant.A[t], plant.Bw[t], Btils[t], plant.Q[t]
         Pn = P[t + 1]
         if strict and not _strictly_causal_ok(Pn, Bw, gamma):
             strict = Verdict(False, "condition-violated", t)
-        Btil = np.hstack([Bu, Bw])
         reason, pivots = _game_step_test(Rtil + Btil.T @ Pn @ Btil, inertia_R)
         if reason is not None:
             causal = Verdict(False, reason, t)

@@ -1,11 +1,16 @@
 """Smallest-feasible-gamma search by doubling plus bisection.
 
-Synthesis at a fixed gamma is a yes/no question (controller or
-:class:`~compctrl.controllers.Infeasible`), and feasibility is monotone in
+Feasibility at a fixed gamma is a yes/no question, and it is monotone in
 gamma, so the optimum is bracketed by doubling an initial guess until it is
 feasible and then bisected to an absolute width ``tol``.  The returned level
-is the feasible upper end of the final bracket, together with the controller
-synthesized there.
+is the feasible upper end of the final bracket.
+
+A probe yields a verdict only: a certificate of feasibility (any value that
+is not an :class:`~compctrl.controllers.Infeasible`) or an ``Infeasible``.
+For the plant-facing searches a certificate is the game Riccati solve that
+passed the existence test, and the controller is built once, from the
+certificate at the returned level, so no probe computes gains and nothing
+is solved twice.
 
 After the bracket (lo, hi] converges, an eight-point monotonicity audit
 re-evaluates the four levels lo - 2*tol, ..., lo - 5*tol expecting
@@ -15,22 +20,28 @@ exceptions.  The levels are fixed offsets, so a search's probe sequence
 depends only on the verdicts.
 
 Every probe is logged twice: ``history`` keeps (gamma, feasible) pairs and
-``probes`` keeps a record per probe with the reason code of a rejection and
-the fixed-point doublings it took (None where no fixed point was solved).
+``probes`` keeps a record per probe with the reason code of a rejection,
+the fixed-point doublings it took (None where no fixed point was solved),
+the first failing step of a finite-horizon rejection, the residual of a
+converged fixed point and the probe's wall time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .controllers import (
     Infeasible,
+    _as_plant,
+    _attenuation,
+    _check_causality,
+    _competitive_controller,
+    _hinf_controller,
     _normalize_horizon,
     _synthetic_plant,
-    synth_competitive,
-    synth_hinf,
 )
 
 __all__ = ["GammaSearchResult", "min_gamma", "min_gamma_hinf", "min_gamma_competitive"]
@@ -43,11 +54,14 @@ class GammaSearchResult:
     """Outcome of a gamma search.
 
     ``gamma`` is the certified feasible level (upper end of the final
-    bracket); ``controller`` was synthesized at exactly that level.  If the
+    bracket); ``controller`` is the certificate of exactly that level: for
+    :func:`min_gamma` whatever the feasibility callback returned there, for
+    the plant-facing searches the controller built from it.  If the
     doubling phase hits the cap without finding a feasible level, ``reason``
     is "unbounded-gamma" and ``controller`` is None.  ``probes`` parallels
-    ``history`` with one ``{gamma, feasible, reason, iterations}`` record per
-    probe.
+    ``history`` with one ``{gamma, feasible, reason, iterations,
+    first_violation, residual, wall_ms}`` record per probe; the record is
+    report data and never enters a trace or sweep CSV.
     """
 
     gamma: Optional[float]
@@ -72,11 +86,16 @@ def min_gamma(
     tol: float = 1e-3,
     audit: bool = True,
 ) -> GammaSearchResult:
-    """Bisect the smallest gamma for which ``feasibility`` returns a controller.
+    """Bisect the smallest gamma for which ``feasibility`` certifies feasibility.
 
-    ``feasibility(gamma)`` must return either a controller object or an
-    :class:`Infeasible` value.  ``gamma_floor`` is an open lower bound that
-    is never evaluated (0 for attenuation, 1 for cost ratios).
+    ``feasibility(gamma)`` is a verdict: it returns an :class:`Infeasible`
+    value or any other value as a certificate of feasibility.  The result's
+    ``controller`` is the certificate of the returned level, as returned;
+    building a controller from it is the caller's business, done once.  A
+    certificate's ``diagnostics`` dict and a rejection's ``details`` fill the
+    probe record's ``iterations``, ``first_violation`` and ``residual``
+    where they carry those keys.  ``gamma_floor`` is an open lower bound
+    that is never evaluated (0 for attenuation, 1 for cost ratios).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -86,16 +105,21 @@ def min_gamma(
     probes = []
 
     def probe(g: float):
+        start = time.perf_counter()
         res = feasibility(g)
+        wall_ms = 1e3 * (time.perf_counter() - start)
         feas = not isinstance(res, Infeasible)
         history.append((g, feas))
-        info = getattr(res, "diagnostics", None) if feas else res.details
+        info = (getattr(res, "diagnostics", None) if feas else res.details) or {}
         probes.append(
             {
                 "gamma": g,
                 "feasible": feas,
                 "reason": None if feas else res.reason,
-                "iterations": (info or {}).get("iterations"),
+                "iterations": info.get("iterations"),
+                "first_violation": info.get("first_violation"),
+                "residual": info.get("residual"),
+                "wall_ms": wall_ms,
             }
         )
         return res, feas
@@ -117,7 +141,7 @@ def min_gamma(
                 probes=probes,
             )
         res, feas = probe(hi)
-    controller = res
+    certificate = res
 
     max_iter = int(math.ceil(math.log2(max((hi - lo) / tol, 1.0)))) + 25
     steps = 0
@@ -125,7 +149,7 @@ def min_gamma(
         mid = 0.5 * (lo + hi)
         res, feas = probe(mid)
         if feas:
-            hi, controller = mid, res
+            hi, certificate = mid, res
         else:
             lo = mid
         steps += 1
@@ -152,13 +176,20 @@ def min_gamma(
     return GammaSearchResult(
         gamma=hi,
         gamma_lo=lo,
-        controller=controller,
+        controller=certificate,
         iterations=len(history),
         tol=tol,
         history=history,
         probes=probes,
         audit_warnings=warnings,
     )
+
+
+def _built(result: GammaSearchResult, build) -> GammaSearchResult:
+    """``result`` with its certificate replaced by ``build(certificate)``."""
+    if not result.ok:
+        return result
+    return replace(result, controller=build(result.controller))
 
 
 def min_gamma_hinf(
@@ -169,14 +200,21 @@ def min_gamma_hinf(
     gamma_hi_init: float = 1.0,
     audit: bool = True,
 ) -> GammaSearchResult:
-    """Smallest feasible attenuation level for the given plant."""
+    """Smallest feasible attenuation level for the given plant.
+
+    Each probe runs the existence test of the game Riccati equation alone;
+    the controller is built once, from the solve at the returned level.
+    """
+    _check_causality(causality)
+    plant = _normalize_horizon(plant, horizon)
 
     def feas(g: float):
-        return synth_hinf(plant, g, causality=causality, horizon=horizon)
+        return _attenuation(plant, g, causality)
 
-    return min_gamma(
+    result = min_gamma(
         feas, gamma_floor=0.0, gamma_hi_init=gamma_hi_init, tol=tol, audit=audit
     )
+    return _built(result, _hinf_controller)
 
 
 def min_gamma_competitive(
@@ -191,14 +229,19 @@ def min_gamma_competitive(
 
     The gamma-independent synthetic plant (the disturbance factorization
     and, in the infinite horizon with p < n, the outer factor of the w'
-    filter) is built once and reused across all probes.
+    filter) is built once and reused across all probes.  Each probe runs the
+    existence test on it alone; the controller is built once, from the
+    solve at the returned level.
     """
-    _, plant = _normalize_horizon(plant, horizon)
+    _check_causality(causality)
+    plant = _normalize_horizon(plant, horizon)
     syn = _synthetic_plant(plant)
+    syn_plant = _as_plant(syn)
 
     def feas(g: float):
-        return synth_competitive(plant, g, causality=causality, _synthetic=syn)
+        return _attenuation(syn_plant, g, causality)
 
-    return min_gamma(
+    result = min_gamma(
         feas, gamma_floor=1.0, gamma_hi_init=gamma_hi_init, tol=tol, audit=audit
     )
+    return _built(result, lambda solve: _competitive_controller(syn, solve))

@@ -9,6 +9,9 @@ from compctrl.controllers import (
     CompetitiveController,
     _affine_pass,
     _affine_schedule,
+    _as_plant,
+    _attenuation,
+    _competitive_controller,
     _synthetic_plant,
     Infeasible,
     OfflineController,
@@ -242,10 +245,12 @@ def test_competitive_causality_split(rng):
     ids=["doubled", "exact", "finite-horizon"],
 )
 def test_competitive_reuses_provided_factor(p, horizon, rng):
+    # the gamma search builds its controller from a synthetic plant it built
+    # once; that controller keeps the plant and has a fresh synthesis' gains
     plant = random_lti(rng, n=2, m=1, p=p)
     normalized = plant if horizon is None else plant.to_ltv(horizon)
     syn = _synthetic_plant(normalized)
-    a = synth_competitive(normalized, 3.0, _synthetic=syn)
+    a = _competitive_controller(syn, _attenuation(_as_plant(syn), 3.0, "causal"))
     b = synth_competitive(plant, 3.0, horizon=horizon)
     assert isinstance(a, CompetitiveController)
     assert a.synthetic is syn

@@ -5,7 +5,14 @@ from numpy.testing import assert_allclose
 from conftest import random_lti, scalar_lti
 
 from compctrl import controllers
-from compctrl.controllers import CompetitiveController, Infeasible, StateFeedbackController
+from compctrl.controllers import (
+    CompetitiveController,
+    Infeasible,
+    StateFeedbackController,
+    controller_to_json_dict,
+    synth_competitive,
+    synth_hinf,
+)
 from compctrl.freq import closed_loop, peak_gain
 from compctrl.search import (
     GAMMA_CAP,
@@ -201,3 +208,98 @@ def test_min_gamma_hinf_fh(rng):
 def test_result_ok_property():
     assert not GammaSearchResult(gamma=None, gamma_lo=1.0).ok
     assert GammaSearchResult(gamma=2.0, gamma_lo=1.0, controller=object()).ok
+
+
+# --- one gain build per search ----------------------------------------------
+
+
+SEARCHES = {
+    "hinf": (min_gamma_hinf, synth_hinf),
+    "competitive": (min_gamma_competitive, synth_competitive),
+}
+
+
+@pytest.mark.parametrize("horizon", [None, 40])
+def test_search_builds_gains_once(horizon, rng, monkeypatch):
+    # a probe runs the existence test alone; the gains are computed once,
+    # from the solve at the certified level: one saddle-point step in the
+    # infinite horizon, one per step in the finite horizon
+    plant = random_lti(rng, n=3, m=1, p=1)
+    saddle = controllers._saddle_gains
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return saddle(*args)
+
+    monkeypatch.setattr(controllers, "_saddle_gains", counting)
+    for name, (search, _) in SEARCHES.items():
+        calls.clear()
+        result = search(plant, horizon=horizon)
+        assert result.ok
+        assert sum(feas for _, feas in result.history) > 1
+        assert len(calls) == (1 if horizon is None else horizon), name
+
+
+def _assert_same_controller(a, b):
+    assert type(a) is type(b)
+    assert controller_to_json_dict(a) == controller_to_json_dict(b)
+    gains = ("Kx", "Kw") if isinstance(a, StateFeedbackController) else ("Kxi", "Kwp")
+    for key in gains:
+        assert np.array_equal(getattr(a, key), getattr(b, key))
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for key, value in a.diagnostics.items():
+        assert np.array_equal(value, b.diagnostics[key]), key
+
+
+@pytest.mark.parametrize("horizon", [None, 40])
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+@pytest.mark.parametrize("which", ["boeing", "p<n"])
+def test_search_controller_equals_synthesis_at_certified_level(
+    which, family, causality, horizon, boeing
+):
+    plant = boeing if which == "boeing" else random_lti(np.random.default_rng(7), n=3, p=1)
+    search, synth = SEARCHES[family]
+    result = search(plant, causality=causality, horizon=horizon)
+    assert result.ok
+    direct = synth(plant, result.gamma, causality=causality, horizon=horizon)
+    _assert_same_controller(result.controller, direct)
+
+
+def _is_opt(value, kind):
+    return value is None or (isinstance(value, kind) and not isinstance(value, bool))
+
+
+@pytest.mark.parametrize("horizon", [None, 40])
+def test_probe_records_carry_violation_residual_and_wall_time(horizon, boeing):
+    result = min_gamma_competitive(boeing, horizon=horizon)
+    assert result.ok
+    for p in result.probes:
+        assert {"gamma", "feasible", "reason", "iterations"} <= p.keys()
+        assert _is_opt(p["first_violation"], int)
+        assert _is_opt(p["residual"], float)
+        assert isinstance(p["wall_ms"], float) and p["wall_ms"] >= 0.0
+        if horizon is None:
+            # no finite-horizon step to blame; a residual wherever the fixed
+            # point converged: every feasible probe, and a rejection by the
+            # fixed point's checks
+            assert p["first_violation"] is None
+            assert isinstance(p["iterations"], int)
+            if p["feasible"]:
+                assert p["residual"] is not None
+            elif p["residual"] is not None:
+                assert p["reason"] == "condition-violated"
+        else:
+            assert p["residual"] is None and p["iterations"] is None
+            assert (p["first_violation"] is None) == p["feasible"]
+            if not p["feasible"]:
+                assert 0 <= p["first_violation"] < horizon
+    assert any(not p["feasible"] for p in result.probes)
+
+
+def test_probe_records_of_plain_verdicts():
+    result = min_gamma(make_predicate(lambda g: g >= 2.0), 0.0, 1.0, tol=1e-3)
+    for p in result.probes:
+        assert p["first_violation"] is None and p["residual"] is None
+        assert isinstance(p["wall_ms"], float)
