@@ -37,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import LtiPlant, LtvPlant, inv_sqrt_pd, sqrt_psd
+from .model import LtiPlant, LtvPlant, inv_sqrt_pd, shifted_solve, sqrt_psd
 from .riccati import (
     _sda,
     is_stable,
@@ -556,17 +556,19 @@ def dense_delta(plant: LtvPlant, schedule: WhiteningSchedule) -> np.ndarray:
     return D
 
 
-def delta_transfer(plant: LtiPlant, factor: SpectralFactor, z: complex) -> np.ndarray:
-    """Delta(z) = (I + Q^{1/2} (zI - A)^{-1} K) Sigma^{1/2}."""
-    n = plant.n
-    resolvent = np.linalg.solve(z * np.eye(n) - plant.A, factor.K)
-    return (np.eye(n) + plant.Q_half @ resolvent) @ factor.Sigma_half
+def delta_transfer(plant: LtiPlant, factor: SpectralFactor, z) -> np.ndarray:
+    """Delta(z) = (I + Q^{1/2} (zI - A)^{-1} K) Sigma^{1/2}.
+
+    At a scalar z, or stacked along a 1-D array of z.
+    """
+    resolvent = shifted_solve(plant.A, factor.K, z)
+    return (np.eye(plant.n) + plant.Q_half @ resolvent) @ factor.Sigma_half
 
 
-def delta_inv_transfer(
-    plant: LtiPlant, factor: SpectralFactor, z: complex
-) -> np.ndarray:
-    """Delta(z)^{-1} = Sigma^{-1/2} (I - Q^{1/2} (zI - A + KQ^{1/2})^{-1} K)."""
-    n = plant.n
-    resolvent = np.linalg.solve(z * np.eye(n) - factor.A_whiten, factor.K)
-    return factor.Sigma_inv_half @ (np.eye(n) - plant.Q_half @ resolvent)
+def delta_inv_transfer(plant: LtiPlant, factor: SpectralFactor, z) -> np.ndarray:
+    """Delta(z)^{-1} = Sigma^{-1/2} (I - Q^{1/2} (zI - A + KQ^{1/2})^{-1} K).
+
+    At a scalar z, or stacked along a 1-D array of z.
+    """
+    resolvent = shifted_solve(factor.A_whiten, factor.K, z)
+    return factor.Sigma_inv_half @ (np.eye(plant.n) - plant.Q_half @ resolvent)

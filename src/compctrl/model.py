@@ -31,6 +31,7 @@ __all__ = [
     "DenseOperators",
     "sqrt_psd",
     "inv_sqrt_pd",
+    "shifted_solve",
     "normalize_control_weight",
     "normalize_control_weight_ltv",
     "build_dense_operators",
@@ -63,6 +64,23 @@ def inv_sqrt_pd(M: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
             f"matrix is not positive definite (min eigenvalue {lam.min():.3e})"
         )
     return (V / np.sqrt(lam)) @ V.T
+
+
+def shifted_solve(A: np.ndarray, B: np.ndarray, z) -> np.ndarray:
+    """(zI - A)^{-1} B at a scalar z, or stacked along a 1-D array of z.
+
+    The (zI - A) stack is filled in place, -A plus z on the diagonal, and
+    solved by one stacked LAPACK call.  That call runs the routine a single
+    matrix gets on each matrix of the stack, so a point of the stack equals
+    the scalar evaluation at that point bit for bit.
+    """
+    z = np.asarray(z)
+    n = A.shape[0]
+    S = np.empty(z.shape + (n, n), dtype=np.result_type(z, A))
+    np.negative(A, out=S)
+    diag = np.arange(n)
+    S[..., diag, diag] += z[..., None]
+    return np.linalg.solve(S, B)
 
 
 def _as_matrix(M, name: str) -> np.ndarray:

@@ -344,10 +344,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % float(v)
-
-
 def write_trace_csv(path: str, result: RolloutResult) -> None:
     """Write a rollout trace; a truncated run gains a FAILURE footer row."""
     p = result.w.shape[1]
@@ -361,17 +357,13 @@ def write_trace_csv(path: str, result: RolloutResult) -> None:
         + [f"u_{i}" for i in range(m)]
         + ["step_cost", "cum_cost"]
     )
-    lines = [",".join(cols)]
-    for t in range(result.steps_completed):
-        row = (
-            [str(t)]
-            + [_fmt(v) for v in result.w[t]]
-            + [_fmt(v) for v in result.wprime[t]]
-            + [_fmt(v) for v in result.x[t]]
-            + [_fmt(v) for v in result.u[t]]
-            + [_fmt(result.step_cost[t]), _fmt(result.cum_cost[t])]
-        )
-        lines.append(",".join(row))
+    k = result.steps_completed
+    columns = (result.w, result.wprime, result.x, result.u, result.step_cost, result.cum_cost)
+    fmt = "%d" + ",%.17g" * (len(cols) - 1)
+    lines = [",".join(cols)] + [
+        fmt % tuple(row.tolist())
+        for row in np.column_stack([np.arange(k)] + [c[:k] for c in columns])
+    ]
     if result.status != "ok":
         footer = ["FAILURE", result.status] + [""] * (len(cols) - 2)
         lines.append(",".join(footer))

@@ -238,3 +238,39 @@ def affine_sweep(plant, w):
         Pt = plant.Q[t] + K[t].T @ K[t] + Acl.T @ P @ Acl
         P = 0.5 * (Pt + Pt.T)
     return K, h
+
+
+def _transfer_pointwise(loop, z):
+    """C (zI - A)^{-1} B + D at one z."""
+    X = np.linalg.solve(z * np.eye(loop.A.shape[0]) - loop.A, loop.B)
+    return loop.C @ X + loop.D
+
+
+def sigma_max_pointwise(loop, omega):
+    """Largest singular value of the closed loop at one z = e^{i omega}."""
+    T = _transfer_pointwise(loop, np.exp(1j * float(omega)))
+    return float(np.linalg.svd(T, compute_uv=False)[0])
+
+
+def per_freq_cr_pointwise(plant, loop, omega, singular_rel=1e-12):
+    """Largest eigenvalue of N^{-1/2} (T_K* T_K) N^{-1/2} at one frequency.
+
+    N = G* (I + F F*)^{-1} G is the clairvoyant Gram from the open-loop maps
+    F: u -> s and G: w -> s at z = e^{i omega}.  A frequency where N is
+    numerically singular gives the string "degenerate-frequency".
+    """
+    z = np.exp(1j * float(omega))
+    X = np.linalg.solve(z * np.eye(plant.n) - plant.A, np.hstack([plant.Bu, plant.Bw]))
+    S = plant.Q_half @ X
+    F, G = S[:, : plant.m], S[:, plant.m :]
+    N = G.conj().T @ np.linalg.solve(np.eye(plant.n) + F @ F.conj().T, G)
+    N = 0.5 * (N + N.conj().T)
+    lam, V = np.linalg.eigh(N)
+    if lam[-1] <= 0.0 or lam[0] <= singular_rel * lam[-1]:
+        return "degenerate-frequency"
+    Ninv_half = (V / np.sqrt(lam)) @ V.conj().T
+    T = _transfer_pointwise(loop, z)
+    M = T.conj().T @ T
+    W = Ninv_half @ M @ Ninv_half
+    W = 0.5 * (W + W.conj().T)
+    return float(np.linalg.eigvalsh(W)[-1])

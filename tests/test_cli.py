@@ -261,6 +261,8 @@ def test_freq_sweep_csv_and_summary(tmp_path, plant_file, h2_controller_file):
     assert info["peak_sigma_max"] > 0
     assert info["max_per_freq_cr"] >= 1.0
     assert info["degenerate_frequencies"] == 0
+    assert set(summary["wall_ms"]) == {"sweep", "csv"}
+    assert all(ms >= 0 for ms in summary["wall_ms"].values())
     with open(out, newline="") as fh:
         text = fh.read()
     assert text.startswith("controller,omega,sigma_max_TK,per_freq_cr\n")

@@ -15,6 +15,7 @@ from compctrl import (
     closed_loop,
     extremal_dc,
     generate,
+    min_gamma_competitive,
     peak_gain,
     per_freq_cr,
     rollout,
@@ -29,7 +30,7 @@ from compctrl import (
 from compctrl.freq import clairvoyant_gram, default_grid, open_loop_maps
 
 from conftest import random_lti
-from oracles import sinusoid_response_power
+from oracles import per_freq_cr_pointwise, sigma_max_pointwise, sinusoid_response_power
 
 
 def simulate_loop(loop: ClosedLoop, w: np.ndarray) -> np.ndarray:
@@ -182,11 +183,11 @@ def test_competitive_per_freq_cr_below_gamma_sq(rng):
     assert max(rs) <= gamma**2 + 1e-6
 
 
-def test_per_freq_cr_degenerate_when_gram_singular(rng):
-    # A rank-one disturbance channel with p = 2 makes N singular everywhere.
+def rank_one_disturbance_plant(rng):
+    """A rank-one disturbance channel with p = 2: N is singular everywhere."""
     col = rng.standard_normal((3, 1))
     plant = random_lti(rng, n=3, m=1, p=2)
-    plant = LtiPlant(
+    return LtiPlant(
         A=plant.A,
         Bu=plant.Bu,
         Bw=col @ np.array([[1.0, 2.0]]),
@@ -194,6 +195,10 @@ def test_per_freq_cr_degenerate_when_gram_singular(rng):
         R_half=plant.R_half,
         x0=plant.x0,
     )
+
+
+def test_per_freq_cr_degenerate_when_gram_singular(rng):
+    plant = rank_one_disturbance_plant(rng)
     loop = closed_loop(plant, ZeroController(m=1))
     assert per_freq_cr(plant, loop, 0.8) == "degenerate-frequency"
 
@@ -264,6 +269,81 @@ def test_sweep_csv_preserves_degenerate_marker(rng, tmp_path):
     assert all(r["per_freq_cr"] == "degenerate-frequency" for r in rows)
     # sigma_max is still numeric at those frequencies
     assert all(np.isfinite(float(r["sigma_max_TK"])) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation against the pointwise oracle
+
+#: grid sizes on both sides of the 64-point block boundaries
+PARITY_POINTS = (1, 63, 64, 65, 512, 513)
+
+
+def assert_matches_pointwise(plant, named, n_points):
+    """sweep, peak_gain and scalar calls equal the pointwise oracle exactly."""
+    res = sweep(plant, named, n_points)
+    for name, ctrl in named.items():
+        loop = closed_loop(plant, ctrl)
+        sig = np.array([sigma_max_pointwise(loop, w) for w in res.omegas])
+        cr = [per_freq_cr_pointwise(plant, loop, w) for w in res.omegas]
+        assert np.array_equal(res.sigma_max[name], sig), name
+        assert res.per_freq_cr[name] == cr, name
+        assert peak_gain(loop, res.omegas) == sig.max()
+        w = res.omegas[-1]
+        assert sigma_max(loop, w) == sig[-1]
+        assert per_freq_cr(plant, loop, w) == cr[-1]
+        assert type(sigma_max(loop, w)) is float
+        assert type(per_freq_cr(plant, loop, w)) is type(cr[-1])
+
+
+@pytest.fixture(scope="module")
+def boeing_loops(boeing):
+    return {
+        "h2": synth_h2_ih(boeing),
+        "competitive": min_gamma_competitive(boeing).controller,
+        "hinf": synth_hinf(boeing, gamma=1.01 * 28.234375),
+        "zero": ZeroController(m=boeing.m),
+    }
+
+
+@pytest.mark.parametrize("n_points", PARITY_POINTS)
+def test_boeing_sweep_equals_pointwise_oracle(boeing, boeing_loops, n_points):
+    assert_matches_pointwise(boeing, boeing_loops, n_points)
+
+
+@pytest.mark.parametrize("n_points", PARITY_POINTS)
+def test_random_sweep_equals_pointwise_oracle(rng, n_points):
+    for n, m, p in ((3, 1, 2), (4, 2, 1), (5, 2, 3)):
+        plant = random_lti(rng, n=n, m=m, p=p)
+        named = {
+            "h2": synth_h2_ih(plant),
+            "h2-strict": synth_h2_ih(plant, causality="strictly-causal"),
+            "competitive": synth_competitive(plant, gamma=6.0),
+            "zero": ZeroController(m=m),
+        }
+        assert_matches_pointwise(plant, named, n_points)
+
+
+@pytest.mark.parametrize("n_points", PARITY_POINTS)
+def test_degenerate_sweep_equals_pointwise_oracle(rng, n_points):
+    # Everywhere degenerate, then degenerate at omega = 0 alone: with
+    # A = diag(0.5, 0.3, 1.5) and the first disturbance column e1 + e3 seen
+    # by Q^{1/2} as one direction, G(1) loses rank because
+    # 1 / (1 - 0.5) + 1 / (1 - 1.5) = 0.
+    plant = rank_one_disturbance_plant(rng)
+    assert_matches_pointwise(plant, {"zero": ZeroController(m=1)}, n_points)
+    Q_half = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    plant = LtiPlant(
+        A=np.diag([0.5, 0.3, 1.5]),
+        Bu=np.ones((3, 1)),
+        Bw=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+        Q=Q_half.T @ Q_half,
+        R_half=np.eye(1),
+        x0=np.zeros(3),
+    )
+    res = sweep(plant, {"zero": ZeroController(m=1)}, n_points)
+    assert res.per_freq_cr["zero"][0] == "degenerate-frequency"
+    assert all(not isinstance(r, str) for r in res.per_freq_cr["zero"][1:])
+    assert_matches_pointwise(plant, {"zero": ZeroController(m=1)}, n_points)
 
 
 # ---------------------------------------------------------------------------
