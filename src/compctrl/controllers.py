@@ -16,7 +16,10 @@ sense:
   synthesized by running the ``hinf`` machinery on the synthetic plant from
   :mod:`compctrl.factorization`: the doubled plant driven by the filtered
   disturbance w', or, in the infinite horizon with p < n, the exact plant
-  driven by w'' = L w.
+  driven by w'' = L w.  The law is folded once into a :class:`Realization`
+  over z = [xi; nu] (plant copy, w' filter state), the one state-space
+  description that stepping, :func:`compctrl.freq.closed_loop` and the
+  pendulum schedule of :mod:`compctrl.mpc` read.
 * ``offline``: the clairvoyant minimizer itself (batch only), computed
   densely from the stacked operators or, for long horizons, by an
   affine backward Riccati sweep; both routes solve the same normal equations
@@ -32,6 +35,7 @@ step alone and runs the gain step once, at the level it certifies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -40,7 +44,6 @@ import numpy as np
 from .factorization import (
     SyntheticSystem,
     SyntheticSystemFH,
-    WPrimeFilter,
     build_synthetic,
     outer_factor_ih,
     spectral_factor_ih,
@@ -63,6 +66,7 @@ __all__ = [
     "ControllerState",
     "StateFeedbackController",
     "CompetitiveController",
+    "Realization",
     "OfflineController",
     "ZeroController",
     "synth_h2_ih",
@@ -92,18 +96,11 @@ class Infeasible:
 
 @dataclass
 class ControllerState:
-    """Mutable per-rollout state: timestep plus any internal filter state."""
+    """Mutable per-rollout state: the timestep, plus the internal state
+    z = [xi; nu] of a ratio-optimal controller (see :class:`Realization`)."""
 
     t: int = 0
-    xi: Optional[np.ndarray] = None
-    filter: Optional[WPrimeFilter] = None
-
-    def clone(self) -> "ControllerState":
-        return ControllerState(
-            t=self.t,
-            xi=None if self.xi is None else self.xi.copy(),
-            filter=None if self.filter is None else self.filter.clone(),
-        )
+    z: Optional[np.ndarray] = None
 
 
 def _check_causality(causality: str) -> str:
@@ -144,27 +141,90 @@ class StateFeedbackController:
         return u
 
 
+class Realization(NamedTuple):
+    """The ratio-optimal controller as one state-space system.
+
+    Its state is z = [xi; nu]: xi the plant copy (on the doubled plant the
+    upper half of the synthetic state, whose lower half is w' = M_filter nu)
+    and nu the state of the w' filter, both in R^n.  Per step,
+
+        u_t      = Cz z_t + Dz w_t,
+        xi_{t+1} = Az z_t + Bz w_t,
+        nu_{t+1} = A_filter nu_t + B_filter w_t,    w'_t = M_filter nu_t.
+
+    The filter keeps its own matrices, so the w' it emits is exactly that
+    of :func:`~compctrl.factorization.wprime_run`.  Every field is a stack
+    over steps: one entry in the infinite horizon; in a finite horizon T-1
+    entries for the law (u_{T-1} = 0) and the T of the filter.
+    """
+
+    Cz: np.ndarray  # (S, m, 2n)
+    Dz: np.ndarray  # (S, m, p)
+    Az: np.ndarray  # (S, n, 2n)
+    Bz: np.ndarray  # (S, n, p)
+    A_filter: np.ndarray  # (S', n, n)
+    B_filter: np.ndarray  # (S', n, p)
+    M_filter: np.ndarray  # (S', n, n)
+
+
+def _realization(
+    syn: Union[SyntheticSystem, SyntheticSystemFH], Kxi: np.ndarray, Kwp: np.ndarray
+) -> Realization:
+    """Fold the synthetic system and the law u = -(Kxi xi_hat + Kwp w_hat) on
+    it into the :class:`Realization` over z = [xi; nu].
+
+    Written as u = -(Ga xi + Gn nu + Gw w) with the plant copy
+    xi_{t+1} = A xi + B_u u + E nu + Ew w, the law has Cz = -[Ga, Gn],
+    Dz = -Gw, Az = [A - B_u Ga, E - B_u Gn] and Bz = Ew - B_u Gw.
+    Doubled plant: the synthetic state is xi_hat = [xi; M nu] and the law
+    reads w'_{t+1} = M_{t+1}(A_filter nu + B_filter w), so
+    Gn = Kb M_t + Kwp M_{t+1} A_filter, Gw = Kwp M_{t+1} B_filter and
+    E = K Sigma^{1/2} M_t.  Exact plant: xi_hat = [xi; nu] and
+    w'' = C_outer nu + D_outer w, so Gn = Kb + Kwp C_outer,
+    Gw = Kwp D_outer, E = 0 and Ew = B_w.
+    """
+    finite = isinstance(syn, SyntheticSystemFH)
+    S = syn.T - 1 if finite else 1  # steps with a law
+    stack = np.asarray if finite else (lambda a: a[None])
+    Af, Bf, Mf = map(stack, (syn.A_filter, syn.B_filter, syn.M_filter))
+    Ahat, Buhat, Kxi, Kwp = (stack(a)[:S] for a in (syn.Ahat, syn.Buhat, Kxi, Kwp))
+    n, p = Bf.shape[1:]
+    A, Bu = Ahat[:, :n, :n], Buhat[:, :n]
+    Ga, Kb = Kxi[..., :n], Kxi[..., n:]
+    if not finite and syn.exact:
+        Gn = Kb + Kwp @ syn.C_outer
+        Gw = Kwp @ syn.D_outer
+        E, Ew = np.zeros((S, n, n)), Bf
+    else:
+        M, M_next = Mf[:S], (Mf[1:] if finite else Mf)
+        Gn = Kb @ M + Kwp @ M_next @ Af[:S]
+        Gw = Kwp @ M_next @ Bf[:S]
+        E, Ew = Ahat[:, :n, n:] @ M, np.zeros((S, n, p))
+    return Realization(
+        Cz=-np.concatenate([Ga, Gn], axis=-1),
+        Dz=-Gw,
+        Az=np.concatenate([A - Bu @ Ga, E - Bu @ Gn], axis=-1),
+        Bz=Ew - Bu @ Gw,
+        A_filter=Af,
+        B_filter=Bf,
+        M_filter=Mf,
+    )
+
+
 @dataclass(frozen=True)
 class CompetitiveController:
     """Ratio-optimal controller: attenuation law on the synthetic plant.
 
-    Maintains the autonomous synthetic state xi (never the plant state) and a
-    w' filter.  Per step: the filter absorbs w_t to produce w'_{t+1}, then
+    ``synthetic``, ``Kxi`` and ``Kwp`` are the law as synthesized (and
+    serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the synthetic state
+    xi_hat, driven by w_hat = w'_{t+1} on the doubled plant or
+    w_hat = w''_t = C_outer nu_t + D_outer w_t on the exact one.  Stepping
+    reads :attr:`realization`, the same law over z = [xi; nu], built once.
 
-        u_t = -(Kxi xi_t + Kwp w'_{t+1}),
-        xi_{t+1} = Ahat xi_t + Buhat u_t + Bwhat w'_{t+1}.
-
-    The strictly causal variant has Kwp = 0, so u_t never reads w'_{t+1}
-    (i.e. never reads w_t); the filter and xi still absorb w_t afterwards.
-    At the final step of a finite horizon the control gain is identically
-    zero and w'_T does not exist, so u_{T-1} = 0 and nothing advances.
-
-    On an exact synthetic system (``synthetic.exact``) xi is the plant copy
-    alone and the synthetic state is (xi, nu) with nu the filter state:
-
-        w''_t = C_outer nu_t + D_outer w_t,
-        u_t = -(Kxi [xi_t; nu_t] + Kwp w''_t),
-        xi_{t+1} = A xi_t + B_u u_t + B_w w_t.
+    The strictly causal variant has Kwp = 0, so u_t never reads w_t; the
+    state still absorbs w_t afterwards.  At the final step of a finite
+    horizon the control gain is identically zero and w'_T does not exist,
+    so u_{T-1} = 0 and nothing advances.
     """
 
     kind: str  # "competitive"
@@ -176,58 +236,40 @@ class CompetitiveController:
     Kwp: np.ndarray  # (m, n), (m, p) when exact, or (T, m, n)
     diagnostics: dict = field(default_factory=dict, compare=False)
 
+    @functools.cached_property
+    def realization(self) -> Realization:
+        return _realization(self.synthetic, self.Kxi, self.Kwp)
+
     def make_state(self) -> ControllerState:
-        syn = self.synthetic
-        if self.horizon is not None:
-            dim = syn.Ahat.shape[1]
-        else:
-            dim = syn.n if syn.exact else syn.Ahat.shape[0]
-        return ControllerState(t=0, xi=np.zeros(dim), filter=WPrimeFilter(syn))
+        return ControllerState(t=0, z=np.zeros(2 * self.synthetic.n))
+
+    def wprime(self, state: ControllerState) -> np.ndarray:
+        """w'_t = M_filter nu_t, the filtered disturbance before w_t."""
+        M = self.realization.M_filter[0 if self.horizon is None else state.t]
+        return M @ state.z[self.synthetic.n :]
 
     def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
         t = state.t
-        syn = self.synthetic
-        m = syn.m
         if self.horizon is not None:
             if t >= self.horizon:
                 raise IndexError(f"controller stepped past its horizon T={self.horizon}")
             if t == self.horizon - 1:
                 state.t = t + 1
-                return np.zeros(m)
-            Ahat, Buhat, Bwhat = syn.Ahat[t], syn.Buhat[t], syn.Bwhat[t]
-            Kxi, Kwp = self.Kxi[t], self.Kwp[t]
-        elif syn.exact:
-            filt = state.filter
-            u, state.xi, filt.nu = self.exact_step(state.xi, filt.nu, w_t)
-            filt.t += 1
-            state.t = t + 1
-            return u
-        else:
-            Ahat, Buhat, Bwhat = syn.Ahat, syn.Buhat, syn.Bwhat
-            Kxi, Kwp = self.Kxi, self.Kwp
-        wp = state.filter.step(w_t)  # w'_{t+1}
-        u = -(Kxi @ state.xi) - (Kwp @ wp)
-        state.xi = Ahat @ state.xi + Buhat @ u + Bwhat @ wp
+                return np.zeros(self.synthetic.m)
+        k = 0 if self.horizon is None else t
+        r = self.realization
+        w_t = np.asarray(w_t, dtype=float).reshape(-1)
+        if w_t.shape != r.Dz.shape[2:]:
+            raise ValueError(
+                f"disturbance has dimension {w_t.shape[0]}, expected {r.Dz.shape[2]}"
+            )
+        z = state.z
+        n = r.A_filter.shape[-1]
+        u = r.Cz[k] @ z + r.Dz[k] @ w_t
+        nu = r.A_filter[k] @ z[n:] + r.B_filter[k] @ w_t
+        state.z = np.concatenate([r.Az[k] @ z + r.Bz[k] @ w_t, nu])
         state.t = t + 1
         return u
-
-    def exact_step(self, xi, nu, w_t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step of the exact law from (xi_t, nu_t): (u_t, xi_{t+1}, nu_{t+1}).
-
-        Mutates nothing, so a caller that carries the synthetic state across
-        several controllers (the gain-scheduled pendulum controller) steps
-        it directly.  Infinite horizon, exact synthetic system only.
-        """
-        syn = self.synthetic
-        w_t = np.asarray(w_t, dtype=float).reshape(-1)
-        p = syn.B_filter.shape[1]
-        if w_t.shape != (p,):
-            raise ValueError(f"disturbance has dimension {w_t.shape[0]}, expected {p}")
-        n = syn.n
-        wpp = syn.C_outer @ nu + syn.D_outer @ w_t  # w''_t
-        u = -(self.Kxi @ np.concatenate([xi, nu])) - (self.Kwp @ wpp)
-        xi = syn.Ahat[:n, :n] @ xi + syn.Buhat[:n] @ u + syn.B_filter @ w_t
-        return u, xi, syn.A_filter @ nu + syn.B_filter @ w_t
 
 
 @dataclass(frozen=True)

@@ -54,12 +54,10 @@ __all__ = [
     "OuterFactor",
     "SyntheticSystem",
     "SyntheticSystemFH",
-    "WPrimeFilter",
     "whitening_fh",
     "spectral_factor_ih",
     "outer_factor_ih",
     "build_synthetic",
-    "wprime_step",
     "wprime_run",
     "dense_delta",
     "delta_transfer",
@@ -463,78 +461,29 @@ def build_synthetic(
     raise TypeError(f"unsupported factor type {type(factor).__name__}")
 
 
-class WPrimeFilter:
-    """Online state of the strictly causal map w -> w'.
-
-    The filter is advanced with w_t and then emits w'_{t+1}; w'_0 = 0 always.
-    For finite-horizon (time-varying) systems the output map at index T does
-    not exist, and none of the synthesized controllers ever needs it (the
-    final-step control gain is identically zero), so stepping past t = T-2 is
-    an error there.  Cloning yields an independent filter for branched
-    rollouts.
-    """
-
-    def __init__(self, synthetic: Union[SyntheticSystem, SyntheticSystemFH]):
-        self._syn = synthetic
-        self._ltv = isinstance(synthetic, SyntheticSystemFH)
-        n = synthetic.n
-        self.nu = np.zeros(n)
-        self.t = 0
-
-    @property
-    def horizon(self) -> Optional[int]:
-        return self._syn.T if self._ltv else None
-
-    def clone(self) -> "WPrimeFilter":
-        other = WPrimeFilter(self._syn)
-        other.nu = self.nu.copy()
-        other.t = self.t
-        return other
-
-    def wprime_now(self) -> np.ndarray:
-        """Current output w'_t (zero at t = 0)."""
-        if self._ltv:
-            return self._syn.M_filter[self.t] @ self.nu
-        return self._syn.M_filter @ self.nu
-
-    def step(self, w_t: np.ndarray) -> np.ndarray:
-        """Absorb w_t, advance to t+1, and return w'_{t+1}."""
-        w_t = np.asarray(w_t, dtype=float).reshape(-1)
-        syn = self._syn
-        if self._ltv:
-            if self.t + 1 >= syn.T:
-                raise IndexError("w' filter stepped past its horizon")
-            A, B = syn.A_filter[self.t], syn.B_filter[self.t]
-        else:
-            A, B = syn.A_filter, syn.B_filter
-        if w_t.shape != (B.shape[1],):
-            raise ValueError(
-                f"disturbance has dimension {w_t.shape[0]}, expected {B.shape[1]}"
-            )
-        self.nu = A @ self.nu + B @ w_t
-        self.t += 1
-        return self.wprime_now()
-
-
-def wprime_step(filt: WPrimeFilter, w_t: np.ndarray) -> tuple[WPrimeFilter, np.ndarray]:
-    """Functional wrapper over WPrimeFilter.step (mutates and returns filt)."""
-    return filt, filt.step(w_t)
-
-
 def wprime_run(
     synthetic: Union[SyntheticSystem, SyntheticSystemFH], w: np.ndarray
 ) -> np.ndarray:
     """Expand a length-T disturbance into (w'_0, ..., w'_{T-1}).
 
-    w'_t depends only on w_0..w_{t-1}; in particular w'_0 = 0 and the final
-    disturbance w_{T-1} influences no emitted value.
+    nu_{t+1} = A_filter nu_t + B_filter w_t from nu_0 = 0 and
+    w'_t = M_filter nu_t, so w'_t depends only on w_0..w_{t-1}; in
+    particular w'_0 = 0 and the final disturbance w_{T-1} influences no
+    emitted value.
     """
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    T = w.shape[0]
-    filt = WPrimeFilter(synthetic)
-    out = np.zeros((T, synthetic.n))
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 1:
+        w = w[:, None]
+    T, n = w.shape[0], synthetic.n
+    mats = (synthetic.A_filter, synthetic.B_filter, synthetic.M_filter)
+    if isinstance(synthetic, SyntheticSystem):
+        mats = tuple(np.broadcast_to(a, (T,) + a.shape) for a in mats)
+    A, B, M = mats
+    out = np.zeros((T, n))
+    nu = np.zeros(n)
     for t in range(T - 1):
-        out[t + 1] = filt.step(w[t])
+        nu = A[t] @ nu + B[t] @ w[t]
+        out[t + 1] = M[t + 1] @ nu
     return out
 
 

@@ -2,11 +2,11 @@
 
 Every causal controller here closes the loop into a discrete LTI system
 mapping the disturbance w to the stacked performance output (s; u) with
-s = Q^{1/2} x.  State-feedback laws give an n-state realization; the
-ratio-optimal controller, whose internal filter and synthetic state are
-driven by w alone, folds into a 3n-state realization with blocks for the
-plant state, the synthetic upper state (the plant copy, on the exact
-synthetic plant), and the filter state.
+s = Q^{1/2} x.  State-feedback laws give an n-state realization.  The
+ratio-optimal controller brings its own realization over z = [xi; nu]
+(:class:`compctrl.controllers.Realization`, the one its stepping reads:
+plant copy xi and w' filter state nu, driven by w alone), and the loop
+stacks it under the plant state into 3n states.
 
 Per-frequency cost ratio: with F and G the open-loop maps u -> s and
 w -> s, the clairvoyant cost at frequency omega has Gram
@@ -88,37 +88,23 @@ def closed_loop(plant: LtiPlant, controller) -> ClosedLoop:
         D = np.vstack([np.zeros((n, p)), -Kw])
         return ClosedLoop(A=Acl, B=Bcl, C=C, D=D)
     if isinstance(controller, CompetitiveController):
-        # the controller as u = -(Ga xi + Gn nu + Gw w) with
-        # xi_{t+1} = A xi + B_u u + E nu + Ew w
-        syn = controller.synthetic
-        M = syn.M_filter  # Sigma^{-1/2} Q^{1/2}
-        Ak = syn.A_filter  # A - K Q^{1/2}
-        Ka, Kb = controller.Kxi[:, :n], controller.Kxi[:, n:]
-        gwp = controller.Kwp
-        Ga = Ka
-        if syn.exact:  # w'' = C nu + D w
-            Gn = Kb + gwp @ syn.C_outer
-            Gw = gwp @ syn.D_outer
-            E, Ew = np.zeros((n, n)), Bw
-        else:  # the upper state xi_2 = w' = M nu
-            Gn = Kb @ M + gwp @ M @ Ak
-            Gw = gwp @ M @ Bw
-            E, Ew = syn.Ahat[:n, n:] @ M, np.zeros((n, p))  # K Sigma^{1/2} M
+        # the state [x; z] = [x; xi; nu] under the controller's realization
+        Cz, Dz, Az, Bz, Af, Bf, _ = (a[0] for a in controller.realization)
         Acl = np.block(
             [
-                [A, -Bu @ Ga, -Bu @ Gn],
-                [np.zeros((n, n)), A - Bu @ Ga, E - Bu @ Gn],
-                [np.zeros((n, 2 * n)), Ak],
+                [A, Bu @ Cz],
+                [np.zeros((n, n)), Az],
+                [np.zeros((n, 2 * n)), Af],
             ]
         )
-        Bcl = np.vstack([Bw - Bu @ Gw, Ew - Bu @ Gw, Bw])
+        Bcl = np.vstack([Bw + Bu @ Dz, Bz, Bf])
         C = np.block(
             [
                 [Qh, np.zeros((n, 2 * n))],
-                [np.zeros((m, n)), -Ga, -Gn],
+                [np.zeros((m, n)), Cz],
             ]
         )
-        D = np.vstack([np.zeros((n, p)), -Gw])
+        D = np.vstack([np.zeros((n, p)), Dz])
         return ClosedLoop(A=Acl, B=Bcl, C=C, D=D)
     raise TypeError(f"no frequency response for controller kind {controller.kind!r}")
 

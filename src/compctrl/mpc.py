@@ -8,8 +8,10 @@ with state x = (theta, theta_dot), unit weights on state and control, and
 the disturbance entering alongside the control torque.  Controllers are
 synthesized on the linearization about the current angle, with the angle
 quantized to a fixed bin width so gains can be cached and runs stay
-reproducible; the ratio-optimal controller's internal filter state and
-synthetic state persist across relinearizations.
+reproducible.  Every bin's ratio-optimal controller steps the same state
+z = [xi; nu] (plant copy, w' filter state) through its own realization
+(:class:`compctrl.controllers.Realization`), so the state persists across
+relinearizations.
 
 The attenuation/ratio level gamma is fixed for a whole run: it is resolved
 once from the initial linearization (by bisection, times a safety margin)
@@ -107,6 +109,24 @@ def linearize_pendulum(params: PendulumParams, theta: float) -> LtiPlant:
     )
 
 
+def _check_quantum(quantum) -> float:
+    """The bin width as a float; it must be finite and > 0."""
+    q = float(quantum)
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"quantum must be finite and > 0, got {quantum!r}")
+    return q
+
+
+def _disturbance_column(w) -> np.ndarray:
+    """A pendulum disturbance record as a (T, 1) array; (T,) is accepted."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 1:
+        w = w[:, None]
+    if w.ndim != 2 or w.shape[1] != 1:
+        raise ValueError(f"pendulum disturbance must have shape (T,) or (T, 1), got {w.shape}")
+    return w
+
+
 class MpcInfeasibleError(_StopRollout):
     """Synthesis failed for some visited linearization at the fixed gamma."""
 
@@ -121,7 +141,8 @@ class RelinearizingController:
     ``theta_init`` (bisection optimum times ``gamma_policy["margin"]``, or an
     explicit ``gamma_policy["fixed"]`` level) and then held fixed.  Gains are
     cached per bin; each bin is synthesized from its own linearization alone,
-    so the cache is independent of the order in which bins are visited.
+    so the cache is independent of the order in which bins are visited;
+    the bin width ``quantum`` must be finite and > 0.
     ``bins_synthesized`` counts the bins synthesized so far, the initial one
     included; ``bin_cache_hits`` counts the steps whose bin was cached.
     """
@@ -141,7 +162,7 @@ class RelinearizingController:
         self.params = params
         self.kind = kind
         self.causality = causality
-        self.quantum = float(quantum)
+        self.quantum = _check_quantum(quantum)
         self.relinearize = bool(relinearize)
         self._cache: dict = {}
         self.bins_synthesized = 0
@@ -169,8 +190,6 @@ class RelinearizingController:
             )
         self._cache[self._bin_init] = ctrl0
         self.bins_synthesized = 1
-
-        self.last_wprime = np.zeros(2)
         self.reset()
 
     def _bin_of(self, theta: float) -> int:
@@ -187,8 +206,7 @@ class RelinearizingController:
         return synth(plant, self.gamma, causality=self.causality)
 
     def reset(self) -> None:
-        self._xi = np.zeros(2)  # the plant copy of the exact synthetic state
-        self._nu = np.zeros(2)
+        self._state = ControllerState(z=np.zeros(4))  # z = [xi; nu]
         self.last_wprime = np.zeros(2)
 
     def _get(self, b: int):
@@ -212,22 +230,18 @@ class RelinearizingController:
         theta = float(x[0]) if self.relinearize else self._bin_init * self.quantum
         ctrl = self._get(self._bin_of(theta))
         if isinstance(ctrl, CompetitiveController):
-            self.last_wprime = ctrl.synthetic.M_filter @ self._nu
-            u, self._xi, self._nu = ctrl.exact_step(self._xi, self._nu, w)
-            return u
-        self.last_wprime = np.zeros(2)
-        return ctrl.step(ControllerState(), x, w)
+            self.last_wprime = ctrl.wprime(self._state)
+        else:
+            self.last_wprime = np.zeros(2)
+        return ctrl.step(self._state, x, w)
 
 
 def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
     """Roll ``policy`` against the pendulum, with unit cost weights.
 
-    ``dynamics`` is "nonlinear" or "linear" (the linearization about
-    theta_lin).
+    ``w`` is a (T, 1) record (:func:`_disturbance_column`); ``dynamics`` is
+    "nonlinear" or "linear" (the linearization about theta_lin).
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
     lin = linearize_pendulum(params, theta_lin) if dynamics == "linear" else None
 
     def advance(t, x, u, w_t):
@@ -250,6 +264,7 @@ def run_pendulum(
     """Roll the gain-scheduled controller against the pendulum."""
     if dynamics not in ("nonlinear", "linear"):
         raise ValueError("dynamics must be 'nonlinear' or 'linear'")
+    w = _disturbance_column(w)
     controller.reset()
 
     def policy(t, x, w_t):
@@ -284,9 +299,11 @@ def clairvoyant_comparator_run(
     policy over the whole record for the linearization of bin b.  K and the
     rest of the bin's Riccati schedule are computed once per (linearization,
     T) and reused by later records; h takes one linear pass per record and
-    bin, over the steps from the bin's first visit to the end.
+    bin, over the steps from the bin's first visit to the end.  ``w`` has
+    shape (T,) or (T, 1), and ``quantum`` must be finite and > 0.
     """
-    w = np.asarray(w, dtype=float).reshape(-1, 1)
+    w = _disturbance_column(w)
+    quantum = _check_quantum(quantum)
     T = w.shape[0]
     schedules = _comparator_schedules(params, T)
     laws: dict = {}

@@ -26,6 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .controllers import (
+    CompetitiveController,
     OfflineController,
     control_step,
     offline_optimal,
@@ -166,9 +167,9 @@ class RolloutResult:
 
     ``x`` has ``steps_completed + 1`` rows (the terminal state is recorded
     but never weighted); all other arrays have ``steps_completed`` rows.
-    ``wprime`` holds the controller's internal filtered disturbance, row t
-    being the value in effect before w_t is absorbed (zeros for controllers
-    without a filter).
+    ``wprime`` holds the filtered disturbance w'_t = M_filter nu_t of a
+    ratio-optimal controller's realization, row t being the value before
+    w_t is absorbed (zeros for every other controller).
     """
 
     w: np.ndarray
@@ -257,11 +258,12 @@ def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
     no_wprime = np.zeros(ltv.n)
     state = controller.make_state()
     u_all = offline_optimal(ltv, w)[0] if isinstance(controller, OfflineController) else None
+    filtered = isinstance(controller, CompetitiveController)
 
     def policy(t, x, w_t):
         if u_all is not None:
             return u_all[t], no_wprime
-        wp = no_wprime if state.filter is None else state.filter.wprime_now()
+        wp = controller.wprime(state) if filtered else no_wprime
         return control_step(controller, state, x, w_t)[0], wp
 
     def advance(t, x, u_t, w_t):

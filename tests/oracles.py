@@ -274,3 +274,57 @@ def per_freq_cr_pointwise(plant, loop, omega, singular_rel=1e-12):
     W = Ninv_half @ M @ Ninv_half
     W = 0.5 * (W + W.conj().T)
     return float(np.linalg.eigvalsh(W)[-1])
+
+
+def three_branch_rollout(plant, controller, w):
+    """Roll a ratio-optimal controller by its law on the synthetic plant.
+
+    The law is stepped as synthesized, with its own w' filter
+    nu_{t+1} = A_f nu_t + B_f w_t, w'_t = M_f nu_t, in three branches:
+
+    * doubled plant (infinite horizon): w'_{t+1} is formed first, then
+      u_t = -(Kxi xi_t + Kwp w'_{t+1}) and
+      xi_{t+1} = Ahat xi_t + Buhat u_t + Bwhat w'_{t+1} on the 2n-state xi;
+    * exact plant (infinite horizon, ``C_outer`` present): xi is the plant
+      copy, w''_t = C_outer nu_t + D_outer w_t,
+      u_t = -(Kxi [xi_t; nu_t] + Kwp w''_t) and
+      xi_{t+1} = A xi_t + B_u u_t + B_w w_t;
+    * finite horizon: the doubled branch with the step-t matrices, and
+      u_{T-1} = 0 with nothing advanced.
+
+    ``plant`` is a finite-horizon plant of horizon len(w).  Returns
+    (x, u, wprime, total cost), wprime row t being w'_t before w_t.
+    """
+    syn, Kxi, Kwp = controller.synthetic, controller.Kxi, controller.Kwp
+    w = np.asarray(w, dtype=float).reshape(plant.T, plant.p)
+    T = plant.T
+    finite = controller.horizon is not None
+    exact = not finite and getattr(syn, "C_outer", None) is not None
+    n = syn.A_filter.shape[-1]
+
+    def at(a, t):
+        return a[t] if finite else a
+
+    nu = np.zeros(n)
+    xi = np.zeros(n if exact else 2 * n)
+    x = np.zeros((T + 1, plant.n))
+    x[0] = plant.x0
+    u = np.zeros((T, plant.m))
+    wprime = np.zeros((T, n))
+    total = 0.0
+    for t in range(T):
+        wprime[t] = at(syn.M_filter, t) @ nu
+        if not (finite and t == T - 1):
+            nu_next = at(syn.A_filter, t) @ nu + at(syn.B_filter, t) @ w[t]
+            if exact:
+                wpp = syn.C_outer @ nu + syn.D_outer @ w[t]
+                u[t] = -(Kxi @ np.concatenate([xi, nu])) - Kwp @ wpp
+                xi = syn.Ahat[:n, :n] @ xi + syn.Buhat[:n] @ u[t] + syn.B_filter @ w[t]
+            else:
+                wp_next = at(syn.M_filter, t + 1) @ nu_next
+                u[t] = -(at(Kxi, t) @ xi) - at(Kwp, t) @ wp_next
+                xi = at(syn.Ahat, t) @ xi + at(syn.Buhat, t) @ u[t] + at(syn.Bwhat, t) @ wp_next
+            nu = nu_next
+        total += float(x[t] @ plant.Q[t] @ x[t] + u[t] @ u[t])
+        x[t + 1] = plant.A[t] @ x[t] + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
+    return x, u, wprime, total

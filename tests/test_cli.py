@@ -319,6 +319,14 @@ def test_mpc_infeasible_scenario_exits_2(tmp_path):
     assert "initial linearization" in verdict["reason"]
 
 
+def test_mpc_zero_quantum_is_an_error(tmp_path):
+    scen = _scenario_file(tmp_path, kind="h2", quantum=0.0, steps=20)
+    proc = run_cli("mpc", "--scenario", scen)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "quantum" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -3,7 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_lti, random_ltv, random_unstable_stabilizable, scalar_lti
-from oracles import affine_sweep, brute_force_offline, rollout_cost, stacked_opt_cost
+from oracles import (
+    affine_sweep,
+    brute_force_offline,
+    rollout_cost,
+    stacked_opt_cost,
+    three_branch_rollout,
+)
 
 from compctrl.controllers import (
     CompetitiveController,
@@ -27,6 +33,7 @@ from compctrl.controllers import (
 )
 from compctrl.factorization import SyntheticSystemFH
 from compctrl.freq import closed_loop, peak_gain
+from compctrl.model import load_bundled_plant
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable
 from compctrl.search import min_gamma_competitive, min_gamma_hinf
@@ -178,13 +185,18 @@ def test_hinf_fh_infeasible_reports_first_violation(rng):
 
 
 def test_state_feedback_step_past_horizon(rng):
+    # every finite-horizon controller steps T times, then refuses: the
+    # state-feedback law and the ratio-optimal one, whose final step is u = 0
     plant = random_ltv(rng, T=3, n=2, m=1, p=1)
-    ctrl = synth_hinf(plant, 25.0)
-    state = ctrl.make_state()
-    for t in range(3):
-        control_step(ctrl, state, np.zeros(2), np.zeros(1))
-    with pytest.raises(IndexError):
-        control_step(ctrl, state, np.zeros(2), np.zeros(1))
+    for ctrl in (synth_hinf(plant, 25.0), synth_competitive(plant, 6.0)):
+        assert ctrl.horizon == 3
+        state = ctrl.make_state()
+        for t in range(3):
+            u, _ = control_step(ctrl, state, np.zeros(2), np.ones(1))
+        assert state.t == 3
+        with pytest.raises(IndexError):
+            control_step(ctrl, state, np.zeros(2), np.zeros(1))
+    assert np.array_equal(u, np.zeros(1))
 
 
 # --- competitive ----------------------------------------------------------
@@ -378,6 +390,43 @@ def test_offline_beats_all_online_controllers(rng):
     ]
     for ctrl in competitors:
         assert rollout(plant, ctrl, w).total_cost >= opt - 1e-9
+
+
+def _reference_case(case, rng):
+    """(plant, horizon) of one three-branch reference case."""
+    if case == "doubled":
+        return load_bundled_plant("boeing747"), None
+    if case == "exact":
+        return random_lti(rng, n=3, m=2, p=1), None
+    return random_ltv(rng, T=30, n=3, m=1, p=2), 30
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+@pytest.mark.parametrize("case", ["doubled", "exact", "finite-horizon"])
+def test_realization_matches_three_branch_reference(case, causality, rng):
+    """Stepping the realization over [xi; nu] reproduces the law stepped on
+    the synthetic plant branch by branch: u, x and the cost to 1e-12, and
+    the logged w' bit for bit."""
+    plant, horizon = _reference_case(case, rng)
+    found = min_gamma_competitive(plant, causality=causality, horizon=horizon, audit=False)
+    assert found.ok
+    ctrl = found.controller
+    if horizon is None:
+        assert ctrl.synthetic.exact == (case == "exact")
+    T = horizon or 120
+    w = np.random.default_rng(5).standard_normal((T, plant.p))
+    res = rollout(plant, ctrl, w)
+    x, u, wprime, cost = three_branch_rollout(
+        plant if horizon is not None else plant.to_ltv(T), ctrl, w
+    )
+    assert res.status == "ok"
+    assert np.array_equal(res.wprime, wprime)
+    assert np.any(wprime != 0.0)
+    for got, ref in ((res.u, u), (res.x, x)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert res.total_cost == pytest.approx(cost, rel=1e-12)
+    if horizon is not None:
+        assert np.array_equal(res.u[-1], np.zeros(plant.m))
 
 
 def test_control_step_rejects_offline():

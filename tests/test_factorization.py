@@ -6,9 +6,9 @@ from scipy.linalg import solve_discrete_are
 from conftest import random_lti, random_ltv, scalar_lti
 from oracles import impulse_stacked_maps
 
+from compctrl.controllers import CompetitiveController, control_step, synth_competitive
 from compctrl.factorization import (
     FactorizationError,
-    WPrimeFilter,
     build_synthetic,
     delta_inv_transfer,
     delta_transfer,
@@ -17,7 +17,6 @@ from compctrl.factorization import (
     spectral_factor_ih,
     whitening_fh,
     wprime_run,
-    wprime_step,
 )
 from compctrl.model import LtiPlant, build_dense_operators
 from compctrl.mpc import PendulumParams, linearize_pendulum
@@ -259,50 +258,35 @@ def test_synthetic_fh_as_ltv_plant(rng):
 
 
 def test_wprime_filter_online_matches_batch(rng):
+    # the w' filter carried in a ratio-optimal controller's state emits,
+    # step by step, the batch expansion of the same synthetic system
     plant = random_lti(rng, n=2, m=1, p=2)
-    syn = build_synthetic(plant, spectral_factor_ih(plant))
+    ctrl = synth_competitive(plant, 6.0)
+    assert isinstance(ctrl, CompetitiveController), getattr(ctrl, "reason", None)
     T = 12
     w = rng.standard_normal((T, 2))
-    batch = wprime_run(syn, w)
-    filt = WPrimeFilter(syn)
+    batch = wprime_run(ctrl.synthetic, w)
+    state = ctrl.make_state()
     online = np.zeros_like(batch)
     for t in range(T):
-        online[t] = filt.wprime_now()
-        filt.step(w[t])
+        online[t] = ctrl.wprime(state)
+        control_step(ctrl, state, np.zeros(plant.n), w[t])
     assert_allclose(online, batch, atol=1e-12)
-
-
-def test_wprime_filter_clone_is_independent(rng):
-    plant = random_lti(rng, n=2, m=1, p=1)
-    syn = build_synthetic(plant, spectral_factor_ih(plant))
-    filt = WPrimeFilter(syn)
-    filt.step(np.array([1.0]))
-    twin = filt.clone()
-    assert np.array_equal(twin.wprime_now(), filt.wprime_now())
-    filt.step(np.array([2.0]))
-    assert filt.t == 2 and twin.t == 1
-    assert not np.array_equal(twin.nu, filt.nu)
-
-
-def test_wprime_step_wrapper(rng):
-    plant = random_lti(rng, n=2, m=1, p=1)
-    syn = build_synthetic(plant, spectral_factor_ih(plant))
-    filt = WPrimeFilter(syn)
-    new, wp = wprime_step(filt, np.array([1.5]))
-    assert new is filt and new.t == 1
-    assert wp.shape == (plant.n,)
-    assert np.array_equal(wp, filt.wprime_now())
 
 
 def test_fh_filter_rejects_stepping_past_horizon(rng):
     T = 3
     plant = random_ltv(rng, T=T, n=2, m=1, p=1)
-    syn = build_synthetic(plant, whitening_fh(plant))
-    filt = WPrimeFilter(syn)
-    filt.step(np.zeros(1))
-    filt.step(np.zeros(1))
+    ctrl = synth_competitive(plant, 6.0)
+    assert isinstance(ctrl, CompetitiveController), getattr(ctrl, "reason", None)
+    state = ctrl.make_state()
+    for _ in range(T):
+        control_step(ctrl, state, np.zeros(2), np.zeros(1))
     with pytest.raises(IndexError):
-        filt.step(np.zeros(1))
+        control_step(ctrl, state, np.zeros(2), np.zeros(1))
+    # w'_T does not exist either
+    with pytest.raises(IndexError):
+        ctrl.wprime(state)
 
 
 def test_precondition_failures_raise():

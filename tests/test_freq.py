@@ -48,11 +48,14 @@ def simulate_loop(loop: ClosedLoop, w: np.ndarray) -> np.ndarray:
 # realization correctness (time-domain cross-check)
 
 
-@pytest.mark.parametrize("kind", ["zero", "h2", "h2-strict", "comp", "comp-strict"])
+@pytest.mark.parametrize(
+    "kind", ["zero", "h2", "h2-strict", "comp", "comp-strict", "comp-doubled"]
+)
 def test_realization_reproduces_rollout(rng, kind):
     # The (A, B, C, D) realization must emit exactly the (Q^{1/2} x_t, u_t)
-    # produced by stepping the controller against the plant.
-    plant = random_lti(rng, n=3, m=2, p=2)
+    # produced by stepping the controller against the plant.  p < n gives
+    # the exact synthetic plant; "comp-doubled" has p = n, the doubled one.
+    plant = random_lti(rng, n=3, m=2, p=3 if kind == "comp-doubled" else 2)
     if kind == "zero":
         ctrl = ZeroController(m=2)
     elif kind.startswith("h2"):
@@ -61,9 +64,11 @@ def test_realization_reproduces_rollout(rng, kind):
     else:
         causality = "strictly-causal" if kind.endswith("strict") else "causal"
         ctrl = synth_competitive(plant, gamma=6.0, causality=causality)
+    if kind.startswith("comp"):
+        assert ctrl.synthetic.exact == (kind != "comp-doubled")
     loop = closed_loop(plant, ctrl)
 
-    w = generate(DisturbanceSpec("white-gaussian", {}), 40, 2, seed=31)
+    w = generate(DisturbanceSpec("white-gaussian", {}), 40, plant.p, seed=31)
     res = rollout(plant, ctrl, w)
     assert res.status == "ok"
     s = res.x[:-1] @ plant.Q_half.T

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,41 @@ def test_divergence_truncates_pendulum_runs():
         assert res.u.shape == (1, 1)
         assert res.w.shape == (1, 1)
         assert res.total_cost == res.cum_cost[-1]
+
+
+@pytest.mark.parametrize("shape", [(50, 2), (2, 50), (50, 1, 1), ()])
+def test_disturbance_record_must_be_one_channel(shape):
+    # the pendulum has one disturbance channel: a (50, 2) record must not
+    # be read as 100 steps of one channel, nor fail deep inside a matmul
+    params = PendulumParams()
+    w = np.zeros(shape)
+    ctrl = RelinearizingController(params, kind="h2", quantum=0.01)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        clairvoyant_comparator_run(params, w, quantum=0.01)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        run_pendulum(params, ctrl, w)
+
+
+def test_disturbance_record_may_be_flat():
+    params = PendulumParams()
+    w = generate(DisturbanceSpec("white-gaussian", {"sigma": 1.0}), 60, 1, seed=4)
+    ctrl = RelinearizingController(params, kind="h2", quantum=0.01)
+    for run in (
+        lambda v: clairvoyant_comparator_run(params, v, quantum=0.01),
+        lambda v: run_pendulum(params, ctrl, v),
+    ):
+        column, flat = run(w), run(w[:, 0])
+        assert flat.steps_completed == 60
+        assert_array_equal(flat.u, column.u)
+
+
+@pytest.mark.parametrize("quantum", [0.0, -0.05, np.nan, np.inf])
+def test_quantum_must_be_finite_and_positive(quantum):
+    params = PendulumParams()
+    with pytest.raises(ValueError, match="quantum"):
+        RelinearizingController(params, kind="h2", quantum=quantum)
+    with pytest.raises(ValueError, match="quantum"):
+        clairvoyant_comparator_run(params, np.zeros(10), quantum=quantum)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -25,7 +25,7 @@ from compctrl import (
 )
 from compctrl.sim import RolloutResult, spec_from_json_dict, spec_to_json_dict
 
-from conftest import random_lti, scalar_lti
+from conftest import random_lti, random_ltv, scalar_lti
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +265,27 @@ def test_rollout_rejects_horizon_mismatch(rng):
 
 def test_wprime_log_matches_filter_run(rng):
     # The per-step w' column logged by rollout must reproduce the batch
-    # whitened-disturbance expansion of the same synthetic system exactly.
-    plant = random_lti(rng, n=3, m=1, p=2)
-    ctrl = synth_competitive(plant, gamma=4.0)
-    w = generate(DisturbanceSpec("white-gaussian", {}), 25, 2, seed=13)
-    res = rollout(plant, ctrl, w)
-    assert res.status == "ok"
-    expected = wprime_run(ctrl.synthetic, w)
-    assert_array_equal(res.wprime, expected)
-    assert_array_equal(res.wprime[0], np.zeros(3))
-    assert np.any(res.wprime[1:] != 0)
+    # whitened-disturbance expansion of the same synthetic system exactly,
+    # on the doubled plant (p = n), the exact plant (p < n) and in a finite
+    # horizon.
+    doubled = random_lti(rng, n=3, m=1, p=3)
+    exact = random_lti(rng, n=3, m=1, p=2)
+    finite = random_ltv(rng, T=25, n=3, m=1, p=2)
+    cases = [
+        (doubled, synth_competitive(doubled, gamma=4.0)),
+        (exact, synth_competitive(exact, gamma=4.0)),
+        (finite, synth_competitive(finite, gamma=6.0)),
+    ]
+    assert [ctrl.horizon for _, ctrl in cases] == [None, None, 25]
+    assert [ctrl.synthetic.exact for _, ctrl in cases[:2]] == [False, True]
+    for plant, ctrl in cases:
+        w = generate(DisturbanceSpec("white-gaussian", {}), 25, plant.p, seed=13)
+        res = rollout(plant, ctrl, w)
+        assert res.status == "ok"
+        expected = wprime_run(ctrl.synthetic, w)
+        assert_array_equal(res.wprime, expected)
+        assert_array_equal(res.wprime[0], np.zeros(3))
+        assert np.any(res.wprime[1:] != 0)
 
 
 def test_wprime_zero_for_unfiltered_controllers(rng):
