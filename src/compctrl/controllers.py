@@ -20,9 +20,9 @@ sense:
   over z = [xi; nu] (plant copy, w' filter state), the one state-space
   description that stepping, :func:`compctrl.freq.closed_loop` and the
   pendulum schedule of :mod:`compctrl.mpc` read.
-* ``offline``: the clairvoyant minimizer itself (batch only), computed
-  densely from the stacked operators or, for long horizons, by an
-  affine backward Riccati sweep; both routes solve the same normal equations
+* ``offline``: the clairvoyant minimizer itself (batch only): an affine
+  backward Riccati sweep at every horizon, checked by ``compctrl verify``
+  against a dense solve of the same stacked normal equations
     u* = -(I + F'F)^{-1} F' G w,    OPT = w'G'(I + FF')^{-1} G w.
 
 Synthesis returns either a controller or an :class:`Infeasible` verdict (a
@@ -663,11 +663,11 @@ def offline_optimal(
 ) -> tuple[np.ndarray, float]:
     """Clairvoyant optimal controls and cost for a known disturbance.
 
-    Returns (u_star of shape (T, m), OPT).  The dense route solves the
-    stacked normal equations; for T*n > 2000 an equivalent affine backward
-    Riccati sweep is used instead (the stacked Gram matrix is block-banded in
-    causal order, which the sweep factorizes implicitly).  ``method`` forces
-    "dense" or "riccati" explicitly (used by the cross-route tests).
+    Returns (u_star of shape (T, m), OPT) from the affine backward Riccati
+    sweep at every horizon, O(T n^3): the stacked Gram matrix is block-banded
+    in causal order, which the sweep factorizes implicitly.
+    ``method="dense"`` solves the stacked normal equations, O((T n)^3), as
+    the independent oracle of ``compctrl verify`` and the cross-route tests.
     """
     if not isinstance(plant, LtvPlant):
         raise TypeError("offline_optimal expects a finite-horizon plant")
@@ -678,8 +678,6 @@ def offline_optimal(
         w = w[:, None]
     if w.shape != (plant.T, plant.p):
         raise ValueError(f"disturbance must have shape (T, p) = {(plant.T, plant.p)}")
-    if method is None:
-        method = "dense" if plant.T * plant.n <= 2000 else "riccati"
     if method == "dense":
         ops = build_dense_operators(plant)
         gw = ops.G @ w.reshape(-1)
@@ -687,15 +685,16 @@ def offline_optimal(
             np.eye(ops.m * ops.T) + ops.F.T @ ops.F, -ops.F.T @ gw
         ).reshape(plant.T, plant.m)
         opt = float(gw @ np.linalg.solve(np.eye(ops.n * ops.T) + ops.F @ ops.F.T, gw))
-    elif method == "riccati":
+    elif method in (None, "riccati"):
         schedule = _affine_schedule(plant)
         K, h = schedule.K, _affine_pass(schedule, w)
         x = plant.x0.copy()
         u = np.zeros((plant.T, plant.m))
+        opt = 0.0
         for t in range(plant.T):
             u[t] = -(K[t] @ x) - h[t]
+            opt += float(x @ plant.Q[t] @ x + u[t] @ u[t])
             x = plant.A[t] @ x + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
-        opt = _cost_of_controls(plant, u, w)
     else:
         raise ValueError("method must be None, 'dense', or 'riccati'")
     return u, opt

@@ -242,6 +242,8 @@ def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
     ``w`` is a (T, 1) record (:func:`_disturbance_column`); ``dynamics`` is
     "nonlinear" or "linear" (the linearization about theta_lin).
     """
+    if dynamics not in ("nonlinear", "linear"):
+        raise ValueError("dynamics must be 'nonlinear' or 'linear'")
     lin = linearize_pendulum(params, theta_lin) if dynamics == "linear" else None
 
     def advance(t, x, u, w_t):
@@ -262,8 +264,6 @@ def run_pendulum(
     dynamics: str = "nonlinear",
 ) -> RolloutResult:
     """Roll the gain-scheduled controller against the pendulum."""
-    if dynamics not in ("nonlinear", "linear"):
-        raise ValueError("dynamics must be 'nonlinear' or 'linear'")
     w = _disturbance_column(w)
     controller.reset()
 

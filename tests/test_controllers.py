@@ -18,6 +18,7 @@ from compctrl.controllers import (
     _as_plant,
     _attenuation,
     _competitive_controller,
+    _cost_of_controls,
     _synthetic_plant,
     Infeasible,
     OfflineController,
@@ -37,7 +38,7 @@ from compctrl.model import load_bundled_plant
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable
 from compctrl.search import min_gamma_competitive, min_gamma_hinf
-from compctrl.sim import rollout
+from compctrl.sim import compare, rollout
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -349,12 +350,38 @@ def test_offline_local_optimality(rng):
         assert rollout_cost(plant, u + du, w) >= opt - 1e-12
 
 
-def test_offline_default_method_switches_on_size(rng):
-    small = random_ltv(rng, T=8, n=2, m=1, p=1)  # T*n = 16 -> dense
-    w = rng.standard_normal((8, 1))
-    u_auto, opt_auto = offline_optimal(small, w)
-    u_dense, opt_dense = offline_optimal(small, w, method="dense")
-    assert np.array_equal(u_auto, u_dense) and opt_auto == opt_dense
+def test_offline_default_is_the_riccati_sweep(rng, boeing):
+    # the sweep is the route at every size: T*n = 16, 2002 and 1200
+    pendulum = linearize_pendulum(PendulumParams(), 0.03).to_ltv(1001)
+    for plant in (random_ltv(rng, T=8, n=2, m=1, p=1), pendulum, boeing.to_ltv(300)):
+        w = rng.standard_normal((plant.T, plant.p))
+        u_auto, opt_auto = offline_optimal(plant, w)
+        u_ric, opt_ric = offline_optimal(plant, w, method="riccati")
+        assert np.array_equal(u_auto, u_ric) and opt_auto == opt_ric
+        # OPT is summed along the sweep's own forward pass
+        assert opt_auto == _cost_of_controls(plant, u_auto, w)
+    # so a rollout of the clairvoyant controller costs exactly OPT
+    res = compare(plant, [("offline", OfflineController())], w)
+    assert res.ratios == [1.0]
+
+
+@pytest.mark.parametrize(
+    "case", ["boeing", (125, 2, 1, 1), (200, 3, 2, 2), (400, 5, 2, 3)], ids=str
+)
+def test_offline_sweep_matches_dense_route(case, boeing):
+    """The default sweep agrees with the dense normal equations at the sizes
+    users run (T*n from 250 to 2000; Boeing at T = 300)."""
+    if case == "boeing":
+        plant = boeing.to_ltv(300)
+    else:
+        T, n, m, p = case
+        plant = random_ltv(np.random.default_rng(8200 + T), T=T, n=n, m=m, p=p)
+    rng = np.random.default_rng(8300 + plant.T)
+    w = rng.standard_normal((plant.T, plant.p))
+    u, opt = offline_optimal(plant, w)
+    u_dense, opt_dense = offline_optimal(plant, w, method="dense")
+    assert abs(opt - opt_dense) <= 1e-10 * opt_dense
+    assert np.abs(u - u_dense).max() <= 1e-9 * np.abs(u_dense).max()
 
 
 def test_offline_validations(rng):

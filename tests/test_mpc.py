@@ -85,6 +85,18 @@ def test_run_pendulum_validates_dynamics():
         run_pendulum(params, ctrl, np.zeros((4, 1)), dynamics="exact")
 
 
+def test_misspelt_dynamics_rejected_by_both_entry_points():
+    # a misspelt model must not fall through to the nonlinear one
+    params = PendulumParams()
+    ctrl = RelinearizingController(params, kind="h2", quantum=QUANTUM)
+    with pytest.raises(ValueError, match="dynamics"):
+        run_pendulum(params, ctrl, np.zeros((4, 1)), dynamics="lineer")
+    with pytest.raises(ValueError, match="dynamics"):
+        clairvoyant_comparator_run(
+            params, np.ones((30, 1)), quantum=0.05, dynamics="lineer"
+        )
+
+
 # ---------------------------------------------------------------------------
 # controller construction
 
