@@ -6,12 +6,15 @@ Subcommands:
                 and write it as JSON, with a diagnostics report;
 * ``simulate``  roll one or more controllers against a disturbance
                 realization, writing per-controller trace CSVs and a cost
-                comparison JSON against the clairvoyant optimum;
+                comparison JSON against the clairvoyant optimum, with the
+                wall times of the offline solve, the rollouts and the trace
+                writes in its stdout JSON (never in the files);
 * ``freq``      per-frequency peak gain and cost ratio sweep to CSV, with
                 the wall times of the sweep and of the CSV write in its
                 stdout JSON (never in the CSV);
 * ``mpc``       run a pendulum scenario (gain-scheduled controller plus the
-                receding-horizon clairvoyant comparator);
+                receding-horizon clairvoyant comparator), with the seconds
+                spent synthesizing in its stdout JSON (never in ``--out``);
 * ``verify``    self-check the factorization identities, filter causality,
                 and offline-solver agreement on a given plant.
 
@@ -240,13 +243,15 @@ def _cmd_simulate(args) -> int:
     w = generate(spec, steps, plant.p, seed=args.seed)
     result = compare(plant, named, w)
     os.makedirs(args.trace_dir, exist_ok=True)
+    start = time.perf_counter()
     for name in result.names:
         write_trace_csv(
             os.path.join(args.trace_dir, f"trace_{_safe_name(name)}.csv"),
             result.rollouts[name],
         )
+    wall_ms = {**result.wall_ms, "csv": 1e3 * (time.perf_counter() - start)}
     write_comparison_json(args.out, result)
-    _print_json(result.to_json_dict())
+    _print_json({**result.to_json_dict(), "wall_ms": wall_ms})
     return EXIT_OK
 
 
@@ -323,7 +328,7 @@ def _cmd_mpc(args) -> int:
     }
     if args.out:
         _write_json(args.out, summary)
-    _print_json(summary)
+    _print_json({**summary, "synth_s": controller.synth_s})
     return EXIT_OK
 
 

@@ -24,6 +24,12 @@ sense:
   backward Riccati sweep at every horizon, checked by ``compctrl verify``
   against a dense solve of the same stacked normal equations
     u* = -(I + F'F)^{-1} F' G w,    OPT = w'G'(I + FF')^{-1} G w.
+  The sweep's w-independent schedule is held in :data:`schedule_cache`,
+  the one process-wide cache of it (see :class:`ScheduleCache`).
+
+Every online controller binds its step once into a :data:`Law` (gains, or
+realization slices, looked up before the first step); rollouts call the
+law, and ``step`` is the law behind the per-call checks.
 
 Synthesis returns either a controller or an :class:`Infeasible` verdict (a
 plain value with a reason code), never an exception, for every
@@ -36,8 +42,10 @@ step alone and runs the gain step once, at the level it certifies.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -103,6 +111,15 @@ class ControllerState:
     z: Optional[np.ndarray] = None
 
 
+#: A controller's step law with its gains looked up once (the ``law``
+#: property of every online controller): ``law(t, x_t, w_t, z_t)`` returns
+#: (u_t, z_{t+1}, w'_t), z being the internal state of
+#: :class:`ControllerState` (None, and w'_t None, for a memoryless law).
+#: It computes what ``step`` computes, without its checks; the rollouts of
+#: :mod:`compctrl.sim` and :mod:`compctrl.mpc` call it once per step.
+Law = Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], tuple]
+
+
 def _check_causality(causality: str) -> str:
     if causality not in (CAUSAL, STRICT):
         raise ValueError(f"causality must be '{CAUSAL}' or '{STRICT}'")
@@ -128,15 +145,30 @@ class StateFeedbackController:
     def make_state(self) -> ControllerState:
         return ControllerState()
 
+    @functools.cached_property
+    def law(self) -> Law:
+        """The gains bound once: u_t = -Kx x_t - Kw w_t, no filter."""
+        if self.horizon is None:
+            Kx, Kw = self.Kx, self.Kw
+
+            def law(t, x, w, z):
+                return -(Kx @ x) - (Kw @ w), z, None
+
+        else:
+            Kxs, Kws = self.Kx, self.Kw
+
+            def law(t, x, w, z):
+                return -(Kxs[t] @ x) - (Kws[t] @ w), z, None
+
+        return law
+
     def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
         t = state.t
         if self.horizon is not None and t >= self.horizon:
             raise IndexError(f"controller stepped past its horizon T={self.horizon}")
         x_t = np.asarray(x_t, dtype=float).reshape(-1)
         w_t = np.asarray(w_t, dtype=float).reshape(-1)
-        Kx = self.Kx if self.horizon is None else self.Kx[t]
-        Kw = self.Kw if self.horizon is None else self.Kw[t]
-        u = -(Kx @ x_t) - (Kw @ w_t)
+        u, _, _ = self.law(t, x_t, w_t, None)
         state.t = t + 1
         return u
 
@@ -248,26 +280,41 @@ class CompetitiveController:
         M = self.realization.M_filter[0 if self.horizon is None else state.t]
         return M @ state.z[self.synthetic.n :]
 
+    @functools.cached_property
+    def law(self) -> Law:
+        """The :attr:`realization` bound once; the law also returns w'_t."""
+        r, n, m = self.realization, self.synthetic.n, self.synthetic.m
+        if self.horizon is None:
+            Cz, Dz, Az, Bz, Af, Bf, Mf = (a[0] for a in r)
+
+            def law(t, x, w, z):
+                nu = z[n:]
+                u = Cz @ z + Dz @ w
+                return u, np.concatenate([Az @ z + Bz @ w, Af @ nu + Bf @ w]), Mf @ nu
+
+        else:
+            last = self.horizon - 1
+
+            def law(t, x, w, z):
+                nu = z[n:]
+                wp = r.M_filter[t] @ nu
+                if t == last:  # u_{T-1} = 0 and nothing advances
+                    return np.zeros(m), z, wp
+                u = r.Cz[t] @ z + r.Dz[t] @ w
+                xi = r.Az[t] @ z + r.Bz[t] @ w
+                return u, np.concatenate([xi, r.A_filter[t] @ nu + r.B_filter[t] @ w]), wp
+
+        return law
+
     def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
         t = state.t
-        if self.horizon is not None:
-            if t >= self.horizon:
-                raise IndexError(f"controller stepped past its horizon T={self.horizon}")
-            if t == self.horizon - 1:
-                state.t = t + 1
-                return np.zeros(self.synthetic.m)
-        k = 0 if self.horizon is None else t
-        r = self.realization
+        if self.horizon is not None and t >= self.horizon:
+            raise IndexError(f"controller stepped past its horizon T={self.horizon}")
         w_t = np.asarray(w_t, dtype=float).reshape(-1)
-        if w_t.shape != r.Dz.shape[2:]:
-            raise ValueError(
-                f"disturbance has dimension {w_t.shape[0]}, expected {r.Dz.shape[2]}"
-            )
-        z = state.z
-        n = r.A_filter.shape[-1]
-        u = r.Cz[k] @ z + r.Dz[k] @ w_t
-        nu = r.A_filter[k] @ z[n:] + r.B_filter[k] @ w_t
-        state.z = np.concatenate([r.Az[k] @ z + r.Bz[k] @ w_t, nu])
+        p = self.realization.Dz.shape[2]
+        if w_t.shape != (p,):
+            raise ValueError(f"disturbance has dimension {w_t.shape[0]}, expected {p}")
+        u, state.z, _ = self.law(t, x_t, w_t, state.z)
         state.t = t + 1
         return u
 
@@ -297,6 +344,10 @@ class ZeroController:
 
     def make_state(self) -> ControllerState:
         return ControllerState()
+
+    @functools.cached_property
+    def law(self) -> Law:
+        return lambda t, x, w, z: (np.zeros(self.m), z, None)
 
     def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
         state.t += 1
@@ -648,6 +699,67 @@ def _affine_pass(schedule: AffineSchedule, w: np.ndarray) -> np.ndarray:
     return y[:, :m]
 
 
+#: Bytes the shared schedule cache may hold: schedules plus their keys.
+#: About 88 KB is one pendulum bin at T = 1001, and a family of pendulum
+#: runs visits about 21 bins.
+SCHEDULE_CACHE_BYTES = 8 << 20
+
+
+class ScheduleCache:
+    """Least-recently-used cache of :func:`_affine_schedule`, bounded by bytes.
+
+    The schedule depends on (A, B_u, B_w, Q) and the horizon alone, so a
+    time-invariant plant (:attr:`LtvPlant.invariant_step`) is keyed exactly
+    by T and the shapes and raw bytes of one step's matrices: no digest, so
+    a one-ulp change or a -0.0 for a +0.0 is another key.  Its schedule is
+    computed once, on the step replicated T times, whichever plant asks
+    first; a time-varying plant's is computed afresh on every call.  When
+    the held bytes would exceed ``max_bytes``, the least recently used
+    entries go; an entry larger than the bound is not kept.  Schedules are
+    read-only, so callers share them.
+    """
+
+    def __init__(self, max_bytes: int = SCHEDULE_CACHE_BYTES):
+        self.max_bytes = max_bytes
+        self.held_bytes = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (schedule, bytes)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def schedules(self) -> list:
+        return [schedule for schedule, _ in self._entries.values()]
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.held_bytes = 0
+
+    def get(self, plant: LtvPlant) -> AffineSchedule:
+        step = plant.invariant_step
+        if step is None:
+            return _affine_schedule(plant)
+        key = (plant.T, *(a.shape for a in step), *(a.tobytes() for a in step))
+        hit = self._entries.get(key)
+        if hit is not None:
+            self._entries.move_to_end(key)
+            return hit[0]
+        A, Bu, Bw, Q = (np.repeat(a[None], plant.T, axis=0) for a in step)
+        schedule = _affine_schedule(LtvPlant(A, Bu, Bw, Q, plant.R_half, plant.x0))
+        size = schedule.K.nbytes + schedule.M.nbytes + sum(a.nbytes for a in step)
+        if size <= self.max_bytes:
+            self._entries[key] = (schedule, size)
+            self.held_bytes += size
+            while self.held_bytes > self.max_bytes:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.held_bytes -= dropped
+        return schedule
+
+
+#: The one schedule cache of the process: :func:`offline_optimal` and the
+#: pendulum comparator of :mod:`compctrl.mpc` read it.
+schedule_cache = ScheduleCache()
+
+
 def _cost_of_controls(plant: LtvPlant, u: np.ndarray, w: np.ndarray) -> float:
     """Cost sum_t x_t'Q_t x_t + u_t'u_t of open-loop controls u against w."""
     x = plant.x0.copy()
@@ -665,7 +777,11 @@ def offline_optimal(
 
     Returns (u_star of shape (T, m), OPT) from the affine backward Riccati
     sweep at every horizon, O(T n^3): the stacked Gram matrix is block-banded
-    in causal order, which the sweep factorizes implicitly.
+    in causal order, which the sweep factorizes implicitly.  The sweep's
+    w-independent schedule comes from :data:`schedule_cache`, so repeated
+    solves on one time-invariant plant and horizon pay one linear pass and
+    the forward pass each; the forward pass reads one step's matrices of
+    such a plant throughout.
     ``method="dense"`` solves the stacked normal equations, O((T n)^3), as
     the independent oracle of ``compctrl verify`` and the cross-route tests.
     """
@@ -686,25 +802,34 @@ def offline_optimal(
         ).reshape(plant.T, plant.m)
         opt = float(gw @ np.linalg.solve(np.eye(ops.n * ops.T) + ops.F @ ops.F.T, gw))
     elif method in (None, "riccati"):
-        schedule = _affine_schedule(plant)
-        K, h = schedule.K, _affine_pass(schedule, w)
+        schedule = schedule_cache.get(plant)
+        h = _affine_pass(schedule, w)
+        step = plant.invariant_step
+        if step is None:
+            steps = zip(plant.A, plant.Bu, plant.Bw, plant.Q)
+        else:
+            steps = itertools.repeat(step, plant.T)
         x = plant.x0.copy()
         u = np.zeros((plant.T, plant.m))
         opt = 0.0
-        for t in range(plant.T):
-            u[t] = -(K[t] @ x) - h[t]
-            opt += float(x @ plant.Q[t] @ x + u[t] @ u[t])
-            x = plant.A[t] @ x + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
+        for t, (K, h_t, w_t, (A, Bu, Bw, Q)) in enumerate(zip(schedule.K, h, w, steps)):
+            u[t] = u_t = -(K @ x) - h_t
+            opt += float(x @ Q @ x + u_t @ u_t)
+            x = A @ x + Bu @ u_t + Bw @ w_t
     else:
         raise ValueError("method must be None, 'dense', or 'riccati'")
     return u, opt
 
 
-def control_step(controller, state: ControllerState, x_t, w_t):
-    """Advance one step: returns (u_t, state).  Online controllers only."""
+def _online(controller):
     if controller.causality == NONCAUSAL or controller.kind == "offline":
         raise TypeError("noncausal controllers have no online stepping")
-    u = controller.step(state, x_t, w_t)
+    return controller
+
+
+def control_step(controller, state: ControllerState, x_t, w_t):
+    """Advance one step: returns (u_t, state).  Online controllers only."""
+    u = _online(controller).step(state, x_t, w_t)
     return u, state
 
 

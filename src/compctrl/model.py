@@ -190,6 +190,21 @@ class LtvPlant:
     def Q_half(self) -> np.ndarray:
         return np.stack([sqrt_psd(Qt) for Qt in self.Q])
 
+    @cached_property
+    def invariant_step(self):
+        """Step 0's (A, B_u, B_w, Q) when every step equals it bit for bit,
+        else None.
+
+        The test compares the stacks as uint64, so -0.0 differs from +0.0
+        and a NaN equals itself; what it finds is exactly a time-invariant
+        plant, e.g. one made by :meth:`LtiPlant.to_ltv`.
+        """
+        for stack in (self.A, self.Bu, self.Bw, self.Q):
+            bits = np.ascontiguousarray(stack, dtype=np.float64).view(np.uint64)
+            if not (bits == bits[0]).all():
+                return None
+        return self.A[0], self.Bu[0], self.Bw[0], self.Q[0]
+
 
 @dataclass(frozen=True)
 class DenseOperators:

@@ -19,19 +19,26 @@ and reused in every bin.  A bin where synthesis fails at that fixed level
 truncates the run with status "infeasible-linearization" rather than
 silently retuning.
 
+Each bin's controller is kept beside its bound law
+(:data:`compctrl.controllers.Law`), so a step looks the bin up and calls
+the law, with the arithmetic of the controller's own ``step``.
+
 The cost comparator is a receding-horizon clairvoyant: at every step it
 applies the first move of the exact affine optimal policy for the dynamics
 frozen at the current bin, given the entire future disturbance.  The policy's
-Riccati schedule does not depend on the disturbance, so it is computed once
-per (linearization, T) and cached across records.  The offsets depend on the
-record linearly: one linear backward pass per record and bin, from the end of
-the record to the bin's first visit, serves every step that lands in the bin.
+Riccati schedule does not depend on the disturbance; it comes from the
+process-wide :data:`compctrl.controllers.schedule_cache`, keyed by the raw
+bytes of the bin's linearization and T, bounded by the bytes it holds and
+emptied least recently used first, so records of one family compute it once
+per bin while it stays cached.  The offsets depend on the record linearly:
+one linear backward pass per record and bin, from the end of the record to
+the bin's first visit, serves every step that lands in the bin.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,11 +46,10 @@ import numpy as np
 
 from .controllers import (
     AffineSchedule,
-    CompetitiveController,
     ControllerState,
     Infeasible,
     _affine_pass,
-    _affine_schedule,
+    schedule_cache,
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
@@ -84,9 +90,10 @@ class PendulumParams:
 
 
 def pendulum_step(params: PendulumParams, x, u, w) -> np.ndarray:
-    """One forward-Euler step of the nonlinear dynamics."""
+    """One forward-Euler step of the nonlinear dynamics; ``u`` and ``w`` are
+    length-1 sequences (arrays or lists)."""
     theta, omega = float(x[0]), float(x[1])
-    torque = float(np.asarray(u).reshape(-1)[0]) + float(np.asarray(w).reshape(-1)[0])
+    torque = float(u[0]) + float(w[0])
     acc = (params.m * params.g * params.l / params.J) * math.sin(theta) + (
         params.l / params.J
     ) * torque * math.cos(theta)
@@ -133,18 +140,26 @@ class MpcInfeasibleError(_StopRollout):
     status = "infeasible-linearization"
 
 
+#: w'_t of a bin whose law has no filter (read-only, shared by every step)
+_NO_WPRIME = np.zeros(2)
+_NO_WPRIME.flags.writeable = False
+
+
 class RelinearizingController:
     """Gain-scheduled controller: re-synthesized per quantized-angle bin.
 
     ``kind`` is "competitive", "hinf", or "h2".  For the gamma-gated kinds
     the level is resolved at construction from the linearization about
     ``theta_init`` (bisection optimum times ``gamma_policy["margin"]``, or an
-    explicit ``gamma_policy["fixed"]`` level) and then held fixed.  Gains are
-    cached per bin; each bin is synthesized from its own linearization alone,
-    so the cache is independent of the order in which bins are visited;
-    the bin width ``quantum`` must be finite and > 0.
+    explicit ``gamma_policy["fixed"]`` level) and then held fixed.  Each
+    bin's controller is cached beside its bound law; each bin is synthesized
+    from its own linearization alone, so the cache is independent of the
+    order in which bins are visited; the bin width ``quantum`` must be
+    finite and > 0.
     ``bins_synthesized`` counts the bins synthesized so far, the initial one
-    included; ``bin_cache_hits`` counts the steps whose bin was cached.
+    included; ``bin_cache_hits`` counts the steps whose bin was cached;
+    ``synth_s`` is the wall time spent in the level search and in the
+    synthesis of every bin, in seconds.
     """
 
     def __init__(
@@ -164,12 +179,14 @@ class RelinearizingController:
         self.causality = causality
         self.quantum = _check_quantum(quantum)
         self.relinearize = bool(relinearize)
-        self._cache: dict = {}
+        self._cache: dict = {}  # bin -> (controller, its bound law)
         self.bins_synthesized = 0
         self.bin_cache_hits = 0
+        self.synth_s = 0.0
         self._bin_init = self._bin_of(theta_init)
         plant0 = self._plant_at(self._bin_init)
 
+        start = time.perf_counter()
         policy = dict(gamma_policy or {})
         self.gamma: Optional[float] = None
         if kind != "h2" and "fixed" in policy:
@@ -184,11 +201,12 @@ class RelinearizingController:
                 )
             self.gamma = margin * found.gamma
         ctrl0 = self._synth(plant0)
+        self.synth_s += time.perf_counter() - start
         if isinstance(ctrl0, Infeasible):
             raise MpcInfeasibleError(
                 f"initial linearization infeasible at gamma={self.gamma}"
             )
-        self._cache[self._bin_init] = ctrl0
+        self._cache[self._bin_init] = (ctrl0, ctrl0.law)
         self.bins_synthesized = 1
         self.reset()
 
@@ -207,33 +225,37 @@ class RelinearizingController:
 
     def reset(self) -> None:
         self._state = ControllerState(z=np.zeros(4))  # z = [xi; nu]
-        self.last_wprime = np.zeros(2)
+        self.last_wprime = _NO_WPRIME
 
-    def _get(self, b: int):
-        ctrl = self._cache.get(b)
-        if ctrl is not None:
+    def _law(self, b: int):
+        """The bound law of bin b, synthesized on a miss."""
+        cached = self._cache.get(b)
+        if cached is not None:
             self.bin_cache_hits += 1
-            return ctrl
+            return cached[1]
+        start = time.perf_counter()
         try:
             ctrl = self._synth(self._plant_at(b))
         except (ValueError, FactorizationError) as exc:
             raise MpcInfeasibleError(f"bin {b}: {exc}") from exc
+        finally:
+            self.synth_s += time.perf_counter() - start
         if isinstance(ctrl, Infeasible):
             raise MpcInfeasibleError(
                 f"bin {b} (theta={b * self.quantum:.3f}) infeasible at gamma={self.gamma}"
             )
-        self._cache[b] = ctrl
+        self._cache[b] = (ctrl, ctrl.law)
         self.bins_synthesized += 1
-        return ctrl
+        return ctrl.law
 
     def step(self, x, w) -> np.ndarray:
         theta = float(x[0]) if self.relinearize else self._bin_init * self.quantum
-        ctrl = self._get(self._bin_of(theta))
-        if isinstance(ctrl, CompetitiveController):
-            self.last_wprime = ctrl.wprime(self._state)
-        else:
-            self.last_wprime = np.zeros(2)
-        return ctrl.step(self._state, x, w)
+        law = self._law(self._bin_of(theta))
+        state = self._state
+        u, state.z, wprime = law(state.t, x, w, state.z)
+        state.t += 1
+        self.last_wprime = _NO_WPRIME if wprime is None else wprime
+        return u
 
 
 def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
@@ -252,8 +274,7 @@ def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
         return lin.A @ x + lin.Bu @ u + lin.Bw @ w_t
 
     x0 = np.asarray(x0, dtype=float).reshape(2)
-    Q = np.broadcast_to(np.eye(2), (w.shape[0], 2, 2))
-    return _rollout_loop(w, x0, 1, Q, policy, advance)
+    return _rollout_loop(w, x0, 1, np.eye(2), policy, advance)
 
 
 def run_pendulum(
@@ -275,17 +296,6 @@ def run_pendulum(
     return _simulate(params, policy, w, x0, dynamics, theta_lin)
 
 
-@functools.lru_cache(maxsize=1)
-def _comparator_schedules(params: PendulumParams, T: int) -> dict:
-    """theta -> read-only affine schedule of the linearization at theta.
-
-    The comparator fills the dict lazily.  Only the last (params, T) family
-    is held, so the memory is bounded by the bins one family of runs visits
-    (about 88 KB per bin at T = 1001).
-    """
-    return {}
-
-
 def clairvoyant_comparator_run(
     params: PendulumParams,
     w: np.ndarray,
@@ -297,31 +307,31 @@ def clairvoyant_comparator_run(
 
     At step t in bin b it applies u_t = -K_t x_t - h_t, the clairvoyant
     policy over the whole record for the linearization of bin b.  K and the
-    rest of the bin's Riccati schedule are computed once per (linearization,
-    T) and reused by later records; h takes one linear pass per record and
-    bin, over the steps from the bin's first visit to the end.  ``w`` has
-    shape (T,) or (T, 1), and ``quantum`` must be finite and > 0.
+    rest of the bin's Riccati schedule come from the shared
+    :data:`~compctrl.controllers.schedule_cache`: keyed exactly by T and the
+    raw bytes of the linearization (so bins with equal linearizations share
+    one), held within ``SCHEDULE_CACHE_BYTES`` with the least recently used
+    evicted, read-only.  What it holds never changes a run: an evicted
+    schedule is recomputed bit for bit.  h takes one linear pass per record
+    and bin, over the steps from the bin's first visit to the end.  ``w``
+    has shape (T,) or (T, 1), and ``quantum`` must be finite and > 0.
     """
     w = _disturbance_column(w)
     quantum = _check_quantum(quantum)
     T = w.shape[0]
-    schedules = _comparator_schedules(params, T)
     laws: dict = {}
-    no_wprime = np.zeros(2)
 
     def policy(t, x, w_t):
         b = int(round(float(x[0]) / quantum))
-        if b not in laws:
-            theta = b * quantum
-            schedule = schedules.get(theta)
-            if schedule is None:
-                plant = linearize_pendulum(params, theta).to_ltv(T)
-                schedule = schedules[theta] = _affine_schedule(plant)
+        law = laws.get(b)
+        if law is None:
+            plant = linearize_pendulum(params, b * quantum).to_ltv(T)
+            schedule = schedule_cache.get(plant)
             # the steps before the bin's first visit never read its offsets
             tail = AffineSchedule(schedule.K[t:], schedule.M[t:])
-            laws[b] = (t, tail.K, _affine_pass(tail, w[t:]))
-        t0, K, h = laws[b]
-        return -(K[t - t0] @ x) - h[t - t0], no_wprime
+            law = laws[b] = (t, tail.K, _affine_pass(tail, w[t:]))
+        t0, K, h = law
+        return -(K[t - t0] @ x) - h[t - t0], None
 
     return _simulate(params, policy, w, x0, dynamics)
 

@@ -8,8 +8,13 @@ mixture components get independent streams via jumps.
 
 Rollouts step a controller against a plant for a disturbance realization,
 recording states, controls, per-step and cumulative costs, and (for
-ratio-optimal controllers) the internal filtered disturbance w'.  A state
-norm above 1e6 truncates the run with status "diverged" instead of raising.
+ratio-optimal controllers) the internal filtered disturbance w'.  Each
+rollout binds the controller's law once (its gains, or the slices of its
+realization, looked up before the first step) and steps a time-invariant
+plant with one step's matrices; every float operation is the one stepping
+the controller through ``control_step`` would do, in the same order, so the
+results are the same bits.  A state norm above 1e6 truncates the run with
+status "diverged" instead of raising.
 
 Trace CSVs are written atomically (temp file + rename) with %.17g floats and
 LF line endings so repeated runs are byte-identical.
@@ -17,9 +22,12 @@ LF line endings so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -28,7 +36,7 @@ import numpy as np
 from .controllers import (
     CompetitiveController,
     OfflineController,
-    control_step,
+    _online,
     offline_optimal,
 )
 from .model import LtiPlant, LtvPlant
@@ -192,10 +200,12 @@ class _StopRollout(RuntimeError):
 def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
     """The loop of every rollout.
 
-    Per step ``policy(t, x_t, w_t)`` gives (u_t, w'_t), the step costs
-    x_t'Q_t x_t + u_t'u_t and ``advance(t, x_t, u_t, w_t)`` gives x_{t+1}.
-    A divergent state or a :class:`_StopRollout` from the policy ends the
-    run; the arrays keep the steps completed.
+    Per step ``policy(t, x_t, w_t)`` gives (u_t, w'_t), w'_t None when the
+    policy has no filter; the step costs x_t'Q_t x_t + u_t'u_t, ``Q`` being
+    one (n, n) weight or a (T, n, n) stack, and ``advance(t, x_t, u_t, w_t)``
+    gives x_{t+1}.  A state whose norm sqrt(x'x) is not at most
+    ``DIVERGENCE_NORM`` (NaN included) or a :class:`_StopRollout` from the
+    policy ends the run; the arrays keep the steps completed.
     """
     T, n = w.shape[0], x0.shape[0]
     x = np.zeros((T + 1, n))
@@ -204,22 +214,26 @@ def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
     wprime = np.zeros((T, n))
     step_cost = np.zeros(T)
     cum = np.zeros(T)
+    weights = itertools.repeat(Q, T) if Q.ndim == 2 else Q
     running = 0.0
     status = "ok"
     steps = 0
-    for t in range(T):
+    x_t = x[0]
+    for t, (w_t, Q_t) in enumerate(zip(w, weights)):
         try:
-            u_t, wprime[t] = policy(t, x[t], w[t])
+            u_t, wp = policy(t, x_t, w_t)
         except _StopRollout as stop:
             status = stop.status
             break
+        if wp is not None:
+            wprime[t] = wp
         u[t] = u_t
-        step_cost[t] = float(x[t] @ Q[t] @ x[t] + u_t @ u_t)
-        running += step_cost[t]
+        step_cost[t] = cost = float(x_t @ Q_t @ x_t + u_t @ u_t)
+        running += cost
         cum[t] = running
-        x[t + 1] = advance(t, x[t], u_t, w[t])
+        x[t + 1] = x_t = advance(t, x_t, u_t, w_t)
         steps = t + 1
-        if not np.linalg.norm(x[t + 1]) <= DIVERGENCE_NORM:  # also NaN and inf
+        if not math.sqrt(x_t @ x_t) <= DIVERGENCE_NORM:  # also NaN and inf
             status = "diverged"
             break
     return RolloutResult(
@@ -244,7 +258,16 @@ def _as_ltv(plant, T: int) -> LtvPlant:
 
 
 def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
-    """Simulate the closed loop over the disturbance w (shape (T, p))."""
+    """Simulate the closed loop over the disturbance w (shape (T, p)).
+
+    The controller's :data:`~compctrl.controllers.Law` is bound once (its
+    infinite-horizon gains or realization slices are looked up before the
+    first step), and a time-invariant plant steps with one step's matrices
+    throughout; the arithmetic is that of stepping the controller with
+    :func:`~compctrl.controllers.control_step`.  An
+    :class:`~compctrl.controllers.OfflineController` replays the controls of
+    :func:`~compctrl.controllers.offline_optimal`.
+    """
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
@@ -255,32 +278,50 @@ def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
     if controller.horizon is not None and controller.horizon != T:
         raise ValueError("controller horizon does not match the disturbance length")
 
-    no_wprime = np.zeros(ltv.n)
-    state = controller.make_state()
-    u_all = offline_optimal(ltv, w)[0] if isinstance(controller, OfflineController) else None
-    filtered = isinstance(controller, CompetitiveController)
+    if isinstance(controller, OfflineController):
+        u_all = offline_optimal(ltv, w)[0]
 
-    def policy(t, x, w_t):
-        if u_all is not None:
-            return u_all[t], no_wprime
-        wp = controller.wprime(state) if filtered else no_wprime
-        return control_step(controller, state, x, w_t)[0], wp
+        def policy(t, x, w_t):
+            return u_all[t], None
 
-    def advance(t, x, u_t, w_t):
-        return ltv.A[t] @ x + ltv.Bu[t] @ u_t + ltv.Bw[t] @ w_t
+    else:
+        law = _online(controller).law
+        state = controller.make_state()
 
-    return _rollout_loop(w, ltv.x0, ltv.m, ltv.Q, policy, advance)
+        def policy(t, x, w_t):
+            u_t, state.z, wp = law(t, x, w_t, state.z)
+            return u_t, wp
+
+    step = ltv.invariant_step
+    if step is None:
+
+        def advance(t, x, u_t, w_t):
+            return ltv.A[t] @ x + ltv.Bu[t] @ u_t + ltv.Bw[t] @ w_t
+
+    else:
+        A, Bu, Bw, Q = step
+
+        def advance(t, x, u_t, w_t):
+            return A @ x + Bu @ u_t + Bw @ w_t
+
+    return _rollout_loop(w, ltv.x0, ltv.m, ltv.Q if step is None else Q, policy, advance)
 
 
 @dataclass
 class ComparisonResult:
-    """Total costs of several controllers against the clairvoyant optimum."""
+    """Total costs of several controllers against the clairvoyant optimum.
+
+    ``wall_ms`` holds the wall times of the offline solve and of the
+    rollouts ("offline", "rollouts"), in ms; :meth:`to_json_dict` leaves
+    them out, so the JSON of a seed is always the same bytes.
+    """
 
     names: list
     total_costs: list
     ratios: list  # float or the string "degenerate-denominator"
     opt_cost: float
     rollouts: dict
+    wall_ms: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,7 +345,9 @@ def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
 
     ``named_controllers`` is a sequence of (name, controller) pairs or a
     dict.  The clairvoyant optimum is computed once from the same plant and
-    disturbance.
+    disturbance; its schedule is cached across calls for a time-invariant
+    plant and horizon (:data:`~compctrl.controllers.schedule_cache`), so a
+    warm call pays one linear pass and the rollouts.
     """
     if isinstance(named_controllers, dict):
         items = list(named_controllers.items())
@@ -314,7 +357,9 @@ def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
     if w.ndim == 1:
         w = w[:, None]
     ltv = _as_ltv(plant, w.shape[0])
+    start = time.perf_counter()
     _, opt = offline_optimal(ltv, w)
+    solved = time.perf_counter()
     names, totals, ratios, rollouts = [], [], [], {}
     for name, ctrl in items:
         res = rollout(ltv, ctrl, w)
@@ -322,9 +367,11 @@ def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
         totals.append(res.total_cost)
         ratios.append(cost_ratio(res.total_cost, opt))
         rollouts[name] = res
+    wall_ms = {"offline": 1e3 * (solved - start),
+               "rollouts": 1e3 * (time.perf_counter() - solved)}
     return ComparisonResult(
         names=names, total_costs=totals, ratios=ratios, opt_cost=float(opt),
-        rollouts=rollouts,
+        rollouts=rollouts, wall_ms=wall_ms,
     )
 
 

@@ -164,6 +164,10 @@ def test_simulate_writes_traces_and_comparison(tmp_path, plant_file, h2_controll
     assert proc.returncode == 0, proc.stderr
     echoed = json.loads(proc.stdout)
     written = json.load(open(out))
+    # the wall times are echoed only, never written
+    wall_ms = echoed.pop("wall_ms")
+    assert set(wall_ms) == {"offline", "rollouts", "csv"}
+    assert all(ms >= 0 for ms in wall_ms.values())
     assert echoed == written
     entry = written["controllers"][0]
     assert entry["name"] == "h2"
@@ -176,6 +180,7 @@ def test_simulate_writes_traces_and_comparison(tmp_path, plant_file, h2_controll
         rows = list(csv.DictReader(fh))
     assert len(rows) == 40
     assert rows[0]["t"] == "0"
+    assert not any("wall" in col for col in rows[0])
 
 
 def test_simulate_default_controller_name_is_file_stem(tmp_path, plant_file, h2_controller_file):
@@ -293,6 +298,9 @@ def test_mpc_scenario_run(tmp_path):
                    "--out", out)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout)
+    # the synthesis time is echoed only, never written
+    synth_s = summary.pop("synth_s")
+    assert synth_s >= 0
     assert summary == json.load(open(out))
     assert summary["kind"] == "h2"
     assert summary["status"] == "ok"
@@ -306,6 +314,7 @@ def test_mpc_scenario_run(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 120
     assert "bins_synthesized" not in rows[0] and "bin_cache_hits" not in rows[0]
+    assert "synth_s" not in rows[0]
 
 
 def test_mpc_infeasible_scenario_exits_2(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,13 +23,16 @@ from compctrl.controllers import (
     _cost_of_controls,
     _synthetic_plant,
     Infeasible,
+    SCHEDULE_CACHE_BYTES,
     OfflineController,
+    ScheduleCache,
     StateFeedbackController,
     ZeroController,
     control_step,
     controller_from_json_dict,
     controller_to_json_dict,
     offline_optimal,
+    schedule_cache,
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
@@ -332,6 +337,103 @@ def test_affine_schedule_and_pass_match_sweep_oracle(case):
     for arr in schedule:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _schedules_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_schedule_cache_keys_exactly(rng):
+    # a hit needs the same T and the same bits of A, B_u, B_w and Q: one ulp
+    # in one B_w entry, a -0.0 for a +0.0 or another horizon each miss, and
+    # each miss is the schedule of its own plant
+    cache = ScheduleCache()
+    base = random_lti(rng, n=3, m=1, p=2)
+    Bw = base.Bw.copy()
+    Bw[2, 1] = 0.0
+    base = dataclasses.replace(base, Bw=Bw)
+    ulp, neg_zero = Bw.copy(), Bw.copy()
+    ulp[0, 0] = np.nextafter(ulp[0, 0], np.inf)
+    neg_zero[2, 1] = -0.0
+    first = cache.get(base.to_ltv(20))
+    assert len(cache) == 1
+    assert cache.get(base.to_ltv(20)) is first
+    others = [
+        dataclasses.replace(base, Bw=ulp).to_ltv(20),
+        dataclasses.replace(base, Bw=neg_zero).to_ltv(20),
+        base.to_ltv(21),
+    ]
+    for k, plant in enumerate(others, start=2):
+        schedule = cache.get(plant)
+        assert len(cache) == k and schedule is not first
+        assert _schedules_equal(schedule, _affine_schedule(plant))
+    assert cache.get(base.to_ltv(20)) is first
+
+
+def test_schedule_cache_computes_time_varying_plants_fresh(rng):
+    cache = ScheduleCache()
+    ltv = random_ltv(rng, T=12, n=2, m=1, p=1)
+    assert ltv.invariant_step is None
+    # one step off in one entry is enough to make a plant time-varying
+    A = np.repeat(ltv.A[:1], 12, axis=0)
+    A[7, 0, 1] = np.nextafter(A[7, 0, 1], -np.inf)
+    almost = dataclasses.replace(ltv, A=A, Bu=np.repeat(ltv.Bu[:1], 12, axis=0),
+                                 Bw=np.repeat(ltv.Bw[:1], 12, axis=0),
+                                 Q=np.repeat(ltv.Q[:1], 12, axis=0))
+    assert almost.invariant_step is None
+    for plant in (ltv, almost, ltv):
+        assert _schedules_equal(cache.get(plant), _affine_schedule(plant))
+    assert len(cache) == 0 and cache.held_bytes == 0
+
+
+def test_schedule_cache_evicts_least_recently_used(rng):
+    plants = [random_lti(rng, n=3, m=1, p=1).to_ltv(50) for _ in range(6)]
+    probe = ScheduleCache()
+    probe.get(plants[0])
+    one = probe.held_bytes
+    bound = 3 * one + one // 2  # room for three entries
+    cache = ScheduleCache(max_bytes=bound)
+    got = [cache.get(plant) for plant in plants[:1]]
+    for plant in plants[1:]:
+        got.append(cache.get(plant))
+        assert cache.held_bytes <= bound
+        assert cache.get(plants[0]) is got[0]  # a hit makes it the most recent
+    assert len(cache) == 3 and cache.held_bytes == 3 * one
+    # recency, oldest first, is now 4, 5, 0: hits keep 4 and 5 ...
+    assert cache.get(plants[4]) is got[4] and cache.get(plants[5]) is got[5]
+    # ... 1 went long ago and comes back as the same bits, evicting 0
+    again = cache.get(plants[1])
+    assert again is not got[1] and _schedules_equal(again, got[1])
+    assert cache.get(plants[0]) is not got[0]
+    assert len(cache) == 3 and cache.held_bytes == 3 * one
+    # an entry larger than the bound is computed but never kept
+    small = ScheduleCache(max_bytes=one - 1)
+    assert _schedules_equal(small.get(plants[0]), got[0])
+    assert len(small) == 0 and small.held_bytes == 0
+    cache.clear()
+    assert len(cache) == 0 and cache.held_bytes == 0
+
+
+def test_schedule_cache_bound_holds_a_pendulum_family():
+    # a family of pendulum runs (T = 1001, quantum 0.01) visits about 21 bins
+    cache = ScheduleCache()
+    cache.get(linearize_pendulum(PendulumParams(), 0.03).to_ltv(1001))
+    assert 21 * cache.held_bytes <= SCHEDULE_CACHE_BYTES == schedule_cache.max_bytes
+
+
+def test_compare_cold_and_warm_cache_are_bit_identical(boeing):
+    w = np.random.default_rng(8400).standard_normal((300, boeing.p))
+    ctrls = [("h2", synth_h2_ih(boeing)), ("offline", OfflineController())]
+    schedule_cache.clear()
+    cold = compare(boeing, ctrls, w)
+    assert len(schedule_cache) == 1
+    warm = compare(boeing, ctrls, w)
+    assert warm.opt_cost == cold.opt_cost
+    for name in cold.names:
+        a, b = cold.rollouts[name], warm.rollouts[name]
+        for field in ("w", "wprime", "x", "u", "step_cost", "cum_cost"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (name, field)
+        assert a.total_cost == b.total_cost
 
 
 def test_offline_cost_equals_simulation(rng):

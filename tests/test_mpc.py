@@ -24,8 +24,8 @@ from compctrl import (
     run_pendulum,
     run_scenario,
 )
-from compctrl.controllers import ZeroController
-from compctrl.mpc import _comparator_schedules, scenario_from_json_dict, scenario_to_json_dict
+from compctrl.controllers import ZeroController, schedule_cache
+from compctrl.mpc import scenario_from_json_dict, scenario_to_json_dict
 from compctrl.sim import rollout
 
 QUANTUM = 0.05  # coarse bins keep per-test synthesis counts small
@@ -217,6 +217,44 @@ def test_competitive_rollout_logs_wprime():
     assert_array_equal(res2.wprime, np.zeros((80, 2)))
 
 
+@pytest.mark.parametrize("kind", ["competitive", "h2", "hinf"])
+def test_run_pendulum_is_bit_identical_to_stepping(kind):
+    # run_pendulum calls each bin's bound law: the same bits, and the same
+    # bin counters, as a loop over the public step
+    params = PendulumParams()
+    policy = {"competitive": {"fixed": 3.8}, "hinf": {"fixed": 5.0}}.get(kind)
+    w = generate(DisturbanceSpec("step", {"levels": [1.5, -1.5], "switch_times": [150]}),
+                 300, 1, seed=3)
+    w += generate(DisturbanceSpec("white-gaussian", {"sigma": 1.0}), 300, 1, seed=3)
+
+    def make():
+        return RelinearizingController(params, kind=kind, gamma_policy=policy, quantum=0.01)
+
+    ran, stepped = make(), make()
+    res = run_pendulum(params, ran, w)
+    assert res.status == "ok"
+    stepped.reset()
+    x, running = np.zeros(2), 0.0
+    xs, us, wps, costs, cums = [x], [], [], [], []
+    for t in range(300):
+        u = stepped.step(x, w[t])
+        wps.append(stepped.last_wprime)
+        cost = float(x @ np.eye(2) @ x + u @ u)
+        running += cost
+        us.append(u)
+        costs.append(cost)
+        cums.append(running)
+        x = pendulum_step(params, x, u, w[t])
+        xs.append(x)
+    for got, want in ((res.x, xs), (res.u, us), (res.wprime, wps),
+                      (res.step_cost, costs), (res.cum_cost, cums)):
+        assert np.array_equal(got, np.array(want))
+    assert len(ran._cache) > 1  # the run crossed bins
+    assert (ran.bins_synthesized, ran.bin_cache_hits) == (
+        stepped.bins_synthesized, stepped.bin_cache_hits)
+    assert ran.bins_synthesized + ran.bin_cache_hits == 1 + 300
+
+
 def test_infeasible_bin_truncates_run():
     # A sustained torque drags theta toward bins whose optimal ratio exceeds
     # the fixed level resolved near the origin, so the run must stop with the
@@ -382,9 +420,10 @@ def test_comparator_matches_offline_optimal_on_linear_single_bin():
 
 
 def test_comparator_is_independent_of_its_schedule_cache():
-    # the cached schedules depend only on (params, T, theta), so a cold
-    # cache, one warmed by other records and one last filled by another
-    # family give identical runs
+    # the shared cache keys a schedule by the bytes of its linearization and
+    # T alone, so a cold cache, one warmed by other records, one also filled
+    # by another family and one last filled with another bin width give
+    # identical runs
     params = PendulumParams()
     spec = DisturbanceSpec(
         "mixture",
@@ -401,23 +440,22 @@ def test_comparator_is_independent_of_its_schedule_cache():
     def run():
         return clairvoyant_comparator_run(params, w, quantum=0.01)
 
-    _comparator_schedules.cache_clear()
+    schedule_cache.clear()
     cold = run()
-    schedules = _comparator_schedules(params, 300)
-    assert len(schedules) > 1  # the record visits several bins
+    assert len(schedule_cache) > 1  # the record visits several bins
     for seed in (5, 6):
         clairvoyant_comparator_run(params, generate(spec, 300, 1, seed=seed), quantum=0.01)
     warm = run()
     clairvoyant_comparator_run(PendulumParams(dt=2e-3), w[:200], quantum=0.01)
     other_family = run()
-    _comparator_schedules.cache_clear()
+    schedule_cache.clear()
     clairvoyant_comparator_run(params, w, quantum=0.02)
     other_quantum = run()
     for res in (warm, other_family, other_quantum):
         assert_array_equal(res.x, cold.x)
         assert_array_equal(res.u, cold.u)
         assert res.total_cost == cold.total_cost
-    for schedule in _comparator_schedules(params, 300).values():
+    for schedule in schedule_cache.schedules():
         for arr in schedule:
             with pytest.raises(ValueError):
                 arr[0] = 0.0

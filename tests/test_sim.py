@@ -9,9 +9,15 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from compctrl import (
+    CompetitiveController,
     DisturbanceSpec,
+    Infeasible,
     LtiPlant,
+    LtvPlant,
+    OfflineController,
+    StateFeedbackController,
     ZeroController,
+    control_step,
     compare,
     cost_ratio,
     generate,
@@ -19,6 +25,7 @@ from compctrl import (
     rollout,
     synth_competitive,
     synth_h2_ih,
+    synth_hinf,
     wprime_run,
     write_comparison_json,
     write_trace_csv,
@@ -292,6 +299,85 @@ def test_wprime_zero_for_unfiltered_controllers(rng):
     plant = random_lti(rng, n=2, m=1, p=1)
     res = rollout(plant, synth_h2_ih(plant), np.ones((10, 1)))
     assert_array_equal(res.wprime, np.zeros((10, 2)))
+
+
+def _written_out_u(ctrl, t, x, w_t, z):
+    """u_t from the controller's stored gains or realization, one product
+    at a time, as the controllers' docstrings write the laws."""
+    if isinstance(ctrl, StateFeedbackController):
+        Kx, Kw = (ctrl.Kx, ctrl.Kw) if ctrl.horizon is None else (ctrl.Kx[t], ctrl.Kw[t])
+        return -(Kx @ x) - (Kw @ w_t)
+    if isinstance(ctrl, CompetitiveController):
+        if ctrl.horizon is not None and t == ctrl.horizon - 1:
+            return np.zeros(ctrl.synthetic.m)
+        r, k = ctrl.realization, (0 if ctrl.horizon is None else t)
+        return r.Cz[k] @ z + r.Dz[k] @ w_t
+    return np.zeros(ctrl.m)
+
+
+def _stepped(plant, ctrl, w):
+    """Reference rollout: the public control_step, one call per step, on
+    the plant's per-step matrices; each control is also checked against
+    the written-out law."""
+    T = w.shape[0]
+    ltv = plant if isinstance(plant, LtvPlant) else plant.to_ltv(T)
+    u_off = offline_optimal(ltv, w)[0] if isinstance(ctrl, OfflineController) else None
+    state = ctrl.make_state()
+    x = ltv.x0.copy()
+    xs, us, wps, costs, cums = [x], [], [], [], []
+    running = 0.0
+    for t in range(T):
+        if isinstance(ctrl, CompetitiveController):
+            wps.append(ctrl.wprime(state))
+        else:
+            wps.append(np.zeros(ltv.n))
+        if u_off is not None:
+            u = u_off[t]
+        else:
+            expected = _written_out_u(ctrl, t, x, w[t], state.z)
+            u = control_step(ctrl, state, x, w[t])[0]
+            assert np.array_equal(u, expected)
+        cost = float(x @ ltv.Q[t] @ x + u @ u)
+        running += cost
+        us.append(u)
+        costs.append(cost)
+        cums.append(running)
+        x = ltv.A[t] @ x + ltv.Bu[t] @ u + ltv.Bw[t] @ w[t]
+        xs.append(x)
+    return np.array(xs), np.array(us), np.array(wps), np.array(costs), np.array(cums)
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_rollout_is_bit_identical_to_control_step(causality, rng):
+    # the law a rollout binds once does the float operations of stepping
+    # the controller, in the same order: the same bits, not just close, for
+    # every family, both horizons, a time-invariant and a time-varying plant
+    T = 30
+    lti = random_lti(rng, n=3, m=1, p=2)
+    ltv = random_ltv(rng, T=T, n=3, m=1, p=2)
+    cases = [
+        (lti, synth_h2_ih(lti, causality)),
+        (lti, synth_hinf(lti, 50.0, causality)),
+        (lti, synth_competitive(lti, 8.0, causality)),
+        (lti, synth_hinf(lti, 50.0, causality, horizon=T)),
+        (lti, synth_competitive(lti, 8.0, causality, horizon=T)),
+        (ltv, synth_hinf(ltv, 50.0, causality)),
+        (ltv, synth_competitive(ltv, 8.0, causality)),
+        (lti, ZeroController(m=1)),
+        (lti, OfflineController()),
+        (ltv, OfflineController()),
+    ]
+    w = generate(DisturbanceSpec("white-gaussian", {}), T, 2, seed=21)
+    for plant, ctrl in cases:
+        assert not isinstance(ctrl, Infeasible), ctrl
+        res = rollout(plant, ctrl, w)
+        assert res.status == "ok"
+        x, u, wprime, step_cost, cum_cost = _stepped(plant, ctrl, w)
+        for got, want in ((res.x, x), (res.u, u), (res.wprime, wprime),
+                          (res.step_cost, step_cost), (res.cum_cost, cum_cost)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (ctrl.kind, ctrl.horizon)
+        assert res.total_cost == cum_cost[-1]
 
 
 # ---------------------------------------------------------------------------
