@@ -16,7 +16,8 @@ Subcommands:
                 receding-horizon clairvoyant comparator), with the seconds
                 spent synthesizing in its stdout JSON (never in ``--out``);
 * ``verify``    self-check the factorization identities, filter causality,
-                and offline-solver agreement on a given plant.
+                and offline-solver agreement on a given plant, with the
+                wall time of each phase in its stdout JSON.
 
 Synthesizing at an explicitly fixed, infeasible level exits with status 2
 and a verdict JSON on stdout; other failures exit 1 with a message on
@@ -346,10 +347,23 @@ def _check(name, value, threshold):
 
 
 def run_verification(plant, horizon: int, seed: int) -> dict:
-    """Machinery self-checks on one plant; returns a JSON-ready report."""
+    """Machinery self-checks on one plant; returns a JSON-ready report.
+
+    ``wall_ms`` holds the milliseconds of each phase: the finite-horizon
+    factorization, the w' causality check, the offline routes and, for a
+    time-invariant plant, the infinite-horizon checks.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
     checks = []
     info = {}
+    wall_ms = {}
+    start = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        nonlocal start
+        now = time.perf_counter()
+        wall_ms[phase] = 1e3 * (now - start)
+        start = now
 
     if isinstance(plant, LtvPlant):
         ltv = dataclasses.replace(plant, x0=np.zeros(plant.n))
@@ -366,6 +380,7 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
     rhs = np.eye(ops.n * ops.T) + ops.F @ ops.F.T
     err = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
     checks.append(_check("fh-factorization-identity", err, 1e-8))
+    lap("fh_factorization")
 
     # strict causality of the w' filter
     syn_fh = build_synthetic(ltv, schedule)
@@ -379,6 +394,7 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
     causal_ok = bool(np.array_equal(wp1[: t0 + 1], wp2[: t0 + 1]))
     anticipates = float(0.0 if causal_ok else np.abs(wp1[: t0 + 1] - wp2[: t0 + 1]).max())
     checks.append(_check("wprime-strict-causality", anticipates, 0.0))
+    lap("wprime_causality")
 
     # offline solver: dense and sweep routes agree; perturbations cost more
     T_small = min(ltv.T, 12)
@@ -410,6 +426,7 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
         perturbed = _cost_of_controls(small, u_dense + du, w_small)
         worst_gap = min(worst_gap, perturbed - opt_dense)
     checks.append(_check("offline-local-optimality", -worst_gap, 1e-10))
+    lap("offline_routes")
 
     if lti is not None:
         info["pbh_stabilizable"] = bool(pbh_stabilizable(lti.A, lti.Bu))
@@ -434,6 +451,7 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
         prod = delta_transfer(lti, factor, z) @ delta_inv_transfer(lti, factor, z)
         inv_err = np.abs(prod - np.eye(lti.n)).max()
         checks.append(_check("delta-inverse-identity", inv_err, 1e-8))
+        lap("ih_checks")
 
     return {
         "horizon": ltv.T,
@@ -441,6 +459,7 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
         "info": info,
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
+        "wall_ms": wall_ms,
     }
 
 

@@ -60,6 +60,7 @@ from .factorization import (
 from .model import LtiPlant, LtvPlant, build_dense_operators
 from .riccati import (
     RiccatiFixedPoint,
+    _check_gamma,
     _strictly_causal_ok,
     dare_fixed_point,
     hinf_backward,
@@ -369,16 +370,21 @@ def _saddle_gains(
     point is Kx = (I + B_u'MB_u)^{-1}B_u'MA with
     M = P + PB_w(gamma^2 I - B_w'PB_w)^{-1}B_w'P, the cost-to-go after the
     maximizing disturbance (M = P for gamma = None, the LQR limit).
+
+    The matrices may be stacks over time (T, ., .), P holding P_{t+1} of
+    step t; every step then runs the arithmetic of a lone one.
     """
-    m, p = Bu.shape[1], Bw.shape[1]
+    m, p = Bu.shape[-1], Bw.shape[-1]
+    BuT = Bu.swapaxes(-1, -2)
     if causality == STRICT and gamma is not None:
         PBw = P @ Bw
-        P = sym(P + PBw @ solve_sym(gamma**2 * np.eye(p) - Bw.T @ PBw, PBw.T))
-    H = np.eye(m) + Bu.T @ P @ Bu
-    Kx = solve_sym(H, Bu.T @ P @ A)
+        W = gamma**2 * np.eye(p) - Bw.swapaxes(-1, -2) @ PBw
+        P = sym(P + PBw @ solve_sym(W, PBw.swapaxes(-1, -2)))
+    H = np.eye(m) + BuT @ P @ Bu
+    Kx = solve_sym(H, BuT @ P @ A)
     if causality == STRICT:
-        return Kx, np.zeros((m, p))
-    return Kx, solve_sym(H, Bu.T @ P @ Bw)
+        return Kx, np.zeros(Kx.shape[:-1] + (p,))
+    return Kx, solve_sym(H, BuT @ P @ Bw)
 
 
 def synth_h2_ih(plant: LtiPlant, causality: str = CAUSAL) -> StateFeedbackController:
@@ -449,6 +455,13 @@ def _gate_fixed_point(
     return None
 
 
+def _check_level(gamma) -> None:
+    """Reject a gamma that is not one finite positive level."""
+    if np.ndim(gamma):
+        raise ValueError("gamma must be a single level")
+    _check_gamma(gamma)
+
+
 def _normalize_horizon(plant, horizon) -> Union[LtiPlant, LtvPlant]:
     """Resolve (plant, horizon) into an LtvPlant (finite) or an LtiPlant."""
     if isinstance(plant, LtvPlant):
@@ -477,7 +490,7 @@ class AttenuationSolve(NamedTuple):
     diagnostics: dict
 
 
-def _attenuation(plant, gamma: Optional[float], causality: str):
+def _attenuation(plant, gamma, causality: str):
     """The verdict at level gamma: an :class:`AttenuationSolve` or Infeasible.
 
     The one existence test of every state-feedback family.  An
@@ -485,12 +498,21 @@ def _attenuation(plant, gamma: Optional[float], causality: str):
     Riccati equation with R~ = diag(I, -gamma^2 I) (gamma = None: its LQR
     limit, R~ = I on u alone); an :class:`LtvPlant` by the per-step
     conditions of the backward recursion.  No gain is computed here.
+
+    ``gamma`` may also be a sequence of levels; the verdicts then come back
+    as a list in the same order, from one stacked :func:`hinf_backward` on
+    an LtvPlant and from one fixed point per level on an LtiPlant, each
+    equal to the verdict at its level alone.  A level that is not finite
+    and positive raises ValueError.
     """
     m, p = plant.m, plant.p
     if isinstance(plant, LtiPlant):
+        if np.ndim(gamma):
+            return [_attenuation(plant, level, causality) for level in gamma]
         if gamma is None:
             Btil, Rtil = plant.Bu, np.eye(m)
         else:
+            _check_gamma(gamma)
             Btil = np.hstack([plant.Bu, plant.Bw])
             Rtil = np.block(
                 [
@@ -511,33 +533,32 @@ def _attenuation(plant, gamma: Optional[float], causality: str):
         return AttenuationSolve(plant, gamma, causality, fp.P, diagnostics)
 
     sched = hinf_backward(plant, gamma)
+    if np.ndim(gamma):
+        return [_schedule_verdict(plant, s, causality) for s in sched]
+    return _schedule_verdict(plant, sched, causality)
+
+
+def _schedule_verdict(plant: LtvPlant, sched, causality: str):
+    """The verdict of :func:`_attenuation` on a backward schedule."""
     gate = sched.causal if causality == CAUSAL else sched.strictly_causal_w
     if not gate.ok:
         return Infeasible(
             gate.reason or "condition-violated",
-            gamma,
+            sched.gamma,
             {
                 "first_violation": gate.first_violation,
                 "strictly_causal_w_ok": sched.strictly_causal_w.ok,
             },
         )
-    return AttenuationSolve(plant, gamma, causality, sched.P, {})
+    return AttenuationSolve(plant, sched.gamma, causality, sched.P, {})
 
 
 def _attenuation_gains(solve: AttenuationSolve) -> tuple[np.ndarray, np.ndarray]:
-    """The gains (Kx, Kw) of :func:`_saddle_gains` on a solve, per step in
-    the finite horizon."""
-    plant, gamma, causality = solve.plant, solve.gamma, solve.causality
-    if isinstance(plant, LtiPlant):
-        return _saddle_gains(solve.P, plant.A, plant.Bu, plant.Bw, gamma, causality)
-    T = plant.T
-    Kx = np.zeros((T, plant.m, plant.n))
-    Kw = np.zeros((T, plant.m, plant.p))
-    for t in range(T):
-        Kx[t], Kw[t] = _saddle_gains(
-            solve.P[t + 1], plant.A[t], plant.Bu[t], plant.Bw[t], gamma, causality
-        )
-    return Kx, Kw
+    """The gains (Kx, Kw) of :func:`_saddle_gains` on a solve, in one call
+    on the (T, ., .) stacks in the finite horizon (step t reads P_{t+1})."""
+    plant = solve.plant
+    P = solve.P if isinstance(plant, LtiPlant) else solve.P[1:]
+    return _saddle_gains(P, plant.A, plant.Bu, plant.Bw, solve.gamma, solve.causality)
 
 
 def _horizon_of(solve: AttenuationSolve) -> Optional[int]:
@@ -575,8 +596,7 @@ def synth_hinf(
     infeasible gammas come back as :class:`Infeasible` values.
     """
     _check_causality(causality)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_level(gamma)
     plant = _normalize_horizon(plant, horizon)
     res = _attenuation(plant, gamma, causality)
     if isinstance(res, Infeasible):
@@ -637,8 +657,7 @@ def synth_competitive(
     plant.
     """
     _check_causality(causality)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_level(gamma)
     plant = _normalize_horizon(plant, horizon)
     syn = _synthetic_plant(plant)
     res = _attenuation(_as_plant(syn), gamma, causality)

@@ -217,14 +217,13 @@ def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
     P_{t+1} = A_t P_t A_t' + B_u,t B_u,t' - K_t Sigma_t K_t'.
 
     Sigma_t >= I analytically; a numerically singular Sigma is reported as a
-    numeric failure.
+    numeric failure.  The square roots of Sigma, which the recursion does
+    not read, are taken after it, one stacked call each.
     """
     T, n = plant.T, plant.n
     P = np.zeros((T + 1, n, n))
     K = np.zeros((T, n, n))
     Sigma = np.zeros((T, n, n))
-    Sigma_half = np.zeros((T, n, n))
-    Sigma_inv_half = np.zeros((T, n, n))
     eye = np.eye(n)
     for t in range(T):
         Qh = plant.Q_half[t]
@@ -241,10 +240,12 @@ def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
         P[t + 1] = sym(Pn)
         K[t] = Kt
         Sigma[t] = Sig
-        Sigma_half[t] = sqrt_psd(Sig)
-        Sigma_inv_half[t] = inv_sqrt_pd(Sig)
     return WhiteningSchedule(
-        P=P, K=K, Sigma=Sigma, Sigma_half=Sigma_half, Sigma_inv_half=Sigma_inv_half
+        P=P,
+        K=K,
+        Sigma=Sigma,
+        Sigma_half=sqrt_psd(Sigma),
+        Sigma_inv_half=inv_sqrt_pd(Sigma),
     )
 
 

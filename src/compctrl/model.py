@@ -48,22 +48,28 @@ def sqrt_psd(M: np.ndarray) -> np.ndarray:
 
     Eigenvalues are clamped at max(lam, 0) so that tiny negative values of
     numerical origin (-1e-14 and the like) do not poison the square root.
+    M may be a stack (..., n, n); each matrix gets the arithmetic of a lone
+    one, so the stack's roots equal the one-by-one roots bit for bit.
     """
     M = np.asarray(M, dtype=float)
-    lam, V = np.linalg.eigh(0.5 * (M + M.T))
+    lam, V = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
     lam = np.maximum(lam, 0.0)
-    return (V * np.sqrt(lam)) @ V.T
+    return (V * np.sqrt(lam)[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 def inv_sqrt_pd(M: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
-    """Inverse symmetric square root of a PD matrix; rejects near-singular M."""
+    """Inverse symmetric square root of a PD matrix; rejects near-singular M.
+
+    Stack-aware like :func:`sqrt_psd`; one matrix below ``min_eig`` rejects
+    the stack, and an empty stack passes.
+    """
     M = np.asarray(M, dtype=float)
-    lam, V = np.linalg.eigh(0.5 * (M + M.T))
-    if lam.min() <= min_eig:
+    lam, V = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
+    if lam.size and lam.min() <= min_eig:
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {lam.min():.3e})"
         )
-    return (V / np.sqrt(lam)) @ V.T
+    return (V / np.sqrt(lam)[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 def shifted_solve(A: np.ndarray, B: np.ndarray, z) -> np.ndarray:
@@ -188,7 +194,7 @@ class LtvPlant:
 
     @cached_property
     def Q_half(self) -> np.ndarray:
-        return np.stack([sqrt_psd(Qt) for Qt in self.Q])
+        return sqrt_psd(self.Q)
 
     @cached_property
     def invariant_step(self):

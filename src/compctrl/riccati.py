@@ -13,6 +13,8 @@ Two related objects live here:
 Both horizons share one existence test, :func:`_game_step_test` (H~,
 equilibrated, nonsingular with the inertia of R~; at every backward step and
 every doubling), and one strictly causal condition, B_w'PB_w < gamma^2 I.
+Both, and the symmetric solves, also run on stacks (..., k, k), which the
+backward recursion uses to carry several levels at once.
 
 Every infinite-horizon fixed point of the package (the game and LQR
 Riccati equations here, the spectral and outer factors in
@@ -72,6 +74,8 @@ MAX_DOUBLINGS = 64
 DIVERGENCE_NORM = 1e12
 #: relative tolerance on negative eigenvalues of a doubling's increment
 INCREMENT_TOL = 1e-9
+#: smallest positive normal float, the floor of scales and pivot magnitudes
+TINY = np.finfo(float).tiny
 
 
 class SingularHtildeError(ValueError):
@@ -84,50 +88,69 @@ def equilibrate_sym(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Balances blocks of wildly different magnitude (the game matrix mixes an
     O(1) control block with an O(gamma^2) disturbance block) so that the
     relative pivot guard measures genuine singularity rather than scale
-    spread.  The congruence preserves inertia and exact singularity.
+    spread.  The congruence preserves inertia and exact singularity.  H may
+    be a stack (..., k, k); each matrix is scaled on its own.
     """
-    Hs = 0.5 * (H + H.T)
-    d = np.abs(Hs).max(axis=1)
-    S = 1.0 / np.sqrt(np.maximum(d, np.finfo(float).tiny))
-    return Hs * S[:, None] * S[None, :], S
+    Hs = 0.5 * (H + H.swapaxes(-1, -2))
+    d = np.abs(Hs).max(axis=-1)
+    S = 1.0 / np.sqrt(np.maximum(d, TINY))
+    return Hs * S[..., :, None] * S[..., None, :], S
+
+
+def _singular(lam: np.ndarray) -> np.ndarray:
+    """The pivot guard min|lam| <= 1e-12 * max|lam|, per eigenvalue row."""
+    abs_lam = np.abs(lam)
+    return abs_lam.min(axis=-1) <= PIVOT_GUARD * np.maximum(abs_lam.max(axis=-1), TINY)
+
+
+def _eig_pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equilibrated eigendecomposition S H S = V diag(lam) V' as (lam, V, S),
+    unguarded; on a stack, one LAPACK call runs each matrix as it would run
+    alone."""
+    Hhat, S = equilibrate_sym(H)
+    lam, V = np.linalg.eigh(Hhat)
+    return lam, V, S
 
 
 def _pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equilibrated eigendecomposition S H S = V diag(lam) V' as (lam, V, S).
+    """The pivots (lam, V, S) of :func:`_eig_pivots`, guarded.
 
-    Raises SingularHtildeError when min|lam| <= 1e-12 * max|lam|.
+    Raises SingularHtildeError when min|lam| <= 1e-12 * max|lam| for any
+    matrix of the stack, naming the first one.
     """
-    Hhat, S = equilibrate_sym(H)
-    lam, V = np.linalg.eigh(Hhat)
-    abs_lam = np.abs(lam)
-    if abs_lam.min() <= PIVOT_GUARD * max(abs_lam.max(), np.finfo(float).tiny):
+    pivots = _eig_pivots(H)
+    singular = _singular(pivots[0])
+    if singular.any():
+        abs_lam = np.abs(pivots[0][singular][0])
         raise SingularHtildeError(
             f"symmetric solve rejected: |pivot| ratio "
             f"{abs_lam.min():.3e}/{abs_lam.max():.3e}"
         )
-    return lam, V, S
+    return pivots
 
 
 def _solve_pivots(pivots: tuple, B: np.ndarray) -> np.ndarray:
-    """Solve H X = B from the (lam, V, S) of :func:`_pivots`."""
+    """Solve H X = B from the (lam, V, S) of :func:`_pivots`, stacks too."""
     lam, V, S = pivots
-    Y = V.T @ (B * S[:, None])
-    return (V @ (Y / lam[:, None])) * S[:, None]
+    Y = V.swapaxes(-1, -2) @ (B * S[..., :, None])
+    return (V @ (Y / lam[..., :, None])) * S[..., :, None]
 
 
 def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve H X = B for symmetric (possibly indefinite) H.
+    """Solve H X = B for symmetric (possibly indefinite) H, or for a stack.
 
     The matrix is first equilibrated, then factored by the symmetric
     eigendecomposition; the eigenvalues act as pivots and the solve is
-    rejected when min|lam| <= 1e-12 * max|lam| after scaling.
+    rejected when min|lam| <= 1e-12 * max|lam| after scaling.  On stacks
+    (..., k, k) and (..., k, r) each matrix is solved with the arithmetic of
+    a lone one, so each result equals the unstacked solve bit for bit.
     """
     return _solve_pivots(_pivots(H), B)
 
 
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetrize (cheap guard against eigvalsh on slightly asymmetric input)."""
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -183,34 +206,46 @@ class Verdict:
 
 
 def _game_step_test(
-    Htil: np.ndarray, inertia_R: tuple[int, int, int]
-) -> tuple[Optional[str], Optional[tuple]]:
+    Htil: np.ndarray, n_pos, n_neg
+) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The existence test of one game Riccati step, H~ = R~ + B~'PB~.
 
     H~, equilibrated, must be nonsingular ("singular-Htilde") and have the
-    inertia of R~ ("condition-violated"): the finite-horizon existence
-    condition of the min-max problem (Hassibi, Sayed and Kailath,
-    *Indefinite-Quadratic Estimation and Control*, 1999).  Returns the
-    reason (None when the step passes) and the pivots of H~ (None when
-    singular), which the step's solve reuses.
+    inertia of R~, n_pos positive and n_neg negative eigenvalues
+    ("condition-violated"): the finite-horizon existence condition of the
+    min-max problem (Hassibi, Sayed and Kailath, *Indefinite-Quadratic
+    Estimation and Control*, 1999).  Returns the two failures, singular and
+    wrong inertia (the first decides the reason where both hold), and the
+    pivots of H~, which the step's solve reuses.  On a stack (..., k, k)
+    the failures hold one entry per matrix, and n_pos and n_neg may too.
     """
-    try:
-        pivots = _pivots(Htil)
-    except SingularHtildeError:
-        return "singular-Htilde", None
+    pivots = _eig_pivots(Htil)
     lam = pivots[0]
-    signs = (int(np.sum(lam > INERTIA_TOL)), int(np.sum(lam < -INERTIA_TOL)))
-    return (None if signs == inertia_R[:2] else "condition-violated"), pivots
+    wrong = ((lam > INERTIA_TOL).sum(axis=-1) != n_pos) | (
+        (lam < -INERTIA_TOL).sum(axis=-1) != n_neg
+    )
+    return _singular(lam), wrong, pivots
 
 
-def _strictly_causal_ok(P: np.ndarray, Bw: np.ndarray, gamma: float) -> bool:
+def _strictly_causal_ok(P: np.ndarray, Bw: np.ndarray, gamma):
     """The one-step-delay condition B_w'PB_w < gamma^2 I (margin 1e-9).
 
     P is the cost-to-go after the step: P_{t+1} in the finite horizon, the
-    fixed point in the infinite one.
+    fixed point in the infinite one.  On a stack of P (..., N, N), with one
+    gamma or one per matrix, the verdicts come back as an array.
     """
-    lam_max = np.linalg.eigvalsh(sym(Bw.T @ P @ Bw)).max()
-    return bool(lam_max < gamma * gamma - STRICT_MARGIN)
+    lam_max = np.linalg.eigvalsh(sym(Bw.T @ P @ Bw)).max(axis=-1)
+    return lam_max < gamma * gamma - STRICT_MARGIN
+
+
+def _check_gamma(gamma) -> np.ndarray:
+    """gamma as a float array, a scalar or 1-D; every level finite and > 0."""
+    levels = np.asarray(gamma, dtype=float)
+    if levels.ndim > 1:
+        raise ValueError("gamma must be a level or a 1-D array of levels")
+    if not (np.isfinite(levels).all() and (levels > 0).all()):
+        raise ValueError("gamma must be finite and positive")
+    return levels
 
 
 @dataclass
@@ -243,38 +278,83 @@ class RiccatiSchedule:
         return self.P.shape[0] - 1
 
 
-def hinf_backward(plant: LtvPlant, gamma: float) -> RiccatiSchedule:
+def hinf_backward(plant: LtvPlant, gamma):
     """Backward recursion P_t = Q_t + A'PA - A'PB~ H~^{-1} B~'PA at level gamma.
 
     R~ = diag(I_m, -gamma^2 I_p).  Each step runs :func:`_game_step_test` on
     H~ and solves with its pivots; the first failing step ends the
     recursion with reason "singular-Htilde" or "condition-violated".
+
+    ``gamma`` is a level or a 1-D array of levels, the way the frequency
+    functions take one z or an array of them.  A level returns one
+    :class:`RiccatiSchedule`; an array returns one per level, in the order
+    given, from one recursion that carries the levels as a stack of lanes
+    (their P are views into one (T+1, k, N, N) block).  A lane leaves the
+    stack at its first failing step.  Each matrix operation runs on each
+    lane the routine a lone matrix gets, so each lane's P and verdicts equal
+    those of a call at its level alone, bit for bit.  Raises ValueError
+    unless every level is finite and positive.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    levels = _check_gamma(gamma)  # shape () for one level, (k,) for k lanes
+    g = levels  # the levels of the lanes still in the recursion
     T, N, m, p = plant.T, plant.n, plant.m, plant.p
-    Rtil = np.diag(np.r_[np.ones(m), -gamma * gamma * np.ones(p)])
-    inertia_R = inertia(Rtil)
-    P = np.zeros((T + 1, N, N))
-    causal = strict = Verdict(True)
+    Rtil = np.zeros(g.shape + (m + p, m + p))
+    Rtil[..., range(m), range(m)] = 1.0
+    Rtil[..., range(m, m + p), range(m, m + p)] = -g[..., None] * g[..., None]
+    lam_R = np.linalg.eigvalsh(sym(Rtil))
+    n_pos = (lam_R > INERTIA_TOL).sum(axis=-1)
+    n_neg = (lam_R < -INERTIA_TOL).sum(axis=-1)
+    P = np.zeros((T + 1,) + g.shape + (N, N))
+    causal = [Verdict(True)] * g.size
+    strict = [Verdict(True)] * g.size
+    # the lanes still in the recursion; P[t][rows] holds their P_t
+    lanes, rows = np.arange(g.size), Ellipsis
+    strict_ok = np.ones(g.shape, dtype=bool)
+    n_strict = g.size  # lanes still strictly causal
+    Pn = P[T]
     Btils = np.concatenate([plant.Bu, plant.Bw], axis=2)  # B~_t = [B_u, B_w]
     for t in range(T - 1, -1, -1):
         A, Bw, Btil, Q = plant.A[t], plant.Bw[t], Btils[t], plant.Q[t]
-        Pn = P[t + 1]
-        if strict and not _strictly_causal_ok(Pn, Bw, gamma):
-            strict = Verdict(False, "condition-violated", t)
-        reason, pivots = _game_step_test(Rtil + Btil.T @ Pn @ Btil, inertia_R)
-        if reason is not None:
-            causal = Verdict(False, reason, t)
-            # a strictly causal law is also causal, so a causal failure fails
-            # both verdicts; a singular H~ gives both its reason
-            if strict or reason == "singular-Htilde":
-                strict = causal
-            break
-        BtPA = Btil.T @ Pn @ A
-        Pt = Q + A.T @ Pn @ A - BtPA.T @ _solve_pivots(pivots, BtPA)
-        P[t] = 0.5 * (Pt + Pt.T)
-    return RiccatiSchedule(gamma=gamma, P=P, causal=causal, strictly_causal_w=strict)
+        if n_strict:
+            bad = strict_ok & ~_strictly_causal_ok(Pn, Bw, g)
+            if np.count_nonzero(bad):
+                for i in np.flatnonzero(bad):
+                    strict[lanes[i]] = Verdict(False, "condition-violated", t)
+                strict_ok = strict_ok & ~bad
+                n_strict = np.count_nonzero(strict_ok)
+        BtP = Btil.T @ Pn
+        singular, wrong, pivots = _game_step_test(Rtil + BtP @ Btil, n_pos, n_neg)
+        fail = singular | wrong
+        if np.count_nonzero(fail):
+            for i, sing, was_strict in zip(
+                np.flatnonzero(fail), np.ravel(singular[fail]), np.ravel(strict_ok[fail])
+            ):
+                lane = lanes[i]
+                causal[lane] = Verdict(
+                    False, "singular-Htilde" if sing else "condition-violated", t
+                )
+                # a strictly causal law is also causal, so a causal failure
+                # fails both verdicts; a singular H~ gives both its reason
+                if was_strict or sing:
+                    strict[lane] = causal[lane]
+            if fail.all():
+                break
+            keep = ~fail
+            lanes, g, strict_ok = lanes[keep], g[keep], strict_ok[keep]
+            Rtil, n_pos, n_neg = Rtil[keep], n_pos[keep], n_neg[keep]
+            Pn, BtP = Pn[keep], BtP[keep]
+            pivots = tuple(x[keep] for x in pivots)
+            rows, n_strict = lanes, np.count_nonzero(strict_ok)
+        BtPA = BtP @ A
+        Pt = Q + A.T @ Pn @ A - BtPA.swapaxes(-1, -2) @ _solve_pivots(pivots, BtPA)
+        Pn = 0.5 * (Pt + Pt.swapaxes(-1, -2))
+        P[t][rows] = Pn
+    if levels.ndim == 0:
+        return RiccatiSchedule(gamma, P, causal[0], strict[0])
+    return [
+        RiccatiSchedule(level, P[:, i], causal[i], strict[i])
+        for i, level in enumerate(levels.tolist())
+    ]
 
 
 @dataclass
@@ -437,7 +517,8 @@ def dare_fixed_point(
     inertia_R = inertia(Rtil)
 
     def gate(P: np.ndarray) -> Optional[str]:
-        return _game_step_test(Rtil + Btil.T @ P @ Btil, inertia_R)[0]
+        singular, wrong, _ = _game_step_test(Rtil + Btil.T @ P @ Btil, *inertia_R[:2])
+        return "singular-Htilde" if singular else "condition-violated" if wrong else None
 
     # value iteration's first step checks H~ = R~ at P = 0
     reason = gate(np.zeros_like(Q))

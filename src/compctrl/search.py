@@ -17,13 +17,19 @@ re-evaluates the four levels lo - 2*tol, ..., lo - 5*tol expecting
 infeasibility and the four levels hi + tol, ..., hi + 4*tol expecting
 feasibility; violations are reported as warnings on the result, never as
 exceptions.  The levels are fixed offsets, so a search's probe sequence
-depends only on the verdicts.
+depends only on the verdicts, and the audit's levels do not depend on one
+another's: they go to the verdict step as one sequence.  On a finite
+horizon that is one backward Riccati recursion carrying the eight levels as
+a stack (:func:`~compctrl.riccati.hinf_backward`), with each level's
+verdict equal to its verdict alone; in the infinite horizon each level
+keeps its own fixed-point solve.
 
 Every probe is logged twice: ``history`` keeps (gamma, feasible) pairs and
 ``probes`` keeps a record per probe with the reason code of a rejection,
 the fixed-point doublings it took (None where no fixed point was solved),
 the first failing step of a finite-horizon rejection, the residual of a
-converged fixed point and the probe's wall time.
+converged fixed point and the probe's wall time (for an audit level, its
+share of the audit pass: the pass's wall time over its number of levels).
 """
 
 from __future__ import annotations
@@ -61,7 +67,10 @@ class GammaSearchResult:
     is "unbounded-gamma" and ``controller`` is None.  ``probes`` parallels
     ``history`` with one ``{gamma, feasible, reason, iterations,
     first_violation, residual, wall_ms}`` record per probe; the record is
-    report data and never enters a trace or sweep CSV.
+    report data and never enters a trace or sweep CSV.  The audit runs as
+    one pass over its levels (one stacked recursion on a finite horizon),
+    so each audit record's ``wall_ms`` is that pass's wall time divided by
+    the number of levels in it.
     """
 
     gamma: Optional[float]
@@ -96,7 +105,30 @@ def min_gamma(
     probe record's ``iterations``, ``first_violation`` and ``residual``
     where they carry those keys.  ``gamma_floor`` is an open lower bound
     that is never evaluated (0 for attenuation, 1 for cost ratios).
+    ``tol``, ``gamma_floor`` and ``gamma_hi_init`` must be finite.
     """
+    return _search(
+        lambda levels: [feasibility(g) for g in levels],
+        gamma_floor, gamma_hi_init, tol, audit,
+    )
+
+
+def _search(
+    verdicts: Callable[[list], list],
+    gamma_floor: float,
+    gamma_hi_init: float,
+    tol: float,
+    audit: bool,
+) -> GammaSearchResult:
+    """The search of :func:`min_gamma`, probing through ``verdicts``, which
+    maps a list of levels to their verdicts in order.
+
+    The bracket's probes are lists of one level; the audit's eight fixed
+    levels go as one list, and each of its records carries that pass's
+    wall time divided by the number of levels in it.
+    """
+    if not all(map(math.isfinite, (tol, gamma_floor, gamma_hi_init))):
+        raise ValueError("tol, gamma_floor and gamma_hi_init must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if gamma_hi_init <= gamma_floor:
@@ -104,29 +136,32 @@ def min_gamma(
     history = []
     probes = []
 
-    def probe(g: float):
+    def probe(levels: list) -> list:
         start = time.perf_counter()
-        res = feasibility(g)
-        wall_ms = 1e3 * (time.perf_counter() - start)
-        feas = not isinstance(res, Infeasible)
-        history.append((g, feas))
-        info = (getattr(res, "diagnostics", None) if feas else res.details) or {}
-        probes.append(
-            {
-                "gamma": g,
-                "feasible": feas,
-                "reason": None if feas else res.reason,
-                "iterations": info.get("iterations"),
-                "first_violation": info.get("first_violation"),
-                "residual": info.get("residual"),
-                "wall_ms": wall_ms,
-            }
-        )
-        return res, feas
+        results = verdicts(levels)
+        wall_ms = 1e3 * (time.perf_counter() - start) / len(levels)
+        out = []
+        for g, res in zip(levels, results):
+            feas = not isinstance(res, Infeasible)
+            history.append((g, feas))
+            info = (getattr(res, "diagnostics", None) if feas else res.details) or {}
+            probes.append(
+                {
+                    "gamma": g,
+                    "feasible": feas,
+                    "reason": None if feas else res.reason,
+                    "iterations": info.get("iterations"),
+                    "first_violation": info.get("first_violation"),
+                    "residual": info.get("residual"),
+                    "wall_ms": wall_ms,
+                }
+            )
+            out.append((res, feas))
+        return out
 
     lo = gamma_floor
     hi = gamma_hi_init
-    res, feas = probe(hi)
+    [(res, feas)] = probe([hi])
     while not feas:
         lo = hi
         hi = 2.0 * hi
@@ -140,14 +175,14 @@ def min_gamma(
                 history=history,
                 probes=probes,
             )
-        res, feas = probe(hi)
+        [(res, feas)] = probe([hi])
     certificate = res
 
     max_iter = int(math.ceil(math.log2(max((hi - lo) / tol, 1.0)))) + 25
     steps = 0
     while hi - lo > tol and steps < max_iter:
         mid = 0.5 * (lo + hi)
-        res, feas = probe(mid)
+        [(res, feas)] = probe([mid])
         if feas:
             hi, certificate = mid, res
         else:
@@ -156,18 +191,15 @@ def min_gamma(
 
     warnings = []
     if audit:
-        below = [lo - (2 + k) * tol for k in range(4)]
-        for g in below:
-            if g <= gamma_floor:
-                continue
-            _, feas = probe(g)
+        below = [g for g in (lo - (2 + k) * tol for k in range(4)) if g > gamma_floor]
+        above = [hi + k * tol for k in range(1, 5)]
+        checked = probe(below + above)
+        for g, (_, feas) in zip(below, checked):
             if feas:
                 warnings.append(
                     f"monotonicity violation: gamma={g:.9g} feasible below bracket"
                 )
-        for k in range(1, 5):
-            g = hi + k * tol
-            _, feas = probe(g)
+        for g, (_, feas) in zip(above, checked[len(below):]):
             if not feas:
                 warnings.append(
                     f"monotonicity violation: gamma={g:.9g} infeasible above bracket"
@@ -208,12 +240,10 @@ def min_gamma_hinf(
     _check_causality(causality)
     plant = _normalize_horizon(plant, horizon)
 
-    def feas(g: float):
-        return _attenuation(plant, g, causality)
+    def verdicts(levels: list) -> list:
+        return _attenuation(plant, levels, causality)
 
-    result = min_gamma(
-        feas, gamma_floor=0.0, gamma_hi_init=gamma_hi_init, tol=tol, audit=audit
-    )
+    result = _search(verdicts, 0.0, gamma_hi_init, tol, audit)
     return _built(result, _hinf_controller)
 
 
@@ -238,10 +268,8 @@ def min_gamma_competitive(
     syn = _synthetic_plant(plant)
     syn_plant = _as_plant(syn)
 
-    def feas(g: float):
-        return _attenuation(syn_plant, g, causality)
+    def verdicts(levels: list) -> list:
+        return _attenuation(syn_plant, levels, causality)
 
-    result = min_gamma(
-        feas, gamma_floor=1.0, gamma_hi_init=gamma_hi_init, tol=tol, audit=audit
-    )
+    result = _search(verdicts, 1.0, gamma_hi_init, tol, audit)
     return _built(result, lambda solve: _competitive_controller(syn, solve))

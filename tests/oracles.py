@@ -214,6 +214,99 @@ def schur_backward(plant, gamma):
     return P, causal_bad, strict_bad
 
 
+def _equilibrated_eigh(H):
+    """(lam, V, S) of S H S = V diag(lam) V', S = diag(1/sqrt(row max)), and
+    whether the pivot guard min|lam| <= 1e-12 * max|lam| declares H singular.
+    """
+    Hs = 0.5 * (H + H.T)
+    d = np.abs(Hs).max(axis=1)
+    S = 1.0 / np.sqrt(np.maximum(d, np.finfo(float).tiny))
+    lam, V = np.linalg.eigh(Hs * S[:, None] * S[None, :])
+    abs_lam = np.abs(lam)
+    singular = abs_lam.min() <= 1e-12 * max(abs_lam.max(), np.finfo(float).tiny)
+    return lam, V, S, singular
+
+
+def _solve_equilibrated(lam, V, S, B):
+    Y = V.T @ (B * S[:, None])
+    return (V @ (Y / lam[:, None])) * S[:, None]
+
+
+def _solve_sym_scalar(H, B):
+    lam, V, S, singular = _equilibrated_eigh(H)
+    if singular:
+        raise np.linalg.LinAlgError("singular symmetric matrix")
+    return _solve_equilibrated(lam, V, S, B)
+
+
+def hinf_backward_scalar(plant, gamma):
+    """The game recursion with the package's verdicts, one level, one step
+    at a time.
+
+    Runs P_t = Q + A'PA - A'PB~ H~^{-1} B~'PA with R~ = diag(I, -gamma^2 I)
+    from P_T = 0.  Before step t it checks the one-step-delay condition
+    B_w'P_{t+1}B_w < gamma^2 I (margin 1e-9, until it first fails), then
+    H~ = R~ + B~'P_{t+1}B~, equilibrated: singular by the relative pivot
+    guard, or with an inertia (eigenvalue signs beyond 1e-10) other than
+    that of R~, ends the recursion at t.  Returns (P, causal, strict), each
+    verdict an (ok, reason, first_violation) triple; a causal failure also
+    fails the strict verdict when that still held, and a singular H~ always
+    does.
+    """
+    T, N, m, p = plant.T, plant.n, plant.m, plant.p
+    tol = 1e-10
+
+    def signs(lam):
+        return int(np.sum(lam > tol)), int(np.sum(lam < -tol))
+
+    Rtil = np.diag(np.r_[np.ones(m), -gamma * gamma * np.ones(p)])
+    inertia_R = signs(np.linalg.eigvalsh(0.5 * (Rtil + Rtil.T)))
+    P = np.zeros((T + 1, N, N))
+    causal = strict = (True, None, None)
+    for t in range(T - 1, -1, -1):
+        A, Bw, Q = plant.A[t], plant.Bw[t], plant.Q[t]
+        Btil = np.concatenate([plant.Bu[t], Bw], axis=1)
+        Pn = P[t + 1]
+        if strict[0]:
+            S = Bw.T @ Pn @ Bw
+            if not np.linalg.eigvalsh(0.5 * (S + S.T)).max() < gamma * gamma - 1e-9:
+                strict = (False, "condition-violated", t)
+        lam, V, S, singular = _equilibrated_eigh(Rtil + Btil.T @ Pn @ Btil)
+        if singular or signs(lam) != inertia_R:
+            causal = (False, "singular-Htilde" if singular else "condition-violated", t)
+            if strict[0] or singular:
+                strict = causal
+            break
+        BtPA = Btil.T @ Pn @ A
+        Pt = Q + A.T @ Pn @ A - BtPA.T @ _solve_equilibrated(lam, V, S, BtPA)
+        P[t] = 0.5 * (Pt + Pt.T)
+    return P, causal, strict
+
+
+def saddle_gains_per_step(plant, P, gamma, causality):
+    """The finite-horizon gains (Kx, Kw) of the attenuation law, one step at
+    a time from the schedule P (T+1, n, n).
+
+    Causal: Kx_t = H^{-1}B_u'P_{t+1}A and Kw_t = H^{-1}B_u'P_{t+1}B_w with
+    H = I + B_u'P_{t+1}B_u.  Strictly causal: P_{t+1} is first replaced by
+    M = P + PB_w(gamma^2 I - B_w'PB_w)^{-1}B_w'P, and Kw_t = 0.
+    """
+    T, n, m, p = plant.T, plant.n, plant.m, plant.p
+    Kx = np.zeros((T, m, n))
+    Kw = np.zeros((T, m, p))
+    for t in range(T):
+        Pn, A, Bu, Bw = P[t + 1], plant.A[t], plant.Bu[t], plant.Bw[t]
+        if causality == "strictly-causal":
+            PBw = Pn @ Bw
+            M = Pn + PBw @ _solve_sym_scalar(gamma**2 * np.eye(p) - Bw.T @ PBw, PBw.T)
+            Pn = 0.5 * (M + M.T)
+        H = np.eye(m) + Bu.T @ Pn @ Bu
+        Kx[t] = _solve_sym_scalar(H, Bu.T @ Pn @ A)
+        if causality != "strictly-causal":
+            Kw[t] = _solve_sym_scalar(H, Bu.T @ Pn @ Bw)
+    return Kx, Kw
+
+
 def affine_sweep(plant, w):
     """Reference clairvoyant policy u_t = -K_t x_t - h_t for a known w.
 

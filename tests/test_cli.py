@@ -97,6 +97,19 @@ def test_synth_fixed_gamma_infeasible_exits_2(tmp_path, plant_file):
     assert not (tmp_path / "never.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["hinf", "competitive"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_gamma_exits_1(tmp_path, plant_file, kind, value):
+    out = tmp_path / "never.json"
+    proc = run_cli(
+        "synth", "--plant", plant_file, "--kind", kind, "--gamma", value,
+        "--out", str(out),
+    )
+    assert proc.returncode == 1
+    assert "gamma must be finite and positive" in proc.stderr
+    assert not out.exists()
+
+
 def test_synth_bisected_competitive(tmp_path, plant_file):
     out = str(tmp_path / "comp.json")
     proc = run_cli(
@@ -340,6 +353,10 @@ def test_mpc_zero_quantum_is_an_error(tmp_path):
 # verify
 
 
+#: the phases whose wall times verify's stdout JSON reports
+VERIFY_PHASES = {"fh_factorization", "wprime_causality", "offline_routes", "ih_checks"}
+
+
 def test_verify_builtin_plant():
     proc = run_cli("verify", "--plant", "builtin:boeing747", "--horizon", "24")
     assert proc.returncode == 0, proc.stderr
@@ -353,6 +370,8 @@ def test_verify_builtin_plant():
     assert all(c["ok"] for c in report["checks"])
     assert report["info"]["pbh_stabilizable"] is True
     assert report["info"]["spectral_radius_A"] < 1.0
+    assert report["wall_ms"].keys() == VERIFY_PHASES
+    assert all(v >= 0.0 for v in report["wall_ms"].values())
 
 
 def test_verify_scalar_plant_file(plant_file):
@@ -362,3 +381,5 @@ def test_verify_scalar_plant_file(plant_file):
     report = json.loads(proc.stdout)
     assert report["ok"] is True
     assert report["seed"] == 5
+    assert report["wall_ms"].keys() == VERIFY_PHASES
+    assert all(v >= 0.0 for v in report["wall_ms"].values())

@@ -18,9 +18,19 @@ from compctrl.factorization import (
     whitening_fh,
     wprime_run,
 )
-from compctrl.model import LtiPlant, build_dense_operators
+from compctrl.model import LtiPlant, build_dense_operators, inv_sqrt_pd, sqrt_psd
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable
+
+
+def test_whitening_square_roots_equal_per_step_roots(rng, boeing):
+    # the roots of Sigma, taken in one stacked call after the recursion,
+    # equal the per-step roots bit for bit
+    for plant in (boeing.to_ltv(30), random_ltv(rng, T=12, n=3, m=2, p=1)):
+        sched = whitening_fh(plant)
+        for t in range(plant.T):
+            assert np.array_equal(sched.Sigma_half[t], sqrt_psd(sched.Sigma[t]))
+            assert np.array_equal(sched.Sigma_inv_half[t], inv_sqrt_pd(sched.Sigma[t]))
 
 
 def test_whitening_scalar_frozen():

@@ -45,6 +45,28 @@ def test_inv_sqrt_pd_rejects_singular():
         inv_sqrt_pd(np.diag([1.0, 0.0]))
 
 
+def test_square_roots_of_a_stack_equal_one_by_one(rng, boeing):
+    # a stack (T, n, n) runs each matrix as a lone one: bit-identical roots
+    M = rng.standard_normal((6, 4, 4))
+    R = M @ M.swapaxes(-1, -2) + 0.5 * np.eye(4)
+    R[2] = np.diag([1.0, -1e-14, 2.0, 0.0])  # clamped by sqrt_psd
+    roots = sqrt_psd(R)
+    assert roots.shape == R.shape
+    for t in range(len(R)):
+        assert np.array_equal(roots[t], sqrt_psd(R[t]))
+    pd = np.delete(R, 2, axis=0)
+    inv_roots = inv_sqrt_pd(pd)
+    for t in range(len(pd)):
+        assert np.array_equal(inv_roots[t], inv_sqrt_pd(pd[t]))
+    with pytest.raises(ValueError):
+        inv_sqrt_pd(R)  # one singular matrix rejects the stack
+    assert inv_sqrt_pd(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    for plant in (random_ltv(rng, T=7, n=3), boeing.to_ltv(5)):
+        Q_half = plant.Q_half
+        for t in range(plant.T):
+            assert np.array_equal(Q_half[t], sqrt_psd(plant.Q[t]))
+
+
 def test_normalize_control_weight_identity_passthrough(rng):
     plant = random_lti(rng)
     out = normalize_control_weight(plant.A, plant.Bu, plant.Bw, plant.Q)

@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
 from conftest import random_lti, random_ltv, scalar_lti
-from oracles import game_value_iteration, lqr_value_iteration, schur_backward
+from oracles import (
+    game_value_iteration,
+    hinf_backward_scalar,
+    lqr_value_iteration,
+    saddle_gains_per_step,
+    schur_backward,
+)
 
 from compctrl.riccati import (
     Verdict,
@@ -20,7 +28,7 @@ from compctrl.riccati import (
 )
 from compctrl import controllers
 from compctrl.mpc import PendulumParams, linearize_pendulum
-from compctrl.search import min_gamma_hinf
+from compctrl.search import min_gamma_competitive, min_gamma_hinf
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -390,6 +398,140 @@ def test_backward_singular_step_fails_both_verdicts(boeing):
     assert sched.causal == Verdict(False, "singular-Htilde", 38)
     assert sched.strictly_causal_w == sched.causal
     assert not sched.P[:39].any() and sched.P[39].any()
+
+
+def _triple(verdict):
+    return verdict.ok, verdict.reason, verdict.first_violation
+
+
+def _assert_stack_equals_oracle(plant, levels):
+    """Each lane of one stacked call equals the one-level oracle bit for bit;
+    returns the lanes' (causal, strict) verdict triples."""
+    scheds = hinf_backward(plant, np.asarray(levels))
+    assert isinstance(scheds, list) and len(scheds) == len(levels)
+    oracle = {}
+    out = []
+    for gamma, sched in zip(levels, scheds):
+        if gamma not in oracle:
+            oracle[gamma] = hinf_backward_scalar(plant, gamma)
+        P, causal, strict = oracle[gamma]
+        assert sched.gamma == gamma
+        assert np.array_equal(sched.P, P), gamma
+        assert _triple(sched.causal) == causal, gamma
+        assert _triple(sched.strictly_causal_w) == strict, gamma
+        out.append((causal, strict))
+    return out
+
+
+def _search_levels(boeing):
+    """The 19 levels of the Boeing T = 200 causal competitive search, and its
+    synthetic plant."""
+    levels = [g for g, _ in min_gamma_competitive(boeing, horizon=200).history]
+    syn = controllers._as_plant(controllers._synthetic_plant(boeing.to_ltv(200)))
+    return levels, syn
+
+
+def test_stacked_backward_equals_oracle_on_search_levels(boeing):
+    levels, syn = _search_levels(boeing)
+    assert len(levels) == 19
+    rng = np.random.default_rng(12)
+    order = [float(g) for g in rng.permutation(levels + levels[::4])]
+    verdicts = _assert_stack_equals_oracle(syn, order)
+    kinds = {(causal[0], strict[0]) for causal, strict in verdicts}
+    # passing lanes, lanes failing only the one-step-delay condition, and
+    # lanes leaving the stack at different steps
+    assert kinds == {(True, False), (False, False)}
+    assert len({causal[2] for causal, _ in verdicts if not causal[0]}) > 3
+
+
+@pytest.mark.parametrize("case", ["boeing", 0, 1, 2, 3])
+def test_stacked_backward_equals_oracle_across_verdicts(case, boeing):
+    # levels around both optima: lanes that pass, fail the one-step-delay
+    # condition alone (at different steps, so the stack thins unevenly),
+    # or fail the step test; Boeing at gamma = 1 adds a singular H~
+    if case == "boeing":
+        plant = boeing.to_ltv(40)
+    elif case < 2:  # p < n, time-invariant
+        rng = np.random.default_rng(7200 + case)
+        plant = random_lti(rng, n=4, m=1 + case, p=1 + case).to_ltv(30)
+    else:
+        rng = np.random.default_rng(7200 + case)
+        plant = random_ltv(rng, T=30, n=3, m=1, p=2)
+    levels = [1.0] if case == "boeing" else []
+    for c in ("causal", "strictly-causal"):
+        g_opt = min_gamma_hinf(plant, causality=c, audit=False).gamma
+        levels += [f * g_opt for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]
+    levels = [float(g) for g in np.random.default_rng(3).permutation(levels)]
+    verdicts = _assert_stack_equals_oracle(plant, levels)
+    kinds = {(causal[0], strict[0]) for causal, strict in verdicts}
+    assert kinds == {(True, True), (True, False), (False, False)}
+    assert len({s[2] for _, s in verdicts if not s[0]}) > 1
+    if case == "boeing":
+        assert (False, "singular-Htilde", 38) in {c for c, _ in verdicts}
+
+
+def test_stacked_backward_causal_failure_while_strict_holds(rng):
+    # an indefinite Q at the last step makes I + B_u'PB_u indefinite one step
+    # earlier, while B_w'PB_w < gamma^2 I still holds: the causal failure
+    # then decides the strict verdict too
+    plant = random_ltv(rng, T=12, n=3, m=1, p=1)
+    Q = plant.Q.copy()
+    Q[-1] = -10.0 * np.eye(3)
+    plant = dataclasses.replace(plant, Q=Q)
+    verdicts = _assert_stack_equals_oracle(plant, [0.5, 20.0, 3.0])
+    assert (
+        (False, "condition-violated", plant.T - 2),
+        (False, "condition-violated", plant.T - 2),
+    ) in verdicts
+
+
+def test_stacked_backward_single_level(boeing):
+    plant = boeing.to_ltv(40)
+    for gamma in (1.0, 3.0, 50.0):
+        P, causal, strict = hinf_backward_scalar(plant, gamma)
+        one = hinf_backward(plant, gamma)
+        [lane] = hinf_backward(plant, [gamma])
+        for sched in (one, lane):
+            assert np.array_equal(sched.P, P)
+            assert (_triple(sched.causal), _triple(sched.strictly_causal_w)) == (causal, strict)
+        assert one.gamma is gamma
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_stacked_verdicts_and_gains_equal_one_level_routes(causality, boeing):
+    # the attenuation verdicts of a stack equal those of one level at a
+    # time, and the gains built in one call on the (T, ., .) stacks equal
+    # the per-step oracle's
+    levels, syn = _search_levels(boeing)
+    for plant, grid in ((syn, levels[:8] + [5.5, 8.0]), (boeing.to_ltv(40), [0.5, 30.0, 1.0, 18.7, 100.0])):
+        stacked = controllers._attenuation(plant, grid, causality)
+        assert len(stacked) == len(grid)
+        built = 0
+        for gamma, res in zip(grid, stacked):
+            alone = controllers._attenuation(plant, gamma, causality)
+            assert type(res) is type(alone)
+            if isinstance(res, controllers.Infeasible):
+                assert (res.reason, res.gamma, res.details) == (
+                    alone.reason, alone.gamma, alone.details
+                )
+                continue
+            assert np.array_equal(res.P, alone.P)
+            Kx, Kw = controllers._attenuation_gains(res)
+            Kx_ref, Kw_ref = saddle_gains_per_step(plant, res.P, gamma, causality)
+            assert np.array_equal(Kx, Kx_ref) and np.array_equal(Kw, Kw_ref)
+            built += 1
+        assert built > 0
+
+
+def test_stacked_levels_on_time_invariant_plant(boeing):
+    # an LtiPlant keeps one fixed point per level
+    grid = [1.0, 2.0, 5.0]
+    stacked = controllers._attenuation(boeing, grid, "causal")
+    for gamma, res in zip(grid, stacked):
+        alone = controllers._attenuation(boeing, gamma, "causal")
+        assert type(res) is type(alone)
+        if not isinstance(res, controllers.Infeasible):
+            assert np.array_equal(res.P, alone.P)
 
 
 def test_verdict_dataclass():

@@ -14,6 +14,7 @@ from compctrl.controllers import (
     synth_hinf,
 )
 from compctrl.freq import closed_loop, peak_gain
+from compctrl.riccati import hinf_backward
 from compctrl.search import (
     GAMMA_CAP,
     GammaSearchResult,
@@ -222,8 +223,9 @@ SEARCHES = {
 @pytest.mark.parametrize("horizon", [None, 40])
 def test_search_builds_gains_once(horizon, rng, monkeypatch):
     # a probe runs the existence test alone; the gains are computed once,
-    # from the solve at the certified level: one saddle-point step in the
-    # infinite horizon, one per step in the finite horizon
+    # from the solve at the certified level: one saddle-point call, on one
+    # matrix in the infinite horizon and on stacks of exactly `horizon`
+    # steps in the finite horizon
     plant = random_lti(rng, n=3, m=1, p=1)
     saddle = controllers._saddle_gains
     calls = []
@@ -238,7 +240,13 @@ def test_search_builds_gains_once(horizon, rng, monkeypatch):
         result = search(plant, horizon=horizon)
         assert result.ok
         assert sum(feas for _, feas in result.history) > 1
-        assert len(calls) == (1 if horizon is None else horizon), name
+        assert len(calls) == 1, name
+        P, A, Bu, Bw, gamma, _ = calls[0]
+        assert gamma == result.gamma, name
+        if horizon is None:
+            assert P.ndim == A.ndim == 2, name
+        else:
+            assert P.shape[0] == A.shape[0] == Bu.shape[0] == Bw.shape[0] == horizon
 
 
 def _assert_same_controller(a, b):
@@ -303,3 +311,73 @@ def test_probe_records_of_plain_verdicts():
     for p in result.probes:
         assert p["first_violation"] is None and p["residual"] is None
         assert isinstance(p["wall_ms"], float)
+
+
+#: the Boeing T = 200 causal competitive search: (gamma, feasible,
+#: first_violation) of every probe, the audit's eight levels last
+BOEING_FH200_PROBES = [
+    (2.0, True, None),
+    (1.5, True, None),
+    (1.25, False, 185),
+    (1.375, True, None),
+    (1.3125, False, 158),
+    (1.34375, True, None),
+    (1.328125, False, 133),
+    (1.3359375, True, None),
+    (1.33203125, True, None),
+    (1.330078125, False, 119),
+    (1.3310546875, True, None),
+    (1.328078125, False, 133),
+    (1.327078125, False, 137),
+    (1.326078125, False, 140),
+    (1.325078125, False, 143),
+    (1.3320546875, True, None),
+    (1.3330546875, True, None),
+    (1.3340546875, True, None),
+    (1.3350546875, True, None),
+]
+
+
+def test_boeing_fh_competitive_search_is_pinned(boeing):
+    # the bracket probes one level at a time and the audit's eight levels
+    # run as one stacked recursion; the search's course and certificate do
+    # not depend on that
+    result = min_gamma_competitive(boeing, horizon=200)
+    assert result.gamma == 1.3310546875
+    assert result.gamma_lo == 1.330078125
+    assert result.audit_warnings == []
+    assert result.history == [(g, feas) for g, feas, _ in BOEING_FH200_PROBES]
+    for p, (g, feas, first) in zip(result.probes, BOEING_FH200_PROBES):
+        assert (p["gamma"], p["feasible"], p["first_violation"]) == (g, feas, first)
+        assert p["reason"] == (None if feas else "condition-violated")
+        assert p["wall_ms"] >= 0.0
+    # the audit's records share one pass's wall time
+    assert len({p["wall_ms"] for p in result.probes[-8:]}) == 1
+    assert result.controller.gamma == 1.3310546875
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_rejected(bad, boeing):
+    message = "gamma must be finite and positive"
+    ltv = boeing.to_ltv(10)
+    for call in (
+        lambda: hinf_backward(ltv, bad),
+        lambda: hinf_backward(ltv, [1.0, bad]),
+        lambda: controllers._attenuation(boeing, bad, "causal"),
+        lambda: controllers._attenuation(ltv, [2.0, bad], "causal"),
+        lambda: synth_hinf(boeing, bad),
+        lambda: synth_hinf(boeing, bad, horizon=10),
+        lambda: synth_competitive(boeing, bad, horizon=10),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    probed = []
+
+    def feasibility(g):
+        probed.append(g)
+        return ("ok", g)
+
+    for kwargs in ({"tol": bad}, {"gamma_floor": bad}, {"gamma_hi_init": bad}):
+        with pytest.raises(ValueError, match="must be finite"):
+            min_gamma(feasibility, **kwargs)
+    assert probed == []
