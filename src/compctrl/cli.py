@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -474,7 +475,10 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  ``--seed`` defaults to None, and
+    :func:`main` reads COMPCTRL_SEED when the command runs."""
     parser = argparse.ArgumentParser(
         prog="compctrl",
         description="Ratio-optimal and attenuation controller synthesis toolkit",
@@ -516,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pm.add_argument("--disturbance", default=None, help="disturbance spec JSON path")
     pm.add_argument("--steps", type=int, default=None)
-    pm.add_argument("--seed", type=int, default=_default_seed())
+    pm.add_argument("--seed", type=int, default=None)
     pm.add_argument("--trace-dir", default=".", help="directory for trace CSVs")
     pm.add_argument("--out", default="comparison.json")
     pm.set_defaults(func=_cmd_simulate)
@@ -530,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("mpc", help="run a pendulum scenario")
     pp.add_argument("--scenario", required=True, help="scenario JSON path")
-    pp.add_argument("--seed", type=int, default=_default_seed())
+    pp.add_argument("--seed", type=int, default=None)
     pp.add_argument("--trace", default=None, help="trace CSV path")
     pp.add_argument("--out", default=None, help="summary JSON path")
     pp.set_defaults(func=_cmd_mpc)
@@ -538,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="self-check the machinery on a plant")
     pv.add_argument("--plant", required=True)
     pv.add_argument("--horizon", type=int, default=40)
-    pv.add_argument("--seed", type=int, default=_default_seed())
+    pv.add_argument("--seed", type=int, default=None)
     pv.set_defaults(func=_cmd_verify)
 
     return parser
@@ -547,6 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (
         ValueError,

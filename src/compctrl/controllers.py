@@ -27,9 +27,11 @@ sense:
   The sweep's w-independent schedule is held in :data:`schedule_cache`,
   the one process-wide cache of it (see :class:`ScheduleCache`).
 
-Every online controller binds its step once into a :data:`Law` (gains, or
-realization slices, looked up before the first step); rollouts call the
-law, and ``step`` is the law behind the per-call checks.
+Every online controller binds its step to a disturbance record once
+(:meth:`bind`), into a :data:`Law`: its gains or realization slices are
+looked up, and every product of the law with w_t is taken for the whole
+record in one stacked matmul, before the first step.  Rollouts call the
+law; ``step`` binds it to a one-row record behind the per-call checks.
 
 Synthesis returns either a controller or an :class:`Infeasible` verdict (a
 plain value with a reason code), never an exception, for every
@@ -57,7 +59,7 @@ from .factorization import (
     spectral_factor_ih,
     whitening_fh,
 )
-from .model import LtiPlant, LtvPlant, build_dense_operators
+from .model import LtiPlant, LtvPlant, build_dense_operators, rowwise, step_costs
 from .riccati import (
     RiccatiFixedPoint,
     _check_gamma,
@@ -112,13 +114,18 @@ class ControllerState:
     z: Optional[np.ndarray] = None
 
 
-#: A controller's step law with its gains looked up once (the ``law``
-#: property of every online controller): ``law(t, x_t, w_t, z_t)`` returns
-#: (u_t, z_{t+1}, w'_t), z being the internal state of
-#: :class:`ControllerState` (None, and w'_t None, for a memoryless law).
-#: It computes what ``step`` computes, without its checks; the rollouts of
-#: :mod:`compctrl.sim` and :mod:`compctrl.mpc` call it once per step.
-Law = Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], tuple]
+#: A controller's step law bound to a disturbance record (``bind(w, t0)``
+#: of every online controller, row 0 of w being step t0): ``law(t, x_t, z_t)``
+#: returns (u_t, z_{t+1}, w'_t) for a step t of the record, z being the
+#: internal state of :class:`ControllerState` (None, and w'_t None, for a
+#: memoryless law).  Binding looks the gains or realization slices up and
+#: takes each product with w (K_w w_t, D_z w_t, B_z w_t, B_filter w_t) for
+#: every row at once, as :func:`~compctrl.model.rowwise`, whose rows are the
+#: bits of the per-step products; a step then pays only the products with
+#: x_t and z_t.  It computes what ``step`` computes, without its checks; the
+#: rollouts of :mod:`compctrl.sim` and :mod:`compctrl.mpc` bind it once per
+#: record (per bin and record in the pendulum schedule) and call it per step.
+Law = Callable[[int, np.ndarray, Optional[np.ndarray]], tuple]
 
 
 def _check_causality(causality: str) -> str:
@@ -146,20 +153,20 @@ class StateFeedbackController:
     def make_state(self) -> ControllerState:
         return ControllerState()
 
-    @functools.cached_property
-    def law(self) -> Law:
-        """The gains bound once: u_t = -Kx x_t - Kw w_t, no filter."""
+    def bind(self, w: np.ndarray, t0: int = 0) -> Law:
+        """The :data:`Law` on the record w (row 0 is step t0):
+        u_t = -Kx x_t - Kw w_t, no filter."""
         if self.horizon is None:
-            Kx, Kw = self.Kx, self.Kw
+            Kx, kw = self.Kx, rowwise(self.Kw, w)
 
-            def law(t, x, w, z):
-                return -(Kx @ x) - (Kw @ w), z, None
+            def law(t, x, z):
+                return -(Kx @ x) - kw[t - t0], z, None
 
         else:
-            Kxs, Kws = self.Kx, self.Kw
+            Kxs, kw = self.Kx, rowwise(self.Kw[t0 : t0 + len(w)], w)
 
-            def law(t, x, w, z):
-                return -(Kxs[t] @ x) - (Kws[t] @ w), z, None
+            def law(t, x, z):
+                return -(Kxs[t] @ x) - kw[t - t0], z, None
 
         return law
 
@@ -168,8 +175,8 @@ class StateFeedbackController:
         if self.horizon is not None and t >= self.horizon:
             raise IndexError(f"controller stepped past its horizon T={self.horizon}")
         x_t = np.asarray(x_t, dtype=float).reshape(-1)
-        w_t = np.asarray(w_t, dtype=float).reshape(-1)
-        u, _, _ = self.law(t, x_t, w_t, None)
+        w_t = np.asarray(w_t, dtype=float).reshape(1, -1)
+        u, _, _ = self.bind(w_t, t)(t, x_t, None)
         state.t = t + 1
         return u
 
@@ -281,29 +288,32 @@ class CompetitiveController:
         M = self.realization.M_filter[0 if self.horizon is None else state.t]
         return M @ state.z[self.synthetic.n :]
 
-    @functools.cached_property
-    def law(self) -> Law:
-        """The :attr:`realization` bound once; the law also returns w'_t."""
+    def bind(self, w: np.ndarray, t0: int = 0) -> Law:
+        """The :attr:`realization` as a :data:`Law` on the record w (row 0
+        is step t0), with D_z w_t, B_z w_t and B_filter w_t taken for every
+        row at once; the law also returns w'_t."""
         r, n, m = self.realization, self.synthetic.n, self.synthetic.m
         if self.horizon is None:
-            Cz, Dz, Az, Bz, Af, Bf, Mf = (a[0] for a in r)
+            Cz, Az, Af, Mf = r.Cz[0], r.Az[0], r.A_filter[0], r.M_filter[0]
+            dz, bz, bf = (rowwise(a[0], w) for a in (r.Dz, r.Bz, r.B_filter))
 
-            def law(t, x, w, z):
-                nu = z[n:]
-                u = Cz @ z + Dz @ w
-                return u, np.concatenate([Az @ z + Bz @ w, Af @ nu + Bf @ w]), Mf @ nu
+            def law(t, x, z):
+                k, nu = t - t0, z[n:]
+                return Cz @ z + dz[k], np.concatenate([Az @ z + bz[k], Af @ nu + bf[k]]), Mf @ nu
 
         else:
             last = self.horizon - 1
+            stop = min(t0 + len(w), last)  # no law, so no w-terms, at step T-1
+            dz, bz, bf = (rowwise(a[t0:stop], w[: stop - t0]) for a in (r.Dz, r.Bz, r.B_filter))
 
-            def law(t, x, w, z):
+            def law(t, x, z):
                 nu = z[n:]
                 wp = r.M_filter[t] @ nu
                 if t == last:  # u_{T-1} = 0 and nothing advances
                     return np.zeros(m), z, wp
-                u = r.Cz[t] @ z + r.Dz[t] @ w
-                xi = r.Az[t] @ z + r.Bz[t] @ w
-                return u, np.concatenate([xi, r.A_filter[t] @ nu + r.B_filter[t] @ w]), wp
+                k = t - t0
+                xi = r.Az[t] @ z + bz[k]
+                return r.Cz[t] @ z + dz[k], np.concatenate([xi, r.A_filter[t] @ nu + bf[k]]), wp
 
         return law
 
@@ -315,7 +325,7 @@ class CompetitiveController:
         p = self.realization.Dz.shape[2]
         if w_t.shape != (p,):
             raise ValueError(f"disturbance has dimension {w_t.shape[0]}, expected {p}")
-        u, state.z, _ = self.law(t, x_t, w_t, state.z)
+        u, state.z, _ = self.bind(w_t[None], t)(t, x_t, state.z)
         state.t = t + 1
         return u
 
@@ -346,9 +356,8 @@ class ZeroController:
     def make_state(self) -> ControllerState:
         return ControllerState()
 
-    @functools.cached_property
-    def law(self) -> Law:
-        return lambda t, x, w, z: (np.zeros(self.m), z, None)
+    def bind(self, w: np.ndarray, t0: int = 0) -> Law:
+        return lambda t, x, z: (np.zeros(self.m), z, None)
 
     def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
         state.t += 1
@@ -781,12 +790,12 @@ schedule_cache = ScheduleCache()
 
 def _cost_of_controls(plant: LtvPlant, u: np.ndarray, w: np.ndarray) -> float:
     """Cost sum_t x_t'Q_t x_t + u_t'u_t of open-loop controls u against w."""
-    x = plant.x0.copy()
-    total = 0.0
-    for t in range(plant.T):
-        total += float(x @ plant.Q[t] @ x + u[t] @ u[t])
-        x = plant.A[t] @ x + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
-    return total
+    x = np.empty((plant.T, plant.n))
+    x_t = plant.x0
+    for t, (A, Bu, bw_t) in enumerate(zip(plant.A, plant.Bu, rowwise(plant.Bw, w))):
+        x[t] = x_t
+        x_t = A @ x_t + Bu @ u[t] + bw_t
+    return step_costs(x, u, plant.Q)[2]
 
 
 def offline_optimal(
@@ -799,8 +808,10 @@ def offline_optimal(
     in causal order, which the sweep factorizes implicitly.  The sweep's
     w-independent schedule comes from :data:`schedule_cache`, so repeated
     solves on one time-invariant plant and horizon pay one linear pass and
-    the forward pass each; the forward pass reads one step's matrices of
-    such a plant throughout.
+    the forward pass each.  The forward pass steps u_t and x_{t+1} alone,
+    reading one step's matrices of such a plant throughout; B_w w_t is taken
+    for every step before it and OPT from :func:`~compctrl.model.step_costs`
+    after it.
     ``method="dense"`` solves the stacked normal equations, O((T n)^3), as
     the independent oracle of ``compctrl verify`` and the cross-route tests.
     """
@@ -824,17 +835,17 @@ def offline_optimal(
         schedule = schedule_cache.get(plant)
         h = _affine_pass(schedule, w)
         step = plant.invariant_step
-        if step is None:
-            steps = zip(plant.A, plant.Bu, plant.Bw, plant.Q)
-        else:
-            steps = itertools.repeat(step, plant.T)
-        x = plant.x0.copy()
+        As, Bus, Bw, Q = (plant.A, plant.Bu, plant.Bw, plant.Q) if step is None else step
+        if step is not None:
+            As, Bus = itertools.repeat(As), itertools.repeat(Bus)
+        x = np.empty((plant.T, plant.n))
         u = np.zeros((plant.T, plant.m))
-        opt = 0.0
-        for t, (K, h_t, w_t, (A, Bu, Bw, Q)) in enumerate(zip(schedule.K, h, w, steps)):
-            u[t] = u_t = -(K @ x) - h_t
-            opt += float(x @ Q @ x + u_t @ u_t)
-            x = A @ x + Bu @ u_t + Bw @ w_t
+        x_t = plant.x0
+        for t, (K, h_t, bw_t, A, Bu) in enumerate(zip(schedule.K, h, rowwise(Bw, w), As, Bus)):
+            x[t] = x_t
+            u[t] = u_t = -(K @ x_t) - h_t
+            x_t = A @ x_t + Bu @ u_t + bw_t
+        opt = step_costs(x, u, Q)[2]
     else:
         raise ValueError("method must be None, 'dense', or 'riccati'")
     return u, opt

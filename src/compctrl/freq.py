@@ -24,7 +24,9 @@ bit.  sweep and peak_gain walk their grid in blocks of BLOCK = 64 points:
 per-point calls spent nearly all of a sweep in call overhead, and a stack of
 the whole 512-point grid was no faster than blocks of 64 but raised the
 peak RSS of a CLI pipeline pass (synth, simulate, freq, mpc, verify) from
-45.7 to 48.0 MB, where blocks of 64 kept it at 45.8 MB.
+45.7 to 48.0 MB, where blocks of 64 kept it at 45.8 MB.  Per block, sweep
+does the plant-only work (the clairvoyant Gram and its eigh) once for all
+its loops, and solves each loop's transfer once for both of its figures.
 """
 
 from __future__ import annotations
@@ -163,6 +165,26 @@ def peak_gain(loop: ClosedLoop, omegas=None) -> float:
     return max(float(sigma_max(loop, omegas[b]).max()) for b in _blocks(omegas.size))
 
 
+def _gram_inv_half(plant: LtiPlant, omegas: np.ndarray):
+    """(ok, N^{-1/2}) along a 1-D array of omega: ``ok`` flags the
+    frequencies whose clairvoyant Gram N is numerically nonsingular, and
+    N^{-1/2} is stacked over those alone.  It depends on the plant only."""
+    lam, V = np.linalg.eigh(clairvoyant_gram(plant, omegas))
+    ok = ~((lam[:, -1] <= 0.0) | (lam[:, 0] <= _SINGULAR_REL * lam[:, -1]))
+    lam, V = lam[ok], V[ok]
+    return ok, (V / np.sqrt(lam)[:, None, :]) @ _herm(V)
+
+
+def _ratios(ok: np.ndarray, Ninv_half: np.ndarray, T: np.ndarray) -> list:
+    """The per-frequency ratios of the loop whose transfer is T at the
+    frequencies flagged ``ok`` (:func:`_gram_inv_half`), with the marker at
+    the others."""
+    W = Ninv_half @ (_herm(T) @ T) @ Ninv_half
+    W = 0.5 * (W + _herm(W))
+    ratios = iter(np.linalg.eigvalsh(W)[:, -1].tolist())
+    return [next(ratios) if good else DEGENERATE_FREQUENCY for good in ok.tolist()]
+
+
 def per_freq_cr(plant: LtiPlant, loop: ClosedLoop, omega):
     """Largest eigenvalue of N^{-1/2} (T_K* T_K) N^{-1/2} at each frequency.
 
@@ -170,15 +192,8 @@ def per_freq_cr(plant: LtiPlant, loop: ClosedLoop, omega):
     of those for a 1-D array of omega.
     """
     omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    lam, V = np.linalg.eigh(clairvoyant_gram(plant, omegas))
-    ok = ~((lam[:, -1] <= 0.0) | (lam[:, 0] <= _SINGULAR_REL * lam[:, -1]))
-    lam, V = lam[ok], V[ok]
-    Ninv_half = (V / np.sqrt(lam)[:, None, :]) @ _herm(V)
-    T = transfer_at(loop, _on_circle(omegas[ok]))
-    W = Ninv_half @ (_herm(T) @ T) @ Ninv_half
-    W = 0.5 * (W + _herm(W))
-    ratios = iter(np.linalg.eigvalsh(W)[:, -1].tolist())
-    out = [next(ratios) if good else DEGENERATE_FREQUENCY for good in ok.tolist()]
+    ok, Ninv_half = _gram_inv_half(plant, omegas)
+    out = _ratios(ok, Ninv_half, transfer_at(loop, _on_circle(omegas[ok])))
     return out if np.ndim(omega) else out[0]
 
 
@@ -193,21 +208,29 @@ class SweepResult:
 
 
 def sweep(plant: LtiPlant, named_controllers, n_points: int = 512) -> SweepResult:
-    """Evaluate sigma_max and the per-frequency ratio on a uniform grid."""
+    """Evaluate sigma_max and the per-frequency ratio on a uniform grid.
+
+    Per block, the plant-only work (the clairvoyant Gram and its ``eigh``)
+    is done once for all loops, and each loop's transfer is solved once and
+    read by both figures; the values are those of :func:`sigma_max` and
+    :func:`per_freq_cr` on the block, bit for bit.
+    """
     if isinstance(named_controllers, dict):
         items = list(named_controllers.items())
     else:
         items = list(named_controllers)
     omegas = default_grid(n_points)
-    names, sig, cr = [], {}, {}
-    for name, ctrl in items:
-        loop = closed_loop(plant, ctrl)
-        names.append(name)
-        sig[name] = np.empty(omegas.size)
-        cr[name] = []
-        for b in _blocks(omegas.size):
-            sig[name][b] = sigma_max(loop, omegas[b])
-            cr[name] += per_freq_cr(plant, loop, omegas[b])
+    names = [name for name, _ in items]
+    loops = {name: closed_loop(plant, ctrl) for name, ctrl in items}
+    sig = {name: np.empty(omegas.size) for name in loops}
+    cr = {name: [] for name in loops}
+    for b in _blocks(omegas.size):
+        z = _on_circle(omegas[b])
+        ok, Ninv_half = _gram_inv_half(plant, omegas[b])
+        for name, loop in loops.items():
+            T = transfer_at(loop, z)
+            sig[name][b] = np.linalg.svd(T, compute_uv=False)[..., 0]
+            cr[name] += _ratios(ok, Ninv_half, T[ok])
     return SweepResult(omegas=omegas, names=names, sigma_max=sig, per_freq_cr=cr)
 
 

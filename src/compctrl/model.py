@@ -32,6 +32,8 @@ __all__ = [
     "sqrt_psd",
     "inv_sqrt_pd",
     "shifted_solve",
+    "rowwise",
+    "step_costs",
     "normalize_control_weight",
     "normalize_control_weight_ltv",
     "build_dense_operators",
@@ -87,6 +89,36 @@ def shifted_solve(A: np.ndarray, B: np.ndarray, z) -> np.ndarray:
     diag = np.arange(n)
     S[..., diag, diag] += z[..., None]
     return np.linalg.solve(S, B)
+
+
+def rowwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M_t v_t for every row v_t of v (S, k), as an (S, r) array.
+
+    ``M`` is one (r, k) matrix or a stack whose row t is M_t.  It is one
+    stacked matmul, and numpy runs on each lane the matrix-vector kernel of
+    the lone product ``M_t @ v_t``, so row t equals it bit for bit (``v @ M.T``
+    would run a matrix-matrix kernel, which need not).
+    """
+    return (M @ v[:, :, None])[..., 0]
+
+
+def step_costs(x: np.ndarray, u: np.ndarray, Q: np.ndarray) -> tuple:
+    """(step costs, their running sum, total) of the states x (S, n) and
+    controls u (S, m) under the weights ``Q``, one (n, n) matrix or a stack
+    whose first S entries weight the steps.
+
+    Step t costs x_t'Q_t x_t + u_t'u_t, the bits of
+    ``float(x_t @ Q_t @ x_t + u_t @ u_t)``: the stacked matmuls run the
+    kernels of the lone products on each lane.  The running sum is
+    ``np.cumsum``, which adds in sequence like ``running += cost``; the total
+    is its last entry as a float, 0.0 when S = 0.
+    """
+    if Q.ndim == 3:
+        Q = Q[: x.shape[0]]
+    quad = (x[:, None, :] @ Q) @ x[:, :, None] + u[:, None, :] @ u[:, :, None]
+    cost = quad[:, 0, 0]
+    cum = np.cumsum(cost)
+    return cost, cum, float(cum[-1]) if cum.size else 0.0
 
 
 def _as_matrix(M, name: str) -> np.ndarray:

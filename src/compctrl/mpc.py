@@ -19,9 +19,12 @@ and reused in every bin.  A bin where synthesis fails at that fixed level
 truncates the run with status "infeasible-linearization" rather than
 silently retuning.
 
-Each bin's controller is kept beside its bound law
-(:data:`compctrl.controllers.Law`), so a step looks the bin up and calls
-the law, with the arithmetic of the controller's own ``step``.
+Each bin's controller is cached; a run binds each bin's law
+(:data:`compctrl.controllers.Law`) to the tail of the record at the bin's
+first visit, so its products with w are taken once per bin and record, and a
+step looks the bin up and calls the law, with the arithmetic of the
+controller's own ``step``.  The linear dynamics take B_w w_t for the whole
+record before the first step.
 
 The cost comparator is a receding-horizon clairvoyant: at every step it
 applies the first move of the exact affine optimal policy for the dynamics
@@ -55,7 +58,7 @@ from .controllers import (
     synth_hinf,
 )
 from .factorization import FactorizationError
-from .model import LtiPlant
+from .model import LtiPlant, rowwise
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import DisturbanceSpec, RolloutResult, _rollout_loop, _StopRollout, cost_ratio, generate
 from .sim import spec_from_json_dict, spec_to_json_dict
@@ -152,10 +155,13 @@ class RelinearizingController:
     the level is resolved at construction from the linearization about
     ``theta_init`` (bisection optimum times ``gamma_policy["margin"]``, or an
     explicit ``gamma_policy["fixed"]`` level) and then held fixed.  Each
-    bin's controller is cached beside its bound law; each bin is synthesized
-    from its own linearization alone, so the cache is independent of the
-    order in which bins are visited; the bin width ``quantum`` must be
-    finite and > 0.
+    bin's controller is cached; each bin is synthesized from its own
+    linearization alone, so the cache is independent of the order in which
+    bins are visited; the bin width ``quantum`` must be finite and > 0.
+    After ``reset(w)`` the steps read the record w: each bin's law is bound
+    to the tail of w at the bin's first visit (:meth:`step` must then be
+    given row t of w at step t); after ``reset()`` each step binds the law to
+    its own w.
     ``bins_synthesized`` counts the bins synthesized so far, the initial one
     included; ``bin_cache_hits`` counts the steps whose bin was cached;
     ``synth_s`` is the wall time spent in the level search and in the
@@ -179,7 +185,7 @@ class RelinearizingController:
         self.causality = causality
         self.quantum = _check_quantum(quantum)
         self.relinearize = bool(relinearize)
-        self._cache: dict = {}  # bin -> (controller, its bound law)
+        self._cache: dict = {}  # bin -> controller
         self.bins_synthesized = 0
         self.bin_cache_hits = 0
         self.synth_s = 0.0
@@ -206,7 +212,7 @@ class RelinearizingController:
             raise MpcInfeasibleError(
                 f"initial linearization infeasible at gamma={self.gamma}"
             )
-        self._cache[self._bin_init] = (ctrl0, ctrl0.law)
+        self._cache[self._bin_init] = ctrl0
         self.bins_synthesized = 1
         self.reset()
 
@@ -223,16 +229,20 @@ class RelinearizingController:
         synth = synth_competitive if self.kind == "competitive" else synth_hinf
         return synth(plant, self.gamma, causality=self.causality)
 
-    def reset(self) -> None:
+    def reset(self, w: Optional[np.ndarray] = None) -> None:
+        """Restart at step 0 with z = 0; the coming steps read the (T, 1)
+        record ``w`` when it is given."""
         self._state = ControllerState(z=np.zeros(4))  # z = [xi; nu]
         self.last_wprime = _NO_WPRIME
+        self._record = w
+        self._bound: dict = {}  # bin -> its law bound to the record's tail
 
-    def _law(self, b: int):
-        """The bound law of bin b, synthesized on a miss."""
+    def _controller(self, b: int):
+        """The controller of bin b, synthesized on a miss."""
         cached = self._cache.get(b)
         if cached is not None:
             self.bin_cache_hits += 1
-            return cached[1]
+            return cached
         start = time.perf_counter()
         try:
             ctrl = self._synth(self._plant_at(b))
@@ -244,15 +254,22 @@ class RelinearizingController:
             raise MpcInfeasibleError(
                 f"bin {b} (theta={b * self.quantum:.3f}) infeasible at gamma={self.gamma}"
             )
-        self._cache[b] = (ctrl, ctrl.law)
+        self._cache[b] = ctrl
         self.bins_synthesized += 1
-        return ctrl.law
+        return ctrl
 
     def step(self, x, w) -> np.ndarray:
         theta = float(x[0]) if self.relinearize else self._bin_init * self.quantum
-        law = self._law(self._bin_of(theta))
+        b = self._bin_of(theta)
         state = self._state
-        u, state.z, wprime = law(state.t, x, w, state.z)
+        law = self._bound.get(b)
+        if law is not None:
+            self.bin_cache_hits += 1
+        elif self._record is None:
+            law = self._controller(b).bind(np.reshape(w, (1, -1)), state.t)
+        else:
+            law = self._bound[b] = self._controller(b).bind(self._record[state.t :], state.t)
+        u, state.z, wprime = law(state.t, x, state.z)
         state.t += 1
         self.last_wprime = _NO_WPRIME if wprime is None else wprime
         return u
@@ -266,12 +283,17 @@ def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
     """
     if dynamics not in ("nonlinear", "linear"):
         raise ValueError("dynamics must be 'nonlinear' or 'linear'")
-    lin = linearize_pendulum(params, theta_lin) if dynamics == "linear" else None
+    if dynamics == "linear":
+        lin = linearize_pendulum(params, theta_lin)
+        A, Bu, bw = lin.A, lin.Bu, rowwise(lin.Bw, w)
 
-    def advance(t, x, u, w_t):
-        if lin is None:
+        def advance(t, x, u, w_t):
+            return A @ x + Bu @ u + bw[t]
+
+    else:
+
+        def advance(t, x, u, w_t):
             return pendulum_step(params, x, u, w_t)
-        return lin.A @ x + lin.Bu @ u + lin.Bw @ w_t
 
     x0 = np.asarray(x0, dtype=float).reshape(2)
     return _rollout_loop(w, x0, 1, np.eye(2), policy, advance)
@@ -286,7 +308,7 @@ def run_pendulum(
 ) -> RolloutResult:
     """Roll the gain-scheduled controller against the pendulum."""
     w = _disturbance_column(w)
-    controller.reset()
+    controller.reset(w)
 
     def policy(t, x, w_t):
         u = controller.step(x, w_t)

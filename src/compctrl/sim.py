@@ -8,13 +8,18 @@ mixture components get independent streams via jumps.
 
 Rollouts step a controller against a plant for a disturbance realization,
 recording states, controls, per-step and cumulative costs, and (for
-ratio-optimal controllers) the internal filtered disturbance w'.  Each
-rollout binds the controller's law once (its gains, or the slices of its
-realization, looked up before the first step) and steps a time-invariant
-plant with one step's matrices; every float operation is the one stepping
-the controller through ``control_step`` would do, in the same order, so the
-results are the same bits.  A state norm above 1e6 truncates the run with
-status "diverged" instead of raising.
+ratio-optimal controllers) the internal filtered disturbance w'.  Only the
+recursion runs per step: the law, the plant step and the divergence test.
+What does not feed back runs once per record: each rollout binds the
+controller's law to the record (its gains or realization slices looked up,
+and every product of the law with w taken for all steps in one stacked
+matmul), takes B_w w_t for all steps the same way, steps a time-invariant
+plant with one step's matrices, and computes the step costs and their
+running sum after the loop (:func:`~compctrl.model.step_costs`).  Each lane
+of a stacked product runs the kernel of the lone product, so every float is
+the one stepping the controller through ``control_step`` and the plant
+through its equations would give, the same bits.  A state norm above 1e6
+truncates the run with status "diverged" instead of raising.
 
 Trace CSVs are written atomically (temp file + rename) with %.17g floats and
 LF line endings so repeated runs are byte-identical.
@@ -22,7 +27,6 @@ LF line endings so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -39,7 +43,7 @@ from .controllers import (
     _online,
     offline_optimal,
 )
-from .model import LtiPlant, LtvPlant
+from .model import LtiPlant, LtvPlant, rowwise, step_costs
 
 __all__ = [
     "DisturbanceSpec",
@@ -200,26 +204,24 @@ class _StopRollout(RuntimeError):
 def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
     """The loop of every rollout.
 
-    Per step ``policy(t, x_t, w_t)`` gives (u_t, w'_t), w'_t None when the
-    policy has no filter; the step costs x_t'Q_t x_t + u_t'u_t, ``Q`` being
-    one (n, n) weight or a (T, n, n) stack, and ``advance(t, x_t, u_t, w_t)``
-    gives x_{t+1}.  A state whose norm sqrt(x'x) is not at most
+    Per step, only the recursion: ``policy(t, x_t, w_t)`` gives (u_t, w'_t),
+    w'_t None when the policy has no filter; ``advance(t, x_t, u_t, w_t)``
+    gives x_{t+1}; a state whose norm sqrt(x'x) is not at most
     ``DIVERGENCE_NORM`` (NaN included) or a :class:`_StopRollout` from the
-    policy ends the run; the arrays keep the steps completed.
+    policy ends the run, and the arrays keep the steps completed.  The step
+    costs x_t'Q_t x_t + u_t'u_t, ``Q`` being one (n, n) weight or a
+    (T, n, n) stack, their running sum and the total are computed once,
+    after the loop, by :func:`~compctrl.model.step_costs`.
     """
     T, n = w.shape[0], x0.shape[0]
     x = np.zeros((T + 1, n))
     x[0] = x0
     u = np.zeros((T, m))
     wprime = np.zeros((T, n))
-    step_cost = np.zeros(T)
-    cum = np.zeros(T)
-    weights = itertools.repeat(Q, T) if Q.ndim == 2 else Q
-    running = 0.0
     status = "ok"
     steps = 0
     x_t = x[0]
-    for t, (w_t, Q_t) in enumerate(zip(w, weights)):
+    for t, w_t in enumerate(w):
         try:
             u_t, wp = policy(t, x_t, w_t)
         except _StopRollout as stop:
@@ -228,22 +230,20 @@ def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
         if wp is not None:
             wprime[t] = wp
         u[t] = u_t
-        step_cost[t] = cost = float(x_t @ Q_t @ x_t + u_t @ u_t)
-        running += cost
-        cum[t] = running
         x[t + 1] = x_t = advance(t, x_t, u_t, w_t)
         steps = t + 1
         if not math.sqrt(x_t @ x_t) <= DIVERGENCE_NORM:  # also NaN and inf
             status = "diverged"
             break
+    step_cost, cum, total = step_costs(x[:steps], u[:steps], Q)
     return RolloutResult(
         w=w[:steps],
         wprime=wprime[:steps],
         x=x[: steps + 1],
         u=u[:steps],
-        step_cost=step_cost[:steps],
-        cum_cost=cum[:steps],
-        total_cost=running,
+        step_cost=step_cost,
+        cum_cost=cum,
+        total_cost=total,
         status=status,
         steps_completed=steps,
     )
@@ -260,10 +260,11 @@ def _as_ltv(plant, T: int) -> LtvPlant:
 def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
     """Simulate the closed loop over the disturbance w (shape (T, p)).
 
-    The controller's :data:`~compctrl.controllers.Law` is bound once (its
-    infinite-horizon gains or realization slices are looked up before the
-    first step), and a time-invariant plant steps with one step's matrices
-    throughout; the arithmetic is that of stepping the controller with
+    The controller's :data:`~compctrl.controllers.Law` is bound to w once
+    (its gains or realization slices looked up, its products with w taken
+    for all steps), B_w w_t is taken for all steps, and a time-invariant
+    plant steps with one step's matrices throughout; the arithmetic is that
+    of stepping the controller with
     :func:`~compctrl.controllers.control_step`.  An
     :class:`~compctrl.controllers.OfflineController` replays the controls of
     :func:`~compctrl.controllers.offline_optimal`.
@@ -285,26 +286,27 @@ def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
             return u_all[t], None
 
     else:
-        law = _online(controller).law
+        law = _online(controller).bind(w)
         state = controller.make_state()
 
         def policy(t, x, w_t):
-            u_t, state.z, wp = law(t, x, w_t, state.z)
+            u_t, state.z, wp = law(t, x, state.z)
             return u_t, wp
 
     step = ltv.invariant_step
+    A, Bu, Bw, Q = (ltv.A, ltv.Bu, ltv.Bw, ltv.Q) if step is None else step
+    bw = rowwise(Bw, w)
     if step is None:
 
         def advance(t, x, u_t, w_t):
-            return ltv.A[t] @ x + ltv.Bu[t] @ u_t + ltv.Bw[t] @ w_t
+            return A[t] @ x + Bu[t] @ u_t + bw[t]
 
     else:
-        A, Bu, Bw, Q = step
 
         def advance(t, x, u_t, w_t):
-            return A @ x + Bu @ u_t + Bw @ w_t
+            return A @ x + Bu @ u_t + bw[t]
 
-    return _rollout_loop(w, ltv.x0, ltv.m, ltv.Q if step is None else Q, policy, advance)
+    return _rollout_loop(w, ltv.x0, ltv.m, Q, policy, advance)
 
 
 @dataclass

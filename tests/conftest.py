@@ -77,6 +77,19 @@ def scalar_lti(a=1.0, bu=1.0, bw=1.0, q=1.0):
     )
 
 
+def assert_same_rollout(res, ref):
+    """Every field of a rollout result equals the oracle's, bit for bit
+    (so -0.0 differs from +0.0), and the total is a Python float."""
+    for name in ("w", "wprime", "x", "u", "step_cost", "cum_cost"):
+        got, want = getattr(res, name), ref[name]
+        assert got.shape == want.shape, name
+        bits = [np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in (got, want)]
+        assert np.array_equal(*bits), name
+    assert type(res.total_cost) is float
+    assert res.total_cost == ref["total_cost"]
+    assert (res.status, res.steps_completed) == (ref["status"], ref["steps_completed"])
+
+
 @pytest.fixture(scope="session")
 def boeing():
     return load_bundled_plant("boeing747")

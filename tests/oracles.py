@@ -421,3 +421,114 @@ def three_branch_rollout(plant, controller, w):
         total += float(x[t] @ plant.Q[t] @ x[t] + u[t] @ u[t])
         x[t + 1] = plant.A[t] @ x[t] + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
     return x, u, wprime, total
+
+
+def law_policy(controller, u_offline=None):
+    """A controller's per-step policy (t, x_t, w_t) -> (u_t, w'_t), formed
+    from its matrices at every step, each product with w_t included.
+
+    * ``h2`` / ``hinf``: u_t = -(Kx x_t) - (Kw w_t), with the step-t gains
+      in a finite horizon; no filter;
+    * ``competitive``: the realization over z = [xi; nu],
+      u_t = Cz z_t + Dz w_t, xi_{t+1} = Az z_t + Bz w_t,
+      nu_{t+1} = A_filter nu_t + B_filter w_t and w'_t = M_filter nu_t,
+      with u_{T-1} = 0 and nothing advanced in a finite horizon;
+    * ``zero``: u_t = 0; ``offline``: row t of ``u_offline``.
+    """
+    kind, horizon = controller.kind, controller.horizon
+
+    def at(a, t):
+        return a[0 if horizon is None else t]
+
+    if kind in ("h2", "hinf"):
+        Kx, Kw = controller.Kx, controller.Kw
+        if horizon is None:
+            Kx, Kw = Kx[None], Kw[None]
+        return lambda t, x, w_t: (-(at(Kx, t) @ x) - (at(Kw, t) @ w_t), None)
+    if kind == "zero":
+        return lambda t, x, w_t: (np.zeros(controller.m), None)
+    if kind == "offline":
+        return lambda t, x, w_t: (u_offline[t], None)
+    r = controller.realization
+    n = r.A_filter.shape[-1]
+    z = np.zeros(2 * n)
+
+    def policy(t, x, w_t):
+        nonlocal z
+        nu = z[n:]
+        wp = at(r.M_filter, t) @ nu
+        if horizon is not None and t == horizon - 1:
+            return np.zeros(r.Cz.shape[1]), wp
+        u = at(r.Cz, t) @ z + at(r.Dz, t) @ w_t
+        xi = at(r.Az, t) @ z + at(r.Bz, t) @ w_t
+        z = np.concatenate([xi, at(r.A_filter, t) @ nu + at(r.B_filter, t) @ w_t])
+        return u, wp
+
+    return policy
+
+
+def stepped_rollout(plant, policy, w, advance=None, stops=(), divergence_norm=1e6):
+    """A closed-loop rollout as one plain loop that does everything per step.
+
+    ``plant`` is a finite-horizon plant of horizon len(w), read for its
+    per-step A, Bu, Bw and Q and its x0.  At step t, ``policy(t, x_t, w_t)``
+    gives (u_t, w'_t) (w'_t None: zeros are logged); the step cost
+    float(x_t'Q_t x_t + u_t'u_t) and the running sum are formed in the loop;
+    the state steps as A_t x_t + Bu_t u_t + Bw_t w_t, or by
+    ``advance(x_t, u_t, w_t)`` when given.  An exception of a class in
+    ``stops`` ends the run with the exception's ``status``; a state whose
+    norm is not at most ``divergence_norm`` ends it as "diverged", the step
+    that reached it recorded.  Returns the fields of a rollout result as a
+    dict (``w``, ``wprime``, ``x``, ``u``, ``step_cost``, ``cum_cost``,
+    ``total_cost``, ``status``, ``steps_completed``).
+    """
+    n, m = plant.n, plant.m
+    x = np.array(plant.x0, dtype=float)
+    xs, us, wps, costs, cums = [x], [], [], [], []
+    running, status = 0.0, "ok"
+    for t in range(len(w)):
+        try:
+            u, wp = policy(t, x, w[t])
+        except stops as stop:
+            status = stop.status
+            break
+        cost = float(x @ plant.Q[t] @ x + u @ u)
+        running += cost
+        if advance is None:
+            x = plant.A[t] @ x + plant.Bu[t] @ u + plant.Bw[t] @ w[t]
+        else:
+            x = advance(x, u, w[t])
+        us.append(u)
+        wps.append(np.zeros(n) if wp is None else wp)
+        costs.append(cost)
+        cums.append(running)
+        xs.append(x)
+        if not np.sqrt(x @ x) <= divergence_norm:
+            status = "diverged"
+            break
+    k = len(us)
+    return {
+        "w": w[:k],
+        "wprime": np.array(wps).reshape(k, n),
+        "x": np.array(xs).reshape(k + 1, n),
+        "u": np.array(us).reshape(k, m),
+        "step_cost": np.array(costs).reshape(k),
+        "cum_cost": np.array(cums).reshape(k),
+        "total_cost": running,
+        "status": status,
+        "steps_completed": k,
+    }
+
+
+def affine_forward(plant, K, h, w):
+    """The clairvoyant forward pass for a given schedule, all per step:
+    u_t = -(K_t x_t) - h_t, OPT += float(x_t'Q_t x_t + u_t'u_t) and
+    x_{t+1} = A_t x_t + Bu_t u_t + Bw_t w_t.  Returns (u, OPT)."""
+    x = np.array(plant.x0, dtype=float)
+    u = np.zeros((plant.T, plant.m))
+    opt = 0.0
+    for t in range(plant.T):
+        u[t] = -(K[t] @ x) - h[t]
+        opt += float(x @ plant.Q[t] @ x + u[t] @ u[t])
+        x = plant.A[t] @ x + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
+    return u, opt

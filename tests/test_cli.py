@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import compctrl.cli as cli
 from compctrl import (
     controller_from_json_dict,
     plant_to_json_dict,
@@ -234,6 +235,32 @@ def test_simulate_seed_env_fallback(tmp_path, plant_file, h2_controller_file):
     default = run_with([], None, "c")
     assert explicit == from_env
     assert explicit != default  # default seed is 0
+
+
+def test_seed_env_is_read_when_the_command_runs(
+    tmp_path, plant_file, h2_controller_file, monkeypatch, capsys
+):
+    # the parser is built once per process, so --seed's default must not be
+    # fixed when it is built: two in-process calls see two COMPCTRL_SEEDs
+    def comparison(seed_args):
+        out = tmp_path / "c.json"
+        rc = cli.main([
+            "simulate", "--plant", plant_file, "--controller", f"h2={h2_controller_file}",
+            "--steps", "25", "--trace-dir", str(tmp_path), "--out", str(out), *seed_args,
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        return out.read_bytes()
+
+    monkeypatch.setenv("COMPCTRL_SEED", "7")
+    from_env_7 = comparison([])
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setenv("COMPCTRL_SEED", "8")
+    from_env_8 = comparison([])
+    monkeypatch.delenv("COMPCTRL_SEED")
+    assert from_env_7 == comparison(["--seed", "7"])
+    assert from_env_8 == comparison(["--seed", "8"])
+    assert from_env_7 != from_env_8
 
 
 def test_simulate_custom_disturbance_file(tmp_path, plant_file, h2_controller_file):

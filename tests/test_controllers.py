@@ -6,10 +6,12 @@ from numpy.testing import assert_allclose
 
 from conftest import random_lti, random_ltv, random_unstable_stabilizable, scalar_lti
 from oracles import (
+    affine_forward,
     affine_sweep,
     brute_force_offline,
     rollout_cost,
     stacked_opt_cost,
+    stepped_rollout,
     three_branch_rollout,
 )
 
@@ -465,6 +467,23 @@ def test_offline_default_is_the_riccati_sweep(rng, boeing):
     # so a rollout of the clairvoyant controller costs exactly OPT
     res = compare(plant, [("offline", OfflineController())], w)
     assert res.ratios == [1.0]
+
+
+def test_offline_forward_pass_equals_stepped_oracle(rng, boeing):
+    # B_w w_t is taken for every step before the forward pass and OPT from
+    # the step costs after it: u* and OPT are the bits of the per-step loop,
+    # on a plant with time-varying Q and on time-invariant ones; so is the
+    # cost of open-loop controls
+    pendulum = linearize_pendulum(PendulumParams(), 0.03).to_ltv(1001)
+    for plant in (random_ltv(rng, T=30, n=3, m=2, p=2), pendulum, boeing.to_ltv(300)):
+        w = rng.standard_normal((plant.T, plant.p))
+        schedule = schedule_cache.get(plant)
+        u_ref, opt_ref = affine_forward(plant, schedule.K, _affine_pass(schedule, w), w)
+        u, opt = offline_optimal(plant, w)
+        assert np.array_equal(u, u_ref) and opt == opt_ref
+        v = u + 1e-3 * rng.standard_normal(u.shape)
+        ref = stepped_rollout(plant, lambda t, x, w_t: (v[t], None), w)
+        assert _cost_of_controls(plant, v, w) == ref["total_cost"]
 
 
 @pytest.mark.parametrize(

@@ -315,6 +315,28 @@ def test_boeing_sweep_equals_pointwise_oracle(boeing, boeing_loops, n_points):
     assert_matches_pointwise(boeing, boeing_loops, n_points)
 
 
+def test_sweep_does_plant_work_once_per_block(boeing, boeing_loops, monkeypatch):
+    # per 64-point block: the Gram's two solves and one eigh for all loops,
+    # and one transfer solve per loop; 8 blocks and 3 loops make 40 solves
+    # and 8 eigh calls (one loop at a time made 96 and 24)
+    calls = {"solve": 0, "eigh": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    three = {k: v for k, v in boeing_loops.items() if k != "zero"}
+    sweep(boeing, three, 512)
+    assert calls == {"solve": 40, "eigh": 8}
+
+
 @pytest.mark.parametrize("n_points", PARITY_POINTS)
 def test_random_sweep_equals_pointwise_oracle(rng, n_points):
     for n, m, p in ((3, 1, 2), (4, 2, 1), (5, 2, 3)):

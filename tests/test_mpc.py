@@ -1,5 +1,6 @@
 """Tests for the relinearizing pendulum controller and its comparator."""
 
+import dataclasses
 import json
 import math
 import re
@@ -27,6 +28,9 @@ from compctrl import (
 from compctrl.controllers import ZeroController, schedule_cache
 from compctrl.mpc import scenario_from_json_dict, scenario_to_json_dict
 from compctrl.sim import rollout
+
+import oracles
+from conftest import assert_same_rollout
 
 QUANTUM = 0.05  # coarse bins keep per-test synthesis counts small
 
@@ -276,6 +280,71 @@ def test_infeasible_bin_truncates_run():
     # arrays are truncated consistently, like any other failed rollout
     assert res.w.shape[0] == res.steps_completed
     assert res.x.shape[0] == res.steps_completed + 1
+
+
+def _pendulum_oracle(params, ctrl, w, x0=(0.0, 0.0), dynamics="nonlinear"):
+    """The parent's loop: a fresh controller stepped by its public ``step``
+    (each bin's law bound to that step's w alone), costs summed per step."""
+    T = w.shape[0]
+    ctrl.reset()
+    lin = linearize_pendulum(params, ctrl._bin_init * ctrl.quantum).to_ltv(T)
+    lin = dataclasses.replace(lin, x0=np.asarray(x0, dtype=float))
+
+    def policy(t, x, w_t):
+        return ctrl.step(x, w_t), ctrl.last_wprime
+
+    def advance(x, u, w_t):
+        return pendulum_step(params, x, u, w_t)
+
+    return oracles.stepped_rollout(
+        lin, policy, w, advance=None if dynamics == "linear" else advance,
+        stops=(MpcInfeasibleError,))
+
+
+@pytest.mark.parametrize("dynamics", ["nonlinear", "linear"])
+@pytest.mark.parametrize("kind", ["competitive", "h2", "hinf"])
+def test_run_pendulum_equals_stepped_oracle(kind, dynamics):
+    # each bin's law is bound to the tail of the record at its first visit,
+    # and the costs come after the loop: the same bits as the oracle's loop
+    params = PendulumParams()
+    policy = {"competitive": {"fixed": 3.8}, "hinf": {"fixed": 5.0}}.get(kind)
+    w = 1.5 * generate(DisturbanceSpec("sine-mean-gaussian", {}), 400, 1, seed=8)
+
+    def make():
+        return RelinearizingController(params, kind=kind, gamma_policy=policy, quantum=0.01)
+
+    ran, stepped = make(), make()
+    res = run_pendulum(params, ran, w, x0=(0.02, 0.0), dynamics=dynamics)
+    assert res.status == "ok"
+    assert len(ran._cache) > 1
+    assert_same_rollout(res, _pendulum_oracle(params, stepped, w, (0.02, 0.0), dynamics))
+    assert (ran.bins_synthesized, ran.bin_cache_hits) == (
+        stepped.bins_synthesized, stepped.bin_cache_hits)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, 0.0)], ids=["mid-way", "at-step-0"])
+def test_stopped_pendulum_runs_equal_stepped_oracle(x0):
+    # MpcInfeasibleError cuts the run in a bin infeasible at the held level
+    # (see test_infeasible_bin_truncates_run): mid-way from rest, or at step
+    # 0 when the run starts in that bin, leaving empty arrays and a total of
+    # 0.0 as a Python float
+    params = PendulumParams()
+
+    def make():
+        return RelinearizingController(
+            params, kind="competitive", gamma_policy={"fixed": 2.632}, quantum=QUANTUM)
+
+    w = generate(DisturbanceSpec("step", {"levels": [2.0]}), 1500, 1)
+    res = run_pendulum(params, make(), w, x0=x0)
+    assert res.status == "infeasible-linearization"
+    assert_same_rollout(res, _pendulum_oracle(params, make(), w, x0))
+    if x0[0] == 0.3:
+        assert res.steps_completed == 0
+        assert res.u.shape == (0, 1) and res.x.shape == (1, 2)
+        assert res.step_cost.shape == res.cum_cost.shape == (0,)
+        assert type(res.total_cost) is float and res.total_cost == 0.0
+    else:
+        assert 0 < res.steps_completed < 1500
 
 
 def test_divergence_truncates_pendulum_runs():

@@ -32,7 +32,8 @@ from compctrl import (
 )
 from compctrl.sim import RolloutResult, spec_from_json_dict, spec_to_json_dict
 
-from conftest import random_lti, random_ltv, scalar_lti
+import oracles
+from conftest import assert_same_rollout, random_lti, random_ltv, scalar_lti
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +379,78 @@ def test_rollout_is_bit_identical_to_control_step(causality, rng):
             assert got.shape == want.shape
             assert np.array_equal(got, want), (ctrl.kind, ctrl.horizon)
         assert res.total_cost == cum_cost[-1]
+
+
+def _rollout_cases(boeing, rng):
+    """(plant, controller, w) triples covering every law, plant form and
+    horizon of :func:`rollout`."""
+    T = 40
+    white = DisturbanceSpec("white-gaussian", {})
+    exact = random_lti(rng, n=3, m=1, p=2)  # p < n: the exact synthetic plant
+    ltv = random_ltv(rng, T=T, n=3, m=2, p=2)  # Q varies over time
+    cases = {}
+    for c in ("causal", "strictly-causal"):
+        cases[f"boeing-h2-{c}"] = (boeing, synth_h2_ih(boeing, c))
+        cases[f"boeing-hinf-{c}"] = (boeing, synth_hinf(boeing, 30.0, c))
+        cases[f"boeing-hinf-fh-{c}"] = (boeing, synth_hinf(boeing, 30.0, c, horizon=T))
+        cases[f"exact-h2-{c}"] = (exact, synth_h2_ih(exact, c))
+        cases[f"exact-hinf-fh-{c}"] = (exact, synth_hinf(exact, 50.0, c, horizon=T))
+        cases[f"ltv-hinf-{c}"] = (ltv, synth_hinf(ltv, 50.0, c))
+    for c, gamma in (("causal", 1.4), ("strictly-causal", 5.5)):
+        cases[f"boeing-competitive-{c}"] = (boeing, synth_competitive(boeing, gamma, c))
+        cases[f"boeing-competitive-fh-{c}"] = (
+            boeing, synth_competitive(boeing, gamma, c, horizon=T))
+    for c in ("causal", "strictly-causal"):
+        cases[f"exact-competitive-{c}"] = (exact, synth_competitive(exact, 8.0, c))
+        cases[f"exact-competitive-fh-{c}"] = (
+            exact, synth_competitive(exact, 8.0, c, horizon=T))
+        cases[f"ltv-competitive-{c}"] = (ltv, synth_competitive(ltv, 8.0, c))
+    cases["boeing-zero"] = (boeing, ZeroController(m=2))
+    cases["boeing-offline"] = (boeing, OfflineController())
+    cases["ltv-zero"] = (ltv, ZeroController(m=2))
+    cases["ltv-offline"] = (ltv, OfflineController())
+    out = {}
+    for name, (plant, ctrl) in cases.items():
+        assert not isinstance(ctrl, Infeasible), name
+        out[name] = (plant, ctrl, generate(white, T, plant.p, seed=len(out)))
+    return out
+
+
+def test_rollout_equals_stepped_oracle(boeing, rng):
+    # the rollout takes its step costs after the loop and its products with
+    # w once per record; the oracle does all of it per step, with explicit
+    # matrices: every field must be the same bits
+    cases = _rollout_cases(boeing, rng)
+    assert {ctrl.horizon for _, ctrl, _ in cases.values()} == {None, 40}
+    assert any(ctrl.synthetic.exact for _, ctrl, _ in cases.values()
+               if isinstance(ctrl, CompetitiveController) and ctrl.horizon is None)
+    assert np.any(cases["ltv-zero"][0].Q != cases["ltv-zero"][0].Q[0])
+    for name, (plant, ctrl, w) in cases.items():
+        ltv = plant if isinstance(plant, LtvPlant) else plant.to_ltv(len(w))
+        u_off = offline_optimal(ltv, w)[0] if isinstance(ctrl, OfflineController) else None
+        res = rollout(plant, ctrl, w)
+        assert res.status == "ok", name
+        assert_same_rollout(res, oracles.stepped_rollout(ltv, oracles.law_policy(ctrl, u_off), w))
+
+
+def test_diverging_rollouts_equal_stepped_oracle(rng):
+    # a run cut by the divergence test keeps the same bits up to the cut,
+    # though its products with w were taken for the whole record
+    T = 40
+    unstable = scalar_lti(a=2.0)
+    plant = random_lti(rng, n=3, m=1, p=2)
+    growing = 10.0 ** (np.arange(T) / 3.0)[:, None] * np.ones((T, 2))
+    cases = [
+        (unstable, ZeroController(m=1), generate(DisturbanceSpec("dc"), T, 1)),
+        (plant, synth_competitive(plant, 8.0), growing),
+        (plant, synth_hinf(plant, 50.0, horizon=T), growing),
+    ]
+    for plant, ctrl, w in cases:
+        res = rollout(plant, ctrl, w)
+        assert res.status == "diverged"
+        assert 0 < res.steps_completed < T
+        ltv = plant.to_ltv(T)
+        assert_same_rollout(res, oracles.stepped_rollout(ltv, oracles.law_policy(ctrl), w))
 
 
 # ---------------------------------------------------------------------------
