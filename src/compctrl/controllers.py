@@ -13,9 +13,10 @@ sense:
   step or on the fixed point), plus B_w'PB_w < gamma^2 I when the law is
   strictly causal.
 * ``competitive``: ratio-optimal control against the clairvoyant cost;
-  synthesized by running the ``hinf`` machinery on the synthetic plant from
-  :mod:`compctrl.factorization`: the doubled plant driven by the filtered
-  disturbance w', or, in the infinite horizon with p < n, the exact plant
+  synthesized by running the ``hinf`` machinery on the one
+  :class:`~compctrl.factorization.SyntheticSystem` of either horizon: the
+  doubled plant driven by the filtered disturbance w' (p >= n, and every
+  finite horizon), or, in the infinite horizon with p < n, the exact plant
   driven by w'' = L w.  The law is folded once into a :class:`Realization`
   over z = [xi; nu] (plant copy, w' filter state), the one state-space
   description that stepping, :func:`compctrl.freq.closed_loop` and the
@@ -53,7 +54,6 @@ import numpy as np
 
 from .factorization import (
     SyntheticSystem,
-    SyntheticSystemFH,
     build_synthetic,
     outer_factor_ih,
     spectral_factor_ih,
@@ -194,8 +194,9 @@ class Realization(NamedTuple):
 
     The filter keeps its own matrices, so the w' it emits is exactly that
     of :func:`~compctrl.factorization.wprime_run`.  Every field is a stack
-    over steps: one entry in the infinite horizon; in a finite horizon T-1
-    entries for the law (u_{T-1} = 0) and the T of the filter.
+    over steps, for the synthetic plant of either horizon: one entry in the
+    infinite horizon; over a finite horizon T, T-1 entries for the law
+    (u_{T-1} = 0) and the T of the filter.
     """
 
     Cz: np.ndarray  # (S, m, 2n)
@@ -207,9 +208,7 @@ class Realization(NamedTuple):
     M_filter: np.ndarray  # (S', n, n)
 
 
-def _realization(
-    syn: Union[SyntheticSystem, SyntheticSystemFH], Kxi: np.ndarray, Kwp: np.ndarray
-) -> Realization:
+def _realization(syn: SyntheticSystem, Kxi: np.ndarray, Kwp: np.ndarray) -> Realization:
     """Fold the synthetic system and the law u = -(Kxi xi_hat + Kwp w_hat) on
     it into the :class:`Realization` over z = [xi; nu].
 
@@ -223,15 +222,15 @@ def _realization(
     w'' = C_outer nu + D_outer w, so Gn = Kb + Kwp C_outer,
     Gw = Kwp D_outer, E = 0 and Ew = B_w.
     """
-    finite = isinstance(syn, SyntheticSystemFH)
-    S = syn.T - 1 if finite else 1  # steps with a law
+    finite = syn.horizon is not None
+    S = syn.horizon - 1 if finite else 1  # steps with a law
     stack = np.asarray if finite else (lambda a: a[None])
     Af, Bf, Mf = map(stack, (syn.A_filter, syn.B_filter, syn.M_filter))
     Ahat, Buhat, Kxi, Kwp = (stack(a)[:S] for a in (syn.Ahat, syn.Buhat, Kxi, Kwp))
     n, p = Bf.shape[1:]
     A, Bu = Ahat[:, :n, :n], Buhat[:, :n]
     Ga, Kb = Kxi[..., :n], Kxi[..., n:]
-    if not finite and syn.exact:
+    if syn.exact:
         Gn = Kb + Kwp @ syn.C_outer
         Gw = Kwp @ syn.D_outer
         E, Ew = np.zeros((S, n, n)), Bf
@@ -258,7 +257,9 @@ class CompetitiveController:
     ``synthetic``, ``Kxi`` and ``Kwp`` are the law as synthesized (and
     serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the synthetic state
     xi_hat, driven by w_hat = w'_{t+1} on the doubled plant or
-    w_hat = w''_t = C_outer nu_t + D_outer w_t on the exact one.  Stepping
+    w_hat = w''_t = C_outer nu_t + D_outer w_t on the exact one.  The
+    synthetic plant's horizon is the controller's: single matrices and
+    gains in the infinite horizon, (T, ., .) stacks over a horizon T.  Stepping
     reads :attr:`realization`, the same law over z = [xi; nu], built once.
 
     The strictly causal variant has Kwp = 0, so u_t never reads w_t; the
@@ -271,7 +272,7 @@ class CompetitiveController:
     causality: str
     horizon: Optional[int]
     gamma: Optional[float]
-    synthetic: Union[SyntheticSystem, SyntheticSystemFH]
+    synthetic: SyntheticSystem
     Kxi: np.ndarray  # (m, 2n) or (T, m, 2n)
     Kwp: np.ndarray  # (m, n), (m, p) when exact, or (T, m, n)
     diagnostics: dict = field(default_factory=dict, compare=False)
@@ -613,12 +614,14 @@ def synth_hinf(
     return _hinf_controller(res)
 
 
-def _synthetic_plant(plant) -> Union[SyntheticSystem, SyntheticSystemFH]:
+def _synthetic_plant(plant) -> SyntheticSystem:
     """The gamma-independent synthetic plant of a normalized plant.
 
-    Infinite horizon: from the spectral factor, plus the outer factor of the
-    w' filter when p < n (the exact plant).  Finite horizon: from the
-    whitening schedule (the doubled plant).
+    Infinite horizon: from the spectral factor; with p < n plus the outer
+    factor of the w' filter (the exact plant), with p >= n the doubled
+    plant, which is exact there (the p x p outer factor of the n x p filter
+    would be singular for p > n).  Finite horizon: the doubled plant, as
+    (T, ., .) stacks from the whitening schedule.
     """
     if isinstance(plant, LtvPlant):
         return build_synthetic(plant, whitening_fh(plant))
@@ -627,15 +630,10 @@ def _synthetic_plant(plant) -> Union[SyntheticSystem, SyntheticSystemFH]:
     return build_synthetic(plant, factor, outer)
 
 
-def _as_plant(syn: Union[SyntheticSystem, SyntheticSystemFH]):
-    """The synthetic system as the plant its attenuation problem is posed on."""
-    return syn.as_ltv_plant() if isinstance(syn, SyntheticSystemFH) else syn.as_lti_plant()
-
-
 def _competitive_controller(
-    syn: Union[SyntheticSystem, SyntheticSystemFH], solve: AttenuationSolve
+    syn: SyntheticSystem, solve: AttenuationSolve
 ) -> CompetitiveController:
-    """The ratio-optimal controller of a feasible verdict on ``_as_plant(syn)``."""
+    """The ratio-optimal controller of a feasible verdict on ``syn.as_plant()``."""
     Kxi, Kwp = _attenuation_gains(solve)
     return CompetitiveController(
         kind="competitive",
@@ -669,7 +667,7 @@ def synth_competitive(
     _check_level(gamma)
     plant = _normalize_horizon(plant, horizon)
     syn = _synthetic_plant(plant)
-    res = _attenuation(_as_plant(syn), gamma, causality)
+    res = _attenuation(syn.as_plant(), gamma, causality)
     if isinstance(res, Infeasible):
         return res
     return _competitive_controller(syn, res)
@@ -888,7 +886,7 @@ def controller_to_json_dict(controller) -> dict:
         out["gains"] = {"Kxi": _arr(controller.Kxi), "Kwp": _arr(controller.Kwp)}
         syn = controller.synthetic
         out["synthetic"] = {
-            "ltv": isinstance(syn, SyntheticSystemFH),
+            "ltv": syn.horizon is not None,
             "Ahat": _arr(syn.Ahat),
             "Buhat": _arr(syn.Buhat),
             "Bwhat": _arr(syn.Bwhat),
@@ -897,7 +895,7 @@ def controller_to_json_dict(controller) -> dict:
             "B_filter": _arr(syn.B_filter),
             "M_filter": _arr(syn.M_filter),
         }
-        if isinstance(syn, SyntheticSystem) and syn.exact:
+        if syn.exact:
             out["synthetic"]["C_outer"] = _arr(syn.C_outer)
             out["synthetic"]["D_outer"] = _arr(syn.D_outer)
     elif isinstance(controller, ZeroController):
@@ -909,8 +907,24 @@ def controller_to_json_dict(controller) -> dict:
     return out
 
 
+def _check_horizon(horizon, arrays: dict) -> None:
+    """Reject a file whose arrays do not fit its ``horizon``: one matrix
+    each in the infinite horizon, a (horizon, ., .) stack otherwise."""
+    lead = () if horizon is None else (horizon,)
+    for key, a in arrays.items():
+        if a.ndim != len(lead) + 2 or a.shape[:-2] != lead:
+            raise ValueError(
+                f"controller file: {key} has shape {a.shape}, which does not fit "
+                f"horizon {horizon}"
+            )
+
+
 def controller_from_json_dict(obj: dict):
-    """Inverse of :func:`controller_to_json_dict`."""
+    """Inverse of :func:`controller_to_json_dict`.
+
+    A file whose ``horizon``, ``synthetic.ltv`` flag and array ranks or
+    lengths disagree raises ValueError.
+    """
     version = obj.get("schema_version", CONTROLLER_SCHEMA_VERSION)
     if version != CONTROLLER_SCHEMA_VERSION:
         raise ValueError(f"unsupported controller schema_version {version}")
@@ -919,18 +933,24 @@ def controller_from_json_dict(obj: dict):
         return OfflineController()
     if kind == "zero":
         return ZeroController(m=int(obj["gains"]["m"]))
-    gains = obj["gains"]
+    gains, horizon = obj["gains"], obj["horizon"]
     if kind in ("h2", "hinf"):
+        Kx, Kw = (np.asarray(gains[key], dtype=float) for key in ("Kx", "Kw"))
+        _check_horizon(horizon, {"Kx": Kx, "Kw": Kw})
         return StateFeedbackController(
             kind=kind,
             causality=obj["causality"],
-            horizon=obj["horizon"],
+            horizon=horizon,
             gamma=obj["gamma"],
-            Kx=np.asarray(gains["Kx"], dtype=float),
-            Kw=np.asarray(gains["Kw"], dtype=float),
+            Kx=Kx,
+            Kw=Kw,
         )
     if kind == "competitive":
         s = obj["synthetic"]
+        if s["ltv"] != (horizon is not None):
+            raise ValueError(
+                f"controller file: synthetic.ltv is {s['ltv']} but horizon is {horizon}"
+            )
         fields = {
             key: np.asarray(s[key], dtype=float)
             for key in (
@@ -939,14 +959,15 @@ def controller_from_json_dict(obj: dict):
             )
             if key in s
         }
-        syn = (SyntheticSystemFH if s["ltv"] else SyntheticSystem)(**fields)
+        Kxi, Kwp = (np.asarray(gains[key], dtype=float) for key in ("Kxi", "Kwp"))
+        _check_horizon(horizon, {**fields, "Kxi": Kxi, "Kwp": Kwp})
         return CompetitiveController(
             kind=kind,
             causality=obj["causality"],
-            horizon=obj["horizon"],
+            horizon=horizon,
             gamma=obj["gamma"],
-            synthetic=syn,
-            Kxi=np.asarray(gains["Kxi"], dtype=float),
-            Kwp=np.asarray(gains["Kwp"], dtype=float),
+            synthetic=SyntheticSystem(**fields),
+            Kxi=Kxi,
+            Kwp=Kwp,
         )
     raise ValueError(f"unknown controller kind '{kind}'")

@@ -1,4 +1,4 @@
-"""Whitening/spectral factorization and the doubled synthetic system.
+"""Whitening/spectral factorization and the synthetic system.
 
 The reduction implemented here rewrites the ratio-against-clairvoyant control
 problem as a disturbance-attenuation problem.  Its engine is a factorization
@@ -16,7 +16,10 @@ function of w and can therefore be computed online by the small filter
     nu_{t+1} = (A - K Q^{1/2}) nu_t + B_w w_t,   w'_t = Sigma^{-1/2} Q^{1/2} nu_t,
 
 with nu_0 = 0.  Disturbance-attenuation synthesis on the synthetic plant then
-yields ratio-optimal controllers for the original plant.
+yields ratio-optimal controllers for the original plant.  One type,
+:class:`SyntheticSystem`, holds the synthetic plant in both horizons: single
+matrices in the infinite horizon, (T, ., .) stacks over a finite horizon T,
+and one assembly writes the doubled plant for either shape.
 
 When the disturbance has fewer channels than the plant has states (p < n),
 the doubled plant is only an upper bound: the attenuation problem lets w'
@@ -28,6 +31,9 @@ factorization H = U L (Zhou, Doyle and Glover, *Robust and Optimal Control*,
 = OPT(w), so attenuation of w'' = L w, which ranges over all of R^p, is the
 ratio problem itself.  The exact synthetic plant is the original plant
 driven through L^{-1} by w''; its state is (plant copy, filter state nu).
+For p >= n the doubled plant is already the exact reduction (H is square or
+wide), and a p x p outer factor of the n x p filter would be singular for
+p > n, so the doubled plant stays there.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ __all__ = [
     "SpectralFactor",
     "OuterFactor",
     "SyntheticSystem",
-    "SyntheticSystemFH",
     "whitening_fh",
     "spectral_factor_ih",
     "outer_factor_ih",
@@ -131,11 +136,14 @@ class OuterFactor:
 
 @dataclass(frozen=True)
 class SyntheticSystem:
-    """2n-state LTI synthetic plant plus its w'-filter matrices.
+    """The synthetic plant plus its w'-filter matrices, in either horizon.
 
-    Without ``C_outer``/``D_outer`` this is the doubled plant driven by
-    w' in R^n.  With them (p < n) it is the exact plant, state (plant copy,
-    nu), driven by w''_t = C_outer nu_t + D_outer w_t in R^p.
+    In the infinite horizon every field is one matrix; over a finite horizon
+    T it is a (T, ., .) stack indexed t = 0..T-1, and :attr:`horizon` reads
+    T from that shape.  Without ``C_outer``/``D_outer`` this is the doubled
+    plant driven by w' in R^n.  With them (infinite horizon, p < n) it is the
+    exact plant, state (plant copy, nu), driven by
+    w''_t = C_outer nu_t + D_outer w_t in R^p.
     """
 
     Ahat: np.ndarray  # (2n, 2n)
@@ -149,63 +157,34 @@ class SyntheticSystem:
     D_outer: Optional[np.ndarray] = None  # (p, p)
 
     @property
+    def horizon(self) -> Optional[int]:
+        """T for (T, ., .) stacks, None for single matrices."""
+        return self.Ahat.shape[0] if self.Ahat.ndim == 3 else None
+
+    @property
     def n(self) -> int:
-        return self.A_filter.shape[0]
+        return self.A_filter.shape[-1]
+
+    @property
+    def m(self) -> int:
+        return self.Buhat.shape[-1]
 
     @property
     def exact(self) -> bool:
         """True when driven by w'' = L w (the p < n reduction)."""
         return self.C_outer is not None
 
-    @property
-    def m(self) -> int:
-        return self.Buhat.shape[1]
-
-    def as_lti_plant(self) -> LtiPlant:
-        """View the synthetic system as an ordinary time-invariant plant."""
-        return LtiPlant(
+    def as_plant(self) -> Union[LtiPlant, LtvPlant]:
+        """The plant the attenuation problem is posed on: an
+        :class:`LtiPlant`, or an :class:`LtvPlant` over a finite horizon."""
+        T, eye = self.horizon, np.eye(self.m)
+        kind = LtiPlant if T is None else LtvPlant
+        return kind(
             A=self.Ahat,
             Bu=self.Buhat,
             Bw=self.Bwhat,
             Q=self.Qhat,
-            R_half=np.eye(self.m),
-            x0=np.zeros(self.Ahat.shape[0]),
-        )
-
-
-@dataclass(frozen=True)
-class SyntheticSystemFH:
-    """Time-varying synthetic plant; sequences indexed t = 0..T-1."""
-
-    Ahat: np.ndarray  # (T, 2n, 2n)
-    Buhat: np.ndarray  # (T, 2n, m)
-    Bwhat: np.ndarray  # (T, 2n, n)
-    Qhat: np.ndarray  # (T, 2n, 2n)
-    A_filter: np.ndarray  # (T, n, n)
-    B_filter: np.ndarray  # (T, n, p)
-    M_filter: np.ndarray  # (T, n, n)
-
-    @property
-    def T(self) -> int:
-        return self.Ahat.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A_filter.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.Buhat.shape[2]
-
-    def as_ltv_plant(self) -> LtvPlant:
-        """View the synthetic system as an ordinary finite-horizon plant."""
-        T, m = self.T, self.m
-        return LtvPlant(
-            A=self.Ahat,
-            Bu=self.Buhat,
-            Bw=self.Bwhat,
-            Q=self.Qhat,
-            R_half=np.repeat(np.eye(m)[None], T, axis=0),
+            R_half=eye if T is None else np.repeat(eye[None], T, axis=0),
             x0=np.zeros(2 * self.n),
         )
 
@@ -380,12 +359,15 @@ def build_synthetic(
     plant: Union[LtiPlant, LtvPlant],
     factor: Union[SpectralFactor, WhiteningSchedule],
     outer: Optional[OuterFactor] = None,
-) -> Union[SyntheticSystem, SyntheticSystemFH]:
+) -> SyntheticSystem:
     """Assemble the synthetic plant from a whitening/spectral factor.
 
     The doubled plant: Ahat = [[A, K Sigma^{1/2}], [0, 0]], Buhat = [B_u; 0],
-    Bwhat = [0; I], Qhat = [Q^{1/2}; Sigma^{1/2}] [Q^{1/2}  Sigma^{1/2}]
-    (PSD, rank <= n).
+    Bwhat = [0; I], Qhat = U U' with U = [Q^{1/2}; Sigma^{1/2}] (PSD,
+    rank <= n).  One assembly writes it for both horizons: a spectral factor
+    of an :class:`LtiPlant` gives single matrices, a whitening schedule of an
+    :class:`LtvPlant` gives (T, ., .) stacks, each step of which equals the
+    step assembled alone, bit for bit.
 
     With an ``outer`` factor (time-invariant plants only) the exact plant is
     returned instead: the plant copy and the filter state nu driven by w''
@@ -397,74 +379,52 @@ def build_synthetic(
     if isinstance(factor, SpectralFactor):
         if not isinstance(plant, LtiPlant):
             raise TypeError("spectral factor requires a time-invariant plant")
-        n, m = plant.n, plant.m
-        Qh = plant.Q_half
-        if outer is not None:
-            BwDi = np.linalg.solve(outer.D.T, plant.Bw.T).T  # B_w D^{-1}
-            Z = np.zeros((n, n))
-            return SyntheticSystem(
-                Ahat=np.block([[plant.A, -BwDi @ outer.C], [Z, outer.A_inv]]),
-                Buhat=np.vstack([plant.Bu, np.zeros((n, m))]),
-                Bwhat=np.vstack([BwDi, BwDi]),
-                Qhat=np.block([[plant.Q, Z], [Z, Z]]),
-                A_filter=factor.A_whiten,
-                B_filter=plant.Bw,
-                M_filter=factor.Sigma_inv_half @ Qh,
-                C_outer=outer.C,
-                D_outer=outer.D,
-            )
-        Ahat = np.block(
-            [[plant.A, factor.K @ factor.Sigma_half], [np.zeros((n, 2 * n))]]
-        )
-        Buhat = np.vstack([plant.Bu, np.zeros((n, m))])
-        Bwhat = np.vstack([np.zeros((n, n)), np.eye(n)])
-        U = np.vstack([Qh, factor.Sigma_half])
-        return SyntheticSystem(
-            Ahat=Ahat,
-            Buhat=Buhat,
-            Bwhat=Bwhat,
-            Qhat=U @ U.T,
-            A_filter=factor.A_whiten,
-            B_filter=plant.Bw,
-            M_filter=factor.Sigma_inv_half @ Qh,
-        )
-    if isinstance(factor, WhiteningSchedule):
+    elif isinstance(factor, WhiteningSchedule):
         if outer is not None:
             raise TypeError("the outer factor applies to time-invariant plants only")
         if not isinstance(plant, LtvPlant):
             raise TypeError("whitening schedule requires a finite-horizon plant")
-        T, n, m = plant.T, plant.n, plant.m
-        Ahat = np.zeros((T, 2 * n, 2 * n))
-        Buhat = np.zeros((T, 2 * n, m))
-        Bwhat = np.zeros((T, 2 * n, n))
-        Qhat = np.zeros((T, 2 * n, 2 * n))
-        A_filter = np.zeros((T, n, n))
-        M_filter = np.zeros((T, n, n))
-        for t in range(T):
-            Qh = plant.Q_half[t]
-            Ahat[t, :n, :n] = plant.A[t]
-            Ahat[t, :n, n:] = factor.K[t] @ factor.Sigma_half[t]
-            Buhat[t, :n, :] = plant.Bu[t]
-            Bwhat[t, n:, :] = np.eye(n)
-            U = np.vstack([Qh, factor.Sigma_half[t]])
-            Qhat[t] = U @ U.T
-            A_filter[t] = plant.A[t] - factor.K[t] @ Qh
-            M_filter[t] = factor.Sigma_inv_half[t] @ Qh
-        return SyntheticSystemFH(
-            Ahat=Ahat,
-            Buhat=Buhat,
-            Bwhat=Bwhat,
-            Qhat=Qhat,
+    else:
+        raise TypeError(f"unsupported factor type {type(factor).__name__}")
+    n, m = plant.n, plant.m
+    Qh = plant.Q_half
+    A_filter = plant.A - factor.K @ Qh
+    M_filter = factor.Sigma_inv_half @ Qh
+    if outer is not None:
+        BwDi = np.linalg.solve(outer.D.T, plant.Bw.T).T  # B_w D^{-1}
+        Z = np.zeros((n, n))
+        return SyntheticSystem(
+            Ahat=np.block([[plant.A, -BwDi @ outer.C], [Z, outer.A_inv]]),
+            Buhat=np.vstack([plant.Bu, np.zeros((n, m))]),
+            Bwhat=np.vstack([BwDi, BwDi]),
+            Qhat=np.block([[plant.Q, Z], [Z, Z]]),
             A_filter=A_filter,
-            B_filter=plant.Bw.copy(),
+            B_filter=plant.Bw,
             M_filter=M_filter,
+            C_outer=outer.C,
+            D_outer=outer.D,
         )
-    raise TypeError(f"unsupported factor type {type(factor).__name__}")
+    lead = plant.A.shape[:-2]  # () or (T,)
+    Ahat = np.zeros(lead + (2 * n, 2 * n))
+    Ahat[..., :n, :n] = plant.A
+    Ahat[..., :n, n:] = factor.K @ factor.Sigma_half
+    Buhat = np.zeros(lead + (2 * n, m))
+    Buhat[..., :n, :] = plant.Bu
+    Bwhat = np.zeros(lead + (2 * n, n))
+    Bwhat[..., n:, :] = np.eye(n)
+    U = np.concatenate([Qh, factor.Sigma_half], axis=-2)
+    return SyntheticSystem(
+        Ahat=Ahat,
+        Buhat=Buhat,
+        Bwhat=Bwhat,
+        Qhat=U @ U.swapaxes(-1, -2),
+        A_filter=A_filter,
+        B_filter=plant.Bw,
+        M_filter=M_filter,
+    )
 
 
-def wprime_run(
-    synthetic: Union[SyntheticSystem, SyntheticSystemFH], w: np.ndarray
-) -> np.ndarray:
+def wprime_run(synthetic: SyntheticSystem, w: np.ndarray) -> np.ndarray:
     """Expand a length-T disturbance into (w'_0, ..., w'_{T-1}).
 
     nu_{t+1} = A_filter nu_t + B_filter w_t from nu_0 = 0 and
@@ -477,7 +437,7 @@ def wprime_run(
         w = w[:, None]
     T, n = w.shape[0], synthetic.n
     mats = (synthetic.A_filter, synthetic.B_filter, synthetic.M_filter)
-    if isinstance(synthetic, SyntheticSystem):
+    if synthetic.horizon is None:
         mats = tuple(np.broadcast_to(a, (T,) + a.shape) for a in mats)
     A, B, M = mats
     out = np.zeros((T, n))

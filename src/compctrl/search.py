@@ -41,7 +41,6 @@ from typing import Callable, Optional
 
 from .controllers import (
     Infeasible,
-    _as_plant,
     _attenuation,
     _check_causality,
     _competitive_controller,
@@ -266,7 +265,7 @@ def min_gamma_competitive(
     _check_causality(causality)
     plant = _normalize_horizon(plant, horizon)
     syn = _synthetic_plant(plant)
-    syn_plant = _as_plant(syn)
+    syn_plant = syn.as_plant()
 
     def verdicts(levels: list) -> list:
         return _attenuation(syn_plant, levels, causality)

@@ -392,7 +392,7 @@ def three_branch_rollout(plant, controller, w):
     w = np.asarray(w, dtype=float).reshape(plant.T, plant.p)
     T = plant.T
     finite = controller.horizon is not None
-    exact = not finite and getattr(syn, "C_outer", None) is not None
+    exact = syn.exact
     n = syn.A_filter.shape[-1]
 
     def at(a, t):
@@ -532,3 +532,34 @@ def affine_forward(plant, K, h, w):
         opt += float(x @ plant.Q[t] @ x + u[t] @ u[t])
         x = plant.A[t] @ x + plant.Bu[t] @ u[t] + plant.Bw[t] @ w[t]
     return u, opt
+
+
+def doubled_plant_per_step(plant, schedule):
+    """The finite-horizon doubled plant assembled one step at a time.
+
+    For each t: Ahat_t = [[A_t, K_t Sigma_t^{1/2}], [0, 0]],
+    Buhat_t = [B_u,t; 0], Bwhat_t = [0; I], Qhat_t = U_t U_t' with
+    U_t = [Q_t^{1/2}; Sigma_t^{1/2}], A_filter_t = A_t - K_t Q_t^{1/2} and
+    M_filter_t = Sigma_t^{-1/2} Q_t^{1/2}.  Returns those six (T, ., .)
+    stacks by name.
+    """
+    T, n, m = plant.T, plant.n, plant.m
+    out = {
+        "Ahat": np.zeros((T, 2 * n, 2 * n)),
+        "Buhat": np.zeros((T, 2 * n, m)),
+        "Bwhat": np.zeros((T, 2 * n, n)),
+        "Qhat": np.zeros((T, 2 * n, 2 * n)),
+        "A_filter": np.zeros((T, n, n)),
+        "M_filter": np.zeros((T, n, n)),
+    }
+    for t in range(T):
+        Qh = plant.Q_half[t]
+        out["Ahat"][t, :n, :n] = plant.A[t]
+        out["Ahat"][t, :n, n:] = schedule.K[t] @ schedule.Sigma_half[t]
+        out["Buhat"][t, :n, :] = plant.Bu[t]
+        out["Bwhat"][t, n:, :] = np.eye(n)
+        U = np.vstack([Qh, schedule.Sigma_half[t]])
+        out["Qhat"][t] = U @ U.T
+        out["A_filter"][t] = plant.A[t] - schedule.K[t] @ Qh
+        out["M_filter"][t] = schedule.Sigma_inv_half[t] @ Qh
+    return out

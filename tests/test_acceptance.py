@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import cli_env, random_lti, random_ltv, random_unstable_stabilizable
 from oracles import brute_force_offline, impulse_stacked_maps, lqr_value_iteration
@@ -234,19 +234,34 @@ def _stepped_closed_loop_map(plant, controller, T, Tw):
     return np.array(cols).T
 
 
+def _ratio_on_gram_range(TK, gram):
+    """Largest generalized eigenvalue of T_K'T_K against the clairvoyant
+    Gram on the Gram's range (eigenvalues above 1e-10 of the largest), and
+    the closed loop's largest response to the Gram's null space relative to
+    its largest response.  For p > n the Gram is singular: a disturbance in
+    the null space of B_w reaches no state."""
+    lam, V = np.linalg.eigh(gram)
+    keep = lam > 1e-10 * lam[-1]
+    W = TK @ (V[:, keep] / np.sqrt(lam[keep]))
+    attained = np.linalg.eigvalsh(W.T @ W)[-1]
+    null = np.linalg.norm(TK @ V[:, ~keep], 2) if not keep.all() else 0.0
+    return attained, null / np.linalg.norm(TK, 2)
+
+
 def test_certified_ratio_is_attained_on_lifted_operators(rng):
     """The certified gamma^2 is the worst-case ratio the returned controller
     really reaches: the largest generalized eigenvalue of T_K'T_K against the
     clairvoyant Gram G'(I + FF')^{-1}G, over disturbances on the first Tw of
-    T steps, from impulse-stacked operators.  Covers p < n (the outer-factor
-    reduction) and p = n (the doubled plant), causal and strictly causal.
+    T steps, from impulse-stacked operators, on the Gram's range.  Covers
+    p < n (the outer-factor reduction), p = n and p > n (the doubled plant,
+    which is exact there), causal and strictly causal.
 
     The finite-horizon levels (T_f = 40, disturbances on all but the last
     step, which no cost sees) are bounds: attenuation ||T_K w||^2 against
     ||w||^2, and the ratio, which the doubled plant leaves loose for p < n.
     """
     T, Tw, T_f = 120, 60, 40
-    for n, m, p in ((3, 1, 1), (3, 2, 2), (4, 2, 1), (2, 1, 2)):
+    for n, m, p in ((3, 1, 1), (3, 2, 2), (4, 2, 1), (2, 1, 2), (2, 1, 3), (3, 1, 5)):
         plant = random_lti(rng, n=n, m=m, p=p)
         F, G = impulse_stacked_maps(plant.to_ltv(T))
         G = G[:, : Tw * p]
@@ -259,8 +274,9 @@ def test_certified_ratio_is_attained_on_lifted_operators(rng):
             found = min_gamma_competitive(plant, causality=causality, audit=False)
             assert found.ok
             TK = _stepped_closed_loop_map(plant, found.controller, T, Tw)
-            attained = eigh(TK.T @ TK, gram, eigvals_only=True)[-1]
+            attained, null = _ratio_on_gram_range(TK, gram)
             certified = found.gamma**2
+            assert null <= 1e-12, (case, null)
             assert attained <= certified, (case, attained, certified)
             assert attained >= 0.99 * certified, (case, attained, certified)
 
@@ -268,7 +284,8 @@ def test_certified_ratio_is_attained_on_lifted_operators(rng):
                 plant, causality=causality, horizon=T_f, audit=False
             )
             TK = _stepped_closed_loop_map(plant, found.controller, T_f, T_f - 1)
-            attained = eigh(TK.T @ TK, gram_f, eigvals_only=True)[-1]
+            attained, null = _ratio_on_gram_range(TK, gram_f)
+            assert null <= 1e-12, (case, null)
             assert attained <= found.gamma**2, (case, attained, found.gamma**2)
 
             found = min_gamma_hinf(plant, causality=causality, horizon=T_f, audit=False)

@@ -14,6 +14,7 @@ from compctrl import (
     controller_from_json_dict,
     plant_to_json_dict,
     controller_to_json_dict,
+    synth_competitive,
     synth_h2_ih,
     synth_hinf,
 )
@@ -206,6 +207,23 @@ def test_simulate_default_controller_name_is_file_stem(tmp_path, plant_file, h2_
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["controllers"][0]["name"] == "h2"
     assert (tmp_path / "trace_h2.csv").exists()
+
+
+def test_simulate_rejects_inconsistent_controller_file(tmp_path, plant_file):
+    # a finite-horizon controller edited to "horizon": null is refused, not
+    # rolled out with its step-0 matrices
+    ctrl = synth_competitive(scalar_lti(a=0.5), 3.0, horizon=20)
+    obj = controller_to_json_dict(ctrl)
+    obj["horizon"] = None
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli(
+        "simulate", "--plant", plant_file, "--controller", str(path),
+        "--steps", "20", "--trace-dir", str(tmp_path), "--out", str(tmp_path / "c.json"),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "horizon" in proc.stderr
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_simulate_requires_steps_for_lti(tmp_path, plant_file, h2_controller_file):

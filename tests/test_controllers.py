@@ -19,7 +19,6 @@ from compctrl.controllers import (
     CompetitiveController,
     _affine_pass,
     _affine_schedule,
-    _as_plant,
     _attenuation,
     _competitive_controller,
     _cost_of_controls,
@@ -39,7 +38,6 @@ from compctrl.controllers import (
     synth_h2_ih,
     synth_hinf,
 )
-from compctrl.factorization import SyntheticSystemFH
 from compctrl.freq import closed_loop, peak_gain
 from compctrl.model import load_bundled_plant
 from compctrl.mpc import PendulumParams, linearize_pendulum
@@ -261,22 +259,24 @@ def test_competitive_causality_split(rng):
 
 @pytest.mark.parametrize(
     "p, horizon",
-    [(2, None), (1, None), (1, 12)],
-    ids=["doubled", "exact", "finite-horizon"],
+    [(2, None), (1, None), (1, 12), (3, None), (3, 12)],
+    ids=["doubled", "exact", "finite-horizon", "wide", "wide-finite-horizon"],
 )
 def test_competitive_reuses_provided_factor(p, horizon, rng):
     # the gamma search builds its controller from a synthetic plant it built
-    # once; that controller keeps the plant and has a fresh synthesis' gains
+    # once; that controller keeps the plant and has a fresh synthesis' gains.
+    # The infinite horizon picks the exact plant for p < n and the doubled
+    # plant for p >= n (its outer factor would be singular for p > n)
     plant = random_lti(rng, n=2, m=1, p=p)
     normalized = plant if horizon is None else plant.to_ltv(horizon)
     syn = _synthetic_plant(normalized)
-    a = _competitive_controller(syn, _attenuation(_as_plant(syn), 3.0, "causal"))
+    a = _competitive_controller(syn, _attenuation(syn.as_plant(), 3.0, "causal"))
     b = synth_competitive(plant, 3.0, horizon=horizon)
     assert isinstance(a, CompetitiveController)
     assert a.synthetic is syn
-    assert isinstance(syn, SyntheticSystemFH) == (horizon is not None)
-    if horizon is None:
-        assert syn.exact == (p < 2)
+    assert syn.horizon == horizon
+    assert syn.exact == (horizon is None and p < 2)
+    assert syn.Bwhat.shape[-1] == (p if syn.exact else 2)
     assert np.array_equal(a.Kxi, b.Kxi)
     assert np.array_equal(a.Kwp, b.Kwp)
 
@@ -637,6 +637,40 @@ def test_serialization_round_trip_fh(kind, rng):
     x2, u2 = _trajectory(plant, back, w)
     assert np.array_equal(x1, x2)
     assert np.array_equal(u1, u2)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj.update(horizon=None), "ltv"),
+        (lambda obj: obj.update(horizon=25), "does not fit horizon 25"),
+        (lambda obj: obj["synthetic"].update(ltv=False), "ltv"),
+        (
+            lambda obj: (obj.update(horizon=None), obj["synthetic"].update(ltv=False)),
+            "does not fit horizon None",
+        ),
+        (lambda obj: obj["gains"]["Kxi"].pop(), "Kxi has shape"),
+        (lambda obj: obj["gains"]["Kwp"].pop(), "Kwp has shape"),
+    ],
+    ids=["horizon-null", "horizon-25", "ltv-false", "both-infinite", "short-Kxi", "short-Kwp"],
+)
+def test_loader_rejects_inconsistent_horizon(edit, message, rng):
+    # a file whose horizon, ltv flag and array ranks or lengths disagree
+    # must not load; horizon null once rolled out with the step-0 matrices
+    plant = random_ltv(rng, T=20, n=2, m=1, p=1)
+    obj = controller_to_json_dict(synth_competitive(plant, 6.0))
+    assert controller_from_json_dict(obj).horizon == 20
+    edit(obj)
+    with pytest.raises(ValueError, match=message):
+        controller_from_json_dict(obj)
+
+
+def test_loader_rejects_state_feedback_gains_off_horizon(rng):
+    plant = random_ltv(rng, T=7, n=2, m=1, p=1)
+    obj = controller_to_json_dict(synth_hinf(plant, 25.0))
+    obj["horizon"] = None
+    with pytest.raises(ValueError, match="Kx has shape"):
+        controller_from_json_dict(obj)
 
 
 def test_serialization_round_trip_offline():

@@ -4,11 +4,12 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
 from conftest import random_lti, random_ltv, scalar_lti
-from oracles import impulse_stacked_maps
+from oracles import doubled_plant_per_step, impulse_stacked_maps
 
 from compctrl.controllers import CompetitiveController, control_step, synth_competitive
 from compctrl.factorization import (
     FactorizationError,
+    WhiteningSchedule,
     build_synthetic,
     delta_inv_transfer,
     delta_transfer,
@@ -18,7 +19,7 @@ from compctrl.factorization import (
     whitening_fh,
     wprime_run,
 )
-from compctrl.model import LtiPlant, build_dense_operators, inv_sqrt_pd, sqrt_psd
+from compctrl.model import LtiPlant, LtvPlant, build_dense_operators, inv_sqrt_pd, sqrt_psd
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable
 
@@ -153,26 +154,73 @@ def test_delta_inverse_transfer(rng):
         assert_allclose(Dinv @ D, np.eye(plant.n), atol=1e-9)
 
 
-def test_synthetic_system_block_structure(rng):
-    plant = random_lti(rng, n=3, m=2, p=2)
-    factor = spectral_factor_ih(plant)
+@pytest.mark.parametrize("horizon", [None, 6], ids=["infinite", "finite"])
+def test_synthetic_system_block_structure(horizon, rng):
+    # one type for both horizons: single matrices, or (T, ., .) stacks whose
+    # every step holds the doubled blocks; as_plant() poses the attenuation
+    # problem on it, with w' in the whitened output space
+    if horizon is None:
+        plant = random_lti(rng, n=3, m=2, p=2)
+        factor = spectral_factor_ih(plant)
+    else:
+        plant = random_ltv(rng, T=horizon, n=2, m=1, p=2)
+        factor = whitening_fh(plant)
     syn = build_synthetic(plant, factor)
-    n, m = plant.n, plant.m
-    KSh = factor.K @ factor.Sigma_half
-    assert_allclose(syn.Ahat[:n, :n], plant.A, atol=1e-14)
-    assert_allclose(syn.Ahat[:n, n:], KSh, atol=1e-14)
-    assert np.all(syn.Ahat[n:, :] == 0.0)
-    assert_allclose(syn.Buhat[:n], plant.Bu, atol=1e-14)
-    assert np.all(syn.Buhat[n:] == 0.0)
-    assert np.all(syn.Bwhat[:n] == 0.0)
-    assert_allclose(syn.Bwhat[n:], np.eye(n), atol=1e-14)
-    U = np.vstack([plant.Q_half, factor.Sigma_half])
-    assert_allclose(syn.Qhat, U @ U.T, atol=1e-12)
-    lam = np.linalg.eigvalsh(syn.Qhat)
-    assert lam.min() >= -1e-10
-    assert_allclose(syn.A_filter, plant.A - factor.K @ plant.Q_half, atol=1e-12)
-    assert_allclose(syn.B_filter, plant.Bw, atol=1e-14)
-    assert_allclose(syn.M_filter, factor.Sigma_inv_half @ plant.Q_half, atol=1e-12)
+    lifted = syn.as_plant()
+    n = plant.n
+    assert syn.horizon == horizon and not syn.exact
+    assert isinstance(lifted, LtiPlant if horizon is None else LtvPlant)
+    assert (lifted.n, lifted.m, lifted.p) == (2 * n, plant.m, n)
+    assert np.all(lifted.x0 == 0.0) and np.all(lifted.R_half == np.eye(plant.m))
+    for t in range(horizon or 1):
+        def at(a):
+            return a if horizon is None else a[t]
+
+        A, Bu, Bw, Qh = map(at, (plant.A, plant.Bu, plant.Bw, plant.Q_half))
+        K, Sh, Sih = map(at, (factor.K, factor.Sigma_half, factor.Sigma_inv_half))
+        Ahat, Buhat, Bwhat, Qhat = map(at, (syn.Ahat, syn.Buhat, syn.Bwhat, syn.Qhat))
+        assert_allclose(Ahat[:n, :n], A, atol=1e-14)
+        assert_allclose(Ahat[:n, n:], K @ Sh, atol=1e-14)
+        assert np.all(Ahat[n:, :] == 0.0)
+        assert_allclose(Buhat[:n], Bu, atol=1e-14)
+        assert np.all(Buhat[n:] == 0.0)
+        assert np.all(Bwhat[:n] == 0.0)
+        assert_allclose(Bwhat[n:], np.eye(n), atol=1e-14)
+        U = np.vstack([Qh, Sh])
+        assert_allclose(Qhat, U @ U.T, atol=1e-12)
+        assert np.linalg.eigvalsh(Qhat).min() >= -1e-10
+        assert_allclose(at(syn.A_filter), A - K @ Qh, atol=1e-12)
+        assert_allclose(at(syn.B_filter), Bw, atol=1e-14)
+        assert_allclose(at(syn.M_filter), Sih @ Qh, atol=1e-12)
+
+
+def test_doubled_assembly_equals_per_step_oracle(rng, boeing):
+    # the stacked assembly writes every step of a finite-horizon doubled
+    # plant bit for bit as that step assembled alone; the infinite-horizon
+    # plant is the one step of its fixed point
+    plants = [boeing.to_ltv(200)] + [
+        random_ltv(rng, T=25, n=n, m=m, p=p)
+        for n, m, p in ((2, 1, 1), (3, 2, 2), (4, 1, 3), (2, 1, 3))
+    ]
+    for plant in plants:
+        sched = whitening_fh(plant)
+        syn = build_synthetic(plant, sched)
+        for key, ref in doubled_plant_per_step(plant, sched).items():
+            assert np.array_equal(getattr(syn, key), ref), key
+        assert np.array_equal(syn.B_filter, plant.Bw)
+    lti = random_lti(rng, n=3, m=1, p=3)
+    factor = spectral_factor_ih(lti)
+    one_step = WhiteningSchedule(
+        P=factor.P[None],
+        K=factor.K[None],
+        Sigma=factor.Sigma[None],
+        Sigma_half=factor.Sigma_half[None],
+        Sigma_inv_half=factor.Sigma_inv_half[None],
+    )
+    syn = build_synthetic(lti, factor)
+    for key, ref in doubled_plant_per_step(lti.to_ltv(1), one_step).items():
+        assert np.array_equal(getattr(syn, key), ref[0]), key
+    assert np.array_equal(syn.A_filter, factor.A_whiten)
 
 
 def _wprime_filter_transfer(plant, factor, z):
@@ -245,26 +293,6 @@ def test_exact_synthetic_system_block_structure(rng):
     ltv = random_ltv(rng, T=4, n=3, m=1, p=1)
     with pytest.raises(TypeError, match="time-invariant"):
         build_synthetic(ltv, whitening_fh(ltv), outer)
-
-
-def test_synthetic_fh_as_ltv_plant(rng):
-    T = 6
-    plant = random_ltv(rng, T=T, n=2, m=1, p=2)
-    sched = whitening_fh(plant)
-    syn = build_synthetic(plant, sched)
-    lifted = syn.as_ltv_plant()
-    assert lifted.T == T
-    assert lifted.n == 2 * plant.n
-    assert lifted.m == plant.m
-    assert lifted.p == plant.n  # w' lives in the whitened output space
-    n = plant.n
-    for t in range(T):
-        U = np.vstack([plant.Q_half[t], sched.Sigma_half[t]])
-        assert_allclose(lifted.Q[t], U @ U.T, atol=1e-12)
-        assert_allclose(syn.Ahat[t, :n, n:], sched.K[t] @ sched.Sigma_half[t], atol=1e-12)
-        assert_allclose(
-            syn.M_filter[t], sched.Sigma_inv_half[t] @ plant.Q_half[t], atol=1e-12
-        )
 
 
 def test_wprime_filter_online_matches_batch(rng):

@@ -348,7 +348,7 @@ def _fh_case(case, boeing):
     if case == "boeing":
         return boeing.to_ltv(40)
     if case == "doubled":
-        return controllers._synthetic_plant(boeing.to_ltv(40)).as_ltv_plant()
+        return controllers._synthetic_plant(boeing.to_ltv(40)).as_plant()
     rng = np.random.default_rng(7100 + case)
     return random_ltv(rng, T=30, n=3 + case % 2, m=1 + case % 2, p=1 + case % 2)
 
@@ -427,7 +427,7 @@ def _search_levels(boeing):
     """The 19 levels of the Boeing T = 200 causal competitive search, and its
     synthetic plant."""
     levels = [g for g, _ in min_gamma_competitive(boeing, horizon=200).history]
-    syn = controllers._as_plant(controllers._synthetic_plant(boeing.to_ltv(200)))
+    syn = controllers._synthetic_plant(boeing.to_ltv(200)).as_plant()
     return levels, syn
 
 
