@@ -25,8 +25,11 @@ sense:
   backward Riccati sweep at every horizon, checked by ``compctrl verify``
   against a dense solve of the same stacked normal equations
     u* = -(I + F'F)^{-1} F' G w,    OPT = w'G'(I + FF')^{-1} G w.
-  The sweep's w-independent schedule is held in :data:`schedule_cache`,
-  the one process-wide cache of it (see :class:`ScheduleCache`).
+  The sweep's policy u_t = -K_t x_t - h_t is one :data:`Law`
+  (:func:`_clairvoyant_law`): :func:`offline_optimal` steps it, and the
+  rollouts and the pendulum comparator bind it.  Its w-independent schedule
+  is held in :data:`schedule_cache`, keyed by an :class:`LtiPlant` (the
+  type is the time-invariance) and a horizon; see :class:`ScheduleCache`.
 
 Every online controller binds its step to a disturbance record once
 (:meth:`bind`), into a :data:`Law`: its gains or realization slices are
@@ -45,7 +48,6 @@ step alone and runs the gain step once, at the level it certifies.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
@@ -60,6 +62,7 @@ from .factorization import (
     whitening_fh,
 )
 from .model import LtiPlant, LtvPlant, build_dense_operators, rowwise, step_costs
+from .model import _disturbance_record
 from .riccati import (
     RiccatiFixedPoint,
     _check_gamma,
@@ -333,7 +336,7 @@ class CompetitiveController:
 
 @dataclass(frozen=True)
 class OfflineController:
-    """Clairvoyant minimizer; batch only (rollouts precompute the controls)."""
+    """Clairvoyant minimizer; batch only (rollouts bind :func:`_clairvoyant_law`)."""
 
     kind: str = "offline"
     causality: str = NONCAUSAL
@@ -734,15 +737,14 @@ SCHEDULE_CACHE_BYTES = 8 << 20
 class ScheduleCache:
     """Least-recently-used cache of :func:`_affine_schedule`, bounded by bytes.
 
-    The schedule depends on (A, B_u, B_w, Q) and the horizon alone, so a
-    time-invariant plant (:attr:`LtvPlant.invariant_step`) is keyed exactly
-    by T and the shapes and raw bytes of one step's matrices: no digest, so
-    a one-ulp change or a -0.0 for a +0.0 is another key.  Its schedule is
-    computed once, on the step replicated T times, whichever plant asks
-    first; a time-varying plant's is computed afresh on every call.  When
-    the held bytes would exceed ``max_bytes``, the least recently used
-    entries go; an entry larger than the bound is not kept.  Schedules are
-    read-only, so callers share them.
+    The schedule depends on (A, B_u, B_w, Q) and the horizon alone, so
+    :meth:`get` keys an :class:`LtiPlant` and a horizon T exactly, by T and
+    the shapes and raw bytes of its matrices: no digest, so a one-ulp change
+    or a -0.0 for a +0.0 is another key; a miss solves ``plant.to_ltv(T)``.
+    Every :class:`LtvPlant` is solved afresh over its own horizon, even one
+    whose steps are all equal.  When the held bytes would exceed
+    ``max_bytes``, the least recently used entries go; an entry larger than
+    the bound is not kept.  Schedules are read-only, so callers share them.
     """
 
     def __init__(self, max_bytes: int = SCHEDULE_CACHE_BYTES):
@@ -760,17 +762,16 @@ class ScheduleCache:
         self._entries.clear()
         self.held_bytes = 0
 
-    def get(self, plant: LtvPlant) -> AffineSchedule:
-        step = plant.invariant_step
-        if step is None:
+    def get(self, plant, T: int) -> AffineSchedule:
+        if isinstance(plant, LtvPlant):
             return _affine_schedule(plant)
-        key = (plant.T, *(a.shape for a in step), *(a.tobytes() for a in step))
+        step = (plant.A, plant.Bu, plant.Bw, plant.Q)
+        key = (T, *(a.shape for a in step), *(a.tobytes() for a in step))
         hit = self._entries.get(key)
         if hit is not None:
             self._entries.move_to_end(key)
             return hit[0]
-        A, Bu, Bw, Q = (np.repeat(a[None], plant.T, axis=0) for a in step)
-        schedule = _affine_schedule(LtvPlant(A, Bu, Bw, Q, plant.R_half, plant.x0))
+        schedule = _affine_schedule(plant.to_ltv(T))
         size = schedule.K.nbytes + schedule.M.nbytes + sum(a.nbytes for a in step)
         if size <= self.max_bytes:
             self._entries[key] = (schedule, size)
@@ -781,69 +782,70 @@ class ScheduleCache:
         return schedule
 
 
-#: The one schedule cache of the process: :func:`offline_optimal` and the
-#: pendulum comparator of :mod:`compctrl.mpc` read it.
+#: The one schedule cache of the process, read by :func:`_clairvoyant_law`.
 schedule_cache = ScheduleCache()
 
 
-def _cost_of_controls(plant: LtvPlant, u: np.ndarray, w: np.ndarray) -> float:
-    """Cost sum_t x_t'Q_t x_t + u_t'u_t of open-loop controls u against w."""
-    x = np.empty((plant.T, plant.n))
+def _clairvoyant_law(plant, w: np.ndarray, t0: int = 0) -> Law:
+    """The clairvoyant policy u_t = -K_t x_t - h_t as a :data:`Law` on the
+    record w (row 0 is step t0) over the horizon t0 + len(w): K from
+    :data:`schedule_cache`, h from one :func:`_affine_pass` over w (the steps
+    before t0 never read their offsets).  The plant's x0 must be 0."""
+    if np.any(plant.x0 != 0.0):
+        raise ValueError("offline optimal requires x0 = 0")
+    K, M = (a[t0:] for a in schedule_cache.get(plant, t0 + len(w)))
+    h = _affine_pass(AffineSchedule(K, M), w)
+
+    def law(t, x, z):
+        return -(K[t - t0] @ x) - h[t - t0], z, None
+
+    return law
+
+
+def _forward(plant, w: np.ndarray, law: Law) -> tuple[np.ndarray, float]:
+    """(u, cost sum_t x_t'Q_t x_t + u_t'u_t) of the memoryless ``law`` against
+    ``plant`` over w, the cost taken after the loop."""
+    advance = plant.advance(w)
+    x, u = np.empty((len(w), plant.n)), np.empty((len(w), plant.m))
     x_t = plant.x0
-    for t, (A, Bu, bw_t) in enumerate(zip(plant.A, plant.Bu, rowwise(plant.Bw, w))):
+    for t in range(len(w)):
         x[t] = x_t
-        x_t = A @ x_t + Bu @ u[t] + bw_t
-    return step_costs(x, u, plant.Q)[2]
+        u[t] = u_t = law(t, x_t, None)[0]
+        x_t = advance(t, x_t, u_t)
+    return u, step_costs(x, u, plant.Q)[2]
+
+
+def _cost_of_controls(plant, u: np.ndarray, w: np.ndarray) -> float:
+    """Cost sum_t x_t'Q_t x_t + u_t'u_t of open-loop controls u against w."""
+    return _forward(plant, w, lambda t, x, z: (u[t], z, None))[1]
 
 
 def offline_optimal(
-    plant: LtvPlant, w: np.ndarray, method: Optional[str] = None
+    plant, w: np.ndarray, method: Optional[str] = None
 ) -> tuple[np.ndarray, float]:
     """Clairvoyant optimal controls and cost for a known disturbance.
 
-    Returns (u_star of shape (T, m), OPT) from the affine backward Riccati
-    sweep at every horizon, O(T n^3): the stacked Gram matrix is block-banded
-    in causal order, which the sweep factorizes implicitly.  The sweep's
-    w-independent schedule comes from :data:`schedule_cache`, so repeated
-    solves on one time-invariant plant and horizon pay one linear pass and
-    the forward pass each.  The forward pass steps u_t and x_{t+1} alone,
-    reading one step's matrices of such a plant throughout; B_w w_t is taken
-    for every step before it and OPT from :func:`~compctrl.model.step_costs`
-    after it.
+    ``plant`` is an :class:`LtiPlant` over T = len(w) or an :class:`LtvPlant`
+    of horizon T.  Returns (u_star of shape (T, m), OPT) from the affine
+    backward Riccati sweep at every horizon, O(T n^3): the stacked Gram
+    matrix is block-banded in causal order, which the sweep factorizes
+    implicitly.  The forward pass steps :func:`_clairvoyant_law` against
+    ``plant.advance``, OPT taken from the step costs after it; an LtiPlant's
+    schedule is cached, so repeated solves on one LtiPlant and horizon pay
+    one linear pass and the forward pass each.
     ``method="dense"`` solves the stacked normal equations, O((T n)^3), as
     the independent oracle of ``compctrl verify`` and the cross-route tests.
     """
-    if not isinstance(plant, LtvPlant):
-        raise TypeError("offline_optimal expects a finite-horizon plant")
-    if np.any(plant.x0 != 0.0):
-        raise ValueError("offline optimal requires x0 = 0")
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if w.shape != (plant.T, plant.p):
-        raise ValueError(f"disturbance must have shape (T, p) = {(plant.T, plant.p)}")
+    w = _disturbance_record(plant, w)
     if method == "dense":
-        ops = build_dense_operators(plant)
+        ops = build_dense_operators(_normalize_horizon(plant, len(w)))
         gw = ops.G @ w.reshape(-1)
         u = np.linalg.solve(
             np.eye(ops.m * ops.T) + ops.F.T @ ops.F, -ops.F.T @ gw
-        ).reshape(plant.T, plant.m)
+        ).reshape(ops.T, ops.m)
         opt = float(gw @ np.linalg.solve(np.eye(ops.n * ops.T) + ops.F @ ops.F.T, gw))
     elif method in (None, "riccati"):
-        schedule = schedule_cache.get(plant)
-        h = _affine_pass(schedule, w)
-        step = plant.invariant_step
-        As, Bus, Bw, Q = (plant.A, plant.Bu, plant.Bw, plant.Q) if step is None else step
-        if step is not None:
-            As, Bus = itertools.repeat(As), itertools.repeat(Bus)
-        x = np.empty((plant.T, plant.n))
-        u = np.zeros((plant.T, plant.m))
-        x_t = plant.x0
-        for t, (K, h_t, bw_t, A, Bu) in enumerate(zip(schedule.K, h, rowwise(Bw, w), As, Bus)):
-            x[t] = x_t
-            u[t] = u_t = -(K @ x_t) - h_t
-            x_t = A @ x_t + Bu @ u_t + bw_t
-        opt = step_costs(x, u, Q)[2]
+        u, opt = _forward(plant, w, _clairvoyant_law(plant, w))
     else:
         raise ValueError("method must be None, 'dense', or 'riccati'")
     return u, opt
@@ -919,11 +921,23 @@ def _check_horizon(horizon, arrays: dict) -> None:
             )
 
 
+def _check_dims(arrays: dict, shapes: dict, dims: tuple) -> None:
+    """Reject a file whose matrices disagree with the dimensions
+    ``dims`` = (n, m, p) read from it: ``shapes`` maps a key to the (rows,
+    columns) of its matrix, or of each step's."""
+    for key, shape in shapes.items():
+        a = arrays[key]
+        if a.shape[-2:] != shape:
+            raise ValueError(f"controller file: {key} has shape {a.shape}, but "
+                             f"(n, m, p) = {dims} needs {a.shape[:-2] + shape}")
+
+
 def controller_from_json_dict(obj: dict):
     """Inverse of :func:`controller_to_json_dict`.
 
-    A file whose ``horizon``, ``synthetic.ltv`` flag and array ranks or
-    lengths disagree raises ValueError.
+    A file whose ``horizon``, ``synthetic.ltv`` flag, array ranks or
+    lengths, or matrix dimensions (n, m, p) disagree raises ValueError
+    naming the field.
     """
     version = obj.get("schema_version", CONTROLLER_SCHEMA_VERSION)
     if version != CONTROLLER_SCHEMA_VERSION:
@@ -937,6 +951,8 @@ def controller_from_json_dict(obj: dict):
     if kind in ("h2", "hinf"):
         Kx, Kw = (np.asarray(gains[key], dtype=float) for key in ("Kx", "Kw"))
         _check_horizon(horizon, {"Kx": Kx, "Kw": Kw})
+        (m, n), p = Kx.shape[-2:], Kw.shape[-1]
+        _check_dims({"Kw": Kw}, {"Kw": (m, p)}, (n, m, p))
         return StateFeedbackController(
             kind=kind,
             causality=obj["causality"],
@@ -960,7 +976,17 @@ def controller_from_json_dict(obj: dict):
             if key in s
         }
         Kxi, Kwp = (np.asarray(gains[key], dtype=float) for key in ("Kxi", "Kwp"))
-        _check_horizon(horizon, {**fields, "Kxi": Kxi, "Kwp": Kwp})
+        arrays = {**fields, "Kxi": Kxi, "Kwp": Kwp}
+        _check_horizon(horizon, arrays)
+        n, m, p = (fields[key].shape[-1] for key in ("A_filter", "Buhat", "B_filter"))
+        exact = "C_outer" in fields
+        w_hat = p if exact else n  # width of the synthetic plant's disturbance
+        shapes = {"Ahat": (2 * n, 2 * n), "Buhat": (2 * n, m), "Bwhat": (2 * n, w_hat),
+                  "Qhat": (2 * n, 2 * n), "A_filter": (n, n), "B_filter": (n, p),
+                  "M_filter": (n, n), "Kxi": (m, 2 * n), "Kwp": (m, w_hat)}
+        if exact:
+            shapes.update(C_outer=(p, n), D_outer=(p, p))
+        _check_dims(arrays, shapes, (n, m, p))
         return CompetitiveController(
             kind=kind,
             causality=obj["causality"],

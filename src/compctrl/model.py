@@ -150,9 +150,11 @@ def _check_psd_weight(Q: np.ndarray, name: str = "Q") -> np.ndarray:
 class LtiPlant:
     """Time-invariant plant with the control weight already normalized to I.
 
-    ``R_half`` records the symmetric square root of the original control
-    weight; controls produced by any synthesized controller can be mapped back
-    to original units via u = R^{-1/2} u'.
+    Time-invariance is this type: an LtiPlant runs over the horizon its
+    disturbance record sets, with one step's matrices.  ``R_half`` records
+    the symmetric square root of the original control weight; controls
+    produced by any synthesized controller can be mapped back to original
+    units via u = R^{-1/2} u'.
     """
 
     A: np.ndarray
@@ -196,6 +198,17 @@ class LtiPlant:
             x0=self.x0.copy(),
         )
 
+    def advance(self, w: np.ndarray):
+        """The plant's step on the record w: ``advance(t, x, u)`` is
+        A x + B_u u + B_w w_t, one step's matrices at every t (the type is the
+        time-invariance), B_w w_t taken for every row at once."""
+        A, Bu, bw = self.A, self.Bu, rowwise(self.Bw, w)
+
+        def advance(t, x, u):
+            return A @ x + Bu @ u + bw[t]
+
+        return advance
+
 
 @dataclass(frozen=True)
 class LtvPlant:
@@ -228,20 +241,32 @@ class LtvPlant:
     def Q_half(self) -> np.ndarray:
         return sqrt_psd(self.Q)
 
-    @cached_property
-    def invariant_step(self):
-        """Step 0's (A, B_u, B_w, Q) when every step equals it bit for bit,
-        else None.
+    def advance(self, w: np.ndarray):
+        """The plant's step on the record w (T, p): ``advance(t, x, u)`` is
+        A_t x + B_{u,t} u + B_{w,t} w_t, step t's matrices even when all steps
+        are equal, B_{w,t} w_t taken for every row at once."""
+        A, Bu, bw = self.A, self.Bu, rowwise(self.Bw, w)
 
-        The test compares the stacks as uint64, so -0.0 differs from +0.0
-        and a NaN equals itself; what it finds is exactly a time-invariant
-        plant, e.g. one made by :meth:`LtiPlant.to_ltv`.
-        """
-        for stack in (self.A, self.Bu, self.Bw, self.Q):
-            bits = np.ascontiguousarray(stack, dtype=np.float64).view(np.uint64)
-            if not (bits == bits[0]).all():
-                return None
-        return self.A[0], self.Bu[0], self.Bw[0], self.Q[0]
+        def advance(t, x, u):
+            return A[t] @ x + Bu[t] @ u + bw[t]
+
+        return advance
+
+
+def _disturbance_record(plant, w) -> np.ndarray:
+    """w as a (T, p) record for ``plant`` ((T,) reads as (T, 1)): any T for
+    an LtiPlant, its own horizon for an LtvPlant.  A non-plant raises
+    TypeError, a record that does not fit ValueError."""
+    if not isinstance(plant, (LtiPlant, LtvPlant)):
+        raise TypeError("plant must be LtiPlant or LtvPlant")
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 1:
+        w = w[:, None]
+    if isinstance(plant, LtvPlant) and len(w) != plant.T:
+        raise ValueError("disturbance length does not match the plant horizon")
+    if w.ndim != 2 or w.shape[1] != plant.p:
+        raise ValueError(f"disturbance must have shape (T, p) = {(len(w), plant.p)}")
+    return w
 
 
 @dataclass(frozen=True)

@@ -23,19 +23,21 @@ Each bin's controller is cached; a run binds each bin's law
 (:data:`compctrl.controllers.Law`) to the tail of the record at the bin's
 first visit, so its products with w are taken once per bin and record, and a
 step looks the bin up and calls the law, with the arithmetic of the
-controller's own ``step``.  The linear dynamics take B_w w_t for the whole
-record before the first step.
+controller's own ``step``.  The linear dynamics are the linearization's own
+``advance``, B_w w_t taken for the whole record before the first step.
 
 The cost comparator is a receding-horizon clairvoyant: at every step it
 applies the first move of the exact affine optimal policy for the dynamics
-frozen at the current bin, given the entire future disturbance.  The policy's
-Riccati schedule does not depend on the disturbance; it comes from the
+frozen at the current bin, given the entire future disturbance: the
+clairvoyant law of :mod:`compctrl.controllers`, bound to the bin's
+linearization (an LtiPlant) and the rest of the record at its first visit.
+Its Riccati schedule does not depend on the disturbance; it comes from the
 process-wide :data:`compctrl.controllers.schedule_cache`, keyed by the raw
 bytes of the bin's linearization and T, bounded by the bytes it holds and
 emptied least recently used first, so records of one family compute it once
-per bin while it stays cached.  The offsets depend on the record linearly:
-one linear backward pass per record and bin, from the end of the record to
-the bin's first visit, serves every step that lands in the bin.
+per bin while it stays cached.  The offsets depend on the record linearly: one linear
+backward pass per record and bin, from the end of the record to the bin's
+first visit, serves every step that lands in the bin.
 """
 
 from __future__ import annotations
@@ -48,17 +50,15 @@ from typing import Optional
 import numpy as np
 
 from .controllers import (
-    AffineSchedule,
     ControllerState,
     Infeasible,
-    _affine_pass,
-    schedule_cache,
+    _clairvoyant_law,
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
 )
 from .factorization import FactorizationError
-from .model import LtiPlant, rowwise
+from .model import LtiPlant
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import DisturbanceSpec, RolloutResult, _rollout_loop, _StopRollout, cost_ratio, generate
 from .sim import spec_from_json_dict, spec_to_json_dict
@@ -275,8 +275,9 @@ class RelinearizingController:
         return u
 
 
-def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
-    """Roll ``policy`` against the pendulum, with unit cost weights.
+def _simulate(params, law, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
+    """Roll the :data:`~compctrl.controllers.Law` ``law`` against the
+    pendulum, with unit cost weights.
 
     ``w`` is a (T, 1) record (:func:`_disturbance_column`); ``dynamics`` is
     "nonlinear" or "linear" (the linearization about theta_lin).
@@ -284,19 +285,14 @@ def _simulate(params, policy, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
     if dynamics not in ("nonlinear", "linear"):
         raise ValueError("dynamics must be 'nonlinear' or 'linear'")
     if dynamics == "linear":
-        lin = linearize_pendulum(params, theta_lin)
-        A, Bu, bw = lin.A, lin.Bu, rowwise(lin.Bw, w)
-
-        def advance(t, x, u, w_t):
-            return A @ x + Bu @ u + bw[t]
-
+        advance = linearize_pendulum(params, theta_lin).advance(w)
     else:
 
-        def advance(t, x, u, w_t):
-            return pendulum_step(params, x, u, w_t)
+        def advance(t, x, u):
+            return pendulum_step(params, x, u, w[t])
 
     x0 = np.asarray(x0, dtype=float).reshape(2)
-    return _rollout_loop(w, x0, 1, np.eye(2), policy, advance)
+    return _rollout_loop(w, x0, 1, np.eye(2), law, advance)
 
 
 def run_pendulum(
@@ -310,12 +306,11 @@ def run_pendulum(
     w = _disturbance_column(w)
     controller.reset(w)
 
-    def policy(t, x, w_t):
-        u = controller.step(x, w_t)
-        return u, controller.last_wprime
+    def law(t, x, z):
+        return controller.step(x, w[t]), z, controller.last_wprime
 
     theta_lin = controller._bin_init * controller.quantum
-    return _simulate(params, policy, w, x0, dynamics, theta_lin)
+    return _simulate(params, law, w, x0, dynamics, theta_lin)
 
 
 def clairvoyant_comparator_run(
@@ -328,8 +323,9 @@ def clairvoyant_comparator_run(
     """Roll the receding-horizon clairvoyant comparator on the same record.
 
     At step t in bin b it applies u_t = -K_t x_t - h_t, the clairvoyant
-    policy over the whole record for the linearization of bin b.  K and the
-    rest of the bin's Riccati schedule come from the shared
+    policy over the whole record for the linearization of bin b, bound to
+    the tail of the record at the bin's first visit.  K and the rest of the
+    bin's Riccati schedule come from the shared
     :data:`~compctrl.controllers.schedule_cache`: keyed exactly by T and the
     raw bytes of the linearization (so bins with equal linearizations share
     one), held within ``SCHEDULE_CACHE_BYTES`` with the least recently used
@@ -340,22 +336,16 @@ def clairvoyant_comparator_run(
     """
     w = _disturbance_column(w)
     quantum = _check_quantum(quantum)
-    T = w.shape[0]
-    laws: dict = {}
+    laws: dict = {}  # bin -> its clairvoyant law bound to the record's tail
 
-    def policy(t, x, w_t):
+    def law(t, x, z):
         b = int(round(float(x[0]) / quantum))
-        law = laws.get(b)
-        if law is None:
-            plant = linearize_pendulum(params, b * quantum).to_ltv(T)
-            schedule = schedule_cache.get(plant)
-            # the steps before the bin's first visit never read its offsets
-            tail = AffineSchedule(schedule.K[t:], schedule.M[t:])
-            law = laws[b] = (t, tail.K, _affine_pass(tail, w[t:]))
-        t0, K, h = law
-        return -(K[t - t0] @ x) - h[t - t0], None
+        bound = laws.get(b)
+        if bound is None:
+            bound = laws[b] = _clairvoyant_law(linearize_pendulum(params, b * quantum), w[t:], t)
+        return bound(t, x, z)
 
-    return _simulate(params, policy, w, x0, dynamics)
+    return _simulate(params, law, w, x0, dynamics)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ recursion runs per step: the law, the plant step and the divergence test.
 What does not feed back runs once per record: each rollout binds the
 controller's law to the record (its gains or realization slices looked up,
 and every product of the law with w taken for all steps in one stacked
-matmul), takes B_w w_t for all steps the same way, steps a time-invariant
-plant with one step's matrices, and computes the step costs and their
-running sum after the loop (:func:`~compctrl.model.step_costs`).  Each lane
-of a stacked product runs the kernel of the lone product, so every float is
-the one stepping the controller through ``control_step`` and the plant
-through its equations would give, the same bits.  A state norm above 1e6
-truncates the run with status "diverged" instead of raising.
+matmul), the plant steps itself (``plant.advance``: B_w w_t for all steps
+the same way; an LtiPlant, time-invariant by type, with one step's
+matrices), and the step costs and their running sum are computed after the
+loop (:func:`~compctrl.model.step_costs`).  The clairvoyant controller
+binds the one clairvoyant law.  Each lane of a stacked product runs the
+kernel of the lone product, so every float is the one stepping the
+controller through ``control_step`` and the plant through its equations
+would give, the same bits.  A state norm above 1e6 truncates the run with
+status "diverged" instead of raising.
 
 Trace CSVs are written atomically (temp file + rename) with %.17g floats and
 LF line endings so repeated runs are byte-identical.
@@ -33,17 +35,12 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .controllers import (
-    CompetitiveController,
-    OfflineController,
-    _online,
-    offline_optimal,
-)
-from .model import LtiPlant, LtvPlant, rowwise, step_costs
+from .controllers import OfflineController, _clairvoyant_law, _online, offline_optimal
+from .model import _disturbance_record, step_costs
 
 __all__ = [
     "DisturbanceSpec",
@@ -201,15 +198,15 @@ class _StopRollout(RuntimeError):
     status = "stopped"
 
 
-def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
+def _rollout_loop(w, x0, m, Q, law, advance, z=None) -> RolloutResult:
     """The loop of every rollout.
 
-    Per step, only the recursion: ``policy(t, x_t, w_t)`` gives (u_t, w'_t),
-    w'_t None when the policy has no filter; ``advance(t, x_t, u_t, w_t)``
-    gives x_{t+1}; a state whose norm sqrt(x'x) is not at most
-    ``DIVERGENCE_NORM`` (NaN included) or a :class:`_StopRollout` from the
-    policy ends the run, and the arrays keep the steps completed.  The step
-    costs x_t'Q_t x_t + u_t'u_t, ``Q`` being one (n, n) weight or a
+    Per step, only the recursion: the :data:`~compctrl.controllers.Law`
+    ``law(t, x_t, z_t)`` gives (u_t, z_{t+1}, w'_t), z_0 = ``z``;
+    ``advance(t, x_t, u_t)`` gives x_{t+1}; a state whose norm sqrt(x'x) is
+    not at most ``DIVERGENCE_NORM`` (NaN included) or a :class:`_StopRollout`
+    from the law ends the run, and the arrays keep the steps completed.  The
+    step costs x_t'Q_t x_t + u_t'u_t, ``Q`` being one (n, n) weight or a
     (T, n, n) stack, their running sum and the total are computed once,
     after the loop, by :func:`~compctrl.model.step_costs`.
     """
@@ -221,16 +218,16 @@ def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
     status = "ok"
     steps = 0
     x_t = x[0]
-    for t, w_t in enumerate(w):
+    for t in range(T):
         try:
-            u_t, wp = policy(t, x_t, w_t)
+            u_t, z, wp = law(t, x_t, z)
         except _StopRollout as stop:
             status = stop.status
             break
         if wp is not None:
             wprime[t] = wp
         u[t] = u_t
-        x[t + 1] = x_t = advance(t, x_t, u_t, w_t)
+        x[t + 1] = x_t = advance(t, x_t, u_t)
         steps = t + 1
         if not math.sqrt(x_t @ x_t) <= DIVERGENCE_NORM:  # also NaN and inf
             status = "diverged"
@@ -249,64 +246,28 @@ def _rollout_loop(w, x0, m, Q, policy, advance) -> RolloutResult:
     )
 
 
-def _as_ltv(plant, T: int) -> LtvPlant:
-    if isinstance(plant, LtvPlant):
-        if plant.T != T:
-            raise ValueError("disturbance length does not match the plant horizon")
-        return plant
-    return plant.to_ltv(T)
-
-
 def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
     """Simulate the closed loop over the disturbance w (shape (T, p)).
 
-    The controller's :data:`~compctrl.controllers.Law` is bound to w once
-    (its gains or realization slices looked up, its products with w taken
-    for all steps), B_w w_t is taken for all steps, and a time-invariant
-    plant steps with one step's matrices throughout; the arithmetic is that
-    of stepping the controller with
+    ``plant`` is an LtiPlant over T = len(w) or an LtvPlant of horizon T,
+    and steps itself (``plant.advance``).  The controller's
+    :data:`~compctrl.controllers.Law` is bound to w once (its gains or
+    realization slices looked up, its products with w taken for all steps);
+    the arithmetic is that of stepping the controller with
     :func:`~compctrl.controllers.control_step`.  An
-    :class:`~compctrl.controllers.OfflineController` replays the controls of
-    :func:`~compctrl.controllers.offline_optimal`.
+    :class:`~compctrl.controllers.OfflineController` binds the clairvoyant
+    law: its run is :func:`~compctrl.controllers.offline_optimal`'s forward
+    pass, the same bits.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    T = w.shape[0]
-    ltv = _as_ltv(plant, T)
-    if w.shape != (T, ltv.p):
-        raise ValueError(f"disturbance must have shape (T, p) = {(T, ltv.p)}")
-    if controller.horizon is not None and controller.horizon != T:
+    w = _disturbance_record(plant, w)
+    if controller.horizon is not None and controller.horizon != len(w):
         raise ValueError("controller horizon does not match the disturbance length")
-
     if isinstance(controller, OfflineController):
-        u_all = offline_optimal(ltv, w)[0]
-
-        def policy(t, x, w_t):
-            return u_all[t], None
-
+        law = _clairvoyant_law(plant, w)
     else:
         law = _online(controller).bind(w)
-        state = controller.make_state()
-
-        def policy(t, x, w_t):
-            u_t, state.z, wp = law(t, x, state.z)
-            return u_t, wp
-
-    step = ltv.invariant_step
-    A, Bu, Bw, Q = (ltv.A, ltv.Bu, ltv.Bw, ltv.Q) if step is None else step
-    bw = rowwise(Bw, w)
-    if step is None:
-
-        def advance(t, x, u_t, w_t):
-            return A[t] @ x + Bu[t] @ u_t + bw[t]
-
-    else:
-
-        def advance(t, x, u_t, w_t):
-            return A @ x + Bu @ u_t + bw[t]
-
-    return _rollout_loop(w, ltv.x0, ltv.m, Q, policy, advance)
+    z = controller.make_state().z
+    return _rollout_loop(w, plant.x0, plant.m, plant.Q, law, plant.advance(w), z)
 
 
 @dataclass
@@ -346,25 +307,22 @@ def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
     """Roll out each named controller on the same disturbance and rank costs.
 
     ``named_controllers`` is a sequence of (name, controller) pairs or a
-    dict.  The clairvoyant optimum is computed once from the same plant and
-    disturbance; its schedule is cached across calls for a time-invariant
-    plant and horizon (:data:`~compctrl.controllers.schedule_cache`), so a
-    warm call pays one linear pass and the rollouts.
+    dict; ``plant`` is taken as given, as by :func:`rollout`.  The
+    clairvoyant optimum is computed once from the same plant and
+    disturbance; its schedule is cached across calls for an LtiPlant and
+    horizon (:data:`~compctrl.controllers.schedule_cache`), so a warm call
+    pays one linear pass and the rollouts.
     """
     if isinstance(named_controllers, dict):
         items = list(named_controllers.items())
     else:
         items = list(named_controllers)
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    ltv = _as_ltv(plant, w.shape[0])
     start = time.perf_counter()
-    _, opt = offline_optimal(ltv, w)
+    _, opt = offline_optimal(plant, w)
     solved = time.perf_counter()
     names, totals, ratios, rollouts = [], [], [], {}
     for name, ctrl in items:
-        res = rollout(ltv, ctrl, w)
+        res = rollout(plant, ctrl, w)
         names.append(name)
         totals.append(res.total_cost)
         ratios.append(cost_ratio(res.total_cost, opt))

@@ -14,6 +14,7 @@ from compctrl import (
     controller_from_json_dict,
     plant_to_json_dict,
     controller_to_json_dict,
+    load_bundled_plant,
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
@@ -223,6 +224,23 @@ def test_simulate_rejects_inconsistent_controller_file(tmp_path, plant_file):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "horizon" in proc.stderr
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_simulate_rejects_controller_file_with_mismatched_dimensions(tmp_path):
+    # a Boeing competitive file with one column dropped from every row of
+    # Kxi is refused when loaded, naming the field
+    obj = controller_to_json_dict(synth_competitive(load_bundled_plant("boeing747"), 1.4))
+    for row in obj["gains"]["Kxi"]:
+        row.pop()
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli(
+        "simulate", "--plant", "builtin:boeing747", "--controller", str(path),
+        "--steps", "20", "--trace-dir", str(tmp_path), "--out", str(tmp_path / "c.json"),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: controller file: Kxi has shape (2, 7)")
     assert not (tmp_path / "c.json").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -357,60 +358,60 @@ def test_schedule_cache_keys_exactly(rng):
     ulp, neg_zero = Bw.copy(), Bw.copy()
     ulp[0, 0] = np.nextafter(ulp[0, 0], np.inf)
     neg_zero[2, 1] = -0.0
-    first = cache.get(base.to_ltv(20))
+    first = cache.get(base, 20)
     assert len(cache) == 1
-    assert cache.get(base.to_ltv(20)) is first
+    assert cache.get(base, 20) is first
     others = [
-        dataclasses.replace(base, Bw=ulp).to_ltv(20),
-        dataclasses.replace(base, Bw=neg_zero).to_ltv(20),
-        base.to_ltv(21),
+        (dataclasses.replace(base, Bw=ulp), 20),
+        (dataclasses.replace(base, Bw=neg_zero), 20),
+        (base, 21),
     ]
-    for k, plant in enumerate(others, start=2):
-        schedule = cache.get(plant)
+    for k, (plant, T) in enumerate(others, start=2):
+        schedule = cache.get(plant, T)
         assert len(cache) == k and schedule is not first
-        assert _schedules_equal(schedule, _affine_schedule(plant))
-    assert cache.get(base.to_ltv(20)) is first
+        assert _schedules_equal(schedule, _affine_schedule(plant.to_ltv(T)))
+    assert cache.get(base, 20) is first
 
 
 def test_schedule_cache_computes_time_varying_plants_fresh(rng):
+    # every LtvPlant is solved afresh, one whose steps are all equal too:
+    # time-invariance is the LtiPlant type, not a property found in the data
     cache = ScheduleCache()
+    lti = random_lti(rng, n=2, m=1, p=1)
     ltv = random_ltv(rng, T=12, n=2, m=1, p=1)
-    assert ltv.invariant_step is None
-    # one step off in one entry is enough to make a plant time-varying
-    A = np.repeat(ltv.A[:1], 12, axis=0)
-    A[7, 0, 1] = np.nextafter(A[7, 0, 1], -np.inf)
-    almost = dataclasses.replace(ltv, A=A, Bu=np.repeat(ltv.Bu[:1], 12, axis=0),
-                                 Bw=np.repeat(ltv.Bw[:1], 12, axis=0),
-                                 Q=np.repeat(ltv.Q[:1], 12, axis=0))
-    assert almost.invariant_step is None
-    for plant in (ltv, almost, ltv):
-        assert _schedules_equal(cache.get(plant), _affine_schedule(plant))
+    for plant in (ltv, lti.to_ltv(12), ltv, lti.to_ltv(12)):
+        schedule = cache.get(plant, 12)
+        assert _schedules_equal(schedule, _affine_schedule(plant))
+        assert cache.get(plant, 12) is not schedule
     assert len(cache) == 0 and cache.held_bytes == 0
+    # the replicated plant's fresh schedule is the bits of the cached one
+    assert _schedules_equal(cache.get(lti.to_ltv(12), 12), cache.get(lti, 12))
+    assert len(cache) == 1
 
 
 def test_schedule_cache_evicts_least_recently_used(rng):
-    plants = [random_lti(rng, n=3, m=1, p=1).to_ltv(50) for _ in range(6)]
+    plants = [random_lti(rng, n=3, m=1, p=1) for _ in range(6)]
     probe = ScheduleCache()
-    probe.get(plants[0])
+    probe.get(plants[0], 50)
     one = probe.held_bytes
     bound = 3 * one + one // 2  # room for three entries
     cache = ScheduleCache(max_bytes=bound)
-    got = [cache.get(plant) for plant in plants[:1]]
+    got = [cache.get(plant, 50) for plant in plants[:1]]
     for plant in plants[1:]:
-        got.append(cache.get(plant))
+        got.append(cache.get(plant, 50))
         assert cache.held_bytes <= bound
-        assert cache.get(plants[0]) is got[0]  # a hit makes it the most recent
+        assert cache.get(plants[0], 50) is got[0]  # a hit makes it the most recent
     assert len(cache) == 3 and cache.held_bytes == 3 * one
     # recency, oldest first, is now 4, 5, 0: hits keep 4 and 5 ...
-    assert cache.get(plants[4]) is got[4] and cache.get(plants[5]) is got[5]
+    assert cache.get(plants[4], 50) is got[4] and cache.get(plants[5], 50) is got[5]
     # ... 1 went long ago and comes back as the same bits, evicting 0
-    again = cache.get(plants[1])
+    again = cache.get(plants[1], 50)
     assert again is not got[1] and _schedules_equal(again, got[1])
-    assert cache.get(plants[0]) is not got[0]
+    assert cache.get(plants[0], 50) is not got[0]
     assert len(cache) == 3 and cache.held_bytes == 3 * one
     # an entry larger than the bound is computed but never kept
     small = ScheduleCache(max_bytes=one - 1)
-    assert _schedules_equal(small.get(plants[0]), got[0])
+    assert _schedules_equal(small.get(plants[0], 50), got[0])
     assert len(small) == 0 and small.held_bytes == 0
     cache.clear()
     assert len(cache) == 0 and cache.held_bytes == 0
@@ -419,7 +420,7 @@ def test_schedule_cache_evicts_least_recently_used(rng):
 def test_schedule_cache_bound_holds_a_pendulum_family():
     # a family of pendulum runs (T = 1001, quantum 0.01) visits about 21 bins
     cache = ScheduleCache()
-    cache.get(linearize_pendulum(PendulumParams(), 0.03).to_ltv(1001))
+    cache.get(linearize_pendulum(PendulumParams(), 0.03), 1001)
     assert 21 * cache.held_bytes <= SCHEDULE_CACHE_BYTES == schedule_cache.max_bytes
 
 
@@ -472,17 +473,20 @@ def test_offline_default_is_the_riccati_sweep(rng, boeing):
 def test_offline_forward_pass_equals_stepped_oracle(rng, boeing):
     # B_w w_t is taken for every step before the forward pass and OPT from
     # the step costs after it: u* and OPT are the bits of the per-step loop,
-    # on a plant with time-varying Q and on time-invariant ones; so is the
-    # cost of open-loop controls
-    pendulum = linearize_pendulum(PendulumParams(), 0.03).to_ltv(1001)
-    for plant in (random_ltv(rng, T=30, n=3, m=2, p=2), pendulum, boeing.to_ltv(300)):
-        w = rng.standard_normal((plant.T, plant.p))
-        schedule = schedule_cache.get(plant)
-        u_ref, opt_ref = affine_forward(plant, schedule.K, _affine_pass(schedule, w), w)
+    # on a plant with time-varying Q and on time-invariant ones, given as an
+    # LtiPlant or replicated; so is the cost of open-loop controls
+    pendulum = linearize_pendulum(PendulumParams(), 0.03)
+    cases = [(random_ltv(rng, T=30, n=3, m=2, p=2), None), (pendulum, 1001), (boeing, 300)]
+    cases += [(pendulum.to_ltv(1001), None), (boeing.to_ltv(300), None)]
+    for plant, T in cases:
+        ltv = plant if T is None else plant.to_ltv(T)
+        w = rng.standard_normal((ltv.T, ltv.p))
+        schedule = schedule_cache.get(plant, ltv.T)
+        u_ref, opt_ref = affine_forward(ltv, schedule.K, _affine_pass(schedule, w), w)
         u, opt = offline_optimal(plant, w)
         assert np.array_equal(u, u_ref) and opt == opt_ref
         v = u + 1e-3 * rng.standard_normal(u.shape)
-        ref = stepped_rollout(plant, lambda t, x, w_t: (v[t], None), w)
+        ref = stepped_rollout(ltv, lambda t, x, w_t: (v[t], None), w)
         assert _cost_of_controls(plant, v, w) == ref["total_cost"]
 
 
@@ -512,8 +516,14 @@ def test_offline_validations(rng):
         offline_optimal(plant, w, method="magic")
     with pytest.raises(ValueError):
         offline_optimal(plant, w[:3])
+    # an LtiPlant runs over len(w): the same bits as its replication
+    lti = random_lti(rng, n=2, m=1, p=1)
+    for method in ("dense", "riccati"):
+        u, opt = offline_optimal(lti, w, method=method)
+        u_ltv, opt_ltv = offline_optimal(lti.to_ltv(4), w, method=method)
+        assert np.array_equal(u, u_ltv) and opt == opt_ltv
     with pytest.raises(TypeError):
-        offline_optimal(random_lti(rng), w)
+        offline_optimal(lti.A, w)
     from compctrl.model import LtvPlant
 
     shifted = LtvPlant(
@@ -651,17 +661,73 @@ def test_serialization_round_trip_fh(kind, rng):
         ),
         (lambda obj: obj["gains"]["Kxi"].pop(), "Kxi has shape"),
         (lambda obj: obj["gains"]["Kwp"].pop(), "Kwp has shape"),
+        (lambda obj: _drop_last_columns(obj["gains"]["Kxi"]),
+         "Kxi has shape (20, 1, 3), but (n, m, p) = (2, 1, 1) needs (20, 1, 4)"),
+        (lambda obj: _drop_last_columns(obj["gains"]["Kwp"]),
+         "Kwp has shape (20, 1, 1), but (n, m, p) = (2, 1, 1) needs (20, 1, 2)"),
+        (lambda obj: _drop_last_columns(obj["synthetic"]["Bwhat"]),
+         "Bwhat has shape (20, 4, 1), but (n, m, p) = (2, 1, 1) needs (20, 4, 2)"),
+        (lambda obj: _drop_last_columns(obj["synthetic"]["M_filter"]),
+         "M_filter has shape (20, 2, 1), but (n, m, p) = (2, 1, 1) needs (20, 2, 2)"),
+        (lambda obj: [step.pop() for step in obj["synthetic"]["Ahat"]],
+         "Ahat has shape (20, 3, 4), but (n, m, p) = (2, 1, 1) needs (20, 4, 4)"),
     ],
-    ids=["horizon-null", "horizon-25", "ltv-false", "both-infinite", "short-Kxi", "short-Kwp"],
+    ids=["horizon-null", "horizon-25", "ltv-false", "both-infinite", "short-Kxi", "short-Kwp",
+         "narrow-Kxi", "narrow-Kwp", "narrow-Bwhat", "narrow-M_filter", "short-Ahat"],
 )
 def test_loader_rejects_inconsistent_horizon(edit, message, rng):
-    # a file whose horizon, ltv flag and array ranks or lengths disagree
-    # must not load; horizon null once rolled out with the step-0 matrices
+    # a file whose horizon, ltv flag, array ranks or lengths or matrix
+    # dimensions disagree must not load; horizon null once rolled out with
+    # the step-0 matrices, and a narrowed gain once failed inside numpy
     plant = random_ltv(rng, T=20, n=2, m=1, p=1)
     obj = controller_to_json_dict(synth_competitive(plant, 6.0))
     assert controller_from_json_dict(obj).horizon == 20
     edit(obj)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        controller_from_json_dict(obj)
+
+
+def _drop_last_columns(rows):
+    """Drop the last column of a matrix, or of every step of a stack, in
+    the nested lists of a controller file."""
+    for row in rows:
+        if isinstance(row[0], list):
+            _drop_last_columns(row)
+        else:
+            row.pop()
+
+
+@pytest.mark.parametrize(
+    "case, edit, message",
+    [
+        ("h2", lambda g, s: g["Kw"].pop(),
+         "Kw has shape (1, 4), but (n, m, p) = (4, 2, 4) needs (2, 4)"),
+        ("competitive", lambda g, s: _drop_last_columns(g["Kxi"]),
+         "Kxi has shape (2, 7), but (n, m, p) = (4, 2, 4) needs (2, 8)"),
+        ("exact", lambda g, s: [row.append(0.0) for row in s["D_outer"]],
+         "D_outer has shape (1, 2), but (n, m, p) = (3, 1, 1) needs (1, 1)"),
+        ("exact", lambda g, s: _drop_last_columns(s["C_outer"]),
+         "C_outer has shape (1, 2), but (n, m, p) = (3, 1, 1) needs (1, 3)"),
+        ("exact", lambda g, s: _drop_last_columns(g["Kwp"]),
+         "Kwp has shape (1, 0), but (n, m, p) = (3, 1, 1) needs (1, 1)"),
+    ],
+    ids=["h2-short-Kw", "competitive-narrow-Kxi", "exact-wide-D_outer",
+         "exact-narrow-C_outer", "exact-narrow-Kwp"],
+)
+def test_loader_rejects_inconsistent_dimensions(case, edit, message, boeing, rng):
+    # every matrix of an infinite-horizon file is checked against one
+    # (n, m, p) read from it; at the parent such files loaded and the
+    # rollout failed inside numpy
+    if case == "h2":
+        ctrl = synth_h2_ih(boeing)
+    elif case == "competitive":
+        ctrl = synth_competitive(boeing, 1.4)
+    else:
+        ctrl = synth_competitive(random_lti(rng, n=3, m=1, p=1), 8.0)
+        assert ctrl.synthetic.exact
+    obj = controller_to_json_dict(ctrl)
+    edit(obj["gains"], obj["synthetic"])
+    with pytest.raises(ValueError, match=re.escape(message)):
         controller_from_json_dict(obj)
 
 

@@ -144,6 +144,26 @@ def test_to_ltv_replicates(rng):
         plant.to_ltv(0)
 
 
+def test_advance_equals_stepped_loop(rng, boeing):
+    # a plant steps itself with B_w w_t taken for every row at once: the
+    # bits of A_t x + B_u,t u_t + B_w,t w_t formed step by step, for an
+    # LtiPlant (one step's matrices, any record length) and an LtvPlant
+    lti = random_lti(rng, n=3, m=2, p=2)
+    lti = LtiPlant(lti.A, lti.Bu, lti.Bw, lti.Q, lti.R_half, x0=rng.standard_normal(3))
+    cases = [(boeing, boeing.to_ltv(50)), (lti, lti.to_ltv(30))]
+    ltv = random_ltv(rng, T=30, n=3, m=2, p=2)
+    cases.append((ltv, ltv))
+    for plant, stepped in cases:
+        u = rng.standard_normal((stepped.T, stepped.m))
+        w = rng.standard_normal((stepped.T, stepped.p))
+        x_ref, _ = simulate_outputs(stepped, u, w)
+        advance = plant.advance(w)
+        x = [plant.x0]
+        for t in range(stepped.T):
+            x.append(advance(t, x[t], u[t]))
+        assert np.array_equal(np.array(x), x_ref)
+
+
 @pytest.mark.parametrize(
     "T,n,m,p", [(6, 2, 1, 1), (5, 3, 2, 1), (7, 1, 1, 2), (4, 2, 2, 3)]
 )

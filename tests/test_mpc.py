@@ -488,6 +488,35 @@ def test_comparator_matches_offline_optimal_on_linear_single_bin():
     assert np.abs(comp.u - u_opt).max() < 1e-12
 
 
+def test_comparator_applies_each_bins_clairvoyant_policy():
+    # at step t in bin b the comparator applies u_t = -K_t x_t - h_t of the
+    # clairvoyant policy over the whole record for bin b's linearization,
+    # though it binds that policy only at the bin's first visit: checked
+    # against the independent sweep oracle on a record visiting many bins
+    params, quantum, T = PendulumParams(), 0.01, 300
+    spec = DisturbanceSpec(
+        "mixture",
+        {
+            "components": [
+                DisturbanceSpec("step", {"levels": [1.5]}),
+                DisturbanceSpec("white-gaussian", {"sigma": 1.0}),
+            ],
+        },
+    )
+    w = generate(spec, T, 1, seed=4)
+    res = clairvoyant_comparator_run(params, w, quantum=quantum)
+    assert res.status == "ok"
+    policies = {}
+    for t, x in enumerate(res.x[:T]):
+        b = round(x[0] / quantum)
+        if b not in policies:
+            plant = linearize_pendulum(params, b * quantum).to_ltv(T)
+            policies[b] = oracles.affine_sweep(plant, w)
+        K, h = policies[b]
+        assert_allclose(res.u[t], -(K[t] @ x) - h[t], rtol=1e-10, atol=1e-13)
+    assert len(policies) > 2  # bins first visited after step 0
+
+
 def test_comparator_is_independent_of_its_schedule_cache():
     # the shared cache keys a schedule by the bytes of its linearization and
     # T alone, so a cold cache, one warmed by other records, one also filled

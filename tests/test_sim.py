@@ -1,6 +1,7 @@
 """Tests for disturbance generation, closed-loop rollout, and trace output."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -30,6 +31,7 @@ from compctrl import (
     write_comparison_json,
     write_trace_csv,
 )
+from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.sim import RolloutResult, spec_from_json_dict, spec_to_json_dict
 
 import oracles
@@ -451,6 +453,66 @@ def test_diverging_rollouts_equal_stepped_oracle(rng):
         assert 0 < res.steps_completed < T
         ltv = plant.to_ltv(T)
         assert_same_rollout(res, oracles.stepped_rollout(ltv, oracles.law_policy(ctrl), w))
+
+
+def _parity_case(case, boeing):
+    """(plant, T, named controllers) of every kind, both horizons, for the
+    time-invariant plant of ``case``."""
+    if case == "boeing":
+        plant, T, hinf, comp, strict = boeing, 300, 30.0, 1.4, 5.5
+    else:
+        plant = linearize_pendulum(PendulumParams(), 0.03)
+        T, hinf, comp, strict = 1001, 2.0, 4.0, 14.0
+    ctrls = {
+        "h2": synth_h2_ih(plant),
+        "h2-strict": synth_h2_ih(plant, "strictly-causal"),
+        "hinf": synth_hinf(plant, hinf),
+        "hinf-fh": synth_hinf(plant, hinf, horizon=T),
+        "competitive": synth_competitive(plant, comp),
+        "competitive-strict": synth_competitive(plant, strict, "strictly-causal"),
+        "competitive-fh": synth_competitive(plant, comp, horizon=T),
+        "zero": ZeroController(m=plant.m),
+        "offline": OfflineController(),
+    }
+    for name, ctrl in ctrls.items():
+        assert not isinstance(ctrl, Infeasible), name
+    return plant, T, ctrls
+
+
+@pytest.mark.parametrize("case", ["boeing", "pendulum"])
+def test_lti_plant_runs_as_its_replication(case, boeing):
+    # an LtiPlant over T = len(w) and its replication to_ltv(T) are the same
+    # plant: offline_optimal, every rollout and compare give the same bits
+    plant, T, ctrls = _parity_case(case, boeing)
+    ltv = plant.to_ltv(T)
+    w = generate(DisturbanceSpec("white-gaussian", {}), T, plant.p, seed=31)
+    u, opt = offline_optimal(plant, w)
+    u_ltv, opt_ltv = offline_optimal(ltv, w)
+    assert np.array_equal(u, u_ltv) and opt == opt_ltv
+    for name, ctrl in ctrls.items():
+        res = rollout(plant, ctrl, w)
+        assert res.status == "ok", name
+        assert_same_rollout(res, vars(rollout(ltv, ctrl, w)))
+    cmp_lti, cmp_ltv = compare(plant, ctrls, w), compare(ltv, ctrls, w)
+    assert cmp_lti.to_json_dict() == cmp_ltv.to_json_dict()
+    assert cmp_lti.opt_cost == opt
+    for name in ctrls:
+        assert_same_rollout(cmp_lti.rollouts[name], vars(cmp_ltv.rollouts[name]))
+
+
+def test_offline_rollout_is_offline_optimal(boeing, rng):
+    # the clairvoyant controller's rollout steps the one clairvoyant law
+    # once: its u is offline_optimal's u and its cost is OPT, bit for bit
+    plants = [(boeing, 300), (random_ltv(rng, T=40, n=3, m=2, p=2), 40)]
+    for plant, T in plants:
+        w = np.random.default_rng(17).standard_normal((T, plant.p))
+        u, opt = offline_optimal(plant, w)
+        res = rollout(plant, OfflineController(), w)
+        assert np.array_equal(res.u, u)
+        assert res.total_cost == opt
+    shifted = dataclasses.replace(boeing, x0=np.ones(boeing.n))
+    with pytest.raises(ValueError, match="x0"):
+        rollout(shifted, OfflineController(), np.ones((10, boeing.p)))
 
 
 # ---------------------------------------------------------------------------
