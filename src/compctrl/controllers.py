@@ -25,17 +25,11 @@ sense:
   backward Riccati sweep at every horizon, checked by ``compctrl verify``
   against a dense solve of the same stacked normal equations
     u* = -(I + F'F)^{-1} F' G w,    OPT = w'G'(I + FF')^{-1} G w.
-  The sweep's policy u_t = -K_t x_t - h_t is one :data:`Law`
-  (:func:`_clairvoyant_law`): :func:`offline_optimal` steps it, and the
-  rollouts and the pendulum comparator bind it.  Its w-independent schedule
-  is held in :data:`schedule_cache`, keyed by an :class:`LtiPlant` (the
-  type is the time-invariance) and a horizon; see :class:`ScheduleCache`.
+  Its policy u_t = -K_t x_t - h_t is one :data:`Law`
+  (:func:`_clairvoyant_law`), its schedule held in :data:`schedule_cache`.
 
 Every online controller binds its step to a disturbance record once
-(:meth:`bind`), into a :data:`Law`: its gains or realization slices are
-looked up, and every product of the law with w_t is taken for the whole
-record in one stacked matmul, before the first step.  Rollouts call the
-law; ``step`` binds it to a one-row record behind the per-call checks.
+(:meth:`bind`), into a :data:`Law`.
 
 Synthesis returns either a controller or an :class:`Infeasible` verdict (a
 plain value with a reason code), never an exception, for every
@@ -152,6 +146,12 @@ class StateFeedbackController:
     Kx: np.ndarray
     Kw: np.ndarray
     diagnostics: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def dims(self) -> dict:
+        """The plant dimensions the controller is made for, by name."""
+        (m, n), p = self.Kx.shape[-2:], self.Kw.shape[-1]
+        return {"n": n, "m": m, "p": p}
 
     def make_state(self) -> ControllerState:
         return ControllerState()
@@ -284,6 +284,11 @@ class CompetitiveController:
     def realization(self) -> Realization:
         return _realization(self.synthetic, self.Kxi, self.Kwp)
 
+    @property
+    def dims(self) -> dict:
+        syn = self.synthetic
+        return {"n": syn.n, "m": syn.m, "p": syn.B_filter.shape[-1]}
+
     def make_state(self) -> ControllerState:
         return ControllerState(t=0, z=np.zeros(2 * self.synthetic.n))
 
@@ -343,6 +348,10 @@ class OfflineController:
     horizon: Optional[int] = None
     gamma: Optional[float] = None
 
+    @property
+    def dims(self) -> dict:
+        return {}  # the clairvoyant law reads the plant it runs on
+
     def make_state(self) -> ControllerState:
         return ControllerState()
 
@@ -356,6 +365,10 @@ class ZeroController:
     causality: str = CAUSAL
     horizon: Optional[int] = None
     gamma: Optional[float] = None
+
+    @property
+    def dims(self) -> dict:
+        return {"m": self.m}
 
     def make_state(self) -> ControllerState:
         return ControllerState()
@@ -713,24 +726,59 @@ def _affine_schedule(plant: LtvPlant) -> AffineSchedule:
     return AffineSchedule(K, M)
 
 
-def _affine_pass(schedule: AffineSchedule, w: np.ndarray) -> np.ndarray:
+#: Steps per block of a stacked :func:`_affine_pass`: a block's stacks of
+#: its lanes' M_t, not the whole horizon's, are held at once.
+PASS_BLOCK = 64
+
+
+def _affine_pass(schedule, w: np.ndarray):
     """The offsets h (shape (T, m)) of the schedule's policy for w (T, p).
 
     One linear backward pass [h_t; b_t] = M_t [b_{t+1}; w_t] from b_T = 0;
     the w_t terms of all steps are formed at once.
+
+    ``schedule`` is one :class:`AffineSchedule` or a sequence of them over
+    one horizon.  A sequence returns one h per schedule, in the order given,
+    from one recursion that carries the schedules as a stack of lanes,
+    ``PASS_BLOCK`` steps at a time (:func:`_pass_block`); each lane's
+    products run the routines of the lone pass, so each h equals that
+    schedule's own pass, bit for bit.  One schedule runs the plain loop,
+    which is faster alone.
     """
-    _, m, n = schedule.K.shape
-    y = np.einsum("tij,tj->ti", schedule.M[:, :, n:], w)
-    b = np.zeros(n)
-    for Mb, yt in zip(schedule.M[::-1, :, :n], y[::-1]):
+    lone = isinstance(schedule, AffineSchedule)
+    schedules = [schedule] if lone else list(schedule)
+    _, m, n = schedules[0].K.shape
+    if len(schedules) == 1:
+        y = np.einsum("tij,tj->ti", schedules[0].M[:, :, n:], w)
+        b = np.zeros(n)
+        for Mb, yt in zip(schedules[0].M[::-1, :, :n], y[::-1]):
+            yt += Mb @ b
+            b = yt[m:]
+        h = [y[:, :m]]
+    else:
+        h = np.empty((len(schedules), len(w), m))
+        b = np.zeros((len(schedules), n, 1))
+        for stop in range(len(w), 0, -PASS_BLOCK):
+            b = _pass_block(schedules, w, slice(max(stop - PASS_BLOCK, 0), stop), b, h)
+    return h[0] if lone else list(h)
+
+
+def _pass_block(schedules, w, block: slice, b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The steps ``block`` of the stacked :func:`_affine_pass`, their M_t and
+    w_t terms stacked over the lanes: writes h of those steps and returns
+    b at the block's first step (a copy, so the stacks go with the call)."""
+    m, n = h.shape[2], b.shape[1]
+    M = np.stack([s.M[block] for s in schedules], axis=1)
+    y = np.einsum("tkij,tj->tki", M[..., n:], w[block])[..., None]
+    for Mb, yt in zip(M[::-1, ..., :n], y[::-1]):
         yt += Mb @ b
-        b = yt[m:]
-    return y[:, :m]
+        b = yt[:, m:]
+    h[:, block] = y[..., :m, 0].swapaxes(0, 1)
+    return b.copy()
 
 
-#: Bytes the shared schedule cache may hold: schedules plus their keys.
-#: About 88 KB is one pendulum bin at T = 1001, and a family of pendulum
-#: runs visits about 21 bins.
+#: Bytes the shared schedule cache may hold: schedules plus their keys;
+#: about 88 KB is one pendulum bin at T = 1001 (see :mod:`compctrl.mpc`).
 SCHEDULE_CACHE_BYTES = 8 << 20
 
 
@@ -762,17 +810,26 @@ class ScheduleCache:
         self._entries.clear()
         self.held_bytes = 0
 
+    @staticmethod
+    def _key(plant: LtiPlant, T: int) -> tuple:
+        step = (plant.A, plant.Bu, plant.Bw, plant.Q)
+        return (T, *(a.shape for a in step), *(a.tobytes() for a in step))
+
+    def holds(self, plant: LtiPlant, T: int) -> bool:
+        """Whether :meth:`get` would hit; never solves a schedule."""
+        return self._key(plant, T) in self._entries
+
     def get(self, plant, T: int) -> AffineSchedule:
         if isinstance(plant, LtvPlant):
             return _affine_schedule(plant)
-        step = (plant.A, plant.Bu, plant.Bw, plant.Q)
-        key = (T, *(a.shape for a in step), *(a.tobytes() for a in step))
+        key = self._key(plant, T)
         hit = self._entries.get(key)
         if hit is not None:
             self._entries.move_to_end(key)
             return hit[0]
         schedule = _affine_schedule(plant.to_ltv(T))
-        size = schedule.K.nbytes + schedule.M.nbytes + sum(a.nbytes for a in step)
+        size = schedule.K.nbytes + schedule.M.nbytes
+        size += sum(a.nbytes for a in (plant.A, plant.Bu, plant.Bw, plant.Q))
         if size <= self.max_bytes:
             self._entries[key] = (schedule, size)
             self.held_bytes += size
@@ -786,15 +843,26 @@ class ScheduleCache:
 schedule_cache = ScheduleCache()
 
 
-def _clairvoyant_law(plant, w: np.ndarray, t0: int = 0) -> Law:
+def _clairvoyant_law(plant, w: np.ndarray, t0: int = 0):
     """The clairvoyant policy u_t = -K_t x_t - h_t as a :data:`Law` on the
     record w (row 0 is step t0) over the horizon t0 + len(w): K from
-    :data:`schedule_cache`, h from one :func:`_affine_pass` over w (the steps
-    before t0 never read their offsets).  The plant's x0 must be 0."""
-    if np.any(plant.x0 != 0.0):
+    :data:`schedule_cache`, h from :func:`_affine_pass` over w (the steps
+    before t0 never read their offsets).  A sequence of plants gives one law
+    per plant, their offsets from one stacked pass with one lane per cached
+    schedule, so equal plants share a law.  Each x0 must be 0."""
+    lone = isinstance(plant, (LtiPlant, LtvPlant))
+    plants = [plant] if lone else list(plant)
+    if any(np.any(p.x0 != 0.0) for p in plants):
         raise ValueError("offline optimal requires x0 = 0")
-    K, M = (a[t0:] for a in schedule_cache.get(plant, t0 + len(w)))
-    h = _affine_pass(AffineSchedule(K, M), w)
+    held = [schedule_cache.get(p, t0 + len(w)) for p in plants]
+    lanes = {id(s): AffineSchedule(*(a[t0:] for a in s)) for s in held}
+    offsets = _affine_pass(list(lanes.values()), w)
+    policies = {key: _policy(s.K, h, t0) for (key, s), h in zip(lanes.items(), offsets)}
+    return policies[id(held[0])] if lone else [policies[id(s)] for s in held]
+
+
+def _policy(K: np.ndarray, h: np.ndarray, t0: int) -> Law:
+    """The :data:`Law` u_t = -K_t x_t - h_t, row 0 of K and h being step t0."""
 
     def law(t, x, z):
         return -(K[t - t0] @ x) - h[t - t0], z, None
@@ -830,9 +898,7 @@ def offline_optimal(
     backward Riccati sweep at every horizon, O(T n^3): the stacked Gram
     matrix is block-banded in causal order, which the sweep factorizes
     implicitly.  The forward pass steps :func:`_clairvoyant_law` against
-    ``plant.advance``, OPT taken from the step costs after it; an LtiPlant's
-    schedule is cached, so repeated solves on one LtiPlant and horizon pay
-    one linear pass and the forward pass each.
+    ``plant.advance``, OPT taken from the step costs after it.
     ``method="dense"`` solves the stacked normal equations, O((T n)^3), as
     the independent oracle of ``compctrl verify`` and the cross-route tests.
     """

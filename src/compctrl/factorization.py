@@ -195,8 +195,10 @@ def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
     Sigma_t = I + Q_t^{1/2} P_t Q_t^{1/2},  K_t = A_t P_t Q_t^{1/2} Sigma_t^{-1},
     P_{t+1} = A_t P_t A_t' + B_u,t B_u,t' - K_t Sigma_t K_t'.
 
-    Sigma_t >= I analytically; a numerically singular Sigma is reported as a
-    numeric failure.  The square roots of Sigma, which the recursion does
+    Sigma_t >= I analytically; a numerically singular Sigma (an eigenvalue
+    below 1e-9) is reported as a numeric failure at its first step, found by
+    one stacked ``eigvalsh`` after the recursion, or after a solve that met
+    a singular Sigma.  The square roots of Sigma, which the recursion does
     not read, are taken after it, one stacked call each.
     """
     T, n = plant.T, plant.n
@@ -204,21 +206,28 @@ def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
     K = np.zeros((T, n, n))
     Sigma = np.zeros((T, n, n))
     eye = np.eye(n)
+
+    def guard(stack):
+        lam = np.linalg.eigvalsh(stack).min(axis=-1)
+        bad = np.flatnonzero(lam < 1e-9)
+        if bad.size:
+            raise FactorizationError(
+                f"numeric-failure: innovation matrix singular at t={bad[0]} "
+                f"(min eigenvalue {lam[bad[0]]:.3e})"
+            )
+
     for t in range(T):
         Qh = plant.Q_half[t]
-        Sig = sym(eye + Qh @ P[t] @ Qh)
-        lam = np.linalg.eigvalsh(Sig)
-        if lam.min() < 1e-9:
-            raise FactorizationError(
-                f"numeric-failure: innovation matrix singular at t={t} "
-                f"(min eigenvalue {lam.min():.3e})"
-            )
+        Sigma[t] = Sig = sym(eye + Qh @ P[t] @ Qh)
         A = plant.A[t]
-        Kt = np.linalg.solve(Sig, (A @ P[t] @ Qh).T).T
-        Pn = A @ P[t] @ A.T + plant.Bu[t] @ plant.Bu[t].T - Kt @ Sig @ Kt.T
-        P[t + 1] = sym(Pn)
-        K[t] = Kt
-        Sigma[t] = Sig
+        AP = A @ P[t]
+        try:
+            K[t] = Kt = np.linalg.solve(Sig, (AP @ Qh).T).T
+        except np.linalg.LinAlgError:
+            guard(Sigma[: t + 1])
+            raise
+        P[t + 1] = sym(AP @ A.T + plant.Bu[t] @ plant.Bu[t].T - Kt @ Sig @ Kt.T)
+    guard(Sigma)
     return WhiteningSchedule(
         P=P,
         K=K,

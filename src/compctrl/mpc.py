@@ -19,25 +19,26 @@ and reused in every bin.  A bin where synthesis fails at that fixed level
 truncates the run with status "infeasible-linearization" rather than
 silently retuning.
 
-Each bin's controller is cached; a run binds each bin's law
-(:data:`compctrl.controllers.Law`) to the tail of the record at the bin's
-first visit, so its products with w are taken once per bin and record, and a
-step looks the bin up and calls the law, with the arithmetic of the
-controller's own ``step``.  The linear dynamics are the linearization's own
-``advance``, B_w w_t taken for the whole record before the first step.
+Each bin's controller is cached, and a run binds each bin's law to the
+tail of the record at the bin's first visit (:class:`RelinearizingController`).
+The linear dynamics are the linearization's own ``advance``.
 
 The cost comparator is a receding-horizon clairvoyant: at every step it
 applies the first move of the exact affine optimal policy for the dynamics
 frozen at the current bin, given the entire future disturbance: the
 clairvoyant law of :mod:`compctrl.controllers`, bound to the bin's
-linearization (an LtiPlant) and the rest of the record at its first visit.
-Its Riccati schedule does not depend on the disturbance; it comes from the
-process-wide :data:`compctrl.controllers.schedule_cache`, keyed by the raw
-bytes of the bin's linearization and T, bounded by the bytes it holds and
-emptied least recently used first, so records of one family compute it once
-per bin while it stays cached.  The offsets depend on the record linearly: one linear
-backward pass per record and bin, from the end of the record to the bin's
-first visit, serves every step that lands in the bin.
+linearization (an LtiPlant) and the rest of the record.  Its Riccati
+schedule does not depend on the disturbance; it comes from the process-wide
+:data:`compctrl.controllers.schedule_cache`, keyed exactly by the
+linearization and T, and what the cache holds never changes a run.  The
+offsets depend on the record linearly: one backward pass from the end of
+the record.  A bin's first visit binds that bin together with every
+not-yet-bound bin in the contiguous run of neighbours whose schedules the
+cache already holds, as lanes of one stacked pass, each lane bit for bit
+the bin's own pass.  While theta moves less than a bin per step, the
+record reaches no bin beyond that run without first visiting an uncached
+bin, which starts the next group: a warm cache binds a record's bins in one
+pass, a cold one in one pass per bin not yet cached.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .controllers import (
     ControllerState,
     Infeasible,
     _clairvoyant_law,
+    schedule_cache,
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
@@ -320,29 +322,28 @@ def clairvoyant_comparator_run(
     quantum: float = DEFAULT_QUANTUM,
     dynamics: str = "nonlinear",
 ) -> RolloutResult:
-    """Roll the receding-horizon clairvoyant comparator on the same record.
-
-    At step t in bin b it applies u_t = -K_t x_t - h_t, the clairvoyant
-    policy over the whole record for the linearization of bin b, bound to
-    the tail of the record at the bin's first visit.  K and the rest of the
-    bin's Riccati schedule come from the shared
-    :data:`~compctrl.controllers.schedule_cache`: keyed exactly by T and the
-    raw bytes of the linearization (so bins with equal linearizations share
-    one), held within ``SCHEDULE_CACHE_BYTES`` with the least recently used
-    evicted, read-only.  What it holds never changes a run: an evicted
-    schedule is recomputed bit for bit.  h takes one linear pass per record
-    and bin, over the steps from the bin's first visit to the end.  ``w``
-    has shape (T,) or (T, 1), and ``quantum`` must be finite and > 0.
+    """Roll the receding-horizon clairvoyant comparator on the same record
+    (the module docstring says how it binds each bin's law).  ``w`` has
+    shape (T,) or (T, 1), and ``quantum`` must be finite and > 0.
     """
     w = _disturbance_column(w)
     quantum = _check_quantum(quantum)
+    T = len(w)
     laws: dict = {}  # bin -> its clairvoyant law bound to the record's tail
 
     def law(t, x, z):
         b = int(round(float(x[0]) / quantum))
         bound = laws.get(b)
         if bound is None:
-            bound = laws[b] = _clairvoyant_law(linearize_pendulum(params, b * quantum), w[t:], t)
+            group = {b: linearize_pendulum(params, b * quantum)}
+            for step in (1, -1):  # the cached run of neighbours on each side
+                c = b + step
+                while schedule_cache.holds(plant := linearize_pendulum(params, c * quantum), T):
+                    if c not in laws:
+                        group[c] = plant
+                    c += step
+            laws.update(zip(group, _clairvoyant_law(list(group.values()), w[t:], t)))
+            bound = laws[b]
         return bound(t, x, z)
 
     return _simulate(params, law, w, x0, dynamics)

@@ -9,18 +9,9 @@ mixture components get independent streams via jumps.
 Rollouts step a controller against a plant for a disturbance realization,
 recording states, controls, per-step and cumulative costs, and (for
 ratio-optimal controllers) the internal filtered disturbance w'.  Only the
-recursion runs per step: the law, the plant step and the divergence test.
-What does not feed back runs once per record: each rollout binds the
-controller's law to the record (its gains or realization slices looked up,
-and every product of the law with w taken for all steps in one stacked
-matmul), the plant steps itself (``plant.advance``: B_w w_t for all steps
-the same way; an LtiPlant, time-invariant by type, with one step's
-matrices), and the step costs and their running sum are computed after the
-loop (:func:`~compctrl.model.step_costs`).  The clairvoyant controller
-binds the one clairvoyant law.  Each lane of a stacked product runs the
-kernel of the lone product, so every float is the one stepping the
-controller through ``control_step`` and the plant through its equations
-would give, the same bits.  A state norm above 1e6 truncates the run with
+recursion runs per step (:func:`_rollout_loop`); the controller's law and
+the plant's step are bound to the record once, with the bits of stepping
+them one step at a time.  A state norm above 1e6 truncates the run with
 status "diverged" instead of raising.
 
 Trace CSVs are written atomically (temp file + rename) with %.17g floats and
@@ -246,22 +237,32 @@ def _rollout_loop(w, x0, m, Q, law, advance, z=None) -> RolloutResult:
     )
 
 
+def _check_fits(plant, controller, T: int) -> None:
+    """Raise ValueError naming the first of n, m, p and the horizon T in
+    which ``controller`` is not made for ``plant``."""
+    for name, value in controller.dims.items():
+        if value != getattr(plant, name):
+            raise ValueError(
+                f"controller is made for {name} = {value}, but the plant has "
+                f"{name} = {getattr(plant, name)}"
+            )
+    if controller.horizon is not None and controller.horizon != T:
+        raise ValueError("controller horizon does not match the disturbance length")
+
+
 def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
     """Simulate the closed loop over the disturbance w (shape (T, p)).
 
     ``plant`` is an LtiPlant over T = len(w) or an LtvPlant of horizon T,
     and steps itself (``plant.advance``).  The controller's
-    :data:`~compctrl.controllers.Law` is bound to w once (its gains or
-    realization slices looked up, its products with w taken for all steps);
-    the arithmetic is that of stepping the controller with
-    :func:`~compctrl.controllers.control_step`.  An
+    :data:`~compctrl.controllers.Law` is bound to w once.  An
     :class:`~compctrl.controllers.OfflineController` binds the clairvoyant
     law: its run is :func:`~compctrl.controllers.offline_optimal`'s forward
-    pass, the same bits.
+    pass, the same bits.  A controller made for another n, m, p or horizon
+    raises ValueError naming it, before the first step.
     """
     w = _disturbance_record(plant, w)
-    if controller.horizon is not None and controller.horizon != len(w):
-        raise ValueError("controller horizon does not match the disturbance length")
+    _check_fits(plant, controller, len(w))
     if isinstance(controller, OfflineController):
         law = _clairvoyant_law(plant, w)
     else:
@@ -309,14 +310,16 @@ def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
     ``named_controllers`` is a sequence of (name, controller) pairs or a
     dict; ``plant`` is taken as given, as by :func:`rollout`.  The
     clairvoyant optimum is computed once from the same plant and
-    disturbance; its schedule is cached across calls for an LtiPlant and
-    horizon (:data:`~compctrl.controllers.schedule_cache`), so a warm call
-    pays one linear pass and the rollouts.
+    disturbance.  Every controller is checked against the plant, as by
+    :func:`rollout`, before any work.
     """
     if isinstance(named_controllers, dict):
         items = list(named_controllers.items())
     else:
         items = list(named_controllers)
+    w = _disturbance_record(plant, w)
+    for _, ctrl in items:
+        _check_fits(plant, ctrl, len(w))
     start = time.perf_counter()
     _, opt = offline_optimal(plant, w)
     solved = time.perf_counter()

@@ -244,6 +244,17 @@ def test_simulate_rejects_controller_file_with_mismatched_dimensions(tmp_path):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_simulate_rejects_controller_file_made_for_another_plant(tmp_path, h2_controller_file):
+    # a scalar plant's controller on the Boeing plant names the dimension
+    proc = run_cli(
+        "simulate", "--plant", "builtin:boeing747", "--controller", h2_controller_file,
+        "--steps", "20", "--trace-dir", str(tmp_path), "--out", str(tmp_path / "c.json"),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: controller is made for n = 1, but the plant has n = 4\n"
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_simulate_requires_steps_for_lti(tmp_path, plant_file, h2_controller_file):
     proc = run_cli(
         "simulate", "--plant", plant_file, "--controller", h2_controller_file,

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_lti, random_ltv, random_unstable_stabilizable, scalar_lti
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
 )
 
 from compctrl.controllers import (
+    AffineSchedule,
     CompetitiveController,
     _affine_pass,
     _affine_schedule,
@@ -320,16 +321,21 @@ def _rel(a, b):
 )
 def test_affine_schedule_and_pass_match_sweep_oracle(case):
     # the w-independent schedule followed by the linear pass is the affine
-    # sweep, split at its dependence on w
+    # sweep, split at its dependence on w; a stacked pass over k schedules
+    # of one horizon gives each schedule's own pass bit for bit, also over
+    # the tail of a record, where the comparator binds a group of bins
     rng = np.random.default_rng(8100 + sum(map(ord, case)))
     if case == "pendulum":
-        plant = linearize_pendulum(PendulumParams(), 0.03).to_ltv(1001)
+        plants = [linearize_pendulum(PendulumParams(), 0.01 * b).to_ltv(1001) for b in range(3, 8)]
     else:
         n = 3
-        plant = random_ltv(rng, T=40, n=n, m=2, p=n if case.startswith("p=n") else 1)
+        p = n if case.startswith("p=n") else 1
+        plants = [random_ltv(rng, T=40, n=n, m=2, p=p) for _ in range(5)]
+    plant = plants[0]
     w = rng.standard_normal((plant.T, plant.p))
     K_ref, h_ref = affine_sweep(plant, w)
-    schedule = _affine_schedule(plant)
+    schedules = [_affine_schedule(pl) for pl in plants]
+    schedule = schedules[0]
     h = _affine_pass(schedule, w)
     assert schedule.K.shape == K_ref.shape and h.shape == h_ref.shape
     assert _rel(schedule.K, K_ref) < 1e-12
@@ -340,6 +346,16 @@ def test_affine_schedule_and_pass_match_sweep_oracle(case):
     for arr in schedule:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    lone = [_affine_pass(s, w) for s in schedules]
+    t0 = plant.T // 3
+    tails = [AffineSchedule(s.K[t0:], s.M[t0:]) for s in schedules]
+    for k in (1, 2, 5):
+        stacked = _affine_pass(schedules[:k], w)
+        assert len(stacked) == k
+        for got, ref in zip(stacked, lone):
+            assert_array_equal(got, ref)
+        for got, ref in zip(_affine_pass(tails[:k], w[t0:]), lone):
+            assert_array_equal(got, ref[t0:])
 
 
 def _schedules_equal(a, b):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_discrete_are
 
 from conftest import random_lti, random_ltv, scalar_lti
@@ -21,17 +21,59 @@ from compctrl.factorization import (
 )
 from compctrl.model import LtiPlant, LtvPlant, build_dense_operators, inv_sqrt_pd, sqrt_psd
 from compctrl.mpc import PendulumParams, linearize_pendulum
-from compctrl.riccati import is_stable
+from compctrl.riccati import is_stable, sym
+
+
+def _whitening_per_step(plant):
+    """The whitening recursion with every product and solve written out per
+    step, as the reference for the stacked guard of :func:`whitening_fh`."""
+    T, n = plant.T, plant.n
+    P, K, Sigma = np.zeros((T + 1, n, n)), np.zeros((T, n, n)), np.zeros((T, n, n))
+    for t in range(T):
+        Qh, A = plant.Q_half[t], plant.A[t]
+        Sigma[t] = Sig = sym(np.eye(n) + Qh @ P[t] @ Qh)
+        K[t] = Kt = np.linalg.solve(Sig, (A @ P[t] @ Qh).T).T
+        P[t + 1] = sym(A @ P[t] @ A.T + plant.Bu[t] @ plant.Bu[t].T - Kt @ Sig @ Kt.T)
+    return P, K, Sigma
 
 
 def test_whitening_square_roots_equal_per_step_roots(rng, boeing):
-    # the roots of Sigma, taken in one stacked call after the recursion,
-    # equal the per-step roots bit for bit
-    for plant in (boeing.to_ltv(30), random_ltv(rng, T=12, n=3, m=2, p=1)):
+    # P, K and Sigma are those of the per-step recursion, and the roots of
+    # Sigma, taken in one stacked call after the recursion, equal the
+    # per-step roots, all bit for bit
+    plants = [boeing.to_ltv(200)] + [
+        random_ltv(rng, T=40, n=3, m=2, p=p) for p in (1, 3)
+    ]
+    for plant in plants:
         sched = whitening_fh(plant)
+        for got, ref in zip((sched.P, sched.K, sched.Sigma), _whitening_per_step(plant)):
+            assert_array_equal(got, ref)
         for t in range(plant.T):
             assert np.array_equal(sched.Sigma_half[t], sqrt_psd(sched.Sigma[t]))
             assert np.array_equal(sched.Sigma_inv_half[t], inv_sqrt_pd(sched.Sigma[t]))
+
+
+@pytest.mark.parametrize("c, lam", [(-1.0, "0.000e+00"), (-1.0 + 2**-40, "9.095e-13")],
+                         ids=["singular-solve", "guard"])
+def test_whitening_reports_its_first_singular_innovation(c, lam):
+    # Sigma_t >= I for a symmetric Q^{1/2}; a skew one makes Sigma_1 =
+    # diag(1, 1 + c), exactly singular (the solve fails) or below the guard
+    # (the recursion runs on), and both are reported at t = 1
+    T = 4
+    plant = LtvPlant(
+        A=np.repeat(np.eye(2)[None], T, axis=0),
+        Bu=np.repeat(np.array([[[1.0], [0.0]]]), T, axis=0),
+        Bw=np.ones((T, 2, 1)),
+        Q=np.repeat(np.eye(2)[None], T, axis=0),
+        R_half=np.ones((T, 1, 1)),
+        x0=np.zeros(2),
+    )
+    plant.__dict__["Q_half"] = np.repeat(np.array([[[0.0, 1.0], [c, 0.0]]]), T, axis=0)
+    with pytest.raises(FactorizationError) as err:
+        whitening_fh(plant)
+    assert str(err.value) == (
+        f"numeric-failure: innovation matrix singular at t=1 (min eigenvalue {lam})"
+    )
 
 
 def test_whitening_scalar_frozen():

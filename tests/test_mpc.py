@@ -25,6 +25,7 @@ from compctrl import (
     run_pendulum,
     run_scenario,
 )
+from compctrl import controllers
 from compctrl.controllers import ZeroController, schedule_cache
 from compctrl.mpc import scenario_from_json_dict, scenario_to_json_dict
 from compctrl.sim import rollout
@@ -517,11 +518,20 @@ def test_comparator_applies_each_bins_clairvoyant_policy():
     assert len(policies) > 2  # bins first visited after step 0
 
 
-def test_comparator_is_independent_of_its_schedule_cache():
+def test_comparator_is_independent_of_its_schedule_cache(monkeypatch):
     # the shared cache keys a schedule by the bytes of its linearization and
     # T alone, so a cold cache, one warmed by other records, one also filled
     # by another family and one last filled with another bin width give
-    # identical runs
+    # identical runs; a cold run makes one backward pass per bin, a warm one
+    # binds the cached bins of its first visit in one
+    passes = []
+    affine_pass = controllers._affine_pass
+
+    def counted_pass(schedules, w):
+        passes.append(len(schedules))
+        return affine_pass(schedules, w)
+
+    monkeypatch.setattr(controllers, "_affine_pass", counted_pass)
     params = PendulumParams()
     spec = DisturbanceSpec(
         "mixture",
@@ -539,11 +549,18 @@ def test_comparator_is_independent_of_its_schedule_cache():
         return clairvoyant_comparator_run(params, w, quantum=0.01)
 
     schedule_cache.clear()
+    passes.clear()
     cold = run()
+    bins = set(np.round(cold.x[:-1, 0] / 0.01).astype(int))
     assert len(schedule_cache) > 1  # the record visits several bins
+    # bins b and -b share a linearization (cos is even); this record has b >= 0
+    assert min(bins) >= 0
+    assert len(passes) == len(bins) > 2
     for seed in (5, 6):
         clairvoyant_comparator_run(params, generate(spec, 300, 1, seed=seed), quantum=0.01)
+    passes.clear()
     warm = run()
+    assert len(passes) <= 2
     clairvoyant_comparator_run(PendulumParams(dt=2e-3), w[:200], quantum=0.01)
     other_family = run()
     schedule_cache.clear()

@@ -273,6 +273,28 @@ def test_rollout_rejects_horizon_mismatch(rng):
         rollout(fh, ZeroController(m=1), np.ones((9, 1)))
 
 
+def test_rollout_and_compare_reject_a_controller_made_for_another_plant(rng, boeing):
+    # each names the dimension that disagrees, before the first step
+    scalar = scalar_lti(a=0.5)
+    w = np.ones((10, boeing.p))
+    for ctrl in (synth_h2_ih(scalar), synth_competitive(scalar, 4.0)):
+        with pytest.raises(ValueError, match=r"^controller is made for n = 1, but the plant has n = 4$"):
+            rollout(boeing, ctrl, w)
+        with pytest.raises(ValueError, match="n = 1"):
+            compare(boeing, [("h2", synth_h2_ih(boeing)), ("other", ctrl)], w)
+    plant = random_lti(rng, n=2, m=1, p=1)
+    w = np.ones((8, 1))
+    for ctrl, wrong in (
+        (ZeroController(m=2), "m = 2"),
+        (synth_h2_ih(random_lti(rng, n=2, m=1, p=2)), "p = 2"),
+        (synth_hinf(plant, 50.0, horizon=7), "horizon"),
+    ):
+        with pytest.raises(ValueError, match=wrong):
+            rollout(plant, ctrl, w)
+        with pytest.raises(ValueError, match=wrong):
+            compare(plant, {"other": ctrl}, w)
+
+
 def test_wprime_log_matches_filter_run(rng):
     # The per-step w' column logged by rollout must reproduce the batch
     # whitened-disturbance expansion of the same synthetic system exactly,
