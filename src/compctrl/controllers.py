@@ -731,22 +731,19 @@ def _affine_schedule(plant: LtvPlant) -> AffineSchedule:
 PASS_BLOCK = 64
 
 
-def _affine_pass(schedule, w: np.ndarray):
-    """The offsets h (shape (T, m)) of the schedule's policy for w (T, p).
+def _affine_pass(schedules, w: np.ndarray) -> list:
+    """The offsets h (shape (T, m)) of each schedule's policy for w (T, p).
 
     One linear backward pass [h_t; b_t] = M_t [b_{t+1}; w_t] from b_T = 0;
     the w_t terms of all steps are formed at once.
 
-    ``schedule`` is one :class:`AffineSchedule` or a sequence of them over
-    one horizon.  A sequence returns one h per schedule, in the order given,
-    from one recursion that carries the schedules as a stack of lanes,
-    ``PASS_BLOCK`` steps at a time (:func:`_pass_block`); each lane's
-    products run the routines of the lone pass, so each h equals that
-    schedule's own pass, bit for bit.  One schedule runs the plain loop,
-    which is faster alone.
+    ``schedules`` is a sequence of :class:`AffineSchedule` over one horizon;
+    one h is returned per schedule, in the order given.  Several run as a
+    stack of lanes of one recursion, ``PASS_BLOCK`` steps at a time
+    (:func:`_pass_block`); each lane's products run the routines of the lone
+    pass, so each h equals that schedule's own pass, bit for bit.  One
+    schedule runs the plain loop, which is faster alone.
     """
-    lone = isinstance(schedule, AffineSchedule)
-    schedules = [schedule] if lone else list(schedule)
     _, m, n = schedules[0].K.shape
     if len(schedules) == 1:
         y = np.einsum("tij,tj->ti", schedules[0].M[:, :, n:], w)
@@ -754,13 +751,12 @@ def _affine_pass(schedule, w: np.ndarray):
         for Mb, yt in zip(schedules[0].M[::-1, :, :n], y[::-1]):
             yt += Mb @ b
             b = yt[m:]
-        h = [y[:, :m]]
-    else:
-        h = np.empty((len(schedules), len(w), m))
-        b = np.zeros((len(schedules), n, 1))
-        for stop in range(len(w), 0, -PASS_BLOCK):
-            b = _pass_block(schedules, w, slice(max(stop - PASS_BLOCK, 0), stop), b, h)
-    return h[0] if lone else list(h)
+        return [y[:, :m]]
+    h = np.empty((len(schedules), len(w), m))
+    b = np.zeros((len(schedules), n, 1))
+    for stop in range(len(w), 0, -PASS_BLOCK):
+        b = _pass_block(schedules, w, slice(max(stop - PASS_BLOCK, 0), stop), b, h)
+    return list(h)
 
 
 def _pass_block(schedules, w, block: slice, b: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -828,8 +824,8 @@ class ScheduleCache:
             self._entries.move_to_end(key)
             return hit[0]
         schedule = _affine_schedule(plant.to_ltv(T))
-        size = schedule.K.nbytes + schedule.M.nbytes
-        size += sum(a.nbytes for a in (plant.A, plant.Bu, plant.Bw, plant.Q))
+        # the schedule and the key's raw bytes of (A, B_u, B_w, Q)
+        size = schedule.K.nbytes + schedule.M.nbytes + sum(map(len, key[-4:]))
         if size <= self.max_bytes:
             self._entries[key] = (schedule, size)
             self.held_bytes += size
@@ -843,22 +839,20 @@ class ScheduleCache:
 schedule_cache = ScheduleCache()
 
 
-def _clairvoyant_law(plant, w: np.ndarray, t0: int = 0):
-    """The clairvoyant policy u_t = -K_t x_t - h_t as a :data:`Law` on the
-    record w (row 0 is step t0) over the horizon t0 + len(w): K from
-    :data:`schedule_cache`, h from :func:`_affine_pass` over w (the steps
-    before t0 never read their offsets).  A sequence of plants gives one law
-    per plant, their offsets from one stacked pass with one lane per cached
-    schedule, so equal plants share a law.  Each x0 must be 0."""
-    lone = isinstance(plant, (LtiPlant, LtvPlant))
-    plants = [plant] if lone else list(plant)
+def _clairvoyant_law(plants, w: np.ndarray, t0: int = 0) -> list:
+    """The clairvoyant policy u_t = -K_t x_t - h_t of each plant as a
+    :data:`Law` on the record w (row 0 is step t0) over the horizon
+    t0 + len(w): K from :data:`schedule_cache`, h from one
+    :func:`_affine_pass` over w with one lane per schedule, so equal plants
+    share a law (the steps before t0 never read their offsets).  Each x0
+    must be 0."""
     if any(np.any(p.x0 != 0.0) for p in plants):
         raise ValueError("offline optimal requires x0 = 0")
     held = [schedule_cache.get(p, t0 + len(w)) for p in plants]
     lanes = {id(s): AffineSchedule(*(a[t0:] for a in s)) for s in held}
     offsets = _affine_pass(list(lanes.values()), w)
     policies = {key: _policy(s.K, h, t0) for (key, s), h in zip(lanes.items(), offsets)}
-    return policies[id(held[0])] if lone else [policies[id(s)] for s in held]
+    return [policies[id(s)] for s in held]
 
 
 def _policy(K: np.ndarray, h: np.ndarray, t0: int) -> Law:
@@ -911,7 +905,7 @@ def offline_optimal(
         ).reshape(ops.T, ops.m)
         opt = float(gw @ np.linalg.solve(np.eye(ops.n * ops.T) + ops.F @ ops.F.T, gw))
     elif method in (None, "riccati"):
-        u, opt = _forward(plant, w, _clairvoyant_law(plant, w))
+        u, opt = _forward(plant, w, _clairvoyant_law([plant], w)[0])
     else:
         raise ValueError("method must be None, 'dense', or 'riccati'")
     return u, opt

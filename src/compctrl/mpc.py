@@ -38,7 +38,10 @@ cache already holds, as lanes of one stacked pass, each lane bit for bit
 the bin's own pass.  While theta moves less than a bin per step, the
 record reaches no bin beyond that run without first visiting an uncached
 bin, which starts the next group: a warm cache binds a record's bins in one
-pass, a cold one in one pass per bin not yet cached.
+pass, a cold one in one pass per bin not yet cached.  Bins can share a
+linearization (it reads theta through cos alone), so each side of the run
+is cut after as many bins as the cache holds schedules; a bin past the cut
+starts a group of its own.
 """
 
 from __future__ import annotations
@@ -337,11 +340,12 @@ def clairvoyant_comparator_run(
         if bound is None:
             group = {b: linearize_pendulum(params, b * quantum)}
             for step in (1, -1):  # the cached run of neighbours on each side
-                c = b + step
-                while schedule_cache.holds(plant := linearize_pendulum(params, c * quantum), T):
+                for c in range(b + step, b + step * (len(schedule_cache) + 1), step):
+                    plant = linearize_pendulum(params, c * quantum)
+                    if not schedule_cache.holds(plant, T):
+                        break
                     if c not in laws:
                         group[c] = plant
-                    c += step
             laws.update(zip(group, _clairvoyant_law(list(group.values()), w[t:], t)))
             bound = laws[b]
         return bound(t, x, z)

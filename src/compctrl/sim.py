@@ -264,7 +264,7 @@ def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
     w = _disturbance_record(plant, w)
     _check_fits(plant, controller, len(w))
     if isinstance(controller, OfflineController):
-        law = _clairvoyant_law(plant, w)
+        law = _clairvoyant_law([plant], w)[0]
     else:
         law = _online(controller).bind(w)
     z = controller.make_state().z
@@ -310,16 +310,12 @@ def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
     ``named_controllers`` is a sequence of (name, controller) pairs or a
     dict; ``plant`` is taken as given, as by :func:`rollout`.  The
     clairvoyant optimum is computed once from the same plant and
-    disturbance.  Every controller is checked against the plant, as by
-    :func:`rollout`, before any work.
+    disturbance; each rollout checks its controller against the plant.
     """
     if isinstance(named_controllers, dict):
         items = list(named_controllers.items())
     else:
         items = list(named_controllers)
-    w = _disturbance_record(plant, w)
-    for _, ctrl in items:
-        _check_fits(plant, ctrl, len(w))
     start = time.perf_counter()
     _, opt = offline_optimal(plant, w)
     solved = time.perf_counter()

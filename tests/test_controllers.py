@@ -336,17 +336,17 @@ def test_affine_schedule_and_pass_match_sweep_oracle(case):
     K_ref, h_ref = affine_sweep(plant, w)
     schedules = [_affine_schedule(pl) for pl in plants]
     schedule = schedules[0]
-    h = _affine_pass(schedule, w)
+    (h,) = _affine_pass([schedule], w)
     assert schedule.K.shape == K_ref.shape and h.shape == h_ref.shape
     assert _rel(schedule.K, K_ref) < 1e-12
     assert _rel(h, h_ref) < 1e-12
     # the schedule serves any disturbance: the pass is linear in w
     w2 = rng.standard_normal(w.shape)
-    assert _rel(_affine_pass(schedule, w2), affine_sweep(plant, w2)[1]) < 1e-12
+    assert _rel(_affine_pass([schedule], w2)[0], affine_sweep(plant, w2)[1]) < 1e-12
     for arr in schedule:
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    lone = [_affine_pass(s, w) for s in schedules]
+    lone = [_affine_pass([s], w)[0] for s in schedules]
     t0 = plant.T // 3
     tails = [AffineSchedule(s.K[t0:], s.M[t0:]) for s in schedules]
     for k in (1, 2, 5):
@@ -498,7 +498,7 @@ def test_offline_forward_pass_equals_stepped_oracle(rng, boeing):
         ltv = plant if T is None else plant.to_ltv(T)
         w = rng.standard_normal((ltv.T, ltv.p))
         schedule = schedule_cache.get(plant, ltv.T)
-        u_ref, opt_ref = affine_forward(ltv, schedule.K, _affine_pass(schedule, w), w)
+        u_ref, opt_ref = affine_forward(ltv, schedule.K, _affine_pass([schedule], w)[0], w)
         u, opt = offline_optimal(plant, w)
         assert np.array_equal(u, u_ref) and opt == opt_ref
         v = u + 1e-3 * rng.standard_normal(u.shape)

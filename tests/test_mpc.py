@@ -25,7 +25,7 @@ from compctrl import (
     run_pendulum,
     run_scenario,
 )
-from compctrl import controllers
+from compctrl import controllers, mpc
 from compctrl.controllers import ZeroController, schedule_cache
 from compctrl.mpc import scenario_from_json_dict, scenario_to_json_dict
 from compctrl.sim import rollout
@@ -574,6 +574,46 @@ def test_comparator_is_independent_of_its_schedule_cache(monkeypatch):
         for arr in schedule:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+@pytest.mark.parametrize("quantum", [2 * math.pi, math.pi], ids=["2pi", "pi"])
+def test_comparator_scan_stops_where_bins_share_a_linearization(monkeypatch, quantum):
+    # the linearization reads theta through cos alone, so at these widths
+    # every bin (2 pi) or every other bin (pi) has one cached schedule; a
+    # warm run's neighbour scan stops after as many bins as the cache holds,
+    # and cold and warm runs equal binding each bin alone at its first visit
+    params = PendulumParams()
+    w = np.full((300, 1), 50.0)  # swings theta into bin 1 at a width of pi
+
+    def each_bin_alone():
+        laws = {}
+
+        def law(t, x, z):
+            b = int(round(float(x[0]) / quantum))
+            if b not in laws:
+                lin = linearize_pendulum(params, b * quantum)
+                laws[b] = controllers._clairvoyant_law([lin], w[t:], t)[0]
+            return laws[b](t, x, z)
+
+        return mpc._simulate(params, law, w, (0.0, 0.0), "nonlinear")
+
+    schedule_cache.clear()
+    ref = each_bin_alone()
+    schedule_cache.clear()
+    cold = clairvoyant_comparator_run(params, w, quantum=quantum)
+    lin = mpc.linearize_pendulum
+    calls = []
+    monkeypatch.setattr(mpc, "linearize_pendulum", lambda *a: calls.append(a) or lin(*a))
+    warm = clairvoyant_comparator_run(params, w, quantum=quantum)
+    assert len(schedule_cache) == (1 if quantum > 4 else 2)
+    assert len(calls) <= 1 + 2 * len(schedule_cache)
+    for res in (cold, warm):
+        assert res.status == ref.status == "ok"
+        assert_array_equal(res.x, ref.x)
+        assert_array_equal(res.u, ref.u)
+        assert res.total_cost == ref.total_cost
+    bins = set(np.round(ref.x[:-1, 0] / quantum).astype(int))
+    assert bins == ({0} if quantum > 4 else {0, 1})
 
 
 def test_comparator_beats_causal_controller():
