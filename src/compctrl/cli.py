@@ -4,25 +4,21 @@ Subcommands:
 
 * ``synth``     synthesize a controller (fixed level or bisected optimum)
                 and write it as JSON, with a diagnostics report;
-* ``simulate``  roll one or more controllers against a disturbance
-                realization, writing per-controller trace CSVs and a cost
-                comparison JSON against the clairvoyant optimum, with the
-                wall times of the offline solve, the rollouts and the trace
-                writes in its stdout JSON (never in the files);
-* ``freq``      per-frequency peak gain and cost ratio sweep to CSV, with
-                the wall times of the sweep and of the CSV write in its
-                stdout JSON (never in the CSV);
+* ``simulate``  roll controllers against a disturbance realization, writing
+                trace CSVs and a cost comparison JSON against the
+                clairvoyant optimum;
+* ``freq``      per-frequency peak gain and cost ratio sweep to CSV;
 * ``mpc``       run a pendulum scenario (gain-scheduled controller plus the
-                receding-horizon clairvoyant comparator), with the seconds
-                spent synthesizing in its stdout JSON (never in ``--out``);
+                receding-horizon clairvoyant comparator);
 * ``verify``    self-check the factorization identities, filter causality,
-                and offline-solver agreement on a given plant, with the
-                wall time of each phase in its stdout JSON.
+                and offline-solver agreement on a given plant.
 
-Synthesizing at an explicitly fixed, infeasible level exits with status 2
-and a verdict JSON on stdout; other failures exit 1 with a message on
-stderr.  All file outputs are written atomically.  The default seed is taken
-from the COMPCTRL_SEED environment variable when set.
+simulate, freq, mpc and verify print their wall times (``wall_ms``, or
+``synth_s``) in the stdout JSON, never in a file.  Synthesizing at an
+explicitly fixed, infeasible level exits with status 2 and a verdict JSON
+on stdout; other failures exit 1 with a message on stderr.  All file
+outputs are written atomically.  The default seed is taken from the
+COMPCTRL_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ from .model import (
     load_bundled_plant,
     plant_from_json_dict,
 )
-from .mpc import MpcInfeasibleError, RelinearizingController, run_scenario, scenario_from_json_dict
+from .mpc import MpcInfeasibleError, run_scenario, scenario_controller, scenario_from_json_dict
 from .riccati import pbh_detectable, pbh_stabilizable, spectral_radius
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import (
@@ -299,14 +295,7 @@ def _cmd_freq(args) -> int:
 def _cmd_mpc(args) -> int:
     scenario = scenario_from_json_dict(_load_json(args.scenario))
     try:
-        controller = RelinearizingController(
-            scenario.params,
-            kind=scenario.kind,
-            causality=scenario.causality,
-            gamma_policy=scenario.gamma_policy,
-            quantum=scenario.quantum,
-            theta_init=scenario.x0[0],
-        )
+        controller = scenario_controller(scenario)
     except MpcInfeasibleError as exc:
         _print_json({"feasible": False, "reason": str(exc)})
         return EXIT_INFEASIBLE
@@ -400,27 +389,15 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
     # offline solver: dense and sweep routes agree; perturbations cost more
     T_small = min(ltv.T, 12)
     small = dataclasses.replace(
-        ltv,
-        A=ltv.A[:T_small],
-        Bu=ltv.Bu[:T_small],
-        Bw=ltv.Bw[:T_small],
-        Q=ltv.Q[:T_small],
-        R_half=ltv.R_half[:T_small],
+        ltv, **{key: getattr(ltv, key)[:T_small] for key in ("A", "Bu", "Bw", "Q", "R_half")}
     )
     w_small = rng.standard_normal((T_small, p))
     u_dense, opt_dense = offline_optimal(small, w_small, method="dense")
     u_ric, opt_ric = offline_optimal(small, w_small, method="riccati")
     scale = max(1.0, np.abs(u_dense).max())
-    checks.append(
-        _check("offline-route-agreement", np.abs(u_dense - u_ric).max() / scale, 1e-8)
-    )
-    checks.append(
-        _check(
-            "offline-cost-agreement",
-            abs(opt_dense - opt_ric) / max(1.0, opt_dense),
-            1e-8,
-        )
-    )
+    checks.append(_check("offline-route-agreement", np.abs(u_dense - u_ric).max() / scale, 1e-8))
+    checks.append(_check("offline-cost-agreement",
+                         abs(opt_dense - opt_ric) / max(1.0, opt_dense), 1e-8))
     worst_gap = 0.0
     for _ in range(3):
         du = 1e-3 * rng.standard_normal(u_dense.shape)

@@ -1,46 +1,30 @@
 """Synthesis and runtime stepping of all controller families.
 
-Four families are provided, each in causal (may read the current disturbance)
-and strictly causal (one-step-delayed) variants where that distinction makes
-sense:
+Four families, each causal (may read the current disturbance) or strictly
+causal (one-step-delayed) where that distinction makes sense:
 
-* ``h2``: the steady-state LQR fixed point; the causal variant augments the
-  state feedback with the disturbance feedforward obtained as the limit of
-  the attenuation-optimal law, u = -H^{-1}B_u'P(Ax + B_w w).
+* ``h2``: the steady-state LQR fixed point (:func:`synth_h2_ih`);
 * ``hinf``: disturbance attenuation at a fixed level gamma, finite or
-  infinite horizon, gated by one existence condition in both horizons
-  (H~ = R~ + B~'PB~ nonsingular with the inertia of R~, at every backward
-  step or on the fixed point), plus B_w'PB_w < gamma^2 I when the law is
-  strictly causal.
-* ``competitive``: ratio-optimal control against the clairvoyant cost;
-  synthesized by running the ``hinf`` machinery on the one
-  :class:`~compctrl.factorization.SyntheticSystem` of either horizon: the
-  doubled plant driven by the filtered disturbance w' (p >= n, and every
-  finite horizon), or, in the infinite horizon with p < n, the exact plant
-  driven by w'' = L w.  The law is folded once into a :class:`Realization`
-  over z = [xi; nu] (plant copy, w' filter state), the one state-space
-  description that stepping, :func:`compctrl.freq.closed_loop` and the
-  pendulum schedule of :mod:`compctrl.mpc` read.
-* ``offline``: the clairvoyant minimizer itself (batch only): an affine
-  backward Riccati sweep at every horizon, checked by ``compctrl verify``
-  against a dense solve of the same stacked normal equations
-    u* = -(I + F'F)^{-1} F' G w,    OPT = w'G'(I + FF')^{-1} G w.
-  Its policy u_t = -K_t x_t - h_t is one :data:`Law`
-  (:func:`_clairvoyant_law`), its schedule held in :data:`schedule_cache`.
+  infinite horizon (:func:`synth_hinf`);
+* ``competitive``: ratio-optimal control, the ``hinf`` machinery run on the
+  synthetic plant of :mod:`compctrl.factorization`, its law folded once
+  into a :class:`Realization` (:func:`synth_competitive`);
+* ``offline``: the clairvoyant minimizer itself, batch only
+  (:func:`offline_optimal`).
 
 Every online controller binds its step to a disturbance record once
-(:meth:`bind`), into a :data:`Law`.
-
-Synthesis returns either a controller or an :class:`Infeasible` verdict (a
-plain value with a reason code), never an exception, for every
-gamma-dependent failure.  It is a verdict step (:func:`_attenuation`, the
-existence test, which keeps the Riccati solve it passed) followed by a gain
-step (:func:`_attenuation_gains`); the gamma search probes with the verdict
-step alone and runs the gain step once, at the level it certifies.
+(:meth:`bind`), into a :data:`Law`.  Synthesis returns either a controller
+or an :class:`Infeasible` verdict (a plain value with a reason code), never
+an exception, for every gamma-dependent failure.  It is a verdict step
+(:func:`_attenuation`, the existence test, which keeps the Riccati solve it
+passed) followed by a gain step (:func:`_attenuation_gains`); the gamma
+search probes with the verdict step alone and runs the gain step once, at
+the level it certifies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -115,13 +99,10 @@ class ControllerState:
 #: of every online controller, row 0 of w being step t0): ``law(t, x_t, z_t)``
 #: returns (u_t, z_{t+1}, w'_t) for a step t of the record, z being the
 #: internal state of :class:`ControllerState` (None, and w'_t None, for a
-#: memoryless law).  Binding looks the gains or realization slices up and
-#: takes each product with w (K_w w_t, D_z w_t, B_z w_t, B_filter w_t) for
-#: every row at once, as :func:`~compctrl.model.rowwise`, whose rows are the
-#: bits of the per-step products; a step then pays only the products with
-#: x_t and z_t.  It computes what ``step`` computes, without its checks; the
-#: rollouts of :mod:`compctrl.sim` and :mod:`compctrl.mpc` bind it once per
-#: record (per bin and record in the pendulum schedule) and call it per step.
+#: memoryless law).  Binding takes each product with w (K_w w_t, D_z w_t,
+#: B_z w_t, B_filter w_t) for every row at once, by
+#: :func:`~compctrl.model.rowwise`; a step then pays only the products with
+#: x_t and z_t.  The rollouts bind it once per record and call it per step.
 Law = Callable[[int, np.ndarray, Optional[np.ndarray]], tuple]
 
 
@@ -131,8 +112,31 @@ def _check_causality(causality: str) -> str:
     return causality
 
 
+class _Online:
+    """What the online controllers share: :meth:`step`, over their ``bind``."""
+
+    def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
+        """u_t at state x_t and disturbance w_t; advances ``state``.
+
+        The controller's :data:`Law` bound to the one row w_t.  A step past a
+        finite horizon raises IndexError, and a w_t whose length is not the
+        controller's p raises ValueError; neither changes ``state``.
+        """
+        t = state.t
+        if self.horizon is not None and t >= self.horizon:
+            raise IndexError(f"controller stepped past its horizon T={self.horizon}")
+        w_t = np.asarray(w_t, dtype=float).reshape(-1)
+        p = self.dims.get("p", w_t.size)
+        if w_t.size != p:
+            raise ValueError(f"disturbance has dimension {w_t.size}, expected {p}")
+        x_t = np.asarray(x_t, dtype=float).reshape(-1)
+        u, state.z, _ = self.bind(w_t[None], t)(t, x_t, state.z)
+        state.t = t + 1
+        return u
+
+
 @dataclass(frozen=True)
-class StateFeedbackController:
+class StateFeedbackController(_Online):
     """u_t = -Kx x_t - Kw w_t (Kw = 0 for the strictly causal variant).
 
     For finite horizons the gains are per-step stacks of shape (T, m, n) and
@@ -173,15 +177,7 @@ class StateFeedbackController:
 
         return law
 
-    def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
-        t = state.t
-        if self.horizon is not None and t >= self.horizon:
-            raise IndexError(f"controller stepped past its horizon T={self.horizon}")
-        x_t = np.asarray(x_t, dtype=float).reshape(-1)
-        w_t = np.asarray(w_t, dtype=float).reshape(1, -1)
-        u, _, _ = self.bind(w_t, t)(t, x_t, None)
-        state.t = t + 1
-        return u
+    step = _Online.step  # in the class namespace, where bench/tracing.py wraps it
 
 
 class Realization(NamedTuple):
@@ -254,21 +250,17 @@ def _realization(syn: SyntheticSystem, Kxi: np.ndarray, Kwp: np.ndarray) -> Real
 
 
 @dataclass(frozen=True)
-class CompetitiveController:
+class CompetitiveController(_Online):
     """Ratio-optimal controller: attenuation law on the synthetic plant.
 
     ``synthetic``, ``Kxi`` and ``Kwp`` are the law as synthesized (and
     serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the synthetic state
     xi_hat, driven by w_hat = w'_{t+1} on the doubled plant or
-    w_hat = w''_t = C_outer nu_t + D_outer w_t on the exact one.  The
-    synthetic plant's horizon is the controller's: single matrices and
-    gains in the infinite horizon, (T, ., .) stacks over a horizon T.  Stepping
-    reads :attr:`realization`, the same law over z = [xi; nu], built once.
-
-    The strictly causal variant has Kwp = 0, so u_t never reads w_t; the
-    state still absorbs w_t afterwards.  At the final step of a finite
-    horizon the control gain is identically zero and w'_T does not exist,
-    so u_{T-1} = 0 and nothing advances.
+    w_hat = w''_t = C_outer nu_t + D_outer w_t on the exact one; the
+    synthetic plant's horizon is the controller's.  Stepping reads
+    :attr:`realization`, the same law over z = [xi; nu], built once.  The
+    strictly causal variant has Kwp = 0, so u_t never reads w_t.  At the
+    final step of a finite horizon u_{T-1} = 0 and nothing advances.
     """
 
     kind: str  # "competitive"
@@ -326,17 +318,7 @@ class CompetitiveController:
 
         return law
 
-    def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
-        t = state.t
-        if self.horizon is not None and t >= self.horizon:
-            raise IndexError(f"controller stepped past its horizon T={self.horizon}")
-        w_t = np.asarray(w_t, dtype=float).reshape(-1)
-        p = self.realization.Dz.shape[2]
-        if w_t.shape != (p,):
-            raise ValueError(f"disturbance has dimension {w_t.shape[0]}, expected {p}")
-        u, state.z, _ = self.bind(w_t[None], t)(t, x_t, state.z)
-        state.t = t + 1
-        return u
+    step = _Online.step  # in the class namespace, where bench/tracing.py wraps it
 
 
 @dataclass(frozen=True)
@@ -357,28 +339,26 @@ class OfflineController:
 
 
 @dataclass(frozen=True)
-class ZeroController:
-    """u = 0 baseline."""
+class ZeroController(_Online):
+    """u = 0 baseline; with ``p`` given it takes disturbances of length p
+    alone, else any."""
 
     m: int
     kind: str = "zero"
     causality: str = CAUSAL
     horizon: Optional[int] = None
     gamma: Optional[float] = None
+    p: Optional[int] = None
 
     @property
     def dims(self) -> dict:
-        return {"m": self.m}
+        return {"m": self.m} if self.p is None else {"m": self.m, "p": self.p}
 
     def make_state(self) -> ControllerState:
         return ControllerState()
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         return lambda t, x, z: (np.zeros(self.m), z, None)
-
-    def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
-        state.t += 1
-        return np.zeros(self.m)
 
 
 def _saddle_gains(
@@ -398,7 +378,7 @@ def _saddle_gains(
     maximizing disturbance (M = P for gamma = None, the LQR limit).
 
     The matrices may be stacks over time (T, ., .), P holding P_{t+1} of
-    step t; every step then runs the arithmetic of a lone one.
+    step t (stacks: :mod:`compctrl.model`).
     """
     m, p = Bu.shape[-1], Bw.shape[-1]
     BuT = Bu.swapaxes(-1, -2)
@@ -452,13 +432,9 @@ def _gate_fixed_point(
     gamma: Optional[float],
     causality: str,
 ) -> Optional[Infeasible]:
-    """Existence conditions for the infinite-horizon attenuation problem.
-
-    Causal: (1) stable closed loop, (2) inertia(R~) == inertia(H~), (3) P PSD.
-    Strictly causal adds the one-step-delay condition B_w'PB_w < gamma^2 I,
-    the same test the finite-horizon recursion applies to P_{t+1}.
-    gamma = None (the LQR limit) leaves the causal conditions only.
-    """
+    """The verdict of a fixed point: its acceptance checks
+    (:class:`~compctrl.riccati.RiccatiFixedPoint`), plus B_w'PB_w < gamma^2 I
+    for a strictly causal law at a level gamma (not None, the LQR limit)."""
     if not fp.converged:
         return Infeasible(
             fp.reason or "no-stabilizing-solution",
@@ -519,17 +495,14 @@ class AttenuationSolve(NamedTuple):
 def _attenuation(plant, gamma, causality: str):
     """The verdict at level gamma: an :class:`AttenuationSolve` or Infeasible.
 
-    The one existence test of every state-feedback family.  An
-    :class:`LtiPlant` is gated by the fixed-point conditions of the game
-    Riccati equation with R~ = diag(I, -gamma^2 I) (gamma = None: its LQR
-    limit, R~ = I on u alone); an :class:`LtvPlant` by the per-step
-    conditions of the backward recursion.  No gain is computed here.
-
-    ``gamma`` may also be a sequence of levels; the verdicts then come back
-    as a list in the same order, from one stacked :func:`hinf_backward` on
-    an LtvPlant and from one fixed point per level on an LtiPlant, each
-    equal to the verdict at its level alone.  A level that is not finite
-    and positive raises ValueError.
+    The one existence test of every state-feedback family: the fixed-point
+    conditions of the game Riccati equation with R~ = diag(I, -gamma^2 I)
+    on an :class:`LtiPlant` (gamma = None: its LQR limit, R~ = I on u
+    alone), the per-step conditions of the backward recursion on an
+    :class:`LtvPlant`.  No gain is computed here.  ``gamma`` may also be a
+    sequence of levels, each verdict equal to the one at its level alone
+    (one stacked :func:`hinf_backward` on an LtvPlant).  A level that is
+    not finite and positive raises ValueError.
     """
     m, p = plant.m, plant.p
     if isinstance(plant, LtiPlant):
@@ -540,12 +513,8 @@ def _attenuation(plant, gamma, causality: str):
         else:
             _check_gamma(gamma)
             Btil = np.hstack([plant.Bu, plant.Bw])
-            Rtil = np.block(
-                [
-                    [np.eye(m), np.zeros((m, p))],
-                    [np.zeros((p, m)), -(gamma**2) * np.eye(p)],
-                ]
-            )
+            Rtil = np.block([[np.eye(m), np.zeros((m, p))],
+                             [np.zeros((p, m)), -(gamma**2) * np.eye(p)]])
         fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
         bad = _gate_fixed_point(fp, plant.Bw, gamma, causality)
         if bad is not None:
@@ -613,13 +582,10 @@ def synth_hinf(
 ) -> Union[StateFeedbackController, Infeasible]:
     """Disturbance-attenuation controller at level gamma.
 
-    Causal law u = -H^{-1}B_u'P(Ax + B_w w); strictly causal law
-    u = -(I + B_u'MB_u)^{-1}B_u'MA x with
-    M = P + PB_w(gamma^2 I - B_w'PB_w)^{-1}B_w'P (P_{t+1} in place of P in
-    the finite horizon).  Feasibility is gated by the game's existence
-    condition (per step in the finite horizon, on the fixed point in the
-    infinite one), plus B_w'PB_w < gamma^2 I for the strictly causal law;
-    infeasible gammas come back as :class:`Infeasible` values.
+    The gains are those of :func:`_saddle_gains`; feasibility is the game's
+    existence test (:mod:`compctrl.riccati`), plus B_w'PB_w < gamma^2 I for
+    the strictly causal law.  Infeasible gammas come back as
+    :class:`Infeasible` values.
     """
     _check_causality(causality)
     _check_level(gamma)
@@ -631,14 +597,9 @@ def synth_hinf(
 
 
 def _synthetic_plant(plant) -> SyntheticSystem:
-    """The gamma-independent synthetic plant of a normalized plant.
-
-    Infinite horizon: from the spectral factor; with p < n plus the outer
-    factor of the w' filter (the exact plant), with p >= n the doubled
-    plant, which is exact there (the p x p outer factor of the n x p filter
-    would be singular for p > n).  Finite horizon: the doubled plant, as
-    (T, ., .) stacks from the whitening schedule.
-    """
+    """The gamma-independent synthetic plant of a normalized plant: exact
+    in the infinite horizon with p < n, else doubled (see
+    :mod:`compctrl.factorization`)."""
     if isinstance(plant, LtvPlant):
         return build_synthetic(plant, whitening_fh(plant))
     factor = spectral_factor_ih(plant)
@@ -669,15 +630,9 @@ def synth_competitive(
     causality: str = CAUSAL,
     horizon: Optional[int] = None,
 ) -> Union[CompetitiveController, Infeasible]:
-    """Ratio-optimal controller at ratio bound gamma^2.
-
-    Builds the synthetic plant and runs attenuation synthesis there; the
-    returned controller steps the w' filter and the autonomous synthetic
-    state online.  In the infinite horizon with fewer disturbance channels
-    than states (p < n) the synthetic plant is the exact one built from the
-    outer factor of the w' filter, so gamma^2 is feasible for the causal law
-    exactly when it bounds the worst-case ratio; otherwise it is the doubled
-    plant.
+    """Ratio-optimal controller at ratio bound gamma^2: attenuation
+    synthesis on the synthetic plant (:func:`_synthetic_plant`), whose
+    controller steps the w' filter and the plant copy online.
     """
     _check_causality(causality)
     _check_level(gamma)
@@ -735,14 +690,11 @@ def _affine_pass(schedules, w: np.ndarray) -> list:
     """The offsets h (shape (T, m)) of each schedule's policy for w (T, p).
 
     One linear backward pass [h_t; b_t] = M_t [b_{t+1}; w_t] from b_T = 0;
-    the w_t terms of all steps are formed at once.
-
-    ``schedules`` is a sequence of :class:`AffineSchedule` over one horizon;
-    one h is returned per schedule, in the order given.  Several run as a
-    stack of lanes of one recursion, ``PASS_BLOCK`` steps at a time
-    (:func:`_pass_block`); each lane's products run the routines of the lone
-    pass, so each h equals that schedule's own pass, bit for bit.  One
-    schedule runs the plain loop, which is faster alone.
+    the w_t terms of all steps are formed at once.  ``schedules`` is a
+    sequence of :class:`AffineSchedule` over one horizon; one h is returned
+    per schedule, in order.  Several run as lanes of one stacked recursion,
+    ``PASS_BLOCK`` steps at a time (:func:`_pass_block`), each h equal to
+    its schedule's own pass; one schedule runs the plain loop, faster alone.
     """
     _, m, n = schedules[0].K.shape
     if len(schedules) == 1:
@@ -774,7 +726,7 @@ def _pass_block(schedules, w, block: slice, b: np.ndarray, h: np.ndarray) -> np.
 
 
 #: Bytes the shared schedule cache may hold: schedules plus their keys;
-#: about 88 KB is one pendulum bin at T = 1001 (see :mod:`compctrl.mpc`).
+#: about 88 KB is one pendulum bin at T = 1001.
 SCHEDULE_CACHE_BYTES = 8 << 20
 
 
@@ -893,7 +845,8 @@ def offline_optimal(
     matrix is block-banded in causal order, which the sweep factorizes
     implicitly.  The forward pass steps :func:`_clairvoyant_law` against
     ``plant.advance``, OPT taken from the step costs after it.
-    ``method="dense"`` solves the stacked normal equations, O((T n)^3), as
+    ``method="dense"`` solves the stacked normal equations
+    u* = -(I + F'F)^{-1} F'G w, OPT = w'G'(I + FF')^{-1}G w, O((T n)^3), as
     the independent oracle of ``compctrl verify`` and the cross-route tests.
     """
     w = _disturbance_record(plant, w)
@@ -927,6 +880,10 @@ def control_step(controller, state: ControllerState, x_t, w_t):
 # serialization
 
 
+#: the arrays of a :class:`SyntheticSystem` in its JSON form, in field order
+_SYNTHETIC_KEYS = tuple(f.name for f in dataclasses.fields(SyntheticSystem))
+
+
 def _arr(x) -> list:
     return np.asarray(x, dtype=float).tolist()
 
@@ -947,21 +904,11 @@ def controller_to_json_dict(controller) -> dict:
     elif isinstance(controller, CompetitiveController):
         out["gains"] = {"Kxi": _arr(controller.Kxi), "Kwp": _arr(controller.Kwp)}
         syn = controller.synthetic
-        out["synthetic"] = {
-            "ltv": syn.horizon is not None,
-            "Ahat": _arr(syn.Ahat),
-            "Buhat": _arr(syn.Buhat),
-            "Bwhat": _arr(syn.Bwhat),
-            "Qhat": _arr(syn.Qhat),
-            "A_filter": _arr(syn.A_filter),
-            "B_filter": _arr(syn.B_filter),
-            "M_filter": _arr(syn.M_filter),
-        }
-        if syn.exact:
-            out["synthetic"]["C_outer"] = _arr(syn.C_outer)
-            out["synthetic"]["D_outer"] = _arr(syn.D_outer)
+        arrays = {key: getattr(syn, key) for key in _SYNTHETIC_KEYS}
+        out["synthetic"] = {"ltv": syn.horizon is not None,
+                            **{key: _arr(a) for key, a in arrays.items() if a is not None}}
     elif isinstance(controller, ZeroController):
-        out["gains"] = {"m": controller.m}
+        out["gains"] = {"m": controller.m, **({} if controller.p is None else {"p": controller.p})}
     elif isinstance(controller, OfflineController):
         pass
     else:
@@ -1006,7 +953,8 @@ def controller_from_json_dict(obj: dict):
     if kind == "offline":
         return OfflineController()
     if kind == "zero":
-        return ZeroController(m=int(obj["gains"]["m"]))
+        p = obj["gains"].get("p")
+        return ZeroController(m=int(obj["gains"]["m"]), p=None if p is None else int(p))
     gains, horizon = obj["gains"], obj["horizon"]
     if kind in ("h2", "hinf"):
         Kx, Kw = (np.asarray(gains[key], dtype=float) for key in ("Kx", "Kw"))
@@ -1027,14 +975,7 @@ def controller_from_json_dict(obj: dict):
             raise ValueError(
                 f"controller file: synthetic.ltv is {s['ltv']} but horizon is {horizon}"
             )
-        fields = {
-            key: np.asarray(s[key], dtype=float)
-            for key in (
-                "Ahat", "Buhat", "Bwhat", "Qhat", "A_filter", "B_filter",
-                "M_filter", "C_outer", "D_outer",
-            )
-            if key in s
-        }
+        fields = {key: np.asarray(s[key], dtype=float) for key in _SYNTHETIC_KEYS if key in s}
         Kxi, Kwp = (np.asarray(gains[key], dtype=float) for key in ("Kxi", "Kwp"))
         arrays = {**fields, "Kxi": Kxi, "Kwp": Kwp}
         _check_horizon(horizon, arrays)

@@ -1,39 +1,30 @@
 """Whitening/spectral factorization and the synthetic system.
 
-The reduction implemented here rewrites the ratio-against-clairvoyant control
-problem as a disturbance-attenuation problem.  Its engine is a factorization
-of the clairvoyant cost operator: a causal, causally invertible Delta with
-
-    Delta Delta* = I + F F*        (finite horizon, block operators)
-    Delta(z) Delta*(1/conj(z)) = I + F(z) F*(1/conj(z))   (infinite horizon)
-
-obtained from a forward Kalman-style Riccati recursion (finite horizon) or
-its stabilizing fixed point (infinite horizon).  From the factor we assemble
-a doubled 2n-state synthetic plant (Ahat, Buhat, Bwhat, Qhat) driven by the
-filtered disturbance w' = Delta^{-1} G w, which is a *strictly causal*
-function of w and can therefore be computed online by the small filter
+The ratio-against-clairvoyant problem becomes a disturbance-attenuation
+problem through a factorization of the clairvoyant cost operator: a causal,
+causally invertible Delta with Delta Delta* = I + F F*, from a forward
+Kalman-style Riccati recursion (finite horizon, :func:`whitening_fh`) or its
+stabilizing fixed point (infinite horizon, :func:`spectral_factor_ih`).
+The filtered disturbance w' = Delta^{-1} G w is a strictly causal function
+of w, computed online by the small filter
 
     nu_{t+1} = (A - K Q^{1/2}) nu_t + B_w w_t,   w'_t = Sigma^{-1/2} Q^{1/2} nu_t,
 
-with nu_0 = 0.  Disturbance-attenuation synthesis on the synthetic plant then
-yields ratio-optimal controllers for the original plant.  One type,
-:class:`SyntheticSystem`, holds the synthetic plant in both horizons: single
-matrices in the infinite horizon, (T, ., .) stacks over a finite horizon T,
-and one assembly writes the doubled plant for either shape.
+with nu_0 = 0, and attenuation of w' on a doubled 2n-state synthetic plant
+yields ratio-optimal controllers for the original plant.
 
-When the disturbance has fewer channels than the plant has states (p < n),
-the doubled plant is only an upper bound: the attenuation problem lets w'
-range over all of R^n at every step, while w' = H w with the tall n x p
+When p < n the doubled plant is only an upper bound: the attenuation
+problem lets w' range over all of R^n, while w' = H w with the tall n x p
 filter H(z) = z Delta^{-1}(z) G(z) fills a p-dimensional family.  The
-infinite-horizon reduction is then made exact with the inner-outer
-factorization H = U L (Zhou, Doyle and Glover, *Robust and Optimal Control*,
-1996): L is p x p, outer and causally invertible, and ||L w||^2 = ||H w||^2
-= OPT(w), so attenuation of w'' = L w, which ranges over all of R^p, is the
-ratio problem itself.  The exact synthetic plant is the original plant
-driven through L^{-1} by w''; its state is (plant copy, filter state nu).
-For p >= n the doubled plant is already the exact reduction (H is square or
-wide), and a p x p outer factor of the n x p filter would be singular for
-p > n, so the doubled plant stays there.
+infinite-horizon reduction is then made exact by the inner-outer
+factorization H = U L (Zhou, Doyle and Glover, *Robust and Optimal
+Control*, 1996; :func:`outer_factor_ih`): ||L w||^2 = ||H w||^2 = OPT(w),
+so attenuation of w'' = L w, which ranges over all of R^p, is the ratio
+problem itself.  The exact synthetic plant is the original plant driven
+through L^{-1} by w''.  For p >= n the doubled plant is already exact (H is
+square or wide; a p x p outer factor of the n x p filter would be singular
+for p > n), and every finite horizon uses it.  :class:`SyntheticSystem`
+holds either plant in either horizon (:func:`build_synthetic`).
 """
 
 from __future__ import annotations
@@ -45,6 +36,7 @@ import numpy as np
 
 from .model import LtiPlant, LtvPlant, inv_sqrt_pd, shifted_solve, sqrt_psd
 from .riccati import (
+    TINY,
     _sda,
     is_stable,
     pbh_detectable,
@@ -130,8 +122,7 @@ class OuterFactor:
     D: np.ndarray  # (p, p)
     A_inv: np.ndarray  # (n, n)
     residual: float
-    iterations: int  # doublings, or value-iteration steps when D_H'D_H is singular
-    doublings: int  # 0 when D_H'D_H is singular
+    iterations: int  # doublings of the fixed-point solve
 
 
 @dataclass(frozen=True)
@@ -196,10 +187,8 @@ def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
     P_{t+1} = A_t P_t A_t' + B_u,t B_u,t' - K_t Sigma_t K_t'.
 
     Sigma_t >= I analytically; a numerically singular Sigma (an eigenvalue
-    below 1e-9) is reported as a numeric failure at its first step, found by
-    one stacked ``eigvalsh`` after the recursion, or after a solve that met
-    a singular Sigma.  The square roots of Sigma, which the recursion does
-    not read, are taken after it, one stacked call each.
+    below 1e-9) raises a numeric failure naming its first step, checked once
+    after the recursion (or after a solve that met a singular Sigma).
     """
     T, n = plant.T, plant.n
     P = np.zeros((T + 1, n, n))
@@ -243,8 +232,7 @@ def spectral_factor_ih(plant: LtiPlant) -> SpectralFactor:
     Preconditions (PBH rank tests, singular-value threshold 1e-8): (A, B_u)
     stabilizable and (A, Q^{1/2}) detectable.  The filter Riccati equation
     is the control one of the dual problem (A', Q^{1/2}', I, B_u B_u'), so
-    the doubling core solves it; ``iterations`` counts doublings, k of them
-    standing for 2^k value-iteration steps from P = 0.  A failed solve
+    the doubling core solves it; ``iterations`` counts doublings.  A failed solve
     (singular, non-finite or divergent iterates, or the doubling cap) raises
     "no-stabilizing-solution", as does a whitening closed loop A - K Q^{1/2}
     that is not stable.
@@ -295,57 +283,45 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
 
     gives L(z) = R^{1/2} (I + F (zI - A_w)^{-1} B_w) with F = R^{-1}S, so
     C = R^{1/2}F and D = R^{1/2}.  The factor is gamma-independent, so a
-    gamma search computes it once.  With D_H'D_H invertible the cross term
-    is removed (A_0 = A_w - B_w(D_H'D_H)^{-1}D_H'C_H,
-    G_0 = B_w(D_H'D_H)^{-1}B_w', H_0 = C_H'(I - D_H(D_H'D_H)^{-1}D_H')C_H)
-    and the doubling core solves the equation; ``iterations`` and
-    ``doublings`` then both count doublings.  Doubling cannot start when
-    D_H'D_H is singular; value iteration from X = 0 solves that case, with
-    ``iterations`` counting its steps and ``doublings`` = 0.  Failure to
-    converge, or an L^{-1} that is not stable (H has a zero on the unit
-    circle), raises FactorizationError.
+    gamma search computes it once.  The doubling core solves the equation
+    with the cross term removed (A_0 = A_w - B_w(D_H'D_H)^{-1}D_H'C_H,
+    G_0 = B_w(D_H'D_H)^{-1}B_w', H_0 = C_H'(I - D_H(D_H'D_H)^{-1}D_H')C_H);
+    ``iterations`` counts doublings.  That needs D_H'D_H invertible.  When
+    it is singular, the output rows of H are rotated so that some have no
+    feedthrough, and those rows are multiplied by z (row c (zI - A_w)^{-1}
+    B_w becomes c B_w + c A_w (zI - A_w)^{-1} B_w): an inner factor on the
+    left, so H*H, and with it L, is unchanged.  After at most n passes the
+    feedthrough has full column rank, unless H*H is singular, which raises
+    FactorizationError, as do a failed solve and an L^{-1} that is not
+    stable (H has a zero on the unit circle).
     """
     A, B = factor.A_whiten, plant.Bw
     M = factor.Sigma_inv_half @ plant.Q_half
     C_H, D_H = M @ A, M @ B
-    CC, DC, DD = C_H.T @ C_H, D_H.T @ C_H, D_H.T @ D_H
-
-    def gain(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        R = sym(DD + B.T @ X @ B)
-        S = B.T @ X @ A + DC
-        try:
-            F = np.linalg.solve(R, S)
-        except np.linalg.LinAlgError:  # D_H'D_H singular at X = 0
-            F = np.linalg.pinv(R) @ S
-        return R, S, F
-
-    lam = np.linalg.eigvalsh(DD)
-    if lam.min() > 1e-12 * max(lam.max(), np.finfo(float).tiny):
-        E = np.linalg.solve(DD, DC)
-        X, iterations, reason = _sda(
-            A - B @ E, sym(B @ np.linalg.solve(DD, B.T)), sym(CC - DC.T @ E)
-        )
-        doublings = iterations
+    for _ in range(plant.n + 1):
+        CC, DC, DD = C_H.T @ C_H, D_H.T @ C_H, D_H.T @ D_H
+        lam = np.linalg.eigvalsh(DD)
+        if lam.min() > 1e-12 * max(lam.max(), TINY):
+            break
+        U, s, _ = np.linalg.svd(D_H)
+        r = np.count_nonzero(s * s > 1e-12 * max(s[0] * s[0], TINY))
+        U, Z = U[:, :r].T, U[:, r:].T  # rows with feedthrough, rows without
+        C_H, D_H = np.vstack([U @ C_H, Z @ C_H @ A]), np.vstack([U @ D_H, Z @ C_H @ B])
     else:
-        X, doublings, reason = np.zeros_like(A), 0, "no-stabilizing-solution"
-        for iterations in range(1, 100_001):
-            _, S, F = gain(X)
-            Xn = sym(A.T @ X @ A + CC - S.T @ F)
-            diff = np.abs(Xn - X).max()
-            X = Xn
-            if diff < 1e-12 * max(1.0, np.abs(X).max()):
-                reason = None
-                break
-    if reason is not None:
-        raise FactorizationError("no-stabilizing-solution: outer factor did not converge")
-    R, S, F = gain(X)
-    residual = float(np.abs(sym(A.T @ X @ A + CC - S.T @ F) - X).max())
-    lam = np.linalg.eigvalsh(R)
-    if lam.min() <= 1e-12 * max(lam.max(), np.finfo(float).tiny):
         raise FactorizationError(
             f"numeric-failure: outer factor feedthrough singular "
             f"(eigenvalues {lam.min():.3e}, {lam.max():.3e})"
         )
+    E = np.linalg.solve(DD, DC)
+    X, iterations, reason = _sda(
+        A - B @ E, sym(B @ np.linalg.solve(DD, B.T)), sym(CC - DC.T @ E)
+    )
+    if reason is not None:
+        raise FactorizationError("no-stabilizing-solution: outer factor did not converge")
+    R = sym(DD + B.T @ X @ B)
+    S = B.T @ X @ A + DC
+    F = np.linalg.solve(R, S)
+    residual = float(np.abs(sym(A.T @ X @ A + CC - S.T @ F) - X).max())
     A_inv = A - B @ F
     if not is_stable(A_inv):
         raise FactorizationError(
@@ -360,7 +336,6 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
         A_inv=A_inv,
         residual=residual,
         iterations=iterations,
-        doublings=doublings,
     )
 
 
@@ -375,8 +350,7 @@ def build_synthetic(
     Bwhat = [0; I], Qhat = U U' with U = [Q^{1/2}; Sigma^{1/2}] (PSD,
     rank <= n).  One assembly writes it for both horizons: a spectral factor
     of an :class:`LtiPlant` gives single matrices, a whitening schedule of an
-    :class:`LtvPlant` gives (T, ., .) stacks, each step of which equals the
-    step assembled alone, bit for bit.
+    :class:`LtvPlant` gives (T, ., .) stacks.
 
     With an ``outer`` factor (time-invariant plants only) the exact plant is
     returned instead: the plant copy and the filter state nu driven by w''

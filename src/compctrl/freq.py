@@ -17,16 +17,9 @@ reported as the string "degenerate-frequency" instead of a number.
 
 Evaluation is stacked: transfer_at, open_loop_maps, clairvoyant_gram,
 sigma_max and per_freq_cr take a scalar frequency, or a 1-D array of them
-and then make one stacked LAPACK call (solve, eigh, svd, eigvalsh) where a
-point would make one call.  numpy runs the single-matrix routine on each
-matrix of a stack, so the stacked values equal the pointwise ones bit for
-bit.  sweep and peak_gain walk their grid in blocks of BLOCK = 64 points:
-per-point calls spent nearly all of a sweep in call overhead, and a stack of
-the whole 512-point grid was no faster than blocks of 64 but raised the
-peak RSS of a CLI pipeline pass (synth, simulate, freq, mpc, verify) from
-45.7 to 48.0 MB, where blocks of 64 kept it at 45.8 MB.  Per block, sweep
-does the plant-only work (the clairvoyant Gram and its eigh) once for all
-its loops, and solves each loop's transfer once for both of its figures.
+evaluated by one stacked call each (equal to the pointwise values; see
+:mod:`compctrl.model`).  sweep and peak_gain walk their grid in blocks of
+BLOCK = 64 points, which bounds the stacks held at once.
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ __all__ = [
 
 DEGENERATE_FREQUENCY = "degenerate-frequency"
 _SINGULAR_REL = 1e-12
-#: grid points per stacked evaluation in sweep and peak_gain (see above)
+#: grid points per stacked evaluation in sweep and peak_gain
 BLOCK = 64
 
 
@@ -212,8 +205,8 @@ def sweep(plant: LtiPlant, named_controllers, n_points: int = 512) -> SweepResul
 
     Per block, the plant-only work (the clairvoyant Gram and its ``eigh``)
     is done once for all loops, and each loop's transfer is solved once and
-    read by both figures; the values are those of :func:`sigma_max` and
-    :func:`per_freq_cr` on the block, bit for bit.
+    read by both figures, with the values of :func:`sigma_max` and
+    :func:`per_freq_cr`.
     """
     if isinstance(named_controllers, dict):
         items = list(named_controllers.items())

@@ -14,6 +14,14 @@ Finite-horizon problems are also exposed in stacked ("lifted") form: with
 s_t = Q_t^{1/2} x_t, the dynamics induce strictly causal block-lower-triangular
 operators F and G with  s = F u + G w,  which serve as the ground truth for
 offline-optimal costs and factorization identities.
+
+Stacks.  Across the package, a routine given a stack (..., k, k) of the
+matrices a lone call takes makes one numpy call for the whole stack.  numpy
+runs on each matrix of a stack the LAPACK routine, or the matrix-vector
+kernel, that a lone matrix gets, so each entry of a stacked result equals
+the lone call's, bit for bit.  (A block product ``v @ M.T`` runs a
+matrix-matrix kernel instead, which need not: :func:`rowwise` is the
+stacked form.)
 """
 
 from __future__ import annotations
@@ -50,8 +58,7 @@ def sqrt_psd(M: np.ndarray) -> np.ndarray:
 
     Eigenvalues are clamped at max(lam, 0) so that tiny negative values of
     numerical origin (-1e-14 and the like) do not poison the square root.
-    M may be a stack (..., n, n); each matrix gets the arithmetic of a lone
-    one, so the stack's roots equal the one-by-one roots bit for bit.
+    M may be a stack (..., n, n).
     """
     M = np.asarray(M, dtype=float)
     lam, V = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
@@ -78,9 +85,7 @@ def shifted_solve(A: np.ndarray, B: np.ndarray, z) -> np.ndarray:
     """(zI - A)^{-1} B at a scalar z, or stacked along a 1-D array of z.
 
     The (zI - A) stack is filled in place, -A plus z on the diagonal, and
-    solved by one stacked LAPACK call.  That call runs the routine a single
-    matrix gets on each matrix of the stack, so a point of the stack equals
-    the scalar evaluation at that point bit for bit.
+    solved by one stacked LAPACK call.
     """
     z = np.asarray(z)
     n = A.shape[0]
@@ -94,10 +99,8 @@ def shifted_solve(A: np.ndarray, B: np.ndarray, z) -> np.ndarray:
 def rowwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M_t v_t for every row v_t of v (S, k), as an (S, r) array.
 
-    ``M`` is one (r, k) matrix or a stack whose row t is M_t.  It is one
-    stacked matmul, and numpy runs on each lane the matrix-vector kernel of
-    the lone product ``M_t @ v_t``, so row t equals it bit for bit (``v @ M.T``
-    would run a matrix-matrix kernel, which need not).
+    ``M`` is one (r, k) matrix or a stack whose row t is M_t; row t equals
+    the lone product ``M_t @ v_t`` (see the module docstring).
     """
     return (M @ v[:, :, None])[..., 0]
 
@@ -108,8 +111,7 @@ def step_costs(x: np.ndarray, u: np.ndarray, Q: np.ndarray) -> tuple:
     whose first S entries weight the steps.
 
     Step t costs x_t'Q_t x_t + u_t'u_t, the bits of
-    ``float(x_t @ Q_t @ x_t + u_t @ u_t)``: the stacked matmuls run the
-    kernels of the lone products on each lane.  The running sum is
+    ``float(x_t @ Q_t @ x_t + u_t @ u_t)``.  The running sum is
     ``np.cumsum``, which adds in sequence like ``running += cost``; the total
     is its last entry as a float, 0.0 when S = 0.
     """

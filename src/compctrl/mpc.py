@@ -6,49 +6,17 @@ The plant is the forward-Euler discretization of
 
 with state x = (theta, theta_dot), unit weights on state and control, and
 the disturbance entering alongside the control torque.  Controllers are
-synthesized on the linearization about the current angle, with the angle
-quantized to a fixed bin width so gains can be cached and runs stay
-reproducible.  Every bin's ratio-optimal controller steps the same state
-z = [xi; nu] (plant copy, w' filter state) through its own realization
-(:class:`compctrl.controllers.Realization`), so the state persists across
-relinearizations.
-
-The attenuation/ratio level gamma is fixed for a whole run: it is resolved
-once from the initial linearization (by bisection, times a safety margin)
-and reused in every bin.  A bin where synthesis fails at that fixed level
-truncates the run with status "infeasible-linearization" rather than
-silently retuning.
-
-Each bin's controller is cached, and a run binds each bin's law to the
-tail of the record at the bin's first visit (:class:`RelinearizingController`).
-The linear dynamics are the linearization's own ``advance``.
-
-The cost comparator is a receding-horizon clairvoyant: at every step it
-applies the first move of the exact affine optimal policy for the dynamics
-frozen at the current bin, given the entire future disturbance: the
-clairvoyant law of :mod:`compctrl.controllers`, bound to the bin's
-linearization (an LtiPlant) and the rest of the record.  Its Riccati
-schedule does not depend on the disturbance; it comes from the process-wide
-:data:`compctrl.controllers.schedule_cache`, keyed exactly by the
-linearization and T, and what the cache holds never changes a run.  The
-offsets depend on the record linearly: one backward pass from the end of
-the record.  A bin's first visit binds that bin together with every
-not-yet-bound bin in the contiguous run of neighbours whose schedules the
-cache already holds, as lanes of one stacked pass, each lane bit for bit
-the bin's own pass.  While theta moves less than a bin per step, the
-record reaches no bin beyond that run without first visiting an uncached
-bin, which starts the next group: a warm cache binds a record's bins in one
-pass, a cold one in one pass per bin not yet cached.  Bins can share a
-linearization (it reads theta through cos alone), so each side of the run
-is cut after as many bins as the cache holds schedules; a bin past the cut
-starts a group of its own.
+synthesized on the linearization about the current angle, quantized to a
+fixed bin width (:class:`RelinearizingController`); the cost comparator is
+a receding-horizon clairvoyant (:func:`clairvoyant_comparator_run`).  The
+linear dynamics are the linearization's own ``advance``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -80,6 +48,7 @@ __all__ = [
     "PendulumScenario",
     "scenario_from_json_dict",
     "scenario_to_json_dict",
+    "scenario_controller",
     "run_scenario",
 ]
 
@@ -159,14 +128,18 @@ class RelinearizingController:
     ``kind`` is "competitive", "hinf", or "h2".  For the gamma-gated kinds
     the level is resolved at construction from the linearization about
     ``theta_init`` (bisection optimum times ``gamma_policy["margin"]``, or an
-    explicit ``gamma_policy["fixed"]`` level) and then held fixed.  Each
-    bin's controller is cached; each bin is synthesized from its own
-    linearization alone, so the cache is independent of the order in which
-    bins are visited; the bin width ``quantum`` must be finite and > 0.
-    After ``reset(w)`` the steps read the record w: each bin's law is bound
-    to the tail of w at the bin's first visit (:meth:`step` must then be
-    given row t of w at step t); after ``reset()`` each step binds the law to
-    its own w.
+    explicit ``gamma_policy["fixed"]`` level) and then held fixed for every
+    bin: a bin infeasible at it ends a run with status
+    "infeasible-linearization" rather than retuning.  Each bin's controller
+    is cached; each bin is synthesized from its own linearization alone, so
+    the cache is independent of the order in which bins are visited; the bin
+    width ``quantum`` must be finite and > 0.  Every bin's ratio-optimal
+    controller steps the same state z = [xi; nu] through its own
+    :class:`~compctrl.controllers.Realization`, so the state persists across
+    relinearizations.  After ``reset(w)`` the steps read the record w: each
+    bin's law is bound to the tail of w at the bin's first visit
+    (:meth:`step` must then be given row t of w at step t); after
+    ``reset()`` each step binds the law to its own w.
     ``bins_synthesized`` counts the bins synthesized so far, the initial one
     included; ``bin_cache_hits`` counts the steps whose bin was cached;
     ``synth_s`` is the wall time spent in the level search and in the
@@ -325,9 +298,21 @@ def clairvoyant_comparator_run(
     quantum: float = DEFAULT_QUANTUM,
     dynamics: str = "nonlinear",
 ) -> RolloutResult:
-    """Roll the receding-horizon clairvoyant comparator on the same record
-    (the module docstring says how it binds each bin's law).  ``w`` has
-    shape (T,) or (T, 1), and ``quantum`` must be finite and > 0.
+    """Roll the receding-horizon clairvoyant comparator on the record ``w``
+    ((T,) or (T, 1)); ``quantum`` must be finite and > 0.
+
+    Each step applies the first move of the clairvoyant law
+    (:func:`~compctrl.controllers.offline_optimal`'s policy) for the
+    linearization of the current bin, given the rest of the record.  A bin's
+    first visit binds that bin together with every not-yet-bound bin in the
+    contiguous run of neighbours whose schedules the schedule cache holds,
+    as lanes of one stacked pass.  While theta moves less than a bin per
+    step, the record reaches no bin beyond that run without first visiting
+    an uncached bin, which starts the next group: a warm cache binds a
+    record's bins in one pass, a cold one in one pass per bin.  Bins can
+    share a linearization (it reads theta through cos alone), so each side
+    of the run is cut after as many bins as the cache holds schedules.  What
+    the cache holds never changes a run.
     """
     w = _disturbance_column(w)
     quantum = _check_quantum(quantum)
@@ -372,13 +357,8 @@ def scenario_from_json_dict(obj: dict) -> PendulumScenario:
     if version != SCENARIO_SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version {version}")
     prm = obj.get("params", {})
-    params = PendulumParams(
-        m=float(prm.get("m", 1.0)),
-        l=float(prm.get("l", 1.0)),
-        g=float(prm.get("g", 1.0)),
-        J=float(prm.get("J", 1.0)),
-        dt=float(prm.get("dt", 1e-3)),
-    )
+    params = PendulumParams(**{f.name: float(prm.get(f.name, f.default))
+                               for f in fields(PendulumParams)})
     ctl = obj.get("controller", {})
     return PendulumScenario(
         params=params,
@@ -395,13 +375,7 @@ def scenario_from_json_dict(obj: dict) -> PendulumScenario:
 def scenario_to_json_dict(s: PendulumScenario) -> dict:
     return {
         "schema_version": SCENARIO_SCHEMA_VERSION,
-        "params": {
-            "m": s.params.m,
-            "l": s.params.l,
-            "g": s.params.g,
-            "J": s.params.J,
-            "dt": s.params.dt,
-        },
+        "params": asdict(s.params),
         "steps": s.steps,
         "disturbance": spec_to_json_dict(s.disturbance),
         "controller": {
@@ -412,6 +386,19 @@ def scenario_to_json_dict(s: PendulumScenario) -> dict:
         "quantum": s.quantum,
         "x0": list(s.x0),
     }
+
+
+def scenario_controller(scenario: PendulumScenario) -> RelinearizingController:
+    """The scenario's scheduled controller, its level resolved at the bin
+    of ``scenario.x0``; raises MpcInfeasibleError as the constructor does."""
+    return RelinearizingController(
+        scenario.params,
+        kind=scenario.kind,
+        causality=scenario.causality,
+        gamma_policy=scenario.gamma_policy,
+        quantum=scenario.quantum,
+        theta_init=scenario.x0[0],
+    )
 
 
 def run_scenario(
@@ -426,14 +413,7 @@ def run_scenario(
     """
     w = generate(scenario.disturbance, scenario.steps, 1, seed=seed)
     if controller is None:
-        controller = RelinearizingController(
-            scenario.params,
-            kind=scenario.kind,
-            causality=scenario.causality,
-            gamma_policy=scenario.gamma_policy,
-            quantum=scenario.quantum,
-            theta_init=scenario.x0[0],
-        )
+        controller = scenario_controller(scenario)
     result = run_pendulum(scenario.params, controller, w, x0=scenario.x0)
     comparator = clairvoyant_comparator_run(
         scenario.params, w, x0=scenario.x0, quantum=scenario.quantum
@@ -466,17 +446,11 @@ def mpc_rollout(
     ``"offline"``; the last runs the clairvoyant receding-horizon comparator
     on the realized disturbance rather than a synthesized controller.
     """
-    if params is None:
-        params = PendulumParams()
+    params = PendulumParams() if params is None else params
     w = generate(spec, steps, 1, seed=seed)
     if kind == "offline":
         return clairvoyant_comparator_run(params, w, x0=x0, quantum=quantum)
-    controller = RelinearizingController(
-        params,
-        kind=kind,
-        causality=causality,
-        gamma_policy=gamma_policy or {"margin": DEFAULT_GAMMA_MARGIN},
-        quantum=quantum,
-        theta_init=float(x0[0]),
-    )
-    return run_pendulum(params, controller, w, x0=x0)
+    scenario = PendulumScenario(params=params, steps=steps, disturbance=spec, kind=kind,
+                                causality=causality, gamma_policy=gamma_policy or {},
+                                quantum=quantum, x0=tuple(x0))
+    return run_pendulum(params, scenario_controller(scenario), w, x0=x0)

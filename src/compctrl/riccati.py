@@ -1,39 +1,20 @@
 """Indefinite Riccati recursions and fixed points with feasibility verdicts.
 
-Two related objects live here:
-
-* the backward finite-horizon recursion for the min-max (game-type) quadratic
-  problem, which carries per-step existence conditions for causal and
-  strictly causal disturbance-attenuating controllers, and
-
-* the corresponding infinite-horizon fixed point, whose acceptance requires
-  (1) a stable closed loop, (2) matching inertia of the weight R~ and of
-  H~ = R~ + B~'PB~, and (3) P PSD.
-
-Both horizons share one existence test, :func:`_game_step_test` (H~,
-equilibrated, nonsingular with the inertia of R~; at every backward step and
-every doubling), and one strictly causal condition, B_w'PB_w < gamma^2 I.
-Both, and the symmetric solves, also run on stacks (..., k, k), which the
-backward recursion uses to carry several levels at once.
-
-Every infinite-horizon fixed point of the package (the game and LQR
-Riccati equations here, the spectral and outer factors in
-:mod:`compctrl.factorization`) is solved by one structure-preserving
-doubling core, :func:`_sda`.  Its k-th iterate is the value-iteration
-iterate from zero at step 2^k, so the verdicts of value iteration carry over
-when each doubling is checked as value iteration checks each step, while the
-number of steps falls from thousands near the feasibility boundary to a few
-dozen.
+Two related objects live here: the backward finite-horizon recursion of the
+min-max (game-type) quadratic problem (:func:`hinf_backward`) and its
+infinite-horizon fixed point (:func:`dare_fixed_point`).  Both horizons
+share one existence test, :func:`_game_step_test`, and one strictly causal
+condition, :func:`_strictly_causal_ok`.  Every infinite-horizon fixed point
+of the package (the game and LQR equations here, the spectral and outer
+factors in :mod:`compctrl.factorization`) is solved by one doubling core,
+:func:`_sda`.
 
 Feasibility failures are reported as structured verdicts with reason codes
 ("singular-Htilde", "no-stabilizing-solution", ...) rather than exceptions,
-because the gamma-bisection consumes them as ordinary values.
-
-All symmetric (possibly indefinite) linear systems are solved through an
-eigendecomposition with a relative pivot guard: the matrix is declared
-singular when min|lam| < 1e-12 * max|lam|.  A determinant-based guard is not
-scale-free (|det| ~ scale^dim) and misfires badly on well-conditioned
-matrices of moderate norm.
+because the gamma-bisection consumes them as ordinary values.  Symmetric
+(possibly indefinite) systems are solved through an equilibrated
+eigendecomposition with a relative pivot guard (:func:`solve_sym`); a
+determinant-based guard is not scale-free (|det| ~ scale^dim).
 """
 
 from __future__ import annotations
@@ -60,7 +41,7 @@ __all__ = [
     "dare_fixed_point",
 ]
 
-#: margin for strict matrix inequalities (lam_max < gamma^2 - MARGIN)
+#: relative margin for strict matrix inequalities (lam_max < gamma^2 (1 - MARGIN))
 STRICT_MARGIN = 1e-9
 #: threshold for counting signs of eigenvalues in inertia computations
 INERTIA_TOL = 1e-10
@@ -141,9 +122,7 @@ def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     The matrix is first equilibrated, then factored by the symmetric
     eigendecomposition; the eigenvalues act as pivots and the solve is
-    rejected when min|lam| <= 1e-12 * max|lam| after scaling.  On stacks
-    (..., k, k) and (..., k, r) each matrix is solved with the arithmetic of
-    a lone one, so each result equals the unstacked solve bit for bit.
+    rejected when min|lam| <= 1e-12 * max|lam| after scaling.
     """
     return _solve_pivots(_pivots(H), B)
 
@@ -205,8 +184,14 @@ class Verdict:
         return self.ok
 
 
+def _signs(lam: np.ndarray) -> tuple:
+    """(n_pos, n_neg) of equilibrated pivots: the counts above INERTIA_TOL
+    and below -INERTIA_TOL, per eigenvalue row."""
+    return (lam > INERTIA_TOL).sum(axis=-1), (lam < -INERTIA_TOL).sum(axis=-1)
+
+
 def _game_step_test(
-    Htil: np.ndarray, n_pos, n_neg
+    Htil: np.ndarray, n_pos: int, n_neg: int
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The existence test of one game Riccati step, H~ = R~ + B~'PB~.
 
@@ -217,25 +202,22 @@ def _game_step_test(
     Estimation and Control*, 1999).  Returns the two failures, singular and
     wrong inertia (the first decides the reason where both hold), and the
     pivots of H~, which the step's solve reuses.  On a stack (..., k, k)
-    the failures hold one entry per matrix, and n_pos and n_neg may too.
+    the failures hold one entry per matrix.
     """
     pivots = _eig_pivots(Htil)
-    lam = pivots[0]
-    wrong = ((lam > INERTIA_TOL).sum(axis=-1) != n_pos) | (
-        (lam < -INERTIA_TOL).sum(axis=-1) != n_neg
-    )
-    return _singular(lam), wrong, pivots
+    pos, neg = _signs(pivots[0])
+    return _singular(pivots[0]), (pos != n_pos) | (neg != n_neg), pivots
 
 
 def _strictly_causal_ok(P: np.ndarray, Bw: np.ndarray, gamma):
-    """The one-step-delay condition B_w'PB_w < gamma^2 I (margin 1e-9).
+    """The one-step-delay condition B_w'PB_w < gamma^2 (1 - 1e-9) I.
 
     P is the cost-to-go after the step: P_{t+1} in the finite horizon, the
     fixed point in the infinite one.  On a stack of P (..., N, N), with one
     gamma or one per matrix, the verdicts come back as an array.
     """
     lam_max = np.linalg.eigvalsh(sym(Bw.T @ P @ Bw)).max(axis=-1)
-    return lam_max < gamma * gamma - STRICT_MARGIN
+    return lam_max < gamma * gamma * (1.0 - STRICT_MARGIN)
 
 
 def _check_gamma(gamma) -> np.ndarray:
@@ -281,19 +263,17 @@ class RiccatiSchedule:
 def hinf_backward(plant: LtvPlant, gamma):
     """Backward recursion P_t = Q_t + A'PA - A'PB~ H~^{-1} B~'PA at level gamma.
 
-    R~ = diag(I_m, -gamma^2 I_p).  Each step runs :func:`_game_step_test` on
-    H~ and solves with its pivots; the first failing step ends the
-    recursion with reason "singular-Htilde" or "condition-violated".
+    R~ = diag(I_m, -gamma^2 I_p), whose inertia is (m, p) at every level.
+    Each step runs :func:`_game_step_test` on H~ and solves with its
+    pivots; the first failing step ends the recursion with reason
+    "singular-Htilde" or "condition-violated".
 
-    ``gamma`` is a level or a 1-D array of levels, the way the frequency
-    functions take one z or an array of them.  A level returns one
-    :class:`RiccatiSchedule`; an array returns one per level, in the order
-    given, from one recursion that carries the levels as a stack of lanes
-    (their P are views into one (T+1, k, N, N) block).  A lane leaves the
-    stack at its first failing step.  Each matrix operation runs on each
-    lane the routine a lone matrix gets, so each lane's P and verdicts equal
-    those of a call at its level alone, bit for bit.  Raises ValueError
-    unless every level is finite and positive.
+    ``gamma`` is a level or a 1-D array of levels.  A level returns one
+    :class:`RiccatiSchedule`; an array returns one per level, in order, from
+    one recursion that carries the levels as a stack of lanes (their P are
+    views into one (T+1, k, N, N) block), each equal to a call at its level
+    alone.  A lane leaves the stack at its first failing step.  Raises
+    ValueError unless every level is finite and positive.
     """
     levels = _check_gamma(gamma)  # shape () for one level, (k,) for k lanes
     g = levels  # the levels of the lanes still in the recursion
@@ -301,9 +281,6 @@ def hinf_backward(plant: LtvPlant, gamma):
     Rtil = np.zeros(g.shape + (m + p, m + p))
     Rtil[..., range(m), range(m)] = 1.0
     Rtil[..., range(m, m + p), range(m, m + p)] = -g[..., None] * g[..., None]
-    lam_R = np.linalg.eigvalsh(sym(Rtil))
-    n_pos = (lam_R > INERTIA_TOL).sum(axis=-1)
-    n_neg = (lam_R < -INERTIA_TOL).sum(axis=-1)
     P = np.zeros((T + 1,) + g.shape + (N, N))
     causal = [Verdict(True)] * g.size
     strict = [Verdict(True)] * g.size
@@ -323,7 +300,7 @@ def hinf_backward(plant: LtvPlant, gamma):
                 strict_ok = strict_ok & ~bad
                 n_strict = np.count_nonzero(strict_ok)
         BtP = Btil.T @ Pn
-        singular, wrong, pivots = _game_step_test(Rtil + BtP @ Btil, n_pos, n_neg)
+        singular, wrong, pivots = _game_step_test(Rtil + BtP @ Btil, m, p)
         fail = singular | wrong
         if np.count_nonzero(fail):
             for i, sing, was_strict in zip(
@@ -340,8 +317,7 @@ def hinf_backward(plant: LtvPlant, gamma):
             if fail.all():
                 break
             keep = ~fail
-            lanes, g, strict_ok = lanes[keep], g[keep], strict_ok[keep]
-            Rtil, n_pos, n_neg = Rtil[keep], n_pos[keep], n_neg[keep]
+            lanes, g, strict_ok, Rtil = lanes[keep], g[keep], strict_ok[keep], Rtil[keep]
             Pn, BtP = Pn[keep], BtP[keep]
             pivots = tuple(x[keep] for x in pivots)
             rows, n_strict = lanes, np.count_nonzero(strict_ok)
@@ -361,19 +337,16 @@ def hinf_backward(plant: LtvPlant, gamma):
 class RiccatiFixedPoint:
     """Converged (or failed) fixed point of the backward recursion.
 
-    ``iterations`` counts doublings: after k of them the solver holds the
-    value-iteration iterate P_{2^k} (see :func:`dare_fixed_point`).
-    residual is the infinity-norm one-step recursion defect at the returned P.
-    The three acceptance checks mirror the infinite-horizon existence theorem:
-    closed-loop spectral radius < 1, inertia(R~) == inertia(H~), and P PSD.
-    When the solve fails, reason is the verdict of the first value-iteration
-    step that fails, located from the doublings: "singular-Htilde" (H~
-    singular), "condition-violated" (H~ with the wrong inertia, or an
-    iterate that decreased; both certify infeasibility, because the k-th
-    value-iteration iterate is the k-step game value, and a failed
-    finite-horizon existence condition cannot recover at longer horizons),
-    or "no-stabilizing-solution" (divergence, a singular doubling step, or
-    the doubling cap).  The checks are None on failure.
+    ``iterations`` counts doublings (:func:`_sda`); ``residual`` is the
+    infinity-norm one-step recursion defect at the returned P.  The three
+    acceptance checks mirror the infinite-horizon existence theorem:
+    closed-loop spectral radius < 1, the inertia of R~ on H~, and P PSD.
+    When the solve fails, ``reason`` is the verdict of the first
+    value-iteration step that fails: "singular-Htilde", "condition-violated"
+    (H~ with the wrong inertia, or an iterate that decreased; both certify
+    infeasibility, since the k-th iterate is the k-step game value), or
+    "no-stabilizing-solution" (divergence, a singular doubling step, or the
+    doubling cap).  The checks are None on failure.
     """
 
     P: Optional[np.ndarray]
@@ -498,26 +471,21 @@ def dare_fixed_point(
 ) -> RiccatiFixedPoint:
     """Fixed point of P = Q + A'PA - A'PB~ H~^{-1} B~'PA by doubling.
 
-    The solve runs :func:`_sda` on (A, B~R~^{-1}B~', Q), i.e. it samples
-    value iteration from P = 0 at the steps 2^k, and checks every sample as
-    value iteration checks every step, with the game step test of
-    :func:`hinf_backward`: H~ = R~ + B~'PB~, equilibrated, must be
-    nonsingular ("singular-Htilde") with the inertia of R~
-    ("condition-violated").  Convergence is declared when the update norm
-    drops below 1e-11 + 1e-9 * max(1, ||P||_inf).  The relative term
-    matters: for indefinite weights near the feasibility boundary ||P||
-    grows without bound and float64 cannot realize an absolute 1e-11 update
-    on a matrix of norm 1e4.  The converged P then passes the residual step
-    and the three acceptance checks.
+    :func:`_sda` runs on (A, B~R~^{-1}B~', Q) and gates every sample with
+    :func:`_game_step_test`, R~'s inertia counted on H~'s equilibrated
+    scale.  Convergence is declared when the update norm drops below
+    1e-11 + 1e-9 * max(1, ||P||_inf); the relative term matters near the
+    feasibility boundary, where ||P|| grows without bound.  The converged P
+    then passes the residual step and the three acceptance checks.
     """
     A = np.asarray(A, dtype=float)
     Btil = np.asarray(Btil, dtype=float)
     Rtil = np.asarray(Rtil, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    inertia_R = inertia(Rtil)
+    signs_R = _signs(_eig_pivots(Rtil)[0])  # on H~'s equilibrated scale
 
     def gate(P: np.ndarray) -> Optional[str]:
-        singular, wrong, _ = _game_step_test(Rtil + Btil.T @ P @ Btil, *inertia_R[:2])
+        singular, wrong, _ = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)
         return "singular-Htilde" if singular else "condition-violated" if wrong else None
 
     # value iteration's first step checks H~ = R~ at P = 0
@@ -527,17 +495,16 @@ def dare_fixed_point(
         G = sym(Btil @ solve_sym(Rtil, Btil.T))
         P, iterations, reason = _sda(A, G, sym(Q), gate, tol_abs=1e-11, tol_rel=1e-9)
     if P is not None:  # the residual step and the acceptance checks
-        Htil = Rtil + Btil.T @ P @ Btil
-        BtPA = Btil.T @ P @ A
-        try:
-            K = solve_sym(Htil, BtPA)
-        except SingularHtildeError:
+        singular, wrong, pivots = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)
+        if singular:
             P, reason = None, "singular-Htilde"
     if P is None:
         return RiccatiFixedPoint(
             P=None, residual=None, iterations=iterations,
             converged=False, reason=reason,
         )
+    BtPA = Btil.T @ P @ A
+    K = _solve_pivots(pivots, BtPA)
     Pn = Q + A.T @ P @ A - BtPA.T @ K
     return RiccatiFixedPoint(
         P=P,
@@ -545,6 +512,6 @@ def dare_fixed_point(
         iterations=iterations,
         converged=True,
         closed_loop_radius=spectral_radius(A - Btil @ K),
-        inertia_match=inertia(Htil) == inertia_R,
+        inertia_match=not wrong,
         psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9),
     )

@@ -17,19 +17,10 @@ re-evaluates the four levels lo - 2*tol, ..., lo - 5*tol expecting
 infeasibility and the four levels hi + tol, ..., hi + 4*tol expecting
 feasibility; violations are reported as warnings on the result, never as
 exceptions.  The levels are fixed offsets, so a search's probe sequence
-depends only on the verdicts, and the audit's levels do not depend on one
-another's: they go to the verdict step as one sequence.  On a finite
-horizon that is one backward Riccati recursion carrying the eight levels as
-a stack (:func:`~compctrl.riccati.hinf_backward`), with each level's
-verdict equal to its verdict alone; in the infinite horizon each level
-keeps its own fixed-point solve.
-
-Every probe is logged twice: ``history`` keeps (gamma, feasible) pairs and
-``probes`` keeps a record per probe with the reason code of a rejection,
-the fixed-point doublings it took (None where no fixed point was solved),
-the first failing step of a finite-horizon rejection, the residual of a
-converged fixed point and the probe's wall time (for an audit level, its
-share of the audit pass: the pass's wall time over its number of levels).
+depends only on the verdicts.  They go to the verdict step as one sequence:
+on a finite horizon one backward recursion carries them as a stack
+(:func:`~compctrl.riccati.hinf_backward`); in the infinite horizon each
+level keeps its own fixed-point solve.
 """
 
 from __future__ import annotations
@@ -63,13 +54,12 @@ class GammaSearchResult:
     :func:`min_gamma` whatever the feasibility callback returned there, for
     the plant-facing searches the controller built from it.  If the
     doubling phase hits the cap without finding a feasible level, ``reason``
-    is "unbounded-gamma" and ``controller`` is None.  ``probes`` parallels
-    ``history`` with one ``{gamma, feasible, reason, iterations,
-    first_violation, residual, wall_ms}`` record per probe; the record is
-    report data and never enters a trace or sweep CSV.  The audit runs as
-    one pass over its levels (one stacked recursion on a finite horizon),
-    so each audit record's ``wall_ms`` is that pass's wall time divided by
-    the number of levels in it.
+    is "unbounded-gamma" and ``controller`` is None.  ``history`` keeps the
+    (gamma, feasible) pairs, and ``probes`` one record per probe: ``{gamma,
+    feasible, reason, iterations, first_violation, residual, wall_ms}``, the
+    fixed-point doublings (None where none was solved) and, for an audit
+    level, its share of the audit pass's wall time.  The records are report
+    data and never enter a trace or sweep CSV.
     """
 
     gamma: Optional[float]
@@ -120,12 +110,8 @@ def _search(
     audit: bool,
 ) -> GammaSearchResult:
     """The search of :func:`min_gamma`, probing through ``verdicts``, which
-    maps a list of levels to their verdicts in order.
-
-    The bracket's probes are lists of one level; the audit's eight fixed
-    levels go as one list, and each of its records carries that pass's
-    wall time divided by the number of levels in it.
-    """
+    maps a list of levels to their verdicts in order: one level per bracket
+    probe, the audit's levels as one list."""
     if not all(map(math.isfinite, (tol, gamma_floor, gamma_hi_init))):
         raise ValueError("tol, gamma_floor and gamma_hi_init must be finite")
     if tol <= 0:
@@ -165,15 +151,9 @@ def _search(
         lo = hi
         hi = 2.0 * hi
         if hi > GAMMA_CAP:
-            return GammaSearchResult(
-                gamma=None,
-                gamma_lo=lo,
-                reason="unbounded-gamma",
-                iterations=len(history),
-                tol=tol,
-                history=history,
-                probes=probes,
-            )
+            return GammaSearchResult(gamma=None, gamma_lo=lo, reason="unbounded-gamma",
+                                     iterations=len(history), tol=tol, history=history,
+                                     probes=probes)
         [(res, feas)] = probe([hi])
     certificate = res
 
@@ -204,16 +184,9 @@ def _search(
                     f"monotonicity violation: gamma={g:.9g} infeasible above bracket"
                 )
 
-    return GammaSearchResult(
-        gamma=hi,
-        gamma_lo=lo,
-        controller=certificate,
-        iterations=len(history),
-        tol=tol,
-        history=history,
-        probes=probes,
-        audit_warnings=warnings,
-    )
+    return GammaSearchResult(gamma=hi, gamma_lo=lo, controller=certificate,
+                             iterations=len(history), tol=tol, history=history,
+                             probes=probes, audit_warnings=warnings)
 
 
 def _built(result: GammaSearchResult, build) -> GammaSearchResult:
@@ -256,11 +229,9 @@ def min_gamma_competitive(
 ) -> GammaSearchResult:
     """Smallest certifiable cost-ratio level gamma (the ratio bound is gamma^2).
 
-    The gamma-independent synthetic plant (the disturbance factorization
-    and, in the infinite horizon with p < n, the outer factor of the w'
-    filter) is built once and reused across all probes.  Each probe runs the
-    existence test on it alone; the controller is built once, from the
-    solve at the returned level.
+    The gamma-independent synthetic plant is built once and reused across
+    all probes.  Each probe runs the existence test on it alone; the
+    controller is built once, from the solve at the returned level.
     """
     _check_causality(causality)
     plant = _normalize_horizon(plant, horizon)

@@ -8,11 +8,9 @@ mixture components get independent streams via jumps.
 
 Rollouts step a controller against a plant for a disturbance realization,
 recording states, controls, per-step and cumulative costs, and (for
-ratio-optimal controllers) the internal filtered disturbance w'.  Only the
-recursion runs per step (:func:`_rollout_loop`); the controller's law and
-the plant's step are bound to the record once, with the bits of stepping
-them one step at a time.  A state norm above 1e6 truncates the run with
-status "diverged" instead of raising.
+ratio-optimal controllers) the internal filtered disturbance w'
+(:func:`rollout`).  A state norm above 1e6 ends the run with status
+"diverged" instead of raising.
 
 Trace CSVs are written atomically (temp file + rename) with %.17g floats and
 LF line endings so repeated runs are byte-identical.

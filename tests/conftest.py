@@ -40,6 +40,32 @@ def random_lti(rng, n=3, m=1, p=1, radius=0.9, q_floor=0.05):
     )
 
 
+def no_feedthrough_plant():
+    """n = 2, p = 1 with Q^{1/2} B_w = 0, so the w' filter has D_H = 0."""
+    return LtiPlant(
+        A=np.array([[0.5, 1.0], [0.0, 0.5]]),
+        Bu=np.array([[0.0], [1.0]]),
+        Bw=np.array([[0.0], [1.0]]),
+        Q=np.diag([1.0, 0.0]),
+        R_half=np.eye(1),
+        x0=np.zeros(2),
+    )
+
+
+def rank_one_feedthrough_plant(q=(1.0, 1.0, 0.0)):
+    """n = 3, p = 2 with Q^{1/2} B_w of rank 1, so the w' filter's D_H'D_H
+    is singular; with ``q`` = (1, 0, 0) Q^{1/2} has rank 1 too, and so has
+    the filter's H*H."""
+    return LtiPlant(
+        A=np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]),
+        Bu=np.array([[0.0], [0.0], [1.0]]),
+        Bw=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+        Q=np.diag(q),
+        R_half=np.eye(1),
+        x0=np.zeros(3),
+    )
+
+
 def random_unstable_stabilizable(rng, n=3, m=None, p=1, radius=1.3):
     """Unstable plant with Bu square (controllable a.s. => stabilizable)."""
     if m is None:

@@ -17,7 +17,13 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import cli_env, random_lti, random_ltv, random_unstable_stabilizable
+from conftest import (
+    cli_env,
+    no_feedthrough_plant,
+    random_lti,
+    random_ltv,
+    random_unstable_stabilizable,
+)
 from oracles import brute_force_offline, impulse_stacked_maps, lqr_value_iteration
 
 from compctrl import (
@@ -254,15 +260,21 @@ def test_certified_ratio_is_attained_on_lifted_operators(rng):
     clairvoyant Gram G'(I + FF')^{-1}G, over disturbances on the first Tw of
     T steps, from impulse-stacked operators, on the Gram's range.  Covers
     p < n (the outer-factor reduction), p = n and p > n (the doubled plant,
-    which is exact there), causal and strictly causal.
+    which is exact there), causal and strictly causal, and a p < n plant
+    whose w' filter has no feedthrough (its outer factor delays the
+    filter's output rows first).
 
     The finite-horizon levels (T_f = 40, disturbances on all but the last
     step, which no cost sees) are bounds: attenuation ||T_K w||^2 against
     ||w||^2, and the ratio, which the doubled plant leaves loose for p < n.
     """
     T, Tw, T_f = 120, 60, 40
-    for n, m, p in ((3, 1, 1), (3, 2, 2), (4, 2, 1), (2, 1, 2), (2, 1, 3), (3, 1, 5)):
-        plant = random_lti(rng, n=n, m=m, p=p)
+    plants = [
+        random_lti(rng, n=n, m=m, p=p)
+        for n, m, p in ((3, 1, 1), (3, 2, 2), (4, 2, 1), (2, 1, 2), (2, 1, 3), (3, 1, 5))
+    ]
+    for plant in plants + [no_feedthrough_plant()]:
+        n, m, p = plant.n, plant.m, plant.p
         F, G = impulse_stacked_maps(plant.to_ltv(T))
         G = G[:, : Tw * p]
         gram = G.T @ np.linalg.solve(np.eye(F.shape[0]) + F @ F.T, G)

@@ -609,6 +609,24 @@ def test_control_step_rejects_offline():
         control_step(off, off.make_state(), np.zeros(2), np.zeros(1))
 
 
+def test_every_online_controller_rejects_a_disturbance_of_another_length(rng):
+    # one step for all: the same ValueError, and the step does not count
+    plant = random_lti(rng, n=3, m=1, p=4)
+    controllers = {
+        "h2": synth_h2_ih(plant),
+        "hinf": synth_hinf(plant, 50.0),
+        "competitive": synth_competitive(plant, 6.0),
+        "zero": ZeroController(m=1, p=4),
+    }
+    for name, ctrl in controllers.items():
+        assert not isinstance(ctrl, Infeasible), name
+        state = ctrl.make_state()
+        control_step(ctrl, state, np.zeros(3), np.ones(4))
+        with pytest.raises(ValueError, match="disturbance has dimension 3, expected 4"):
+            control_step(ctrl, state, np.zeros(3), np.ones(3))
+        assert state.t == 1, name
+
+
 def test_zero_controller_outputs_zero(rng):
     z = ZeroController(m=2)
     state = z.make_state()
@@ -633,8 +651,9 @@ def _trajectory(plant, ctrl, w):
         lambda p: synth_competitive(p, 3.0),
         lambda p: synth_competitive(p, 3.0, causality="strictly-causal"),
         lambda p: ZeroController(m=p.m),
+        lambda p: ZeroController(m=p.m, p=p.p),
     ],
-    ids=["h2", "h2-strict", "hinf", "competitive", "competitive-strict", "zero"],
+    ids=["h2", "h2-strict", "hinf", "competitive", "competitive-strict", "zero", "zero-p"],
 )
 def test_serialization_round_trip_ih(make, rng):
     plant = random_lti(rng, n=2, m=1, p=1)
@@ -642,6 +661,7 @@ def test_serialization_round_trip_ih(make, rng):
     back = controller_from_json_dict(controller_to_json_dict(ctrl))
     assert type(back) is type(ctrl)
     assert back.kind == ctrl.kind and back.causality == ctrl.causality
+    assert back.dims == ctrl.dims
     w = rng.standard_normal((40, 1))
     x1, u1 = _trajectory(plant, ctrl, w)
     x2, u2 = _trajectory(plant, back, w)

@@ -3,7 +3,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_discrete_are
 
-from conftest import random_lti, random_ltv, scalar_lti
+from conftest import (
+    no_feedthrough_plant,
+    random_lti,
+    random_ltv,
+    rank_one_feedthrough_plant,
+    scalar_lti,
+)
 from oracles import doubled_plant_per_step, impulse_stacked_maps
 
 from compctrl.controllers import CompetitiveController, control_step, synth_competitive
@@ -271,23 +277,15 @@ def _wprime_filter_transfer(plant, factor, z):
     return z * delta_inv_transfer(plant, factor, z) @ G
 
 
-def _no_direct_feedthrough_plant():
-    # Q^{1/2} B_w = 0, so the w' filter has D_H = 0 and doubling cannot start
-    return LtiPlant(
-        A=np.array([[0.5, 1.0], [0.0, 0.5]]),
-        Bu=np.array([[0.0], [1.0]]),
-        Bw=np.array([[0.0], [1.0]]),
-        Q=np.diag([1.0, 0.0]),
-        R_half=np.eye(1),
-        x0=np.zeros(2),
-    )
-
-
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(5))
 def test_outer_factor_identity_on_circle(seed):
+    # seeds 3 and 4: D_H'D_H singular (D_H = 0, and rank 1 of p = 2), so
+    # rows of H are delayed before the doubling solve
     rng = np.random.default_rng(6000 + seed)
     if seed == 3:
-        plant = _no_direct_feedthrough_plant()
+        plant = no_feedthrough_plant()
+    elif seed == 4:
+        plant = rank_one_feedthrough_plant()
     else:
         n = int(rng.integers(2, 5))
         m, p = int(rng.integers(1, 3)), int(rng.integers(1, n))
@@ -297,7 +295,7 @@ def test_outer_factor_identity_on_circle(seed):
     assert outer.C.shape == (plant.p, plant.n) and outer.D.shape == (plant.p, plant.p)
     assert outer.residual < 1e-10 * max(1.0, np.abs(outer.X).max())
     assert is_stable(outer.A_inv)
-    assert (outer.doublings == 0) == (seed == 3)
+    assert outer.iterations >= 1
     eye = np.eye(plant.n)
     for omega in np.linspace(0.0, np.pi, 16):
         z = np.exp(1j * omega)
@@ -305,6 +303,14 @@ def test_outer_factor_identity_on_circle(seed):
         L = outer.D + outer.C @ np.linalg.solve(z * eye - factor.A_whiten, plant.Bw)
         lhs, rhs = L.conj().T @ L, H.conj().T @ H
         assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
+
+
+def test_outer_factor_rejects_a_singular_filter_gram():
+    # Q^{1/2} of rank 1 < p = 2: H*H is singular on the whole circle, and no
+    # delay of rows gives the feedthrough full column rank
+    plant = rank_one_feedthrough_plant(q=(1.0, 0.0, 0.0))
+    with pytest.raises(FactorizationError, match="feedthrough singular"):
+        outer_factor_ih(plant, spectral_factor_ih(plant))
 
 
 def test_exact_synthetic_system_block_structure(rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -157,6 +159,25 @@ def test_min_gamma_hinf_strictly_causal_is_harder():
     assert strict.gamma > causal.gamma
     loop = closed_loop(plant, strict.controller)
     assert peak_gain(loop, np.linspace(0.0, np.pi, 2001)) <= strict.gamma
+
+
+@pytest.mark.parametrize("horizon", [None, 50])
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_attenuation_level_scales_with_the_disturbance_gain(causality, horizon):
+    # B_w scaled by s scales every level by s; with the search scaled too
+    # (tol and first level times s) gamma/s stays put, also where gamma^2
+    # falls far below the inertia and strictness tolerances
+    base = random_lti(np.random.default_rng(3), n=3, m=1, p=1)
+    levels = []
+    for s in (1.0, 1e-3, 1e-6, 1e-8):
+        plant = dataclasses.replace(base, Bw=s * base.Bw)
+        found = min_gamma_hinf(
+            plant, causality=causality, horizon=horizon, tol=1e-3 * s, gamma_hi_init=s
+        )
+        assert found.ok and found.audit_warnings == [], (s, found.audit_warnings)
+        levels.append(found.gamma / s)
+    assert levels == pytest.approx([levels[0]] * 4, rel=1e-12, abs=0.0)
+    assert 0.5 < levels[0] < 0.7
 
 
 def test_min_gamma_competitive_scalar(rng):
