@@ -62,7 +62,7 @@ from .model import (
     load_bundled_plant,
     plant_from_json_dict,
 )
-from .mpc import MpcInfeasibleError, run_scenario, scenario_controller, scenario_from_json_dict
+from .mpc import MpcInfeasibleError, run_scenario, scenario_from_json_dict
 from .riccati import pbh_detectable, pbh_stabilizable, spectral_radius
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import (
@@ -155,12 +155,7 @@ def _cmd_synth(args) -> int:
             if value is not None:
                 raise ValueError(f"{flag} does not apply to --kind h2")
         ctrl = synth_h2_ih(plant, causality=args.causality)
-        report = {
-            "kind": kind,
-            "causality": args.causality,
-            "gamma": None,
-            "diagnostics": _scalar_diagnostics(ctrl.diagnostics),
-        }
+        level = {"gamma": None}
     elif args.gamma is not None:
         synth = synth_hinf if kind == "hinf" else synth_competitive
         ctrl = synth(plant, args.gamma, causality=args.causality, horizon=args.horizon)
@@ -175,13 +170,10 @@ def _cmd_synth(args) -> int:
                 }
             )
             return EXIT_INFEASIBLE
-        report = {
-            "kind": kind,
-            "causality": args.causality,
+        level = {
             "gamma": args.gamma,
             "gamma_squared": args.gamma**2,
             "feasible": True,
-            "diagnostics": _scalar_diagnostics(ctrl.diagnostics),
         }
     else:
         find = min_gamma_hinf if kind == "hinf" else min_gamma_competitive
@@ -199,9 +191,7 @@ def _cmd_synth(args) -> int:
             )
             return EXIT_INFEASIBLE
         ctrl = found.controller
-        report = {
-            "kind": kind,
-            "causality": args.causality,
+        level = {
             "gamma": found.gamma,
             "gamma_squared": found.gamma**2,
             "gamma_bracket": [found.gamma_lo, found.gamma],
@@ -209,8 +199,13 @@ def _cmd_synth(args) -> int:
             "feasibility_evaluations": found.iterations,
             "audit_warnings": found.audit_warnings,
             "probes": found.probes,
-            "diagnostics": _scalar_diagnostics(getattr(ctrl, "diagnostics", {})),
         }
+    report = {
+        "kind": kind,
+        "causality": args.causality,
+        **level,
+        "diagnostics": _scalar_diagnostics(ctrl.diagnostics),
+    }
     _write_json(args.out, controller_to_json_dict(ctrl))
     if args.report:
         _write_json(args.report, report)
@@ -295,12 +290,11 @@ def _cmd_freq(args) -> int:
 def _cmd_mpc(args) -> int:
     scenario = scenario_from_json_dict(_load_json(args.scenario))
     try:
-        controller = scenario_controller(scenario)
+        out = run_scenario(scenario, seed=args.seed)
     except MpcInfeasibleError as exc:
         _print_json({"feasible": False, "reason": str(exc)})
         return EXIT_INFEASIBLE
-    out = run_scenario(scenario, seed=args.seed, controller=controller)
-    roll, comp = out["rollout"], out["comparator"]
+    roll, comp, controller = out["rollout"], out["comparator"], out["controller"]
     if args.trace:
         write_trace_csv(args.trace, roll)
     summary = {
@@ -389,15 +383,27 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
     # offline solver: dense and sweep routes agree; perturbations cost more
     T_small = min(ltv.T, 12)
     small = dataclasses.replace(
-        ltv, **{key: getattr(ltv, key)[:T_small] for key in ("A", "Bu", "Bw", "Q", "R_half")}
+        ltv,
+        A=ltv.A[:T_small],
+        Bu=ltv.Bu[:T_small],
+        Bw=ltv.Bw[:T_small],
+        Q=ltv.Q[:T_small],
+        R_half=ltv.R_half[:T_small],
     )
     w_small = rng.standard_normal((T_small, p))
     u_dense, opt_dense = offline_optimal(small, w_small, method="dense")
     u_ric, opt_ric = offline_optimal(small, w_small, method="riccati")
     scale = max(1.0, np.abs(u_dense).max())
-    checks.append(_check("offline-route-agreement", np.abs(u_dense - u_ric).max() / scale, 1e-8))
-    checks.append(_check("offline-cost-agreement",
-                         abs(opt_dense - opt_ric) / max(1.0, opt_dense), 1e-8))
+    checks.append(
+        _check("offline-route-agreement", np.abs(u_dense - u_ric).max() / scale, 1e-8)
+    )
+    checks.append(
+        _check(
+            "offline-cost-agreement",
+            abs(opt_dense - opt_ric) / max(1.0, opt_dense),
+            1e-8,
+        )
+    )
     worst_gap = 0.0
     for _ in range(3):
         du = 1e-3 * rng.standard_normal(u_dense.shape)

@@ -12,14 +12,12 @@ causal (one-step-delayed) where that distinction makes sense:
 * ``offline``: the clairvoyant minimizer itself, batch only
   (:func:`offline_optimal`).
 
-Every online controller binds its step to a disturbance record once
-(:meth:`bind`), into a :data:`Law`.  Synthesis returns either a controller
-or an :class:`Infeasible` verdict (a plain value with a reason code), never
-an exception, for every gamma-dependent failure.  It is a verdict step
-(:func:`_attenuation`, the existence test, which keeps the Riccati solve it
-passed) followed by a gain step (:func:`_attenuation_gains`); the gamma
-search probes with the verdict step alone and runs the gain step once, at
-the level it certifies.
+Synthesis returns either a controller or an :class:`Infeasible` verdict (a
+plain value with a reason code), never an exception, for every
+gamma-dependent failure.  It is a verdict step (:func:`_attenuation`, the
+existence test, which keeps the Riccati solve it passed) followed by a gain
+step (:func:`_attenuation_gains`), which a gamma search runs once
+(:mod:`compctrl.search`).
 """
 
 from __future__ import annotations
@@ -115,6 +113,9 @@ def _check_causality(causality: str) -> str:
 class _Online:
     """What the online controllers share: :meth:`step`, over their ``bind``."""
 
+    def make_state(self) -> ControllerState:
+        return ControllerState()
+
     def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
         """u_t at state x_t and disturbance w_t; advances ``state``.
 
@@ -156,9 +157,6 @@ class StateFeedbackController(_Online):
         """The plant dimensions the controller is made for, by name."""
         (m, n), p = self.Kx.shape[-2:], self.Kw.shape[-1]
         return {"n": n, "m": m, "p": p}
-
-    def make_state(self) -> ControllerState:
-        return ControllerState()
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         """The :data:`Law` on the record w (row 0 is step t0):
@@ -291,8 +289,7 @@ class CompetitiveController(_Online):
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         """The :attr:`realization` as a :data:`Law` on the record w (row 0
-        is step t0), with D_z w_t, B_z w_t and B_filter w_t taken for every
-        row at once; the law also returns w'_t."""
+        is step t0); the law also returns w'_t."""
         r, n, m = self.realization, self.synthetic.n, self.synthetic.m
         if self.horizon is None:
             Cz, Az, Af, Mf = r.Cz[0], r.Az[0], r.A_filter[0], r.M_filter[0]
@@ -340,22 +337,17 @@ class OfflineController:
 
 @dataclass(frozen=True)
 class ZeroController(_Online):
-    """u = 0 baseline; with ``p`` given it takes disturbances of length p
-    alone, else any."""
+    """u = 0 baseline; it reads no disturbance, so it takes one of any length."""
 
     m: int
     kind: str = "zero"
     causality: str = CAUSAL
     horizon: Optional[int] = None
     gamma: Optional[float] = None
-    p: Optional[int] = None
 
     @property
     def dims(self) -> dict:
-        return {"m": self.m} if self.p is None else {"m": self.m, "p": self.p}
-
-    def make_state(self) -> ControllerState:
-        return ControllerState()
+        return {"m": self.m}
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         return lambda t, x, z: (np.zeros(self.m), z, None)
@@ -513,8 +505,12 @@ def _attenuation(plant, gamma, causality: str):
         else:
             _check_gamma(gamma)
             Btil = np.hstack([plant.Bu, plant.Bw])
-            Rtil = np.block([[np.eye(m), np.zeros((m, p))],
-                             [np.zeros((p, m)), -(gamma**2) * np.eye(p)]])
+            Rtil = np.block(
+                [
+                    [np.eye(m), np.zeros((m, p))],
+                    [np.zeros((p, m)), -(gamma**2) * np.eye(p)],
+                ]
+            )
         fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
         bad = _gate_fixed_point(fp, plant.Bw, gamma, causality)
         if bad is not None:
@@ -908,7 +904,7 @@ def controller_to_json_dict(controller) -> dict:
         out["synthetic"] = {"ltv": syn.horizon is not None,
                             **{key: _arr(a) for key, a in arrays.items() if a is not None}}
     elif isinstance(controller, ZeroController):
-        out["gains"] = {"m": controller.m, **({} if controller.p is None else {"p": controller.p})}
+        out["gains"] = {"m": controller.m}
     elif isinstance(controller, OfflineController):
         pass
     else:
@@ -953,8 +949,7 @@ def controller_from_json_dict(obj: dict):
     if kind == "offline":
         return OfflineController()
     if kind == "zero":
-        p = obj["gains"].get("p")
-        return ZeroController(m=int(obj["gains"]["m"]), p=None if p is None else int(p))
+        return ZeroController(m=int(obj["gains"]["m"]))
     gains, horizon = obj["gains"], obj["horizon"]
     if kind in ("h2", "hinf"):
         Kx, Kw = (np.asarray(gains[key], dtype=float) for key in ("Kx", "Kw"))

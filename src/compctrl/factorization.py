@@ -130,11 +130,9 @@ class SyntheticSystem:
     """The synthetic plant plus its w'-filter matrices, in either horizon.
 
     In the infinite horizon every field is one matrix; over a finite horizon
-    T it is a (T, ., .) stack indexed t = 0..T-1, and :attr:`horizon` reads
-    T from that shape.  Without ``C_outer``/``D_outer`` this is the doubled
-    plant driven by w' in R^n.  With them (infinite horizon, p < n) it is the
-    exact plant, state (plant copy, nu), driven by
-    w''_t = C_outer nu_t + D_outer w_t in R^p.
+    T it is a (T, ., .) stack indexed t = 0..T-1 (:attr:`horizon`).  The
+    exact plant (:attr:`exact`) alone has ``C_outer`` and ``D_outer``, and
+    is driven by w''_t = C_outer nu_t + D_outer w_t.
     """
 
     Ahat: np.ndarray  # (2n, 2n)
@@ -287,26 +285,34 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
     with the cross term removed (A_0 = A_w - B_w(D_H'D_H)^{-1}D_H'C_H,
     G_0 = B_w(D_H'D_H)^{-1}B_w', H_0 = C_H'(I - D_H(D_H'D_H)^{-1}D_H')C_H);
     ``iterations`` counts doublings.  That needs D_H'D_H invertible.  When
-    it is singular, the output rows of H are rotated so that some have no
-    feedthrough, and those rows are multiplied by z (row c (zI - A_w)^{-1}
-    B_w becomes c B_w + c A_w (zI - A_w)^{-1} B_w): an inner factor on the
-    left, so H*H, and with it L, is unchanged.  After at most n passes the
-    feedthrough has full column rank, unless H*H is singular, which raises
-    FactorizationError, as do a failed solve and an L^{-1} that is not
-    stable (H has a zero on the unit circle).
+    it is singular, the output rows of H are rotated so that some have
+    (almost) no feedthrough, and those rows are multiplied by z (row
+    c (zI - A_w)^{-1} B_w becomes c B_w + c A_w (zI - A_w)^{-1} B_w), an
+    inner factor on the left that keeps H*H and L.  The delays only pick
+    X_0, the sum of the delayed rows' c'c: the equation is solved exactly
+    for X - X_0, C_H'C_H, D_H'C_H and D_H'D_H shifted by A_w'X_0A_w - X_0,
+    B_w'X_0A_w and B_w'X_0B_w, so no feedthrough is dropped.  After at most
+    n passes the shifted D_H'D_H is nonsingular, unless H*H is singular,
+    which raises FactorizationError, as do a failed solve and an L^{-1}
+    that is not stable (H has a zero on the unit circle).
     """
     A, B = factor.A_whiten, plant.Bw
     M = factor.Sigma_inv_half @ plant.Q_half
     C_H, D_H = M @ A, M @ B
+    CC, DC, DD = C_H.T @ C_H, D_H.T @ C_H, D_H.T @ D_H
+    C_k, D_k, X0 = C_H, D_H, np.zeros_like(A)
     for _ in range(plant.n + 1):
-        CC, DC, DD = C_H.T @ C_H, D_H.T @ C_H, D_H.T @ D_H
         lam = np.linalg.eigvalsh(DD)
         if lam.min() > 1e-12 * max(lam.max(), TINY):
             break
-        U, s, _ = np.linalg.svd(D_H)
+        U, s, _ = np.linalg.svd(D_k)
         r = np.count_nonzero(s * s > 1e-12 * max(s[0] * s[0], TINY))
-        U, Z = U[:, :r].T, U[:, r:].T  # rows with feedthrough, rows without
-        C_H, D_H = np.vstack([U @ C_H, Z @ C_H @ A]), np.vstack([U @ D_H, Z @ C_H @ B])
+        U, Z = U[:, :r].T, U[:, r:].T  # rows with feedthrough, rows with ~none
+        X0 = X0 + (Z @ C_k).T @ (Z @ C_k)
+        # the delayed realization only picks the rows of the next pass
+        C_k, D_k = np.vstack([U @ C_k, Z @ C_k @ A]), np.vstack([U @ D_k, Z @ C_k @ B])
+        CC = sym(C_H.T @ C_H + A.T @ X0 @ A - X0)
+        DC, DD = D_H.T @ C_H + B.T @ X0 @ A, sym(D_H.T @ D_H + B.T @ X0 @ B)
     else:
         raise FactorizationError(
             f"numeric-failure: outer factor feedthrough singular "
@@ -330,7 +336,7 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
         )
     D = sqrt_psd(R)
     return OuterFactor(
-        X=X,
+        X=X0 + X,
         C=D @ F,
         D=D,
         A_inv=A_inv,

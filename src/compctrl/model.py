@@ -334,27 +334,20 @@ def normalize_control_weight_ltv(As, Bus, Bws, Qs, Rs=None, x0=None) -> LtvPlant
     Qs = np.asarray(Qs, dtype=float)
     if As.ndim != 3:
         raise ValueError("LTV plant expects stacked (T, n, n) matrices")
-    T, n = As.shape[0], As.shape[1]
+    T = As.shape[0]
     if not (len(Bus) == len(Bws) == len(Qs) == T):
         raise ValueError("all LTV sequences must have length T")
-    m = Bus.shape[2]
     steps = []
     for t in range(T):
         Rt = None if Rs is None else Rs[t]
-        steps.append(normalize_control_weight(As[t], Bus[t], Bws[t], Qs[t], Rt))
-    if x0 is None:
-        x0 = np.zeros(n)
-    else:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape != (n,):
-            raise ValueError("x0 must be an n-vector")
+        steps.append(normalize_control_weight(As[t], Bus[t], Bws[t], Qs[t], Rt, x0))
     return LtvPlant(
         A=np.stack([s.A for s in steps]),
         Bu=np.stack([s.Bu for s in steps]),
         Bw=np.stack([s.Bw for s in steps]),
         Q=np.stack([s.Q for s in steps]),
         R_half=np.stack([s.R_half for s in steps]),
-        x0=x0,
+        x0=steps[0].x0,
     )
 
 

@@ -8,8 +8,7 @@ with state x = (theta, theta_dot), unit weights on state and control, and
 the disturbance entering alongside the control torque.  Controllers are
 synthesized on the linearization about the current angle, quantized to a
 fixed bin width (:class:`RelinearizingController`); the cost comparator is
-a receding-horizon clairvoyant (:func:`clairvoyant_comparator_run`).  The
-linear dynamics are the linearization's own ``advance``.
+a receding-horizon clairvoyant (:func:`clairvoyant_comparator_run`).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "PendulumScenario",
     "scenario_from_json_dict",
     "scenario_to_json_dict",
-    "scenario_controller",
     "run_scenario",
 ]
 
@@ -388,19 +386,6 @@ def scenario_to_json_dict(s: PendulumScenario) -> dict:
     }
 
 
-def scenario_controller(scenario: PendulumScenario) -> RelinearizingController:
-    """The scenario's scheduled controller, its level resolved at the bin
-    of ``scenario.x0``; raises MpcInfeasibleError as the constructor does."""
-    return RelinearizingController(
-        scenario.params,
-        kind=scenario.kind,
-        causality=scenario.causality,
-        gamma_policy=scenario.gamma_policy,
-        quantum=scenario.quantum,
-        theta_init=scenario.x0[0],
-    )
-
-
 def run_scenario(
     scenario: PendulumScenario,
     seed: int = 0,
@@ -409,11 +394,19 @@ def run_scenario(
     """Realize the disturbance, run the scheduled controller and comparator.
 
     An existing controller (with its warm gain cache) may be passed in when
-    running several seeds of the same scenario.
+    running several seeds of the same scenario.  Without one, the scenario's
+    controller is built here; a failed build raises MpcInfeasibleError.
     """
     w = generate(scenario.disturbance, scenario.steps, 1, seed=seed)
     if controller is None:
-        controller = scenario_controller(scenario)
+        controller = RelinearizingController(
+            scenario.params,
+            kind=scenario.kind,
+            causality=scenario.causality,
+            gamma_policy=scenario.gamma_policy,
+            quantum=scenario.quantum,
+            theta_init=scenario.x0[0],
+        )
     result = run_pendulum(scenario.params, controller, w, x0=scenario.x0)
     comparator = clairvoyant_comparator_run(
         scenario.params, w, x0=scenario.x0, quantum=scenario.quantum
@@ -446,11 +439,17 @@ def mpc_rollout(
     ``"offline"``; the last runs the clairvoyant receding-horizon comparator
     on the realized disturbance rather than a synthesized controller.
     """
-    params = PendulumParams() if params is None else params
+    if params is None:
+        params = PendulumParams()
     w = generate(spec, steps, 1, seed=seed)
     if kind == "offline":
         return clairvoyant_comparator_run(params, w, x0=x0, quantum=quantum)
-    scenario = PendulumScenario(params=params, steps=steps, disturbance=spec, kind=kind,
-                                causality=causality, gamma_policy=gamma_policy or {},
-                                quantum=quantum, x0=tuple(x0))
-    return run_pendulum(params, scenario_controller(scenario), w, x0=x0)
+    controller = RelinearizingController(
+        params,
+        kind=kind,
+        causality=causality,
+        gamma_policy=gamma_policy or {"margin": DEFAULT_GAMMA_MARGIN},
+        quantum=quantum,
+        theta_init=float(x0[0]),
+    )
+    return run_pendulum(params, controller, w, x0=x0)

@@ -317,7 +317,8 @@ def hinf_backward(plant: LtvPlant, gamma):
             if fail.all():
                 break
             keep = ~fail
-            lanes, g, strict_ok, Rtil = lanes[keep], g[keep], strict_ok[keep], Rtil[keep]
+            lanes, g, strict_ok = lanes[keep], g[keep], strict_ok[keep]
+            Rtil = Rtil[keep]
             Pn, BtP = Pn[keep], BtP[keep]
             pivots = tuple(x[keep] for x in pivots)
             rows, n_strict = lanes, np.count_nonzero(strict_ok)
@@ -342,11 +343,9 @@ class RiccatiFixedPoint:
     acceptance checks mirror the infinite-horizon existence theorem:
     closed-loop spectral radius < 1, the inertia of R~ on H~, and P PSD.
     When the solve fails, ``reason`` is the verdict of the first
-    value-iteration step that fails: "singular-Htilde", "condition-violated"
-    (H~ with the wrong inertia, or an iterate that decreased; both certify
-    infeasibility, since the k-th iterate is the k-step game value), or
-    "no-stabilizing-solution" (divergence, a singular doubling step, or the
-    doubling cap).  The checks are None on failure.
+    value-iteration step that fails (:func:`_sda`; the k-th iterate is the
+    k-step game value, so that step certifies infeasibility), and the checks
+    are None.
     """
 
     P: Optional[np.ndarray]

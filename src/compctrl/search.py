@@ -151,9 +151,15 @@ def _search(
         lo = hi
         hi = 2.0 * hi
         if hi > GAMMA_CAP:
-            return GammaSearchResult(gamma=None, gamma_lo=lo, reason="unbounded-gamma",
-                                     iterations=len(history), tol=tol, history=history,
-                                     probes=probes)
+            return GammaSearchResult(
+                gamma=None,
+                gamma_lo=lo,
+                reason="unbounded-gamma",
+                iterations=len(history),
+                tol=tol,
+                history=history,
+                probes=probes,
+            )
         [(res, feas)] = probe([hi])
     certificate = res
 
@@ -184,9 +190,16 @@ def _search(
                     f"monotonicity violation: gamma={g:.9g} infeasible above bracket"
                 )
 
-    return GammaSearchResult(gamma=hi, gamma_lo=lo, controller=certificate,
-                             iterations=len(history), tol=tol, history=history,
-                             probes=probes, audit_warnings=warnings)
+    return GammaSearchResult(
+        gamma=hi,
+        gamma_lo=lo,
+        controller=certificate,
+        iterations=len(history),
+        tol=tol,
+        history=history,
+        probes=probes,
+        audit_warnings=warnings,
+    )
 
 
 def _built(result: GammaSearchResult, build) -> GammaSearchResult:
@@ -204,11 +217,7 @@ def min_gamma_hinf(
     gamma_hi_init: float = 1.0,
     audit: bool = True,
 ) -> GammaSearchResult:
-    """Smallest feasible attenuation level for the given plant.
-
-    Each probe runs the existence test of the game Riccati equation alone;
-    the controller is built once, from the solve at the returned level.
-    """
+    """Smallest feasible attenuation level for the given plant."""
     _check_causality(causality)
     plant = _normalize_horizon(plant, horizon)
 
@@ -229,9 +238,7 @@ def min_gamma_competitive(
 ) -> GammaSearchResult:
     """Smallest certifiable cost-ratio level gamma (the ratio bound is gamma^2).
 
-    The gamma-independent synthetic plant is built once and reused across
-    all probes.  Each probe runs the existence test on it alone; the
-    controller is built once, from the solve at the returned level.
+    The gamma-independent synthetic plant is built once for all probes.
     """
     _check_causality(causality)
     plant = _normalize_horizon(plant, horizon)

@@ -52,14 +52,15 @@ def no_feedthrough_plant():
     )
 
 
-def rank_one_feedthrough_plant(q=(1.0, 1.0, 0.0)):
+def rank_one_feedthrough_plant(q=(1.0, 1.0, 0.0), leak=0.0):
     """n = 3, p = 2 with Q^{1/2} B_w of rank 1, so the w' filter's D_H'D_H
     is singular; with ``q`` = (1, 0, 0) Q^{1/2} has rank 1 too, and so has
-    the filter's H*H."""
+    the filter's H*H.  A ``leak`` > 0 gives Q^{1/2} B_w full rank, with
+    condition number 1/leak."""
     return LtiPlant(
         A=np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]),
         Bu=np.array([[0.0], [0.0], [1.0]]),
-        Bw=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+        Bw=np.array([[1.0, 0.0], [0.0, leak], [0.0, 1.0]]),
         Q=np.diag(q),
         R_half=np.eye(1),
         x0=np.zeros(3),

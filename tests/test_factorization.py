@@ -277,15 +277,19 @@ def _wprime_filter_transfer(plant, factor, z):
     return z * delta_inv_transfer(plant, factor, z) @ G
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(6))
 def test_outer_factor_identity_on_circle(seed):
-    # seeds 3 and 4: D_H'D_H singular (D_H = 0, and rank 1 of p = 2), so
-    # rows of H are delayed before the doubling solve
+    # seeds 3-5: D_H'D_H singular (D_H = 0; rank 1 of p = 2; and Q^{1/2} B_w
+    # of condition number 1e7, whose small feedthrough the delayed rows
+    # must not drop), so rows of H are delayed before the doubling solve
     rng = np.random.default_rng(6000 + seed)
     if seed == 3:
         plant = no_feedthrough_plant()
     elif seed == 4:
         plant = rank_one_feedthrough_plant()
+    elif seed == 5:
+        plant = rank_one_feedthrough_plant(leak=1e-7)
+        assert np.linalg.cond(plant.Q_half @ plant.Bw) == pytest.approx(1e7)
     else:
         n = int(rng.integers(2, 5))
         m, p = int(rng.integers(1, 3)), int(rng.integers(1, n))
