@@ -4,10 +4,11 @@ Two related objects live here: the backward finite-horizon recursion of the
 min-max (game-type) quadratic problem (:func:`hinf_backward`) and its
 infinite-horizon fixed point (:func:`dare_fixed_point`).  Both horizons
 share one existence test, :func:`_game_step_test`, and one strictly causal
-condition, :func:`_strictly_causal_ok`.  Every infinite-horizon fixed point
-of the package (the game and LQR equations here, the spectral and outer
-factors in :mod:`compctrl.factorization`) is solved by one doubling core,
-:func:`_sda`.
+condition, :func:`_strictly_causal_ok`, which the backward recursion
+checks after it has run, on the steps each level ran, with the verdicts of
+a check at every step.  Every infinite-horizon fixed point of the package
+(the game and LQR equations here, the spectral and outer factors in
+:mod:`compctrl.factorization`) is solved by one doubling core, :func:`_sda`.
 
 Feasibility failures are reported as structured verdicts with reason codes
 ("singular-Htilde", "no-stabilizing-solution", ...) rather than exceptions,
@@ -56,7 +57,9 @@ DIVERGENCE_NORM = 1e12
 #: relative tolerance on negative eigenvalues of a doubling's increment
 INCREMENT_TOL = 1e-9
 #: smallest positive normal float, the floor of scales and pivot magnitudes
-TINY = np.finfo(float).tiny
+TINY = float(np.finfo(float).tiny)
+#: steps per stacked eigvalsh of the backward recursion's strictly causal check
+_STRICT_BLOCK = 16
 
 
 class SingularHtildeError(ValueError):
@@ -78,10 +81,20 @@ def equilibrate_sym(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Hs * S[..., :, None] * S[..., None, :], S
 
 
-def _singular(lam: np.ndarray) -> np.ndarray:
-    """The pivot guard min|lam| <= 1e-12 * max|lam|, per eigenvalue row."""
-    abs_lam = np.abs(lam)
-    return abs_lam.min(axis=-1) <= PIVOT_GUARD * np.maximum(abs_lam.max(axis=-1), TINY)
+def _pivot_test(lam: list) -> tuple[bool, int, int]:
+    """(singular, n_pos, n_neg) of one matrix's equilibrated pivots, given as
+    Python floats, which compare as numpy's do and cost less on so few: the
+    guard min|lam| <= 1e-12 max|lam|, never met when a pivot is NaN (their
+    sum is then NaN), as in numpy, and the counts beyond +-INERTIA_TOL."""
+    mags = list(map(abs, lam))
+    singular = min(mags) <= PIVOT_GUARD * max(max(mags), TINY) and sum(mags) == sum(mags)
+    n_pos = n_neg = 0
+    for x in lam:
+        if x > INERTIA_TOL:
+            n_pos += 1
+        elif x < -INERTIA_TOL:
+            n_neg += 1
+    return singular, n_pos, n_neg
 
 
 def _eig_pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,25 +106,8 @@ def _eig_pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam, V, S
 
 
-def _pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pivots (lam, V, S) of :func:`_eig_pivots`, guarded.
-
-    Raises SingularHtildeError when min|lam| <= 1e-12 * max|lam| for any
-    matrix of the stack, naming the first one.
-    """
-    pivots = _eig_pivots(H)
-    singular = _singular(pivots[0])
-    if singular.any():
-        abs_lam = np.abs(pivots[0][singular][0])
-        raise SingularHtildeError(
-            f"symmetric solve rejected: |pivot| ratio "
-            f"{abs_lam.min():.3e}/{abs_lam.max():.3e}"
-        )
-    return pivots
-
-
 def _solve_pivots(pivots: tuple, B: np.ndarray) -> np.ndarray:
-    """Solve H X = B from the (lam, V, S) of :func:`_pivots`, stacks too."""
+    """Solve H X = B from the (lam, V, S) of :func:`_eig_pivots`, stacks too."""
     lam, V, S = pivots
     Y = V.swapaxes(-1, -2) @ (B * S[..., :, None])
     return (V @ (Y / lam[..., :, None])) * S[..., :, None]
@@ -122,9 +118,18 @@ def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     The matrix is first equilibrated, then factored by the symmetric
     eigendecomposition; the eigenvalues act as pivots and the solve is
-    rejected when min|lam| <= 1e-12 * max|lam| after scaling.
+    rejected when min|lam| <= 1e-12 * max|lam| after scaling
+    (SingularHtildeError, naming the first such matrix of a stack).
     """
-    return _solve_pivots(_pivots(H), B)
+    pivots = _eig_pivots(H)
+    mags = np.abs(pivots[0])  # the guard of _pivot_test, vectorized over long stacks
+    singular = mags.min(axis=-1) <= PIVOT_GUARD * np.maximum(mags.max(axis=-1), TINY)
+    if singular.any():
+        mags = mags[singular][0]
+        raise SingularHtildeError(
+            f"symmetric solve rejected: |pivot| ratio {mags.min():.3e}/{mags.max():.3e}"
+        )
+    return _solve_pivots(pivots, B)
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -150,18 +155,12 @@ def inertia(M: np.ndarray, tol: float = INERTIA_TOL) -> tuple[int, int, int]:
     return n_pos, n_neg, lam.size - n_pos - n_neg
 
 
-def _unstable_eigenvalues(A: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvals(A)
-    return lam[np.abs(lam) >= 1.0 - STABILITY_MARGIN]
-
-
 def pbh_stabilizable(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> bool:
     """PBH test: sigma_min([A - lam I, B]) >= tol at every unstable eigenvalue."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    for lam in _unstable_eigenvalues(A):
-        M = np.hstack([A - lam * np.eye(n), B])
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    lam = np.linalg.eigvals(A)
+    for mu in lam[np.abs(lam) >= 1.0 - STABILITY_MARGIN]:
+        M = np.hstack([A - mu * np.eye(A.shape[0]), B])
         if np.linalg.svd(M, compute_uv=False)[-1] < tol:
             return False
     return True
@@ -184,39 +183,35 @@ class Verdict:
         return self.ok
 
 
-def _signs(lam: np.ndarray) -> tuple:
-    """(n_pos, n_neg) of equilibrated pivots: the counts above INERTIA_TOL
-    and below -INERTIA_TOL, per eigenvalue row."""
-    return (lam > INERTIA_TOL).sum(axis=-1), (lam < -INERTIA_TOL).sum(axis=-1)
-
-
-def _game_step_test(
-    Htil: np.ndarray, n_pos: int, n_neg: int
-) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _game_step_test(Htil: np.ndarray, n_pos: int, n_neg: int) -> tuple[list, tuple]:
     """The existence test of one game Riccati step, H~ = R~ + B~'PB~.
 
     H~, equilibrated, must be nonsingular ("singular-Htilde") and have the
     inertia of R~, n_pos positive and n_neg negative eigenvalues
     ("condition-violated"): the finite-horizon existence condition of the
     min-max problem (Hassibi, Sayed and Kailath, *Indefinite-Quadratic
-    Estimation and Control*, 1999).  Returns the two failures, singular and
-    wrong inertia (the first decides the reason where both hold), and the
-    pivots of H~, which the step's solve reuses.  On a stack (..., k, k)
-    the failures hold one entry per matrix.
+    Estimation and Control*, 1999).  Returns the reasons, one per matrix of
+    a stack (k, K, K) and None where it passes (the singular one where both
+    fail), and the pivots of H~, which the step's solve reuses.
     """
     pivots = _eig_pivots(Htil)
-    pos, neg = _signs(pivots[0])
-    return _singular(pivots[0]), (pos != n_pos) | (neg != n_neg), pivots
+    lam, passed = pivots[0].tolist(), (False, n_pos, n_neg)
+    reasons = [
+        None if x == passed else "singular-Htilde" if x[0] else "condition-violated"
+        for x in map(_pivot_test, lam if Htil.ndim > 2 else [lam])
+    ]
+    return reasons, pivots
 
 
 def _strictly_causal_ok(P: np.ndarray, Bw: np.ndarray, gamma):
     """The one-step-delay condition B_w'PB_w < gamma^2 (1 - 1e-9) I.
 
     P is the cost-to-go after the step: P_{t+1} in the finite horizon, the
-    fixed point in the infinite one.  On a stack of P (..., N, N), with one
-    gamma or one per matrix, the verdicts come back as an array.
+    fixed point in the infinite one.  On stacks of P (..., N, N) and B_w
+    that broadcast, with one gamma or one per matrix, the verdicts come back
+    as an array.
     """
-    lam_max = np.linalg.eigvalsh(sym(Bw.T @ P @ Bw)).max(axis=-1)
+    lam_max = np.linalg.eigvalsh(sym(Bw.swapaxes(-1, -2) @ P @ Bw)).max(axis=-1)
     return lam_max < gamma * gamma * (1.0 - STRICT_MARGIN)
 
 
@@ -242,7 +237,8 @@ class RiccatiSchedule:
         B_w'[P - P B_u H^{-1} B_u' P] B_w < gamma^2 I.
 
     ``strictly_causal_w`` adds the one-step-delay condition
-    B_w'P_{t+1}B_w < gamma^2 I at every step.  The recursion stops at the
+    B_w'P_{t+1}B_w < gamma^2 I at every step, checked after the recursion
+    on the stored P_{t+1} of the steps it ran.  The recursion stops at the
     first step (counting backward from T-1) that fails the step test: that
     step is ``causal.first_violation`` and the entries P[0..t] stay zero.
     A strictly causal failure reports the first step, in the same order,
@@ -266,7 +262,8 @@ def hinf_backward(plant: LtvPlant, gamma):
     R~ = diag(I_m, -gamma^2 I_p), whose inertia is (m, p) at every level.
     Each step runs :func:`_game_step_test` on H~ and solves with its
     pivots; the first failing step ends the recursion with reason
-    "singular-Htilde" or "condition-violated".
+    "singular-Htilde" or "condition-violated".  The one-step-delay
+    condition is checked after the recursion (:func:`_strict_verdicts`).
 
     ``gamma`` is a level or a 1-D array of levels.  A level returns one
     :class:`RiccatiSchedule`; an array returns one per level, in order, from
@@ -276,61 +273,72 @@ def hinf_backward(plant: LtvPlant, gamma):
     ValueError unless every level is finite and positive.
     """
     levels = _check_gamma(gamma)  # shape () for one level, (k,) for k lanes
-    g = levels  # the levels of the lanes still in the recursion
     T, N, m, p = plant.T, plant.n, plant.m, plant.p
-    Rtil = np.zeros(g.shape + (m + p, m + p))
+    Rtil = np.zeros(levels.shape + (m + p, m + p))
     Rtil[..., range(m), range(m)] = 1.0
-    Rtil[..., range(m, m + p), range(m, m + p)] = -g[..., None] * g[..., None]
-    P = np.zeros((T + 1,) + g.shape + (N, N))
-    causal = [Verdict(True)] * g.size
-    strict = [Verdict(True)] * g.size
+    Rtil[..., range(m, m + p), range(m, m + p)] = -levels[..., None] * levels[..., None]
+    P = np.zeros((T + 1,) + levels.shape + (N, N))
+    causal = [Verdict(True)] * levels.size
     # the lanes still in the recursion; P[t][rows] holds their P_t
-    lanes, rows = np.arange(g.size), Ellipsis
-    strict_ok = np.ones(g.shape, dtype=bool)
-    n_strict = g.size  # lanes still strictly causal
+    lanes, rows = np.arange(levels.size), Ellipsis
     Pn = P[T]
     Btils = np.concatenate([plant.Bu, plant.Bw], axis=2)  # B~_t = [B_u, B_w]
     for t in range(T - 1, -1, -1):
-        A, Bw, Btil, Q = plant.A[t], plant.Bw[t], Btils[t], plant.Q[t]
-        if n_strict:
-            bad = strict_ok & ~_strictly_causal_ok(Pn, Bw, g)
-            if np.count_nonzero(bad):
-                for i in np.flatnonzero(bad):
-                    strict[lanes[i]] = Verdict(False, "condition-violated", t)
-                strict_ok = strict_ok & ~bad
-                n_strict = np.count_nonzero(strict_ok)
+        A, Btil, Q = plant.A[t], Btils[t], plant.Q[t]
         BtP = Btil.T @ Pn
-        singular, wrong, pivots = _game_step_test(Rtil + BtP @ Btil, m, p)
-        fail = singular | wrong
-        if np.count_nonzero(fail):
-            for i, sing, was_strict in zip(
-                np.flatnonzero(fail), np.ravel(singular[fail]), np.ravel(strict_ok[fail])
-            ):
-                lane = lanes[i]
-                causal[lane] = Verdict(
-                    False, "singular-Htilde" if sing else "condition-violated", t
-                )
-                # a strictly causal law is also causal, so a causal failure
-                # fails both verdicts; a singular H~ gives both its reason
-                if was_strict or sing:
-                    strict[lane] = causal[lane]
-            if fail.all():
+        reasons, pivots = _game_step_test(Rtil + BtP @ Btil, m, p)
+        if any(reasons):
+            for lane, reason in zip(lanes, reasons):
+                if reason:
+                    causal[lane] = Verdict(False, reason, t)
+            keep = [i for i, reason in enumerate(reasons) if reason is None]
+            if not keep:
                 break
-            keep = ~fail
-            lanes, g, strict_ok = lanes[keep], g[keep], strict_ok[keep]
-            Rtil = Rtil[keep]
-            Pn, BtP = Pn[keep], BtP[keep]
+            lanes, Rtil, Pn, BtP = lanes[keep], Rtil[keep], Pn[keep], BtP[keep]
             pivots = tuple(x[keep] for x in pivots)
-            rows, n_strict = lanes, np.count_nonzero(strict_ok)
+            rows = lanes
         BtPA = BtP @ A
         Pt = Q + A.T @ Pn @ A - BtPA.swapaxes(-1, -2) @ _solve_pivots(pivots, BtPA)
         Pn = 0.5 * (Pt + Pt.swapaxes(-1, -2))
         P[t][rows] = Pn
+    strict = _strict_verdicts(plant, P, levels, causal)
     if levels.ndim == 0:
         return RiccatiSchedule(gamma, P, causal[0], strict[0])
     return [
         RiccatiSchedule(level, P[:, i], causal[i], strict[i])
         for i, level in enumerate(levels.tolist())
+    ]
+
+
+def _strict_verdicts(plant: LtvPlant, P: np.ndarray, levels: np.ndarray, causal: list) -> list:
+    """The ``strictly_causal_w`` verdicts of :func:`hinf_backward`'s lanes.
+
+    A lane ran steps t = T-1, ..., s (s its causal failure, else 0), whose
+    P_{t+1} are stored; each is checked, _STRICT_BLOCK steps per stacked
+    eigvalsh, and the lane fails at its first failure in that order.  A
+    singular H~ fails both verdicts, and so does a causal failure with no
+    strict one before it (a strictly causal law is also causal).
+    """
+    P, gammas = P.reshape(plant.T + 1, -1, plant.n, plant.n), levels.reshape(-1)
+    stop = np.array([verdict.first_violation or 0 for verdict in causal])
+    first = [None] * len(causal)
+    pending = np.arange(len(causal))  # lanes with no strict failure yet
+    for hi in range(plant.T - 1, -1, -_STRICT_BLOCK):
+        pending = pending[stop[pending] <= hi]
+        if not pending.size:
+            break
+        lo = max(hi - _STRICT_BLOCK + 1, 0)
+        Pb, Bw = P[lo + 1 : hi + 2][:, pending], plant.Bw[lo : hi + 1, None]
+        bad = ~_strictly_causal_ok(Pb, Bw, gammas[pending])
+        bad &= np.arange(lo, hi + 1)[:, None] >= stop[pending]  # the steps each ran
+        failed = bad.any(axis=0)
+        for j in np.flatnonzero(failed):
+            first[pending[j]] = lo + int(np.flatnonzero(bad[:, j])[-1])
+        pending = pending[~failed]
+    return [
+        verdict if verdict.reason == "singular-Htilde" or f is None
+        else Verdict(False, "condition-violated", f)
+        for verdict, f in zip(causal, first)
     ]
 
 
@@ -412,10 +420,11 @@ def _sda(
     n = A.shape[0]
     eye = np.eye(n)
 
-    def check(X: np.ndarray, Y: np.ndarray) -> Optional[str]:
-        if not np.isfinite(Y).all() or np.abs(Y).max() > DIVERGENCE_NORM:
+    def check(X: np.ndarray, Y: np.ndarray, norm) -> Optional[str]:
+        # norm = ||Y||_inf, NaN or inf unless Y is finite
+        if not norm <= DIVERGENCE_NORM:
             return "no-stabilizing-solution"
-        if np.linalg.eigvalsh(Y - X).min() < -INCREMENT_TOL * max(1.0, np.abs(Y).max()):
+        if np.linalg.eigvalsh(Y - X).min() < -INCREMENT_TOL * max(1.0, norm):
             return "condition-violated"
         return None if gate is None else gate(Y)
 
@@ -426,7 +435,7 @@ def _sda(
         for Aj, Gj, Hj in levels[::-1] + levels[:1]:
             try:
                 Y = Hj + sym(Aj.T @ X @ np.linalg.solve(eye + Gj @ X, Aj))
-                bad = check(X, Y)
+                bad = check(X, Y, np.abs(Y).max())
             except np.linalg.LinAlgError:
                 bad = "no-stabilizing-solution"
             if bad is None:
@@ -445,14 +454,10 @@ def _sda(
             return None, k, first_failure(H, levels, "no-stabilizing-solution")
         WA, WG = WAG[:, :n], WAG[:, n:]
         Hn = H + sym(A.T @ H @ WA)
-        scale = max(1.0, np.abs(Hn).max())
-        if (
-            np.isfinite(Hn).all()
-            and scale <= DIVERGENCE_NORM
-            and np.abs(Hn - H).max() < tol_abs + tol_rel * scale
-        ):
+        norm = np.abs(Hn).max()
+        if norm <= DIVERGENCE_NORM and np.abs(Hn - H).max() < tol_abs + tol_rel * max(1.0, norm):
             return Hn, k, None
-        reason = check(H, Hn)
+        reason = check(H, Hn, norm)
         if reason is not None:
             return None, k, first_failure(H, levels, reason)
         levels.append((A, G, H))
@@ -477,15 +482,11 @@ def dare_fixed_point(
     feasibility boundary, where ||P|| grows without bound.  The converged P
     then passes the residual step and the three acceptance checks.
     """
-    A = np.asarray(A, dtype=float)
-    Btil = np.asarray(Btil, dtype=float)
-    Rtil = np.asarray(Rtil, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    signs_R = _signs(_eig_pivots(Rtil)[0])  # on H~'s equilibrated scale
+    A, Btil, Rtil, Q = (np.asarray(M, dtype=float) for M in (A, Btil, Rtil, Q))
+    signs_R = _pivot_test(_eig_pivots(Rtil)[0].tolist())[1:]  # on H~'s equilibrated scale
 
     def gate(P: np.ndarray) -> Optional[str]:
-        singular, wrong, _ = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)
-        return "singular-Htilde" if singular else "condition-violated" if wrong else None
+        return _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)[0][0]
 
     # value iteration's first step checks H~ = R~ at P = 0
     reason = gate(np.zeros_like(Q))
@@ -494,23 +495,17 @@ def dare_fixed_point(
         G = sym(Btil @ solve_sym(Rtil, Btil.T))
         P, iterations, reason = _sda(A, G, sym(Q), gate, tol_abs=1e-11, tol_rel=1e-9)
     if P is not None:  # the residual step and the acceptance checks
-        singular, wrong, pivots = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)
-        if singular:
-            P, reason = None, "singular-Htilde"
+        [reason], pivots = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)
+        if reason == "singular-Htilde":
+            P = None
     if P is None:
-        return RiccatiFixedPoint(
-            P=None, residual=None, iterations=iterations,
-            converged=False, reason=reason,
-        )
+        return RiccatiFixedPoint(None, None, iterations, converged=False, reason=reason)
     BtPA = Btil.T @ P @ A
     K = _solve_pivots(pivots, BtPA)
     Pn = Q + A.T @ P @ A - BtPA.T @ K
+    residual = float(np.abs(0.5 * (Pn + Pn.T) - P).max())
     return RiccatiFixedPoint(
-        P=P,
-        residual=float(np.abs(0.5 * (Pn + Pn.T) - P).max()),
-        iterations=iterations,
-        converged=True,
+        P, residual, iterations, converged=True,
         closed_loop_radius=spectral_radius(A - Btil @ K),
-        inertia_match=not wrong,
-        psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9),
+        inertia_match=reason is None, psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9),
     )

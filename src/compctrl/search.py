@@ -94,7 +94,9 @@ def min_gamma(
     probe record's ``iterations``, ``first_violation`` and ``residual``
     where they carry those keys.  ``gamma_floor`` is an open lower bound
     that is never evaluated (0 for attenuation, 1 for cost ratios).
-    ``tol``, ``gamma_floor`` and ``gamma_hi_init`` must be finite.
+    ``tol``, ``gamma_floor`` and ``gamma_hi_init`` must be finite.  ``tol``
+    is the absolute width of the final bracket, so a level below ``tol`` is
+    certified no better than ``tol``.
     """
     return _search(
         lambda levels: [feasibility(g) for g in levels],
@@ -217,7 +219,9 @@ def min_gamma_hinf(
     gamma_hi_init: float = 1.0,
     audit: bool = True,
 ) -> GammaSearchResult:
-    """Smallest feasible attenuation level for the given plant."""
+    """Smallest feasible attenuation level for the given plant, to the
+    absolute bracket width ``tol`` (:func:`min_gamma`): a level below ``tol``
+    is certified no better than ``tol``."""
     _check_causality(causality)
     plant = _normalize_horizon(plant, horizon)
 
@@ -239,6 +243,7 @@ def min_gamma_competitive(
     """Smallest certifiable cost-ratio level gamma (the ratio bound is gamma^2).
 
     The gamma-independent synthetic plant is built once for all probes.
+    ``tol`` is an absolute bracket width, as in :func:`min_gamma`.
     """
     _check_causality(causality)
     plant = _normalize_horizon(plant, horizon)

@@ -26,7 +26,8 @@ from compctrl.riccati import (
     spectral_radius,
     sym,
 )
-from compctrl import controllers
+from compctrl import controllers, riccati
+from compctrl.model import LtvPlant
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.search import min_gamma_competitive, min_gamma_hinf
 
@@ -483,6 +484,115 @@ def test_stacked_backward_causal_failure_while_strict_holds(rng):
         (False, "condition-violated", plant.T - 2),
         (False, "condition-violated", plant.T - 2),
     ) in verdicts
+
+
+def test_pivot_test_gives_numpy_answers(rng):
+    # the guard and the sign counts on Python floats equal numpy's on the
+    # same pivots, NaN (never singular, as numpy's min and max propagate it)
+    # and inf included
+    rows = [rng.standard_normal(5) * 10.0 ** rng.integers(-14, 14, 5) for _ in range(300)]
+    rows += [
+        np.array(row)
+        for row in ([0.0, 1.0], [1e-13, -1.0], [np.nan, 1e-20, 1.0], [1e-20, np.nan, 1.0],
+                    [np.inf, 1.0], [-1e-10, 1e-10, 2e-10, -3.0], [-0.0, -1.0])
+    ]
+    for lam in rows:
+        mags = np.abs(lam)
+        singular = mags.min() <= 1e-12 * np.maximum(mags.max(), np.finfo(float).tiny)
+        counts = int((lam > 1e-10).sum()), int((lam < -1e-10).sum())
+        assert riccati._pivot_test(lam.tolist()) == (bool(singular),) + counts, lam
+
+
+BLOCK = riccati._STRICT_BLOCK
+
+
+def _late_singular_plant(rng, T):
+    """A scalar plant (A = 0.9, B_u = 10, Q = 1, B_w drawn per step) on which,
+    at gamma = 1, the one-step-delay condition fails at step 1 at the latest
+    (B_w = 2 there) while the step test passes, and H~ is singular at step 0
+    (B_w^2 P_1 = 1 + B_u^2 P_1)."""
+    Bw = rng.uniform(0.5, 3.0, size=(T, 1, 1))
+    ones = np.ones((T, 1, 1))
+    plant = LtvPlant(A=0.9 * ones, Bu=10.0 * ones, Bw=Bw, Q=ones, R_half=ones, x0=np.zeros(1))
+    if T > 1:
+        Bw[1] = 2.0
+        P1 = hinf_backward(plant, 1.0).P[1, 0, 0]  # independent of B_w at step 0
+        Bw[0] = np.sqrt(1.0 / P1 + 100.0)
+    return plant
+
+
+@pytest.mark.parametrize("T", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_blocked_strict_check_equals_oracles_across_block_edges(T):
+    # the one-step-delay condition is checked after the recursion, BLOCK
+    # steps at a time; on horizons that straddle the block size, stacked and
+    # one-level calls equal the per-step oracle bit for bit and give the
+    # Schur recursion's verdicts on the steps each lane ran
+    rng = np.random.default_rng(7300 + T)
+    scalar = _late_singular_plant(rng, T)
+    rand = random_ltv(rng, T=T, n=3, m=1, p=2)
+    optima = [
+        min_gamma_hinf(rand, causality=c, audit=False).gamma for c in ("causal", "strictly-causal")
+    ]
+    grids = [
+        (scalar, [0.05, 0.12, 0.2, 0.5, 1.0, 1.5, 2.5, 5.0, 12.0]),
+        (rand, [f * g for g in optima for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]),
+    ]
+    for plant, levels in grids:
+        verdicts = _assert_stack_equals_oracle(plant, levels)
+        for gamma, (causal, strict) in zip(levels, verdicts):
+            one = hinf_backward(plant, gamma)
+            assert np.array_equal(one.P, hinf_backward_scalar(plant, gamma)[0])
+            assert (_triple(one.causal), _triple(one.strictly_causal_w)) == (causal, strict)
+            if causal[1] == "singular-Htilde":
+                assert strict == causal  # the Schur oracle cannot solve this step
+                continue
+            _, causal_bad, strict_bad = schur_backward(plant, gamma)
+            first_bad = (False, "condition-violated", causal_bad[0]) if causal_bad else None
+            assert causal == (first_bad or (True, None, None))
+            ran = [t for t in strict_bad if t >= (causal[2] or 0)]
+            assert strict == ((False, "condition-violated", ran[0]) if ran else causal)
+        if T > BLOCK:  # lanes leave the stack at different steps
+            assert len({c[2] for c, _ in verdicts if not c[0]}) > 1
+            kinds = {(c[0], s[0]) for c, s in verdicts}
+            assert kinds == {(True, True), (True, False), (False, False)}
+    if T > 1:
+        # at gamma = 1 the steps from 1 on pass the step test, and one of them
+        # fails the one-step-delay condition; H~ at step 0 is singular, and
+        # that reason wins on both verdicts
+        [lane] = hinf_backward(scalar, [1.0])
+        assert _triple(lane.causal) == (False, "singular-Htilde", 0)
+        assert lane.strictly_causal_w == lane.causal
+        steps = slice(1, None)
+        tail = LtvPlant(
+            scalar.A[steps], scalar.Bu[steps], scalar.Bw[steps], scalar.Q[steps],
+            scalar.R_half[steps], scalar.x0,
+        )
+        rest = hinf_backward(tail, 1.0)
+        assert rest.causal.ok and not rest.strictly_causal_w.ok
+
+
+def test_strict_check_runs_in_blocks(boeing, monkeypatch):
+    # an 8-level stack on the Boeing T = 200 synthetic plant, with lanes that
+    # fail the step test, fail the one-step-delay condition alone and pass:
+    # each stacked eigvalsh of the strict check sees at most BLOCK steps, so
+    # its buffers do not grow with the horizon, and together they cover the
+    # horizon once
+    syn = controllers._synthetic_plant(boeing.to_ltv(200)).as_plant()
+    levels = [1.25, 1.33, 5.0, 5.3, 5.33, 8.0, 16.0, 32.0]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    scheds = hinf_backward(syn, levels)
+    monkeypatch.undo()
+    kinds = {(s.causal.ok, s.strictly_causal_w.ok) for s in scheds}
+    assert kinds == {(True, True), (True, False), (False, False)}
+    assert all(len(shape) == 4 and shape[0] <= BLOCK and shape[1] <= 8 for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == syn.T
 
 
 def test_stacked_backward_single_level(boeing):

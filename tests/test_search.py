@@ -377,6 +377,123 @@ def test_boeing_fh_competitive_search_is_pinned(boeing):
     assert result.controller.gamma == 1.3310546875
 
 
+# the other Boeing T = 200 searches, pinned as (gamma, feasible, reason,
+# first_violation) per probe, with their certified level and bracket end:
+# the strictly causal verdicts of the backward recursion decide two of them
+BOEING_FH200_SEARCHES = {
+    ("competitive", "strictly-causal"): (
+        5.328125,
+        5.3271484375,
+        [
+            (2.0, False, "condition-violated", 198),
+            (4.0, False, "condition-violated", 198),
+            (8.0, True, None, None),
+            (6.0, True, None, None),
+            (5.0, False, "condition-violated", 197),
+            (5.5, True, None, None),
+            (5.25, False, "condition-violated", 194),
+            (5.375, True, None, None),
+            (5.3125, False, "condition-violated", 168),
+            (5.34375, True, None, None),
+            (5.328125, True, None, None),
+            (5.3203125, False, "condition-violated", 158),
+            (5.32421875, False, "condition-violated", 147),
+            (5.326171875, False, "condition-violated", 136),
+            (5.3271484375, False, "condition-violated", 122),
+            (5.3251484375, False, "condition-violated", 143),
+            (5.3241484375, False, "condition-violated", 148),
+            (5.3231484375, False, "condition-violated", 151),
+            (5.3221484375, False, "condition-violated", 154),
+            (5.329125, True, None, None),
+            (5.330125, True, None, None),
+            (5.331125, True, None, None),
+            (5.332125, True, None, None),
+        ],
+    ),
+    ("hinf", "causal"): (
+        27.2578125,
+        27.2568359375,
+        [
+            (1.0, False, "singular-Htilde", 198),
+            (2.0, False, "condition-violated", 196),
+            (4.0, False, "condition-violated", 193),
+            (8.0, False, "condition-violated", 186),
+            (16.0, False, "condition-violated", 169),
+            (32.0, True, None, None),
+            (24.0, False, "condition-violated", 123),
+            (28.0, True, None, None),
+            (26.0, False, "condition-violated", 82),
+            (27.0, False, "condition-violated", 27),
+            (27.5, True, None, None),
+            (27.25, False, "condition-violated", 0),
+            (27.375, True, None, None),
+            (27.3125, True, None, None),
+            (27.28125, True, None, None),
+            (27.265625, True, None, None),
+            (27.2578125, True, None, None),
+            (27.25390625, False, "condition-violated", 0),
+            (27.255859375, False, "condition-violated", 0),
+            (27.2568359375, False, "condition-violated", 0),
+            (27.2548359375, False, "condition-violated", 0),
+            (27.2538359375, False, "condition-violated", 0),
+            (27.2528359375, False, "condition-violated", 0),
+            (27.2518359375, False, "condition-violated", 0),
+            (27.2588125, True, None, None),
+            (27.2598125, True, None, None),
+            (27.2608125, True, None, None),
+            (27.2618125, True, None, None),
+        ],
+    ),
+    ("hinf", "strictly-causal"): (
+        27.345703125,
+        27.3447265625,
+        [
+            (1.0, False, "singular-Htilde", 198),
+            (2.0, False, "condition-violated", 196),
+            (4.0, False, "condition-violated", 193),
+            (8.0, False, "condition-violated", 186),
+            (16.0, False, "condition-violated", 169),
+            (32.0, True, None, None),
+            (24.0, False, "condition-violated", 125),
+            (28.0, True, None, None),
+            (26.0, False, "condition-violated", 87),
+            (27.0, False, "condition-violated", 36),
+            (27.5, True, None, None),
+            (27.25, False, "condition-violated", 12),
+            (27.375, True, None, None),
+            (27.3125, False, "condition-violated", 4),
+            (27.34375, False, "condition-violated", 0),
+            (27.359375, True, None, None),
+            (27.3515625, True, None, None),
+            (27.34765625, True, None, None),
+            (27.345703125, True, None, None),
+            (27.3447265625, False, "condition-violated", 0),
+            (27.3427265625, False, "condition-violated", 0),
+            (27.3417265625, False, "condition-violated", 0),
+            (27.3407265625, False, "condition-violated", 0),
+            (27.3397265625, False, "condition-violated", 0),
+            (27.346703125, True, None, None),
+            (27.347703125, True, None, None),
+            (27.348703125, True, None, None),
+            (27.349703125, True, None, None),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("search, causality", list(BOEING_FH200_SEARCHES))
+def test_boeing_fh_searches_are_pinned(search, causality, boeing):
+    gamma, gamma_lo, pinned = BOEING_FH200_SEARCHES[search, causality]
+    run = {"competitive": min_gamma_competitive, "hinf": min_gamma_hinf}[search]
+    result = run(boeing, causality=causality, horizon=200)
+    assert (result.gamma, result.gamma_lo) == (gamma, gamma_lo)
+    assert result.audit_warnings == []
+    assert result.history == [(g, feas) for g, feas, _, _ in pinned]
+    got = [(p["gamma"], p["feasible"], p["reason"], p["first_violation"]) for p in result.probes]
+    assert got == pinned
+    assert result.controller.gamma == gamma
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_inputs_are_rejected(bad, boeing):
     message = "gamma must be finite and positive"
