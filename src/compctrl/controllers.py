@@ -42,6 +42,7 @@ from .model import _disturbance_record
 from .riccati import (
     RiccatiFixedPoint,
     _check_gamma,
+    _dare_fixed_points,
     _strictly_causal_ok,
     dare_fixed_point,
     hinf_backward,
@@ -418,37 +419,6 @@ def synth_h2_ih(plant: LtiPlant, causality: str = CAUSAL) -> StateFeedbackContro
     )
 
 
-def _gate_fixed_point(
-    fp: RiccatiFixedPoint,
-    Bw: np.ndarray,
-    gamma: Optional[float],
-    causality: str,
-) -> Optional[Infeasible]:
-    """The verdict of a fixed point: its acceptance checks
-    (:class:`~compctrl.riccati.RiccatiFixedPoint`), plus B_w'PB_w < gamma^2 I
-    for a strictly causal law at a level gamma (not None, the LQR limit)."""
-    if not fp.converged:
-        return Infeasible(
-            fp.reason or "no-stabilizing-solution",
-            gamma,
-            {"iterations": fp.iterations},
-        )
-    details = {
-        "closed_loop_radius": fp.closed_loop_radius,
-        "inertia_match": fp.inertia_match,
-        "psd": fp.psd,
-        "iterations": fp.iterations,
-        "residual": fp.residual,
-    }
-    if not fp.feasible:
-        return Infeasible("condition-violated", gamma, details)
-    if causality == STRICT and gamma is not None:
-        if not _strictly_causal_ok(fp.P, Bw, gamma):
-            details["strict_w_channel_ok"] = False
-            return Infeasible("condition-violated", gamma, details)
-    return None
-
-
 def _check_level(gamma) -> None:
     """Reject a gamma that is not one finite positive level."""
     if np.ndim(gamma):
@@ -492,41 +462,76 @@ def _attenuation(plant, gamma, causality: str):
     on an :class:`LtiPlant` (gamma = None: its LQR limit, R~ = I on u
     alone), the per-step conditions of the backward recursion on an
     :class:`LtvPlant`.  No gain is computed here.  ``gamma`` may also be a
-    sequence of levels, each verdict equal to the one at its level alone
-    (one stacked :func:`hinf_backward` on an LtvPlant).  A level that is
-    not finite and positive raises ValueError.
+    sequence of levels, each verdict equal to the one at its level alone:
+    one level keeps its lone solve, and more run as a stack of lanes of one
+    solve (:func:`~compctrl.riccati.hinf_backward` on an LtvPlant, the
+    fixed points' doubling on an LtiPlant).  A level that is not finite and
+    positive raises ValueError.
     """
-    m, p = plant.m, plant.p
+    if np.ndim(gamma) and len(gamma) < 2:  # a lone level keeps its lone solve
+        return [_attenuation(plant, level, causality) for level in gamma]
     if isinstance(plant, LtiPlant):
         if np.ndim(gamma):
-            return [_attenuation(plant, level, causality) for level in gamma]
+            _check_gamma(gamma)
+            Rtil = np.stack([_game_weight(plant, level) for level in gamma])
+            fps = _dare_fixed_points(plant.A, np.hstack([plant.Bu, plant.Bw]), Rtil, plant.Q)
+            return [_fixed_point_verdict(plant, *x, causality) for x in zip(fps, gamma)]
         if gamma is None:
-            Btil, Rtil = plant.Bu, np.eye(m)
+            Btil, Rtil = plant.Bu, np.eye(plant.m)
         else:
             _check_gamma(gamma)
-            Btil = np.hstack([plant.Bu, plant.Bw])
-            Rtil = np.block(
-                [
-                    [np.eye(m), np.zeros((m, p))],
-                    [np.zeros((p, m)), -(gamma**2) * np.eye(p)],
-                ]
-            )
+            Btil, Rtil = np.hstack([plant.Bu, plant.Bw]), _game_weight(plant, gamma)
         fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
-        bad = _gate_fixed_point(fp, plant.Bw, gamma, causality)
-        if bad is not None:
-            return bad
-        diagnostics = {
-            "residual": fp.residual,
-            "iterations": fp.iterations,
-            "closed_loop_radius": fp.closed_loop_radius,
-            "P": fp.P,
-        }
-        return AttenuationSolve(plant, gamma, causality, fp.P, diagnostics)
+        return _fixed_point_verdict(plant, fp, gamma, causality)
 
     sched = hinf_backward(plant, gamma)
     if np.ndim(gamma):
         return [_schedule_verdict(plant, s, causality) for s in sched]
     return _schedule_verdict(plant, sched, causality)
+
+
+def _game_weight(plant: LtiPlant, gamma) -> np.ndarray:
+    """R~ = diag(I_m, -gamma^2 I_p) of the attenuation game at level gamma."""
+    m, p = plant.m, plant.p
+    return np.block(
+        [
+            [np.eye(m), np.zeros((m, p))],
+            [np.zeros((p, m)), -(gamma**2) * np.eye(p)],
+        ]
+    )
+
+
+def _fixed_point_verdict(plant: LtiPlant, fp: RiccatiFixedPoint, gamma, causality: str):
+    """The verdict of :func:`_attenuation` on a fixed point: its acceptance
+    checks (:class:`~compctrl.riccati.RiccatiFixedPoint`), plus
+    B_w'PB_w < gamma^2 I for a strictly causal law at a level gamma (not
+    None, the LQR limit)."""
+    if not fp.converged:
+        return Infeasible(
+            fp.reason or "no-stabilizing-solution",
+            gamma,
+            {"iterations": fp.iterations},
+        )
+    details = {
+        "closed_loop_radius": fp.closed_loop_radius,
+        "inertia_match": fp.inertia_match,
+        "psd": fp.psd,
+        "iterations": fp.iterations,
+        "residual": fp.residual,
+    }
+    if not fp.feasible:
+        return Infeasible("condition-violated", gamma, details)
+    if causality == STRICT and gamma is not None:
+        if not _strictly_causal_ok(fp.P, plant.Bw, gamma):
+            details["strict_w_channel_ok"] = False
+            return Infeasible("condition-violated", gamma, details)
+    diagnostics = {
+        "residual": fp.residual,
+        "iterations": fp.iterations,
+        "closed_loop_radius": fp.closed_loop_radius,
+        "P": fp.P,
+    }
+    return AttenuationSolve(plant, gamma, causality, fp.P, diagnostics)
 
 
 def _schedule_verdict(plant: LtvPlant, sched, causality: str):

@@ -9,6 +9,9 @@ checks after it has run, on the steps each level ran, with the verdicts of
 a check at every step.  Every infinite-horizon fixed point of the package
 (the game and LQR equations here, the spectral and outer factors in
 :mod:`compctrl.factorization`) is solved by one doubling core, :func:`_sda`.
+Both horizons take several levels as lanes of one run, each lane leaving
+at its own verdict: :func:`hinf_backward` a 1-D array of levels, the
+doubling a stack of R~ (:func:`_dare_fixed_points`).
 
 Feasibility failures are reported as structured verdicts with reason codes
 ("singular-Htilde", "no-stabilizing-solution", ...) rather than exceptions,
@@ -389,10 +392,10 @@ def _sda(
     A: np.ndarray,
     G: np.ndarray,
     H: np.ndarray,
-    gate: Optional[Callable[[np.ndarray], Optional[str]]] = None,
+    gate: Optional[Callable[[np.ndarray, object], list]] = None,
     tol_abs: float = 0.0,
     tol_rel: float = 1e-12,
-) -> tuple[Optional[np.ndarray], int, Optional[str]]:
+):
     """Structure-preserving doubling for X = A'XA + H - A'XB(R + B'XB)^{-1}B'XA.
 
     Starts from A_0 = A, G_0 = BR^{-1}B' and H_0 = H; with W = I + G_k H_k,
@@ -406,7 +409,7 @@ def _sda(
 
     Each new iterate is checked as value iteration checks each step: a
     non-finite value or ||H||_inf > 1e12 is "no-stabilizing-solution", and
-    ``gate(H_k)`` may return a reason code.  Value iteration from zero
+    the gate may return a reason code.  Value iteration from zero
     increases while every step is well posed, so an increment with a
     negative eigenvalue ("condition-violated") means a step between two
     samples was not.  A failure (also a singular W) is bisected with the
@@ -415,27 +418,75 @@ def _sda(
     Convergence is declared, before the increment and gate checks, when the
     increment drops below tol_abs + tol_rel * max(1, ||H||_inf).
 
-    Returns (X or None, doublings, reason).
+    G may be a stack (k, n, n) of lanes that share A_0 and H_0.  They
+    double together; each lane runs the checks above in the same order,
+    bisects its own failure on its own stored levels and leaves the stack
+    on its own, so every result equals its lone run.  A singular W is then
+    solved lane by lane, since numpy fails the whole stack.  A lone G keeps
+    its unstacked shapes.  ``gate(X, rows)`` returns one reason per matrix
+    of X: ``rows`` numbers their lanes in the stack, Ellipsis for a lone G.
+    Returns (X or None, doublings, reason), a list of them for a stack.
     """
     n = A.shape[0]
     eye = np.eye(n)
+    lone = G.ndim == 2
+    if not lone:
+        A, H = np.broadcast_to(A, G.shape), np.broadcast_to(H, G.shape)
+    lanes = [0] if lone else np.arange(len(G))  # the lanes still doubling
+    out = [(None, MAX_DOUBLINGS, "no-stabilizing-solution")] * len(lanes)
+    levels: list = []  # (A, G, H, lanes) of each doubling passed
 
-    def check(X: np.ndarray, Y: np.ndarray, norm) -> Optional[str]:
-        # norm = ||Y||_inf, NaN or inf unless Y is finite
+    def check(X: np.ndarray, Y: np.ndarray, norm, row) -> Optional[str]:
+        # one lane; norm = ||Y||_inf, NaN or inf unless Y is finite
         if not norm <= DIVERGENCE_NORM:
             return "no-stabilizing-solution"
         if np.linalg.eigvalsh(Y - X).min() < -INCREMENT_TOL * max(1.0, norm):
             return "condition-violated"
-        return None if gate is None else gate(Y)
+        return None if gate is None else gate(Y, row)[0]
 
-    def first_failure(X: np.ndarray, levels: list, reason: str) -> str:
-        # bisect the steps after the good sample X; the last pass is the
-        # single step (level 0) after the last good iterate
-        bad = None
-        for Aj, Gj, Hj in levels[::-1] + levels[:1]:
+    def settled(Hn: np.ndarray) -> dict:
+        # {position: reason, None where converged} of the lanes that end
+        # here; the checks of check, over the stack
+        if lone:
+            norm = np.abs(Hn).max()
+            if norm <= DIVERGENCE_NORM and np.abs(Hn - H).max() < tol_abs + tol_rel * max(1.0, norm):
+                return {0: None}
+            reason = check(H, Hn, norm, Ellipsis)
+            return {} if reason is None else {0: reason}
+        D = Hn - H
+        norms = np.abs(Hn).max(axis=(-2, -1)).tolist()
+        done, live = {}, []
+        for j, (norm, step) in enumerate(zip(norms, np.abs(D).max(axis=(-2, -1)).tolist())):
+            if not norm <= DIVERGENCE_NORM:
+                done[j] = "no-stabilizing-solution"
+            elif step < tol_abs + tol_rel * max(1.0, norm):
+                done[j] = None
+            else:
+                live.append(j)
+        if live:
+            low = np.linalg.eigvalsh(D[live]).min(axis=-1).tolist()
+            for j, x in zip(live, low):
+                if x < -INCREMENT_TOL * max(1.0, norms[j]):
+                    done[j] = "condition-violated"
+            live = [j for j in live if j not in done]
+        if gate is not None and live:
+            for j, reason in zip(live, gate(Hn[live], lanes[live])):
+                if reason is not None:
+                    done[j] = reason
+        return done
+
+    def first_failure(j: int, reason: str) -> str:
+        # bisect the steps after lane j's good sample H; the last pass is
+        # the single step (level 0) after the last good iterate
+        row = Ellipsis if lone else lanes[j]
+        X, steps, bad = H if lone else H[j], [], None
+        for Aj, Gj, Hj, passed in levels:
+            i = row if lone else np.searchsorted(passed, row)
+            steps.append((Aj[i], Gj[i], Hj[i]))
+        for Aj, Gj, Hj in steps[::-1] + steps[:1]:
             try:
                 Y = Hj + sym(Aj.T @ X @ np.linalg.solve(eye + Gj @ X, Aj))
-                bad = check(X, Y, np.abs(Y).max())
+                bad = check(X, Y, np.abs(Y).max(), row)
             except np.linalg.LinAlgError:
                 bad = "no-stabilizing-solution"
             if bad is None:
@@ -443,28 +494,55 @@ def _sda(
         # None: every step passed, so the samples do not bracket one failure
         return bad or reason
 
-    reason = None if gate is None else gate(H)
-    if reason is not None:
-        return None, 0, reason
-    levels: list = []
+    def leave(done: dict, *stacks):
+        # record the lanes done; the rows of the others, if any are left
+        nonlocal lanes
+        for j, result in done.items():
+            out[lanes[j]] = result
+        keep = [j for j in range(len(lanes)) if j not in done]
+        lanes = lanes[keep] if keep else []
+        return [M[keep] for M in stacks] if keep else stacks
+
+    if gate is not None:
+        reasons = gate(H, Ellipsis if lone else lanes)
+        if any(reasons):
+            done = {j: (None, 0, reason) for j, reason in enumerate(reasons) if reason}
+            A, G, H = leave(done, A, G, H)
     for k in range(1, MAX_DOUBLINGS + 1):
+        if not len(lanes):
+            break
+        W, AG = eye + G @ H, np.concatenate([A, G], axis=-1)
         try:
-            WAG = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            WAG = np.linalg.solve(W, AG)
         except np.linalg.LinAlgError:
-            return None, k, first_failure(H, levels, "no-stabilizing-solution")
-        WA, WG = WAG[:, :n], WAG[:, n:]
-        Hn = H + sym(A.T @ H @ WA)
-        norm = np.abs(Hn).max()
-        if norm <= DIVERGENCE_NORM and np.abs(Hn - H).max() < tol_abs + tol_rel * max(1.0, norm):
-            return Hn, k, None
-        reason = check(H, Hn, norm)
-        if reason is not None:
-            return None, k, first_failure(H, levels, reason)
-        levels.append((A, G, H))
-        G = sym(G + A @ WG @ A.T)
+            # numpy fails the whole stack: solve each lane alone
+            WAG, done = [], {}
+            for j in range(len(lanes)):
+                try:
+                    WAG.append(np.linalg.solve(W if lone else W[j], AG if lone else AG[j]))
+                except np.linalg.LinAlgError:
+                    done[j] = (None, k, first_failure(j, "no-stabilizing-solution"))
+            A, G, H = leave(done, A, G, H)
+            if not len(lanes):
+                break
+            WAG = np.stack(WAG)
+        WA, WG = WAG[..., :n], WAG[..., n:]
+        Hn = H + sym(A.swapaxes(-1, -2) @ H @ WA)
+        done = settled(Hn)
+        if done:
+            done = {
+                j: (None, k, first_failure(j, reason)) if reason else (Hn if lone else Hn[j], k, None)
+                for j, reason in done.items()
+            }
+            A, G, H, Hn, WAG = leave(done, A, G, H, Hn, WAG)
+            if not len(lanes):
+                break
+            WA, WG = WAG[..., :n], WAG[..., n:]
+        levels.append((A, G, H, lanes))
+        G = sym(G + A @ WG @ A.swapaxes(-1, -2))
         A = A @ WA
         H = Hn
-    return None, MAX_DOUBLINGS, "no-stabilizing-solution"
+    return out[0] if lone else out
 
 
 def dare_fixed_point(
@@ -480,21 +558,49 @@ def dare_fixed_point(
     scale.  Convergence is declared when the update norm drops below
     1e-11 + 1e-9 * max(1, ||P||_inf); the relative term matters near the
     feasibility boundary, where ||P|| grows without bound.  The converged P
-    then passes the residual step and the three acceptance checks.
+    then passes the residual step and the three acceptance checks.  For
+    several R~ at once, :func:`_dare_fixed_points`.
     """
-    A, Btil, Rtil, Q = (np.asarray(M, dtype=float) for M in (A, Btil, Rtil, Q))
-    signs_R = _pivot_test(_eig_pivots(Rtil)[0].tolist())[1:]  # on H~'s equilibrated scale
+    return _dare_fixed_points(A, Btil, Rtil, Q)
 
-    def gate(P: np.ndarray) -> Optional[str]:
-        return _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)[0][0]
+
+def _dare_fixed_points(A, Btil, Rtil, Q):
+    """:func:`dare_fixed_point` at R~, or at each R~ of a stack (k, K, K)
+    that shares one inertia: one :func:`_sda` run carries them as lanes and
+    returns a list, each result equal to the lone solve's."""
+    A, Btil, Rtil, Q = (np.asarray(M, dtype=float) for M in (A, Btil, Rtil, Q))
+    lone = Rtil.ndim == 2
+    lam = _eig_pivots(Rtil)[0].tolist()
+    signs = {_pivot_test(x)[1:] for x in ([lam] if lone else lam)}  # on H~'s scale
+    if len(signs) > 1:
+        raise ValueError("the stacked R~ must share one inertia")
+    [signs_R] = signs
 
     # value iteration's first step checks H~ = R~ at P = 0
-    reason = gate(np.zeros_like(Q))
-    P, iterations = None, 0
-    if reason is None:
-        G = sym(Btil @ solve_sym(Rtil, Btil.T))
-        P, iterations, reason = _sda(A, G, sym(Q), gate, tol_abs=1e-11, tol_rel=1e-9)
-    if P is not None:  # the residual step and the acceptance checks
+    first = _game_step_test(Rtil + Btil.T @ np.zeros_like(Q) @ Btil, *signs_R)[0]
+    solves = [(None, 0, reason) for reason in first]
+    ok = [i for i, reason in enumerate(first) if reason is None]
+    if ok:
+        R = Rtil if lone else Rtil[ok]
+
+        def gate(P: np.ndarray, rows) -> list:
+            return _game_step_test(R[rows] + Btil.T @ P @ Btil, *signs_R)[0]
+
+        G = sym(Btil @ solve_sym(R, Btil.T))
+        found = _sda(A, G, sym(Q), gate, tol_abs=1e-11, tol_rel=1e-9)
+        for i, solve in zip(ok, [found] if lone else found):
+            solves[i] = solve
+    fps = [
+        _accepted(A, Btil, R_i, Q, signs_R, *solve)
+        for R_i, solve in zip([Rtil] if lone else Rtil, solves)
+    ]
+    return fps[0] if lone else fps
+
+
+def _accepted(A, Btil, Rtil, Q, signs_R, P, iterations, reason) -> RiccatiFixedPoint:
+    """One lane's :class:`RiccatiFixedPoint`: the residual step and the
+    acceptance checks on its converged P, or its failure."""
+    if P is not None:
         [reason], pivots = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)
         if reason == "singular-Htilde":
             P = None

@@ -17,10 +17,11 @@ re-evaluates the four levels lo - 2*tol, ..., lo - 5*tol expecting
 infeasibility and the four levels hi + tol, ..., hi + 4*tol expecting
 feasibility; violations are reported as warnings on the result, never as
 exceptions.  The levels are fixed offsets, so a search's probe sequence
-depends only on the verdicts.  They go to the verdict step as one sequence:
-on a finite horizon one backward recursion carries them as a stack
-(:func:`~compctrl.riccati.hinf_backward`); in the infinite horizon each
-level keeps its own fixed-point solve.
+depends only on the verdicts.  They go to the verdict step as one sequence,
+which one solve carries as a stack of lanes in either horizon: the backward
+recursion (:func:`~compctrl.riccati.hinf_backward`) or the fixed points'
+doubling (:func:`~compctrl.riccati._sda`).  A bracket probe is one level
+and keeps its lone solve.
 """
 
 from __future__ import annotations

@@ -634,7 +634,7 @@ def test_stacked_verdicts_and_gains_equal_one_level_routes(causality, boeing):
 
 
 def test_stacked_levels_on_time_invariant_plant(boeing):
-    # an LtiPlant keeps one fixed point per level
+    # an LtiPlant's levels run as lanes of one doubling
     grid = [1.0, 2.0, 5.0]
     stacked = controllers._attenuation(boeing, grid, "causal")
     for gamma, res in zip(grid, stacked):
@@ -642,6 +642,168 @@ def test_stacked_levels_on_time_invariant_plant(boeing):
         assert type(res) is type(alone)
         if not isinstance(res, controllers.Infeasible):
             assert np.array_equal(res.P, alone.P)
+
+
+def _same_fixed_point(got, want):
+    """Every field of two fixed points equal; P and every float to the bit."""
+    for field in dataclasses.fields(riccati.RiccatiFixedPoint):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(
+                a.view(np.uint64), b.view(np.uint64)
+            ), field.name
+        else:
+            assert (type(a), repr(a)) == (type(b), repr(b)), field.name
+
+
+#: levels whose lone solves end at every exit of the doubling: (level,
+#: feasible, reason, doublings), and the check that ends the run
+STACKED_SOLVE_CASES = {
+    "boeing": [
+        (0.5, False, "condition-violated", 0),  # gate on H_0 = Q
+        (1.0, False, "singular-Htilde", 0),  # gate on H_0 = Q
+        (1.3, False, "condition-violated", 1),  # gate
+        (2.0, False, "condition-violated", 2),  # increment
+        (2.6, False, "condition-violated", 2),  # gate
+        (5.0, False, "condition-violated", 3),  # gate
+        (25.0, False, "condition-violated", 7),  # increment
+        (31.6, True, None, 11),
+        (50.0, True, None, 10),
+    ],
+    "pendulum": [
+        (0.1, False, "condition-violated", 8),  # increment
+        (0.5, False, "condition-violated", 10),  # increment
+        (1.0, False, "condition-violated", 14),  # norm, then the bisection
+        (2.0, True, None, 15),
+    ],
+    "unstabilizable": [
+        (1e7, False, "no-stabilizing-solution", 5),  # norm
+        (2.0, False, "condition-violated", 1),
+        (1e3, False, "condition-violated", 4),
+    ],
+    "weakly-controlled": [
+        (1e3, False, "condition-violated", 4),
+        (1e5, True, None, 6),
+        (1e7, True, None, 6),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(STACKED_SOLVE_CASES))
+def test_stacked_fixed_points_equal_lone_solves(case, boeing):
+    """Each lane of one stacked doubling run equals dare_fixed_point at its
+    level alone, field by field, in either order of the lanes."""
+    plant = {
+        "boeing": boeing,
+        "pendulum": linearize_pendulum(PendulumParams(), 0.0),
+        "unstabilizable": scalar_lti(a=2.0, bu=0.0),
+        "weakly-controlled": scalar_lti(a=2.0, bu=1e-4),
+    }[case]
+    levels = [row[0] for row in STACKED_SOLVE_CASES[case]]
+    game = [_hinf_game(plant, g) for g in levels]
+    alone = [dare_fixed_point(*g) for g in game]
+    assert [
+        (fp.feasible, fp.failure_reason, fp.iterations) for fp in alone
+    ] == [row[1:] for row in STACKED_SOLVE_CASES[case]]
+    A, Bt, _, Q = game[0]
+    for order in (slice(None), slice(None, None, -1)):
+        Rt = np.stack([g[2] for g in game])[order]
+        stacked = riccati._dare_fixed_points(A, Bt, Rt, Q)
+        assert len(stacked) == len(levels)
+        for got, want in zip(stacked, alone[order]):
+            _same_fixed_point(got, want)
+
+
+def test_stacked_fixed_points_need_one_inertia(boeing):
+    A, Bt, Rt, Q = _hinf_game(boeing, 2.0)
+    with pytest.raises(ValueError, match="share one inertia"):
+        riccati._dare_fixed_points(A, Bt, np.stack([Rt, np.abs(Rt)]), Q)
+
+
+def test_stacked_doubling_survives_a_singular_lane():
+    """numpy's stacked solve fails the whole stack when one W = I + G H is
+    singular; that lane leaves with its own verdict and the others go on.
+
+    A is nilpotent and H_0 = diag(1, 0), so every lane's H_1 = I and A_1 = 0:
+    the lane G_0 = diag(0, -1) has W_1 = I but G_1 = -I and W_2 = 0, while
+    the other lanes converge at the second doubling.
+    """
+    A, H = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 0.0])
+    G = np.stack([np.diag(d) for d in ([0.0, 1.0], [0.0, -1.0], [0.5, 0.25])])
+    alone = [riccati._sda(A, Gi, H) for Gi in G]
+    assert [(X is None, k, reason) for X, k, reason in alone] == [
+        (False, 2, None), (True, 2, "no-stabilizing-solution"), (False, 2, None)
+    ]
+    W2 = np.eye(2) + np.diag([-1.0, -1.0]) @ np.eye(2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.stack([W2, 2.0 * np.eye(2)]), np.stack([A, A]))
+    for got, want in zip(riccati._sda(A, G, H), alone):
+        assert got[1:] == want[1:]
+        assert (got[0] is None) == (want[0] is None)
+        if want[0] is not None:
+            assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_stacked_strict_verdicts_equal_lone_ones(causality, boeing):
+    # the competitive plant's fixed points converge at 2, 4 and 5, where
+    # B_w'PB_w < gamma^2 I fails
+    syn = controllers._synthetic_plant(boeing).as_plant()
+    levels = [2.0, 4.0, 5.0, 5.5, 6.0, 8.0, 1.25]
+    stacked = controllers._attenuation(syn, levels, causality)
+    strict_failures = 0
+    for gamma, got in zip(levels, stacked):
+        want = controllers._attenuation(syn, gamma, causality)
+        assert type(got) is type(want)
+        if isinstance(want, controllers.Infeasible):
+            assert (got.reason, got.gamma) == (want.reason, want.gamma)
+            assert repr(got.details) == repr(want.details)
+            strict_failures += want.details.get("strict_w_channel_ok") is False
+            continue
+        assert np.array_equal(got.P, want.P)
+        assert repr(got.diagnostics) == repr(want.diagnostics)
+    assert strict_failures == (3 if causality == "strictly-causal" else 0)
+
+
+@pytest.mark.parametrize("search", [min_gamma_hinf, min_gamma_competitive])
+def test_stacked_audit_levels_equal_lone_solves(search, boeing):
+    # the eight levels of Boeing's audit, around the certified bracket
+    result = search(boeing, audit=False)
+    lo, hi, tol = result.gamma_lo, result.gamma, result.tol
+    levels = [lo - (2 + k) * tol for k in range(4)] + [hi + k * tol for k in range(1, 5)]
+    plant = boeing if search is min_gamma_hinf else controllers._synthetic_plant(boeing).as_plant()
+    game = [_hinf_game(plant, g) for g in levels]
+    A, Bt, _, Q = game[0]
+    stacked = riccati._dare_fixed_points(A, Bt, np.stack([g[2] for g in game]), Q)
+    for got, g in zip(stacked, game):
+        _same_fixed_point(got, dare_fixed_point(*g))
+    assert [fp.feasible for fp in stacked] == [False] * 4 + [True] * 4
+
+
+def test_lone_level_keeps_the_lone_solve(boeing, monkeypatch):
+    # a one-level sequence (a bracket probe) runs the lone solve, unstacked;
+    # two or more levels (an audit) run as lanes of one solve
+    seen = []
+
+    def spy(solve, level_arg):
+        def call(*args):
+            seen.append((solve.__name__, np.shape(args[level_arg])))
+            return solve(*args)
+
+        return call
+
+    monkeypatch.setattr(controllers, "dare_fixed_point", spy(dare_fixed_point, 2))
+    monkeypatch.setattr(controllers, "hinf_backward", spy(hinf_backward, 1))
+    ltv = boeing.to_ltv(20)
+    for plant, lone in ((boeing, ("dare_fixed_point", (6, 6))), (ltv, ("hinf_backward", ()))):
+        seen.clear()
+        [one] = controllers._attenuation(plant, [50.0], "causal")
+        assert seen == [lone]
+        assert np.array_equal(one.P, controllers._attenuation(plant, 50.0, "causal").P)
+    seen.clear()
+    controllers._attenuation(boeing, [50.0, 60.0], "causal")
+    controllers._attenuation(ltv, [50.0, 60.0], "causal")
+    assert seen == [("hinf_backward", (2,))]
 
 
 def test_verdict_dataclass():

@@ -494,6 +494,153 @@ def test_boeing_fh_searches_are_pinned(search, causality, boeing):
     assert result.controller.gamma == gamma
 
 
+#: (gamma, gamma_lo, probes) of the Boeing infinite-horizon searches; each
+#: probe is (gamma, feasible, reason, iterations, first_violation,
+#: repr(residual)), the audit's eight levels last; a residual is pinned
+#: to its last bit
+BOEING_IH_SEARCHES = {
+    ("competitive", "causal"): (
+        1.33203125,
+        1.3310546875,
+        [
+            (2.0, True, None, 10, None, "1.4921397450962104e-13"),
+            (1.5, True, None, 10, None, "5.542233338928781e-13"),
+            (1.25, False, "condition-violated", 4, None, "None"),
+            (1.375, True, None, 10, None, "2.5352164811920375e-11"),
+            (1.3125, False, "condition-violated", 6, None, "None"),
+            (1.34375, True, None, 10, None, "9.526957001071423e-11"),
+            (1.328125, False, "condition-violated", 7, None, "None"),
+            (1.3359375, True, None, 10, None, "2.322303771506995e-08"),
+            (1.33203125, True, None, 10, None, "1.6432713891845196e-06"),
+            (1.330078125, False, "condition-violated", 7, None, "None"),
+            (1.3310546875, False, "condition-violated", 7, None, "None"),
+            (1.3290546875, False, "condition-violated", 7, None, "None"),
+            (1.3280546875, False, "condition-violated", 7, None, "None"),
+            (1.3270546875, False, "condition-violated", 6, None, "None"),
+            (1.3260546875, False, "condition-violated", 6, None, "None"),
+            (1.33303125, True, None, 10, None, "2.1702362573705614e-07"),
+            (1.33403125, True, None, 10, None, "7.761082088109106e-08"),
+            (1.33503125, True, None, 10, None, "2.1220785129116848e-08"),
+            (1.33603125, True, None, 10, None, "6.0645106714218855e-09"),
+        ],
+    ),
+    ("competitive", "strictly-causal"): (
+        5.328125,
+        5.3271484375,
+        [
+            (2.0, False, "condition-violated", 10, None, "1.4921397450962104e-13"),
+            (4.0, False, "condition-violated", 10, None, "6.394884621840902e-14"),
+            (8.0, True, None, 10, None, "1.7763568394002505e-14"),
+            (6.0, True, None, 10, None, "6.039613253960852e-14"),
+            (5.0, False, "condition-violated", 10, None, "4.263256414560601e-14"),
+            (5.5, True, None, 10, None, "4.973799150320701e-14"),
+            (5.25, False, "condition-violated", 10, None, "4.618527782440651e-14"),
+            (5.375, True, None, 10, None, "6.039613253960852e-14"),
+            (5.3125, False, "condition-violated", 10, None, "3.907985046680551e-14"),
+            (5.34375, True, None, 10, None, "3.907985046680551e-14"),
+            (5.328125, True, None, 10, None, "1.0658141036401503e-14"),
+            (5.3203125, False, "condition-violated", 10, None, "5.3290705182007514e-14"),
+            (5.32421875, False, "condition-violated", 10, None, "9.947598300641403e-14"),
+            (5.326171875, False, "condition-violated", 10, None, "3.552713678800501e-14"),
+            (5.3271484375, False, "condition-violated", 10, None, "4.973799150320701e-14"),
+            (5.3251484375, False, "condition-violated", 10, None, "2.842170943040401e-14"),
+            (5.3241484375, False, "condition-violated", 10, None, "5.3290705182007514e-14"),
+            (5.3231484375, False, "condition-violated", 10, None, "4.263256414560601e-14"),
+            (5.3221484375, False, "condition-violated", 10, None, "6.039613253960852e-14"),
+            (5.329125, True, None, 10, None, "4.618527782440651e-14"),
+            (5.330125, True, None, 10, None, "6.394884621840902e-14"),
+            (5.331125, True, None, 10, None, "3.197442310920451e-14"),
+            (5.332125, True, None, 10, None, "2.4868995751603507e-14"),
+        ],
+    ),
+    ("hinf", "causal"): (
+        28.234375,
+        28.2333984375,
+        [
+            (1.0, False, "singular-Htilde", 0, None, "None"),
+            (2.0, False, "condition-violated", 2, None, "None"),
+            (4.0, False, "condition-violated", 3, None, "None"),
+            (8.0, False, "condition-violated", 4, None, "None"),
+            (16.0, False, "condition-violated", 5, None, "None"),
+            (32.0, True, None, 11, None, "3.055333763768431e-13"),
+            (24.0, False, "condition-violated", 7, None, "None"),
+            (28.0, False, "condition-violated", 9, None, "None"),
+            (30.0, True, None, 11, None, "2.7711166694643907e-13"),
+            (29.0, True, None, 12, None, "3.979039320256561e-13"),
+            (28.5, True, None, 12, None, "5.258016244624741e-13"),
+            (28.25, True, None, 14, None, "2.0463630789890885e-12"),
+            (28.125, False, "condition-violated", 10, None, "None"),
+            (28.1875, False, "condition-violated", 11, None, "None"),
+            (28.21875, False, "condition-violated", 12, None, "None"),
+            (28.234375, True, None, 17, None, "1.7053025658242404e-12"),
+            (28.2265625, False, "condition-violated", 12, None, "None"),
+            (28.23046875, False, "condition-violated", 13, None, "None"),
+            (28.232421875, False, "condition-violated", 14, None, "None"),
+            (28.2333984375, False, "condition-violated", 15, None, "None"),
+            (28.2313984375, False, "condition-violated", 13, None, "None"),
+            (28.2303984375, False, "condition-violated", 13, None, "None"),
+            (28.2293984375, False, "condition-violated", 13, None, "None"),
+            (28.2283984375, False, "condition-violated", 12, None, "None"),
+            (28.235375, True, None, 16, None, "5.684341886080801e-13"),
+            (28.236375, True, None, 16, None, "2.2737367544323206e-13"),
+            (28.237375, True, None, 15, None, "1.9895196601282805e-12"),
+            (28.238375, True, None, 15, None, "3.126388037344441e-13"),
+        ],
+    ),
+    ("hinf", "strictly-causal"): (
+        28.234375,
+        28.2333984375,
+        [
+            (1.0, False, "singular-Htilde", 0, None, "None"),
+            (2.0, False, "condition-violated", 2, None, "None"),
+            (4.0, False, "condition-violated", 3, None, "None"),
+            (8.0, False, "condition-violated", 4, None, "None"),
+            (16.0, False, "condition-violated", 5, None, "None"),
+            (32.0, True, None, 11, None, "3.055333763768431e-13"),
+            (24.0, False, "condition-violated", 7, None, "None"),
+            (28.0, False, "condition-violated", 9, None, "None"),
+            (30.0, True, None, 11, None, "2.7711166694643907e-13"),
+            (29.0, True, None, 12, None, "3.979039320256561e-13"),
+            (28.5, True, None, 12, None, "5.258016244624741e-13"),
+            (28.25, True, None, 14, None, "2.0463630789890885e-12"),
+            (28.125, False, "condition-violated", 10, None, "None"),
+            (28.1875, False, "condition-violated", 11, None, "None"),
+            (28.21875, False, "condition-violated", 12, None, "None"),
+            (28.234375, True, None, 17, None, "1.7053025658242404e-12"),
+            (28.2265625, False, "condition-violated", 12, None, "None"),
+            (28.23046875, False, "condition-violated", 13, None, "None"),
+            (28.232421875, False, "condition-violated", 14, None, "None"),
+            (28.2333984375, False, "condition-violated", 15, None, "None"),
+            (28.2313984375, False, "condition-violated", 13, None, "None"),
+            (28.2303984375, False, "condition-violated", 13, None, "None"),
+            (28.2293984375, False, "condition-violated", 13, None, "None"),
+            (28.2283984375, False, "condition-violated", 12, None, "None"),
+            (28.235375, True, None, 16, None, "5.684341886080801e-13"),
+            (28.236375, True, None, 16, None, "2.2737367544323206e-13"),
+            (28.237375, True, None, 15, None, "1.9895196601282805e-12"),
+            (28.238375, True, None, 15, None, "3.126388037344441e-13"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("search, causality", list(BOEING_IH_SEARCHES))
+def test_boeing_ih_searches_are_pinned(search, causality, boeing):
+    gamma, gamma_lo, pinned = BOEING_IH_SEARCHES[search, causality]
+    run = {"competitive": min_gamma_competitive, "hinf": min_gamma_hinf}[search]
+    result = run(boeing, causality=causality)
+    assert (result.gamma, result.gamma_lo) == (gamma, gamma_lo)
+    assert result.audit_warnings == []
+    assert result.history == [(g, feas) for g, feas, *_ in pinned]
+    got = [
+        (p["gamma"], p["feasible"], p["reason"], p["iterations"], p["first_violation"],
+         repr(p["residual"]))
+        for p in result.probes
+    ]
+    assert got == pinned
+    assert result.controller.gamma == gamma
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_inputs_are_rejected(bad, boeing):
     message = "gamma must be finite and positive"
