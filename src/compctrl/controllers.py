@@ -30,13 +30,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .factorization import (
-    SyntheticSystem,
-    build_synthetic,
-    outer_factor_ih,
-    spectral_factor_ih,
-    whitening_fh,
-)
+from .factorization import Realization, SyntheticSystem, _synthetic_plant
 from .model import LtiPlant, LtvPlant, build_dense_operators, rowwise, step_costs
 from .model import _disturbance_record
 from .riccati import (
@@ -179,85 +173,15 @@ class StateFeedbackController(_Online):
     step = _Online.step  # in the class namespace, where bench/tracing.py wraps it
 
 
-class Realization(NamedTuple):
-    """The ratio-optimal controller as one state-space system.
-
-    Its state is z = [xi; nu]: xi the plant copy (on the doubled plant the
-    upper half of the synthetic state, whose lower half is w' = M_filter nu)
-    and nu the state of the w' filter, both in R^n.  Per step,
-
-        u_t      = Cz z_t + Dz w_t,
-        xi_{t+1} = Az z_t + Bz w_t,
-        nu_{t+1} = A_filter nu_t + B_filter w_t,    w'_t = M_filter nu_t.
-
-    The filter keeps its own matrices, so the w' it emits is exactly that
-    of :func:`~compctrl.factorization.wprime_run`.  Every field is a stack
-    over steps, for the synthetic plant of either horizon: one entry in the
-    infinite horizon; over a finite horizon T, T-1 entries for the law
-    (u_{T-1} = 0) and the T of the filter.
-    """
-
-    Cz: np.ndarray  # (S, m, 2n)
-    Dz: np.ndarray  # (S, m, p)
-    Az: np.ndarray  # (S, n, 2n)
-    Bz: np.ndarray  # (S, n, p)
-    A_filter: np.ndarray  # (S', n, n)
-    B_filter: np.ndarray  # (S', n, p)
-    M_filter: np.ndarray  # (S', n, n)
-
-
-def _realization(syn: SyntheticSystem, Kxi: np.ndarray, Kwp: np.ndarray) -> Realization:
-    """Fold the synthetic system and the law u = -(Kxi xi_hat + Kwp w_hat) on
-    it into the :class:`Realization` over z = [xi; nu].
-
-    Written as u = -(Ga xi + Gn nu + Gw w) with the plant copy
-    xi_{t+1} = A xi + B_u u + E nu + Ew w, the law has Cz = -[Ga, Gn],
-    Dz = -Gw, Az = [A - B_u Ga, E - B_u Gn] and Bz = Ew - B_u Gw.
-    Doubled plant: the synthetic state is xi_hat = [xi; M nu] and the law
-    reads w'_{t+1} = M_{t+1}(A_filter nu + B_filter w), so
-    Gn = Kb M_t + Kwp M_{t+1} A_filter, Gw = Kwp M_{t+1} B_filter and
-    E = K Sigma^{1/2} M_t.  Exact plant: xi_hat = [xi; nu] and
-    w'' = C_outer nu + D_outer w, so Gn = Kb + Kwp C_outer,
-    Gw = Kwp D_outer, E = 0 and Ew = B_w.
-    """
-    finite = syn.horizon is not None
-    S = syn.horizon - 1 if finite else 1  # steps with a law
-    stack = np.asarray if finite else (lambda a: a[None])
-    Af, Bf, Mf = map(stack, (syn.A_filter, syn.B_filter, syn.M_filter))
-    Ahat, Buhat, Kxi, Kwp = (stack(a)[:S] for a in (syn.Ahat, syn.Buhat, Kxi, Kwp))
-    n, p = Bf.shape[1:]
-    A, Bu = Ahat[:, :n, :n], Buhat[:, :n]
-    Ga, Kb = Kxi[..., :n], Kxi[..., n:]
-    if syn.exact:
-        Gn = Kb + Kwp @ syn.C_outer
-        Gw = Kwp @ syn.D_outer
-        E, Ew = np.zeros((S, n, n)), Bf
-    else:
-        M, M_next = Mf[:S], (Mf[1:] if finite else Mf)
-        Gn = Kb @ M + Kwp @ M_next @ Af[:S]
-        Gw = Kwp @ M_next @ Bf[:S]
-        E, Ew = Ahat[:, :n, n:] @ M, np.zeros((S, n, p))
-    return Realization(
-        Cz=-np.concatenate([Ga, Gn], axis=-1),
-        Dz=-Gw,
-        Az=np.concatenate([A - Bu @ Ga, E - Bu @ Gn], axis=-1),
-        Bz=Ew - Bu @ Gw,
-        A_filter=Af,
-        B_filter=Bf,
-        M_filter=Mf,
-    )
-
-
 @dataclass(frozen=True)
 class CompetitiveController(_Online):
     """Ratio-optimal controller: attenuation law on the synthetic plant.
 
     ``synthetic``, ``Kxi`` and ``Kwp`` are the law as synthesized (and
-    serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the synthetic state
-    xi_hat, driven by w_hat = w'_{t+1} on the doubled plant or
-    w_hat = w''_t = C_outer nu_t + D_outer w_t on the exact one; the
-    synthetic plant's horizon is the controller's.  Stepping reads
-    :attr:`realization`, the same law over z = [xi; nu], built once.  The
+    serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the state xi_hat
+    and disturbance w_hat of ``synthetic.as_plant()``, whose horizon is the
+    controller's.  Stepping reads :attr:`realization`, the same law over
+    z = [xi; nu], folded once (:meth:`SyntheticSystem.fold`).  The
     strictly causal variant has Kwp = 0, so u_t never reads w_t.  At the
     final step of a finite horizon u_{T-1} = 0 and nothing advances.
     """
@@ -268,12 +192,12 @@ class CompetitiveController(_Online):
     gamma: Optional[float]
     synthetic: SyntheticSystem
     Kxi: np.ndarray  # (m, 2n) or (T, m, 2n)
-    Kwp: np.ndarray  # (m, n), (m, p) when exact, or (T, m, n)
+    Kwp: np.ndarray  # (m, width of w_hat) or (T, m, n)
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     @functools.cached_property
     def realization(self) -> Realization:
-        return _realization(self.synthetic, self.Kxi, self.Kwp)
+        return self.synthetic.fold(self.Kxi, self.Kwp)
 
     @property
     def dims(self) -> dict:
@@ -597,17 +521,6 @@ def synth_hinf(
     return _hinf_controller(res)
 
 
-def _synthetic_plant(plant) -> SyntheticSystem:
-    """The gamma-independent synthetic plant of a normalized plant: exact
-    in the infinite horizon with p < n, else doubled (see
-    :mod:`compctrl.factorization`)."""
-    if isinstance(plant, LtvPlant):
-        return build_synthetic(plant, whitening_fh(plant))
-    factor = spectral_factor_ih(plant)
-    outer = outer_factor_ih(plant, factor) if plant.p < plant.n else None
-    return build_synthetic(plant, factor, outer)
-
-
 def _competitive_controller(
     syn: SyntheticSystem, solve: AttenuationSolve
 ) -> CompetitiveController:
@@ -632,7 +545,7 @@ def synth_competitive(
     horizon: Optional[int] = None,
 ) -> Union[CompetitiveController, Infeasible]:
     """Ratio-optimal controller at ratio bound gamma^2: attenuation
-    synthesis on the synthetic plant (:func:`_synthetic_plant`), whose
+    synthesis on the synthetic plant (:mod:`compctrl.factorization`), whose
     controller steps the w' filter and the plant copy online.
     """
     _check_causality(causality)

@@ -23,14 +23,17 @@ so attenuation of w'' = L w, which ranges over all of R^p, is the ratio
 problem itself.  The exact synthetic plant is the original plant driven
 through L^{-1} by w''.  For p >= n the doubled plant is already exact (H is
 square or wide; a p x p outer factor of the n x p filter would be singular
-for p > n), and every finite horizon uses it.  :class:`SyntheticSystem`
-holds either plant in either horizon (:func:`build_synthetic`).
+for p > n), and every finite horizon uses it.  That choice is made here,
+once (:func:`_synthetic_plant`): :class:`SyntheticSystem` holds either
+plant in either horizon (:func:`build_synthetic`), and folds a law posed on
+it into one :class:`Realization` (:meth:`SyntheticSystem.fold`), so the
+callers only pose the attenuation game on ``as_plant()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -47,10 +50,10 @@ from .riccati import (
 
 __all__ = [
     "FactorizationError",
-    "WhiteningSchedule",
     "SpectralFactor",
     "OuterFactor",
     "SyntheticSystem",
+    "Realization",
     "whitening_fh",
     "spectral_factor_ih",
     "outer_factor_ih",
@@ -72,30 +75,18 @@ class FactorizationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WhiteningSchedule:
-    """Forward filtering recursion output for a finite-horizon plant.
-
-    P has T+1 entries with P[0] = 0; K, Sigma (and the cached square roots)
-    have T entries, indexed by the step at which they apply.
-    """
-
-    P: np.ndarray  # (T+1, n, n)
-    K: np.ndarray  # (T, n, n)
-    Sigma: np.ndarray  # (T, n, n)
-    Sigma_half: np.ndarray  # (T, n, n)
-    Sigma_inv_half: np.ndarray  # (T, n, n)
-
-    @property
-    def T(self) -> int:
-        return self.K.shape[0]
-
-
-@dataclass(frozen=True)
 class SpectralFactor:
-    """Stabilizing solution of the forward Riccati fixed point (LTI case).
+    """The factor Delta of Delta Delta* = I + F F*, and the w' filter it defines.
 
-    Defines Delta(z) = (I + Q^{1/2}(zI - A)^{-1} K) Sigma^{1/2} with
-    A - K Q^{1/2} stable, so Delta is causal and causally invertible.
+    In the infinite horizon (:func:`spectral_factor_ih`) every array is one
+    matrix: Delta(z) = (I + Q^{1/2}(zI - A)^{-1} K) Sigma^{1/2} with
+    A - K Q^{1/2} stable, so Delta is causal and causally invertible.  Over
+    a finite horizon T (:func:`whitening_fh`) each is a stack indexed by the
+    step at which it applies, P with T+1 entries from P_0 = 0, the rest
+    with T (:attr:`horizon`).  The w' filter is
+    nu_{t+1} = A_whiten nu_t + B_w w_t, w'_t = M_whiten nu_t.  ``residual``
+    and ``iterations`` (doublings) are the fixed point's, None over a
+    finite horizon.
     """
 
     P: np.ndarray
@@ -104,8 +95,14 @@ class SpectralFactor:
     Sigma_half: np.ndarray
     Sigma_inv_half: np.ndarray
     A_whiten: np.ndarray  # A - K Q^{1/2}
-    residual: float
-    iterations: int  # doublings of the fixed-point solve
+    M_whiten: np.ndarray  # Sigma^{-1/2} Q^{1/2}
+    residual: Optional[float] = None
+    iterations: Optional[int] = None
+
+    @property
+    def horizon(self) -> Optional[int]:
+        """T for (T, ., .) stacks, None for single matrices."""
+        return self.K.shape[0] if self.K.ndim == 3 else None
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,33 @@ class OuterFactor:
     A_inv: np.ndarray  # (n, n)
     residual: float
     iterations: int  # doublings of the fixed-point solve
+
+
+class Realization(NamedTuple):
+    """The ratio-optimal controller as one state-space system.
+
+    Its state is z = [xi; nu]: xi the plant copy (on the doubled plant the
+    upper half of the synthetic state, whose lower half is w' = M_filter nu)
+    and nu the state of the w' filter, both in R^n.  Per step,
+
+        u_t      = Cz z_t + Dz w_t,
+        xi_{t+1} = Az z_t + Bz w_t,
+        nu_{t+1} = A_filter nu_t + B_filter w_t,    w'_t = M_filter nu_t.
+
+    The filter keeps its own matrices, so the w' it emits is exactly that
+    of :func:`wprime_run`.  Every field is a stack over steps, for the
+    synthetic plant of either horizon: one entry in the infinite horizon;
+    over a finite horizon T, T-1 entries for the law (u_{T-1} = 0) and the
+    T of the filter.
+    """
+
+    Cz: np.ndarray  # (S, m, 2n)
+    Dz: np.ndarray  # (S, m, p)
+    Az: np.ndarray  # (S, n, 2n)
+    Bz: np.ndarray  # (S, n, p)
+    A_filter: np.ndarray  # (S', n, n)
+    B_filter: np.ndarray  # (S', n, p)
+    M_filter: np.ndarray  # (S', n, n)
 
 
 @dataclass(frozen=True)
@@ -177,8 +201,49 @@ class SyntheticSystem:
             x0=np.zeros(2 * self.n),
         )
 
+    def fold(self, Kxi: np.ndarray, Kwp: np.ndarray) -> Realization:
+        """Fold the law u = -(Kxi xi_hat + Kwp w_hat) on :meth:`as_plant`
+        into the :class:`Realization` over z = [xi; nu].
 
-def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
+        Written as u = -(Ga xi + Gn nu + Gw w) with the plant copy
+        xi_{t+1} = A xi + B_u u + E nu + Ew w, the law has Cz = -[Ga, Gn],
+        Dz = -Gw, Az = [A - B_u Ga, E - B_u Gn] and Bz = Ew - B_u Gw.
+        Doubled plant: the synthetic state is xi_hat = [xi; M nu] and the
+        law reads w_hat = w'_{t+1} = M_{t+1}(A_filter nu + B_filter w), so
+        Gn = Kb M_t + Kwp M_{t+1} A_filter, Gw = Kwp M_{t+1} B_filter and
+        E = K Sigma^{1/2} M_t.  Exact plant: xi_hat = [xi; nu] and
+        w_hat = w'' = C_outer nu + D_outer w, so Gn = Kb + Kwp C_outer,
+        Gw = Kwp D_outer, E = 0 and Ew = B_w.
+        """
+        finite = self.horizon is not None
+        S = self.horizon - 1 if finite else 1  # steps with a law
+        stack = np.asarray if finite else (lambda a: a[None])
+        Af, Bf, Mf = map(stack, (self.A_filter, self.B_filter, self.M_filter))
+        Ahat, Buhat, Kxi, Kwp = (stack(a)[:S] for a in (self.Ahat, self.Buhat, Kxi, Kwp))
+        n, p = Bf.shape[1:]
+        A, Bu = Ahat[:, :n, :n], Buhat[:, :n]
+        Ga, Kb = Kxi[..., :n], Kxi[..., n:]
+        if self.exact:
+            Gn = Kb + Kwp @ self.C_outer
+            Gw = Kwp @ self.D_outer
+            E, Ew = np.zeros((S, n, n)), Bf
+        else:
+            M, M_next = Mf[:S], (Mf[1:] if finite else Mf)
+            Gn = Kb @ M + Kwp @ M_next @ Af[:S]
+            Gw = Kwp @ M_next @ Bf[:S]
+            E, Ew = Ahat[:, :n, n:] @ M, np.zeros((S, n, p))
+        return Realization(
+            Cz=-np.concatenate([Ga, Gn], axis=-1),
+            Dz=-Gw,
+            Az=np.concatenate([A - Bu @ Ga, E - Bu @ Gn], axis=-1),
+            Bz=Ew - Bu @ Gw,
+            A_filter=Af,
+            B_filter=Bf,
+            M_filter=Mf,
+        )
+
+
+def whitening_fh(plant: LtvPlant) -> SpectralFactor:
     """Run the forward whitening recursion from P_0 = 0.
 
     Sigma_t = I + Q_t^{1/2} P_t Q_t^{1/2},  K_t = A_t P_t Q_t^{1/2} Sigma_t^{-1},
@@ -215,12 +280,15 @@ def whitening_fh(plant: LtvPlant) -> WhiteningSchedule:
             raise
         P[t + 1] = sym(AP @ A.T + plant.Bu[t] @ plant.Bu[t].T - Kt @ Sig @ Kt.T)
     guard(Sigma)
-    return WhiteningSchedule(
+    Sigma_inv_half = inv_sqrt_pd(Sigma)
+    return SpectralFactor(
         P=P,
         K=K,
         Sigma=Sigma,
         Sigma_half=sqrt_psd(Sigma),
-        Sigma_inv_half=inv_sqrt_pd(Sigma),
+        Sigma_inv_half=Sigma_inv_half,
+        A_whiten=plant.A - K @ plant.Q_half,
+        M_whiten=Sigma_inv_half @ plant.Q_half,
     )
 
 
@@ -257,13 +325,15 @@ def spectral_factor_ih(plant: LtiPlant) -> SpectralFactor:
             f"no-stabilizing-solution: whitening closed loop has spectral "
             f"radius {spectral_radius(A_whiten):.6f}"
         )
+    Sigma_inv_half = inv_sqrt_pd(Sig)
     return SpectralFactor(
         P=P,
         K=K,
         Sigma=Sig,
         Sigma_half=sqrt_psd(Sig),
-        Sigma_inv_half=inv_sqrt_pd(Sig),
+        Sigma_inv_half=Sigma_inv_half,
         A_whiten=A_whiten,
+        M_whiten=Sigma_inv_half @ Qh,
         residual=residual,
         iterations=iterations,
     )
@@ -273,8 +343,8 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
     """Outer factor of the w' filter, for the exact reduction when p < n.
 
     H(z) = z Delta^{-1}(z) G(z) has the realization (A_w, B_w, C_H, D_H) with
-    C_H = M A_w, D_H = M B_w and M = Sigma^{-1/2} Q^{1/2}.  The stabilizing
-    fixed point of
+    C_H = M A_w, D_H = M B_w and M = Sigma^{-1/2} Q^{1/2} (``M_whiten``).
+    The stabilizing fixed point of
 
         X = A_w'XA_w + C_H'C_H - S'R^{-1}S,
         R = D_H'D_H + B_w'XB_w,   S = B_w'XA_w + D_H'C_H,
@@ -296,8 +366,7 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
     which raises FactorizationError, as do a failed solve and an L^{-1}
     that is not stable (H has a zero on the unit circle).
     """
-    A, B = factor.A_whiten, plant.Bw
-    M = factor.Sigma_inv_half @ plant.Q_half
+    A, B, M = factor.A_whiten, plant.Bw, factor.M_whiten
     C_H, D_H = M @ A, M @ B
     CC, DC, DD = C_H.T @ C_H, D_H.T @ C_H, D_H.T @ D_H
     C_k, D_k, X0 = C_H, D_H, np.zeros_like(A)
@@ -347,16 +416,16 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
 
 def build_synthetic(
     plant: Union[LtiPlant, LtvPlant],
-    factor: Union[SpectralFactor, WhiteningSchedule],
+    factor: SpectralFactor,
     outer: Optional[OuterFactor] = None,
 ) -> SyntheticSystem:
-    """Assemble the synthetic plant from a whitening/spectral factor.
+    """Assemble the synthetic plant from a factor of the same horizon.
 
     The doubled plant: Ahat = [[A, K Sigma^{1/2}], [0, 0]], Buhat = [B_u; 0],
     Bwhat = [0; I], Qhat = U U' with U = [Q^{1/2}; Sigma^{1/2}] (PSD,
-    rank <= n).  One assembly writes it for both horizons: a spectral factor
-    of an :class:`LtiPlant` gives single matrices, a whitening schedule of an
-    :class:`LtvPlant` gives (T, ., .) stacks.
+    rank <= n).  One assembly writes it for both horizons: single matrices
+    for an :class:`LtiPlant`, (T, ., .) stacks for an :class:`LtvPlant`.
+    The w' filter is the factor's own.
 
     With an ``outer`` factor (time-invariant plants only) the exact plant is
     returned instead: the plant copy and the filter state nu driven by w''
@@ -365,20 +434,15 @@ def build_synthetic(
         Ahat = [[A, -B_w D^{-1} C], [0, A_inv]],  Buhat = [B_u; 0],
         Bwhat = [B_w D^{-1}; B_w D^{-1}],  Qhat = diag(Q, 0).
     """
-    if isinstance(factor, SpectralFactor):
-        if not isinstance(plant, LtiPlant):
-            raise TypeError("spectral factor requires a time-invariant plant")
-    elif isinstance(factor, WhiteningSchedule):
-        if outer is not None:
-            raise TypeError("the outer factor applies to time-invariant plants only")
-        if not isinstance(plant, LtvPlant):
-            raise TypeError("whitening schedule requires a finite-horizon plant")
-    else:
-        raise TypeError(f"unsupported factor type {type(factor).__name__}")
+    horizon = plant.T if isinstance(plant, LtvPlant) else None
+    if factor.horizon != horizon:
+        raise TypeError(
+            f"a factor of horizon {factor.horizon} does not fit a plant of horizon {horizon}"
+        )
+    if outer is not None and horizon is not None:
+        raise TypeError("the outer factor applies to time-invariant plants only")
     n, m = plant.n, plant.m
-    Qh = plant.Q_half
-    A_filter = plant.A - factor.K @ Qh
-    M_filter = factor.Sigma_inv_half @ Qh
+    filt = dict(A_filter=factor.A_whiten, B_filter=plant.Bw, M_filter=factor.M_whiten)
     if outer is not None:
         BwDi = np.linalg.solve(outer.D.T, plant.Bw.T).T  # B_w D^{-1}
         Z = np.zeros((n, n))
@@ -387,9 +451,7 @@ def build_synthetic(
             Buhat=np.vstack([plant.Bu, np.zeros((n, m))]),
             Bwhat=np.vstack([BwDi, BwDi]),
             Qhat=np.block([[plant.Q, Z], [Z, Z]]),
-            A_filter=A_filter,
-            B_filter=plant.Bw,
-            M_filter=M_filter,
+            **filt,
             C_outer=outer.C,
             D_outer=outer.D,
         )
@@ -401,16 +463,20 @@ def build_synthetic(
     Buhat[..., :n, :] = plant.Bu
     Bwhat = np.zeros(lead + (2 * n, n))
     Bwhat[..., n:, :] = np.eye(n)
-    U = np.concatenate([Qh, factor.Sigma_half], axis=-2)
+    U = np.concatenate([plant.Q_half, factor.Sigma_half], axis=-2)
     return SyntheticSystem(
-        Ahat=Ahat,
-        Buhat=Buhat,
-        Bwhat=Bwhat,
-        Qhat=U @ U.swapaxes(-1, -2),
-        A_filter=A_filter,
-        B_filter=plant.Bw,
-        M_filter=M_filter,
+        Ahat=Ahat, Buhat=Buhat, Bwhat=Bwhat, Qhat=U @ U.swapaxes(-1, -2), **filt
     )
+
+
+def _synthetic_plant(plant: Union[LtiPlant, LtvPlant]) -> SyntheticSystem:
+    """The gamma-independent synthetic plant of a plant of either horizon:
+    exact in the infinite horizon with p < n, doubled otherwise."""
+    if isinstance(plant, LtvPlant):
+        return build_synthetic(plant, whitening_fh(plant))
+    factor = spectral_factor_ih(plant)
+    outer = outer_factor_ih(plant, factor) if plant.p < plant.n else None
+    return build_synthetic(plant, factor, outer)
 
 
 def wprime_run(synthetic: SyntheticSystem, w: np.ndarray) -> np.ndarray:
@@ -437,7 +503,7 @@ def wprime_run(synthetic: SyntheticSystem, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_delta(plant: LtvPlant, schedule: WhiteningSchedule) -> np.ndarray:
+def dense_delta(plant: LtvPlant, schedule: SpectralFactor) -> np.ndarray:
     """Materialize the finite-horizon Delta as a dense (nT x nT) matrix.
 
     State-space model: eta_{t+1} = A_t eta_t + K_t Sigma_t^{1/2} e_t,

@@ -4,9 +4,9 @@ Every causal controller here closes the loop into a discrete LTI system
 mapping the disturbance w to the stacked performance output (s; u) with
 s = Q^{1/2} x.  State-feedback laws give an n-state realization.  The
 ratio-optimal controller brings its own realization over z = [xi; nu]
-(:class:`compctrl.controllers.Realization`, the one its stepping reads:
-plant copy xi and w' filter state nu, driven by w alone), and the loop
-stacks it under the plant state into 3n states.
+(``controller.realization``, the one its stepping reads: plant copy xi and
+w' filter state nu, driven by w alone), and the loop stacks it under the
+plant state into 3n states.
 
 Per-frequency cost ratio: with F and G the open-loop maps u -> s and
 w -> s, the clairvoyant cost at frequency omega has Gram

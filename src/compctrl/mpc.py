@@ -133,7 +133,7 @@ class RelinearizingController:
     the cache is independent of the order in which bins are visited; the bin
     width ``quantum`` must be finite and > 0.  Every bin's ratio-optimal
     controller steps the same state z = [xi; nu] through its own
-    :class:`~compctrl.controllers.Realization`, so the state persists across
+    :class:`~compctrl.factorization.Realization`, so the state persists across
     relinearizations.  After ``reset(w)`` the steps read the record w: each
     bin's law is bound to the tail of w at the bin's first visit
     (:meth:`step` must then be given row t of w at step t); after
@@ -152,7 +152,6 @@ class RelinearizingController:
         gamma_policy: Optional[dict] = None,
         quantum: float = DEFAULT_QUANTUM,
         theta_init: float = 0.0,
-        relinearize: bool = True,
     ):
         if kind not in ("competitive", "hinf", "h2"):
             raise ValueError("kind must be 'competitive', 'hinf', or 'h2'")
@@ -160,7 +159,6 @@ class RelinearizingController:
         self.kind = kind
         self.causality = causality
         self.quantum = _check_quantum(quantum)
-        self.relinearize = bool(relinearize)
         self._cache: dict = {}  # bin -> controller
         self.bins_synthesized = 0
         self.bin_cache_hits = 0
@@ -235,8 +233,7 @@ class RelinearizingController:
         return ctrl
 
     def step(self, x, w) -> np.ndarray:
-        theta = float(x[0]) if self.relinearize else self._bin_init * self.quantum
-        b = self._bin_of(theta)
+        b = self._bin_of(x[0])
         state = self._state
         law = self._bound.get(b)
         if law is not None:

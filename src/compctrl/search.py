@@ -38,8 +38,8 @@ from .controllers import (
     _competitive_controller,
     _hinf_controller,
     _normalize_horizon,
-    _synthetic_plant,
 )
+from .factorization import _synthetic_plant
 
 __all__ = ["GammaSearchResult", "min_gamma", "min_gamma_hinf", "min_gamma_competitive"]
 
@@ -55,27 +55,35 @@ class GammaSearchResult:
     :func:`min_gamma` whatever the feasibility callback returned there, for
     the plant-facing searches the controller built from it.  If the
     doubling phase hits the cap without finding a feasible level, ``reason``
-    is "unbounded-gamma" and ``controller`` is None.  ``history`` keeps the
-    (gamma, feasible) pairs, and ``probes`` one record per probe: ``{gamma,
-    feasible, reason, iterations, first_violation, residual, wall_ms}``, the
-    fixed-point doublings (None where none was solved) and, for an audit
-    level, its share of the audit pass's wall time.  The records are report
-    data and never enter a trace or sweep CSV.
+    is "unbounded-gamma" and ``controller`` is None.  ``probes`` keeps one
+    record per probe, in order: ``{gamma, feasible, reason, iterations,
+    first_violation, residual, wall_ms}``, the fixed-point doublings (None
+    where none was solved) and, for an audit level, its share of the audit
+    pass's wall time.  The records are report data and never enter a trace
+    or sweep CSV.
     """
 
     gamma: Optional[float]
     gamma_lo: float
     controller: object = None
     reason: Optional[str] = None
-    iterations: int = 0
     tol: float = 1e-3
-    history: list = field(default_factory=list)
     probes: list = field(default_factory=list)
     audit_warnings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.controller is not None
+
+    @property
+    def history(self) -> list:
+        """The (gamma, feasible) pair of each probe, in order."""
+        return [(p["gamma"], p["feasible"]) for p in self.probes]
+
+    @property
+    def iterations(self) -> int:
+        """The number of probes: the feasibility evaluations."""
+        return len(self.probes)
 
 
 def min_gamma(
@@ -121,7 +129,6 @@ def _search(
         raise ValueError("tol must be positive")
     if gamma_hi_init <= gamma_floor:
         raise ValueError("gamma_hi_init must exceed gamma_floor")
-    history = []
     probes = []
 
     def probe(levels: list) -> list:
@@ -131,7 +138,6 @@ def _search(
         out = []
         for g, res in zip(levels, results):
             feas = not isinstance(res, Infeasible)
-            history.append((g, feas))
             info = (getattr(res, "diagnostics", None) if feas else res.details) or {}
             probes.append(
                 {
@@ -158,9 +164,7 @@ def _search(
                 gamma=None,
                 gamma_lo=lo,
                 reason="unbounded-gamma",
-                iterations=len(history),
                 tol=tol,
-                history=history,
                 probes=probes,
             )
         [(res, feas)] = probe([hi])
@@ -197,9 +201,7 @@ def _search(
         gamma=hi,
         gamma_lo=lo,
         controller=certificate,
-        iterations=len(history),
         tol=tol,
-        history=history,
         probes=probes,
         audit_warnings=warnings,
     )

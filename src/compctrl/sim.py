@@ -40,6 +40,7 @@ __all__ = [
     "compare",
     "write_trace_csv",
     "write_comparison_json",
+    "cost_ratio",
     "atomic_write_text",
     "spec_from_json_dict",
     "spec_to_json_dict",

@@ -24,7 +24,6 @@ from compctrl.controllers import (
     _attenuation,
     _competitive_controller,
     _cost_of_controls,
-    _synthetic_plant,
     Infeasible,
     SCHEDULE_CACHE_BYTES,
     OfflineController,
@@ -40,6 +39,7 @@ from compctrl.controllers import (
     synth_h2_ih,
     synth_hinf,
 )
+from compctrl.factorization import _synthetic_plant
 from compctrl.freq import closed_loop, peak_gain
 from compctrl.model import load_bundled_plant
 from compctrl.mpc import PendulumParams, linearize_pendulum

@@ -15,7 +15,7 @@ from oracles import doubled_plant_per_step, impulse_stacked_maps
 from compctrl.controllers import CompetitiveController, control_step, synth_competitive
 from compctrl.factorization import (
     FactorizationError,
-    WhiteningSchedule,
+    SpectralFactor,
     build_synthetic,
     delta_inv_transfer,
     delta_transfer,
@@ -252,23 +252,49 @@ def test_doubled_assembly_equals_per_step_oracle(rng, boeing):
     ]
     for plant in plants:
         sched = whitening_fh(plant)
+        assert sched.horizon == plant.T
         syn = build_synthetic(plant, sched)
         for key, ref in doubled_plant_per_step(plant, sched).items():
             assert np.array_equal(getattr(syn, key), ref), key
         assert np.array_equal(syn.B_filter, plant.Bw)
+        assert np.array_equal(syn.A_filter, sched.A_whiten)
+        assert np.array_equal(syn.M_filter, sched.M_whiten)
     lti = random_lti(rng, n=3, m=1, p=3)
     factor = spectral_factor_ih(lti)
-    one_step = WhiteningSchedule(
+    assert factor.horizon is None
+    one_step = SpectralFactor(
         P=factor.P[None],
         K=factor.K[None],
         Sigma=factor.Sigma[None],
         Sigma_half=factor.Sigma_half[None],
         Sigma_inv_half=factor.Sigma_inv_half[None],
+        A_whiten=factor.A_whiten[None],
+        M_whiten=factor.M_whiten[None],
     )
     syn = build_synthetic(lti, factor)
     for key, ref in doubled_plant_per_step(lti.to_ltv(1), one_step).items():
         assert np.array_equal(getattr(syn, key), ref[0]), key
     assert np.array_equal(syn.A_filter, factor.A_whiten)
+    assert np.array_equal(syn.M_filter, factor.M_whiten)
+
+
+@pytest.mark.parametrize("case", ["finite-factor", "steady-state-factor", "other-horizon",
+                                  "outer-finite"])
+def test_build_synthetic_refuses_a_factor_that_does_not_fit(case, rng):
+    # the factor's horizon is its shape, and it must be the plant's; the
+    # outer factor applies to the infinite horizon only
+    lti = random_lti(rng, n=3, m=1, p=2)
+    ltv = lti.to_ltv(5)
+    factor = spectral_factor_ih(lti)
+    plant, fac, outer = {
+        "finite-factor": (lti, whitening_fh(ltv), None),
+        "steady-state-factor": (ltv, factor, None),
+        "other-horizon": (lti.to_ltv(6), whitening_fh(ltv), None),
+        "outer-finite": (ltv, whitening_fh(ltv), outer_factor_ih(lti, factor)),
+    }[case]
+    match = "time-invariant" if case == "outer-finite" else "does not fit"
+    with pytest.raises(TypeError, match=match):
+        build_synthetic(plant, fac, outer)
 
 
 def _wprime_filter_transfer(plant, factor, z):

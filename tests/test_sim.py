@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import os
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import compctrl
 from compctrl import (
     CompetitiveController,
     DisturbanceSpec,
@@ -549,6 +551,16 @@ def test_cost_ratio_conventions():
     assert cost_ratio(0.5, 1e-13) == "degenerate-denominator"
     # exactly at the threshold the denominator counts as meaningful
     assert cost_ratio(2e-12, 1e-12) == 2.0
+
+
+def test_package_exports_are_exported_by_their_modules():
+    # every name the package exports is also in the __all__ of the module
+    # that defines it
+    missing = [
+        name for name in compctrl.__all__ if name != "__version__"
+        and name not in importlib.import_module(getattr(compctrl, name).__module__).__all__
+    ]
+    assert missing == []
 
 
 def test_compare_matches_individual_rollouts(rng):
