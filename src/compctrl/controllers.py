@@ -37,6 +37,7 @@ from .riccati import (
     RiccatiFixedPoint,
     _check_gamma,
     _dare_fixed_points,
+    _game_weight,
     _strictly_causal_ok,
     dare_fixed_point,
     hinf_backward,
@@ -301,7 +302,7 @@ def _saddle_gains(
     BuT = Bu.swapaxes(-1, -2)
     if causality == STRICT and gamma is not None:
         PBw = P @ Bw
-        W = gamma**2 * np.eye(p) - Bw.swapaxes(-1, -2) @ PBw
+        W = gamma * gamma * np.eye(p) - Bw.swapaxes(-1, -2) @ PBw
         P = sym(P + PBw @ solve_sym(W, PBw.swapaxes(-1, -2)))
     H = np.eye(m) + BuT @ P @ Bu
     Kx = solve_sym(H, BuT @ P @ A)
@@ -394,35 +395,22 @@ def _attenuation(plant, gamma, causality: str):
     """
     if np.ndim(gamma) and len(gamma) < 2:  # a lone level keeps its lone solve
         return [_attenuation(plant, level, causality) for level in gamma]
-    if isinstance(plant, LtiPlant):
+    if isinstance(plant, LtvPlant):
+        sched = hinf_backward(plant, gamma)
         if np.ndim(gamma):
-            _check_gamma(gamma)
-            Rtil = np.stack([_game_weight(plant, level) for level in gamma])
-            fps = _dare_fixed_points(plant.A, np.hstack([plant.Bu, plant.Bw]), Rtil, plant.Q)
-            return [_fixed_point_verdict(plant, *x, causality) for x in zip(fps, gamma)]
-        if gamma is None:
-            Btil, Rtil = plant.Bu, np.eye(plant.m)
-        else:
-            _check_gamma(gamma)
-            Btil, Rtil = np.hstack([plant.Bu, plant.Bw]), _game_weight(plant, gamma)
-        fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
-        return _fixed_point_verdict(plant, fp, gamma, causality)
-
-    sched = hinf_backward(plant, gamma)
+            return [_schedule_verdict(plant, s, causality) for s in sched]
+        return _schedule_verdict(plant, sched, causality)
+    if gamma is None:
+        Btil, Rtil = plant.Bu, np.eye(plant.m)
+    else:
+        Btil = np.hstack([plant.Bu, plant.Bw])
+        Rtil = _game_weight(plant.m, plant.p, _check_gamma(gamma))
     if np.ndim(gamma):
-        return [_schedule_verdict(plant, s, causality) for s in sched]
-    return _schedule_verdict(plant, sched, causality)
-
-
-def _game_weight(plant: LtiPlant, gamma) -> np.ndarray:
-    """R~ = diag(I_m, -gamma^2 I_p) of the attenuation game at level gamma."""
-    m, p = plant.m, plant.p
-    return np.block(
-        [
-            [np.eye(m), np.zeros((m, p))],
-            [np.zeros((p, m)), -(gamma**2) * np.eye(p)],
-        ]
-    )
+        fps = _dare_fixed_points(plant.A, Btil, Rtil, plant.Q)
+        return [_fixed_point_verdict(plant, *x, causality) for x in zip(fps, gamma)]
+    # a lone level calls dare_fixed_point by name, where bench/tracing.py wraps it
+    fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
+    return _fixed_point_verdict(plant, fp, gamma, causality)
 
 
 def _fixed_point_verdict(plant: LtiPlant, fp: RiccatiFixedPoint, gamma, causality: str):

@@ -32,12 +32,12 @@ callers only pose the attenuation game on ``as_plant()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .model import LtiPlant, LtvPlant, inv_sqrt_pd, shifted_solve, sqrt_psd
+from .model import LtiPlant, LtvPlant, build_dense_operators, inv_sqrt_pd, shifted_solve, sqrt_psd
 from .riccati import (
     TINY,
     _sda,
@@ -280,6 +280,14 @@ def whitening_fh(plant: LtvPlant) -> SpectralFactor:
             raise
         P[t + 1] = sym(AP @ A.T + plant.Bu[t] @ plant.Bu[t].T - Kt @ Sig @ Kt.T)
     guard(Sigma)
+    return _spectral_factor(plant, P, K, Sigma)
+
+
+def _spectral_factor(plant, P, K, Sigma, **solve) -> SpectralFactor:
+    """The :class:`SpectralFactor` of (P, K, Sigma) on ``plant``, matrices or
+    stacks alike: Sigma^{1/2}, Sigma^{-1/2}, A_whiten = A - K Q^{1/2} and
+    M_whiten = Sigma^{-1/2} Q^{1/2}; ``solve`` holds the fixed point's
+    residual and doublings."""
     Sigma_inv_half = inv_sqrt_pd(Sigma)
     return SpectralFactor(
         P=P,
@@ -289,6 +297,7 @@ def whitening_fh(plant: LtvPlant) -> SpectralFactor:
         Sigma_inv_half=Sigma_inv_half,
         A_whiten=plant.A - K @ plant.Q_half,
         M_whiten=Sigma_inv_half @ plant.Q_half,
+        **solve,
     )
 
 
@@ -319,24 +328,13 @@ def spectral_factor_ih(plant: LtiPlant) -> SpectralFactor:
     Sig = sym(np.eye(n) + Qh @ P @ Qh)
     K = np.linalg.solve(Sig, (A @ P @ Qh).T).T
     residual = float(np.abs(sym(A @ P @ A.T + BBt - K @ Sig @ K.T) - P).max())
-    A_whiten = A - K @ Qh
-    if not is_stable(A_whiten):
+    factor = _spectral_factor(plant, P, K, Sig, residual=residual, iterations=iterations)
+    if not is_stable(factor.A_whiten):
         raise FactorizationError(
             f"no-stabilizing-solution: whitening closed loop has spectral "
-            f"radius {spectral_radius(A_whiten):.6f}"
+            f"radius {spectral_radius(factor.A_whiten):.6f}"
         )
-    Sigma_inv_half = inv_sqrt_pd(Sig)
-    return SpectralFactor(
-        P=P,
-        K=K,
-        Sigma=Sig,
-        Sigma_half=sqrt_psd(Sig),
-        Sigma_inv_half=Sigma_inv_half,
-        A_whiten=A_whiten,
-        M_whiten=Sigma_inv_half @ Qh,
-        residual=residual,
-        iterations=iterations,
-    )
+    return factor
 
 
 def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
@@ -507,17 +505,16 @@ def dense_delta(plant: LtvPlant, schedule: SpectralFactor) -> np.ndarray:
     """Materialize the finite-horizon Delta as a dense (nT x nT) matrix.
 
     State-space model: eta_{t+1} = A_t eta_t + K_t Sigma_t^{1/2} e_t,
-    y_t = Q_t^{1/2} eta_t + Sigma_t^{1/2} e_t.  Used by tests and the
-    verification command only; synthesis never forms it.
+    y_t = Q_t^{1/2} eta_t + Sigma_t^{1/2} e_t: the F of
+    :func:`~compctrl.model.build_dense_operators` on the plant with B_u
+    replaced by K Sigma^{1/2}, plus Sigma^{1/2} on the diagonal.  Used by
+    tests and the verification command only; synthesis never forms it.
     """
     T, n = plant.T, plant.n
-    D = np.zeros((n * T, n * T))
-    S = np.zeros((n, 0))  # columns: A_{i-1}...A_{j+1} K_j Sigma_j^{1/2}
+    lifted = replace(plant, Bu=schedule.K @ schedule.Sigma_half, x0=np.zeros(n))
+    D = build_dense_operators(lifted).F
     for i in range(T):
         D[i * n : (i + 1) * n, i * n : (i + 1) * n] = schedule.Sigma_half[i]
-        if i > 0:
-            D[i * n : (i + 1) * n, : i * n] = plant.Q_half[i] @ S
-        S = np.hstack([plant.A[i] @ S, schedule.K[i] @ schedule.Sigma_half[i]])
     return D
 
 

@@ -3,10 +3,9 @@
 Every causal controller here closes the loop into a discrete LTI system
 mapping the disturbance w to the stacked performance output (s; u) with
 s = Q^{1/2} x.  State-feedback laws give an n-state realization.  The
-ratio-optimal controller brings its own realization over z = [xi; nu]
-(``controller.realization``, the one its stepping reads: plant copy xi and
-w' filter state nu, driven by w alone), and the loop stacks it under the
-plant state into 3n states.
+ratio-optimal controller brings its own 2n-state realization
+(``controller.realization``, the one its stepping reads), and the loop
+stacks it under the plant state into 3n states.
 
 Per-frequency cost ratio: with F and G the open-loop maps u -> s and
 w -> s, the clairvoyant cost at frequency omega has Gram
@@ -30,7 +29,7 @@ import numpy as np
 
 from .controllers import CompetitiveController, StateFeedbackController, ZeroController
 from .model import LtiPlant, shifted_solve
-from .sim import atomic_write_text
+from .sim import _check_fits, atomic_write_text
 
 __all__ = [
     "ClosedLoop",
@@ -65,11 +64,13 @@ class ClosedLoop:
 
 
 def closed_loop(plant: LtiPlant, controller) -> ClosedLoop:
-    """Fold a time-invariant causal controller into the plant."""
+    """Fold a time-invariant causal controller into the plant.  A controller
+    made for another n, m or p raises ValueError naming it."""
     if not isinstance(plant, LtiPlant):
         raise TypeError("closed_loop expects a time-invariant plant")
     if getattr(controller, "horizon", None) is not None:
         raise ValueError("closed_loop requires an infinite-horizon controller")
+    _check_fits(plant, controller, None)
     A, Bu, Bw, Qh = plant.A, plant.Bu, plant.Bw, plant.Q_half
     n, m, p = plant.n, plant.m, plant.p
     if isinstance(controller, ZeroController):

@@ -148,8 +148,29 @@ def _check_psd_weight(Q: np.ndarray, name: str = "Q") -> np.ndarray:
     return (V * np.maximum(lam, 0.0)) @ V.T
 
 
+class _Plant:
+    """What both plant types share: n, m and p, the last axes of A, B_u and
+    B_w, and the cached Q^{1/2} (of each step, on a stack)."""
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[-1]
+
+    @property
+    def m(self) -> int:
+        return self.Bu.shape[-1]
+
+    @property
+    def p(self) -> int:
+        return self.Bw.shape[-1]
+
+    @cached_property
+    def Q_half(self) -> np.ndarray:
+        return sqrt_psd(self.Q)
+
+
 @dataclass(frozen=True)
-class LtiPlant:
+class LtiPlant(_Plant):
     """Time-invariant plant with the control weight already normalized to I.
 
     Time-invariance is this type: an LtiPlant runs over the horizon its
@@ -165,22 +186,6 @@ class LtiPlant:
     Q: np.ndarray
     R_half: np.ndarray
     x0: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.Bu.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.Bw.shape[1]
-
-    @cached_property
-    def Q_half(self) -> np.ndarray:
-        return sqrt_psd(self.Q)
 
     def controls_to_original_units(self, u: np.ndarray) -> np.ndarray:
         """Map normalized controls back through the recorded R^{1/2}."""
@@ -213,7 +218,7 @@ class LtiPlant:
 
 
 @dataclass(frozen=True)
-class LtvPlant:
+class LtvPlant(_Plant):
     """Finite-horizon time-varying plant; sequences indexed t = 0..T-1."""
 
     A: np.ndarray  # (T, n, n)
@@ -226,22 +231,6 @@ class LtvPlant:
     @property
     def T(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.Bu.shape[2]
-
-    @property
-    def p(self) -> int:
-        return self.Bw.shape[2]
-
-    @cached_property
-    def Q_half(self) -> np.ndarray:
-        return sqrt_psd(self.Q)
 
     def advance(self, w: np.ndarray):
         """The plant's step on the record w (T, p): ``advance(t, x, u)`` is

@@ -43,7 +43,6 @@ __all__ = [
     "RelinearizingController",
     "run_pendulum",
     "clairvoyant_comparator_run",
-    "mpc_rollout",
     "PendulumScenario",
     "scenario_from_json_dict",
     "scenario_to_json_dict",
@@ -97,6 +96,11 @@ def _check_quantum(quantum) -> float:
     if not (math.isfinite(q) and q > 0.0):
         raise ValueError(f"quantum must be finite and > 0, got {quantum!r}")
     return q
+
+
+def _bin(theta, quantum: float) -> int:
+    """The bin of the angle theta: the nearest multiple of the bin width."""
+    return int(round(float(theta) / quantum))
 
 
 def _disturbance_column(w) -> np.ndarray:
@@ -163,7 +167,7 @@ class RelinearizingController:
         self.bins_synthesized = 0
         self.bin_cache_hits = 0
         self.synth_s = 0.0
-        self._bin_init = self._bin_of(theta_init)
+        self._bin_init = _bin(theta_init, self.quantum)
         plant0 = self._plant_at(self._bin_init)
 
         start = time.perf_counter()
@@ -189,9 +193,6 @@ class RelinearizingController:
         self._cache[self._bin_init] = ctrl0
         self.bins_synthesized = 1
         self.reset()
-
-    def _bin_of(self, theta: float) -> int:
-        return int(round(float(theta) / self.quantum))
 
     def _plant_at(self, b: int) -> LtiPlant:
         return linearize_pendulum(self.params, b * self.quantum)
@@ -233,7 +234,7 @@ class RelinearizingController:
         return ctrl
 
     def step(self, x, w) -> np.ndarray:
-        b = self._bin_of(x[0])
+        b = _bin(x[0], self.quantum)
         state = self._state
         law = self._bound.get(b)
         if law is not None:
@@ -315,7 +316,7 @@ def clairvoyant_comparator_run(
     laws: dict = {}  # bin -> its clairvoyant law bound to the record's tail
 
     def law(t, x, z):
-        b = int(round(float(x[0]) / quantum))
+        b = _bin(x[0], quantum)
         bound = laws.get(b)
         if bound is None:
             group = {b: linearize_pendulum(params, b * quantum)}
@@ -417,36 +418,3 @@ def run_scenario(
         "ratio_to_comparator": ratio,
         "seed": seed,
     }
-
-
-def mpc_rollout(
-    kind: str,
-    spec: DisturbanceSpec,
-    steps: int,
-    params: Optional[PendulumParams] = None,
-    seed: int = 0,
-    gamma_policy: Optional[dict] = None,
-    causality: str = "causal",
-    quantum: float = DEFAULT_QUANTUM,
-    x0=(0.0, 0.0),
-) -> RolloutResult:
-    """Single-call pendulum rollout for one controller kind.
-
-    ``kind`` is one of ``"h2"``, ``"hinf"``, ``"competitive"`` or
-    ``"offline"``; the last runs the clairvoyant receding-horizon comparator
-    on the realized disturbance rather than a synthesized controller.
-    """
-    if params is None:
-        params = PendulumParams()
-    w = generate(spec, steps, 1, seed=seed)
-    if kind == "offline":
-        return clairvoyant_comparator_run(params, w, x0=x0, quantum=quantum)
-    controller = RelinearizingController(
-        params,
-        kind=kind,
-        causality=causality,
-        gamma_policy=gamma_policy or {"margin": DEFAULT_GAMMA_MARGIN},
-        quantum=quantum,
-        theta_init=float(x0[0]),
-    )
-    return run_pendulum(params, controller, w, x0=x0)

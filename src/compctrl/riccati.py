@@ -3,15 +3,11 @@
 Two related objects live here: the backward finite-horizon recursion of the
 min-max (game-type) quadratic problem (:func:`hinf_backward`) and its
 infinite-horizon fixed point (:func:`dare_fixed_point`).  Both horizons
-share one existence test, :func:`_game_step_test`, and one strictly causal
-condition, :func:`_strictly_causal_ok`, which the backward recursion
-checks after it has run, on the steps each level ran, with the verdicts of
-a check at every step.  Every infinite-horizon fixed point of the package
-(the game and LQR equations here, the spectral and outer factors in
-:mod:`compctrl.factorization`) is solved by one doubling core, :func:`_sda`.
-Both horizons take several levels as lanes of one run, each lane leaving
-at its own verdict: :func:`hinf_backward` a 1-D array of levels, the
-doubling a stack of R~ (:func:`_dare_fixed_points`).
+share one game weight, :func:`_game_weight`, one existence test,
+:func:`_game_step_test`, and one strictly causal condition,
+:func:`_strictly_causal_ok`.  Every infinite-horizon fixed point of the
+package is solved by one doubling core, :func:`_sda`.  Both horizons take
+several levels as lanes of one run, each lane leaving at its own verdict.
 
 Feasibility failures are reported as structured verdicts with reason codes
 ("singular-Htilde", "no-stabilizing-solution", ...) rather than exceptions,
@@ -228,6 +224,16 @@ def _check_gamma(gamma) -> np.ndarray:
     return levels
 
 
+def _game_weight(m: int, p: int, levels: np.ndarray) -> np.ndarray:
+    """R~ = diag(I_m, -gamma^2 I_p) of the attenuation game, one per level of
+    a 0-d or 1-d array.  gamma^2 is ``levels * levels``: IEEE multiplication
+    is correctly rounded, and the C pow behind ``**`` is not always."""
+    Rtil = np.zeros(levels.shape + (m + p, m + p))
+    Rtil[..., range(m), range(m)] = 1.0
+    Rtil[..., range(m, m + p), range(m, m + p)] = -levels[..., None] * levels[..., None]
+    return Rtil
+
+
 @dataclass
 class RiccatiSchedule:
     """Backward-recursion output {P_t} plus two existence verdicts.
@@ -277,9 +283,7 @@ def hinf_backward(plant: LtvPlant, gamma):
     """
     levels = _check_gamma(gamma)  # shape () for one level, (k,) for k lanes
     T, N, m, p = plant.T, plant.n, plant.m, plant.p
-    Rtil = np.zeros(levels.shape + (m + p, m + p))
-    Rtil[..., range(m), range(m)] = 1.0
-    Rtil[..., range(m, m + p), range(m, m + p)] = -levels[..., None] * levels[..., None]
+    Rtil = _game_weight(m, p, levels)
     P = np.zeros((T + 1,) + levels.shape + (N, N))
     causal = [Verdict(True)] * levels.size
     # the lanes still in the recursion; P[t][rows] holds their P_t

@@ -17,11 +17,8 @@ re-evaluates the four levels lo - 2*tol, ..., lo - 5*tol expecting
 infeasibility and the four levels hi + tol, ..., hi + 4*tol expecting
 feasibility; violations are reported as warnings on the result, never as
 exceptions.  The levels are fixed offsets, so a search's probe sequence
-depends only on the verdicts.  They go to the verdict step as one sequence,
-which one solve carries as a stack of lanes in either horizon: the backward
-recursion (:func:`~compctrl.riccati.hinf_backward`) or the fixed points'
-doubling (:func:`~compctrl.riccati._sda`).  A bracket probe is one level
-and keeps its lone solve.
+depends only on the verdicts.  They go to the verdict step as one sequence
+(:func:`~compctrl.controllers._attenuation`); a bracket probe is one level.
 """
 
 from __future__ import annotations

@@ -245,7 +245,8 @@ def test_simulate_rejects_controller_file_with_mismatched_dimensions(tmp_path):
 
 
 def test_simulate_rejects_controller_file_made_for_another_plant(tmp_path, h2_controller_file):
-    # a scalar plant's controller on the Boeing plant names the dimension
+    # a scalar plant's controller on the Boeing plant names the dimension,
+    # in a rollout and in a frequency sweep
     proc = run_cli(
         "simulate", "--plant", "builtin:boeing747", "--controller", h2_controller_file,
         "--steps", "20", "--trace-dir", str(tmp_path), "--out", str(tmp_path / "c.json"),
@@ -253,6 +254,13 @@ def test_simulate_rejects_controller_file_made_for_another_plant(tmp_path, h2_co
     assert proc.returncode == 1
     assert proc.stderr == "error: controller is made for n = 1, but the plant has n = 4\n"
     assert not (tmp_path / "c.json").exists()
+    proc = run_cli(
+        "freq", "--plant", "builtin:boeing747", "--controller", h2_controller_file,
+        "--points", "16", "--out", str(tmp_path / "f.csv"),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: controller is made for n = 1, but the plant has n = 4\n"
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_simulate_requires_steps_for_lti(tmp_path, plant_file, h2_controller_file):

@@ -16,6 +16,7 @@ from oracles import (
     three_branch_rollout,
 )
 
+from compctrl import controllers
 from compctrl.controllers import (
     AffineSchedule,
     CompetitiveController,
@@ -190,6 +191,36 @@ def test_hinf_fh_infeasible_reports_first_violation(rng):
     res = synth_hinf(plant, 0.9, causality="strictly-causal")
     assert isinstance(res, Infeasible)
     assert res.details["first_violation"] == 0
+
+
+def test_infinite_horizon_game_weight_squares_gamma_as_the_backward_recursion(
+    boeing, monkeypatch
+):
+    # gamma^2 is gamma * gamma, correctly rounded, in both horizons: the R~
+    # that reaches the fixed-point solver, lone or stacked, holds the
+    # 2.759 * 2.759 = 7.612081 of hinf_backward (2.759**2 can round one ulp
+    # below it, to 7.612080999999999)
+    seen = []
+
+    def spy(solve):
+        def call(A, Btil, Rtil, Q):
+            seen.append(np.array(Rtil))
+            return solve(A, Btil, Rtil, Q)
+
+        return call
+
+    monkeypatch.setattr(controllers, "dare_fixed_point", spy(controllers.dare_fixed_point))
+    monkeypatch.setattr(controllers, "_dare_fixed_points", spy(controllers._dare_fixed_points))
+    synth_hinf(boeing, 2.759)
+    _attenuation(boeing, [2.759, 2.76], "causal")
+    m, p = boeing.m, boeing.p
+    lone, stack = seen
+    assert stack.shape == (2, m + p, m + p)
+    for Rtil, level in ((lone, 2.759), (stack[0], 2.759), (stack[1], 2.76)):
+        assert_array_equal(Rtil[:m, :m], np.eye(m))
+        assert_array_equal(Rtil[m:, m:], -(level * level) * np.eye(p))
+        assert not Rtil[:m, m:].any() and not Rtil[m:, :m].any()
+    assert lone[m, m] == stack[0][m, m] == -7.612081
 
 
 def test_state_feedback_step_past_horizon(rng):

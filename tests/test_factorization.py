@@ -320,12 +320,18 @@ def test_outer_factor_identity_on_circle(seed):
         n = int(rng.integers(2, 5))
         m, p = int(rng.integers(1, 3)), int(rng.integers(1, n))
         plant = random_lti(rng, n=n, m=m, p=p)
+    outer = _assert_outer_factor(plant)
+    assert outer.iterations >= 1
+
+
+def _assert_outer_factor(plant):
+    """The outer factor of ``plant``'s w' filter: L*L = H*H on the unit
+    circle, with L^{-1} stable."""
     factor = spectral_factor_ih(plant)
     outer = outer_factor_ih(plant, factor)
     assert outer.C.shape == (plant.p, plant.n) and outer.D.shape == (plant.p, plant.p)
     assert outer.residual < 1e-10 * max(1.0, np.abs(outer.X).max())
     assert is_stable(outer.A_inv)
-    assert outer.iterations >= 1
     eye = np.eye(plant.n)
     for omega in np.linspace(0.0, np.pi, 16):
         z = np.exp(1j * omega)
@@ -333,6 +339,24 @@ def test_outer_factor_identity_on_circle(seed):
         L = outer.D + outer.C @ np.linalg.solve(z * eye - factor.A_whiten, plant.Bw)
         lhs, rhs = L.conj().T @ L, H.conj().T @ H
         assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
+    return outer
+
+
+@pytest.mark.xfail(strict=True, raises=FactorizationError, reason=(
+    "outer_factor_ih takes the minimal Riccati solution X = 0 when C_H lies in "
+    "the range of D_H, which is the stabilizing one only if H has no zero "
+    "outside the unit circle"))
+def test_outer_factor_when_the_filter_has_a_zero_outside_the_circle():
+    # rank Q = p = 2 < n = 3: the plant is stabilizable and detectable and
+    # sigma_min(H) >= 0.021 on the circle, so an outer factor exists; but
+    # C_H = D_H (D_H'D_H)^{-1} D_H'C_H, so the shifted H_0 of the doubling
+    # is 0, and H has a zero outside the circle (an eigenvalue of
+    # A_w - B_w (D_H'D_H)^{-1} D_H'C_H), so X = 0 leaves L^{-1} unstable
+    plant = random_lti(np.random.default_rng(200), n=3, m=1, p=2)
+    lam, V = np.linalg.eigh(plant.Q)
+    lam[0] = 0.0
+    plant = LtiPlant(plant.A, plant.Bu, plant.Bw, (V * lam) @ V.T, plant.R_half, plant.x0)
+    _assert_outer_factor(plant)
 
 
 def test_outer_factor_rejects_a_singular_filter_gram():

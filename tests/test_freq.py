@@ -103,6 +103,23 @@ def test_closed_loop_rejects_time_varying_plant(rng):
         closed_loop(plant.to_ltv(6), ZeroController(m=1))
 
 
+@pytest.mark.parametrize("kind", ["zero", "h2", "hinf", "competitive"])
+def test_closed_loop_rejects_a_controller_made_for_another_plant(rng, kind):
+    # named by the first dimension that differs, before any numpy product
+    plant = random_lti(rng, n=2, m=1, p=1)
+    other = random_lti(rng, n=3, m=2, p=1)
+    ctrl = {
+        "zero": lambda: ZeroController(m=2),
+        "h2": lambda: synth_h2_ih(other),
+        "hinf": lambda: synth_hinf(other, gamma=50.0),
+        "competitive": lambda: synth_competitive(other, gamma=6.0),
+    }[kind]()
+    name, made, has = ("m", 2, 1) if kind == "zero" else ("n", 3, 2)
+    expected = f"^controller is made for {name} = {made}, but the plant has {name} = {has}$"
+    with pytest.raises(ValueError, match=expected):
+        closed_loop(plant, ctrl)
+
+
 def test_closed_loop_rejects_offline(rng):
     plant = random_lti(rng, n=2, m=1, p=1)
     with pytest.raises(TypeError, match="frequency"):

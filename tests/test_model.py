@@ -134,12 +134,16 @@ def test_normalize_control_weight_ltv_matches_per_step(rng):
 
 
 def test_to_ltv_replicates(rng):
-    plant = random_lti(rng)
+    # both plant types read n, m, p and Q^{1/2} the same way, so the
+    # replication has the plant's, Q^{1/2} bit for bit at every step
+    plant = random_lti(rng, n=3, m=2, p=4)
     ltv = plant.to_ltv(6)
-    assert ltv.T == 6 and ltv.n == plant.n
+    assert ltv.T == 6
+    assert (ltv.n, ltv.m, ltv.p) == (plant.n, plant.m, plant.p) == (3, 2, 4)
     for t in range(6):
         assert np.array_equal(ltv.A[t], plant.A)
         assert np.array_equal(ltv.Bw[t], plant.Bw)
+        assert ltv.Q_half[t].tobytes() == plant.Q_half.tobytes()
     with pytest.raises(ValueError):
         plant.to_ltv(0)
 

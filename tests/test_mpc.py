@@ -19,7 +19,6 @@ from compctrl import (
     generate,
     linearize_pendulum,
     min_gamma_competitive,
-    mpc_rollout,
     offline_optimal,
     pendulum_step,
     run_pendulum,
@@ -675,32 +674,3 @@ def test_scenario_schema_version_checked():
     obj["schema_version"] = "99"
     with pytest.raises(ValueError, match="schema_version"):
         scenario_from_json_dict(obj)
-
-
-# ---------------------------------------------------------------------------
-# one-call rollout front door
-
-
-def test_mpc_rollout_offline_matches_comparator():
-    spec = DisturbanceSpec("white-gaussian", {"sigma": 1.0})
-    res = mpc_rollout("offline", spec, 120, seed=3, quantum=QUANTUM)
-    w = generate(spec, 120, 1, seed=3)
-    direct = clairvoyant_comparator_run(PendulumParams(), w, quantum=QUANTUM)
-    assert_array_equal(res.x, direct.x)
-    assert res.total_cost == direct.total_cost
-
-
-def test_mpc_rollout_h2_matches_run_pendulum():
-    spec = DisturbanceSpec("white-gaussian", {"sigma": 1.0})
-    res = mpc_rollout("h2", spec, 120, seed=3, quantum=QUANTUM)
-    params = PendulumParams()
-    ctrl = RelinearizingController(params, kind="h2", quantum=QUANTUM)
-    w = generate(spec, 120, 1, seed=3)
-    direct = run_pendulum(params, ctrl, w)
-    assert_array_equal(res.x, direct.x)
-    assert_array_equal(res.u, direct.u)
-
-
-def test_mpc_rollout_validates_kind():
-    with pytest.raises(ValueError, match="kind"):
-        mpc_rollout("lqr", DisturbanceSpec("dc"), 10)
