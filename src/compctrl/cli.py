@@ -172,7 +172,7 @@ def _cmd_synth(args) -> int:
             return EXIT_INFEASIBLE
         level = {
             "gamma": args.gamma,
-            "gamma_squared": args.gamma**2,
+            "gamma_squared": args.gamma * args.gamma,
             "feasible": True,
         }
     else:
@@ -193,7 +193,7 @@ def _cmd_synth(args) -> int:
         ctrl = found.controller
         level = {
             "gamma": found.gamma,
-            "gamma_squared": found.gamma**2,
+            "gamma_squared": found.gamma * found.gamma,
             "gamma_bracket": [found.gamma_lo, found.gamma],
             "bisection_tol": found.tol,
             "feasibility_evaluations": found.iterations,
@@ -256,6 +256,8 @@ def _cmd_freq(args) -> int:
     plant = _load_plant(args.plant)
     if not isinstance(plant, LtiPlant):
         raise ValueError("frequency sweeps need a time-invariant plant")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     named = _parse_controllers(args.controller)
     start = time.perf_counter()
     result = sweep(plant, named, n_points=args.points)

@@ -14,10 +14,12 @@ causal (one-step-delayed) where that distinction makes sense:
 
 Synthesis returns either a controller or an :class:`Infeasible` verdict (a
 plain value with a reason code), never an exception, for every
-gamma-dependent failure.  It is a verdict step (:func:`_attenuation`, the
-existence test, which keeps the Riccati solve it passed) followed by a gain
-step (:func:`_attenuation_gains`), which a gamma search runs once
-(:mod:`compctrl.search`).
+gamma-dependent failure.  ``hinf`` and ``competitive`` are posed once
+(:func:`_pose`: the causality and horizon checked, the synthetic plant
+built), then a verdict (:func:`_attenuation`, the existence test, which
+keeps the Riccati solve it passed) is mapped to its controller
+(:func:`_controller`).  A gamma search (:mod:`compctrl.search`) poses once,
+takes verdicts at many levels and builds one controller.
 """
 
 from __future__ import annotations
@@ -469,22 +471,32 @@ def _attenuation_gains(solve: AttenuationSolve) -> tuple[np.ndarray, np.ndarray]
     return _saddle_gains(P, plant.A, plant.Bu, plant.Bw, solve.gamma, solve.causality)
 
 
-def _horizon_of(solve: AttenuationSolve) -> Optional[int]:
-    return solve.plant.T if isinstance(solve.plant, LtvPlant) else None
+def _controller(solve: AttenuationSolve, synthetic: Optional[SyntheticSystem] = None):
+    """The controller of a feasible verdict: the attenuation law on the
+    verdict's plant, or the ratio-optimal one when that plant is
+    ``synthetic.as_plant()``."""
+    K, Kw = _attenuation_gains(solve)
+    horizon = solve.plant.T if isinstance(solve.plant, LtvPlant) else None
+    law = dict(causality=solve.causality, horizon=horizon, gamma=solve.gamma,
+               diagnostics=solve.diagnostics)
+    if synthetic is None:
+        return StateFeedbackController(kind="hinf", Kx=K, Kw=Kw, **law)
+    return CompetitiveController(kind="competitive", synthetic=synthetic, Kxi=K, Kwp=Kw, **law)
 
 
-def _hinf_controller(solve: AttenuationSolve) -> StateFeedbackController:
-    """The attenuation controller of a feasible verdict."""
-    Kx, Kw = _attenuation_gains(solve)
-    return StateFeedbackController(
-        kind="hinf",
-        causality=solve.causality,
-        horizon=_horizon_of(solve),
-        gamma=solve.gamma,
-        Kx=Kx,
-        Kw=Kw,
-        diagnostics=solve.diagnostics,
-    )
+def _pose(plant, kind: str, causality: str, horizon: Optional[int], levels=()) -> tuple:
+    """The attenuation problem of ``kind`` ("hinf" or "competitive"): the
+    plant :func:`_attenuation` poses its verdicts on, and the map from a
+    feasible verdict to its controller.  Checks the causality, then each of
+    ``levels`` as a single level, then (plant, horizon)."""
+    _check_causality(causality)
+    for gamma in levels:
+        _check_level(gamma)
+    plant = _normalize_horizon(plant, horizon)
+    if kind == "hinf":
+        return plant, _controller
+    syn = _synthetic_plant(plant)
+    return syn.as_plant(), functools.partial(_controller, synthetic=syn)
 
 
 def synth_hinf(
@@ -500,30 +512,9 @@ def synth_hinf(
     the strictly causal law.  Infeasible gammas come back as
     :class:`Infeasible` values.
     """
-    _check_causality(causality)
-    _check_level(gamma)
-    plant = _normalize_horizon(plant, horizon)
-    res = _attenuation(plant, gamma, causality)
-    if isinstance(res, Infeasible):
-        return res
-    return _hinf_controller(res)
-
-
-def _competitive_controller(
-    syn: SyntheticSystem, solve: AttenuationSolve
-) -> CompetitiveController:
-    """The ratio-optimal controller of a feasible verdict on ``syn.as_plant()``."""
-    Kxi, Kwp = _attenuation_gains(solve)
-    return CompetitiveController(
-        kind="competitive",
-        causality=solve.causality,
-        horizon=_horizon_of(solve),
-        gamma=solve.gamma,
-        synthetic=syn,
-        Kxi=Kxi,
-        Kwp=Kwp,
-        diagnostics=solve.diagnostics,
-    )
+    posed, build = _pose(plant, "hinf", causality, horizon, (gamma,))
+    res = _attenuation(posed, gamma, causality)
+    return res if isinstance(res, Infeasible) else build(res)
 
 
 def synth_competitive(
@@ -536,14 +527,9 @@ def synth_competitive(
     synthesis on the synthetic plant (:mod:`compctrl.factorization`), whose
     controller steps the w' filter and the plant copy online.
     """
-    _check_causality(causality)
-    _check_level(gamma)
-    plant = _normalize_horizon(plant, horizon)
-    syn = _synthetic_plant(plant)
-    res = _attenuation(syn.as_plant(), gamma, causality)
-    if isinstance(res, Infeasible):
-        return res
-    return _competitive_controller(syn, res)
+    posed, build = _pose(plant, "competitive", causality, horizon, (gamma,))
+    res = _attenuation(posed, gamma, causality)
+    return res if isinstance(res, Infeasible) else build(res)
 
 
 class AffineSchedule(NamedTuple):

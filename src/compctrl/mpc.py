@@ -23,6 +23,7 @@ import numpy as np
 from .controllers import (
     ControllerState,
     Infeasible,
+    _check_causality,
     _clairvoyant_law,
     schedule_cache,
     synth_competitive,
@@ -163,6 +164,7 @@ class RelinearizingController:
         self.kind = kind
         self.causality = causality
         self.quantum = _check_quantum(quantum)
+        _check_causality(causality)  # a bad argument, not a bin's failure
         self._cache: dict = {}  # bin -> controller
         self.bins_synthesized = 0
         self.bin_cache_hits = 0
@@ -170,22 +172,26 @@ class RelinearizingController:
         self._bin_init = _bin(theta_init, self.quantum)
         plant0 = self._plant_at(self._bin_init)
 
+        policy = {"margin": DEFAULT_GAMMA_MARGIN, **(gamma_policy or {})}
+        levels = {key: float(policy[key]) for key in ("fixed", "margin") if key in policy}
+        if not all(math.isfinite(v) and v > 0 for v in levels.values()):
+            raise ValueError(f"gamma_policy levels must be finite and positive, got {levels}")
+        self.gamma: Optional[float] = None if kind == "h2" else levels.get("fixed")
         start = time.perf_counter()
-        policy = dict(gamma_policy or {})
-        self.gamma: Optional[float] = None
-        if kind != "h2" and "fixed" in policy:
-            self.gamma = float(policy["fixed"])
-        elif kind != "h2":
-            find = min_gamma_competitive if kind == "competitive" else min_gamma_hinf
-            margin = float(policy.get("margin", DEFAULT_GAMMA_MARGIN))
-            found = find(plant0, causality=causality, audit=False)
-            if not found.ok:
-                raise MpcInfeasibleError(
-                    f"initial linearization: {found.reason or 'no feasible gamma'}"
-                )
-            self.gamma = margin * found.gamma
-        ctrl0 = self._synth(plant0)
-        self.synth_s += time.perf_counter() - start
+        try:  # the first bin fails as every later bin does (:meth:`_controller`)
+            if kind != "h2" and self.gamma is None:
+                find = min_gamma_competitive if kind == "competitive" else min_gamma_hinf
+                found = find(plant0, causality=causality, audit=False)
+                if not found.ok:
+                    raise MpcInfeasibleError(
+                        f"initial linearization: {found.reason or 'no feasible gamma'}"
+                    )
+                self.gamma = levels["margin"] * found.gamma
+            ctrl0 = self._synth(plant0)
+        except (ValueError, FactorizationError) as exc:
+            raise MpcInfeasibleError(f"initial linearization: {exc}") from exc
+        finally:
+            self.synth_s += time.perf_counter() - start
         if isinstance(ctrl0, Infeasible):
             raise MpcInfeasibleError(
                 f"initial linearization infeasible at gamma={self.gamma}"
@@ -265,8 +271,15 @@ def _simulate(params, law, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
         def advance(t, x, u):
             return pendulum_step(params, x, u, w[t])
 
-    x0 = np.asarray(x0, dtype=float).reshape(2)
-    return _rollout_loop(w, x0, 1, np.eye(2), law, advance)
+    return _rollout_loop(w, _check_x0(x0), 1, np.eye(2), law, advance)
+
+
+def _check_x0(x0) -> np.ndarray:
+    """The pendulum's initial state (theta, theta_dot) as a float array."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != 2:
+        raise ValueError(f"x0 must be (theta, theta_dot), got {x0.size} values")
+    return x0
 
 
 def run_pendulum(
@@ -403,7 +416,7 @@ def run_scenario(
             causality=scenario.causality,
             gamma_policy=scenario.gamma_policy,
             quantum=scenario.quantum,
-            theta_init=scenario.x0[0],
+            theta_init=_check_x0(scenario.x0)[0],
         )
     result = run_pendulum(scenario.params, controller, w, x0=scenario.x0)
     comparator = clairvoyant_comparator_run(

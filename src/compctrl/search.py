@@ -7,10 +7,9 @@ is the feasible upper end of the final bracket.
 
 A probe yields a verdict only: a certificate of feasibility (any value that
 is not an :class:`~compctrl.controllers.Infeasible`) or an ``Infeasible``.
-For the plant-facing searches a certificate is the game Riccati solve that
-passed the existence test, and the controller is built once, from the
-certificate at the returned level, so no probe computes gains and nothing
-is solved twice.
+The plant-facing searches pose their problem once
+(:func:`~compctrl.controllers._pose`) and build the controller from the
+certificate at the returned level alone.
 
 After the bracket (lo, hi] converges, an eight-point monotonicity audit
 re-evaluates the four levels lo - 2*tol, ..., lo - 5*tol expecting
@@ -23,20 +22,13 @@ depends only on the verdicts.  They go to the verdict step as one sequence
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .controllers import (
-    Infeasible,
-    _attenuation,
-    _check_causality,
-    _competitive_controller,
-    _hinf_controller,
-    _normalize_horizon,
-)
-from .factorization import _synthetic_plant
+from .controllers import Infeasible, _attenuation, _pose
 
 __all__ = ["GammaSearchResult", "min_gamma", "min_gamma_hinf", "min_gamma_competitive"]
 
@@ -116,10 +108,12 @@ def _search(
     gamma_hi_init: float,
     tol: float,
     audit: bool,
+    build: Callable = lambda certificate: certificate,
 ) -> GammaSearchResult:
     """The search of :func:`min_gamma`, probing through ``verdicts``, which
     maps a list of levels to their verdicts in order: one level per bracket
-    probe, the audit's levels as one list."""
+    probe, the audit's levels as one list.  The result's controller is
+    ``build`` of the returned level's certificate."""
     if not all(map(math.isfinite, (tol, gamma_floor, gamma_hi_init))):
         raise ValueError("tol, gamma_floor and gamma_hi_init must be finite")
     if tol <= 0:
@@ -197,18 +191,11 @@ def _search(
     return GammaSearchResult(
         gamma=hi,
         gamma_lo=lo,
-        controller=certificate,
+        controller=build(certificate),
         tol=tol,
         probes=probes,
         audit_warnings=warnings,
     )
-
-
-def _built(result: GammaSearchResult, build) -> GammaSearchResult:
-    """``result`` with its certificate replaced by ``build(certificate)``."""
-    if not result.ok:
-        return result
-    return replace(result, controller=build(result.controller))
 
 
 def min_gamma_hinf(
@@ -222,14 +209,9 @@ def min_gamma_hinf(
     """Smallest feasible attenuation level for the given plant, to the
     absolute bracket width ``tol`` (:func:`min_gamma`): a level below ``tol``
     is certified no better than ``tol``."""
-    _check_causality(causality)
-    plant = _normalize_horizon(plant, horizon)
-
-    def verdicts(levels: list) -> list:
-        return _attenuation(plant, levels, causality)
-
-    result = _search(verdicts, 0.0, gamma_hi_init, tol, audit)
-    return _built(result, _hinf_controller)
+    plant, build = _pose(plant, "hinf", causality, horizon)
+    verdicts = functools.partial(_attenuation, plant, causality=causality)
+    return _search(verdicts, 0.0, gamma_hi_init, tol, audit, build)
 
 
 def min_gamma_competitive(
@@ -242,16 +224,8 @@ def min_gamma_competitive(
 ) -> GammaSearchResult:
     """Smallest certifiable cost-ratio level gamma (the ratio bound is gamma^2).
 
-    The gamma-independent synthetic plant is built once for all probes.
     ``tol`` is an absolute bracket width, as in :func:`min_gamma`.
     """
-    _check_causality(causality)
-    plant = _normalize_horizon(plant, horizon)
-    syn = _synthetic_plant(plant)
-    syn_plant = syn.as_plant()
-
-    def verdicts(levels: list) -> list:
-        return _attenuation(syn_plant, levels, causality)
-
-    result = _search(verdicts, 1.0, gamma_hi_init, tol, audit)
-    return _built(result, lambda solve: _competitive_controller(syn, solve))
+    plant, build = _pose(plant, "competitive", causality, horizon)
+    verdicts = functools.partial(_attenuation, plant, causality=causality)
+    return _search(verdicts, 1.0, gamma_hi_init, tol, audit, build)

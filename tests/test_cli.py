@@ -130,9 +130,21 @@ def test_synth_bisected_competitive(tmp_path, plant_file):
     for p in probes:
         assert isinstance(p["iterations"], int)
         assert (p["reason"] is None) == p["feasible"]
+    assert report["gamma_squared"] == report["gamma"] * report["gamma"]
     ctrl = controller_from_json_dict(json.load(open(out)))
     assert ctrl.kind == "competitive"
     assert ctrl.gamma == report["gamma"]
+
+
+def test_synth_report_squares_gamma_as_the_game(tmp_path, capsys):
+    # gamma * gamma, the game's gamma^2, not gamma**2 (one ulp apart here)
+    rc = cli.main([
+        "synth", "--plant", "builtin:boeing747", "--kind", "competitive",
+        "--gamma", "2.759", "--out", str(tmp_path / "c.json"),
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["gamma_squared"] == 7.612081 != 2.759**2
 
 
 def test_synth_bad_plant_path_exits_1(tmp_path):
@@ -369,6 +381,18 @@ def test_freq_sweep_csv_and_summary(tmp_path, plant_file, h2_controller_file):
     assert len(text.splitlines()) == 1 + 16
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_freq_points_below_one_exits_1(tmp_path, plant_file, h2_controller_file, points):
+    out = tmp_path / "freq.csv"
+    proc = run_cli(
+        "freq", "--plant", plant_file, "--controller", f"h2={h2_controller_file}",
+        "--points", points, "--out", str(out),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "--points" in proc.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # mpc
 
@@ -421,6 +445,26 @@ def test_mpc_infeasible_scenario_exits_2(tmp_path):
     verdict = json.loads(proc.stdout)
     assert verdict["feasible"] is False
     assert "initial linearization" in verdict["reason"]
+
+
+def test_mpc_failed_first_bin_exits_2(tmp_path):
+    # the level search's factorization fails at theta = pi/2, as a later
+    # bin's failure would: a verdict, not an error
+    scen = _scenario_file(tmp_path, kind="competitive", quantum=0.01,
+                          x0=(1.5708, 0.0), steps=20)
+    proc = run_cli("mpc", "--scenario", scen)
+    assert proc.returncode == 2, proc.stderr
+    verdict = json.loads(proc.stdout)
+    assert verdict["feasible"] is False
+    assert verdict["reason"].startswith("initial linearization: ")
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), ()])
+def test_mpc_bad_x0_is_an_error(tmp_path, x0):
+    scen = _scenario_file(tmp_path, kind="h2", x0=x0, steps=20)
+    proc = run_cli("mpc", "--scenario", scen)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "x0" in proc.stderr
 
 
 def test_mpc_zero_quantum_is_an_error(tmp_path):

@@ -23,7 +23,7 @@ from compctrl.controllers import (
     _affine_pass,
     _affine_schedule,
     _attenuation,
-    _competitive_controller,
+    _controller,
     _cost_of_controls,
     Infeasible,
     SCHEDULE_CACHE_BYTES,
@@ -101,6 +101,14 @@ def test_h2_rejects_undetectable():
         synth_h2_ih(plant)
 
 
+def test_h2_rejects_a_time_varying_plant_and_an_unstabilizable_one(rng):
+    with pytest.raises(TypeError):
+        synth_h2_ih(random_ltv(rng, T=4, n=2, m=1, p=1))
+    with pytest.raises(ValueError, match=re.escape(
+            "precondition failed: (A, B_u) not stabilizable")):
+        synth_h2_ih(scalar_lti(a=2.0, bu=0.0))
+
+
 # --- H-infinity ----------------------------------------------------------
 
 
@@ -112,6 +120,22 @@ def test_hinf_rejects_nonpositive_gamma(rng):
         synth_hinf(plant, -1.0)
     with pytest.raises(ValueError):
         synth_hinf(plant, 1.0, causality="acausal")
+
+
+@pytest.mark.parametrize("synth", [synth_hinf, synth_competitive])
+def test_fixed_level_synthesis_validates_its_arguments_in_order(synth, rng):
+    lti, ltv = scalar_lti(), random_ltv(rng, T=4, n=1, m=1, p=1)
+    with pytest.raises(ValueError, match="horizon argument conflicts with the plant's horizon"):
+        synth(ltv, 3.0, horizon=5)
+    with pytest.raises(TypeError, match="plant must be LtiPlant or LtvPlant"):
+        synth("plant", 3.0)
+    with pytest.raises(ValueError, match="gamma must be a single level"):
+        synth(lti, np.array([3.0, 4.0]))
+    # the causality is checked first, then the level, then the plant
+    with pytest.raises(ValueError, match="causality must be"):
+        synth("plant", np.array([3.0, 4.0]), causality="acausal")
+    with pytest.raises(ValueError, match="gamma must be a single level"):
+        synth("plant", np.array([3.0, 4.0]))
 
 
 def test_hinf_feasibility_bracket(rng):
@@ -303,7 +327,7 @@ def test_competitive_reuses_provided_factor(p, horizon, rng):
     plant = random_lti(rng, n=2, m=1, p=p)
     normalized = plant if horizon is None else plant.to_ltv(horizon)
     syn = _synthetic_plant(normalized)
-    a = _competitive_controller(syn, _attenuation(syn.as_plant(), 3.0, "causal"))
+    a = _controller(_attenuation(syn.as_plant(), 3.0, "causal"), syn)
     b = synth_competitive(plant, 3.0, horizon=horizon)
     assert isinstance(a, CompetitiveController)
     assert a.synthetic is syn

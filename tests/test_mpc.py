@@ -100,6 +100,16 @@ def test_misspelt_dynamics_rejected_by_both_entry_points():
         )
 
 
+@pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), (0.1,), ()])
+def test_both_pendulum_rollouts_name_a_bad_x0(x0):
+    params = PendulumParams()
+    ctrl = RelinearizingController(params, kind="h2", quantum=QUANTUM)
+    with pytest.raises(ValueError, match="x0"):
+        run_pendulum(params, ctrl, np.zeros((4, 1)), x0=x0)
+    with pytest.raises(ValueError, match="x0"):
+        clairvoyant_comparator_run(params, np.zeros((4, 1)), x0=x0, quantum=QUANTUM)
+
+
 # ---------------------------------------------------------------------------
 # controller construction
 
@@ -151,6 +161,25 @@ def test_infeasible_fixed_gamma_raises_at_construction():
             gamma_policy={"fixed": 1.0001},
             quantum=QUANTUM,
         )
+
+
+def test_first_bin_failure_is_an_infeasible_linearization():
+    # at theta = pi/2 the linearization has no stabilizing whitening filter;
+    # the factorization error of the level search becomes the verdict a
+    # later bin's error becomes
+    with pytest.raises(MpcInfeasibleError, match="initial linearization: no-stabilizing-solution"):
+        RelinearizingController(
+            PendulumParams(), kind="competitive", quantum=0.01, theta_init=1.5708
+        )
+
+
+def test_bad_arguments_are_argument_errors():
+    # not a bin's failure, so not an MpcInfeasibleError
+    with pytest.raises(ValueError, match="causality"):
+        RelinearizingController(PendulumParams(), kind="h2", causality="acausal")
+    for policy in ({"fixed": 0.0}, {"fixed": -1.0}, {"fixed": math.nan}, {"margin": 0.0}):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RelinearizingController(PendulumParams(), kind="hinf", gamma_policy=policy)
 
 
 def test_initial_bin_follows_theta_init():

@@ -90,6 +90,16 @@ def test_unbounded_gamma():
     assert result.gamma_lo >= GAMMA_CAP / 2.0
 
 
+def test_min_gamma_hinf_reports_an_unbounded_level():
+    # |w| reaches the state with gain 1e7, beyond the doubling cap of 2**20
+    result = min_gamma_hinf(scalar_lti(a=0.5, bw=1e7), audit=False)
+    assert not result.ok
+    assert result.reason == "unbounded-gamma"
+    assert result.gamma_lo == 1048576.0
+    assert len(result.probes) == 21
+    assert result.controller is None
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         min_gamma(make_predicate(lambda g: True), 0.0, 1.0, tol=0.0)
