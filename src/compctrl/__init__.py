@@ -10,181 +10,20 @@ bisection, time-domain simulation, frequency-domain analysis, and a
 receding-horizon nonlinear pendulum benchmark.
 """
 
-from .model import (
-    DenseOperators,
-    LtiPlant,
-    LtvPlant,
-    build_dense_operators,
-    inv_sqrt_pd,
-    load_bundled_plant,
-    normalize_control_weight,
-    plant_from_json_dict,
-    plant_to_json_dict,
-    sqrt_psd,
-)
-from .riccati import (
-    RiccatiFixedPoint,
-    RiccatiSchedule,
-    Verdict,
-    dare_fixed_point,
-    hinf_backward,
-    inertia,
-    is_stable,
-    pbh_detectable,
-    pbh_stabilizable,
-    spectral_radius,
-)
-from .factorization import (
-    FactorizationError,
-    OuterFactor,
-    SpectralFactor,
-    SyntheticSystem,
-    build_synthetic,
-    dense_delta,
-    delta_inv_transfer,
-    delta_transfer,
-    outer_factor_ih,
-    spectral_factor_ih,
-    whitening_fh,
-    wprime_run,
-)
-from .controllers import (
-    CompetitiveController,
-    ControllerState,
-    Infeasible,
-    OfflineController,
-    StateFeedbackController,
-    ZeroController,
-    control_step,
-    controller_from_json_dict,
-    controller_to_json_dict,
-    offline_optimal,
-    synth_competitive,
-    synth_h2_ih,
-    synth_hinf,
-)
-from .search import (
-    GammaSearchResult,
-    min_gamma,
-    min_gamma_competitive,
-    min_gamma_hinf,
-)
-from .sim import (
-    ComparisonResult,
-    DisturbanceSpec,
-    RolloutResult,
-    compare,
-    cost_ratio,
-    generate,
-    rollout,
-    write_comparison_json,
-    write_trace_csv,
-)
-from .freq import (
-    ClosedLoop,
-    closed_loop,
-    extremal_dc,
-    peak_gain,
-    per_freq_cr,
-    sigma_max,
-    sweep,
-    transfer_at,
-    write_sweep_csv,
-)
-from .mpc import (
-    MpcInfeasibleError,
-    PendulumParams,
-    PendulumScenario,
-    RelinearizingController,
-    clairvoyant_comparator_run,
-    linearize_pendulum,
-    pendulum_step,
-    run_pendulum,
-    run_scenario,
-    scenario_from_json_dict,
-    scenario_to_json_dict,
-)
+from . import model, riccati, factorization, controllers, search, sim, freq, mpc
+from .model import *
+from .riccati import *
+from .factorization import *
+from .controllers import *
+from .search import *
+from .sim import *
+from .freq import *
+from .mpc import *
 
 __version__ = "0.1.0"
 
+#: each public name is declared once, in the ``__all__`` of its module
 __all__ = [
-    "DenseOperators",
-    "LtiPlant",
-    "LtvPlant",
-    "build_dense_operators",
-    "inv_sqrt_pd",
-    "load_bundled_plant",
-    "normalize_control_weight",
-    "plant_from_json_dict",
-    "plant_to_json_dict",
-    "sqrt_psd",
-    "RiccatiFixedPoint",
-    "RiccatiSchedule",
-    "Verdict",
-    "dare_fixed_point",
-    "hinf_backward",
-    "inertia",
-    "is_stable",
-    "pbh_detectable",
-    "pbh_stabilizable",
-    "spectral_radius",
-    "FactorizationError",
-    "OuterFactor",
-    "SpectralFactor",
-    "SyntheticSystem",
-    "build_synthetic",
-    "dense_delta",
-    "delta_inv_transfer",
-    "delta_transfer",
-    "outer_factor_ih",
-    "spectral_factor_ih",
-    "whitening_fh",
-    "wprime_run",
-    "CompetitiveController",
-    "ControllerState",
-    "Infeasible",
-    "OfflineController",
-    "StateFeedbackController",
-    "ZeroController",
-    "control_step",
-    "controller_from_json_dict",
-    "controller_to_json_dict",
-    "offline_optimal",
-    "synth_competitive",
-    "synth_h2_ih",
-    "synth_hinf",
-    "GammaSearchResult",
-    "min_gamma",
-    "min_gamma_competitive",
-    "min_gamma_hinf",
-    "ComparisonResult",
-    "DisturbanceSpec",
-    "RolloutResult",
-    "compare",
-    "cost_ratio",
-    "generate",
-    "rollout",
-    "write_comparison_json",
-    "write_trace_csv",
-    "ClosedLoop",
-    "closed_loop",
-    "extremal_dc",
-    "peak_gain",
-    "per_freq_cr",
-    "sigma_max",
-    "sweep",
-    "transfer_at",
-    "write_sweep_csv",
-    "MpcInfeasibleError",
-    "PendulumParams",
-    "PendulumScenario",
-    "RelinearizingController",
-    "clairvoyant_comparator_run",
-    "linearize_pendulum",
-    "pendulum_step",
-    "run_pendulum",
-    "run_scenario",
-    "scenario_from_json_dict",
-    "scenario_to_json_dict",
-    "__version__",
+    *model.__all__, *riccati.__all__, *factorization.__all__, *controllers.__all__,
+    *search.__all__, *sim.__all__, *freq.__all__, *mpc.__all__, "__version__",
 ]

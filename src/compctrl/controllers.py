@@ -34,7 +34,7 @@ import numpy as np
 
 from .factorization import Realization, SyntheticSystem, _synthetic_plant
 from .model import LtiPlant, LtvPlant, build_dense_operators, rowwise, step_costs
-from .model import _disturbance_record
+from .model import _disturbance_record, _json_object
 from .riccati import (
     RiccatiFixedPoint,
     _check_gamma,
@@ -54,7 +54,6 @@ __all__ = [
     "ControllerState",
     "StateFeedbackController",
     "CompetitiveController",
-    "Realization",
     "OfflineController",
     "ZeroController",
     "synth_h2_ih",
@@ -102,9 +101,9 @@ class ControllerState:
 Law = Callable[[int, np.ndarray, Optional[np.ndarray]], tuple]
 
 
-def _check_causality(causality: str) -> str:
+def _check_causality(causality: str, prefix: str = "") -> str:
     if causality not in (CAUSAL, STRICT):
-        raise ValueError(f"causality must be '{CAUSAL}' or '{STRICT}'")
+        raise ValueError(f"{prefix}causality must be '{CAUSAL}' or '{STRICT}'")
     return causality
 
 
@@ -830,58 +829,56 @@ def _check_dims(arrays: dict, shapes: dict, dims: tuple) -> None:
 def controller_from_json_dict(obj: dict):
     """Inverse of :func:`controller_to_json_dict`.
 
-    A file whose ``horizon``, ``synthetic.ltv`` flag, array ranks or
-    lengths, or matrix dimensions (n, m, p) disagree raises ValueError
-    naming the field.
+    A file that is not a JSON object, or whose ``causality``, ``horizon``,
+    ``synthetic.ltv`` flag, array ranks or lengths, or matrix dimensions
+    (n, m, p) disagree raises ValueError naming the field.
     """
-    version = obj.get("schema_version", CONTROLLER_SCHEMA_VERSION)
-    if version != CONTROLLER_SCHEMA_VERSION:
-        raise ValueError(f"unsupported controller schema_version {version}")
-    kind = obj["kind"]
+    kind = _json_object(obj, "controller", CONTROLLER_SCHEMA_VERSION)["kind"]
     if kind == "offline":
         return OfflineController()
     if kind == "zero":
         return ZeroController(m=int(obj["gains"]["m"]))
+    if kind not in ("h2", "hinf", "competitive"):
+        raise ValueError(f"unknown controller kind '{kind}'")
     gains, horizon = obj["gains"], obj["horizon"]
-    if kind in ("h2", "hinf"):
+    causality = _check_causality(obj["causality"], "controller file: ")
+    if kind != "competitive":
         Kx, Kw = (np.asarray(gains[key], dtype=float) for key in ("Kx", "Kw"))
         _check_horizon(horizon, {"Kx": Kx, "Kw": Kw})
         (m, n), p = Kx.shape[-2:], Kw.shape[-1]
         _check_dims({"Kw": Kw}, {"Kw": (m, p)}, (n, m, p))
         return StateFeedbackController(
             kind=kind,
-            causality=obj["causality"],
+            causality=causality,
             horizon=horizon,
             gamma=obj["gamma"],
             Kx=Kx,
             Kw=Kw,
         )
-    if kind == "competitive":
-        s = obj["synthetic"]
-        if s["ltv"] != (horizon is not None):
-            raise ValueError(
-                f"controller file: synthetic.ltv is {s['ltv']} but horizon is {horizon}"
-            )
-        fields = {key: np.asarray(s[key], dtype=float) for key in _SYNTHETIC_KEYS if key in s}
-        Kxi, Kwp = (np.asarray(gains[key], dtype=float) for key in ("Kxi", "Kwp"))
-        arrays = {**fields, "Kxi": Kxi, "Kwp": Kwp}
-        _check_horizon(horizon, arrays)
-        n, m, p = (fields[key].shape[-1] for key in ("A_filter", "Buhat", "B_filter"))
-        exact = "C_outer" in fields
-        w_hat = p if exact else n  # width of the synthetic plant's disturbance
-        shapes = {"Ahat": (2 * n, 2 * n), "Buhat": (2 * n, m), "Bwhat": (2 * n, w_hat),
-                  "Qhat": (2 * n, 2 * n), "A_filter": (n, n), "B_filter": (n, p),
-                  "M_filter": (n, n), "Kxi": (m, 2 * n), "Kwp": (m, w_hat)}
-        if exact:
-            shapes.update(C_outer=(p, n), D_outer=(p, p))
-        _check_dims(arrays, shapes, (n, m, p))
-        return CompetitiveController(
-            kind=kind,
-            causality=obj["causality"],
-            horizon=horizon,
-            gamma=obj["gamma"],
-            synthetic=SyntheticSystem(**fields),
-            Kxi=Kxi,
-            Kwp=Kwp,
+    s = obj["synthetic"]
+    if s["ltv"] != (horizon is not None):
+        raise ValueError(
+            f"controller file: synthetic.ltv is {s['ltv']} but horizon is {horizon}"
         )
-    raise ValueError(f"unknown controller kind '{kind}'")
+    fields = {key: np.asarray(s[key], dtype=float) for key in _SYNTHETIC_KEYS if key in s}
+    Kxi, Kwp = (np.asarray(gains[key], dtype=float) for key in ("Kxi", "Kwp"))
+    arrays = {**fields, "Kxi": Kxi, "Kwp": Kwp}
+    _check_horizon(horizon, arrays)
+    n, m, p = (fields[key].shape[-1] for key in ("A_filter", "Buhat", "B_filter"))
+    exact = "C_outer" in fields
+    w_hat = p if exact else n  # width of the synthetic plant's disturbance
+    shapes = {"Ahat": (2 * n, 2 * n), "Buhat": (2 * n, m), "Bwhat": (2 * n, w_hat),
+              "Qhat": (2 * n, 2 * n), "A_filter": (n, n), "B_filter": (n, p),
+              "M_filter": (n, n), "Kxi": (m, 2 * n), "Kwp": (m, w_hat)}
+    if exact:
+        shapes.update(C_outer=(p, n), D_outer=(p, p))
+    _check_dims(arrays, shapes, (n, m, p))
+    return CompetitiveController(
+        kind=kind,
+        causality=causality,
+        horizon=horizon,
+        gamma=obj["gamma"],
+        synthetic=SyntheticSystem(**fields),
+        Kxi=Kxi,
+        Kwp=Kwp,
+    )

@@ -366,6 +366,18 @@ def build_dense_operators(plant: LtvPlant) -> DenseOperators:
     return DenseOperators(F=F, G=G, T=T, n=n, m=m, p=p)
 
 
+def _json_object(obj, what: str, version=None) -> dict:
+    """``obj`` if it is a JSON object and, when ``version`` is given, of that
+    schema version (a missing "schema_version" reads as ``version``); a
+    ValueError naming ``what`` otherwise."""
+    if not isinstance(obj, dict):
+        got = "null" if obj is None else type(obj).__name__
+        raise ValueError(f"{what} must be a JSON object, got {got}")
+    if version is not None and obj.get("schema_version", version) != version:
+        raise ValueError(f"unsupported {what} schema_version {obj['schema_version']}")
+    return obj
+
+
 def plant_from_json_dict(obj: dict):
     """Parse the plant JSON schema into an LtiPlant (or LtvPlant if "horizon").
 
@@ -374,9 +386,7 @@ def plant_from_json_dict(obj: dict):
     (optional, default zero), "horizon": int (optional; presence selects
     replication into a time-varying plant)}.
     """
-    version = obj.get("schema_version", PLANT_SCHEMA_VERSION)
-    if version != PLANT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported plant schema_version {version}")
+    _json_object(obj, "plant", PLANT_SCHEMA_VERSION)
     for key in ("A", "Bu", "Bw", "Q"):
         if key not in obj:
             raise ValueError(f"plant JSON missing required field '{key}'")

@@ -31,7 +31,7 @@ from .controllers import (
     synth_hinf,
 )
 from .factorization import FactorizationError
-from .model import LtiPlant
+from .model import LtiPlant, _json_object
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import DisturbanceSpec, RolloutResult, _rollout_loop, _StopRollout, cost_ratio, generate
 from .sim import spec_from_json_dict, spec_to_json_dict
@@ -62,6 +62,14 @@ class PendulumParams:
     g: float = 1.0
     J: float = 1.0
     dt: float = 1e-3
+
+    def __post_init__(self):
+        # every field finite; J divides and dt steps, so both > 0
+        for f in fields(self):
+            value, positive = getattr(self, f.name), f.name in ("J", "dt")
+            if not math.isfinite(value) or (positive and value <= 0.0):
+                raise ValueError(f"pendulum {f.name} must be finite"
+                                 f"{' and > 0' if positive else ''}, got {value!r}")
 
 
 def pendulum_step(params: PendulumParams, x, u, w) -> np.ndarray:
@@ -362,13 +370,11 @@ class PendulumScenario:
 
 
 def scenario_from_json_dict(obj: dict) -> PendulumScenario:
-    version = obj.get("schema_version", SCENARIO_SCHEMA_VERSION)
-    if version != SCENARIO_SCHEMA_VERSION:
-        raise ValueError(f"unsupported scenario schema_version {version}")
-    prm = obj.get("params", {})
+    _json_object(obj, "scenario", SCENARIO_SCHEMA_VERSION)
+    prm = _json_object(obj.get("params", {}), "scenario params")
     params = PendulumParams(**{f.name: float(prm.get(f.name, f.default))
                                for f in fields(PendulumParams)})
-    ctl = obj.get("controller", {})
+    ctl = _json_object(obj.get("controller", {}), "scenario controller")
     return PendulumScenario(
         params=params,
         steps=int(obj["steps"]),

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .controllers import OfflineController, _clairvoyant_law, _online, offline_optimal
-from .model import _disturbance_record, step_costs
+from .model import _disturbance_record, _json_object, step_costs
 
 __all__ = [
     "DisturbanceSpec",
@@ -84,7 +84,7 @@ def spec_to_json_dict(spec: DisturbanceSpec) -> dict:
 
 
 def spec_from_json_dict(obj: dict) -> DisturbanceSpec:
-    obj = dict(obj)
+    obj = dict(_json_object(obj, "disturbance spec"))
     kind = obj.pop("kind")
     if kind == "mixture":
         obj["components"] = [spec_from_json_dict(c) for c in obj["components"]]
@@ -141,6 +141,8 @@ def _generate_one(spec: DisturbanceSpec, T: int, p: int, bitgen) -> np.ndarray:
         return mean + sigma * rng.standard_normal((T, p))
     if kind == "mixture":
         comps = params["components"]
+        if not comps:
+            raise ValueError("mixture needs at least one component")
         weights = params.get("weights")
         if weights is None:
             weights = [1.0 / len(comps)] * len(comps)

@@ -476,6 +476,71 @@ def test_mpc_zero_quantum_is_an_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# input files
+
+
+def _scenario_with(**edits):
+    obj = scenario_to_json_dict(PendulumScenario(steps=20, kind="h2", quantum=0.05))
+    return {**obj, **edits}
+
+
+def _h2_file_with(**edits):
+    return {**controller_to_json_dict(synth_h2_ih(scalar_lti(a=0.5))), **edits}
+
+
+EMPTY_MIXTURE = {"kind": "mixture", "components": []}
+
+
+@pytest.mark.parametrize(
+    "role, doc, message",
+    [
+        ("plant", lambda: [1, 2], "plant must be a JSON object, got list"),
+        ("controller", lambda: [], "controller must be a JSON object, got list"),
+        ("controller", lambda: None, "controller must be a JSON object, got null"),
+        ("controller", lambda: _h2_file_with(causality="bogus"),
+         "controller file: causality must be 'causal' or 'strictly-causal'"),
+        ("disturbance", lambda: [], "disturbance spec must be a JSON object, got list"),
+        ("disturbance", lambda: EMPTY_MIXTURE, "mixture needs at least one component"),
+        ("scenario", lambda: [], "scenario must be a JSON object, got list"),
+        ("scenario", lambda: _scenario_with(controller=None),
+         "scenario controller must be a JSON object, got null"),
+        ("scenario", lambda: _scenario_with(params=None),
+         "scenario params must be a JSON object, got null"),
+        ("scenario", lambda: _scenario_with(disturbance=None),
+         "disturbance spec must be a JSON object, got null"),
+        ("scenario", lambda: _scenario_with(disturbance=EMPTY_MIXTURE),
+         "mixture needs at least one component"),
+        ("scenario", lambda: _scenario_with(params={"dt": -0.01}),
+         "pendulum dt must be finite and > 0, got -0.01"),
+    ],
+    ids=["plant-list", "controller-list", "controller-null", "controller-bogus-causality",
+         "disturbance-list", "disturbance-empty-mixture", "scenario-list",
+         "scenario-controller-null", "scenario-params-null", "scenario-disturbance-null",
+         "scenario-empty-mixture", "scenario-negative-dt"],
+)
+def test_unreadable_input_file_is_a_one_line_error(
+    tmp_path, plant_file, h2_controller_file, role, doc, message
+):
+    # at the parent each of these ended in a traceback, or ran to exit 0
+    path = tmp_path / f"{role}.json"
+    path.write_text(json.dumps(doc()))
+    out = tmp_path / "out.json"
+    argv = {
+        "plant": ["synth", "--plant", str(path), "--kind", "h2"],
+        "controller": ["simulate", "--plant", plant_file, "--controller", str(path),
+                       "--steps", "20", "--trace-dir", str(tmp_path)],
+        "disturbance": ["simulate", "--plant", plant_file, "--controller",
+                        h2_controller_file, "--disturbance", str(path), "--steps", "20",
+                        "--trace-dir", str(tmp_path)],
+        "scenario": ["mpc", "--scenario", str(path)],
+    }[role]
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 

@@ -842,6 +842,17 @@ def test_serialization_round_trip_offline():
     assert back.causality == "noncausal"
 
 
+@pytest.mark.parametrize("kind", ["h2", "hinf", "competitive"])
+def test_loader_rejects_an_unknown_causality(kind):
+    plant = scalar_lti(a=0.5)
+    ctrl = {"h2": lambda: synth_h2_ih(plant), "hinf": lambda: synth_hinf(plant, 5.0),
+            "competitive": lambda: synth_competitive(plant, 5.0)}[kind]()
+    obj = controller_to_json_dict(ctrl)
+    obj["causality"] = "bogus"
+    with pytest.raises(ValueError, match="^controller file: causality must be 'causal' or"):
+        controller_from_json_dict(obj)
+
+
 def test_serialization_rejects_unknown_schema(rng):
     obj = controller_to_json_dict(ZeroController(m=1))
     obj["schema_version"] = 99

@@ -57,6 +57,26 @@ def test_linearization_at_origin_frozen():
     assert_array_equal(plant.R_half, np.eye(1))
 
 
+@pytest.mark.parametrize("name", ["m", "l", "g", "J", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pendulum_params_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^pendulum {name} must be finite"):
+        PendulumParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["J", "dt"])
+@pytest.mark.parametrize("value", [0.0, -0.01])
+def test_pendulum_step_and_inertia_must_be_positive(name, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"pendulum {name} must be finite and > 0, got {value!r}")):
+        PendulumParams(**{name: value})
+
+
+def test_pendulum_params_may_be_zero_or_negative_where_nothing_divides():
+    p = PendulumParams(m=0.0, l=-1.0, g=-9.8)
+    assert (p.m, p.l, p.g) == (0.0, -1.0, -9.8)
+
+
 def test_linearization_scales_with_cos_theta():
     p = PendulumParams(m=2.0, l=0.5, g=9.8, J=1.5, dt=0.01)
     theta = math.pi / 3

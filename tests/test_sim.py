@@ -5,6 +5,8 @@ import dataclasses
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.sim import RolloutResult, spec_from_json_dict, spec_to_json_dict
 
 import oracles
-from conftest import assert_same_rollout, random_lti, random_ltv, scalar_lti
+from conftest import assert_same_rollout, cli_env, random_lti, random_ltv, scalar_lti
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,23 @@ def test_mixture_weight_count_must_match():
     )
     with pytest.raises(ValueError, match="one weight per component"):
         generate(spec, 4, 1)
+
+
+@pytest.mark.parametrize("weights", [None, []])
+def test_empty_mixture_is_refused(weights):
+    # at the parent the default weights divided by zero, and weights []
+    # gave a zero record
+    spec = DisturbanceSpec("mixture", {"components": [], "weights": weights})
+    with pytest.raises(ValueError, match="^mixture needs at least one component$"):
+        generate(spec, 4, 1)
+
+
+@pytest.mark.parametrize("obj, got", [([], "list"), (None, "null")])
+def test_spec_must_be_an_object(obj, got):
+    with pytest.raises(ValueError, match=f"^disturbance spec must be a JSON object, got {got}$"):
+        spec_from_json_dict(obj)
+    with pytest.raises(ValueError, match=f"^disturbance spec must be a JSON object, got {got}$"):
+        spec_from_json_dict({"kind": "mixture", "components": [obj]})
 
 
 def test_direction_length_checked():
@@ -553,14 +572,57 @@ def test_cost_ratio_conventions():
     assert cost_ratio(2e-12, 1e-12) == 2.0
 
 
+#: the 79 names the package exported while it listed them itself
+EXPORTED_BEFORE_REEXPORT = [
+    "DenseOperators", "LtiPlant", "LtvPlant", "build_dense_operators", "inv_sqrt_pd",
+    "load_bundled_plant", "normalize_control_weight", "plant_from_json_dict",
+    "plant_to_json_dict", "sqrt_psd", "RiccatiFixedPoint", "RiccatiSchedule", "Verdict",
+    "dare_fixed_point", "hinf_backward", "inertia", "is_stable", "pbh_detectable",
+    "pbh_stabilizable", "spectral_radius", "FactorizationError", "OuterFactor",
+    "SpectralFactor", "SyntheticSystem", "build_synthetic", "dense_delta",
+    "delta_inv_transfer", "delta_transfer", "outer_factor_ih", "spectral_factor_ih",
+    "whitening_fh", "wprime_run", "CompetitiveController", "ControllerState",
+    "Infeasible", "OfflineController", "StateFeedbackController", "ZeroController",
+    "control_step", "controller_from_json_dict", "controller_to_json_dict",
+    "offline_optimal", "synth_competitive", "synth_h2_ih", "synth_hinf",
+    "GammaSearchResult", "min_gamma", "min_gamma_competitive", "min_gamma_hinf",
+    "ComparisonResult", "DisturbanceSpec", "RolloutResult", "compare", "cost_ratio",
+    "generate", "rollout", "write_comparison_json", "write_trace_csv", "ClosedLoop",
+    "closed_loop", "extremal_dc", "peak_gain", "per_freq_cr", "sigma_max", "sweep",
+    "transfer_at", "write_sweep_csv", "MpcInfeasibleError", "PendulumParams",
+    "PendulumScenario", "RelinearizingController", "clairvoyant_comparator_run",
+    "linearize_pendulum", "pendulum_step", "run_pendulum", "run_scenario",
+    "scenario_from_json_dict", "scenario_to_json_dict", "__version__",
+]
+
+
 def test_package_exports_are_exported_by_their_modules():
-    # every name the package exports is also in the __all__ of the module
-    # that defines it
-    missing = [
-        name for name in compctrl.__all__ if name != "__version__"
-        and name not in importlib.import_module(getattr(compctrl, name).__module__).__all__
-    ]
-    assert missing == []
+    # the package exports its modules' __all__ lists, in order, each name
+    # once and as the object of the module that defines it
+    modules = [importlib.import_module(f"compctrl.{name}") for name in (
+        "model", "riccati", "factorization", "controllers", "search", "sim", "freq", "mpc")]
+    declared = [name for module in modules for name in module.__all__]
+    assert compctrl.__all__ == declared + ["__version__"]
+    assert len(set(compctrl.__all__)) == len(compctrl.__all__)
+    assert set(EXPORTED_BEFORE_REEXPORT) <= set(compctrl.__all__)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(compctrl, name)
+            assert obj is getattr(module, name)
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+
+
+def test_package_and_cli_import_only_numpy_and_the_standard_library():
+    # the runtime is numpy only: scipy and every other package stay test-only
+    code = (
+        "import sys; before = set(sys.modules); import compctrl, compctrl.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), check=True)
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "compctrl" in loaded and "numpy" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "compctrl"} == set()
 
 
 def test_compare_matches_individual_rollouts(rng):
