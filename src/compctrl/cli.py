@@ -50,6 +50,7 @@ from .factorization import (
     delta_inv_transfer,
     delta_transfer,
     dense_delta,
+    outer_factor_ih,
     spectral_factor_ih,
     whitening_fh,
     wprime_run,
@@ -61,6 +62,7 @@ from .model import (
     build_dense_operators,
     load_bundled_plant,
     plant_from_json_dict,
+    shifted_solve,
 )
 from .mpc import MpcInfeasibleError, run_scenario, scenario_from_json_dict
 from .riccati import pbh_detectable, pbh_stabilizable, spectral_radius
@@ -422,17 +424,27 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
         info["whitening_closed_loop_radius"] = spectral_radius(factor.A_whiten)
         info["spectral_factor_residual"] = factor.residual
         z = np.exp(1j * np.linspace(0.0, np.pi, 64))
+
+        def worst(lhs, rhs):  # the largest relative gap over the grid
+            return np.max(
+                [
+                    np.linalg.norm(lhs_z - rhs_z) / max(np.linalg.norm(rhs_z), 1e-300)
+                    for lhs_z, rhs_z in zip(lhs, rhs)
+                ]
+            )
+
         Dz = delta_transfer(lti, factor, z)
-        Fz = open_loop_maps(lti, z)[0]
+        Fz, Gz = open_loop_maps(lti, z)
         lhs = Dz @ Dz.conj().swapaxes(-1, -2)
         rhs = np.eye(lti.n) + Fz @ Fz.conj().swapaxes(-1, -2)
-        worst = np.max(
-            [
-                np.linalg.norm(lhs_z - rhs_z) / max(np.linalg.norm(rhs_z), 1e-300)
-                for lhs_z, rhs_z in zip(lhs, rhs)
-            ]
-        )
-        checks.append(_check("ih-factorization-identity", worst, 1e-7))
+        checks.append(_check("ih-factorization-identity", worst(lhs, rhs), 1e-7))
+        if lti.p < lti.n:  # the exact reduction's outer factor: L*L = H*H
+            outer = outer_factor_ih(lti, factor)
+            info["outer_factor_residual"] = outer.residual
+            Hz = z[:, None, None] * delta_inv_transfer(lti, factor, z) @ Gz
+            Lz = outer.D + outer.C @ shifted_solve(factor.A_whiten, lti.Bw, z)
+            LL, HH = (M.conj().swapaxes(-1, -2) @ M for M in (Lz, Hz))
+            checks.append(_check("outer-factor-identity", worst(LL, HH), 1e-7))
         z = np.exp(1j * np.array([0.3, 1.1, 2.7]))
         prod = delta_transfer(lti, factor, z) @ delta_inv_transfer(lti, factor, z)
         inv_err = np.abs(prod - np.eye(lti.n)).max()

@@ -34,7 +34,7 @@ import numpy as np
 
 from .factorization import Realization, SyntheticSystem, _synthetic_plant
 from .model import LtiPlant, LtvPlant, build_dense_operators, rowwise, step_costs
-from .model import _disturbance_record, _json_object
+from .model import _disturbance_record, _json_field, _json_object
 from .riccati import (
     RiccatiFixedPoint,
     _check_gamma,
@@ -829,21 +829,29 @@ def _check_dims(arrays: dict, shapes: dict, dims: tuple) -> None:
 def controller_from_json_dict(obj: dict):
     """Inverse of :func:`controller_to_json_dict`.
 
-    A file that is not a JSON object, or whose ``causality``, ``horizon``,
-    ``synthetic.ltv`` flag, array ranks or lengths, or matrix dimensions
-    (n, m, p) disagree raises ValueError naming the field.
+    A file that is not a JSON object, lacks a required field, or whose
+    ``causality``, ``horizon``, ``synthetic.ltv`` flag, array ranks or
+    lengths, or matrix dimensions (n, m, p) disagree raises ValueError
+    naming the field.
     """
-    kind = _json_object(obj, "controller", CONTROLLER_SCHEMA_VERSION)["kind"]
+    _json_object(obj, "controller", CONTROLLER_SCHEMA_VERSION)
+    kind = _json_field(obj, "kind", "controller")
     if kind == "offline":
         return OfflineController()
-    if kind == "zero":
-        return ZeroController(m=int(obj["gains"]["m"]))
-    if kind not in ("h2", "hinf", "competitive"):
+    if kind not in ("zero", "h2", "hinf", "competitive"):
         raise ValueError(f"unknown controller kind '{kind}'")
-    gains, horizon = obj["gains"], obj["horizon"]
-    causality = _check_causality(obj["causality"], "controller file: ")
+    gains = _json_object(_json_field(obj, "gains", "controller"), "controller gains")
+
+    def gain(key):
+        return _json_field(gains, key, "controller gains")
+
+    if kind == "zero":
+        return ZeroController(m=int(gain("m")))
+    horizon = _json_field(obj, "horizon", "controller", nullable=True)
+    causality = _check_causality(_json_field(obj, "causality", "controller"), "controller file: ")
+    gamma = _json_field(obj, "gamma", "controller", nullable=True)
     if kind != "competitive":
-        Kx, Kw = (np.asarray(gains[key], dtype=float) for key in ("Kx", "Kw"))
+        Kx, Kw = (np.asarray(gain(key), dtype=float) for key in ("Kx", "Kw"))
         _check_horizon(horizon, {"Kx": Kx, "Kw": Kw})
         (m, n), p = Kx.shape[-2:], Kw.shape[-1]
         _check_dims({"Kw": Kw}, {"Kw": (m, p)}, (n, m, p))
@@ -851,17 +859,18 @@ def controller_from_json_dict(obj: dict):
             kind=kind,
             causality=causality,
             horizon=horizon,
-            gamma=obj["gamma"],
+            gamma=gamma,
             Kx=Kx,
             Kw=Kw,
         )
-    s = obj["synthetic"]
-    if s["ltv"] != (horizon is not None):
+    s = _json_object(_json_field(obj, "synthetic", "controller"), "controller synthetic")
+    if _json_field(s, "ltv", "controller synthetic") != (horizon is not None):
         raise ValueError(
             f"controller file: synthetic.ltv is {s['ltv']} but horizon is {horizon}"
         )
-    fields = {key: np.asarray(s[key], dtype=float) for key in _SYNTHETIC_KEYS if key in s}
-    Kxi, Kwp = (np.asarray(gains[key], dtype=float) for key in ("Kxi", "Kwp"))
+    fields = {key: np.asarray(_json_field(s, key, "controller synthetic"), dtype=float)
+              for key in _SYNTHETIC_KEYS if key in s or key not in ("C_outer", "D_outer")}
+    Kxi, Kwp = (np.asarray(gain(key), dtype=float) for key in ("Kxi", "Kwp"))
     arrays = {**fields, "Kxi": Kxi, "Kwp": Kwp}
     _check_horizon(horizon, arrays)
     n, m, p = (fields[key].shape[-1] for key in ("A_filter", "Buhat", "B_filter"))
@@ -877,7 +886,7 @@ def controller_from_json_dict(obj: dict):
         kind=kind,
         causality=causality,
         horizon=horizon,
-        gamma=obj["gamma"],
+        gamma=gamma,
         synthetic=SyntheticSystem(**fields),
         Kxi=Kxi,
         Kwp=Kwp,

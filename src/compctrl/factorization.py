@@ -119,7 +119,7 @@ class OuterFactor:
     D: np.ndarray  # (p, p)
     A_inv: np.ndarray  # (n, n)
     residual: float
-    iterations: int  # doublings of the fixed-point solve
+    iterations: int  # doublings of its two fixed-point solves
 
 
 class Realization(NamedTuple):
@@ -348,53 +348,37 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
         R = D_H'D_H + B_w'XB_w,   S = B_w'XA_w + D_H'C_H,
 
     gives L(z) = R^{1/2} (I + F (zI - A_w)^{-1} B_w) with F = R^{-1}S, so
-    C = R^{1/2}F and D = R^{1/2}.  The factor is gamma-independent, so a
-    gamma search computes it once.  The doubling core solves the equation
-    with the cross term removed (A_0 = A_w - B_w(D_H'D_H)^{-1}D_H'C_H,
-    G_0 = B_w(D_H'D_H)^{-1}B_w', H_0 = C_H'(I - D_H(D_H'D_H)^{-1}D_H')C_H);
-    ``iterations`` counts doublings.  That needs D_H'D_H invertible.  When
-    it is singular, the output rows of H are rotated so that some have
-    (almost) no feedthrough, and those rows are multiplied by z (row
-    c (zI - A_w)^{-1} B_w becomes c B_w + c A_w (zI - A_w)^{-1} B_w), an
-    inner factor on the left that keeps H*H and L.  The delays only pick
-    X_0, the sum of the delayed rows' c'c: the equation is solved exactly
-    for X - X_0, C_H'C_H, D_H'C_H and D_H'D_H shifted by A_w'X_0A_w - X_0,
-    B_w'X_0A_w and B_w'X_0B_w, so no feedthrough is dropped.  After at most
-    n passes the shifted D_H'D_H is nonsingular, unless H*H is singular,
-    which raises FactorizationError, as do a failed solve and an L^{-1}
-    that is not stable (H has a zero on the unit circle).
+    C = R^{1/2}F and D = R^{1/2}.  That X is the largest solution, which
+    Riccati iteration reaches from an upper one (Lancaster and Rodman,
+    *Algebraic Riccati Equations*, 1995): here the cost of w = 0, X_u =
+    A_w'X_uA_w + C_H'C_H.  With F_u = R_u^{-1}S_u at X_u, the doubling core
+    raises Z = X_u - X from 0 (A_0 = A_w - B_w F_u, G_0 = -B_w R_u^{-1} B_w',
+    H_0 = S_u'F_u).  A singular R_u or R (H*H singular), a failed solve and
+    an unstable L^{-1} (H has a zero on the circle) raise FactorizationError.
     """
     A, B, M = factor.A_whiten, plant.Bw, factor.M_whiten
     C_H, D_H = M @ A, M @ B
-    CC, DC, DD = C_H.T @ C_H, D_H.T @ C_H, D_H.T @ D_H
-    C_k, D_k, X0 = C_H, D_H, np.zeros_like(A)
-    for _ in range(plant.n + 1):
-        lam = np.linalg.eigvalsh(DD)
-        if lam.min() > 1e-12 * max(lam.max(), TINY):
-            break
-        U, s, _ = np.linalg.svd(D_k)
-        r = np.count_nonzero(s * s > 1e-12 * max(s[0] * s[0], TINY))
-        U, Z = U[:, :r].T, U[:, r:].T  # rows with feedthrough, rows with ~none
-        X0 = X0 + (Z @ C_k).T @ (Z @ C_k)
-        # the delayed realization only picks the rows of the next pass
-        C_k, D_k = np.vstack([U @ C_k, Z @ C_k @ A]), np.vstack([U @ D_k, Z @ C_k @ B])
-        CC = sym(C_H.T @ C_H + A.T @ X0 @ A - X0)
-        DC, DD = D_H.T @ C_H + B.T @ X0 @ A, sym(D_H.T @ D_H + B.T @ X0 @ B)
-    else:
-        raise FactorizationError(
-            f"numeric-failure: outer factor feedthrough singular "
-            f"(eigenvalues {lam.min():.3e}, {lam.max():.3e})"
-        )
-    E = np.linalg.solve(DD, DC)
-    X, iterations, reason = _sda(
-        A - B @ E, sym(B @ np.linalg.solve(DD, B.T)), sym(CC - DC.T @ E)
-    )
+
+    def gains(X):  # R, S and F = R^{-1}S at X
+        R = sym(D_H.T @ D_H + B.T @ X @ B)
+        lam = np.linalg.eigvalsh(R)
+        if lam.min() <= 1e-12 * max(lam.max(), TINY):
+            raise FactorizationError(
+                f"numeric-failure: outer factor feedthrough singular "
+                f"(eigenvalues {lam.min():.3e}, {lam.max():.3e})"
+            )
+        S = B.T @ X @ A + D_H.T @ C_H
+        return R, S, np.linalg.solve(R, S)
+
+    X_u, k_u, reason = _sda(A, np.zeros_like(A), sym(C_H.T @ C_H))
+    if reason is None:
+        R_u, S_u, F_u = gains(X_u)
+        Z, k_z, reason = _sda(A - B @ F_u, sym(-B @ np.linalg.solve(R_u, B.T)), sym(S_u.T @ F_u))
     if reason is not None:
         raise FactorizationError("no-stabilizing-solution: outer factor did not converge")
-    R = sym(DD + B.T @ X @ B)
-    S = B.T @ X @ A + DC
-    F = np.linalg.solve(R, S)
-    residual = float(np.abs(sym(A.T @ X @ A + CC - S.T @ F) - X).max())
+    X = sym(X_u - Z)
+    R, S, F = gains(X)
+    residual = float(np.abs(sym(A.T @ X @ A + C_H.T @ C_H - S.T @ F) - X).max())
     A_inv = A - B @ F
     if not is_stable(A_inv):
         raise FactorizationError(
@@ -402,14 +386,7 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
             f"radius {spectral_radius(A_inv):.6f}"
         )
     D = sqrt_psd(R)
-    return OuterFactor(
-        X=X0 + X,
-        C=D @ F,
-        D=D,
-        A_inv=A_inv,
-        residual=residual,
-        iterations=iterations,
-    )
+    return OuterFactor(X=X, C=D @ F, D=D, A_inv=A_inv, residual=residual, iterations=k_u + k_z)
 
 
 def build_synthetic(

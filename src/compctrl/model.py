@@ -378,6 +378,16 @@ def _json_object(obj, what: str, version=None) -> dict:
     return obj
 
 
+def _json_field(obj: dict, key: str, what: str, nullable: bool = False):
+    """``obj[key]``; a ValueError naming ``what`` and ``key`` when the field
+    is missing, or null and not ``nullable``."""
+    if key not in obj:
+        raise ValueError(f"{what} JSON missing required field '{key}'")
+    if obj[key] is None and not nullable:
+        raise ValueError(f"{what} JSON field '{key}' is null")
+    return obj[key]
+
+
 def plant_from_json_dict(obj: dict):
     """Parse the plant JSON schema into an LtiPlant (or LtvPlant if "horizon").
 
@@ -387,12 +397,8 @@ def plant_from_json_dict(obj: dict):
     replication into a time-varying plant)}.
     """
     _json_object(obj, "plant", PLANT_SCHEMA_VERSION)
-    for key in ("A", "Bu", "Bw", "Q"):
-        if key not in obj:
-            raise ValueError(f"plant JSON missing required field '{key}'")
-    plant = normalize_control_weight(
-        obj["A"], obj["Bu"], obj["Bw"], obj["Q"], obj.get("R"), obj.get("x0")
-    )
+    A, Bu, Bw, Q = (_json_field(obj, key, "plant") for key in ("A", "Bu", "Bw", "Q"))
+    plant = normalize_control_weight(A, Bu, Bw, Q, obj.get("R"), obj.get("x0"))
     if "horizon" in obj and obj["horizon"] is not None:
         return plant.to_ltv(int(obj["horizon"]))
     return plant

@@ -31,7 +31,7 @@ from .controllers import (
     synth_hinf,
 )
 from .factorization import FactorizationError
-from .model import LtiPlant, _json_object
+from .model import LtiPlant, _json_field, _json_object
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import DisturbanceSpec, RolloutResult, _rollout_loop, _StopRollout, cost_ratio, generate
 from .sim import spec_from_json_dict, spec_to_json_dict
@@ -108,8 +108,14 @@ def _check_quantum(quantum) -> float:
 
 
 def _bin(theta, quantum: float) -> int:
-    """The bin of the angle theta: the nearest multiple of the bin width."""
-    return int(round(float(theta) / quantum))
+    """The bin of the angle theta: the nearest multiple of the bin width.  A
+    bin beyond any int (a quantum too small for theta) is a ValueError."""
+    try:
+        return int(round(float(theta) / quantum))
+    except OverflowError:
+        raise ValueError(
+            f"quantum {quantum!r} is too small: the bin of theta = {theta} overflows"
+        ) from None
 
 
 def _disturbance_column(w) -> np.ndarray:
@@ -185,27 +191,21 @@ class RelinearizingController:
         if not all(math.isfinite(v) and v > 0 for v in levels.values()):
             raise ValueError(f"gamma_policy levels must be finite and positive, got {levels}")
         self.gamma: Optional[float] = None if kind == "h2" else levels.get("fixed")
-        start = time.perf_counter()
-        try:  # the first bin fails as every later bin does (:meth:`_controller`)
-            if kind != "h2" and self.gamma is None:
+        if kind != "h2" and self.gamma is None:
+            start = time.perf_counter()
+            try:  # the level search fails as the first bin does
                 find = min_gamma_competitive if kind == "competitive" else min_gamma_hinf
                 found = find(plant0, causality=causality, audit=False)
-                if not found.ok:
-                    raise MpcInfeasibleError(
-                        f"initial linearization: {found.reason or 'no feasible gamma'}"
-                    )
-                self.gamma = levels["margin"] * found.gamma
-            ctrl0 = self._synth(plant0)
-        except (ValueError, FactorizationError) as exc:
-            raise MpcInfeasibleError(f"initial linearization: {exc}") from exc
-        finally:
-            self.synth_s += time.perf_counter() - start
-        if isinstance(ctrl0, Infeasible):
-            raise MpcInfeasibleError(
-                f"initial linearization infeasible at gamma={self.gamma}"
-            )
-        self._cache[self._bin_init] = ctrl0
-        self.bins_synthesized = 1
+            except (ValueError, FactorizationError) as exc:
+                raise MpcInfeasibleError(f"initial linearization: {exc}") from exc
+            finally:
+                self.synth_s += time.perf_counter() - start
+            if not found.ok:
+                raise MpcInfeasibleError(
+                    f"initial linearization: {found.reason or 'no feasible gamma'}"
+                )
+            self.gamma = levels["margin"] * found.gamma
+        self._controller(self._bin_init, plant0, "initial linearization")
         self.reset()
 
     def _plant_at(self, b: int) -> LtiPlant:
@@ -226,23 +226,24 @@ class RelinearizingController:
         self._record = w
         self._bound: dict = {}  # bin -> its law bound to the record's tail
 
-    def _controller(self, b: int):
-        """The controller of bin b, synthesized on a miss."""
+    def _controller(self, b: int, plant: Optional[LtiPlant] = None, where: str = ""):
+        """The controller of bin b, synthesized on a miss from ``plant``, its
+        linearization; a failure is an :class:`MpcInfeasibleError` naming
+        ``where``, or else the bin."""
         cached = self._cache.get(b)
         if cached is not None:
             self.bin_cache_hits += 1
             return cached
         start = time.perf_counter()
         try:
-            ctrl = self._synth(self._plant_at(b))
+            ctrl = self._synth(self._plant_at(b) if plant is None else plant)
         except (ValueError, FactorizationError) as exc:
-            raise MpcInfeasibleError(f"bin {b}: {exc}") from exc
+            raise MpcInfeasibleError(f"{where or f'bin {b}'}: {exc}") from exc
         finally:
             self.synth_s += time.perf_counter() - start
         if isinstance(ctrl, Infeasible):
-            raise MpcInfeasibleError(
-                f"bin {b} (theta={b * self.quantum:.3f}) infeasible at gamma={self.gamma}"
-            )
+            where = where or f"bin {b} (theta={b * self.quantum:.3f})"
+            raise MpcInfeasibleError(f"{where} infeasible at gamma={self.gamma}")
         self._cache[b] = ctrl
         self.bins_synthesized += 1
         return ctrl
@@ -283,10 +284,12 @@ def _simulate(params, law, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
 
 
 def _check_x0(x0) -> np.ndarray:
-    """The pendulum's initial state (theta, theta_dot) as a float array."""
+    """The pendulum's initial state (theta, theta_dot) as a finite float array."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != 2:
         raise ValueError(f"x0 must be (theta, theta_dot), got {x0.size} values")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     return x0
 
 
@@ -377,8 +380,10 @@ def scenario_from_json_dict(obj: dict) -> PendulumScenario:
     ctl = _json_object(obj.get("controller", {}), "scenario controller")
     return PendulumScenario(
         params=params,
-        steps=int(obj["steps"]),
-        disturbance=spec_from_json_dict(obj["disturbance"]),
+        steps=int(_json_field(obj, "steps", "scenario")),
+        disturbance=spec_from_json_dict(
+            _json_field(obj, "disturbance", "scenario", nullable=True)
+        ),
         kind=ctl.get("kind", "competitive"),
         causality=ctl.get("causality", "causal"),
         gamma_policy=dict(ctl.get("gamma_policy", {"margin": DEFAULT_GAMMA_MARGIN})),

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .controllers import OfflineController, _clairvoyant_law, _online, offline_optimal
-from .model import _disturbance_record, _json_object, step_costs
+from .model import _disturbance_record, _json_field, _json_object, step_costs
 
 __all__ = [
     "DisturbanceSpec",
@@ -85,9 +85,11 @@ def spec_to_json_dict(spec: DisturbanceSpec) -> dict:
 
 def spec_from_json_dict(obj: dict) -> DisturbanceSpec:
     obj = dict(_json_object(obj, "disturbance spec"))
-    kind = obj.pop("kind")
+    kind = _json_field(obj, "kind", "disturbance spec")
+    del obj["kind"]
     if kind == "mixture":
-        obj["components"] = [spec_from_json_dict(c) for c in obj["components"]]
+        components = _json_field(obj, "components", "disturbance spec")
+        obj["components"] = [spec_from_json_dict(c) for c in components]
     return DisturbanceSpec(kind=kind, params=obj)
 
 

@@ -261,8 +261,7 @@ def test_certified_ratio_is_attained_on_lifted_operators(rng):
     T steps, from impulse-stacked operators, on the Gram's range.  Covers
     p < n (the outer-factor reduction), p = n and p > n (the doubled plant,
     which is exact there), causal and strictly causal, and a p < n plant
-    whose w' filter has no feedthrough (its outer factor delays the
-    filter's output rows first).
+    whose w' filter has no feedthrough (D_H = 0).
 
     The finite-horizon levels (T_f = 40, disturbances on all but the last
     step, which no cost sees) are bounds: attenuation ||T_K w||^2 against

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,12 @@ from compctrl import (
     synth_h2_ih,
     synth_hinf,
 )
-from compctrl.mpc import PendulumScenario, scenario_to_json_dict
+from compctrl.mpc import (
+    PendulumParams,
+    PendulumScenario,
+    linearize_pendulum,
+    scenario_to_json_dict,
+)
 from compctrl.sim import DisturbanceSpec
 
 from conftest import cli_env, scalar_lti
@@ -459,12 +465,13 @@ def test_mpc_failed_first_bin_exits_2(tmp_path):
     assert verdict["reason"].startswith("initial linearization: ")
 
 
-@pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), ()])
+@pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), (), (math.inf, 0.0), (math.nan, 0.0)])
 def test_mpc_bad_x0_is_an_error(tmp_path, x0):
     scen = _scenario_file(tmp_path, kind="h2", x0=x0, steps=20)
     proc = run_cli("mpc", "--scenario", scen)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "x0" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_mpc_zero_quantum_is_an_error(tmp_path):
@@ -473,6 +480,16 @@ def test_mpc_zero_quantum_is_an_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "quantum" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_mpc_quantum_too_small_for_a_bin_is_an_error(tmp_path):
+    # 1e-320 is > 0, but a bin index overflows once theta leaves 0
+    scen = _scenario_file(tmp_path, kind="h2", quantum=1e-320, steps=20)
+    out = tmp_path / "out.json"
+    proc = run_cli("mpc", "--scenario", scen, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: quantum 1e-320 is too small")
+    assert proc.stderr.count("\n") == 1 and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +503,15 @@ def _scenario_with(**edits):
 
 def _h2_file_with(**edits):
     return {**controller_to_json_dict(synth_h2_ih(scalar_lti(a=0.5))), **edits}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _competitive_file_without(key):
+    doc = controller_to_json_dict(synth_competitive(scalar_lti(a=0.5), 3.0))
+    return {**doc, "synthetic": _without(doc["synthetic"], key)}
 
 
 EMPTY_MIXTURE = {"kind": "mixture", "components": []}
@@ -512,11 +538,32 @@ EMPTY_MIXTURE = {"kind": "mixture", "components": []}
          "mixture needs at least one component"),
         ("scenario", lambda: _scenario_with(params={"dt": -0.01}),
          "pendulum dt must be finite and > 0, got -0.01"),
+        ("plant", lambda: {**plant_to_json_dict(scalar_lti()), "A": None},
+         "plant JSON field 'A' is null"),
+        ("disturbance", lambda: {"sigma": 1.0},
+         "disturbance spec JSON missing required field 'kind'"),
+        ("disturbance", lambda: {"kind": "mixture", "components": None},
+         "disturbance spec JSON field 'components' is null"),
+        ("controller", lambda: _without(_h2_file_with(), "kind"),
+         "controller JSON missing required field 'kind'"),
+        ("controller", lambda: _without(_h2_file_with(), "horizon"),
+         "controller JSON missing required field 'horizon'"),
+        ("controller", lambda: _h2_file_with(gains=None),
+         "controller JSON field 'gains' is null"),
+        ("controller", lambda: _competitive_file_without("A_filter"),
+         "controller synthetic JSON missing required field 'A_filter'"),
+        ("scenario", lambda: _without(_scenario_with(), "steps"),
+         "scenario JSON missing required field 'steps'"),
+        ("scenario", lambda: _without(_scenario_with(), "disturbance"),
+         "scenario JSON missing required field 'disturbance'"),
     ],
     ids=["plant-list", "controller-list", "controller-null", "controller-bogus-causality",
          "disturbance-list", "disturbance-empty-mixture", "scenario-list",
          "scenario-controller-null", "scenario-params-null", "scenario-disturbance-null",
-         "scenario-empty-mixture", "scenario-negative-dt"],
+         "scenario-empty-mixture", "scenario-negative-dt", "plant-null-A", "disturbance-no-kind",
+         "disturbance-null-components", "controller-no-kind", "controller-no-horizon",
+         "controller-null-gains", "controller-no-synthetic-array", "scenario-no-steps",
+         "scenario-no-disturbance"],
 )
 def test_unreadable_input_file_is_a_one_line_error(
     tmp_path, plant_file, h2_controller_file, role, doc, message
@@ -563,6 +610,19 @@ def test_verify_builtin_plant():
     assert report["info"]["spectral_radius_A"] < 1.0
     assert report["wall_ms"].keys() == VERIFY_PHASES
     assert all(v >= 0.0 for v in report["wall_ms"].values())
+
+
+def test_verify_checks_the_outer_factor_when_p_is_below_n(tmp_path):
+    # the pendulum's linearization has n = 2 > p = 1, so the exact reduction
+    # factors its w' filter: L*L = H*H on verify's 64-point grid
+    path = tmp_path / "pendulum.json"
+    path.write_text(json.dumps(plant_to_json_dict(linearize_pendulum(PendulumParams(), 0.0))))
+    proc = run_cli("verify", "--plant", str(path), "--horizon", "10", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    check = {c["name"]: c for c in report["checks"]}["outer-factor-identity"]
+    assert check["ok"] and check["threshold"] == 1e-7 and check["value"] < 1e-12
+    assert 0.0 <= report["info"]["outer_factor_residual"] < 1e-10
 
 
 def test_verify_scalar_plant_file(plant_file):

@@ -25,9 +25,11 @@ from compctrl.factorization import (
     whitening_fh,
     wprime_run,
 )
+from compctrl.freq import closed_loop, default_grid, per_freq_cr
 from compctrl.model import LtiPlant, LtvPlant, build_dense_operators, inv_sqrt_pd, sqrt_psd
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable, sym
+from compctrl.search import min_gamma_competitive
 
 
 def _whitening_per_step(plant):
@@ -305,9 +307,10 @@ def _wprime_filter_transfer(plant, factor, z):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_outer_factor_identity_on_circle(seed):
-    # seeds 3-5: D_H'D_H singular (D_H = 0; rank 1 of p = 2; and Q^{1/2} B_w
-    # of condition number 1e7, whose small feedthrough the delayed rows
-    # must not drop), so rows of H are delayed before the doubling solve
+    # seeds 3-5: D_H'D_H singular (D_H = 0; rank 1 of p = 2) or nearly so
+    # (Q^{1/2} B_w of condition number 1e7, whose small feedthrough must
+    # not be dropped); the doubling from the cost of w = 0 needs no
+    # feedthrough of full rank
     rng = np.random.default_rng(6000 + seed)
     if seed == 3:
         plant = no_feedthrough_plant()
@@ -342,26 +345,58 @@ def _assert_outer_factor(plant):
     return outer
 
 
-@pytest.mark.xfail(strict=True, raises=FactorizationError, reason=(
-    "outer_factor_ih takes the minimal Riccati solution X = 0 when C_H lies in "
-    "the range of D_H, which is the stabilizing one only if H has no zero "
-    "outside the unit circle"))
+def _rank_p_plant(seed, ill_conditioned=False):
+    """``random_lti(n=3, m=1, p=2)`` with Q's smallest eigenvalue set to 0,
+    so rank Q = p = 2 < n.  Ill-conditioned: B_w's first column is then
+    Q's null vector plus eps N(0, I), eps = 10^-U(2, 6), which gives
+    Q^{1/2} B_w condition numbers up to about 1e6."""
+    rng = np.random.default_rng(seed)
+    plant = random_lti(rng, n=3, m=1, p=2)
+    lam, V = np.linalg.eigh(plant.Q)
+    lam[0] = 0.0
+    Bw = plant.Bw.copy()
+    if ill_conditioned:
+        eps = 10.0 ** -rng.uniform(2, 6)
+        Bw[:, 0] = V[:, 0] + eps * rng.standard_normal(3)
+    return LtiPlant(plant.A, plant.Bu, Bw, (V * lam) @ V.T, plant.R_half, plant.x0)
+
+
 def test_outer_factor_when_the_filter_has_a_zero_outside_the_circle():
     # rank Q = p = 2 < n = 3: the plant is stabilizable and detectable and
     # sigma_min(H) >= 0.021 on the circle, so an outer factor exists; but
-    # C_H = D_H (D_H'D_H)^{-1} D_H'C_H, so the shifted H_0 of the doubling
-    # is 0, and H has a zero outside the circle (an eigenvalue of
-    # A_w - B_w (D_H'D_H)^{-1} D_H'C_H), so X = 0 leaves L^{-1} unstable
-    plant = random_lti(np.random.default_rng(200), n=3, m=1, p=2)
-    lam, V = np.linalg.eigh(plant.Q)
-    lam[0] = 0.0
-    plant = LtiPlant(plant.A, plant.Bu, plant.Bw, (V * lam) @ V.T, plant.R_half, plant.x0)
-    _assert_outer_factor(plant)
+    # C_H = D_H (D_H'D_H)^{-1} D_H'C_H, so X = 0 solves the Riccati
+    # equation, and H has a zero outside the circle, so X = 0 (the minimal
+    # solution) would leave L^{-1} unstable
+    _assert_outer_factor(_rank_p_plant(200))
+
+
+@pytest.mark.parametrize("ill_conditioned, seeds", [
+    (False, range(200, 240)),
+    (True, range(900, 960)),
+], ids=["rank-p-Q", "ill-conditioned"])
+def test_outer_factor_on_rank_deficient_and_ill_conditioned_filters(ill_conditioned, seeds):
+    # rank-p-Q: half of these filters have a zero outside the circle, where
+    # the minimal Riccati solution is not the stabilizing one;
+    # ill-conditioned: Q^{1/2} B_w of condition number up to about 1e6
+    for seed in seeds:
+        _assert_outer_factor(_rank_p_plant(seed, ill_conditioned))
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_exact_reduction_is_tight_when_the_filter_has_a_zero_outside_the_circle(causality):
+    # the certified level is the worst per-frequency ratio its controller
+    # reaches, on a 4,097-point grid, within 1 %
+    plant = _rank_p_plant(200)
+    found = min_gamma_competitive(plant, causality=causality)
+    assert found.ok and found.audit_warnings == []
+    loop = closed_loop(plant, found.controller)
+    attained = max(per_freq_cr(plant, loop, default_grid(4097)))
+    assert found.gamma**2 >= attained >= 0.99 * found.gamma**2
 
 
 def test_outer_factor_rejects_a_singular_filter_gram():
-    # Q^{1/2} of rank 1 < p = 2: H*H is singular on the whole circle, and no
-    # delay of rows gives the feedthrough full column rank
+    # Q^{1/2} of rank 1 < p = 2: H*H is singular on the whole circle, so R
+    # is singular at the Riccati solution
     plant = rank_one_feedthrough_plant(q=(1.0, 0.0, 0.0))
     with pytest.raises(FactorizationError, match="feedthrough singular"):
         outer_factor_ih(plant, spectral_factor_ih(plant))

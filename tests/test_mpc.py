@@ -120,7 +120,7 @@ def test_misspelt_dynamics_rejected_by_both_entry_points():
         )
 
 
-@pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), (0.1,), ()])
+@pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), (0.1,), (), (math.nan, 0.0), (math.inf, 0.0)])
 def test_both_pendulum_rollouts_name_a_bad_x0(x0):
     params = PendulumParams()
     ctrl = RelinearizingController(params, kind="h2", quantum=QUANTUM)
@@ -430,6 +430,18 @@ def test_quantum_must_be_finite_and_positive(quantum):
         RelinearizingController(params, kind="h2", quantum=quantum)
     with pytest.raises(ValueError, match="quantum"):
         clairvoyant_comparator_run(params, np.zeros(10), quantum=quantum)
+
+
+def test_a_bin_beyond_any_int_names_the_quantum():
+    # 1e-320 passes the quantum check, but theta / 1e-320 overflows an int
+    # as soon as the pendulum leaves theta = 0
+    params = PendulumParams()
+    w = generate(DisturbanceSpec("white-gaussian", {"sigma": 1.0}), 20, 1, seed=4)
+    ctrl = RelinearizingController(params, kind="h2", quantum=1e-320)
+    with pytest.raises(ValueError, match="quantum 1e-320 is too small"):
+        run_pendulum(params, ctrl, w)
+    with pytest.raises(ValueError, match="quantum 1e-320 is too small"):
+        clairvoyant_comparator_run(params, w, quantum=1e-320)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
