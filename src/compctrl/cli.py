@@ -57,6 +57,7 @@ from .factorization import (
 )
 from .freq import open_loop_maps, sweep, write_sweep_csv
 from .model import (
+    _STEP_ARRAYS,
     LtiPlant,
     LtvPlant,
     build_dense_operators,
@@ -110,8 +111,13 @@ def _print_json(obj) -> None:
 
 
 def _load_json(path: str):
+    """The JSON document at ``path``; a ValueError naming ``path`` when the
+    file is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a JSON file: {exc}") from exc
 
 
 def _load_plant(spec: str):
@@ -371,7 +377,7 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
     lap("fh_factorization")
 
     # strict causality of the w' filter
-    syn_fh = build_synthetic(ltv, schedule)
+    syn_fh = build_synthetic(ltv)
     T, p = ltv.T, ltv.p
     t0 = T // 2
     w1 = rng.standard_normal((T, p))
@@ -386,14 +392,7 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
 
     # offline solver: dense and sweep routes agree; perturbations cost more
     T_small = min(ltv.T, 12)
-    small = dataclasses.replace(
-        ltv,
-        A=ltv.A[:T_small],
-        Bu=ltv.Bu[:T_small],
-        Bw=ltv.Bw[:T_small],
-        Q=ltv.Q[:T_small],
-        R_half=ltv.R_half[:T_small],
-    )
+    small = dataclasses.replace(ltv, **{k: getattr(ltv, k)[:T_small] for k in _STEP_ARRAYS})
     w_small = rng.standard_normal((T_small, p))
     u_dense, opt_dense = offline_optimal(small, w_small, method="dense")
     u_ric, opt_ric = offline_optimal(small, w_small, method="riccati")

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .factorization import Realization, SyntheticSystem, _synthetic_plant
+from .factorization import Realization, SyntheticSystem, build_synthetic
 from .model import LtiPlant, LtvPlant, build_dense_operators, rowwise, step_costs
 from .model import _disturbance_record, _json_field, _json_object
 from .riccati import (
@@ -494,7 +494,7 @@ def _pose(plant, kind: str, causality: str, horizon: Optional[int], levels=()) -
     plant = _normalize_horizon(plant, horizon)
     if kind == "hinf":
         return plant, _controller
-    syn = _synthetic_plant(plant)
+    syn = build_synthetic(plant)
     return syn.as_plant(), functools.partial(_controller, synthetic=syn)
 
 
@@ -846,23 +846,17 @@ def controller_from_json_dict(obj: dict):
         return _json_field(gains, key, "controller gains")
 
     if kind == "zero":
-        return ZeroController(m=int(gain("m")))
+        return ZeroController(m=_json_field(gains, "m", "controller gains", convert=int))
     horizon = _json_field(obj, "horizon", "controller", nullable=True)
     causality = _check_causality(_json_field(obj, "causality", "controller"), "controller file: ")
-    gamma = _json_field(obj, "gamma", "controller", nullable=True)
+    law = dict(kind=kind, causality=causality, horizon=horizon,
+               gamma=_json_field(obj, "gamma", "controller", nullable=True))
     if kind != "competitive":
         Kx, Kw = (np.asarray(gain(key), dtype=float) for key in ("Kx", "Kw"))
         _check_horizon(horizon, {"Kx": Kx, "Kw": Kw})
         (m, n), p = Kx.shape[-2:], Kw.shape[-1]
         _check_dims({"Kw": Kw}, {"Kw": (m, p)}, (n, m, p))
-        return StateFeedbackController(
-            kind=kind,
-            causality=causality,
-            horizon=horizon,
-            gamma=gamma,
-            Kx=Kx,
-            Kw=Kw,
-        )
+        return StateFeedbackController(**law, Kx=Kx, Kw=Kw)
     s = _json_object(_json_field(obj, "synthetic", "controller"), "controller synthetic")
     if _json_field(s, "ltv", "controller synthetic") != (horizon is not None):
         raise ValueError(
@@ -882,12 +876,4 @@ def controller_from_json_dict(obj: dict):
     if exact:
         shapes.update(C_outer=(p, n), D_outer=(p, p))
     _check_dims(arrays, shapes, (n, m, p))
-    return CompetitiveController(
-        kind=kind,
-        causality=causality,
-        horizon=horizon,
-        gamma=gamma,
-        synthetic=SyntheticSystem(**fields),
-        Kxi=Kxi,
-        Kwp=Kwp,
-    )
+    return CompetitiveController(**law, synthetic=SyntheticSystem(**fields), Kxi=Kxi, Kwp=Kwp)

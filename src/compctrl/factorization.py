@@ -23,11 +23,12 @@ so attenuation of w'' = L w, which ranges over all of R^p, is the ratio
 problem itself.  The exact synthetic plant is the original plant driven
 through L^{-1} by w''.  For p >= n the doubled plant is already exact (H is
 square or wide; a p x p outer factor of the n x p filter would be singular
-for p > n), and every finite horizon uses it.  That choice is made here,
-once (:func:`_synthetic_plant`): :class:`SyntheticSystem` holds either
-plant in either horizon (:func:`build_synthetic`), and folds a law posed on
-it into one :class:`Realization` (:meth:`SyntheticSystem.fold`), so the
-callers only pose the attenuation game on ``as_plant()``.
+for p > n), and every finite horizon uses it.  :func:`build_synthetic`
+makes that choice, once: it takes the plant alone, picks and computes its
+factors, and returns a :class:`SyntheticSystem`, which holds either plant
+in either horizon and folds a law posed on it into one
+:class:`Realization` (:meth:`SyntheticSystem.fold`), so the callers only
+pose the attenuation game on ``as_plant()``.
 """
 
 from __future__ import annotations
@@ -389,34 +390,31 @@ def outer_factor_ih(plant: LtiPlant, factor: SpectralFactor) -> OuterFactor:
     return OuterFactor(X=X, C=D @ F, D=D, A_inv=A_inv, residual=residual, iterations=k_u + k_z)
 
 
-def build_synthetic(
-    plant: Union[LtiPlant, LtvPlant],
-    factor: SpectralFactor,
-    outer: Optional[OuterFactor] = None,
-) -> SyntheticSystem:
-    """Assemble the synthetic plant from a factor of the same horizon.
+def build_synthetic(plant: Union[LtiPlant, LtvPlant]) -> SyntheticSystem:
+    """The gamma-independent synthetic plant of a plant of either horizon.
+
+    The factors are chosen here: the whitening schedule (:func:`whitening_fh`)
+    of an :class:`LtvPlant`, the spectral factor (:func:`spectral_factor_ih`)
+    of an :class:`LtiPlant`, plus its outer factor (:func:`outer_factor_ih`)
+    when p < n.  The w' filter is the factor's own.
 
     The doubled plant: Ahat = [[A, K Sigma^{1/2}], [0, 0]], Buhat = [B_u; 0],
     Bwhat = [0; I], Qhat = U U' with U = [Q^{1/2}; Sigma^{1/2}] (PSD,
     rank <= n).  One assembly writes it for both horizons: single matrices
-    for an :class:`LtiPlant`, (T, ., .) stacks for an :class:`LtvPlant`.
-    The w' filter is the factor's own.
+    in the infinite horizon, (T, ., .) stacks over a finite one.
 
-    With an ``outer`` factor (time-invariant plants only) the exact plant is
-    returned instead: the plant copy and the filter state nu driven by w''
-    through w = D^{-1} (w'' - C nu),
+    With an outer factor the exact plant is returned instead: the plant copy
+    and the filter state nu driven by w'' through w = D^{-1} (w'' - C nu),
 
         Ahat = [[A, -B_w D^{-1} C], [0, A_inv]],  Buhat = [B_u; 0],
         Bwhat = [B_w D^{-1}; B_w D^{-1}],  Qhat = diag(Q, 0).
     """
-    horizon = plant.T if isinstance(plant, LtvPlant) else None
-    if factor.horizon != horizon:
-        raise TypeError(
-            f"a factor of horizon {factor.horizon} does not fit a plant of horizon {horizon}"
-        )
-    if outer is not None and horizon is not None:
-        raise TypeError("the outer factor applies to time-invariant plants only")
     n, m = plant.n, plant.m
+    if isinstance(plant, LtvPlant):
+        factor, outer = whitening_fh(plant), None
+    else:
+        factor = spectral_factor_ih(plant)
+        outer = outer_factor_ih(plant, factor) if plant.p < n else None
     filt = dict(A_filter=factor.A_whiten, B_filter=plant.Bw, M_filter=factor.M_whiten)
     if outer is not None:
         BwDi = np.linalg.solve(outer.D.T, plant.Bw.T).T  # B_w D^{-1}
@@ -442,16 +440,6 @@ def build_synthetic(
     return SyntheticSystem(
         Ahat=Ahat, Buhat=Buhat, Bwhat=Bwhat, Qhat=U @ U.swapaxes(-1, -2), **filt
     )
-
-
-def _synthetic_plant(plant: Union[LtiPlant, LtvPlant]) -> SyntheticSystem:
-    """The gamma-independent synthetic plant of a plant of either horizon:
-    exact in the infinite horizon with p < n, doubled otherwise."""
-    if isinstance(plant, LtvPlant):
-        return build_synthetic(plant, whitening_fh(plant))
-    factor = spectral_factor_ih(plant)
-    outer = outer_factor_ih(plant, factor) if plant.p < plant.n else None
-    return build_synthetic(plant, factor, outer)
 
 
 def wprime_run(synthetic: SyntheticSystem, w: np.ndarray) -> np.ndarray:

@@ -52,6 +52,9 @@ __all__ = [
 
 PLANT_SCHEMA_VERSION = 1
 
+#: a plant's arrays of one step, stacked over the steps of an LtvPlant
+_STEP_ARRAYS = ("A", "Bu", "Bw", "Q", "R_half")
+
 
 def sqrt_psd(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
@@ -195,15 +198,8 @@ class LtiPlant(_Plant):
         """Replicate the plant into a horizon-T time-varying plant."""
         if T < 1:
             raise ValueError("horizon must be >= 1")
-        rep = lambda M: np.repeat(M[None, :, :], T, axis=0)
-        return LtvPlant(
-            A=rep(self.A),
-            Bu=rep(self.Bu),
-            Bw=rep(self.Bw),
-            Q=rep(self.Q),
-            R_half=rep(self.R_half),
-            x0=self.x0.copy(),
-        )
+        return LtvPlant(**{k: np.repeat(getattr(self, k)[None], T, axis=0)
+                           for k in _STEP_ARRAYS}, x0=self.x0.copy())
 
     def advance(self, w: np.ndarray):
         """The plant's step on the record w: ``advance(t, x, u)`` is
@@ -330,14 +326,8 @@ def normalize_control_weight_ltv(As, Bus, Bws, Qs, Rs=None, x0=None) -> LtvPlant
     for t in range(T):
         Rt = None if Rs is None else Rs[t]
         steps.append(normalize_control_weight(As[t], Bus[t], Bws[t], Qs[t], Rt, x0))
-    return LtvPlant(
-        A=np.stack([s.A for s in steps]),
-        Bu=np.stack([s.Bu for s in steps]),
-        Bw=np.stack([s.Bw for s in steps]),
-        Q=np.stack([s.Q for s in steps]),
-        R_half=np.stack([s.R_half for s in steps]),
-        x0=steps[0].x0,
-    )
+    return LtvPlant(**{k: np.stack([getattr(s, k) for s in steps]) for k in _STEP_ARRAYS},
+                    x0=steps[0].x0)
 
 
 def build_dense_operators(plant: LtvPlant) -> DenseOperators:
@@ -378,14 +368,26 @@ def _json_object(obj, what: str, version=None) -> dict:
     return obj
 
 
-def _json_field(obj: dict, key: str, what: str, nullable: bool = False):
-    """``obj[key]``; a ValueError naming ``what`` and ``key`` when the field
-    is missing, or null and not ``nullable``."""
+_REQUIRED = object()
+
+
+def _json_field(obj: dict, key: str, what: str, nullable: bool = False,
+                default=_REQUIRED, convert=None):
+    """``obj[key]`` read through ``convert`` (not a null), or ``default`` if
+    it is missing; a ValueError naming ``what`` and ``key`` when the field
+    is missing with no default, null and not ``nullable``, or refused by
+    ``convert``."""
     if key not in obj:
-        raise ValueError(f"{what} JSON missing required field '{key}'")
-    if obj[key] is None and not nullable:
+        if default is _REQUIRED:
+            raise ValueError(f"{what} JSON missing required field '{key}'")
+        return default
+    value = obj[key]
+    if value is None and not nullable:
         raise ValueError(f"{what} JSON field '{key}' is null")
-    return obj[key]
+    try:
+        return value if value is None or convert is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} JSON field '{key}' cannot be read: {exc}") from exc
 
 
 def plant_from_json_dict(obj: dict):
@@ -399,9 +401,8 @@ def plant_from_json_dict(obj: dict):
     _json_object(obj, "plant", PLANT_SCHEMA_VERSION)
     A, Bu, Bw, Q = (_json_field(obj, key, "plant") for key in ("A", "Bu", "Bw", "Q"))
     plant = normalize_control_weight(A, Bu, Bw, Q, obj.get("R"), obj.get("x0"))
-    if "horizon" in obj and obj["horizon"] is not None:
-        return plant.to_ltv(int(obj["horizon"]))
-    return plant
+    horizon = _json_field(obj, "horizon", "plant", nullable=True, default=None, convert=int)
+    return plant if horizon is None else plant.to_ltv(horizon)
 
 
 def plant_to_json_dict(plant: LtiPlant) -> dict:

@@ -145,8 +145,8 @@ class RelinearizingController:
     ``kind`` is "competitive", "hinf", or "h2".  For the gamma-gated kinds
     the level is resolved at construction from the linearization about
     ``theta_init`` (bisection optimum times ``gamma_policy["margin"]``, or an
-    explicit ``gamma_policy["fixed"]`` level) and then held fixed for every
-    bin: a bin infeasible at it ends a run with status
+    explicit ``gamma_policy["fixed"]`` level; another key is refused) and then
+    held fixed for every bin: a bin infeasible at it ends a run with status
     "infeasible-linearization" rather than retuning.  Each bin's controller
     is cached; each bin is synthesized from its own linearization alone, so
     the cache is independent of the order in which bins are visited; the bin
@@ -187,7 +187,11 @@ class RelinearizingController:
         plant0 = self._plant_at(self._bin_init)
 
         policy = {"margin": DEFAULT_GAMMA_MARGIN, **(gamma_policy or {})}
-        levels = {key: float(policy[key]) for key in ("fixed", "margin") if key in policy}
+        unknown = [key for key in policy if key not in ("fixed", "margin")]
+        if unknown:
+            raise ValueError(f"gamma_policy keys must be 'fixed' or 'margin', got {unknown}")
+        levels = {key: _json_field(policy, key, "gamma_policy", convert=float)
+                  for key in ("fixed", "margin") if key in policy}
         if not all(math.isfinite(v) and v > 0 for v in levels.values()):
             raise ValueError(f"gamma_policy levels must be finite and positive, got {levels}")
         self.gamma: Optional[float] = None if kind == "h2" else levels.get("fixed")
@@ -375,20 +379,24 @@ class PendulumScenario:
 def scenario_from_json_dict(obj: dict) -> PendulumScenario:
     _json_object(obj, "scenario", SCENARIO_SCHEMA_VERSION)
     prm = _json_object(obj.get("params", {}), "scenario params")
-    params = PendulumParams(**{f.name: float(prm.get(f.name, f.default))
-                               for f in fields(PendulumParams)})
+    params = PendulumParams(**{
+        f.name: _json_field(prm, f.name, "scenario params", default=f.default, convert=float)
+        for f in fields(PendulumParams)
+    })
     ctl = _json_object(obj.get("controller", {}), "scenario controller")
     return PendulumScenario(
         params=params,
-        steps=int(_json_field(obj, "steps", "scenario")),
+        steps=_json_field(obj, "steps", "scenario", convert=int),
         disturbance=spec_from_json_dict(
             _json_field(obj, "disturbance", "scenario", nullable=True)
         ),
-        kind=ctl.get("kind", "competitive"),
-        causality=ctl.get("causality", "causal"),
-        gamma_policy=dict(ctl.get("gamma_policy", {"margin": DEFAULT_GAMMA_MARGIN})),
-        quantum=float(obj.get("quantum", DEFAULT_QUANTUM)),
-        x0=tuple(float(v) for v in obj.get("x0", (0.0, 0.0))),
+        kind=_json_field(ctl, "kind", "scenario controller", default="competitive"),
+        causality=_json_field(ctl, "causality", "scenario controller", default="causal"),
+        gamma_policy=_json_field(ctl, "gamma_policy", "scenario controller",
+                                 default={"margin": DEFAULT_GAMMA_MARGIN}, convert=dict),
+        quantum=_json_field(obj, "quantum", "scenario", default=DEFAULT_QUANTUM, convert=float),
+        x0=_json_field(obj, "x0", "scenario", default=(0.0, 0.0),
+                       convert=lambda x0: tuple(float(v) for v in x0)),
     )
 
 

@@ -18,6 +18,7 @@ LF line endings so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -93,11 +94,11 @@ def spec_from_json_dict(obj: dict) -> DisturbanceSpec:
     return DisturbanceSpec(kind=kind, params=obj)
 
 
-def _direction(params: dict, p: int) -> np.ndarray:
-    d = params.get("direction")
+def _direction(read, p: int) -> np.ndarray:
+    d = read("direction", nullable=True, default=None,
+             convert=lambda v: np.asarray(v, dtype=float).reshape(-1))
     if d is None:
         d = np.ones(p)
-    d = np.asarray(d, dtype=float).reshape(-1)
     if d.shape != (p,):
         raise ValueError(f"direction must have length p = {p}")
     norm = float(np.linalg.norm(d))
@@ -108,51 +109,53 @@ def _direction(params: dict, p: int) -> np.ndarray:
 
 def _generate_one(spec: DisturbanceSpec, T: int, p: int, bitgen) -> np.ndarray:
     kind, params = spec.kind, spec.params
+    read = functools.partial(_json_field, params, what=f"{kind} disturbance spec")
     if kind == "white-gaussian":
-        sigma = float(params.get("sigma", 1.0))
+        sigma = read("sigma", default=1.0, convert=float)
         rng = np.random.Generator(bitgen)
         return sigma * rng.standard_normal((T, p))
     if kind == "sinusoid":
-        omega = float(params["omega"])
-        amp = float(params.get("amplitude", 1.0))
-        d = _direction(params, p)
+        omega = read("omega", convert=float)
+        amp = read("amplitude", default=1.0, convert=float)
+        d = _direction(read, p)
         t = np.arange(T)
         return amp * np.sin(omega * t)[:, None] * d[None, :]
     if kind == "step":
-        levels = [float(v) for v in params["levels"]]
-        switches = [int(s) for s in params.get("switch_times", [])]
+        levels = read("levels", convert=lambda v: [float(x) for x in v])
+        switches = read("switch_times", default=[], convert=lambda v: [int(s) for s in v])
         if len(switches) != len(levels) - 1:
             raise ValueError("step needs len(switch_times) == len(levels) - 1")
         if sorted(switches) != switches:
             raise ValueError("switch_times must be nondecreasing")
-        d = _direction(params, p)
+        d = _direction(read, p)
         t = np.arange(T)
         idx = np.searchsorted(np.asarray(switches), t, side="right")
         return np.asarray(levels)[idx][:, None] * d[None, :]
     if kind == "dc":
-        d = _direction(params, p)
+        d = _direction(read, p)
         return np.tile(d, (T, 1))
     if kind == "sine-mean-gaussian":
-        mean_amp = float(params.get("mean_amplitude", 1.0))
-        mean_omega = float(params.get("mean_omega", 1e-3))
-        sigma = float(params.get("sigma", 1.0))
-        d = _direction(params, p)
+        mean_amp = read("mean_amplitude", default=1.0, convert=float)
+        mean_omega = read("mean_omega", default=1e-3, convert=float)
+        sigma = read("sigma", default=1.0, convert=float)
+        d = _direction(read, p)
         rng = np.random.Generator(bitgen)
         t = np.arange(T)
         mean = mean_amp * np.sin(mean_omega * t)[:, None] * d[None, :]
         return mean + sigma * rng.standard_normal((T, p))
     if kind == "mixture":
-        comps = params["components"]
+        comps = read("components")
         if not comps:
             raise ValueError("mixture needs at least one component")
-        weights = params.get("weights")
+        weights = read("weights", nullable=True, default=None,
+                       convert=lambda v: [float(x) for x in v])
         if weights is None:
             weights = [1.0 / len(comps)] * len(comps)
         if len(weights) != len(comps):
             raise ValueError("mixture needs one weight per component")
         w = np.zeros((T, p))
         for i, (comp, wt) in enumerate(zip(comps, weights)):
-            w += float(wt) * _generate_one(comp, T, p, bitgen.jumped(i))
+            w += wt * _generate_one(comp, T, p, bitgen.jumped(i))
         return w
     raise ValueError(f"unknown disturbance kind '{kind}'")
 
@@ -315,10 +318,8 @@ def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
     clairvoyant optimum is computed once from the same plant and
     disturbance; each rollout checks its controller against the plant.
     """
-    if isinstance(named_controllers, dict):
-        items = list(named_controllers.items())
-    else:
-        items = list(named_controllers)
+    items = list(named_controllers.items() if isinstance(named_controllers, dict)
+                 else named_controllers)
     start = time.perf_counter()
     _, opt = offline_optimal(plant, w)
     solved = time.perf_counter()

@@ -2,8 +2,10 @@
 
 ``bench/tracing.install`` replaces functions and methods by name; a rename
 under ``src/`` would break ``bench/run.py --trace 1`` with nothing else
-noticing.  This installs the tracer, runs a small Boeing comparison and a
-short pendulum run with its comparator, and checks the spans recorded.
+noticing.  This installs the tracer, runs a small Boeing comparison, the
+two Boeing competitive searches (infinite and finite horizon), a short
+pendulum run with its comparator and a competitive scheduled controller
+that meets an uncached bin, and checks the spans recorded.
 """
 
 import importlib
@@ -43,6 +45,13 @@ def test_tracer_wraps_every_name_it_looks_for(tracing, boeing):
         ctrl = RelinearizingController(PendulumParams(), kind="h2", quantum=0.01)
         compctrl.mpc.run_pendulum(PendulumParams(), ctrl, record)
         compctrl.mpc.clairvoyant_comparator_run(PendulumParams(), record, quantum=0.01)
+        for horizon in (None, 30):
+            assert compctrl.min_gamma_competitive(boeing, horizon=horizon, audit=False).ok
+        competitive = RelinearizingController(
+            PendulumParams(), gamma_policy={"fixed": 3.8}, quantum=0.01
+        )
+        # x0 starts two bins from the one built at construction
+        compctrl.mpc.run_pendulum(PendulumParams(), competitive, record[:5], x0=(0.02, 0.0))
     finally:
         undo()
     assert compctrl.sim.rollout is original
@@ -51,10 +60,27 @@ def test_tracer_wraps_every_name_it_looks_for(tracing, boeing):
         "sim.generate", "sim.compare", "sim.rollout",
         "controllers.offline_optimal.riccati", "controllers.step", "model.to_ltv",
         "mpc.controller_build", "mpc.scheduled_step", "mpc.run_pendulum",
-        "mpc.clairvoyant_comparator_run", "mpc.linearize_pendulum",
+        "mpc.clairvoyant_comparator_run", "mpc.linearize_pendulum", "mpc.bin_synth",
+        "search.min_gamma_competitive", "factorization.build_synthetic",
+        "factorization.whitening_fh", "factorization.spectral_factor_ih",
     ):
         assert name in names, name
     assert tracing.check_nesting(tracer.spans) == []
+    spans = tracer.spans
+
+    def ancestors(i):
+        while spans[i][tracing.PARENT] >= 0:
+            i = spans[i][tracing.PARENT]
+            yield spans[i][tracing.NAME]
+
+    builds = [i for i, s in enumerate(spans) if s[tracing.NAME] == "factorization.build_synthetic"]
+    # one synthetic plant per search, and one for the uncached bin
+    assert sum("search.min_gamma_competitive" in ancestors(i) for i in builds) == 2
+    assert sum("mpc.bin_synth" in ancestors(i) for i in builds) == 1
+    # build_synthetic reaches its factors through the module's globals
+    for s in spans:
+        if s[tracing.NAME] in ("factorization.whitening_fh", "factorization.spectral_factor_ih"):
+            assert spans[s[tracing.PARENT]][tracing.NAME] == "factorization.build_synthetic"
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["mpc.comparator_passes"][0] >= 1
     assert metrics["sim.rollout.steps"][0] == 100

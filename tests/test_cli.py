@@ -517,6 +517,19 @@ def _competitive_file_without(key):
 EMPTY_MIXTURE = {"kind": "mixture", "components": []}
 
 
+def _reading(role, path, tmp_path, plant_file, h2_controller_file):
+    """The command line that reads ``path`` as its ``role`` input file."""
+    return {
+        "plant": ["synth", "--plant", str(path), "--kind", "h2"],
+        "controller": ["simulate", "--plant", plant_file, "--controller", str(path),
+                       "--steps", "20", "--trace-dir", str(tmp_path)],
+        "disturbance": ["simulate", "--plant", plant_file, "--controller",
+                        h2_controller_file, "--disturbance", str(path), "--steps", "20",
+                        "--trace-dir", str(tmp_path)],
+        "scenario": ["mpc", "--scenario", str(path)],
+    }[role]
+
+
 @pytest.mark.parametrize(
     "role, doc, message",
     [
@@ -556,6 +569,38 @@ EMPTY_MIXTURE = {"kind": "mixture", "components": []}
          "scenario JSON missing required field 'steps'"),
         ("scenario", lambda: _without(_scenario_with(), "disturbance"),
          "scenario JSON missing required field 'disturbance'"),
+        ("scenario", lambda: _scenario_with(quantum=None),
+         "scenario JSON field 'quantum' is null"),
+        ("scenario", lambda: _scenario_with(params={"dt": None}),
+         "scenario params JSON field 'dt' is null"),
+        ("scenario", lambda: _scenario_with(x0=None), "scenario JSON field 'x0' is null"),
+        ("scenario", lambda: _scenario_with(controller={"kind": "h2", "gamma_policy": None}),
+         "scenario controller JSON field 'gamma_policy' is null"),
+        ("scenario", lambda: _scenario_with(steps="abc"),
+         "scenario JSON field 'steps' cannot be read: "
+         "invalid literal for int() with base 10: 'abc'"),
+        ("scenario", lambda: _scenario_with(controller={"kind": "h2",
+                                                        "gamma_policy": {"fixd": 3.8}}),
+         "gamma_policy keys must be 'fixed' or 'margin', got ['fixd']"),
+        ("disturbance", lambda: {"kind": "step"},
+         "step disturbance spec JSON missing required field 'levels'"),
+        ("disturbance", lambda: {"kind": "sinusoid"},
+         "sinusoid disturbance spec JSON missing required field 'omega'"),
+        ("disturbance", lambda: {"kind": "sinusoid", "omega": None},
+         "sinusoid disturbance spec JSON field 'omega' is null"),
+        ("disturbance", lambda: {"kind": "white-gaussian", "sigma": "abc"},
+         "white-gaussian disturbance spec JSON field 'sigma' cannot be read: "
+         "could not convert string to float: 'abc'"),
+        ("disturbance", lambda: {"kind": "mixture", "components": [{"kind": "dc"}],
+                                 "weights": [None]},
+         "mixture disturbance spec JSON field 'weights' cannot be read: "
+         "float() argument must be a string or a real number, not 'NoneType'"),
+        ("plant", lambda: {**plant_to_json_dict(scalar_lti()), "horizon": "abc"},
+         "plant JSON field 'horizon' cannot be read: "
+         "invalid literal for int() with base 10: 'abc'"),
+        ("controller", lambda: {"kind": "zero", "gains": {"m": "abc"}},
+         "controller gains JSON field 'm' cannot be read: "
+         "invalid literal for int() with base 10: 'abc'"),
     ],
     ids=["plant-list", "controller-list", "controller-null", "controller-bogus-causality",
          "disturbance-list", "disturbance-empty-mixture", "scenario-list",
@@ -563,7 +608,12 @@ EMPTY_MIXTURE = {"kind": "mixture", "components": []}
          "scenario-empty-mixture", "scenario-negative-dt", "plant-null-A", "disturbance-no-kind",
          "disturbance-null-components", "controller-no-kind", "controller-no-horizon",
          "controller-null-gains", "controller-no-synthetic-array", "scenario-no-steps",
-         "scenario-no-disturbance"],
+         "scenario-no-disturbance", "scenario-null-quantum", "scenario-null-dt",
+         "scenario-null-x0", "scenario-null-gamma-policy", "scenario-text-steps",
+         "scenario-misspelt-gamma-policy", "disturbance-step-no-levels",
+         "disturbance-sinusoid-no-omega", "disturbance-sinusoid-null-omega",
+         "disturbance-text-sigma", "disturbance-null-weight", "plant-text-horizon",
+         "controller-text-m"],
 )
 def test_unreadable_input_file_is_a_one_line_error(
     tmp_path, plant_file, h2_controller_file, role, doc, message
@@ -572,18 +622,24 @@ def test_unreadable_input_file_is_a_one_line_error(
     path = tmp_path / f"{role}.json"
     path.write_text(json.dumps(doc()))
     out = tmp_path / "out.json"
-    argv = {
-        "plant": ["synth", "--plant", str(path), "--kind", "h2"],
-        "controller": ["simulate", "--plant", plant_file, "--controller", str(path),
-                       "--steps", "20", "--trace-dir", str(tmp_path)],
-        "disturbance": ["simulate", "--plant", plant_file, "--controller",
-                        h2_controller_file, "--disturbance", str(path), "--steps", "20",
-                        "--trace-dir", str(tmp_path)],
-        "scenario": ["mpc", "--scenario", str(path)],
-    }[role]
-    proc = run_cli(*argv, "--out", str(out))
+    proc = run_cli(*_reading(role, path, tmp_path, plant_file, h2_controller_file),
+                   "--out", str(out))
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("role", ["plant", "controller", "disturbance", "scenario"])
+def test_a_malformed_json_file_names_its_path(tmp_path, plant_file, h2_controller_file, role):
+    # json's own message names no file, so the reader adds the path
+    path = tmp_path / f"{role}.json"
+    path.write_text("{")
+    out = tmp_path / "out.json"
+    proc = run_cli(*_reading(role, path, tmp_path, plant_file, h2_controller_file),
+                   "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {path} is not a JSON file: Expecting property name "
+                           f"enclosed in double quotes: line 1 column 2 (char 1)\n")
     assert not out.exists()
 
 

@@ -40,7 +40,7 @@ from compctrl.controllers import (
     synth_h2_ih,
     synth_hinf,
 )
-from compctrl.factorization import _synthetic_plant
+from compctrl.factorization import build_synthetic
 from compctrl.freq import closed_loop, peak_gain
 from compctrl.model import load_bundled_plant
 from compctrl.mpc import PendulumParams, linearize_pendulum
@@ -326,7 +326,7 @@ def test_competitive_reuses_provided_factor(p, horizon, rng):
     # plant for p >= n (its outer factor would be singular for p > n)
     plant = random_lti(rng, n=2, m=1, p=p)
     normalized = plant if horizon is None else plant.to_ltv(horizon)
-    syn = _synthetic_plant(normalized)
+    syn = build_synthetic(normalized)
     a = _controller(_attenuation(syn.as_plant(), 3.0, "causal"), syn)
     b = synth_competitive(plant, 3.0, horizon=horizon)
     assert isinstance(a, CompetitiveController)

@@ -95,7 +95,7 @@ def test_whitening_scalar_frozen():
 
 def test_wprime_scalar_frozen():
     plant = scalar_lti().to_ltv(2)
-    syn = build_synthetic(plant, whitening_fh(plant))
+    syn = build_synthetic(plant)
     w = np.array([[3.0], [5.0]])
     wp = wprime_run(syn, w)
     assert wp.shape == (2, 1)
@@ -132,7 +132,7 @@ def test_wprime_equals_dense_whitened_disturbance(seed):
     T = 9
     plant = random_ltv(rng, T=T, n=2, m=2, p=2)
     sched = whitening_fh(plant)
-    syn = build_synthetic(plant, sched)
+    syn = build_synthetic(plant)
     w = rng.standard_normal((T, 2))
     wp = wprime_run(syn, w)
     D = dense_delta(plant, sched)
@@ -144,7 +144,7 @@ def test_wprime_equals_dense_whitened_disturbance(seed):
 def test_wprime_strictly_causal(rng):
     T, t0 = 10, 4
     plant = random_ltv(rng, T=T, n=3, m=1, p=2)
-    syn = build_synthetic(plant, whitening_fh(plant))
+    syn = build_synthetic(plant)
     w1 = rng.standard_normal((T, 2))
     w2 = w1.copy()
     w2[t0:] = rng.standard_normal((T - t0, 2))
@@ -208,14 +208,15 @@ def test_delta_inverse_transfer(rng):
 def test_synthetic_system_block_structure(horizon, rng):
     # one type for both horizons: single matrices, or (T, ., .) stacks whose
     # every step holds the doubled blocks; as_plant() poses the attenuation
-    # problem on it, with w' in the whitened output space
+    # problem on it, with w' in the whitened output space (p >= n, so the
+    # infinite horizon builds the doubled plant too)
     if horizon is None:
-        plant = random_lti(rng, n=3, m=2, p=2)
+        plant = random_lti(rng, n=3, m=2, p=3)
         factor = spectral_factor_ih(plant)
     else:
         plant = random_ltv(rng, T=horizon, n=2, m=1, p=2)
         factor = whitening_fh(plant)
-    syn = build_synthetic(plant, factor)
+    syn = build_synthetic(plant)
     lifted = syn.as_plant()
     n = plant.n
     assert syn.horizon == horizon and not syn.exact
@@ -255,7 +256,7 @@ def test_doubled_assembly_equals_per_step_oracle(rng, boeing):
     for plant in plants:
         sched = whitening_fh(plant)
         assert sched.horizon == plant.T
-        syn = build_synthetic(plant, sched)
+        syn = build_synthetic(plant)
         for key, ref in doubled_plant_per_step(plant, sched).items():
             assert np.array_equal(getattr(syn, key), ref), key
         assert np.array_equal(syn.B_filter, plant.Bw)
@@ -273,30 +274,11 @@ def test_doubled_assembly_equals_per_step_oracle(rng, boeing):
         A_whiten=factor.A_whiten[None],
         M_whiten=factor.M_whiten[None],
     )
-    syn = build_synthetic(lti, factor)
+    syn = build_synthetic(lti)
     for key, ref in doubled_plant_per_step(lti.to_ltv(1), one_step).items():
         assert np.array_equal(getattr(syn, key), ref[0]), key
     assert np.array_equal(syn.A_filter, factor.A_whiten)
     assert np.array_equal(syn.M_filter, factor.M_whiten)
-
-
-@pytest.mark.parametrize("case", ["finite-factor", "steady-state-factor", "other-horizon",
-                                  "outer-finite"])
-def test_build_synthetic_refuses_a_factor_that_does_not_fit(case, rng):
-    # the factor's horizon is its shape, and it must be the plant's; the
-    # outer factor applies to the infinite horizon only
-    lti = random_lti(rng, n=3, m=1, p=2)
-    ltv = lti.to_ltv(5)
-    factor = spectral_factor_ih(lti)
-    plant, fac, outer = {
-        "finite-factor": (lti, whitening_fh(ltv), None),
-        "steady-state-factor": (ltv, factor, None),
-        "other-horizon": (lti.to_ltv(6), whitening_fh(ltv), None),
-        "outer-finite": (ltv, whitening_fh(ltv), outer_factor_ih(lti, factor)),
-    }[case]
-    match = "time-invariant" if case == "outer-finite" else "does not fit"
-    with pytest.raises(TypeError, match=match):
-        build_synthetic(plant, fac, outer)
 
 
 def _wprime_filter_transfer(plant, factor, z):
@@ -406,9 +388,9 @@ def test_exact_synthetic_system_block_structure(rng):
     plant = random_lti(rng, n=3, m=2, p=2)
     factor = spectral_factor_ih(plant)
     outer = outer_factor_ih(plant, factor)
-    syn = build_synthetic(plant, factor, outer)
+    syn = build_synthetic(plant)
     n = plant.n
-    assert syn.exact and not build_synthetic(plant, factor).exact
+    assert syn.exact
     BwDi = plant.Bw @ np.linalg.inv(outer.D)
     assert_allclose(syn.Ahat[:n, :n], plant.A, atol=1e-14)
     assert_allclose(syn.Ahat[:n, n:], -BwDi @ outer.C, atol=1e-12)
@@ -427,9 +409,6 @@ def test_exact_synthetic_system_block_structure(rng):
         lower = syn.Ahat[n:, n:] @ lower + syn.Bwhat[n:] @ wpp
         nu = syn.A_filter @ nu + syn.B_filter @ w[t]
         assert_allclose(lower, nu, atol=1e-10)
-    ltv = random_ltv(rng, T=4, n=3, m=1, p=1)
-    with pytest.raises(TypeError, match="time-invariant"):
-        build_synthetic(ltv, whitening_fh(ltv), outer)
 
 
 def test_wprime_filter_online_matches_batch(rng):

@@ -202,6 +202,20 @@ def test_bad_arguments_are_argument_errors():
             RelinearizingController(PendulumParams(), kind="hinf", gamma_policy=policy)
 
 
+@pytest.mark.parametrize("kind", ["competitive", "h2"])
+def test_a_misspelt_gamma_policy_key_is_refused(kind):
+    # a misspelt key must not be dropped: {"fixd": 3.8} would run the
+    # competitive kind at the searched level instead of 3.8
+    with pytest.raises(ValueError, match=r"must be 'fixed' or 'margin', got \['fixd'\]"):
+        RelinearizingController(
+            PendulumParams(), kind=kind, gamma_policy={"fixd": 3.8}, quantum=QUANTUM
+        )
+    with pytest.raises(ValueError, match="gamma_policy JSON field 'fixed' is null"):
+        RelinearizingController(
+            PendulumParams(), kind=kind, gamma_policy={"fixed": None}, quantum=QUANTUM
+        )
+
+
 def test_initial_bin_follows_theta_init():
     ctrl = RelinearizingController(
         PendulumParams(),

@@ -27,7 +27,7 @@ from compctrl.riccati import (
     sym,
 )
 from compctrl import controllers, riccati
-from compctrl.factorization import _synthetic_plant
+from compctrl.factorization import build_synthetic
 from compctrl.model import LtvPlant
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.search import min_gamma_competitive, min_gamma_hinf
@@ -350,7 +350,7 @@ def _fh_case(case, boeing):
     if case == "boeing":
         return boeing.to_ltv(40)
     if case == "doubled":
-        return _synthetic_plant(boeing.to_ltv(40)).as_plant()
+        return build_synthetic(boeing.to_ltv(40)).as_plant()
     rng = np.random.default_rng(7100 + case)
     return random_ltv(rng, T=30, n=3 + case % 2, m=1 + case % 2, p=1 + case % 2)
 
@@ -429,7 +429,7 @@ def _search_levels(boeing):
     """The 19 levels of the Boeing T = 200 causal competitive search, and its
     synthetic plant."""
     levels = [g for g, _ in min_gamma_competitive(boeing, horizon=200).history]
-    syn = _synthetic_plant(boeing.to_ltv(200)).as_plant()
+    syn = build_synthetic(boeing.to_ltv(200)).as_plant()
     return levels, syn
 
 
@@ -578,7 +578,7 @@ def test_strict_check_runs_in_blocks(boeing, monkeypatch):
     # each stacked eigvalsh of the strict check sees at most BLOCK steps, so
     # its buffers do not grow with the horizon, and together they cover the
     # horizon once
-    syn = _synthetic_plant(boeing.to_ltv(200)).as_plant()
+    syn = build_synthetic(boeing.to_ltv(200)).as_plant()
     levels = [1.25, 1.33, 5.0, 5.3, 5.33, 8.0, 16.0, 32.0]
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -749,7 +749,7 @@ def test_stacked_doubling_survives_a_singular_lane():
 def test_stacked_strict_verdicts_equal_lone_ones(causality, boeing):
     # the competitive plant's fixed points converge at 2, 4 and 5, where
     # B_w'PB_w < gamma^2 I fails
-    syn = _synthetic_plant(boeing).as_plant()
+    syn = build_synthetic(boeing).as_plant()
     levels = [2.0, 4.0, 5.0, 5.5, 6.0, 8.0, 1.25]
     stacked = controllers._attenuation(syn, levels, causality)
     strict_failures = 0
@@ -772,7 +772,7 @@ def test_stacked_audit_levels_equal_lone_solves(search, boeing):
     result = search(boeing, audit=False)
     lo, hi, tol = result.gamma_lo, result.gamma, result.tol
     levels = [lo - (2 + k) * tol for k in range(4)] + [hi + k * tol for k in range(1, 5)]
-    plant = boeing if search is min_gamma_hinf else _synthetic_plant(boeing).as_plant()
+    plant = boeing if search is min_gamma_hinf else build_synthetic(boeing).as_plant()
     game = [_hinf_game(plant, g) for g in levels]
     A, Bt, _, Q = game[0]
     stacked = riccati._dare_fixed_points(A, Bt, np.stack([g[2] for g in game]), Q)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_lti, scalar_lti
 
-from compctrl import controllers, factorization
+from compctrl import controllers
 from compctrl.controllers import (
     CompetitiveController,
     Infeasible,
@@ -213,14 +213,14 @@ def test_competitive_search_builds_synthetic_plant_once(horizon, rng, monkeypatc
     # once however many levels it probes (p < n: the exact plant when
     # horizon is None, the whitening schedule's doubled plant otherwise)
     plant = random_lti(rng, n=3, m=1, p=1)
-    build = factorization.build_synthetic
+    build = controllers.build_synthetic
     calls = []
 
     def counting(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(factorization, "build_synthetic", counting)
+    monkeypatch.setattr(controllers, "build_synthetic", counting)
     result = min_gamma_competitive(plant, horizon=horizon)
     assert result.ok
     assert len(result.history) > 10
