@@ -9,6 +9,14 @@ share one game weight, :func:`_game_weight`, one existence test,
 package is solved by one doubling core, :func:`_sda`.  Both horizons take
 several levels as lanes of one run, each lane leaving at its own verdict.
 
+The backward recursion's steps compose by the formula of a doubling step
+(:func:`_compose`), so :func:`_reduced_verdicts` decides one level's two
+verdicts from an odd-even reduction in log2(T) stacked levels; the gamma
+search uses it for its bracket probes on an LtvPlant.  It falls back to
+:func:`hinf_backward` when numpy finds a composite's W singular or an H~
+at or after the failing step is not finite.  Its P decides verdicts only:
+every returned schedule comes from the sequential recursion.
+
 Feasibility failures are reported as structured verdicts with reason codes
 ("singular-Htilde", "no-stabilizing-solution", ...) rather than exceptions,
 because the gamma-bisection consumes them as ordinary values.  Symmetric
@@ -96,6 +104,13 @@ def _pivot_test(lam: list) -> tuple[bool, int, int]:
     return singular, n_pos, n_neg
 
 
+def _singular(lam: np.ndarray) -> np.ndarray:
+    """The guard of :func:`_pivot_test`, vectorized over long stacks of
+    pivots (..., K)."""
+    mags = np.abs(lam)
+    return mags.min(axis=-1) <= PIVOT_GUARD * np.maximum(mags.max(axis=-1), TINY)
+
+
 def _eig_pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Equilibrated eigendecomposition S H S = V diag(lam) V' as (lam, V, S),
     unguarded; on a stack, one LAPACK call runs each matrix as it would run
@@ -121,10 +136,9 @@ def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
     (SingularHtildeError, naming the first such matrix of a stack).
     """
     pivots = _eig_pivots(H)
-    mags = np.abs(pivots[0])  # the guard of _pivot_test, vectorized over long stacks
-    singular = mags.min(axis=-1) <= PIVOT_GUARD * np.maximum(mags.max(axis=-1), TINY)
+    singular = _singular(pivots[0])
     if singular.any():
-        mags = mags[singular][0]
+        mags = np.abs(pivots[0][singular][0])
         raise SingularHtildeError(
             f"symmetric solve rejected: |pivot| ratio {mags.min():.3e}/{mags.max():.3e}"
         )
@@ -349,6 +363,67 @@ def _strict_verdicts(plant: LtvPlant, P: np.ndarray, levels: np.ndarray, causal:
     ]
 
 
+def _suffixes(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """f_t(f_{t+1}(...f_{L-1}(0))) for each t of the maps (A_t, G_t, H_t) of
+    :func:`_compose`, by odd-even reduction: the adjacent pairs ending at
+    L-1 compose in one stacked call and recurse at half the length, and the
+    other steps follow in one stacked application each."""
+    S = np.empty_like(H)
+    S[-1] = H[-1]
+    if len(H) > 1:
+        o = len(H) % 2  # pairs start at o and end at L-1
+        S[o:-1:2] = _suffixes(*_compose(A[o:-1:2], G[o:-1:2], H[o:-1:2],
+                                        A[o + 1 :: 2], G[o + 1 :: 2], H[o + 1 :: 2]))
+        i, X = slice(1 - o, -1, 2), S[2 - o :: 2]
+        A_i = A[i]
+        W = np.eye(A.shape[-1]) + G[i] @ X
+        S[i] = H[i] + sym(A_i.swapaxes(-1, -2) @ X @ np.linalg.solve(W, A_i))
+    return S
+
+
+def _reduced_verdicts(plant: LtvPlant, gamma: float) -> tuple[Verdict, Verdict]:
+    """The ``causal`` and ``strictly_causal_w`` verdicts of
+    :func:`hinf_backward` at one level, from the P_t of :func:`_suffixes` on
+    the steps' maps (G_t = B~_tR~^{-1}B~_t'; Sarkka and Garcia-Fernandez,
+    2023): every step's H~ is tested in one stack with the checks and reason
+    codes of :func:`_game_step_test`, the last failure decides ``causal``,
+    and the P up to it are zeroed, as the recursion leaves them, for
+    :func:`_strict_verdicts`.  Near an optimum at T = 200 this P parts from
+    the recursion's by up to 1e-4 relative, so it decides verdicts only.  A
+    LinAlgError, or a non-finite H~ at or after the failing step, hands the
+    level to :func:`hinf_backward`.
+    """
+    levels = _check_gamma(gamma)
+    T, m, p = plant.T, plant.m, plant.p
+    Rtil = _game_weight(m, p, levels)
+    Btil = np.concatenate([plant.Bu, plant.Bw], axis=2)
+    BtT = Btil.swapaxes(-1, -2)
+    P = np.zeros((T + 1, plant.n, plant.n))
+    with np.errstate(all="ignore"):  # the P before a failing step may overflow
+        try:
+            P[:-1] = _suffixes(plant.A, (Btil / np.diag(Rtil)) @ BtT, plant.Q)
+            Htil = Rtil + BtT @ P[1:] @ Btil
+            bad = np.flatnonzero(~np.isfinite(Htil).all(axis=(-2, -1)))
+            start = int(bad[-1]) + 1 if bad.size else 0  # the steps tested
+            lam = _eig_pivots(Htil[start:])[0]
+        except np.linalg.LinAlgError:
+            start, lam = T, np.zeros((0, m + p))
+        singular = _singular(lam)
+        wrong = ((lam > INERTIA_TOL).sum(-1) != m) | ((lam < -INERTIA_TOL).sum(-1) != p)
+        failed = np.flatnonzero(singular | wrong)
+    if failed.size:
+        j = int(failed[-1])
+        reason = "singular-Htilde" if singular[j] else "condition-violated"
+        causal = Verdict(False, reason, start + j)
+        P[: start + j + 1] = 0.0
+    elif start:  # a step the recursion reaches was not tested
+        sched = hinf_backward(plant, gamma)
+        return sched.causal, sched.strictly_causal_w
+    else:
+        causal = Verdict(True)
+    return causal, _strict_verdicts(plant, P, levels, [causal])[0]
+
+
 @dataclass
 class RiccatiFixedPoint:
     """Converged (or failed) fixed point of the backward recursion.
@@ -392,6 +467,22 @@ class RiccatiFixedPoint:
         return "condition-violated"
 
 
+def _compose(A1, G1, H1, A2, G2, H2):
+    """(A, G, H) of the map f_1(f_2(X)), where (A_i, G_i, H_i) stands for
+    f_i(X) = H_i + A_i'X(I + G_iX)^{-1}A_i; stacks too.  With
+    W = I + G_1H_2,
+
+        A = A_2W^{-1}A_1,  G = G_2 + A_2W^{-1}G_1A_2',  H = H_1 + A_1'H_2W^{-1}A_1.
+
+    Raises LinAlgError where numpy finds a W exactly singular.
+    """
+    n = A1.shape[-1]
+    WAG = np.linalg.solve(np.eye(n) + G1 @ H2, np.concatenate([A1, G1], axis=-1))
+    WA, WG = WAG[..., :n], WAG[..., n:]
+    H = H1 + sym(A1.swapaxes(-1, -2) @ H2 @ WA)
+    return A2 @ WA, sym(G2 + A2 @ WG @ A2.swapaxes(-1, -2)), H
+
+
 def _sda(
     A: np.ndarray,
     G: np.ndarray,
@@ -407,9 +498,10 @@ def _sda(
         A_{k+1} = A_k W^{-1} A_k,  G_{k+1} = G_k + A_k W^{-1} G_k A_k',
         H_{k+1} = H_k + A_k' H_k W^{-1} A_k
 
-    (Chu, Fan and Lin, 2005; Anderson's doubling, 1978).  Level k is the
-    map X -> H_k + A_k'X(I + G_kX)^{-1}A_k, which advances value iteration
-    by 2^k steps, so H_k is the value-iteration iterate X_{2^k} from X_0 = 0.
+    (Chu, Fan and Lin, 2005; Anderson's doubling, 1978), level k composed
+    with itself by :func:`_compose`.  Level k is the map
+    X -> H_k + A_k'X(I + G_kX)^{-1}A_k, which advances value iteration by
+    2^k steps, so H_k is the value-iteration iterate X_{2^k} from X_0 = 0.
 
     Each new iterate is checked as value iteration checks each step: a
     non-finite value or ||H||_inf > 1e12 is "no-stabilizing-solution", and
@@ -515,37 +607,32 @@ def _sda(
     for k in range(1, MAX_DOUBLINGS + 1):
         if not len(lanes):
             break
-        W, AG = eye + G @ H, np.concatenate([A, G], axis=-1)
         try:
-            WAG = np.linalg.solve(W, AG)
+            An, Gn, Hn = _compose(A, G, H, A, G, H)
         except np.linalg.LinAlgError:
-            # numpy fails the whole stack: solve each lane alone
-            WAG, done = [], {}
+            # numpy fails the whole stack: double each lane alone
+            steps, done = [], {}
             for j in range(len(lanes)):
+                lane = (A, G, H) if lone else (A[j], G[j], H[j])
                 try:
-                    WAG.append(np.linalg.solve(W if lone else W[j], AG if lone else AG[j]))
+                    steps.append(_compose(*lane, *lane))
                 except np.linalg.LinAlgError:
                     done[j] = (None, k, first_failure(j, "no-stabilizing-solution"))
             A, G, H = leave(done, A, G, H)
             if not len(lanes):
                 break
-            WAG = np.stack(WAG)
-        WA, WG = WAG[..., :n], WAG[..., n:]
-        Hn = H + sym(A.swapaxes(-1, -2) @ H @ WA)
+            An, Gn, Hn = map(np.stack, zip(*steps))
         done = settled(Hn)
         if done:
             done = {
                 j: (None, k, first_failure(j, reason)) if reason else (Hn if lone else Hn[j], k, None)
                 for j, reason in done.items()
             }
-            A, G, H, Hn, WAG = leave(done, A, G, H, Hn, WAG)
+            A, G, H, An, Gn, Hn = leave(done, A, G, H, An, Gn, Hn)
             if not len(lanes):
                 break
-            WA, WG = WAG[..., :n], WAG[..., n:]
         levels.append((A, G, H, lanes))
-        G = sym(G + A @ WG @ A.swapaxes(-1, -2))
-        A = A @ WA
-        H = Hn
+        A, G, H = An, Gn, Hn
     return out[0] if lone else out
 
 

@@ -18,6 +18,14 @@ feasibility; violations are reported as warnings on the result, never as
 exceptions.  The levels are fixed offsets, so a search's probe sequence
 depends only on the verdicts.  They go to the verdict step as one sequence
 (:func:`~compctrl.controllers._attenuation`); a bracket probe is one level.
+
+In the finite horizon a bracket probe is decided by the odd-even reduction
+of the backward recursion (:func:`~compctrl.riccati._reduced_verdicts`),
+which falls back to the recursion on a singular composite or a non-finite
+H~ at or after the failing step.  The audit's levels run as lanes of the
+recursion, and the returned level's schedule, from which its controller is
+built, always comes from the sequential recursion: as one more lane of the
+audit pass, or alone without an audit.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .controllers import Infeasible, _attenuation, _pose
+from .controllers import Infeasible, _attenuation, _pose, _schedule_verdict
+from .model import LtvPlant
+from .riccati import RiccatiSchedule, _reduced_verdicts
 
 __all__ = ["GammaSearchResult", "min_gamma", "min_gamma_hinf", "min_gamma_competitive"]
 
@@ -209,9 +219,7 @@ def min_gamma_hinf(
     """Smallest feasible attenuation level for the given plant, to the
     absolute bracket width ``tol`` (:func:`min_gamma`): a level below ``tol``
     is certified no better than ``tol``."""
-    plant, build = _pose(plant, "hinf", causality, horizon)
-    verdicts = functools.partial(_attenuation, plant, causality=causality)
-    return _search(verdicts, 0.0, gamma_hi_init, tol, audit, build)
+    return _plant_search(plant, "hinf", causality, horizon, 0.0, gamma_hi_init, tol, audit)
 
 
 def min_gamma_competitive(
@@ -226,6 +234,39 @@ def min_gamma_competitive(
 
     ``tol`` is an absolute bracket width, as in :func:`min_gamma`.
     """
-    plant, build = _pose(plant, "competitive", causality, horizon)
-    verdicts = functools.partial(_attenuation, plant, causality=causality)
-    return _search(verdicts, 1.0, gamma_hi_init, tol, audit, build)
+    return _plant_search(plant, "competitive", causality, horizon, 1.0, gamma_hi_init, tol, audit)
+
+
+def _plant_search(plant, kind, causality, horizon, gamma_floor, gamma_hi_init, tol, audit):
+    """The search of :func:`min_gamma_hinf` (``kind`` "hinf") and
+    :func:`min_gamma_competitive` ("competitive").  On an LtvPlant the
+    bracket probes go to the reduction, and the returned level rides the
+    audit pass as one more, unrecorded lane (see the module docstring);
+    should the recursion reject that level, the search runs again on the
+    recursion alone."""
+    plant, build = _pose(plant, kind, causality, horizon)
+    sequential = functools.partial(_attenuation, plant, causality=causality)
+    if not isinstance(plant, LtvPlant):
+        return _search(sequential, gamma_floor, gamma_hi_init, tol, audit, build)
+
+    hi = {}  # the level of the last feasible probe; then its recursion
+
+    def verdicts(levels: list) -> list:
+        if len(levels) > 1:  # the audit: the level certified so far rides as one more lane
+            *out, hi["solve"] = sequential(levels + [hi["gamma"]])
+            return out
+        [gamma] = levels
+        sched = RiccatiSchedule(gamma, None, *_reduced_verdicts(plant, gamma))
+        verdict = _schedule_verdict(plant, sched, causality)
+        if not isinstance(verdict, Infeasible):
+            hi["gamma"] = gamma
+        return [verdict]
+
+    def certified(solve):
+        solve = hi["solve"] if "solve" in hi else sequential(solve.gamma)
+        return None if isinstance(solve, Infeasible) else build(solve)
+
+    result = _search(verdicts, gamma_floor, gamma_hi_init, tol, audit, certified)
+    if result.gamma is not None and result.controller is None:
+        return _search(sequential, gamma_floor, gamma_hi_init, tol, audit, build)
+    return result

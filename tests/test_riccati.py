@@ -807,6 +807,123 @@ def test_lone_level_keeps_the_lone_solve(boeing, monkeypatch):
     assert seen == [("hinf_backward", (2,))]
 
 
+# --- the odd-even reduction of the backward recursion -------------------------
+
+
+def test_compose_is_the_composition_of_the_maps(rng):
+    # (A, G, H) stands for f(X) = H + A'X(I + GX)^{-1}A; the composite of
+    # two maps, applied to X, is f_1(f_2(X))
+    n = 3
+
+    def element():
+        B, M = rng.standard_normal((n, 2)), rng.standard_normal((n, n))
+        return 0.5 * rng.standard_normal((n, n)), B @ np.diag([1.0, -0.1]) @ B.T, M @ M.T
+
+    def apply(A, G, H, X):
+        return H + A.T @ X @ np.linalg.solve(np.eye(n) + G @ X, A)
+
+    first, second = element(), element()
+    X = 0.3 * np.eye(n)
+    got = apply(*riccati._compose(*first, *second), X)
+    want = apply(*first, apply(*second, X))
+    assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+
+def _assert_reduced_verdicts_equal(plant, levels):
+    """At each level, the reduction's (causal, strict) verdict triples equal
+    hinf_backward's; returns them."""
+    out = []
+    for gamma in levels:
+        causal, strict = riccati._reduced_verdicts(plant, gamma)
+        sched = hinf_backward(plant, gamma)
+        got = (_triple(causal), _triple(strict))
+        assert got == (_triple(sched.causal), _triple(sched.strictly_causal_w)), gamma
+        out.append(got)
+    return out
+
+
+@pytest.mark.parametrize("T", [40, 200])
+def test_reduced_verdicts_equal_the_recursion_on_boeing(T, boeing):
+    # 150 levels across Boeing's causal and strictly causal competitive
+    # optima (about 1.33 and 5.33), and 61 within +-3e-3 of the T = 200
+    # causal optimum, where the reduction's P parts most from the
+    # recursion's
+    plant = build_synthetic(boeing.to_ltv(T)).as_plant()
+    near = 1.3310546875 + np.linspace(-3e-3, 3e-3, 61)
+    levels = [float(g) for g in np.concatenate([np.linspace(1.05, 8.0, 150), near])]
+    verdicts = _assert_reduced_verdicts_equal(plant, levels)
+    assert {(causal[0], strict[0]) for causal, strict in verdicts} == {
+        (True, True), (True, False), (False, False)
+    }
+    assert len({causal[2] for causal, _ in verdicts if not causal[0]}) > 2
+    assert len({strict[2] for causal, strict in verdicts if causal[0] and not strict[0]}) > 1
+
+
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_reduced_verdicts_equal_the_recursion_on_random_plants(p):
+    # p < n, p = n and p > n at an odd horizon, on the plant and on its
+    # synthetic plant, at levels around the causal and strictly causal optima
+    rng = np.random.default_rng(7300 + p)
+    ltv = random_lti(rng, n=3, m=2, p=p).to_ltv(45)
+    seen = set()
+    for plant, search in ((ltv, min_gamma_hinf), (build_synthetic(ltv).as_plant(), None)):
+        levels = []
+        for c in ("causal", "strictly-causal"):
+            g_opt = (search or min_gamma_competitive)(ltv, causality=c, audit=False).gamma
+            levels += [f * g_opt for f in (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0)]
+        for causal, strict in _assert_reduced_verdicts_equal(plant, levels):
+            seen.add((causal[0], strict[0]))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def _spy_recursion(monkeypatch) -> list:
+    """The levels at which the reduction falls back to hinf_backward."""
+    calls = []
+
+    def spy(plant, gamma):
+        calls.append(gamma)
+        return hinf_backward(plant, gamma)
+
+    monkeypatch.setattr(riccati, "hinf_backward", spy)
+    return calls
+
+
+def test_reduced_verdicts_fall_back_on_a_singular_combine(boeing, monkeypatch):
+    # at gamma = 1 on Boeing, a W of the reduction is exactly singular: the
+    # recursion decides, and both verdicts report the singular H~ at step 38
+    calls = _spy_recursion(monkeypatch)
+    ltv = boeing.to_ltv(40)
+    causal, strict = riccati._reduced_verdicts(ltv, 1.0)
+    assert causal == strict == Verdict(False, "singular-Htilde", 38)
+    assert calls == [1.0]
+    calls.clear()
+    _assert_reduced_verdicts_equal(ltv, [1.5, 30.0])
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", ["before", "at"])
+def test_reduced_verdicts_with_a_non_finite_step(where, boeing, monkeypatch):
+    # an H~ that is not finite before the failing step is one the recursion
+    # never reaches, and the reduction's verdict stands; one at the failing
+    # step sends the level to the recursion
+    plant = build_synthetic(boeing.to_ltv(40)).as_plant()
+    gamma = 1.2
+    s = hinf_backward(plant, gamma).causal.first_violation
+    assert s > 0
+    suffixes = riccati._suffixes
+
+    def poisoned(A, G, H):
+        S = suffixes(A, G, H)
+        if len(S) == plant.T:  # the outermost call: S[k] = P_k, read by H~_{k-1}
+            S[s if where == "before" else s + 1] = np.inf
+        return S
+
+    monkeypatch.setattr(riccati, "_suffixes", poisoned)
+    calls = _spy_recursion(monkeypatch)
+    _assert_reduced_verdicts_equal(plant, [gamma])
+    assert calls == ([] if where == "before" else [gamma])
+
+
 def test_verdict_dataclass():
     good = Verdict(ok=True)
     bad = Verdict(ok=False, reason="why", first_violation=3)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import random_lti, scalar_lti
 
 from compctrl import controllers
+from compctrl import search as search_module
 from compctrl.controllers import (
     CompetitiveController,
     Infeasible,
@@ -16,7 +17,7 @@ from compctrl.controllers import (
     synth_hinf,
 )
 from compctrl.freq import closed_loop, peak_gain
-from compctrl.riccati import hinf_backward
+from compctrl.riccati import Verdict, hinf_backward
 from compctrl.search import (
     GAMMA_CAP,
     GammaSearchResult,
@@ -502,6 +503,84 @@ def test_boeing_fh_searches_are_pinned(search, causality, boeing):
     got = [(p["gamma"], p["feasible"], p["reason"], p["first_violation"]) for p in result.probes]
     assert got == pinned
     assert result.controller.gamma == gamma
+
+
+def _sequential_search(plant, family, causality, horizon, audit=True):
+    """The all-sequential route of a plant-facing search: min_gamma on lone
+    _attenuation verdicts, and the controller built from its certificate."""
+    posed, build = controllers._pose(plant, family, causality, horizon)
+    floor, hi_init = (0.0, 1.0) if family == "hinf" else (1.0, 2.0)
+    result = min_gamma(
+        lambda g: controllers._attenuation(posed, g, causality), floor, hi_init, audit=audit
+    )
+    return result, build(result.controller)
+
+
+def _assert_same_search(result, ref, controller):
+    """The search's probes, bracket and controller equal the all-sequential
+    route's."""
+    def records(r):
+        return [(p["gamma"], p["feasible"], p["reason"], p["first_violation"]) for p in r.probes]
+
+    assert records(result) == records(ref)
+    assert (result.gamma, result.gamma_lo) == (ref.gamma, ref.gamma_lo)
+    assert result.audit_warnings == ref.audit_warnings
+    _assert_same_controller(result.controller, controller)
+
+
+#: (n, m, p) of the random plants of the finite-horizon search comparison
+FH_PLANTS = {"boeing": None, "p<n": (4, 1, 2), "p=n": (3, 2, 3), "p>n": (2, 1, 4)}
+
+
+@pytest.mark.parametrize("horizon", [40, 200])
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+@pytest.mark.parametrize("which", list(FH_PLANTS))
+def test_fh_searches_equal_the_sequential_route(which, causality, horizon, boeing):
+    # bracket probes decided by the odd-even reduction, the audit's lanes
+    # and the returned level's recursion against min_gamma on the
+    # recursion alone: the same probes, bracket and controller bytes
+    if which == "boeing":
+        plant = boeing
+    else:
+        n, m, p = FH_PLANTS[which]
+        plant = random_lti(np.random.default_rng(7400 + n), n=n, m=m, p=p)
+    for family, (search, _) in SEARCHES.items():
+        result = search(plant, causality=causality, horizon=horizon)
+        _assert_same_search(result, *_sequential_search(plant, family, causality, horizon))
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+def test_fh_search_without_audit_equals_the_sequential_route(family, boeing):
+    # with no audit pass to ride on, the returned level's controller comes
+    # from a recursion of its own
+    search = SEARCHES[family][0]
+    result = search(boeing, horizon=40, audit=False)
+    _assert_same_search(result, *_sequential_search(boeing, family, "causal", 40, audit=False))
+
+
+@pytest.mark.parametrize("audit", [True, False])
+def test_fh_search_runs_the_recursion_once(audit, boeing, monkeypatch):
+    # the bracket probes run no recursion; the returned level's runs as one
+    # more lane of the audit pass, or alone without an audit
+    seen = []
+
+    def spy(plant, gamma):
+        seen.append(np.atleast_1d(gamma).tolist())
+        return hinf_backward(plant, gamma)
+
+    monkeypatch.setattr(controllers, "hinf_backward", spy)
+    result = min_gamma_competitive(boeing, horizon=40, audit=audit)
+    audited = [p["gamma"] for p in result.probes[-8:]] if audit else []
+    assert seen == [audited + [result.gamma]]
+
+
+def test_fh_search_reruns_on_the_recursion_when_it_rejects_the_level(boeing, monkeypatch):
+    # should the recursion reject the level the reduction certified, the
+    # search runs again on the recursion alone
+    monkeypatch.setattr(search_module, "_reduced_verdicts", lambda plant, g: (Verdict(True),) * 2)
+    for audit in (True, False):
+        result = min_gamma_hinf(boeing, horizon=40, audit=audit)
+        _assert_same_search(result, *_sequential_search(boeing, "hinf", "causal", 40, audit))
 
 
 #: (gamma, gamma_lo, probes) of the Boeing infinite-horizon searches; each
