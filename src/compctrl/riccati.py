@@ -27,6 +27,7 @@ determinant-based guard is not scale-free (|det| ~ scale^dim).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -143,6 +144,15 @@ def solve_sym(H: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"symmetric solve rejected: |pivot| ratio {mags.min():.3e}/{mags.max():.3e}"
         )
     return _solve_pivots(pivots, B)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, read-only: one per size, since np.eye costs about
+    as much as a 6 x 6 matmul and a doubling step adds one."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -376,7 +386,7 @@ def _suffixes(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
                                         A[o + 1 :: 2], G[o + 1 :: 2], H[o + 1 :: 2]))
         i, X = slice(1 - o, -1, 2), S[2 - o :: 2]
         A_i = A[i]
-        W = np.eye(A.shape[-1]) + G[i] @ X
+        W = _identity(A.shape[-1]) + G[i] @ X
         S[i] = H[i] + sym(A_i.swapaxes(-1, -2) @ X @ np.linalg.solve(W, A_i))
     return S
 
@@ -477,7 +487,7 @@ def _compose(A1, G1, H1, A2, G2, H2):
     Raises LinAlgError where numpy finds a W exactly singular.
     """
     n = A1.shape[-1]
-    WAG = np.linalg.solve(np.eye(n) + G1 @ H2, np.concatenate([A1, G1], axis=-1))
+    WAG = np.linalg.solve(_identity(n) + G1 @ H2, np.concatenate([A1, G1], axis=-1))
     WA, WG = WAG[..., :n], WAG[..., n:]
     H = H1 + sym(A1.swapaxes(-1, -2) @ H2 @ WA)
     return A2 @ WA, sym(G2 + A2 @ WG @ A2.swapaxes(-1, -2)), H
