@@ -399,7 +399,7 @@ def _reduced_verdicts(plant: LtvPlant, gamma: float) -> tuple[Verdict, Verdict]:
     codes of :func:`_game_step_test`, the last failure decides ``causal``,
     and the P up to it are zeroed, as the recursion leaves them, for
     :func:`_strict_verdicts`.  Near an optimum at T = 200 this P parts from
-    the recursion's by up to 1e-4 relative, so it decides verdicts only.  A
+    the recursion's by up to 4e-5 relative, so it decides verdicts only.  A
     LinAlgError, or a non-finite H~ at or after the failing step, hands the
     level to :func:`hinf_backward`.
     """
