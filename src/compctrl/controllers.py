@@ -16,14 +16,16 @@ Synthesis returns either a controller or an :class:`Infeasible` verdict (a
 plain value with a reason code), never an exception, for every
 gamma-dependent failure.  ``hinf`` and ``competitive`` are posed once
 (:func:`_pose`: the causality and horizon checked, the synthetic plant
-built), then a verdict (:func:`_attenuation`, the existence test, which
-keeps the Riccati solve it passed) is mapped to its controller
-(:func:`_controller`).  A gamma search (:mod:`compctrl.search`) poses once,
-takes verdicts at many levels and builds one controller.
+taken from :data:`synthetic_cache`), then a verdict (:func:`_attenuation`,
+the existence test, which keeps the Riccati solve it passed) is mapped to
+its controller (:func:`_controller`).  A gamma search
+(:mod:`compctrl.search`) poses once, takes verdicts at many levels and
+builds one controller.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 from collections import OrderedDict
@@ -448,16 +450,15 @@ def _fixed_point_verdict(plant: LtiPlant, fp: RiccatiFixedPoint, gamma, causalit
 
 
 def _schedule_verdict(plant: LtvPlant, sched, causality: str):
-    """The verdict of :func:`_attenuation` on a backward schedule."""
+    """The verdict of :func:`_attenuation` on a backward schedule, which
+    reads the verdict of ``causality`` alone."""
     gate = sched.causal if causality == CAUSAL else sched.strictly_causal_w
     if not gate.ok:
         return Infeasible(
             gate.reason or "condition-violated",
             sched.gamma,
-            {
-                "first_violation": gate.first_violation,
-                "strictly_causal_w_ok": sched.strictly_causal_w.ok,
-            },
+            # a failed causal verdict fails the strictly causal one too
+            {"first_violation": gate.first_violation, "strictly_causal_w_ok": False},
         )
     return AttenuationSolve(plant, sched.gamma, causality, sched.P, {})
 
@@ -487,14 +488,16 @@ def _pose(plant, kind: str, causality: str, horizon: Optional[int], levels=()) -
     """The attenuation problem of ``kind`` ("hinf" or "competitive"): the
     plant :func:`_attenuation` poses its verdicts on, and the map from a
     feasible verdict to its controller.  Checks the causality, then each of
-    ``levels`` as a single level, then (plant, horizon)."""
+    ``levels`` as a single level, then (plant, horizon).  The synthetic
+    plant comes from :data:`synthetic_cache`."""
     _check_causality(causality)
     for gamma in levels:
         _check_level(gamma)
-    plant = _normalize_horizon(plant, horizon)
     if kind == "hinf":
-        return plant, _controller
-    syn = build_synthetic(plant)
+        return _normalize_horizon(plant, horizon), _controller
+    if not isinstance(plant, LtiPlant):  # checks an LtvPlant's horizon, refuses other types
+        _normalize_horizon(plant, horizon)
+    syn = synthetic_cache.get(plant, None if horizon is None else int(horizon))
     return syn.as_plant(), functools.partial(_controller, synthetic=syn)
 
 
@@ -612,70 +615,87 @@ def _pass_block(schedules, w, block: slice, b: np.ndarray, h: np.ndarray) -> np.
     return b.copy()
 
 
-#: Bytes the shared schedule cache may hold: schedules plus their keys;
-#: about 88 KB is one pendulum bin at T = 1001.
+#: Bytes each :class:`PlantCache` may hold: values plus their keys; about
+#: 88 KB is one pendulum bin's schedule at T = 1001, and 0.4 MB the Boeing
+#: synthetic plant at T = 200.
 SCHEDULE_CACHE_BYTES = 8 << 20
 
 
-class ScheduleCache:
-    """Least-recently-used cache of :func:`_affine_schedule`, bounded by bytes.
+class PlantCache:
+    """Least-recently-used cache of a plant-only ``solve``, bounded by bytes.
 
-    The schedule depends on (A, B_u, B_w, Q) and the horizon alone, so
-    :meth:`get` keys an :class:`LtiPlant` and a horizon T exactly, by T and
-    the shapes and raw bytes of its matrices: no digest, so a one-ulp change
-    or a -0.0 for a +0.0 is another key; a miss solves ``plant.to_ltv(T)``.
-    Every :class:`LtvPlant` is solved afresh over its own horizon, even one
-    whose steps are all equal.  When the held bytes would exceed
-    ``max_bytes``, the least recently used entries go; an entry larger than
-    the bound is not kept.  Schedules are read-only, so callers share them.
+    ``solve`` maps a plant to a tuple or dataclass of arrays that depends on
+    (A, B_u, B_w, Q) and the horizon alone, so :meth:`get` keys an
+    :class:`LtiPlant` and a horizon T (None: infinite) exactly, by T and the
+    shapes and raw bytes of its matrices: no digest, so a one-ulp change or
+    a -0.0 for a +0.0 is another key.  A miss solves ``plant.to_ltv(T)``, or
+    a copy of the plant, and makes the value's arrays read-only, so callers
+    share them; what ``solve`` raises is never stored.  Every
+    :class:`LtvPlant` is solved afresh, even one whose steps are all equal.
+    When the held bytes would exceed ``max_bytes``, the least recently used
+    entries go; an entry larger than the bound is not kept.  ``hits`` and
+    ``misses`` count the calls of :meth:`get` answered and solved.
     """
 
-    def __init__(self, max_bytes: int = SCHEDULE_CACHE_BYTES):
+    def __init__(self, solve: Callable, max_bytes: int = SCHEDULE_CACHE_BYTES):
+        self.solve = solve
         self.max_bytes = max_bytes
         self.held_bytes = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> (schedule, bytes)
+        self.hits = self.misses = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def schedules(self) -> list:
-        return [schedule for schedule, _ in self._entries.values()]
+    def values(self) -> list:
+        return [value for value, _ in self._entries.values()]
 
     def clear(self) -> None:
         self._entries.clear()
         self.held_bytes = 0
 
     @staticmethod
-    def _key(plant: LtiPlant, T: int) -> tuple:
+    def _key(plant: LtiPlant, T: Optional[int]) -> tuple:
         step = (plant.A, plant.Bu, plant.Bw, plant.Q)
         return (T, *(a.shape for a in step), *(a.tobytes() for a in step))
 
-    def holds(self, plant: LtiPlant, T: int) -> bool:
-        """Whether :meth:`get` would hit; never solves a schedule."""
+    def holds(self, plant: LtiPlant, T: Optional[int]) -> bool:
+        """Whether :meth:`get` would hit; never solves."""
         return self._key(plant, T) in self._entries
 
-    def get(self, plant, T: int) -> AffineSchedule:
+    def get(self, plant, T: Optional[int]):
         if isinstance(plant, LtvPlant):
-            return _affine_schedule(plant)
+            self.misses += 1
+            return self.solve(plant)
         key = self._key(plant, T)
         hit = self._entries.get(key)
         if hit is not None:
+            self.hits += 1
             self._entries.move_to_end(key)
             return hit[0]
-        schedule = _affine_schedule(plant.to_ltv(T))
-        # the schedule and the key's raw bytes of (A, B_u, B_w, Q)
-        size = schedule.K.nbytes + schedule.M.nbytes + sum(map(len, key[-4:]))
+        self.misses += 1
+        # on a copy, so that the value holds none of the caller's arrays
+        value = self.solve(copy.deepcopy(plant) if T is None else plant.to_ltv(T))
+        fields = value if isinstance(value, tuple) else vars(value).values()
+        arrays = [a for a in fields if isinstance(a, np.ndarray)]
+        for a in arrays:
+            a.flags.writeable = False
+        # the value and the key's raw bytes of (A, B_u, B_w, Q)
+        size = sum(a.nbytes for a in arrays) + sum(map(len, key[-4:]))
         if size <= self.max_bytes:
-            self._entries[key] = (schedule, size)
+            self._entries[key] = (value, size)
             self.held_bytes += size
             while self.held_bytes > self.max_bytes:
                 _, (_, dropped) = self._entries.popitem(last=False)
                 self.held_bytes -= dropped
-        return schedule
+        return value
 
 
-#: The one schedule cache of the process, read by :func:`_clairvoyant_law`.
-schedule_cache = ScheduleCache()
+#: The process's cache of clairvoyant schedules, read by :func:`_clairvoyant_law`.
+schedule_cache = PlantCache(_affine_schedule)
+#: The process's cache of synthetic plants, read by :func:`_pose`; it looks
+#: ``build_synthetic`` up at each miss.
+synthetic_cache = PlantCache(lambda plant: build_synthetic(plant))
 
 
 def _clairvoyant_law(plants, w: np.ndarray, t0: int = 0) -> list:

@@ -450,14 +450,18 @@ def wprime_run(synthetic: SyntheticSystem, w: np.ndarray) -> np.ndarray:
     particular w'_0 = 0 and the final disturbance w_{T-1} influences no
     emitted value.
     """
+    return _filter_run(synthetic.A_filter, synthetic.B_filter, synthetic.M_filter, w)
+
+
+def _filter_run(A, B, M, w) -> np.ndarray:
+    """:func:`wprime_run` on the filter (A_filter, B_filter, M_filter) =
+    (A, B, M): single matrices, or stacks over the horizon."""
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
-    T, n = w.shape[0], synthetic.n
-    mats = (synthetic.A_filter, synthetic.B_filter, synthetic.M_filter)
-    if synthetic.horizon is None:
-        mats = tuple(np.broadcast_to(a, (T,) + a.shape) for a in mats)
-    A, B, M = mats
+    T, n = w.shape[0], A.shape[-1]
+    if A.ndim == 2:
+        A, B, M = (np.broadcast_to(a, (T,) + a.shape) for a in (A, B, M))
     out = np.zeros((T, n))
     nu = np.zeros(n)
     for t in range(T - 1):

@@ -22,7 +22,10 @@ Feasibility failures are reported as structured verdicts with reason codes
 because the gamma-bisection consumes them as ordinary values.  Symmetric
 (possibly indefinite) systems are solved through an equilibrated
 eigendecomposition with a relative pivot guard (:func:`solve_sym`); a
-determinant-based guard is not scale-free (|det| ~ scale^dim).
+determinant-based guard is not scale-free (|det| ~ scale^dim).  A verdict
+that solves nothing reads the equilibrated eigenvalues alone
+(:func:`_eig_signs`), and one rule, :func:`_pivot_test`, judges them on
+either route.
 """
 
 from __future__ import annotations
@@ -121,6 +124,12 @@ def _eig_pivots(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam, V, S
 
 
+def _eig_signs(H: np.ndarray) -> np.ndarray:
+    """The pivots lam of :func:`_eig_pivots` without V, all that a verdict
+    reads: eigvalsh of the same equilibrated matrix, stacks too."""
+    return np.linalg.eigvalsh(equilibrate_sym(H)[0])
+
+
 def _solve_pivots(pivots: tuple, B: np.ndarray) -> np.ndarray:
     """Solve H X = B from the (lam, V, S) of :func:`_eig_pivots`, stacks too."""
     lam, V, S = pivots
@@ -206,7 +215,7 @@ class Verdict:
         return self.ok
 
 
-def _game_step_test(Htil: np.ndarray, n_pos: int, n_neg: int) -> tuple[list, tuple]:
+def _game_step_test(Htil: np.ndarray, n_pos: int, n_neg: int, solve: bool = False):
     """The existence test of one game Riccati step, H~ = R~ + B~'PB~.
 
     H~, equilibrated, must be nonsingular ("singular-Htilde") and have the
@@ -215,10 +224,12 @@ def _game_step_test(Htil: np.ndarray, n_pos: int, n_neg: int) -> tuple[list, tup
     min-max problem (Hassibi, Sayed and Kailath, *Indefinite-Quadratic
     Estimation and Control*, 1999).  Returns the reasons, one per matrix of
     a stack (k, K, K) and None where it passes (the singular one where both
-    fail), and the pivots of H~, which the step's solve reuses.
+    fail), and with ``solve`` the pivots of H~ (:func:`_eig_pivots`), which
+    the step's solve reuses; a verdict alone reads the eigenvalues
+    (:func:`_eig_signs`), and its pivots are None.
     """
-    pivots = _eig_pivots(Htil)
-    lam, passed = pivots[0].tolist(), (False, n_pos, n_neg)
+    pivots = _eig_pivots(Htil) if solve else None
+    lam, passed = (pivots[0] if solve else _eig_signs(Htil)).tolist(), (False, n_pos, n_neg)
     reasons = [
         None if x == passed else "singular-Htilde" if x[0] else "condition-violated"
         for x in map(_pivot_test, lam if Htil.ndim > 2 else [lam])
@@ -317,7 +328,7 @@ def hinf_backward(plant: LtvPlant, gamma):
     for t in range(T - 1, -1, -1):
         A, Btil, Q = plant.A[t], Btils[t], plant.Q[t]
         BtP = Btil.T @ Pn
-        reasons, pivots = _game_step_test(Rtil + BtP @ Btil, m, p)
+        reasons, pivots = _game_step_test(Rtil + BtP @ Btil, m, p, solve=True)
         if any(reasons):
             for lane, reason in zip(lanes, reasons):
                 if reason:
@@ -391,7 +402,7 @@ def _suffixes(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     return S
 
 
-def _reduced_verdicts(plant: LtvPlant, gamma: float) -> tuple[Verdict, Verdict]:
+def _reduced_verdicts(plant: LtvPlant, gamma: float, strict: bool = True) -> tuple:
     """The ``causal`` and ``strictly_causal_w`` verdicts of
     :func:`hinf_backward` at one level, from the P_t of :func:`_suffixes` on
     the steps' maps (G_t = B~_tR~^{-1}B~_t'; Sarkka and Garcia-Fernandez,
@@ -401,7 +412,8 @@ def _reduced_verdicts(plant: LtvPlant, gamma: float) -> tuple[Verdict, Verdict]:
     :func:`_strict_verdicts`.  Near an optimum at T = 200 this P parts from
     the recursion's by up to 4e-5 relative, so it decides verdicts only.  A
     LinAlgError, or a non-finite H~ at or after the failing step, hands the
-    level to :func:`hinf_backward`.
+    level to :func:`hinf_backward`.  With ``strict`` False the reduction's
+    ``strictly_causal_w`` is not computed and comes back None.
     """
     levels = _check_gamma(gamma)
     T, m, p = plant.T, plant.m, plant.p
@@ -415,7 +427,7 @@ def _reduced_verdicts(plant: LtvPlant, gamma: float) -> tuple[Verdict, Verdict]:
             Htil = Rtil + BtT @ P[1:] @ Btil
             bad = np.flatnonzero(~np.isfinite(Htil).all(axis=(-2, -1)))
             start = int(bad[-1]) + 1 if bad.size else 0  # the steps tested
-            lam = _eig_pivots(Htil[start:])[0]
+            lam = _eig_signs(Htil[start:])
         except np.linalg.LinAlgError:
             start, lam = T, np.zeros((0, m + p))
         singular = _singular(lam)
@@ -431,7 +443,7 @@ def _reduced_verdicts(plant: LtvPlant, gamma: float) -> tuple[Verdict, Verdict]:
         return sched.causal, sched.strictly_causal_w
     else:
         causal = Verdict(True)
-    return causal, _strict_verdicts(plant, P, levels, [causal])[0]
+    return causal, _strict_verdicts(plant, P, levels, [causal])[0] if strict else None
 
 
 @dataclass
@@ -671,7 +683,7 @@ def _dare_fixed_points(A, Btil, Rtil, Q):
     returns a list, each result equal to the lone solve's."""
     A, Btil, Rtil, Q = (np.asarray(M, dtype=float) for M in (A, Btil, Rtil, Q))
     lone = Rtil.ndim == 2
-    lam = _eig_pivots(Rtil)[0].tolist()
+    lam = _eig_signs(Rtil).tolist()
     signs = {_pivot_test(x)[1:] for x in ([lam] if lone else lam)}  # on H~'s scale
     if len(signs) > 1:
         raise ValueError("the stacked R~ must share one inertia")
@@ -702,7 +714,7 @@ def _accepted(A, Btil, Rtil, Q, signs_R, P, iterations, reason) -> RiccatiFixedP
     """One lane's :class:`RiccatiFixedPoint`: the residual step and the
     acceptance checks on its converged P, or its failure."""
     if P is not None:
-        [reason], pivots = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R)
+        [reason], pivots = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R, solve=True)
         if reason == "singular-Htilde":
             P = None
     if P is None:

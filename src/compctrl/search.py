@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .controllers import Infeasible, _attenuation, _pose, _schedule_verdict
+from .controllers import CAUSAL, Infeasible, _attenuation, _pose, _schedule_verdict
 from .model import LtvPlant
 from .riccati import RiccatiSchedule, _reduced_verdicts
 
@@ -256,8 +256,9 @@ def _plant_search(plant, kind, causality, horizon, gamma_floor, gamma_hi_init, t
             *out, hi["solve"] = sequential(levels + [hi["gamma"]])
             return out
         [gamma] = levels
-        sched = RiccatiSchedule(gamma, None, *_reduced_verdicts(plant, gamma))
-        verdict = _schedule_verdict(plant, sched, causality)
+        # a causal probe reads the causal verdict alone
+        pair = _reduced_verdicts(plant, gamma, strict=causality != CAUSAL)
+        verdict = _schedule_verdict(plant, RiccatiSchedule(gamma, None, *pair), causality)
         if not isinstance(verdict, Infeasible):
             hi["gamma"] = gamma
         return [verdict]

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import compctrl
-from compctrl.controllers import OfflineController, control_step, schedule_cache, synth_h2_ih
+from compctrl.controllers import (
+    OfflineController, control_step, schedule_cache, synth_h2_ih, synthetic_cache,
+)
 from compctrl.mpc import PendulumParams, RelinearizingController
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -38,6 +40,7 @@ def test_tracer_wraps_every_name_it_looks_for(tracing, boeing):
     undo = tracing.install(tracer, compctrl)
     try:
         schedule_cache.clear()  # so the comparison misses and replicates the plant
+        synthetic_cache.clear()  # so the searches and the new bin build theirs
         w = compctrl.generate(compctrl.DisturbanceSpec("white-gaussian", {}), 50, boeing.p, seed=1)
         compctrl.compare(boeing, [("h2", h2), ("offline", OfflineController())], w)
         control_step(h2, h2.make_state(), np.zeros(boeing.n), w[0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import compctrl.cli as cli
+from compctrl import factorization
 from compctrl import (
     controller_from_json_dict,
     plant_to_json_dict,
@@ -666,6 +667,21 @@ def test_verify_builtin_plant():
     assert report["info"]["spectral_radius_A"] < 1.0
     assert report["wall_ms"].keys() == VERIFY_PHASES
     assert all(v >= 0.0 for v in report["wall_ms"].values())
+
+
+def test_verify_factors_the_finite_horizon_plant_once(monkeypatch):
+    # the w' causality check runs the filter of the whitening schedule that
+    # the factorization check made, the synthetic plant's filter bit for bit
+    whitening, calls = cli.whitening_fh, []
+
+    def counted(plant):
+        calls.append(plant)
+        return whitening(plant)
+
+    for module in (cli, factorization):
+        monkeypatch.setattr(module, "whitening_fh", counted)
+    report = cli.run_verification(load_bundled_plant("boeing747"), 24, seed=0)
+    assert report["ok"] is True and len(calls) == 1
 
 
 def test_verify_checks_the_outer_factor_when_p_is_below_n(tmp_path):

@@ -28,7 +28,7 @@ from compctrl.controllers import (
     Infeasible,
     SCHEDULE_CACHE_BYTES,
     OfflineController,
-    ScheduleCache,
+    PlantCache,
     StateFeedbackController,
     ZeroController,
     control_step,
@@ -39,8 +39,9 @@ from compctrl.controllers import (
     synth_competitive,
     synth_h2_ih,
     synth_hinf,
+    synthetic_cache,
 )
-from compctrl.factorization import build_synthetic
+from compctrl.factorization import FactorizationError, build_synthetic
 from compctrl.freq import closed_loop, peak_gain
 from compctrl.model import load_bundled_plant
 from compctrl.mpc import PendulumParams, linearize_pendulum
@@ -421,7 +422,7 @@ def test_schedule_cache_keys_exactly(rng):
     # a hit needs the same T and the same bits of A, B_u, B_w and Q: one ulp
     # in one B_w entry, a -0.0 for a +0.0 or another horizon each miss, and
     # each miss is the schedule of its own plant
-    cache = ScheduleCache()
+    cache = PlantCache(_affine_schedule)
     base = random_lti(rng, n=3, m=1, p=2)
     Bw = base.Bw.copy()
     Bw[2, 1] = 0.0
@@ -447,7 +448,7 @@ def test_schedule_cache_keys_exactly(rng):
 def test_schedule_cache_computes_time_varying_plants_fresh(rng):
     # every LtvPlant is solved afresh, one whose steps are all equal too:
     # time-invariance is the LtiPlant type, not a property found in the data
-    cache = ScheduleCache()
+    cache = PlantCache(_affine_schedule)
     lti = random_lti(rng, n=2, m=1, p=1)
     ltv = random_ltv(rng, T=12, n=2, m=1, p=1)
     for plant in (ltv, lti.to_ltv(12), ltv, lti.to_ltv(12)):
@@ -462,11 +463,11 @@ def test_schedule_cache_computes_time_varying_plants_fresh(rng):
 
 def test_schedule_cache_evicts_least_recently_used(rng):
     plants = [random_lti(rng, n=3, m=1, p=1) for _ in range(6)]
-    probe = ScheduleCache()
+    probe = PlantCache(_affine_schedule)
     probe.get(plants[0], 50)
     one = probe.held_bytes
     bound = 3 * one + one // 2  # room for three entries
-    cache = ScheduleCache(max_bytes=bound)
+    cache = PlantCache(_affine_schedule, max_bytes=bound)
     got = [cache.get(plant, 50) for plant in plants[:1]]
     for plant in plants[1:]:
         got.append(cache.get(plant, 50))
@@ -481,7 +482,7 @@ def test_schedule_cache_evicts_least_recently_used(rng):
     assert cache.get(plants[0], 50) is not got[0]
     assert len(cache) == 3 and cache.held_bytes == 3 * one
     # an entry larger than the bound is computed but never kept
-    small = ScheduleCache(max_bytes=one - 1)
+    small = PlantCache(_affine_schedule, max_bytes=one - 1)
     assert _schedules_equal(small.get(plants[0], 50), got[0])
     assert len(small) == 0 and small.held_bytes == 0
     cache.clear()
@@ -490,9 +491,76 @@ def test_schedule_cache_evicts_least_recently_used(rng):
 
 def test_schedule_cache_bound_holds_a_pendulum_family():
     # a family of pendulum runs (T = 1001, quantum 0.01) visits about 21 bins
-    cache = ScheduleCache()
+    cache = PlantCache(_affine_schedule)
     cache.get(linearize_pendulum(PendulumParams(), 0.03), 1001)
     assert 21 * cache.held_bytes <= SCHEDULE_CACHE_BYTES == schedule_cache.max_bytes
+
+
+def _synthetics_equal(a, b):
+    return all(
+        x is y is None or np.array_equal(x, y)
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
+def test_synthetic_cache_keys_exactly_and_shares_read_only_plants(rng):
+    # the synthetic plant of an LtiPlant is cached per (horizon, bits of A,
+    # B_u, B_w, Q): one ulp in one B_w entry or a -0.0 for a +0.0 misses, in
+    # either horizon; each value is build_synthetic's on its own plant, its
+    # arrays read-only and none of them the caller's
+    cache = PlantCache(build_synthetic)
+    base = random_lti(rng, n=3, m=1, p=2)  # p < n: the exact plant, with an outer factor
+    Bw = base.Bw.copy()
+    Bw[2, 1] = 0.0
+    base = dataclasses.replace(base, Bw=Bw)
+    ulp, neg_zero = Bw.copy(), Bw.copy()
+    ulp[0, 0] = np.nextafter(ulp[0, 0], np.inf)
+    neg_zero[2, 1] = -0.0
+    for T in (None, 20):
+        first = cache.get(base, T)
+        assert cache.get(base, T) is first
+        for plant in (dataclasses.replace(base, Bw=ulp), dataclasses.replace(base, Bw=neg_zero)):
+            syn = cache.get(plant, T)
+            assert syn is not first
+            assert _synthetics_equal(syn, build_synthetic(plant if T is None else plant.to_ltv(T)))
+    assert len(cache) == 6 and (cache.hits, cache.misses) == (2, 6)
+    assert cache.values()[0].exact and cache.values()[-1].horizon == 20
+    for syn in cache.values():
+        for arr in vars(syn).values():
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+    assert base.Bw.flags.writeable and base.A.flags.writeable
+    assert _synthetics_equal(cache.get(base, None), build_synthetic(base))
+    assert synthetic_cache.max_bytes == SCHEDULE_CACHE_BYTES
+
+
+def test_synthetic_cache_builds_time_varying_plants_fresh_and_stores_no_failure(rng):
+    cache = PlantCache(build_synthetic)
+    ltv = random_ltv(rng, T=12, n=2, m=1, p=1)
+    syn = cache.get(ltv, 12)
+    assert cache.get(ltv, 12) is not syn and _synthetics_equal(syn, build_synthetic(ltv))
+    # a failing factorization raises on every call and is never stored
+    unstabilizable = scalar_lti(a=2.0, bu=0.0)
+    for _ in range(2):
+        with pytest.raises(FactorizationError, match="not stabilizable"):
+            cache.get(unstabilizable, None)
+    assert len(cache) == 0 and cache.held_bytes == 0
+    assert (cache.hits, cache.misses) == (0, 4)
+
+
+def test_synthetic_cache_evicts_least_recently_used(rng):
+    plants = [random_lti(rng, n=3, m=1, p=1) for _ in range(3)]
+    probe = PlantCache(build_synthetic)
+    probe.get(plants[0], None)
+    one = probe.held_bytes
+    cache = PlantCache(build_synthetic, max_bytes=2 * one + one // 2)  # room for two
+    first = cache.get(plants[0], None)
+    cache.get(plants[1], None)
+    assert cache.get(plants[0], None) is first  # a hit makes it the most recent
+    cache.get(plants[2], None)  # so 1 goes
+    assert [cache.holds(plant, None) for plant in plants] == [True, False, True]
+    assert len(cache) == 2 and cache.held_bytes == 2 * one
 
 
 def test_compare_cold_and_warm_cache_are_bit_identical(boeing):

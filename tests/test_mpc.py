@@ -166,6 +166,17 @@ def test_margin_gamma_policy_scales_bisection_optimum():
     assert ctrl.gamma == pytest.approx(1.05 * found.gamma, rel=1e-12)
 
 
+def test_searched_level_and_first_bin_build_one_synthetic_plant(monkeypatch):
+    # the level search and the first bin's synthesis pose the same
+    # linearization, whose synthetic plant is built once
+    build, calls = controllers.build_synthetic, []
+    monkeypatch.setattr(controllers, "build_synthetic", lambda p: calls.append(p) or build(p))
+    controllers.synthetic_cache.clear()
+    ctrl = RelinearizingController(PendulumParams(dt=0.01), kind="competitive", quantum=QUANTUM)
+    assert ctrl.gamma is not None
+    assert len(calls) == 1
+
+
 def test_infeasible_fixed_gamma_raises_at_construction():
     with pytest.raises(MpcInfeasibleError, match="initial linearization"):
         RelinearizingController(
@@ -626,7 +637,7 @@ def test_comparator_is_independent_of_its_schedule_cache(monkeypatch):
         assert_array_equal(res.x, cold.x)
         assert_array_equal(res.u, cold.u)
         assert res.total_cost == cold.total_cost
-    for schedule in schedule_cache.schedules():
+    for schedule in schedule_cache.values():
         for arr in schedule:
             with pytest.raises(ValueError):
                 arr[0] = 0.0

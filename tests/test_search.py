@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_lti, scalar_lti
 
-from compctrl import controllers
+from compctrl import controllers, riccati
 from compctrl import search as search_module
 from compctrl.controllers import (
     CompetitiveController,
@@ -17,6 +18,7 @@ from compctrl.controllers import (
     synth_hinf,
 )
 from compctrl.freq import closed_loop, peak_gain
+from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import Verdict, hinf_backward
 from compctrl.search import (
     GAMMA_CAP,
@@ -212,8 +214,10 @@ def test_min_gamma_competitive_floor_is_one(rng):
 def test_competitive_search_builds_synthetic_plant_once(horizon, rng, monkeypatch):
     # the synthetic plant does not depend on gamma, so one search builds it
     # once however many levels it probes (p < n: the exact plant when
-    # horizon is None, the whitening schedule's doubled plant otherwise)
+    # horizon is None, the whitening schedule's doubled plant otherwise),
+    # and a synthesis at the searched level takes it from the cache
     plant = random_lti(rng, n=3, m=1, p=1)
+    controllers.synthetic_cache.clear()  # an earlier search may have built it
     build = controllers.build_synthetic
     calls = []
 
@@ -225,7 +229,45 @@ def test_competitive_search_builds_synthetic_plant_once(horizon, rng, monkeypatc
     result = min_gamma_competitive(plant, horizon=horizon)
     assert result.ok
     assert len(result.history) > 10
+    direct = synth_competitive(plant, result.gamma, horizon=horizon)
     assert len(calls) == 1
+    _assert_same_controller(result.controller, direct)
+
+
+def test_verdict_routes_give_the_same_searches(boeing, monkeypatch):
+    # a verdict reads eigvalsh of the equilibrated H~, and a causal bracket
+    # probe skips the strictly causal verdict; with eigh's eigenvalues and
+    # both verdicts, as before, every search probes the same levels with the
+    # same outcomes
+    rng = np.random.default_rng(2700)
+    plants = [
+        boeing,
+        linearize_pendulum(PendulumParams(), 0.0),
+        random_lti(rng, n=3, m=1, p=1),
+        random_lti(rng, n=2, m=1, p=2),
+    ]
+    families = (min_gamma_hinf, min_gamma_competitive)
+    cases = list(itertools.product(plants, families, ("causal", "strictly-causal"), (None, 40)))
+    keys = ("gamma", "feasible", "reason", "iterations", "first_violation")
+
+    def searches():
+        out = []
+        for plant, search, causality, horizon in cases:
+            result = search(plant, causality=causality, horizon=horizon)
+            probes = [tuple(p[k] for k in keys) for p in result.probes]
+            out.append((probes, result.gamma, result.audit_warnings))
+        return out
+
+    default = searches()
+    reduced, eigh_calls = riccati._reduced_verdicts, []
+    monkeypatch.setattr(
+        riccati, "_eig_signs", lambda H: eigh_calls.append(H) or riccati._eig_pivots(H)[0]
+    )
+    monkeypatch.setattr(
+        search_module, "_reduced_verdicts", lambda plant, g, strict=True: reduced(plant, g)
+    )
+    assert searches() == default
+    assert eigh_calls
 
 
 def test_min_gamma_hinf_fh(rng):
@@ -577,7 +619,9 @@ def test_fh_search_runs_the_recursion_once(audit, boeing, monkeypatch):
 def test_fh_search_reruns_on_the_recursion_when_it_rejects_the_level(boeing, monkeypatch):
     # should the recursion reject the level the reduction certified, the
     # search runs again on the recursion alone
-    monkeypatch.setattr(search_module, "_reduced_verdicts", lambda plant, g: (Verdict(True),) * 2)
+    monkeypatch.setattr(
+        search_module, "_reduced_verdicts", lambda plant, g, strict=True: (Verdict(True),) * 2
+    )
     for audit in (True, False):
         result = min_gamma_hinf(boeing, horizon=40, audit=audit)
         _assert_same_search(result, *_sequential_search(boeing, "hinf", "causal", 40, audit))
