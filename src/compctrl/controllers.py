@@ -382,7 +382,7 @@ class AttenuationSolve(NamedTuple):
     diagnostics: dict
 
 
-def _attenuation(plant, gamma, causality: str):
+def _attenuation(plant, gamma, causality: str, defer: bool = False):
     """The verdict at level gamma: an :class:`AttenuationSolve` or Infeasible.
 
     The one existence test of every state-feedback family: the fixed-point
@@ -394,10 +394,11 @@ def _attenuation(plant, gamma, causality: str):
     one level keeps its lone solve, and more run as a stack of lanes of one
     solve (:func:`~compctrl.riccati.hinf_backward` on an LtvPlant, the
     fixed points' doubling on an LtiPlant).  A level that is not finite and
-    positive raises ValueError.
+    positive raises ValueError.  With ``defer`` a failed doubling's reason
+    is left as its bisection (:func:`~compctrl.riccati._dare_fixed_points`).
     """
     if np.ndim(gamma) and len(gamma) < 2:  # a lone level keeps its lone solve
-        return [_attenuation(plant, level, causality) for level in gamma]
+        return [_attenuation(plant, level, causality, defer) for level in gamma]
     if isinstance(plant, LtvPlant):
         sched = hinf_backward(plant, gamma)
         if np.ndim(gamma):
@@ -409,10 +410,12 @@ def _attenuation(plant, gamma, causality: str):
         Btil = np.hstack([plant.Bu, plant.Bw])
         Rtil = _game_weight(plant.m, plant.p, _check_gamma(gamma))
     if np.ndim(gamma):
-        fps = _dare_fixed_points(plant.A, Btil, Rtil, plant.Q)
+        fps = _dare_fixed_points(plant.A, Btil, Rtil, plant.Q, defer)
         return [_fixed_point_verdict(plant, *x, causality) for x in zip(fps, gamma)]
-    # a lone level calls dare_fixed_point by name, where bench/tracing.py wraps it
-    fp = dare_fixed_point(plant.A, Btil, Rtil, plant.Q)
+    # a lone level calls dare_fixed_point by name, where bench/tracing.py wraps
+    # it, unless its reason is deferred
+    solve = functools.partial(_dare_fixed_points, defer=True) if defer else dare_fixed_point
+    fp = solve(plant.A, Btil, Rtil, plant.Q)
     return _fixed_point_verdict(plant, fp, gamma, causality)
 
 

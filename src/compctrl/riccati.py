@@ -8,6 +8,10 @@ share one game weight, :func:`_game_weight`, one existence test,
 :func:`_strictly_causal_ok`.  Every infinite-horizon fixed point of the
 package is solved by one doubling core, :func:`_sda`.  Both horizons take
 several levels as lanes of one run, each lane leaving at its own verdict.
+A failed doubling's reason is that of the first value-iteration step that
+fails, found by bisecting its stored levels; :func:`_first_failures`
+bisects many failed lanes in one stack: those of one run when it ends, or,
+in a gamma search, those of all its probes once it has its level.
 
 The backward recursion's steps compose by the formula of a doubling step
 (:func:`_compose`), so :func:`_reduced_verdicts` decides one level's two
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -509,9 +513,10 @@ def _sda(
     A: np.ndarray,
     G: np.ndarray,
     H: np.ndarray,
-    gate: Optional[Callable[[np.ndarray, object], list]] = None,
+    gate: Optional[tuple] = None,
     tol_abs: float = 0.0,
     tol_rel: float = 1e-12,
+    defer: bool = False,
 ):
     """Structure-preserving doubling for X = A'XA + H - A'XB(R + B'XB)^{-1}B'XA.
 
@@ -527,26 +532,25 @@ def _sda(
 
     Each new iterate is checked as value iteration checks each step: a
     non-finite value or ||H||_inf > 1e12 is "no-stabilizing-solution", and
-    the gate may return a reason code.  Value iteration from zero
-    increases while every step is well posed, so an increment with a
-    negative eigenvalue ("condition-violated") means a step between two
-    samples was not.  A failure (also a singular W) is bisected with the
-    stored levels, from the last good iterate in steps of 2^(k-1), ..., 1,
-    and its reason is the one of the first single step that fails.
-    Convergence is declared, before the increment and gate checks, when the
-    increment drops below tol_abs + tol_rel * max(1, ||H||_inf).
+    ``gate`` = (B~, R~, signs) runs :func:`_game_step_test` on R~ + B~'XB~.
+    Value iteration from zero increases while every step is well posed, so
+    an increment with a negative eigenvalue ("condition-violated") means a
+    step between two samples was not.  A failure (also a singular W) keeps
+    its stored levels (:class:`_Bisection`), and its reason is the one of
+    the first single step that fails: one :func:`_first_failures` pass
+    bisects the run's failures together at its end, or, with ``defer``,
+    after the caller's other runs.  Convergence is declared, before the
+    increment and gate checks, when the increment drops below
+    tol_abs + tol_rel * max(1, ||H||_inf).
 
-    G may be a stack (k, n, n) of lanes that share A_0 and H_0.  They
-    double together; each lane runs the checks above in the same order,
-    bisects its own failure on its own stored levels and leaves the stack
-    on its own, so every result equals its lone run.  A singular W is then
-    solved lane by lane, since numpy fails the whole stack.  A lone G keeps
-    its unstacked shapes.  ``gate(X, rows)`` returns one reason per matrix
-    of X: ``rows`` numbers their lanes in the stack, Ellipsis for a lone G.
-    Returns (X or None, doublings, reason), a list of them for a stack.
+    G and R~ may be stacks (k, ., .) of lanes that share A_0 and H_0.  They
+    double together; each lane runs the checks above in the same order and
+    leaves the stack on its own, so every result equals its lone run.  A
+    singular W is then solved lane by lane, since numpy fails the whole
+    stack, and a lane numpy finds singular fails as a divergence.  A lone G
+    keeps its unstacked shapes.  Returns (X or None, doublings, reason), a
+    list of them for a stack.
     """
-    n = A.shape[0]
-    eye = np.eye(n)
     lone = G.ndim == 2
     if not lone:
         A, H = np.broadcast_to(A, G.shape), np.broadcast_to(H, G.shape)
@@ -554,63 +558,42 @@ def _sda(
     out = [(None, MAX_DOUBLINGS, "no-stabilizing-solution")] * len(lanes)
     levels: list = []  # (A, G, H, lanes) of each doubling passed
 
-    def check(X: np.ndarray, Y: np.ndarray, norm, row) -> Optional[str]:
-        # one lane; norm = ||Y||_inf, NaN or inf unless Y is finite
-        if not norm <= DIVERGENCE_NORM:
-            return "no-stabilizing-solution"
-        if np.linalg.eigvalsh(Y - X).min() < -INCREMENT_TOL * max(1.0, norm):
-            return "condition-violated"
-        return None if gate is None else gate(Y, row)[0]
-
     def settled(Hn: np.ndarray) -> dict:
-        # {position: reason, None where converged} of the lanes that end
-        # here; the checks of check, over the stack
+        # {position: reason, None where converged} of the lanes that end here
         if lone:
             norm = np.abs(Hn).max()
-            if norm <= DIVERGENCE_NORM and np.abs(Hn - H).max() < tol_abs + tol_rel * max(1.0, norm):
-                return {0: None}
-            reason = check(H, Hn, norm, Ellipsis)
-            return {} if reason is None else {0: reason}
-        D = Hn - H
-        norms = np.abs(Hn).max(axis=(-2, -1)).tolist()
-        done, live = {}, []
-        for j, (norm, step) in enumerate(zip(norms, np.abs(D).max(axis=(-2, -1)).tolist())):
             if not norm <= DIVERGENCE_NORM:
-                done[j] = "no-stabilizing-solution"
-            elif step < tol_abs + tol_rel * max(1.0, norm):
-                done[j] = None
-            else:
-                live.append(j)
-        if live:
-            low = np.linalg.eigvalsh(D[live]).min(axis=-1).tolist()
-            for j, x in zip(live, low):
-                if x < -INCREMENT_TOL * max(1.0, norms[j]):
-                    done[j] = "condition-violated"
-            live = [j for j in live if j not in done]
-        if gate is not None and live:
-            for j, reason in zip(live, gate(Hn[live], lanes[live])):
-                if reason is not None:
-                    done[j] = reason
-        return done
+                return {0: "no-stabilizing-solution"}
+            D = Hn - H
+            if np.abs(D).max() < tol_abs + tol_rel * max(1.0, norm):
+                return {0: None}
+            if np.linalg.eigvalsh(D).min() < -INCREMENT_TOL * max(1.0, norm):
+                return {0: "condition-violated"}
+            reason = None if gate is None else _gated(gate, Hn, Ellipsis)[0]
+            return {} if reason is None else {0: reason}
+        stacked_gate = None if gate is None else lambda X, idx: _gated(gate, X, lanes[idx])
+        return _sample_failures(Hn, Hn - H, stacked_gate, (tol_abs, tol_rel))
 
-    def first_failure(j: int, reason: str) -> str:
-        # bisect the steps after lane j's good sample H; the last pass is
-        # the single step (level 0) after the last good iterate
+    def failed(j: int, reason: str) -> _Bisection:
+        # lane j's trials from its last good iterate H: its stored levels,
+        # deepest first, then level 0 again
         row = Ellipsis if lone else lanes[j]
-        X, steps, bad = H if lone else H[j], [], None
+        steps = []
         for Aj, Gj, Hj, passed in levels:
             i = row if lone else np.searchsorted(passed, row)
             steps.append((Aj[i], Gj[i], Hj[i]))
-        for Aj, Gj, Hj in steps[::-1] + steps[:1]:
-            try:
-                Y = Hj + sym(Aj.T @ X @ np.linalg.solve(eye + Gj @ X, Aj))
-                bad = check(X, Y, np.abs(Y).max(), row)
-            except np.linalg.LinAlgError:
-                bad = "no-stabilizing-solution"
-            if bad is None:
-                X = Y
-        # None: every step passed, so the samples do not bracket one failure
-        return bad or reason
+        lane_gate = None if gate is None else (gate[0], gate[1][row], gate[2])
+        return _Bisection(steps[::-1] + steps[:1], H if lone else H[j], reason, lane_gate)
+
+    def doubled(A, G, H) -> tuple:
+        # the next level; numpy fails a whole stack where one W is singular,
+        # so then lane by lane, and NaN, which fails the divergence check
+        try:
+            return _compose(A, G, H, A, G, H)
+        except np.linalg.LinAlgError:
+            if H.ndim == 2:
+                return (np.full_like(H, np.nan),) * 3
+            return tuple(map(np.stack, zip(*map(doubled, A, G, H))))
 
     def leave(done: dict, *stacks):
         # record the lanes done; the rows of the others, if any are left
@@ -622,32 +605,18 @@ def _sda(
         return [M[keep] for M in stacks] if keep else stacks
 
     if gate is not None:
-        reasons = gate(H, Ellipsis if lone else lanes)
+        reasons = _gated(gate, H, Ellipsis if lone else lanes)
         if any(reasons):
             done = {j: (None, 0, reason) for j, reason in enumerate(reasons) if reason}
             A, G, H = leave(done, A, G, H)
     for k in range(1, MAX_DOUBLINGS + 1):
         if not len(lanes):
             break
-        try:
-            An, Gn, Hn = _compose(A, G, H, A, G, H)
-        except np.linalg.LinAlgError:
-            # numpy fails the whole stack: double each lane alone
-            steps, done = [], {}
-            for j in range(len(lanes)):
-                lane = (A, G, H) if lone else (A[j], G[j], H[j])
-                try:
-                    steps.append(_compose(*lane, *lane))
-                except np.linalg.LinAlgError:
-                    done[j] = (None, k, first_failure(j, "no-stabilizing-solution"))
-            A, G, H = leave(done, A, G, H)
-            if not len(lanes):
-                break
-            An, Gn, Hn = map(np.stack, zip(*steps))
+        An, Gn, Hn = doubled(A, G, H)
         done = settled(Hn)
         if done:
             done = {
-                j: (None, k, first_failure(j, reason)) if reason else (Hn if lone else Hn[j], k, None)
+                j: (None, k, failed(j, reason)) if reason else (Hn if lone else Hn[j], k, None)
                 for j, reason in done.items()
             }
             A, G, H, An, Gn, Hn = leave(done, A, G, H, An, Gn, Hn)
@@ -655,7 +624,100 @@ def _sda(
                 break
         levels.append((A, G, H, lanes))
         A, G, H = An, Gn, Hn
+    pending = [i for i, (_, _, reason) in enumerate(out) if isinstance(reason, _Bisection)]
+    if pending and not defer:
+        for i, reason in zip(pending, _first_failures([out[i][2] for i in pending])):
+            out[i] = (None, out[i][1], reason)
     return out[0] if lone else out
+
+
+def _gated(gate: tuple, X: np.ndarray, rows) -> list:
+    """The reasons of :func:`_game_step_test` on R~[rows] + B~'XB~ for the
+    ``gate`` (B~, R~, signs) of :func:`_sda`, one per matrix of X."""
+    Bt, R, signs = gate
+    return _game_step_test(R[rows] + Bt.T @ X @ Bt, *signs)[0]
+
+
+def _sample_failures(Y, D, gate, tol=None) -> dict:
+    """{i: reason} of the samples Y[i] of a stack, with increments D[i],
+    that :func:`_sda`'s checks end, in its order: divergence; convergence
+    (reason None), if ``tol`` = (tol_abs, tol_rel) is given; the increment;
+    ``gate(Y[rest], rest)``, which gives a reason or None each."""
+    norms = np.abs(Y).max(axis=(-2, -1)).tolist()
+    steps = np.abs(D).max(axis=(-2, -1)).tolist() if tol else norms
+    done, live = {}, []
+    for i, (norm, step) in enumerate(zip(norms, steps)):
+        if not norm <= DIVERGENCE_NORM:
+            done[i] = "no-stabilizing-solution"
+        elif tol and step < tol[0] + tol[1] * max(1.0, norm):
+            done[i] = None
+        else:
+            live.append(i)
+    if live:
+        low = np.linalg.eigvalsh(D[live]).min(axis=-1).tolist()
+        for i, x in zip(live, low):
+            if x < -INCREMENT_TOL * max(1.0, norms[i]):
+                done[i] = "condition-violated"
+        live = [i for i in live if i not in done]
+    if gate is not None and live:
+        done.update((i, reason) for i, reason in zip(live, gate(Y[live], live)) if reason)
+    return done
+
+
+class _Bisection(NamedTuple):
+    """A failed lane of :func:`_sda` whose reason :func:`_first_failures`
+    is yet to find: its trial maps (A, G, H) in order, its last good iterate
+    X, the failing sample's reason and its gate, (B~, its R~, signs) or None."""
+
+    steps: list
+    X: np.ndarray
+    reason: str
+    gate: Optional[tuple]
+
+
+def _first_failures(pending: list) -> list:
+    """The reasons of failed doubling lanes (:class:`_Bisection`, at least
+    one, all gated with one B~ and R~'s inertia or none), bisected together.
+
+    A lane's trials step from its last good iterate X by its stored levels,
+    deepest first, then level 0 again, up to its failing sample; a trial
+    that passes :func:`_sda`'s checks advances X, and a singular solve fails
+    it.  The lane's reason is its last trial's, that of the single step
+    after its last good iterate, or the sample's own if that step passes.
+    Round r gathers the r-th trial of every lane that has one into one
+    stack, so lanes of unequal depth leave on their own, and solves lane by
+    lane if numpy finds it singular.  Per matrix the arithmetic is a lone
+    lane's, so each reason is too.
+    """
+    depth = np.array([len(lane.steps) for lane in pending], dtype=int)
+    last = [None] * len(pending)  # each lane's latest trial verdict
+    # the (A, G, H) of every lane's trials, lane j's from row first[j]
+    trials = np.array([trial for lane in pending for trial in lane.steps])
+    first, X = np.cumsum(depth) - depth, np.stack([lane.X for lane in pending])
+    gate = pending[0].gate
+    if gate is not None:  # with each lane's R~
+        gate = (gate[0], np.stack([lane.gate[1] for lane in pending]), gate[2])
+
+    def step(A, G, H, X):
+        try:
+            WA = np.linalg.solve(_identity(X.shape[-1]) + G @ X, A)
+        except np.linalg.LinAlgError:  # lane by lane, NaN where singular, as in _sda
+            if X.ndim == 2:
+                return np.full_like(X, np.nan)
+            return np.stack([step(*lane) for lane in zip(A, G, H, X)])
+        return H + sym(A.swapaxes(-1, -2) @ X @ WA)
+
+    for r in range(depth.max()):
+        live = np.flatnonzero(depth > r)
+        Xs = X[live]
+        Y = step(*trials[first[live] + r].swapaxes(0, 1), Xs)
+        lane_gate = None if gate is None else lambda S, idx: _gated(gate, S, live[idx])
+        done = _sample_failures(Y, Y - Xs, lane_gate)
+        for i, j in enumerate(live.tolist()):
+            last[j] = done.get(i)
+            if last[j] is None:
+                X[j] = Y[i]
+    return [reason or lane.reason for reason, lane in zip(last, pending)]
 
 
 def dare_fixed_point(
@@ -677,10 +739,11 @@ def dare_fixed_point(
     return _dare_fixed_points(A, Btil, Rtil, Q)
 
 
-def _dare_fixed_points(A, Btil, Rtil, Q):
+def _dare_fixed_points(A, Btil, Rtil, Q, defer: bool = False):
     """:func:`dare_fixed_point` at R~, or at each R~ of a stack (k, K, K)
     that shares one inertia: one :func:`_sda` run carries them as lanes and
-    returns a list, each result equal to the lone solve's."""
+    returns a list, each result equal to the lone solve's.  With ``defer`` a
+    failed doubling's ``reason`` is its :class:`_Bisection`."""
     A, Btil, Rtil, Q = (np.asarray(M, dtype=float) for M in (A, Btil, Rtil, Q))
     lone = Rtil.ndim == 2
     lam = _eig_signs(Rtil).tolist()
@@ -695,12 +758,8 @@ def _dare_fixed_points(A, Btil, Rtil, Q):
     ok = [i for i, reason in enumerate(first) if reason is None]
     if ok:
         R = Rtil if lone else Rtil[ok]
-
-        def gate(P: np.ndarray, rows) -> list:
-            return _game_step_test(R[rows] + Btil.T @ P @ Btil, *signs_R)[0]
-
         G = sym(Btil @ solve_sym(R, Btil.T))
-        found = _sda(A, G, sym(Q), gate, tol_abs=1e-11, tol_rel=1e-9)
+        found = _sda(A, G, sym(Q), (Btil, R, signs_R), tol_abs=1e-11, tol_rel=1e-9, defer=defer)
         for i, solve in zip(ok, [found] if lone else found):
             solves[i] = solve
     fps = [

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from .controllers import CAUSAL, Infeasible, _attenuation, _pose, _schedule_verdict
 from .model import LtvPlant
-from .riccati import RiccatiSchedule, _reduced_verdicts
+from .riccati import RiccatiSchedule, _Bisection, _first_failures, _reduced_verdicts
 
 __all__ = ["GammaSearchResult", "min_gamma", "min_gamma_hinf", "min_gamma_competitive"]
 
@@ -58,8 +58,11 @@ class GammaSearchResult:
     record per probe, in order: ``{gamma, feasible, reason, iterations,
     first_violation, residual, wall_ms}``, the fixed-point doublings (None
     where none was solved) and, for an audit level, its share of the audit
-    pass's wall time.  The records are report data and never enter a trace
-    or sweep CSV.
+    pass's wall time.  In the infinite horizon a failed doubling's reason is
+    found after the audit, by one stacked bisection of every such probe,
+    and the pass's wall time is shared among their records, so that the
+    records' wall times still add up to the probing.  The records are
+    report data and never enter a trace or sweep CSV.
     """
 
     gamma: Optional[float]
@@ -247,7 +250,8 @@ def _plant_search(plant, kind, causality, horizon, gamma_floor, gamma_hi_init, t
     plant, build = _pose(plant, kind, causality, horizon)
     sequential = functools.partial(_attenuation, plant, causality=causality)
     if not isinstance(plant, LtvPlant):
-        return _search(sequential, gamma_floor, gamma_hi_init, tol, audit, build)
+        deferred = functools.partial(sequential, defer=True)
+        return _resolved(_search(deferred, gamma_floor, gamma_hi_init, tol, audit, build))
 
     hi = {}  # the level of the last feasible probe; then its recursion
 
@@ -270,4 +274,18 @@ def _plant_search(plant, kind, causality, horizon, gamma_floor, gamma_hi_init, t
     result = _search(verdicts, gamma_floor, gamma_hi_init, tol, audit, certified)
     if result.gamma is not None and result.controller is None:
         return _search(sequential, gamma_floor, gamma_hi_init, tol, audit, build)
+    return result
+
+
+def _resolved(result: GammaSearchResult) -> GammaSearchResult:
+    """``result`` with the reasons that its failed probes left pending found
+    by one :func:`~compctrl.riccati._first_failures` pass, whose wall time
+    is shared among their records."""
+    pending = [p for p in result.probes if isinstance(p["reason"], _Bisection)]
+    if pending:
+        start = time.perf_counter()
+        reasons = _first_failures([p["reason"] for p in pending])
+        share = 1e3 * (time.perf_counter() - start) / len(pending)
+        for p, reason in zip(pending, reasons):
+            p["reason"], p["wall_ms"] = reason, p["wall_ms"] + share
     return result

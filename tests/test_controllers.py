@@ -228,9 +228,9 @@ def test_infinite_horizon_game_weight_squares_gamma_as_the_backward_recursion(
     seen = []
 
     def spy(solve):
-        def call(A, Btil, Rtil, Q):
+        def call(A, Btil, Rtil, Q, *defer):
             seen.append(np.array(Rtil))
-            return solve(A, Btil, Rtil, Q)
+            return solve(A, Btil, Rtil, Q, *defer)
 
         return call
 

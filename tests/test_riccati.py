@@ -745,6 +745,68 @@ def test_stacked_doubling_survives_a_singular_lane():
             assert np.array_equal(got[0], want[0])
 
 
+def _lane(trials, X, reason="condition-violated"):
+    """An ungated failed doubling lane whose trials are the maps ``trials``."""
+    return riccati._Bisection(trials, X, reason, None)
+
+
+def _resolved_alone(lanes):
+    return [riccati._first_failures([lane])[0] for lane in lanes]
+
+
+def test_first_failures_survives_a_singular_trial():
+    """numpy fails the whole stacked solve of a round when one lane's
+    W = I + GX is singular; that lane's trial fails with
+    "no-stabilizing-solution" and the others run on."""
+    eye = np.eye(2)
+    singular = _lane([(eye, -eye, eye)] * 2, eye)  # W = I - I at X = I
+    # X -> I + X/4 from X = I: every trial passes, and the sample's reason stays
+    passing = _lane([(0.5 * eye, 0.0 * eye, eye)] * 3, eye, "singular-Htilde")
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.stack([eye - eye, eye]), np.stack([eye, 0.5 * eye]))
+    lanes = [singular, passing]
+    got = riccati._first_failures(lanes)
+    assert got == ["no-stabilizing-solution", "singular-Htilde"]
+    assert got == _resolved_alone(lanes)
+
+
+def test_first_failures_of_a_diverging_trial():
+    # the trial's iterate exceeds 1e12: the divergence check names it, before
+    # the increment check that named the sample
+    eye = np.eye(2)
+    lane = _lane([(1e7 * eye, 0.0 * eye, eye)], eye)
+    assert riccati._first_failures([lane]) == ["no-stabilizing-solution"]
+
+
+def test_first_failures_keep_the_sample_reason_when_every_trial_passes():
+    eye = np.eye(2)
+    for trials in ([], [(0.5 * eye, 0.0 * eye, eye)] * 4):
+        lane = _lane(trials, eye, "singular-Htilde")
+        assert riccati._first_failures([lane]) == ["singular-Htilde"]
+
+
+@pytest.mark.parametrize("case", ["boeing", "pendulum", "unstabilizable"])
+def test_first_failures_of_unequal_lanes_equal_lone_bisections(case, boeing):
+    """Deferred lanes of unequal depth, bisected in one stack, get the
+    reasons of their lone bisections and of dare_fixed_point."""
+    plant = {
+        "boeing": boeing,
+        "pendulum": linearize_pendulum(PendulumParams(), 0.0),
+        "unstabilizable": scalar_lti(a=2.0, bu=0.0),
+    }[case]
+    levels = [row[0] for row in STACKED_SOLVE_CASES[case] if not row[1]]
+    games = [_hinf_game(plant, g) for g in levels]
+    deferred = [riccati._dare_fixed_points(*g, defer=True) for g in games]
+    pending = [fp.reason for fp in deferred if isinstance(fp.reason, riccati._Bisection)]
+    assert len({len(lane.steps) for lane in pending}) > 1
+    want = [dare_fixed_point(*g).reason for g in games]
+    got = iter(riccati._first_failures(pending))
+    assert [next(got) if isinstance(fp.reason, riccati._Bisection) else fp.reason
+            for fp in deferred] == want
+    assert riccati._first_failures(pending) == _resolved_alone(pending)
+    assert riccati._first_failures(pending[::-1]) == _resolved_alone(pending)[::-1]
+
+
 @pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
 def test_stacked_strict_verdicts_equal_lone_ones(causality, boeing):
     # the competitive plant's fixed points converge at 2, 4 and 5, where

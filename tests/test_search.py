@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -765,6 +766,135 @@ def test_boeing_ih_searches_are_pinned(search, causality, boeing):
     assert (result.gamma, result.gamma_lo) == (gamma, gamma_lo)
     assert result.audit_warnings == []
     assert result.history == [(g, feas) for g, feas, *_ in pinned]
+    got = [
+        (p["gamma"], p["feasible"], p["reason"], p["iterations"], p["first_violation"],
+         repr(p["residual"]))
+        for p in result.probes
+    ]
+    assert got == pinned
+    assert result.controller.gamma == gamma
+
+
+@pytest.mark.parametrize("audit", [True, False])
+def test_ih_searches_equal_lone_verdicts_resolved_at_once(audit, boeing):
+    # an infinite-horizon search's failed probes, bracket and audit lanes,
+    # keep their bisections for one stacked pass at its end; every probe
+    # record equals that of min_gamma on lone _attenuation verdicts, each of
+    # which bisects its failure as its own doubling ends
+    rng = np.random.default_rng(2900)
+    plants = [
+        boeing,
+        linearize_pendulum(PendulumParams(), 0.0),
+        random_lti(rng, n=3, m=1, p=1),
+        random_lti(rng, n=2, m=1, p=2),
+    ]
+    keys = ("gamma", "feasible", "reason", "iterations", "first_violation", "residual")
+    for plant, family, causality in itertools.product(
+        plants, sorted(SEARCHES), ("causal", "strictly-causal")
+    ):
+        result = SEARCHES[family][0](plant, causality=causality, audit=audit)
+        ref, controller = _sequential_search(plant, family, causality, None, audit)
+        assert [[repr(p[k]) for k in keys] for p in result.probes] == [
+            [repr(p[k]) for k in keys] for p in ref.probes
+        ]
+        assert (result.gamma, result.gamma_lo) == (ref.gamma, ref.gamma_lo)
+        assert result.audit_warnings == ref.audit_warnings
+        _assert_same_controller(result.controller, controller)
+
+
+def test_ih_search_bisects_its_failed_probes_in_one_pass(boeing, monkeypatch):
+    # no doubling run of the search bisects its own failure; one stacked pass
+    # at the end takes every failed probe that has doublings to bisect, and
+    # its wall time is spread over their records
+    first_failures, passes = riccati._first_failures, []
+
+    def spy(pending):
+        passes.append(len(pending))
+        time.sleep(0.05)
+        return first_failures(pending)
+
+    def refuse(pending):
+        raise AssertionError("a doubling run bisected its own failure")
+
+    monkeypatch.setattr(search_module, "_first_failures", spy)
+    monkeypatch.setattr(riccati, "_first_failures", refuse)
+    result = min_gamma_hinf(boeing)
+    bisected = [
+        p for p in result.probes
+        if not p["feasible"] and p["residual"] is None and p["iterations"] > 0
+    ]
+    assert passes == [len(bisected)] and len(bisected) > 10
+    assert all(isinstance(p["reason"], str) for p in result.probes if not p["feasible"])
+    assert sum(p["wall_ms"] for p in bisected) >= 50.0
+
+
+#: the causal infinite-horizon searches on the pendulum's upright
+#: linearization, in BOEING_IH_SEARCHES' form; their failed probes bisect
+#: 11 to 14 doublings deep
+PENDULUM_IH_SEARCHES = {
+    ("competitive", "causal"): (
+        2.611328125,
+        2.6103515625,
+        [
+            (2.0, False, "condition-violated", 11, None, "None"),
+            (4.0, True, None, 15, None, "2.510205376893282e-10"),
+            (3.0, True, None, 15, None, "8.330971468240023e-10"),
+            (2.5, False, "condition-violated", 12, None, "None"),
+            (2.75, True, None, 15, None, "3.0195224098861217e-09"),
+            (2.625, True, None, 15, None, "6.269838195294142e-07"),
+            (2.5625, False, "condition-violated", 12, None, "None"),
+            (2.59375, False, "condition-violated", 12, None, "None"),
+            (2.609375, False, "condition-violated", 13, None, "None"),
+            (2.6171875, True, None, 15, None, "7.67590245231986e-05"),
+            (2.61328125, True, None, 15, None, "0.0045406632125377655"),
+            (2.611328125, True, None, 15, None, "10.969085820019245"),
+            (2.6103515625, False, "condition-violated", 13, None, "None"),
+            (2.6083515625, False, "condition-violated", 12, None, "None"),
+            (2.6073515625, False, "condition-violated", 12, None, "None"),
+            (2.6063515625, False, "condition-violated", 12, None, "None"),
+            (2.6053515625, False, "condition-violated", 12, None, "None"),
+            (2.612328125, True, None, 15, None, "0.08380144089460373"),
+            (2.613328125, True, None, 15, None, "0.017334974370896816"),
+            (2.614328125, True, None, 15, None, "0.0033347937278449535"),
+            (2.615328125, True, None, 15, None, "0.0005308948457241058"),
+        ],
+    ),
+    ("hinf", "causal"): (
+        1.0009765625,
+        1.0,
+        [
+            (1.0, False, "condition-violated", 14, None, "None"),
+            (2.0, True, None, 15, None, "9.094947017729282e-13"),
+            (1.5, True, None, 15, None, "9.094947017729282e-13"),
+            (1.25, True, None, 15, None, "9.094947017729282e-13"),
+            (1.125, True, None, 15, None, "1.8189894035458565e-12"),
+            (1.0625, True, None, 15, None, "3.637978807091713e-12"),
+            (1.03125, True, None, 15, None, "7.275957614183426e-12"),
+            (1.015625, True, None, 15, None, "1.4551915228366852e-11"),
+            (1.0078125, True, None, 15, None, "2.9103830456733704e-11"),
+            (1.00390625, True, None, 15, None, "5.820766091346741e-11"),
+            (1.001953125, True, None, 15, None, "5.820766091346741e-11"),
+            (1.0009765625, True, None, 15, None, "9.313225746154785e-10"),
+            (0.998, False, "condition-violated", 12, None, "None"),
+            (0.997, False, "condition-violated", 12, None, "None"),
+            (0.996, False, "condition-violated", 12, None, "None"),
+            (0.995, False, "condition-violated", 12, None, "None"),
+            (1.0019765625, True, None, 15, None, "1.1641532182693481e-10"),
+            (1.0029765625, True, None, 15, None, "5.820766091346741e-11"),
+            (1.0039765625, True, None, 15, None, "5.820766091346741e-11"),
+            (1.0049765625, True, None, 15, None, "2.9103830456733704e-11"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("search, causality", list(PENDULUM_IH_SEARCHES))
+def test_pendulum_ih_searches_are_pinned(search, causality):
+    gamma, gamma_lo, pinned = PENDULUM_IH_SEARCHES[search, causality]
+    run = {"competitive": min_gamma_competitive, "hinf": min_gamma_hinf}[search]
+    result = run(linearize_pendulum(PendulumParams(), 0.0), causality=causality)
+    assert (result.gamma, result.gamma_lo) == (gamma, gamma_lo)
+    assert result.audit_warnings == []
     got = [
         (p["gamma"], p["feasible"], p["reason"], p["iterations"], p["first_violation"],
          repr(p["residual"]))
