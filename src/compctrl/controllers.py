@@ -86,7 +86,8 @@ class Infeasible:
 @dataclass
 class ControllerState:
     """Mutable per-rollout state: the timestep, plus the internal state
-    z = [xi; nu] of a ratio-optimal controller (see :class:`Realization`)."""
+    z = nu of a ratio-optimal controller, its w' filter's state (see
+    :class:`Realization`)."""
 
     t: int = 0
     z: Optional[np.ndarray] = None
@@ -97,7 +98,7 @@ class ControllerState:
 #: returns (u_t, z_{t+1}, w'_t) for a step t of the record, z being the
 #: internal state of :class:`ControllerState` (None, and w'_t None, for a
 #: memoryless law).  Binding takes each product with w (K_w w_t, D_z w_t,
-#: B_z w_t, B_filter w_t) for every row at once, by
+#: B_filter w_t) for every row at once, by
 #: :func:`~compctrl.model.rowwise`; a step then pays only the products with
 #: x_t and z_t.  The rollouts bind it once per record and call it per step.
 Law = Callable[[int, np.ndarray, Optional[np.ndarray]], tuple]
@@ -184,10 +185,11 @@ class CompetitiveController(_Online):
     ``synthetic``, ``Kxi`` and ``Kwp`` are the law as synthesized (and
     serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the state xi_hat
     and disturbance w_hat of ``synthetic.as_plant()``, whose horizon is the
-    controller's.  Stepping reads :attr:`realization`, the same law over
-    z = [xi; nu], folded once (:meth:`SyntheticSystem.fold`).  The
-    strictly causal variant has Kwp = 0, so u_t never reads w_t.  At the
-    final step of a finite horizon u_{T-1} = 0 and nothing advances.
+    controller's.  Stepping reads :attr:`realization`, the same law on the
+    measured state x and the filter state z = nu, folded once
+    (:meth:`SyntheticSystem.fold`).  The strictly causal variant has
+    Kwp = 0, so u_t never reads w_t.  At the final step of a finite horizon
+    u_{T-1} = 0 and nothing advances.
     """
 
     kind: str  # "competitive"
@@ -209,38 +211,36 @@ class CompetitiveController(_Online):
         return {"n": syn.n, "m": syn.m, "p": syn.B_filter.shape[-1]}
 
     def make_state(self) -> ControllerState:
-        return ControllerState(t=0, z=np.zeros(2 * self.synthetic.n))
+        return ControllerState(t=0, z=np.zeros(self.synthetic.n))
 
     def wprime(self, state: ControllerState) -> np.ndarray:
         """w'_t = M_filter nu_t, the filtered disturbance before w_t."""
         M = self.realization.M_filter[0 if self.horizon is None else state.t]
-        return M @ state.z[self.synthetic.n :]
+        return M @ state.z
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         """The :attr:`realization` as a :data:`Law` on the record w (row 0
         is step t0); the law also returns w'_t."""
-        r, n, m = self.realization, self.synthetic.n, self.synthetic.m
+        r = self.realization
         if self.horizon is None:
-            Cz, Az, Af, Mf = r.Cz[0], r.Az[0], r.A_filter[0], r.M_filter[0]
-            dz, bz, bf = (rowwise(a[0], w) for a in (r.Dz, r.Bz, r.B_filter))
+            Cx, Cn, Af, Mf = r.Cx[0], r.Cn[0], r.A_filter[0], r.M_filter[0]
+            dz, bf = (rowwise(a[0], w) for a in (r.Dz, r.B_filter))
 
-            def law(t, x, z):
-                k, nu = t - t0, z[n:]
-                return Cz @ z + dz[k], np.concatenate([Az @ z + bz[k], Af @ nu + bf[k]]), Mf @ nu
+            def law(t, x, nu):
+                k = t - t0
+                return Cx @ x + Cn @ nu + dz[k], Af @ nu + bf[k], Mf @ nu
 
         else:
-            last = self.horizon - 1
+            last, m = self.horizon - 1, self.synthetic.m
             stop = min(t0 + len(w), last)  # no law, so no w-terms, at step T-1
-            dz, bz, bf = (rowwise(a[t0:stop], w[: stop - t0]) for a in (r.Dz, r.Bz, r.B_filter))
+            dz, bf = (rowwise(a[t0:stop], w[: stop - t0]) for a in (r.Dz, r.B_filter))
 
-            def law(t, x, z):
-                nu = z[n:]
+            def law(t, x, nu):
                 wp = r.M_filter[t] @ nu
                 if t == last:  # u_{T-1} = 0 and nothing advances
-                    return np.zeros(m), z, wp
+                    return np.zeros(m), nu, wp
                 k = t - t0
-                xi = r.Az[t] @ z + bz[k]
-                return r.Cz[t] @ z + dz[k], np.concatenate([xi, r.A_filter[t] @ nu + bf[k]]), wp
+                return r.Cx[t] @ x + r.Cn[t] @ nu + dz[k], r.A_filter[t] @ nu + bf[k], wp
 
         return law
 
@@ -530,7 +530,7 @@ def synth_competitive(
 ) -> Union[CompetitiveController, Infeasible]:
     """Ratio-optimal controller at ratio bound gamma^2: attenuation
     synthesis on the synthetic plant (:mod:`compctrl.factorization`), whose
-    controller steps the w' filter and the plant copy online.
+    controller reads the measured state and steps the w' filter online.
     """
     posed, build = _pose(plant, "competitive", causality, horizon, (gamma,))
     res = _attenuation(posed, gamma, causality)

@@ -27,8 +27,9 @@ for p > n), and every finite horizon uses it.  :func:`build_synthetic`
 makes that choice, once: it takes the plant alone, picks and computes its
 factors, and returns a :class:`SyntheticSystem`, which holds either plant
 in either horizon and folds a law posed on it into one
-:class:`Realization` (:meth:`SyntheticSystem.fold`), so the callers only
-pose the attenuation game on ``as_plant()``.
+:class:`Realization` on the measured state and nu
+(:meth:`SyntheticSystem.fold`), so the callers only pose the attenuation
+game on ``as_plant()``.
 """
 
 from __future__ import annotations
@@ -126,12 +127,10 @@ class OuterFactor:
 class Realization(NamedTuple):
     """The ratio-optimal controller as one state-space system.
 
-    Its state is z = [xi; nu]: xi the plant copy (on the doubled plant the
-    upper half of the synthetic state, whose lower half is w' = M_filter nu)
-    and nu the state of the w' filter, both in R^n.  Per step,
+    It reads the measured plant state x and keeps one state of its own, nu,
+    the state of the w' filter in R^n.  Per step,
 
-        u_t      = Cz z_t + Dz w_t,
-        xi_{t+1} = Az z_t + Bz w_t,
+        u_t      = Cx x_t + Cn nu_t + Dz w_t,
         nu_{t+1} = A_filter nu_t + B_filter w_t,    w'_t = M_filter nu_t.
 
     The filter keeps its own matrices, so the w' it emits is exactly that
@@ -141,10 +140,9 @@ class Realization(NamedTuple):
     T of the filter.
     """
 
-    Cz: np.ndarray  # (S, m, 2n)
+    Cx: np.ndarray  # (S, m, n)
+    Cn: np.ndarray  # (S, m, n)
     Dz: np.ndarray  # (S, m, p)
-    Az: np.ndarray  # (S, n, 2n)
-    Bz: np.ndarray  # (S, n, p)
     A_filter: np.ndarray  # (S', n, n)
     B_filter: np.ndarray  # (S', n, p)
     M_filter: np.ndarray  # (S', n, n)
@@ -204,44 +202,34 @@ class SyntheticSystem:
 
     def fold(self, Kxi: np.ndarray, Kwp: np.ndarray) -> Realization:
         """Fold the law u = -(Kxi xi_hat + Kwp w_hat) on :meth:`as_plant`
-        into the :class:`Realization` over z = [xi; nu].
+        into the :class:`Realization` on (x, nu).
 
-        Written as u = -(Ga xi + Gn nu + Gw w) with the plant copy
-        xi_{t+1} = A xi + B_u u + E nu + Ew w, the law has Cz = -[Ga, Gn],
-        Dz = -Gw, Az = [A - B_u Ga, E - B_u Gn] and Bz = Ew - B_u Gw.
-        Doubled plant: the synthetic state is xi_hat = [xi; M nu] and the
-        law reads w_hat = w'_{t+1} = M_{t+1}(A_filter nu + B_filter w), so
-        Gn = Kb M_t + Kwp M_{t+1} A_filter, Gw = Kwp M_{t+1} B_filter and
-        E = K Sigma^{1/2} M_t.  Exact plant: xi_hat = [xi; nu] and
-        w_hat = w'' = C_outer nu + D_outer w, so Gn = Kb + Kwp C_outer,
-        Gw = Kwp D_outer, E = 0 and Ew = B_w.
+        With Kxi = [Ga, Kb] over the halves of xi_hat, the upper half is the
+        synthetic plant's copy xi of the plant state, which x and nu give
+        when x_0 = nu_0 = 0, so the law reads x in its place.
+
+        Exact plant: xi_hat = [x; nu] and w_hat = w'' = C_outer nu +
+        D_outer w, so Cx = -Ga, Cn = -(Kb + Kwp C_outer) and
+        Dz = -Kwp D_outer.  Doubled plant: xi_hat = [x - nu; M_t nu], since
+        xi and x - nu both follow (x - nu)+ = A (x - nu) + B_u u +
+        K Q^{1/2} nu (K Sigma^{1/2} M = K Q^{1/2}); the law reads
+        w_hat = w'_{t+1} = M_{t+1}(A_filter nu + B_filter w), so Cx = -Ga,
+        Cn = -(Kb M_t + Kwp M_{t+1} A_filter - Ga) and
+        Dz = -Kwp M_{t+1} B_filter.
         """
         finite = self.horizon is not None
         S = self.horizon - 1 if finite else 1  # steps with a law
         stack = np.asarray if finite else (lambda a: a[None])
         Af, Bf, Mf = map(stack, (self.A_filter, self.B_filter, self.M_filter))
-        Ahat, Buhat, Kxi, Kwp = (stack(a)[:S] for a in (self.Ahat, self.Buhat, Kxi, Kwp))
-        n, p = Bf.shape[1:]
-        A, Bu = Ahat[:, :n, :n], Buhat[:, :n]
-        Ga, Kb = Kxi[..., :n], Kxi[..., n:]
+        Kxi, Kwp = (stack(a)[:S] for a in (Kxi, Kwp))
+        Ga, Kb = Kxi[..., : self.n], Kxi[..., self.n :]
         if self.exact:
-            Gn = Kb + Kwp @ self.C_outer
-            Gw = Kwp @ self.D_outer
-            E, Ew = np.zeros((S, n, n)), Bf
+            Gn, Gw = Kb + Kwp @ self.C_outer, Kwp @ self.D_outer
         else:
-            M, M_next = Mf[:S], (Mf[1:] if finite else Mf)
-            Gn = Kb @ M + Kwp @ M_next @ Af[:S]
+            M_next = Mf[1:] if finite else Mf
+            Gn = Kb @ Mf[:S] + Kwp @ M_next @ Af[:S] - Ga
             Gw = Kwp @ M_next @ Bf[:S]
-            E, Ew = Ahat[:, :n, n:] @ M, np.zeros((S, n, p))
-        return Realization(
-            Cz=-np.concatenate([Ga, Gn], axis=-1),
-            Dz=-Gw,
-            Az=np.concatenate([A - Bu @ Ga, E - Bu @ Gn], axis=-1),
-            Bz=Ew - Bu @ Gw,
-            A_filter=Af,
-            B_filter=Bf,
-            M_filter=Mf,
-        )
+        return Realization(Cx=-Ga, Cn=-Gn, Dz=-Gw, A_filter=Af, B_filter=Bf, M_filter=Mf)
 
 
 def whitening_fh(plant: LtvPlant) -> SpectralFactor:

@@ -3,9 +3,9 @@
 Every causal controller here closes the loop into a discrete LTI system
 mapping the disturbance w to the stacked performance output (s; u) with
 s = Q^{1/2} x.  State-feedback laws give an n-state realization.  The
-ratio-optimal controller brings its own 2n-state realization
+ratio-optimal controller reads x and brings its n-state w' filter
 (``controller.realization``, the one its stepping reads), and the loop
-stacks it under the plant state into 3n states.
+stacks the filter under the plant state into 2n states.
 
 Per-frequency cost ratio: with F and G the open-loop maps u -> s and
 w -> s, the clairvoyant cost at frequency omega has Gram
@@ -84,22 +84,11 @@ def closed_loop(plant: LtiPlant, controller) -> ClosedLoop:
         D = np.vstack([np.zeros((n, p)), -Kw])
         return ClosedLoop(A=Acl, B=Bcl, C=C, D=D)
     if isinstance(controller, CompetitiveController):
-        # the state [x; z] = [x; xi; nu] under the controller's realization
-        Cz, Dz, Az, Bz, Af, Bf, _ = (a[0] for a in controller.realization)
-        Acl = np.block(
-            [
-                [A, Bu @ Cz],
-                [np.zeros((n, n)), Az],
-                [np.zeros((n, 2 * n)), Af],
-            ]
-        )
-        Bcl = np.vstack([Bw + Bu @ Dz, Bz, Bf])
-        C = np.block(
-            [
-                [Qh, np.zeros((n, 2 * n))],
-                [np.zeros((m, n)), Cz],
-            ]
-        )
+        # the state [x; nu] under the controller's realization
+        Cx, Cn, Dz, Af, Bf, _ = (a[0] for a in controller.realization)
+        Acl = np.block([[A + Bu @ Cx, Bu @ Cn], [np.zeros((n, n)), Af]])
+        Bcl = np.vstack([Bw + Bu @ Dz, Bf])
+        C = np.block([[Qh, np.zeros((n, n))], [Cx, Cn]])
         D = np.vstack([np.zeros((n, p)), Dz])
         return ClosedLoop(A=Acl, B=Bcl, C=C, D=D)
     raise TypeError(f"no frequency response for controller kind {controller.kind!r}")

@@ -151,12 +151,12 @@ class RelinearizingController:
     is cached; each bin is synthesized from its own linearization alone, so
     the cache is independent of the order in which bins are visited; the bin
     width ``quantum`` must be finite and > 0.  Every bin's ratio-optimal
-    controller steps the same state z = [xi; nu] through its own
-    :class:`~compctrl.factorization.Realization`, so the state persists across
-    relinearizations.  After ``reset(w)`` the steps read the record w: each
-    bin's law is bound to the tail of w at the bin's first visit
-    (:meth:`step` must then be given row t of w at step t); after
-    ``reset()`` each step binds the law to its own w.
+    controller reads the measured state and steps the same filter state
+    z = nu through its own :class:`~compctrl.factorization.Realization`, so
+    the filter state persists across relinearizations.  After ``reset(w)``
+    the steps read the record w: each bin's law is bound to the tail of w
+    at the bin's first visit (:meth:`step` must then be given row t of w at
+    step t); after ``reset()`` each step binds the law to its own w.
     ``bins_synthesized`` counts the bins synthesized so far, the initial one
     included; ``bin_cache_hits`` counts the steps whose bin was cached;
     ``synth_s`` is the wall time spent in the level search and in the
@@ -223,9 +223,9 @@ class RelinearizingController:
         return synth(plant, self.gamma, causality=self.causality)
 
     def reset(self, w: Optional[np.ndarray] = None) -> None:
-        """Restart at step 0 with z = 0; the coming steps read the (T, 1)
-        record ``w`` when it is given."""
-        self._state = ControllerState(z=np.zeros(4))  # z = [xi; nu]
+        """Restart at step 0 with z = nu = 0; the coming steps read the
+        (T, 1) record ``w`` when it is given."""
+        self._state = ControllerState(z=np.zeros(2))  # z = nu
         self.last_wprime = _NO_WPRIME
         self._record = w
         self._bound: dict = {}  # bin -> its law bound to the record's tail

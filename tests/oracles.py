@@ -429,8 +429,8 @@ def law_policy(controller, u_offline=None):
 
     * ``h2`` / ``hinf``: u_t = -(Kx x_t) - (Kw w_t), with the step-t gains
       in a finite horizon; no filter;
-    * ``competitive``: the realization over z = [xi; nu],
-      u_t = Cz z_t + Dz w_t, xi_{t+1} = Az z_t + Bz w_t,
+    * ``competitive``: the realization on x_t and the filter state nu,
+      u_t = Cx x_t + Cn nu_t + Dz w_t,
       nu_{t+1} = A_filter nu_t + B_filter w_t and w'_t = M_filter nu_t,
       with u_{T-1} = 0 and nothing advanced in a finite horizon;
     * ``zero``: u_t = 0; ``offline``: row t of ``u_offline``.
@@ -450,18 +450,15 @@ def law_policy(controller, u_offline=None):
     if kind == "offline":
         return lambda t, x, w_t: (u_offline[t], None)
     r = controller.realization
-    n = r.A_filter.shape[-1]
-    z = np.zeros(2 * n)
+    nu = np.zeros(r.A_filter.shape[-1])
 
     def policy(t, x, w_t):
-        nonlocal z
-        nu = z[n:]
+        nonlocal nu
         wp = at(r.M_filter, t) @ nu
         if horizon is not None and t == horizon - 1:
-            return np.zeros(r.Cz.shape[1]), wp
-        u = at(r.Cz, t) @ z + at(r.Dz, t) @ w_t
-        xi = at(r.Az, t) @ z + at(r.Bz, t) @ w_t
-        z = np.concatenate([xi, at(r.A_filter, t) @ nu + at(r.B_filter, t) @ w_t])
+            return np.zeros(r.Cx.shape[1]), wp
+        u = at(r.Cx, t) @ x + at(r.Cn, t) @ nu + at(r.Dz, t) @ w_t
+        nu = at(r.A_filter, t) @ nu + at(r.B_filter, t) @ w_t
         return u, wp
 
     return policy

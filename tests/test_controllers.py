@@ -701,7 +701,7 @@ def _reference_case(case, rng):
 @pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
 @pytest.mark.parametrize("case", ["doubled", "exact", "finite-horizon"])
 def test_realization_matches_three_branch_reference(case, causality, rng):
-    """Stepping the realization over [xi; nu] reproduces the law stepped on
+    """Stepping the realization on (x, nu) reproduces the law stepped on
     the synthetic plant branch by branch: u, x and the cost to 1e-12, and
     the logged w' bit for bit."""
     plant, horizon = _reference_case(case, rng)
@@ -724,6 +724,22 @@ def test_realization_matches_three_branch_reference(case, causality, rng):
     assert res.total_cost == pytest.approx(cost, rel=1e-12)
     if horizon is not None:
         assert np.array_equal(res.u[-1], np.zeros(plant.m))
+
+
+@pytest.mark.parametrize(
+    "causality, horizon", [("causal", None), ("strictly-causal", None), ("causal", 300)]
+)
+def test_competitive_law_brings_an_initial_state_to_rest(boeing, causality, horizon):
+    """The ratio-optimal law reads the measured state: from x0 = e_1 with
+    w = 0 it drives Boeing to rest at about the LQ cost (1.71), where a law
+    blind to x applies u = 0 and pays 36.9."""
+    found = min_gamma_competitive(boeing, causality=causality, horizon=horizon, audit=False)
+    assert found.ok
+    plant = dataclasses.replace(boeing, x0=np.eye(boeing.n)[0])
+    res = rollout(plant, found.controller, np.zeros((300, boeing.p)))
+    assert res.status == "ok"
+    assert np.linalg.norm(res.x[-1]) < 1e-6
+    assert res.total_cost < 2.0
 
 
 def test_control_step_rejects_offline():

@@ -29,7 +29,7 @@ from compctrl import (
 )
 from compctrl.freq import clairvoyant_gram, default_grid, open_loop_maps
 
-from conftest import random_lti
+from conftest import random_lti, random_unstable_stabilizable
 from oracles import per_freq_cr_pointwise, sigma_max_pointwise, sinusoid_response_power
 
 
@@ -81,11 +81,23 @@ def test_competitive_realization_state_count(rng):
     plant = random_lti(rng, n=3, m=1, p=1)
     ctrl = synth_competitive(plant, gamma=6.0)
     loop = closed_loop(plant, ctrl)
-    assert loop.A.shape == (9, 9)  # plant + synthetic upper + filter states
-    assert loop.B.shape == (9, 1)
-    assert loop.C.shape == (4, 9)  # n output rows for s, m for u
+    assert loop.A.shape == (6, 6)  # plant + filter states
+    assert loop.B.shape == (6, 1)
+    assert loop.C.shape == (4, 6)  # n output rows for s, m for u
     assert loop.D.shape == (4, 1)
     # the realization must be stable for the sweeps to mean anything
+    assert np.max(np.abs(np.linalg.eigvals(loop.A))) < 1.0
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_competitive_closed_loop_is_stable_on_an_unstable_plant(causality):
+    # the loop closes on [x; nu] alone: no open-loop plant mode is left in it
+    plant = random_unstable_stabilizable(np.random.default_rng(0), n=3, m=1, p=1)
+    assert np.max(np.abs(np.linalg.eigvals(plant.A))) > 1.0
+    found = min_gamma_competitive(plant, causality=causality, audit=False)
+    assert found.ok
+    loop = closed_loop(plant, found.controller)
+    assert loop.A.shape == (2 * plant.n, 2 * plant.n)
     assert np.max(np.abs(np.linalg.eigvals(loop.A))) < 1.0
 
 

@@ -403,6 +403,16 @@ def test_stopped_pendulum_runs_equal_stepped_oracle(x0):
         assert 0 < res.steps_completed < 1500
 
 
+def test_competitive_pendulum_returns_from_an_initial_angle():
+    # each bin's law reads the measured angle, so with no disturbance the
+    # scheduled ratio-optimal controller brings the pendulum back upright
+    params = PendulumParams()
+    ctrl = RelinearizingController(params, kind="competitive", quantum=0.01)
+    res = run_pendulum(params, ctrl, np.zeros((5000, 1)), x0=(0.05, 0.0))
+    assert res.status == "ok"
+    assert abs(res.x[-1, 0]) < 0.01
+
+
 def test_divergence_truncates_pendulum_runs():
     # a huge torque throws the state past the divergence norm in one step;
     # the controller and the comparator share the rollout loop's truncation

@@ -357,7 +357,7 @@ def _written_out_u(ctrl, t, x, w_t, z):
         if ctrl.horizon is not None and t == ctrl.horizon - 1:
             return np.zeros(ctrl.synthetic.m)
         r, k = ctrl.realization, (0 if ctrl.horizon is None else t)
-        return r.Cz[k] @ z + r.Dz[k] @ w_t
+        return r.Cx[k] @ x + r.Cn[k] @ z + r.Dz[k] @ w_t
     return np.zeros(ctrl.m)
 
 
