@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -115,6 +116,18 @@ def assert_same_rollout(res, ref):
     assert type(res.total_cost) is float
     assert res.total_cost == ref["total_cost"]
     assert (res.status, res.steps_completed) == (ref["status"], ref["steps_completed"])
+
+
+def rollout_digest(result) -> str:
+    """A fingerprint of a rollout's bits: the sha256 of the float64 bytes of
+    ``x``, ``u``, ``wprime``, ``step_cost`` and ``cum_cost`` (so -0.0
+    differs from +0.0), then ``repr(total_cost)``.  A pinned digest holds
+    for one numpy and BLAS build: another may round a product differently."""
+    h = hashlib.sha256()
+    for name in ("x", "u", "wprime", "step_cost", "cum_cost"):
+        h.update(np.ascontiguousarray(getattr(result, name), dtype=np.float64).tobytes())
+    h.update(repr(result.total_cost).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="session")

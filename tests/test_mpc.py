@@ -30,7 +30,7 @@ from compctrl.mpc import scenario_from_json_dict, scenario_to_json_dict
 from compctrl.sim import rollout
 
 import oracles
-from conftest import assert_same_rollout
+from conftest import assert_same_rollout, rollout_digest
 
 QUANTUM = 0.05  # coarse bins keep per-test synthesis counts small
 
@@ -704,6 +704,81 @@ def test_comparator_beats_causal_controller():
     assert out["rollout"].status == "ok"
     assert out["comparator"].status == "ok"
     assert out["ratio_to_comparator"] >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# pinned bits
+
+#: the benchmark's two pendulum records
+PIN_NOISES = {
+    "sine-mean": DisturbanceSpec(
+        "sine-mean-gaussian", {"sigma": 1.0, "mean_amplitude": 1.0, "mean_omega": 1e-3}),
+    "step-noise": DisturbanceSpec("mixture", {
+        "components": [
+            DisturbanceSpec("step", {"levels": [1.0, -1.0], "switch_times": [500]}),
+            DisturbanceSpec("white-gaussian", {"sigma": 1.0}),
+        ],
+        "weights": [1.0, 0.1],
+    }),
+}
+
+#: :func:`~conftest.rollout_digest` of each 1,001-step rollout at bin width
+#: 0.01, by (record, seed, controller); recorded with numpy 2.4.6 on x86-64
+PENDULUM_PINS = {
+    ("sine-mean", 0, "competitive"):
+        "b114f4e5c86459f998315415aade5905edbb04925d11fc582ea9f7942d012ca0",
+    ("sine-mean", 0, "h2"):
+        "4ce5aa29a409eebbcf6fe5a13f7e304a0b0a37308322a1299c147538f55ef60d",
+    ("sine-mean", 0, "hinf"):
+        "893f2dade22bfb209bcf6efce3186d48a086e9fe5aa53e8d2ea0eb9340cb0a37",
+    ("sine-mean", 0, "comparator"):
+        "e4f642bd003c163d955ab7278a8c9699f75b4a10a826ce8da38755ca64175899",
+    ("sine-mean", 7, "competitive"):
+        "1c131d21a40038f11c57d46166f090aaf39761874f0f18e2db704dd51bda158f",
+    ("sine-mean", 7, "h2"):
+        "e34db90226f497bcd9ac150977303596c35cffbf9946d4ce0452ae720d584511",
+    ("sine-mean", 7, "hinf"):
+        "8254fc64681f6aa6330824f78c8a62e42f733f425c164f3225159eaee5105c95",
+    ("sine-mean", 7, "comparator"):
+        "04ace324fae58f0ab80feabfb0951d285ac8f71981961fe8c528c69e094f14cf",
+    ("step-noise", 0, "competitive"):
+        "8933457a4a4135170319357dac779507654f17d7895b0248f943f21bdf684ef9",
+    ("step-noise", 0, "h2"):
+        "c1856c746de7c7aab4c95b6898836b0aefdf643df1759bec7c49e28eedcdbede",
+    ("step-noise", 0, "hinf"):
+        "db9122ca10022c49b67166a86e26aa063e3ef94e22a6cd01df5694be79c1aff5",
+    ("step-noise", 0, "comparator"):
+        "5a48384c3f9240b8e0e5f7079ad1f62adb15e50154098485104f87e7c3f13ebe",
+    ("step-noise", 7, "competitive"):
+        "c8073b7e02c6d03f2f47ea4afb000901f871ed9ec88eafa2c8f0a492cc0c963a",
+    ("step-noise", 7, "h2"):
+        "ff62b9d5359745e5b523ddd2d6a76fa498744d51f8f683e2c365b307d31d903d",
+    ("step-noise", 7, "hinf"):
+        "225af12f80a421370638e1718e9162385cbf0522f1daab0dc278d1e2ecc13ee7",
+    ("step-noise", 7, "comparator"):
+        "cd0134c52a22054e134ce4be25b29f90e30e570f7990ac2d5a907c05242bff9e",
+}
+
+
+@pytest.fixture(scope="module")
+def pin_controllers():
+    params = PendulumParams()
+    return {kind: RelinearizingController(params, kind=kind, quantum=0.01)
+            for kind in ("competitive", "h2", "hinf")}
+
+
+@pytest.mark.parametrize("noise, seed", [(n, s) for n in PIN_NOISES for s in (0, 7)])
+def test_pendulum_rollouts_keep_their_pinned_bits(noise, seed, pin_controllers):
+    # every float of the three scheduled controllers' and the comparator's
+    # rollouts, on the benchmark's records: a change to how a step is
+    # computed must leave these bits alone
+    params = PendulumParams()
+    w = generate(PIN_NOISES[noise], 1001, 1, seed=seed)
+    runs = {kind: run_pendulum(params, ctrl, w) for kind, ctrl in pin_controllers.items()}
+    runs["comparator"] = clairvoyant_comparator_run(params, w, quantum=0.01)
+    assert {kind: r.status for kind, r in runs.items()} == dict.fromkeys(runs, "ok")
+    got = {kind: rollout_digest(r) for kind, r in runs.items()}
+    assert got == {kind: PENDULUM_PINS[noise, seed, kind] for kind in runs}
 
 
 # ---------------------------------------------------------------------------

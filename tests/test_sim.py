@@ -36,10 +36,13 @@ from compctrl import (
     write_trace_csv,
 )
 from compctrl.mpc import PendulumParams, linearize_pendulum
+from compctrl.search import min_gamma_competitive, min_gamma_hinf
 from compctrl.sim import RolloutResult, spec_from_json_dict, spec_to_json_dict
 
 import oracles
-from conftest import assert_same_rollout, cli_env, random_lti, random_ltv, scalar_lti
+from conftest import (
+    assert_same_rollout, cli_env, random_lti, random_ltv, rollout_digest, scalar_lti,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +559,37 @@ def test_offline_rollout_is_offline_optimal(boeing, rng):
     shifted = dataclasses.replace(boeing, x0=np.ones(boeing.n))
     with pytest.raises(ValueError, match="x0"):
         rollout(shifted, OfflineController(), np.ones((10, boeing.p)))
+
+
+#: :func:`~conftest.rollout_digest` of each Boeing rollout over 300 steps of
+#: white noise (seed 0), by controller; recorded with numpy 2.4.6 on x86-64
+BOEING_PINS = {
+    "h2": "a3b39cdef308c0d04531491f7dcd5c8eb376dafa29e2a83c8a317ee71b105985",
+    "h2-strictly-causal": "8f104f10df3e0f79613f3c0e4dd652b530425c41c2ef65997cddea3c38055d55",
+    "competitive": "dafd23ef35557683810ee1aa7c794da971a9a41341a47c4287d7aaaabe4bc300",
+    "hinf": "d4326bcbcc5027f2c0d312ecaf17222c2fdef4a6e2937e1aa010d6d4c4662b6b",
+    "offline": "381e5fc1f6d2f63f5df1afdbf1105076ce55e1ee994ba23ac5bac4ffc5b70797",
+}
+
+
+def test_boeing_rollouts_keep_their_pinned_bits(boeing):
+    # every float of each family's rollout: a change to how a law steps must
+    # leave these bits alone, the sign of an exact zero u included (the
+    # strictly causal law's u_0 from x_0 = 0)
+    w = generate(DisturbanceSpec("white-gaussian", {"sigma": 1.0}), 300, boeing.p, seed=0)
+    gamma_hinf = min_gamma_hinf(boeing, audit=False).gamma
+    ctrls = {
+        "h2": synth_h2_ih(boeing),
+        "h2-strictly-causal": synth_h2_ih(boeing, "strictly-causal"),
+        "competitive": min_gamma_competitive(boeing, audit=False).controller,
+        "hinf": synth_hinf(boeing, 1.01 * gamma_hinf),
+        "offline": OfflineController(),
+    }
+    runs = {name: rollout(boeing, ctrl, w) for name, ctrl in ctrls.items()}
+    assert {name: r.status for name, r in runs.items()} == dict.fromkeys(runs, "ok")
+    assert {name: rollout_digest(r) for name, r in runs.items()} == BOEING_PINS
+    u, opt = offline_optimal(boeing, w)
+    assert np.array_equal(u, runs["offline"].u) and opt == runs["offline"].total_cost
 
 
 # ---------------------------------------------------------------------------
