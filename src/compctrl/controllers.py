@@ -160,18 +160,25 @@ class StateFeedbackController(_Online):
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         """The :data:`Law` on the record w (row 0 is step t0):
-        u_t = -Kx x_t - Kw w_t, no filter."""
+        u_t = -Kx x_t - Kw w_t, no filter.
+
+        -Kw w_t is taken for every row once, at binding, so a step is
+        (-Kw w_t) - Kx x_t: one product and one subtraction, and the bits of
+        -(Kx x_t) - Kw w_t, as IEEE negation is exact and addition
+        commutes.  Negating Kx instead would change the sign of a zero u_t
+        (-(Kx 0) is -0.0, (-Kx) 0 is +0.0).
+        """
         if self.horizon is None:
-            Kx, kw = self.Kx, rowwise(self.Kw, w)
+            Kx, nkw = self.Kx, -rowwise(self.Kw, w)
 
             def law(t, x, z):
-                return -(Kx @ x) - kw[t - t0], z, None
+                return nkw[t - t0] - Kx @ x, z, None
 
         else:
-            Kxs, kw = self.Kx, rowwise(self.Kw[t0 : t0 + len(w)], w)
+            Kxs, nkw = self.Kx, -rowwise(self.Kw[t0 : t0 + len(w)], w)
 
             def law(t, x, z):
-                return -(Kxs[t] @ x) - kw[t - t0], z, None
+                return nkw[t - t0] - Kxs[t] @ x, z, None
 
         return law
 
@@ -718,10 +725,16 @@ def _clairvoyant_law(plants, w: np.ndarray, t0: int = 0) -> list:
 
 
 def _policy(K: np.ndarray, h: np.ndarray, t0: int) -> Law:
-    """The :data:`Law` u_t = -K_t x_t - h_t, row 0 of K and h being step t0."""
+    """The :data:`Law` u_t = -K_t x_t - h_t, row 0 of K and h being step t0.
+
+    The offsets are negated once, here, so a step is (-h_t) - K_t x_t, the
+    bits of -(K_t x_t) - h_t (see :meth:`StateFeedbackController.bind`).
+    """
+    nh = -h
 
     def law(t, x, z):
-        return -(K[t - t0] @ x) - h[t - t0], z, None
+        k = t - t0
+        return nh[k] - K[k] @ x, z, None
 
     return law
 

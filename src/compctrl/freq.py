@@ -11,8 +11,13 @@ Per-frequency cost ratio: with F and G the open-loop maps u -> s and
 w -> s, the clairvoyant cost at frequency omega has Gram
 N = G* (I + F F*)^{-1} G, and the controller's cost Gram is
 M = T_K* T_K, so the reported ratio is the largest eigenvalue of
-N^{-1/2} M N^{-1/2}.  Frequencies where N is numerically singular are
-reported as the string "degenerate-frequency" instead of a number.
+N^{-1/2} M N^{-1/2}.  Where N is numerically singular (always when p > n,
+as N has rank at most n), the ratio is taken on N's range, with N^{-1/2}
+its inverse square root there and 0 on its null space: a disturbance in
+the null space costs the clairvoyant controller nothing, so the ratio is
+finite only if the loop's response to it is 0 too.  Frequencies where that
+response is not (relative to the loop's gain, at most 1e-8), or where N is
+0, are reported as the string "degenerate-frequency" instead of a number.
 
 Evaluation is stacked: transfer_at, open_loop_maps, clairvoyant_gram,
 sigma_max and per_freq_cr take a scalar frequency, or a 1-D array of them
@@ -49,6 +54,9 @@ __all__ = [
 
 DEGENERATE_FREQUENCY = "degenerate-frequency"
 _SINGULAR_REL = 1e-12
+#: largest response to the Gram's null space, relative to the loop's gain,
+#: that still counts as none
+_NULL_RESPONSE_REL = 1e-8
 #: grid points per stacked evaluation in sweep and peak_gain
 BLOCK = 64
 
@@ -149,34 +157,53 @@ def peak_gain(loop: ClosedLoop, omegas=None) -> float:
 
 
 def _gram_inv_half(plant: LtiPlant, omegas: np.ndarray):
-    """(ok, N^{-1/2}) along a 1-D array of omega: ``ok`` flags the
-    frequencies whose clairvoyant Gram N is numerically nonsingular, and
-    N^{-1/2} is stacked over those alone.  It depends on the plant only."""
+    """(ok, N^{-1/2}, null) along a 1-D array of omega, for the clairvoyant
+    Gram N; it depends on the plant only.
+
+    ``ok`` flags the frequencies where N is not 0, and the rest is stacked
+    over those alone.  Eigenvalues at most ``_SINGULAR_REL`` of the largest
+    count as 0: N^{-1/2} is the inverse square root on N's range and 0 on
+    its null space, and ``null`` holds N's null-space eigenvectors as
+    columns, the range's columns being 0.  Where N is nonsingular, N^{-1/2}
+    is (V / sqrt(lam)) V* of its ``eigh``.
+    """
     lam, V = np.linalg.eigh(clairvoyant_gram(plant, omegas))
-    ok = ~((lam[:, -1] <= 0.0) | (lam[:, 0] <= _SINGULAR_REL * lam[:, -1]))
+    ok = lam[:, -1] > 0.0
     lam, V = lam[ok], V[ok]
-    return ok, (V / np.sqrt(lam)[:, None, :]) @ _herm(V)
+    singular = lam <= _SINGULAR_REL * lam[:, -1:]
+    scale = np.sqrt(np.where(singular, np.inf, lam))  # a column over inf is 0
+    return ok, (V / scale[:, None, :]) @ _herm(V), V * singular[:, None, :]
 
 
-def _ratios(ok: np.ndarray, Ninv_half: np.ndarray, T: np.ndarray) -> list:
+def _ratios(gram: tuple, T: np.ndarray) -> list:
     """The per-frequency ratios of the loop whose transfer is T at the
-    frequencies flagged ``ok`` (:func:`_gram_inv_half`), with the marker at
-    the others."""
+    frequencies flagged ``ok`` of ``gram`` (:func:`_gram_inv_half`), with
+    the marker at the others and where the loop responds to N's null
+    space."""
+    ok, Ninv_half, null = gram
     W = Ninv_half @ (_herm(T) @ T) @ Ninv_half
     W = 0.5 * (W + _herm(W))
-    ratios = iter(np.linalg.eigvalsh(W)[:, -1].tolist())
+    ratios = np.linalg.eigvalsh(W)[:, -1].tolist()
+    at = np.flatnonzero(null.any(axis=(1, 2)))  # where N is singular
+    if at.size:
+        response = np.linalg.norm(T[at] @ null[at], 2, axis=(1, 2))
+        gain = np.linalg.norm(T[at], 2, axis=(1, 2))
+        for i in at[~(response <= _NULL_RESPONSE_REL * gain)].tolist():
+            ratios[i] = DEGENERATE_FREQUENCY
+    ratios = iter(ratios)
     return [next(ratios) if good else DEGENERATE_FREQUENCY for good in ok.tolist()]
 
 
 def per_freq_cr(plant: LtiPlant, loop: ClosedLoop, omega):
-    """Largest eigenvalue of N^{-1/2} (T_K* T_K) N^{-1/2} at each frequency.
+    """Largest eigenvalue of N^{-1/2} (T_K* T_K) N^{-1/2} at each frequency,
+    on N's range where N is singular.
 
     A float, or the degenerate-frequency marker, for a scalar omega; a list
     of those for a 1-D array of omega.
     """
     omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    ok, Ninv_half = _gram_inv_half(plant, omegas)
-    out = _ratios(ok, Ninv_half, transfer_at(loop, _on_circle(omegas[ok])))
+    gram = _gram_inv_half(plant, omegas)
+    out = _ratios(gram, transfer_at(loop, _on_circle(omegas[gram[0]])))
     return out if np.ndim(omega) else out[0]
 
 
@@ -209,11 +236,11 @@ def sweep(plant: LtiPlant, named_controllers, n_points: int = 512) -> SweepResul
     cr = {name: [] for name in loops}
     for b in _blocks(omegas.size):
         z = _on_circle(omegas[b])
-        ok, Ninv_half = _gram_inv_half(plant, omegas[b])
+        gram = _gram_inv_half(plant, omegas[b])
         for name, loop in loops.items():
             T = transfer_at(loop, z)
             sig[name][b] = np.linalg.svd(T, compute_uv=False)[..., 0]
-            cr[name] += _ratios(ok, Ninv_half, T[ok])
+            cr[name] += _ratios(gram, T[gram[0]])
     return SweepResult(omegas=omegas, names=names, sigma_max=sig, per_freq_cr=cr)
 
 

@@ -72,15 +72,25 @@ class PendulumParams:
                                  f"{' and > 0' if positive else ''}, got {value!r}")
 
 
+def _euler(params: PendulumParams):
+    """The forward-Euler step ``(theta, omega, torque) -> x_next`` of the
+    nonlinear dynamics, its coefficients m g l / J, l / J and dt bound once;
+    the arguments are floats, the torque being u + w."""
+    k1, k2, dt = params.m * params.g * params.l / params.J, params.l / params.J, params.dt
+    sin, cos, array = math.sin, math.cos, np.array
+
+    def step(theta, omega, torque):
+        acc = k1 * sin(theta) + k2 * torque * cos(theta)
+        return array([theta + dt * omega, omega + dt * acc])
+
+    return step
+
+
 def pendulum_step(params: PendulumParams, x, u, w) -> np.ndarray:
     """One forward-Euler step of the nonlinear dynamics; ``u`` and ``w`` are
-    length-1 sequences (arrays or lists)."""
-    theta, omega = float(x[0]), float(x[1])
-    torque = float(u[0]) + float(w[0])
-    acc = (params.m * params.g * params.l / params.J) * math.sin(theta) + (
-        params.l / params.J
-    ) * torque * math.cos(theta)
-    return np.array([theta + params.dt * omega, omega + params.dt * acc])
+    length-1 sequences (arrays or lists).  The coefficients are bound anew at
+    each call; a rollout binds them once (:func:`_simulate`)."""
+    return _euler(params)(float(x[0]), float(x[1]), float(u[0]) + float(w[0]))
 
 
 def linearize_pendulum(params: PendulumParams, theta: float) -> LtiPlant:
@@ -109,10 +119,14 @@ def _check_quantum(quantum) -> float:
 
 def _bin(theta, quantum: float) -> int:
     """The bin of the angle theta: the nearest multiple of the bin width.  A
-    bin beyond any int (a quantum too small for theta) is a ValueError."""
+    non-finite theta, or a bin beyond any int (a quantum too small for
+    theta), is a ValueError."""
+    theta = float(theta)
     try:
-        return int(round(float(theta) / quantum))
-    except OverflowError:
+        return int(round(theta / quantum))
+    except (OverflowError, ValueError):  # round() of inf, or of NaN
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}") from None
         raise ValueError(
             f"quantum {quantum!r} is too small: the bin of theta = {theta} overflows"
         ) from None
@@ -155,8 +169,8 @@ class RelinearizingController:
     z = nu through its own :class:`~compctrl.factorization.Realization`, so
     the filter state persists across relinearizations.  After ``reset(w)``
     the steps read the record w: each bin's law is bound to the tail of w
-    at the bin's first visit (:meth:`step` must then be given row t of w at
-    step t); after ``reset()`` each step binds the law to its own w.
+    at the bin's first visit, and :meth:`step` needs no w; after ``reset()``
+    each step binds the law to its own w.
     ``bins_synthesized`` counts the bins synthesized so far, the initial one
     included; ``bin_cache_hits`` counts the steps whose bin was cached;
     ``synth_s`` is the wall time spent in the level search and in the
@@ -252,13 +266,17 @@ class RelinearizingController:
         self.bins_synthesized += 1
         return ctrl
 
-    def step(self, x, w) -> np.ndarray:
+    def step(self, x, w=None) -> np.ndarray:
+        """u_t at the state x; ``w`` is w_t, read only after ``reset()``
+        without a record.  w'_t is left in ``last_wprime``."""
         b = _bin(x[0], self.quantum)
         state = self._state
         law = self._bound.get(b)
         if law is not None:
             self.bin_cache_hits += 1
         elif self._record is None:
+            if w is None:
+                raise ValueError("step needs w_t: reset() bound no record")
             law = self._controller(b).bind(np.reshape(w, (1, -1)), state.t)
         else:
             law = self._bound[b] = self._controller(b).bind(self._record[state.t :], state.t)
@@ -273,16 +291,21 @@ def _simulate(params, law, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
     pendulum, with unit cost weights.
 
     ``w`` is a (T, 1) record (:func:`_disturbance_column`); ``dynamics`` is
-    "nonlinear" or "linear" (the linearization about theta_lin).
+    "nonlinear" or "linear" (the linearization about theta_lin).  The
+    nonlinear step's coefficients (:func:`_euler`) and the record, as Python
+    floats, are bound once per run; a step reads x_t and u_t as floats and
+    does :func:`pendulum_step`'s float operations.
     """
     if dynamics not in ("nonlinear", "linear"):
         raise ValueError("dynamics must be 'nonlinear' or 'linear'")
     if dynamics == "linear":
         advance = linearize_pendulum(params, theta_lin).advance(w)
     else:
+        euler, record = _euler(params), w[:, 0].tolist()
 
         def advance(t, x, u):
-            return pendulum_step(params, x, u, w[t])
+            theta, omega = x.tolist()
+            return euler(theta, omega, u.item() + record[t])
 
     return _rollout_loop(w, _check_x0(x0), 1, np.eye(2), law, advance)
 
@@ -304,12 +327,19 @@ def run_pendulum(
     x0=(0.0, 0.0),
     dynamics: str = "nonlinear",
 ) -> RolloutResult:
-    """Roll the gain-scheduled controller against the pendulum."""
+    """Roll the gain-scheduled controller against the pendulum.
+
+    The controller is reset to the record w, so each bin's law is bound to
+    it once, at the bin's first visit, and a step reads no row of w.  Only
+    a controller with a filter (kind "competitive") gives the loop its w';
+    the other kinds leave the rows of ``wprime`` at 0.
+    """
     w = _disturbance_column(w)
     controller.reset(w)
+    step, filtered = controller.step, controller.kind == "competitive"
 
     def law(t, x, z):
-        return controller.step(x, w[t]), z, controller.last_wprime
+        return step(x), z, controller.last_wprime if filtered else None
 
     theta_lin = controller._bin_init * controller.quantum
     return _simulate(params, law, w, x0, dynamics, theta_lin)

@@ -345,12 +345,15 @@ def sigma_max_pointwise(loop, omega):
     return float(np.linalg.svd(T, compute_uv=False)[0])
 
 
-def per_freq_cr_pointwise(plant, loop, omega, singular_rel=1e-12):
+def per_freq_cr_pointwise(plant, loop, omega, singular_rel=1e-12, null_rel=1e-8):
     """Largest eigenvalue of N^{-1/2} (T_K* T_K) N^{-1/2} at one frequency.
 
     N = G* (I + F F*)^{-1} G is the clairvoyant Gram from the open-loop maps
-    F: u -> s and G: w -> s at z = e^{i omega}.  A frequency where N is
-    numerically singular gives the string "degenerate-frequency".
+    F: u -> s and G: w -> s at z = e^{i omega}.  Eigenvalues of N at most
+    ``singular_rel`` of the largest count as 0, and N^{-1/2} is 0 on their
+    eigenvectors.  A frequency where N is 0, or where the loop's response
+    to those eigenvectors is above ``null_rel`` of its gain, gives the
+    string "degenerate-frequency".
     """
     z = np.exp(1j * float(omega))
     X = np.linalg.solve(z * np.eye(plant.n) - plant.A, np.hstack([plant.Bu, plant.Bw]))
@@ -359,14 +362,47 @@ def per_freq_cr_pointwise(plant, loop, omega, singular_rel=1e-12):
     N = G.conj().T @ np.linalg.solve(np.eye(plant.n) + F @ F.conj().T, G)
     N = 0.5 * (N + N.conj().T)
     lam, V = np.linalg.eigh(N)
-    if lam[-1] <= 0.0 or lam[0] <= singular_rel * lam[-1]:
+    if lam[-1] <= 0.0:
         return "degenerate-frequency"
-    Ninv_half = (V / np.sqrt(lam)) @ V.conj().T
+    null = lam <= singular_rel * lam[-1]
     T = _transfer_pointwise(loop, z)
+    if null.any() and np.linalg.norm(T @ V[:, null], 2) > null_rel * np.linalg.norm(T, 2):
+        return "degenerate-frequency"
+    Ninv_half = (V / np.sqrt(np.where(null, np.inf, lam))) @ V.conj().T
     M = T.conj().T @ T
     W = Ninv_half @ M @ Ninv_half
     W = 0.5 * (W + W.conj().T)
     return float(np.linalg.eigvalsh(W)[-1])
+
+
+def per_freq_cr_on_range_dense(plant, loop, omega, rank_rel=1e-8):
+    """(ratio, null response) at one frequency by another route: the
+    largest generalized eigenvalue of T_K* T_K against the clairvoyant Gram
+    on the range of G* (whose complement is the Gram's null space), and the
+    loop's largest response to that complement relative to its gain.
+
+    G and F come from the explicit inverse (zI - A)^{-1}, the Gram from the
+    push-through form G*G - G*F (I + F*F)^{-1} F*G, the range from an SVD of
+    G (singular values above ``rank_rel`` of the largest), the reduced
+    problem from a Cholesky factor, and T_K from the explicit inverse of
+    zI - A_cl.
+    """
+    z = np.exp(1j * float(omega))
+    R = plant.Q_half @ np.linalg.inv(z * np.eye(plant.n) - plant.A)
+    F, G = R @ plant.Bu, R @ plant.Bw
+    GF = G.conj().T @ F
+    N = G.conj().T @ G - GF @ np.linalg.inv(np.eye(plant.m) + F.conj().T @ F) @ GF.conj().T
+    _, sv, Vh = np.linalg.svd(G)
+    rank = int(np.sum(sv > rank_rel * sv[0]))
+    U, U0 = Vh[:rank].conj().T, Vh[rank:].conj().T
+    T = loop.C @ np.linalg.inv(z * np.eye(loop.A.shape[0]) - loop.A) @ loop.B + loop.D
+    M = T.conj().T @ T
+    L = np.linalg.cholesky(U.conj().T @ N @ U)
+    Li = np.linalg.inv(L)
+    W = Li @ (U.conj().T @ M @ U) @ Li.conj().T
+    ratio = float(np.linalg.eigvalsh(0.5 * (W + W.conj().T))[-1])
+    null = np.linalg.norm(T @ U0, 2) / np.linalg.norm(T, 2) if U0.shape[1] else 0.0
+    return ratio, null
 
 
 def three_branch_rollout(plant, controller, w):

@@ -11,6 +11,7 @@ from compctrl import (
     DisturbanceSpec,
     LtiPlant,
     OfflineController,
+    StateFeedbackController,
     ZeroController,
     closed_loop,
     extremal_dc,
@@ -30,7 +31,12 @@ from compctrl import (
 from compctrl.freq import clairvoyant_gram, default_grid, open_loop_maps
 
 from conftest import random_lti, random_unstable_stabilizable
-from oracles import per_freq_cr_pointwise, sigma_max_pointwise, sinusoid_response_power
+from oracles import (
+    per_freq_cr_on_range_dense,
+    per_freq_cr_pointwise,
+    sigma_max_pointwise,
+    sinusoid_response_power,
+)
 
 
 def simulate_loop(loop: ClosedLoop, w: np.ndarray) -> np.ndarray:
@@ -231,10 +237,49 @@ def rank_one_disturbance_plant(rng):
     )
 
 
+def reads_first_disturbance(plant):
+    """u = -w_0: a law that responds to every disturbance direction with a
+    first component, those in the null space of B_w included."""
+    Kw = np.zeros((plant.m, plant.p))
+    Kw[0, 0] = 1.0
+    return StateFeedbackController("h2", "causal", None, None, np.zeros((plant.m, plant.n)), Kw)
+
+
 def test_per_freq_cr_degenerate_when_gram_singular(rng):
+    # N is singular everywhere (B_w has rank 1): the marker where the loop
+    # responds to N's null space, and the ratio on N's range where it does
+    # not, as the open loop does not
     plant = rank_one_disturbance_plant(rng)
-    loop = closed_loop(plant, ZeroController(m=1))
+    loop = closed_loop(plant, reads_first_disturbance(plant))
     assert per_freq_cr(plant, loop, 0.8) == "degenerate-frequency"
+    loop = closed_loop(plant, ZeroController(m=1))
+    ratio, null = per_freq_cr_on_range_dense(plant, loop, 0.8)
+    assert null < 1e-12
+    assert per_freq_cr(plant, loop, 0.8) == pytest.approx(ratio, rel=1e-10)
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_per_freq_cr_on_a_plant_with_more_disturbances_than_states(causality):
+    # p > n: the Gram has rank at most n at every frequency; each law here
+    # ignores its null space (that of B_w), so every point has a ratio: the
+    # dense reference's, at least 1, and at most gamma^2 for the searched
+    # ratio-optimal law
+    plant = random_lti(np.random.default_rng(13), n=2, m=1, p=4)
+    found = min_gamma_competitive(plant, causality=causality, audit=False)
+    omegas = default_grid(257)
+    named = {"competitive": found.controller, "h2": synth_h2_ih(plant, causality),
+             "zero": ZeroController(m=1)}
+    res = sweep(plant, named, 257)
+    for name, ctrl in named.items():
+        loop = closed_loop(plant, ctrl)
+        got = per_freq_cr(plant, loop, omegas)
+        assert got == res.per_freq_cr[name], name
+        assert not any(isinstance(r, str) for r in got), name
+        ref = [per_freq_cr_on_range_dense(plant, loop, w) for w in omegas]
+        assert max(null for _, null in ref) < 1e-12, name
+        assert_allclose(got, [r for r, _ in ref], rtol=1e-10, atol=0, err_msg=name)
+        assert min(got) >= 1.0 - 1e-10, name
+    assert max(res.per_freq_cr["competitive"]) <= found.gamma**2
 
 
 def test_boeing_h2_ratio_flat(boeing):
@@ -296,7 +341,8 @@ def test_sweep_csv_preserves_degenerate_marker(rng, tmp_path):
         R_half=plant.R_half,
         x0=plant.x0,
     )
-    res = sweep(plant, {"zero": ZeroController(m=1)}, 4)
+    # N is singular everywhere, and u = -w_0 responds to its null space
+    res = sweep(plant, {"reads-w0": reads_first_disturbance(plant)}, 4)
     path = str(tmp_path / "sweep.csv")
     write_sweep_csv(path, res)
     rows = list(csv.DictReader(open(path, newline="")))
@@ -381,12 +427,18 @@ def test_random_sweep_equals_pointwise_oracle(rng, n_points):
 
 @pytest.mark.parametrize("n_points", PARITY_POINTS)
 def test_degenerate_sweep_equals_pointwise_oracle(rng, n_points):
-    # Everywhere degenerate, then degenerate at omega = 0 alone: with
+    # A Gram singular everywhere, then at omega = 0 alone: with
     # A = diag(0.5, 0.3, 1.5) and the first disturbance column e1 + e3 seen
     # by Q^{1/2} as one direction, G(1) loses rank because
-    # 1 / (1 - 0.5) + 1 / (1 - 1.5) = 0.
+    # 1 / (1 - 0.5) + 1 / (1 - 1.5) = 0.  The open loop ignores the Gram's
+    # null space, and has a ratio on its range; u = -w_0 does not, and is
+    # degenerate where the Gram is singular.
     plant = rank_one_disturbance_plant(rng)
-    assert_matches_pointwise(plant, {"zero": ZeroController(m=1)}, n_points)
+    named = {"zero": ZeroController(m=1), "reads-w0": reads_first_disturbance(plant)}
+    res = sweep(plant, named, n_points)
+    assert not any(isinstance(r, str) for r in res.per_freq_cr["zero"])
+    assert all(r == "degenerate-frequency" for r in res.per_freq_cr["reads-w0"])
+    assert_matches_pointwise(plant, named, n_points)
     Q_half = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     plant = LtiPlant(
         A=np.diag([0.5, 0.3, 1.5]),
@@ -396,10 +448,12 @@ def test_degenerate_sweep_equals_pointwise_oracle(rng, n_points):
         R_half=np.eye(1),
         x0=np.zeros(3),
     )
-    res = sweep(plant, {"zero": ZeroController(m=1)}, n_points)
-    assert res.per_freq_cr["zero"][0] == "degenerate-frequency"
-    assert all(not isinstance(r, str) for r in res.per_freq_cr["zero"][1:])
-    assert_matches_pointwise(plant, {"zero": ZeroController(m=1)}, n_points)
+    named = {"zero": ZeroController(m=1), "reads-w0": reads_first_disturbance(plant)}
+    res = sweep(plant, named, n_points)
+    assert not any(isinstance(r, str) for r in res.per_freq_cr["zero"])
+    assert res.per_freq_cr["reads-w0"][0] == "degenerate-frequency"
+    assert all(not isinstance(r, str) for r in res.per_freq_cr["reads-w0"][1:])
+    assert_matches_pointwise(plant, named, n_points)
 
 
 # ---------------------------------------------------------------------------

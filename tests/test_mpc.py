@@ -479,6 +479,33 @@ def test_a_bin_beyond_any_int_names_the_quantum():
         clairvoyant_comparator_run(params, w, quantum=1e-320)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_angle_is_refused_by_name(theta):
+    # a non-finite angle has no bin; the error names theta, not the quantum
+    # (inf would overflow the bin index, NaN would fail its conversion)
+    ctrl = RelinearizingController(PendulumParams(), kind="h2", quantum=0.01)
+    for record, w in ((np.zeros((5, 1)), None), (None, [0.0])):
+        ctrl.reset(record)
+        with pytest.raises(ValueError, match=r"^theta must be finite, got (-?inf|nan)$"):
+            ctrl.step(np.array([theta, 0.0]), w)
+
+
+def test_a_step_reads_the_bound_record():
+    # after reset(w) a step reads row t of w itself; after reset() it must
+    # be given w_t
+    params = PendulumParams()
+    w = generate(DisturbanceSpec("white-gaussian", {"sigma": 1.0}), 5, 1, seed=2)
+    bound, given = (RelinearizingController(params, kind="h2", quantum=0.05) for _ in range(2))
+    bound.reset(w)
+    given.reset()
+    x = np.array([0.01, -0.02])
+    for t in range(5):
+        assert np.array_equal(bound.step(x), given.step(x, w[t]))
+    given.reset()
+    with pytest.raises(ValueError, match="needs w_t"):
+        given.step(x)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_disturbance_diverges_after_one_step(bad):
