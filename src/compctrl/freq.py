@@ -188,7 +188,7 @@ def _ratios(gram: tuple, T: np.ndarray) -> list:
     if at.size:
         response = np.linalg.norm(T[at] @ null[at], 2, axis=(1, 2))
         gain = np.linalg.norm(T[at], 2, axis=(1, 2))
-        for i in at[~(response <= _NULL_RESPONSE_REL * gain)].tolist():
+        for i in at[~(response <= _NULL_RESPONSE_REL * gain)].tolist():  # NaN too
             ratios[i] = DEGENERATE_FREQUENCY
     ratios = iter(ratios)
     return [next(ratios) if good else DEGENERATE_FREQUENCY for good in ok.tolist()]

@@ -72,25 +72,24 @@ class PendulumParams:
                                  f"{' and > 0' if positive else ''}, got {value!r}")
 
 
-def _euler(params: PendulumParams):
-    """The forward-Euler step ``(theta, omega, torque) -> x_next`` of the
-    nonlinear dynamics, its coefficients m g l / J, l / J and dt bound once;
-    the arguments are floats, the torque being u + w."""
-    k1, k2, dt = params.m * params.g * params.l / params.J, params.l / params.J, params.dt
-    sin, cos, array = math.sin, math.cos, np.array
+def _coefficients(params: PendulumParams) -> tuple:
+    """(m g l / J, l / J, dt): the coefficients of :func:`_euler`."""
+    return params.m * params.g * params.l / params.J, params.l / params.J, params.dt
 
-    def step(theta, omega, torque):
-        acc = k1 * sin(theta) + k2 * torque * cos(theta)
-        return array([theta + dt * omega, omega + dt * acc])
 
-    return step
+def _euler(theta, omega, torque, k1, k2, dt) -> np.ndarray:
+    """x_next of one forward-Euler step of the nonlinear dynamics, from
+    floats: the torque is u + w, and (k1, k2, dt) are the
+    :func:`_coefficients`."""
+    acc = k1 * math.sin(theta) + k2 * torque * math.cos(theta)
+    return np.array([theta + dt * omega, omega + dt * acc])
 
 
 def pendulum_step(params: PendulumParams, x, u, w) -> np.ndarray:
     """One forward-Euler step of the nonlinear dynamics; ``u`` and ``w`` are
-    length-1 sequences (arrays or lists).  The coefficients are bound anew at
-    each call; a rollout binds them once (:func:`_simulate`)."""
-    return _euler(params)(float(x[0]), float(x[1]), float(u[0]) + float(w[0]))
+    length-1 sequences (arrays or lists).  The coefficients are computed at
+    each call; a rollout computes them once (:func:`_simulate`)."""
+    return _euler(float(x[0]), float(x[1]), float(u[0]) + float(w[0]), *_coefficients(params))
 
 
 def linearize_pendulum(params: PendulumParams, theta: float) -> LtiPlant:
@@ -292,20 +291,20 @@ def _simulate(params, law, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
 
     ``w`` is a (T, 1) record (:func:`_disturbance_column`); ``dynamics`` is
     "nonlinear" or "linear" (the linearization about theta_lin).  The
-    nonlinear step's coefficients (:func:`_euler`) and the record, as Python
-    floats, are bound once per run; a step reads x_t and u_t as floats and
-    does :func:`pendulum_step`'s float operations.
+    nonlinear step's coefficients (:func:`_coefficients`) and the record, as
+    Python floats, are bound once per run; a step reads x_t and u_t as
+    floats and does :func:`pendulum_step`'s float operations.
     """
     if dynamics not in ("nonlinear", "linear"):
         raise ValueError("dynamics must be 'nonlinear' or 'linear'")
     if dynamics == "linear":
         advance = linearize_pendulum(params, theta_lin).advance(w)
     else:
-        euler, record = _euler(params), w[:, 0].tolist()
+        (k1, k2, dt), record = _coefficients(params), w[:, 0].tolist()
 
         def advance(t, x, u):
             theta, omega = x.tolist()
-            return euler(theta, omega, u.item() + record[t])
+            return _euler(theta, omega, u.item() + record[t], k1, k2, dt)
 
     return _rollout_loop(w, _check_x0(x0), 1, np.eye(2), law, advance)
 
