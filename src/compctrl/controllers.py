@@ -166,19 +166,20 @@ class StateFeedbackController(_Online):
         (-Kw w_t) - Kx x_t: one product and one subtraction, and the bits of
         -(Kx x_t) - Kw w_t, as IEEE negation is exact and addition
         commutes.  Negating Kx instead would change the sign of a zero u_t
-        (-(Kx 0) is -0.0, (-Kx) 0 is +0.0).
+        (-(Kx 0) is -0.0, (-Kx) 0 is +0.0).  The product is taken by ``dot``
+        (:mod:`compctrl.model`, "Stacks").
         """
         if self.horizon is None:
             Kx, nkw = self.Kx, -rowwise(self.Kw, w)
 
             def law(t, x, z):
-                return nkw[t - t0] - Kx @ x, z, None
+                return nkw[t - t0] - Kx.dot(x), z, None
 
         else:
             Kxs, nkw = self.Kx, -rowwise(self.Kw[t0 : t0 + len(w)], w)
 
             def law(t, x, z):
-                return nkw[t - t0] - Kxs[t] @ x, z, None
+                return nkw[t - t0] - Kxs[t].dot(x), z, None
 
         return law
 
@@ -223,7 +224,7 @@ class CompetitiveController(_Online):
     def wprime(self, state: ControllerState) -> np.ndarray:
         """w'_t = M_filter nu_t, the filtered disturbance before w_t."""
         M = self.realization.M_filter[0 if self.horizon is None else state.t]
-        return M @ state.z
+        return M.dot(state.z)
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         """The :attr:`realization` as a :data:`Law` on the record w (row 0
@@ -235,7 +236,7 @@ class CompetitiveController(_Online):
 
             def law(t, x, nu):
                 k = t - t0
-                return Cx @ x + Cn @ nu + dz[k], Af @ nu + bf[k], Mf @ nu
+                return Cx.dot(x) + Cn.dot(nu) + dz[k], Af.dot(nu) + bf[k], Mf.dot(nu)
 
         else:
             last, m = self.horizon - 1, self.synthetic.m
@@ -243,11 +244,11 @@ class CompetitiveController(_Online):
             dz, bf = (rowwise(a[t0:stop], w[: stop - t0]) for a in (r.Dz, r.B_filter))
 
             def law(t, x, nu):
-                wp = r.M_filter[t] @ nu
+                wp = r.M_filter[t].dot(nu)
                 if t == last:  # u_{T-1} = 0 and nothing advances
                     return np.zeros(m), nu, wp
                 k = t - t0
-                return r.Cx[t] @ x + r.Cn[t] @ nu + dz[k], r.A_filter[t] @ nu + bf[k], wp
+                return r.Cx[t].dot(x) + r.Cn[t].dot(nu) + dz[k], r.A_filter[t].dot(nu) + bf[k], wp
 
         return law
 
@@ -601,7 +602,7 @@ def _affine_pass(schedules, w: np.ndarray) -> list:
         y = np.einsum("tij,tj->ti", schedules[0].M[:, :, n:], w)
         b = np.zeros(n)
         for Mb, yt in zip(schedules[0].M[::-1, :, :n], y[::-1]):
-            yt += Mb @ b
+            yt += Mb.dot(b)
             b = yt[m:]
         return [y[:, :m]]
     h = np.empty((len(schedules), len(w), m))
@@ -728,13 +729,14 @@ def _policy(K: np.ndarray, h: np.ndarray, t0: int) -> Law:
     """The :data:`Law` u_t = -K_t x_t - h_t, row 0 of K and h being step t0.
 
     The offsets are negated once, here, so a step is (-h_t) - K_t x_t, the
-    bits of -(K_t x_t) - h_t (see :meth:`StateFeedbackController.bind`).
+    bits of -(K_t x_t) - h_t, its product taken by ``dot`` (see
+    :meth:`StateFeedbackController.bind`).
     """
     nh = -h
 
     def law(t, x, z):
         k = t - t0
-        return nh[k] - K[k] @ x, z, None
+        return nh[k] - K[k].dot(x), z, None
 
     return law
 

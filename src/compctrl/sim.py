@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import tempfile
 import time
@@ -200,9 +199,12 @@ def _rollout_loop(w, x0, m, Q, law, advance, z=None) -> RolloutResult:
 
     Per step, only the recursion: the :data:`~compctrl.controllers.Law`
     ``law(t, x_t, z_t)`` gives (u_t, z_{t+1}, w'_t), z_0 = ``z``;
-    ``advance(t, x_t, u_t)`` gives x_{t+1}; a state whose norm sqrt(x'x) is
-    not at most ``DIVERGENCE_NORM`` (NaN included) or a :class:`_StopRollout`
-    from the law ends the run, and the arrays keep the steps completed.  The
+    ``advance(t, x_t, u_t)`` gives x_{t+1}; a state whose x'x is not at most
+    ``DIVERGENCE_NORM`` squared (NaN included) or a :class:`_StopRollout`
+    from the law ends the run, and the arrays keep the steps completed.
+    With no square root per step, this decides as sqrt(x'x) <=
+    ``DIVERGENCE_NORM`` would: sqrt is correctly rounded and 1e6 squared is
+    exact.  x'x is taken by ``dot`` (:mod:`compctrl.model`, "Stacks").  The
     step costs x_t'Q_t x_t + u_t'u_t, ``Q`` being one (n, n) weight or a
     (T, n, n) stack, their running sum and the total are computed once,
     after the loop, by :func:`~compctrl.model.step_costs`.
@@ -215,6 +217,7 @@ def _rollout_loop(w, x0, m, Q, law, advance, z=None) -> RolloutResult:
     status = "ok"
     steps = 0
     x_t = x[0]
+    bound = DIVERGENCE_NORM * DIVERGENCE_NORM
     for t in range(T):
         try:
             u_t, z, wp = law(t, x_t, z)
@@ -226,7 +229,7 @@ def _rollout_loop(w, x0, m, Q, law, advance, z=None) -> RolloutResult:
         u[t] = u_t
         x[t + 1] = x_t = advance(t, x_t, u_t)
         steps = t + 1
-        if not math.sqrt(x_t @ x_t) <= DIVERGENCE_NORM:  # also NaN and inf
+        if not x_t.dot(x_t) <= bound:  # also NaN and inf
             status = "diverged"
             break
     step_cost, cum, total = step_costs(x[:steps], u[:steps], Q)

@@ -37,7 +37,7 @@ from compctrl import (
 )
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.search import min_gamma_competitive, min_gamma_hinf
-from compctrl.sim import RolloutResult, spec_from_json_dict, spec_to_json_dict
+from compctrl.sim import RolloutResult, _rollout_loop, spec_from_json_dict, spec_to_json_dict
 
 import oracles
 from conftest import (
@@ -282,6 +282,58 @@ def test_rollout_divergence_truncates():
     assert res.cum_cost.shape[0] == s
     assert res.x.shape[0] == s + 1
     assert_allclose(res.total_cost, res.step_cost.sum(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "state, status, steps",
+    [
+        ((1e6, 0.0), "ok", 4),  # x'x = 1e12 exactly: norm 1e6, on the bound
+        ((1e6, 0.01), "diverged", 2),  # x'x = 1e12 + 1 ulp
+        ((np.nan, 0.0), "diverged", 2),
+        ((np.inf, 0.0), "diverged", 2),
+    ],
+    ids=["on-bound", "one-ulp-above", "nan", "inf"],
+)
+def test_the_divergence_test_decides_at_the_bound(state, status, steps):
+    # a state of norm at most DIVERGENCE_NORM = 1e6 continues; one whose
+    # x'x is a single ulp above 1e12, or not a number, ends the run at the
+    # step that produced it
+    state = np.array(state)
+    if status == "ok":
+        assert state @ state == 1e12
+    elif np.isfinite(state).all():
+        assert state @ state == np.nextafter(1e12, np.inf)
+    T = 4
+
+    def advance(t, x, u):
+        return state if t >= 1 else np.zeros(2)
+
+    res = _rollout_loop(np.zeros((T, 1)), np.zeros(2), 1, np.eye(2),
+                        lambda t, x, z: (np.zeros(1), z, None), advance)
+    assert (res.status, res.steps_completed) == (status, steps)
+    assert res.x.shape == (steps + 1, 2)
+    assert np.array_equal(res.x[-1], state, equal_nan=True)
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 2, 4), (2, 1, 1), (8, 2, 4)],
+                         ids=["boeing", "pendulum", "doubled"])
+def test_a_lone_dot_has_the_bits_of_matmul(n, m, p):
+    # rollouts step their products as M.dot(v) where the oracles and every
+    # stacked lane use M @ v: both must run the same gemv (ddot for x'x),
+    # on a whole matrix, on a row of a stack, and on the reversed,
+    # column-sliced rows that the single-lane affine pass iterates
+    rng = np.random.default_rng(n + m + p)
+    for _ in range(1000):
+        a, b = 10.0 ** rng.uniform(-5, 5, size=2)
+        for r, c in [(m, n), (n, n), (n, m), (m + n, n)]:
+            v = b * rng.standard_normal(c)
+            whole = a * rng.standard_normal((r, c))
+            stack = a * rng.standard_normal((3, r, c))
+            view = (a * rng.standard_normal((3, r, c + p)))[::-1, :, :c]
+            for M in (whole, stack[1], view[1]):
+                assert M.dot(v).tobytes() == (M @ v).tobytes(), (r, c, M.strides)
+        x = b * rng.standard_normal(n)
+        assert x.dot(x).tobytes() == (x @ x).tobytes()
 
 
 def test_rollout_rejects_wrong_disturbance_width(rng):
