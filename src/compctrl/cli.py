@@ -285,6 +285,7 @@ def _cmd_freq(args) -> int:
         {
             "points": len(result.omegas),
             "controllers": summary,
+            "gram_cached": result.gram_cached,
             "csv": args.out,
             "wall_ms": wall_ms,
         }

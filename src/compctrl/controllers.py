@@ -567,16 +567,20 @@ def _affine_schedule(plant: LtvPlant) -> AffineSchedule:
     P = np.zeros((n, n))
     K = np.empty((T, m, n))
     M = np.empty((T, m + n, n + p))
+    eye = np.eye(m)
+    # lone products by dot (see compctrl.model), but for n = 1: dot takes a
+    # 1x1 factor for a scalar, whose product is -0.0 where matmul's is +0.0
+    dot = np.matmul if n == 1 else np.ndarray.dot
     for t in range(T - 1, -1, -1):
         A, Bu = plant.A[t], plant.Bu[t]
-        BuP = Bu.T @ P
-        G = np.linalg.solve(np.eye(m) + BuP @ Bu, np.hstack([BuP @ A, Bu.T]))
+        BuP = dot(Bu.T, P)
+        G = np.linalg.solve(eye + dot(BuP, Bu), np.hstack([dot(BuP, A), Bu.T]))
         K[t] = G[:, :n]
-        Acl = A - Bu @ K[t]
-        L = np.vstack([G[:, n:], Acl.T])
+        Acl = A - dot(Bu, K[t])
+        L = np.vstack([G[:, n:], Acl.T])  # contiguous: a view into M moves bits
         M[t, :, :n] = L
-        M[t, :, n:] = L @ (P @ plant.Bw[t])
-        P = sym(plant.Q[t] + K[t].T @ K[t] + Acl.T @ P @ Acl)
+        M[t, :, n:] = dot(L, dot(P, plant.Bw[t]))
+        P = sym(plant.Q[t] + dot(K[t].T, K[t]) + dot(dot(Acl.T, P), Acl))
     K.flags.writeable = False
     M.flags.writeable = False
     return AffineSchedule(K, M)
@@ -627,8 +631,8 @@ def _pass_block(schedules, w, block: slice, b: np.ndarray, h: np.ndarray) -> np.
 
 
 #: Bytes each :class:`PlantCache` may hold: values plus their keys; about
-#: 88 KB is one pendulum bin's schedule at T = 1001, and 0.4 MB the Boeing
-#: synthetic plant at T = 200.
+#: 88 KB is one pendulum bin's schedule at T = 1001, 0.4 MB the Boeing
+#: synthetic plant at T = 200, and 0.26 MB its Gram factor on 512 points.
 SCHEDULE_CACHE_BYTES = 8 << 20
 
 
@@ -643,14 +647,18 @@ class PlantCache:
     a copy of the plant, and makes the value's arrays read-only, so callers
     share them; what ``solve`` raises is never stored.  Every
     :class:`LtvPlant` is solved afresh, even one whose steps are all equal.
+    With ``grid``, T is the size of a frequency grid instead, and a miss
+    solves ``solve(plant, T)``, whose value must hold none of the plant's
+    arrays.
     When the held bytes would exceed ``max_bytes``, the least recently used
     entries go; an entry larger than the bound is not kept.  ``hits`` and
     ``misses`` count the calls of :meth:`get` answered and solved.
     """
 
-    def __init__(self, solve: Callable, max_bytes: int = SCHEDULE_CACHE_BYTES):
+    def __init__(self, solve: Callable, max_bytes: int = SCHEDULE_CACHE_BYTES, grid: bool = False):
         self.solve = solve
         self.max_bytes = max_bytes
+        self.grid = grid
         self.held_bytes = 0
         self.hits = self.misses = 0
         self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
@@ -685,8 +693,10 @@ class PlantCache:
             self._entries.move_to_end(key)
             return hit[0]
         self.misses += 1
-        # on a copy, so that the value holds none of the caller's arrays
-        value = self.solve(copy.deepcopy(plant) if T is None else plant.to_ltv(T))
+        if self.grid:
+            value = self.solve(plant, T)
+        else:  # on a copy, so that the value holds none of the caller's arrays
+            value = self.solve(copy.deepcopy(plant) if T is None else plant.to_ltv(T))
         fields = value if isinstance(value, tuple) else vars(value).values()
         arrays = [a for a in fields if isinstance(a, np.ndarray)]
         for a in arrays:

@@ -24,15 +24,20 @@ sigma_max and per_freq_cr take a scalar frequency, or a 1-D array of them
 evaluated by one stacked call each (equal to the pointwise values; see
 :mod:`compctrl.model`).  sweep and peak_gain walk their grid in blocks of
 BLOCK = 64 points, which bounds the stacks held at once.
+
+sweep takes the Gram's factor N^{-1/2}, which depends on the plant and the
+grid alone, from :data:`gram_cache`, so a process that sweeps one plant on
+one grid again solves no Gram; per_freq_cr solves it at every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .controllers import CompetitiveController, StateFeedbackController, ZeroController
+from .controllers import CompetitiveController, PlantCache, StateFeedbackController, ZeroController
 from .model import LtiPlant, shifted_solve
 from .sim import _check_fits, atomic_write_text
 
@@ -175,6 +180,36 @@ def _gram_inv_half(plant: LtiPlant, omegas: np.ndarray):
     return ok, (V / scale[:, None, :]) @ _herm(V), V * singular[:, None, :]
 
 
+class GramFactor(NamedTuple):
+    """The :func:`_gram_inv_half` of every block of a grid, joined: ``ok``
+    at each point, N^{-1/2} and ``null`` at the points flagged ``ok``."""
+
+    ok: np.ndarray
+    inv_half: np.ndarray
+    null: np.ndarray
+
+
+def _grid_gram(plant: LtiPlant, n_points: int) -> GramFactor:
+    """The :class:`GramFactor` of ``default_grid(n_points)``, solved block by
+    block as an uncached sweep solves it."""
+    omegas = default_grid(n_points)
+    parts = [_gram_inv_half(plant, omegas[b]) for b in _blocks(n_points)]
+    return GramFactor(*map(np.concatenate, zip(*parts)))
+
+
+#: The process's cache of sweep grids' Gram factors, per plant and grid size.
+gram_cache = PlantCache(_grid_gram, grid=True)
+
+
+def _block_grams(factor: GramFactor, blocks: list) -> list:
+    """The (ok, N^{-1/2}, null) of each block of a grid's factor."""
+    ends = np.cumsum([np.count_nonzero(factor.ok[b]) for b in blocks]).tolist()
+    return [
+        (factor.ok[b], factor.inv_half[i:j], factor.null[i:j])
+        for b, i, j in zip(blocks, [0] + ends, ends)
+    ]
+
+
 def _ratios(gram: tuple, T: np.ndarray) -> list:
     """The per-frequency ratios of the loop whose transfer is T at the
     frequencies flagged ``ok`` of ``gram`` (:func:`_gram_inv_half`), with
@@ -215,15 +250,19 @@ class SweepResult:
     names: list
     sigma_max: dict
     per_freq_cr: dict  # name -> list of float or "degenerate-frequency"
+    gram_cached: bool = False  # whether the Gram's factor came from gram_cache
 
 
 def sweep(plant: LtiPlant, named_controllers, n_points: int = 512) -> SweepResult:
     """Evaluate sigma_max and the per-frequency ratio on a uniform grid.
 
-    Per block, the plant-only work (the clairvoyant Gram and its ``eigh``)
-    is done once for all loops, and each loop's transfer is solved once and
-    read by both figures, with the values of :func:`sigma_max` and
-    :func:`per_freq_cr`.
+    The plant-only work (the clairvoyant Gram and its ``eigh``) is done once
+    per block for all loops, and kept in :data:`gram_cache` for the next
+    sweep of the plant on this grid; an empty grid, or one whose factor
+    could exceed the cache's bound (N nonzero at every point), is solved
+    block by block as it is swept, and not kept.  Each loop's transfer is
+    solved once per block and read by both figures, with the values of
+    :func:`sigma_max` and :func:`per_freq_cr`.
     """
     if isinstance(named_controllers, dict):
         items = list(named_controllers.items())
@@ -234,14 +273,21 @@ def sweep(plant: LtiPlant, named_controllers, n_points: int = 512) -> SweepResul
     loops = {name: closed_loop(plant, ctrl) for name, ctrl in items}
     sig = {name: np.empty(omegas.size) for name in loops}
     cr = {name: [] for name in loops}
-    for b in _blocks(omegas.size):
+    blocks = _blocks(omegas.size)
+    # the factor's bytes at most: ok, and N^{-1/2} and null (complex) at every
+    # point; a grid past the bound keeps to blocks, and peak memory flat
+    if 0 < omegas.size * (1 + 32 * plant.p**2) <= gram_cache.max_bytes:
+        cached = gram_cache.holds(plant, omegas.size)
+        grams = _block_grams(gram_cache.get(plant, omegas.size), blocks)
+    else:
+        cached, grams = False, (_gram_inv_half(plant, omegas[b]) for b in blocks)
+    for b, gram in zip(blocks, grams):
         z = _on_circle(omegas[b])
-        gram = _gram_inv_half(plant, omegas[b])
         for name, loop in loops.items():
             T = transfer_at(loop, z)
             sig[name][b] = np.linalg.svd(T, compute_uv=False)[..., 0]
             cr[name] += _ratios(gram, T[gram[0]])
-    return SweepResult(omegas=omegas, names=names, sigma_max=sig, per_freq_cr=cr)
+    return SweepResult(omegas, names, sig, cr, gram_cached=cached)
 
 
 def write_sweep_csv(path: str, result: SweepResult) -> None:

@@ -734,8 +734,12 @@ def dare_fixed_point(
     1e-11 + 1e-9 * max(1, ||P||_inf); the relative term matters near the
     feasibility boundary, where ||P|| grows without bound.  The converged P
     then passes the residual step and the three acceptance checks.  For
-    several R~ at once, :func:`_dare_fixed_points`.
+    several R~ at once, :func:`_dare_fixed_points`.  A B~ with a NaN or an
+    inf raises LinAlgError: the first step's R~ + B~'0B~ is not finite, and
+    its eigenvalues do not converge.
     """
+    if not np.isfinite(Btil).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return _dare_fixed_points(A, Btil, Rtil, Q)
 
 
@@ -747,13 +751,15 @@ def _dare_fixed_points(A, Btil, Rtil, Q, defer: bool = False):
     A, Btil, Rtil, Q = (np.asarray(M, dtype=float) for M in (A, Btil, Rtil, Q))
     lone = Rtil.ndim == 2
     lam = _eig_signs(Rtil).tolist()
-    signs = {_pivot_test(x)[1:] for x in ([lam] if lone else lam)}  # on H~'s scale
+    tests = [_pivot_test(x) for x in ([lam] if lone else lam)]  # on H~'s scale
+    signs = {test[1:] for test in tests}
     if len(signs) > 1:
         raise ValueError("the stacked R~ must share one inertia")
     [signs_R] = signs
 
-    # value iteration's first step checks H~ = R~ at P = 0
-    first = _game_step_test(Rtil + Btil.T @ np.zeros_like(Q) @ Btil, *signs_R)[0]
+    # value iteration's first step checks H~ = R~ + B~'0B~, which is R~ for
+    # a finite B~: its inertia is R~'s own, so only the pivot guard can fail
+    first = ["singular-Htilde" if singular else None for singular, *_ in tests]
     solves = [(None, 0, reason) for reason in first]
     ok = [i for i, reason in enumerate(first) if reason is None]
     if ok:
@@ -772,18 +778,21 @@ def _dare_fixed_points(A, Btil, Rtil, Q, defer: bool = False):
 def _accepted(A, Btil, Rtil, Q, signs_R, P, iterations, reason) -> RiccatiFixedPoint:
     """One lane's :class:`RiccatiFixedPoint`: the residual step and the
     acceptance checks on its converged P, or its failure."""
+    # lone products by dot (see compctrl.model); where N = 1 its scalar path
+    # may sign a zero otherwise, which H~ (R~'s zeros are +0.0), the residual
+    # and the radius do not show
     if P is not None:
-        [reason], pivots = _game_step_test(Rtil + Btil.T @ P @ Btil, *signs_R, solve=True)
+        [reason], pivots = _game_step_test(Rtil + Btil.T.dot(P).dot(Btil), *signs_R, solve=True)
         if reason == "singular-Htilde":
             P = None
     if P is None:
         return RiccatiFixedPoint(None, None, iterations, converged=False, reason=reason)
-    BtPA = Btil.T @ P @ A
+    BtPA = Btil.T.dot(P).dot(A)
     K = _solve_pivots(pivots, BtPA)
-    Pn = Q + A.T @ P @ A - BtPA.T @ K
+    Pn = Q + A.T.dot(P).dot(A) - BtPA.T.dot(K)
     residual = float(np.abs(0.5 * (Pn + Pn.T) - P).max())
     return RiccatiFixedPoint(
         P, residual, iterations, converged=True,
-        closed_loop_radius=spectral_radius(A - Btil @ K),
+        closed_loop_radius=spectral_radius(A - Btil.dot(K)),
         inertia_match=reason is None, psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9),
     )

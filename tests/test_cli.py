@@ -12,6 +12,7 @@ import pytest
 
 import compctrl.cli as cli
 from compctrl import factorization
+from compctrl.freq import gram_cache
 from compctrl import (
     controller_from_json_dict,
     plant_to_json_dict,
@@ -380,12 +381,31 @@ def test_freq_sweep_csv_and_summary(tmp_path, plant_file, h2_controller_file):
     assert info["peak_sigma_max"] > 0
     assert info["max_per_freq_cr"] >= 1.0
     assert info["degenerate_frequencies"] == 0
+    assert summary["gram_cached"] is False  # a fresh process
     assert set(summary["wall_ms"]) == {"sweep", "csv"}
     assert all(ms >= 0 for ms in summary["wall_ms"].values())
     with open(out, newline="") as fh:
         text = fh.read()
     assert text.startswith("controller,omega,sigma_max_TK,per_freq_cr\n")
     assert len(text.splitlines()) == 1 + 16
+
+
+def test_freq_reports_a_cached_gram(tmp_path, plant_file, h2_controller_file, capsys):
+    # a second in-process pass finds the plant's Gram kept, says so on stdout
+    # only, and writes the same CSV bytes
+    gram_cache.clear()
+    texts, cached = [], []
+    for k in range(2):
+        out = tmp_path / f"freq{k}.csv"
+        rc = cli.main([
+            "freq", "--plant", plant_file, "--controller", f"h2={h2_controller_file}",
+            "--points", "16", "--out", str(out),
+        ])
+        assert rc == 0
+        cached.append(json.loads(capsys.readouterr().out)["gram_cached"])
+        texts.append(out.read_bytes())
+    assert cached == [False, True]
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -414,6 +414,15 @@ def test_affine_schedule_and_pass_match_sweep_oracle(case):
             assert_array_equal(got, ref[t0:])
 
 
+def test_one_state_schedule_keeps_the_zeros_of_matmul():
+    # with n = 1 every factor of the backward loop is 1x1, which ndarray.dot
+    # takes for a scalar: from P_T = 0 and B_u < 0 it would make the last
+    # gain (-1)(0)(0.5) = -0.0, where matmul's product is +0.0
+    schedule = _affine_schedule(scalar_lti(a=0.5, bu=-1.0).to_ltv(3))
+    assert schedule.K[-1].tobytes() == np.zeros((1, 1)).tobytes()
+    assert not np.signbit(schedule.M[-1][:, 1:]).any()
+
+
 def _schedules_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 

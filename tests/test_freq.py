@@ -1,6 +1,7 @@
 """Tests for closed-loop realizations and frequency-domain analysis."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from compctrl import (
     transfer_at,
     write_sweep_csv,
 )
-from compctrl.freq import clairvoyant_gram, default_grid, open_loop_maps
+from compctrl.freq import _grid_gram, clairvoyant_gram, default_grid, gram_cache, open_loop_maps
 
 from conftest import random_lti, random_unstable_stabilizable
 from oracles import (
@@ -310,6 +311,9 @@ def test_sweep_structure(rng):
         rtol=1e-12,
         atol=0,
     )
+    empty = sweep(plant, {"zero": ZeroController(m=1)}, 0)
+    assert empty.omegas.size == empty.sigma_max["zero"].size == 0
+    assert empty.per_freq_cr["zero"] == [] and not empty.gram_cached
 
 
 def test_sweep_csv_round_trip(rng, tmp_path):
@@ -393,7 +397,9 @@ def test_boeing_sweep_equals_pointwise_oracle(boeing, boeing_loops, n_points):
 def test_sweep_does_plant_work_once_per_block(boeing, boeing_loops, monkeypatch):
     # per 64-point block: the Gram's two solves and one eigh for all loops,
     # and one transfer solve per loop; 8 blocks and 3 loops make 40 solves
-    # and 8 eigh calls (one loop at a time made 96 and 24)
+    # and 8 eigh calls (one loop at a time made 96 and 24) on a cold cache,
+    # and the transfers' 24 solves alone once the Gram's factor is kept
+    gram_cache.clear()
     calls = {"solve": 0, "eigh": 0}
 
     def counted(name):
@@ -410,6 +416,88 @@ def test_sweep_does_plant_work_once_per_block(boeing, boeing_loops, monkeypatch)
     three = {k: v for k, v in boeing_loops.items() if k != "zero"}
     sweep(boeing, three, 512)
     assert calls == {"solve": 40, "eigh": 8}
+    calls.update(solve=0, eigh=0)
+    sweep(boeing, three, 512)
+    assert calls == {"solve": 24, "eigh": 0}
+
+
+def assert_sweeps_equal(a, b):
+    assert a.names == b.names and np.array_equal(a.omegas, b.omegas)
+    for name in a.names:
+        assert a.sigma_max[name].tobytes() == b.sigma_max[name].tobytes(), name
+        assert a.per_freq_cr[name] == b.per_freq_cr[name], name
+
+
+def test_warm_sweep_equals_cold(boeing, boeing_loops, tmp_path):
+    # the kept factor gives the bits of a fresh one, degenerate markers and
+    # the CSV's bytes too; only gram_cached tells the sweeps apart
+    plant = random_lti(np.random.default_rng(13), n=2, m=1, p=4)
+    cases = [
+        (boeing, boeing_loops),
+        (plant, {"zero": ZeroController(m=1), "h2": synth_h2_ih(plant),
+                 "reads-w0": reads_first_disturbance(plant)}),
+    ]
+    for k, (plant, named) in enumerate(cases):
+        gram_cache.clear()
+        cold, warm = sweep(plant, named, 200), sweep(plant, named, 200)
+        assert (cold.gram_cached, warm.gram_cached) == (False, True)
+        assert_sweeps_equal(cold, warm)
+        paths = [str(tmp_path / f"{k}-{side}.csv") for side in ("cold", "warm")]
+        for path, res in zip(paths, (cold, warm)):
+            write_sweep_csv(path, res)
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert "degenerate-frequency" in warm.per_freq_cr["reads-w0"]
+
+
+def test_gram_cache_keys_plant_and_grid_exactly(boeing, boeing_loops):
+    # a hit needs the bits of A, B_u, B_w and Q and the grid size: one ulp
+    # in A misses, and so does another n_points, each with its own factor
+    named = {"h2": boeing_loops["h2"]}
+    gram_cache.clear()
+    hits, misses = gram_cache.hits, gram_cache.misses
+    sweep(boeing, named, 100)
+    assert sweep(boeing, named, 100).gram_cached
+    assert (gram_cache.hits - hits, gram_cache.misses - misses, len(gram_cache)) == (1, 1, 1)
+    A = boeing.A.copy()
+    A[1, 2] = np.nextafter(A[1, 2], np.inf)
+    for plant, n_points in ((dataclasses.replace(boeing, A=A), 100), (boeing, 101)):
+        res = sweep(plant, named, n_points)
+        assert not res.gram_cached
+        factor = gram_cache.get(plant, n_points)
+        assert all(map(np.array_equal, factor, _grid_gram(plant, n_points)))
+    assert (gram_cache.misses - misses, len(gram_cache)) == (3, 3)
+    assert sweep(boeing, named, 100).gram_cached
+
+
+def test_gram_cache_holds_read_only_factors(boeing, boeing_loops):
+    gram_cache.clear()
+    sweep(boeing, {"h2": boeing_loops["h2"]}, 65)
+    [factor] = gram_cache.values()
+    for a in factor:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    # ok at every point, N^{-1/2} and the null space at those flagged
+    assert factor.ok.shape == (65,) and factor.inv_half.shape == (65, 4, 4)
+
+
+def test_gram_cache_keeps_no_grid_over_its_bound(boeing, boeing_loops, monkeypatch):
+    # an entry over the bound is solved and not kept; a grid whose factor
+    # could exceed it (N nonzero at every point) does not ask the cache
+    named = {k: v for k, v in boeing_loops.items() if k != "zero"}
+    gram_cache.clear()
+    kept = sweep(boeing, named, 130)
+    entry = gram_cache.held_bytes
+    for bound, asked in ((entry - 1, 1), (entry // 2, 0)):
+        monkeypatch.setattr(gram_cache, "max_bytes", bound)
+        gram_cache.clear()
+        hits, misses = gram_cache.hits, gram_cache.misses
+        for _ in range(2):
+            res = sweep(boeing, named, 130)
+            assert not res.gram_cached
+            assert_sweeps_equal(res, kept)
+            assert len(gram_cache) == gram_cache.held_bytes == 0
+        assert (gram_cache.hits - hits, gram_cache.misses - misses) == (0, 2 * asked)
 
 
 @pytest.mark.parametrize("n_points", PARITY_POINTS)

@@ -721,6 +721,18 @@ def test_stacked_fixed_points_need_one_inertia(boeing):
         riccati._dare_fixed_points(A, Bt, np.stack([Rt, np.abs(Rt)]), Q)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_point_of_a_non_finite_input_matrix_raises(boeing, bad):
+    # the first step's R~ + B~'0B~ has no eigenvalues then; its verdict
+    # comes from R~'s own, so dare_fixed_point checks B~ first and raises
+    # what numpy's eigvalsh raised on that step
+    A, Bt, Rt, Q = _hinf_game(boeing, 30.0)
+    Bt = Bt.copy()
+    Bt[1, 0] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        dare_fixed_point(A, Bt, Rt, Q)
+
+
 def test_stacked_doubling_survives_a_singular_lane():
     """numpy's stacked solve fails the whole stack when one W = I + G H is
     singular; that lane leaves with its own verdict and the others go on.

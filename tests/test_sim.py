@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -315,16 +316,54 @@ def test_the_divergence_test_decides_at_the_bound(state, status, steps):
     assert np.array_equal(res.x[-1], state, equal_nan=True)
 
 
-@pytest.mark.parametrize("n, m, p", [(4, 2, 4), (2, 1, 1), (8, 2, 4)],
-                         ids=["boeing", "pendulum", "doubled"])
-def test_a_lone_dot_has_the_bits_of_matmul(n, m, p):
+def _layouts(rng, shape, scale) -> list:
+    """A matrix of ``shape``: contiguous, a transposed view, a row of a stack."""
+    r, c = shape
+    return [
+        scale * rng.standard_normal((r, c)),
+        (scale * rng.standard_normal((c, r))).T,
+        (scale * rng.standard_normal((3, r, c)))[1],
+    ]
+
+
+def _assert_lone_products_match(rng, n, m, p, a, b):
+    # the lone 2-D products of controllers._affine_schedule's backward loop,
+    # (m, n)(n, n), the outer product (n, 1)(1, n) and (m + n, n)(n, p), and
+    # riccati._accepted's (K, N)(N, N)(N, K) with K = m + p and N = n
+    k = m + p
+    for X, Y in itertools.chain(
+        itertools.product(_layouts(rng, (m, n), a), _layouts(rng, (n, n), b)),
+        itertools.product(_layouts(rng, (n, 1), a), _layouts(rng, (1, n), b)),
+        itertools.product(_layouts(rng, (m + n, n), a), _layouts(rng, (n, p), b)),
+    ):
+        assert X.dot(Y).tobytes() == (X @ Y).tobytes(), (X.shape, Y.shape, X.strides)
+    for X, Y in itertools.product(_layouts(rng, (k, n), a), _layouts(rng, (n, n), b)):
+        Z = X.T.copy()
+        assert X.dot(Y).dot(Z).tobytes() == (X @ Y @ Z).tobytes(), (X.strides, Y.strides)
+    # K_t'K_t of one row of the gain stack, an outer product when m = 1
+    K = _layouts(rng, (m, n), a)[2]
+    assert K.T.dot(K).tobytes() == (K.T @ K).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, m, p, matrices",
+    [(4, 2, 4, False), (2, 1, 1, False), (8, 2, 4, False),
+     (4, 2, 4, True), (2, 1, 1, True), (8, 2, 4, True)],
+    ids=["boeing", "pendulum", "doubled", "boeing-2d", "pendulum-2d", "doubled-2d"],
+)
+def test_a_lone_dot_has_the_bits_of_matmul(n, m, p, matrices):
     # rollouts step their products as M.dot(v) where the oracles and every
     # stacked lane use M @ v: both must run the same gemv (ddot for x'x),
     # on a whole matrix, on a row of a stack, and on the reversed,
-    # column-sliced rows that the single-lane affine pass iterates
-    rng = np.random.default_rng(n + m + p)
+    # column-sliced rows that the single-lane affine pass iterates; the
+    # lone 2-D products written as dot (the "-2d" cases) must run matmul's
+    # gemm, n >= 2 keeping every factor off dot's 1x1 scalar path
+    rng = np.random.default_rng(n + m + p + matrices)
     for _ in range(1000):
         a, b = 10.0 ** rng.uniform(-5, 5, size=2)
+        if matrices:
+            _assert_lone_products_match(rng, n, m, p, a, b)
+            continue
         for r, c in [(m, n), (n, n), (n, m), (m + n, n)]:
             v = b * rng.standard_normal(c)
             whole = a * rng.standard_normal((r, c))
