@@ -25,7 +25,6 @@ builds one controller.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 from collections import OrderedDict
@@ -36,7 +35,7 @@ import numpy as np
 
 from .factorization import Realization, SyntheticSystem, build_synthetic
 from .model import LtiPlant, LtvPlant, build_dense_operators, rowwise, step_costs
-from .model import _disturbance_record, _json_field, _json_object
+from .model import _disturbance_record, _json_field, _json_object, _lone_dot
 from .riccati import (
     RiccatiFixedPoint,
     _check_gamma,
@@ -166,20 +165,21 @@ class StateFeedbackController(_Online):
         (-Kw w_t) - Kx x_t: one product and one subtraction, and the bits of
         -(Kx x_t) - Kw w_t, as IEEE negation is exact and addition
         commutes.  Negating Kx instead would change the sign of a zero u_t
-        (-(Kx 0) is -0.0, (-Kx) 0 is +0.0).  The product is taken by ``dot``
-        (:mod:`compctrl.model`, "Stacks").
+        (-(Kx 0) is -0.0, (-Kx) 0 is +0.0).  The product is taken by
+        :func:`~compctrl.model._lone_dot`.
         """
+        dot = _lone_dot(self.Kx.shape[-1])
         if self.horizon is None:
             Kx, nkw = self.Kx, -rowwise(self.Kw, w)
 
             def law(t, x, z):
-                return nkw[t - t0] - Kx.dot(x), z, None
+                return nkw[t - t0] - dot(Kx, x), z, None
 
         else:
             Kxs, nkw = self.Kx, -rowwise(self.Kw[t0 : t0 + len(w)], w)
 
             def law(t, x, z):
-                return nkw[t - t0] - Kxs[t].dot(x), z, None
+                return nkw[t - t0] - dot(Kxs[t], x), z, None
 
         return law
 
@@ -229,26 +229,27 @@ class CompetitiveController(_Online):
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
         """The :attr:`realization` as a :data:`Law` on the record w (row 0
         is step t0); the law also returns w'_t."""
-        r = self.realization
+        r, dot = self.realization, _lone_dot(self.synthetic.n)
         if self.horizon is None:
             Cx, Cn, Af, Mf = r.Cx[0], r.Cn[0], r.A_filter[0], r.M_filter[0]
             dz, bf = (rowwise(a[0], w) for a in (r.Dz, r.B_filter))
 
             def law(t, x, nu):
                 k = t - t0
-                return Cx.dot(x) + Cn.dot(nu) + dz[k], Af.dot(nu) + bf[k], Mf.dot(nu)
+                return dot(Cx, x) + dot(Cn, nu) + dz[k], dot(Af, nu) + bf[k], dot(Mf, nu)
 
         else:
             last, m = self.horizon - 1, self.synthetic.m
             stop = min(t0 + len(w), last)  # no law, so no w-terms, at step T-1
             dz, bf = (rowwise(a[t0:stop], w[: stop - t0]) for a in (r.Dz, r.B_filter))
+            Cx, Cn, Af, Mf = r.Cx, r.Cn, r.A_filter, r.M_filter
 
             def law(t, x, nu):
-                wp = r.M_filter[t].dot(nu)
+                wp = dot(Mf[t], nu)
                 if t == last:  # u_{T-1} = 0 and nothing advances
                     return np.zeros(m), nu, wp
                 k = t - t0
-                return r.Cx[t].dot(x) + r.Cn[t].dot(nu) + dz[k], r.A_filter[t].dot(nu) + bf[k], wp
+                return dot(Cx[t], x) + dot(Cn[t], nu) + dz[k], dot(Af[t], nu) + bf[k], wp
 
         return law
 
@@ -567,10 +568,7 @@ def _affine_schedule(plant: LtvPlant) -> AffineSchedule:
     P = np.zeros((n, n))
     K = np.empty((T, m, n))
     M = np.empty((T, m + n, n + p))
-    eye = np.eye(m)
-    # lone products by dot (see compctrl.model), but for n = 1: dot takes a
-    # 1x1 factor for a scalar, whose product is -0.0 where matmul's is +0.0
-    dot = np.matmul if n == 1 else np.ndarray.dot
+    eye, dot = np.eye(m), _lone_dot(n)
     for t in range(T - 1, -1, -1):
         A, Bu = plant.A[t], plant.Bu[t]
         BuP = dot(Bu.T, P)
@@ -632,33 +630,30 @@ def _pass_block(schedules, w, block: slice, b: np.ndarray, h: np.ndarray) -> np.
 
 #: Bytes each :class:`PlantCache` may hold: values plus their keys; about
 #: 88 KB is one pendulum bin's schedule at T = 1001, 0.4 MB the Boeing
-#: synthetic plant at T = 200, and 0.26 MB its Gram factor on 512 points.
+#: synthetic plant at T = 200, and 33 KB one 64-point block of its Gram.
 SCHEDULE_CACHE_BYTES = 8 << 20
 
 
 class PlantCache:
     """Least-recently-used cache of a plant-only ``solve``, bounded by bytes.
 
-    ``solve`` maps a plant to a tuple or dataclass of arrays that depends on
-    (A, B_u, B_w, Q) and the horizon alone, so :meth:`get` keys an
-    :class:`LtiPlant` and a horizon T (None: infinite) exactly, by T and the
-    shapes and raw bytes of its matrices: no digest, so a one-ulp change or
-    a -0.0 for a +0.0 is another key.  A miss solves ``plant.to_ltv(T)``, or
-    a copy of the plant, and makes the value's arrays read-only, so callers
+    ``solve(plant, key)`` maps a plant and a hashable ``key`` (a horizon,
+    None for the infinite one, or a block of a frequency grid) to a tuple
+    or dataclass of arrays that depends on (A, B_u, B_w, Q) and ``key``
+    alone and holds none of the plant's arrays.  :meth:`get` keys an
+    :class:`LtiPlant` exactly, by ``key`` and the shapes and raw bytes of
+    its matrices: no digest, so a one-ulp change or a -0.0 for a +0.0 is
+    another key.  A miss makes the value's arrays read-only, so callers
     share them; what ``solve`` raises is never stored.  Every
     :class:`LtvPlant` is solved afresh, even one whose steps are all equal.
-    With ``grid``, T is the size of a frequency grid instead, and a miss
-    solves ``solve(plant, T)``, whose value must hold none of the plant's
-    arrays.
     When the held bytes would exceed ``max_bytes``, the least recently used
     entries go; an entry larger than the bound is not kept.  ``hits`` and
     ``misses`` count the calls of :meth:`get` answered and solved.
     """
 
-    def __init__(self, solve: Callable, max_bytes: int = SCHEDULE_CACHE_BYTES, grid: bool = False):
+    def __init__(self, solve: Callable, max_bytes: int = SCHEDULE_CACHE_BYTES):
         self.solve = solve
         self.max_bytes = max_bytes
-        self.grid = grid
         self.held_bytes = 0
         self.hits = self.misses = 0
         self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
@@ -674,37 +669,34 @@ class PlantCache:
         self.held_bytes = 0
 
     @staticmethod
-    def _key(plant: LtiPlant, T: Optional[int]) -> tuple:
+    def _key(plant: LtiPlant, key) -> tuple:
         step = (plant.A, plant.Bu, plant.Bw, plant.Q)
-        return (T, *(a.shape for a in step), *(a.tobytes() for a in step))
+        return (key, *(a.shape for a in step), *(a.tobytes() for a in step))
 
-    def holds(self, plant: LtiPlant, T: Optional[int]) -> bool:
+    def holds(self, plant: LtiPlant, key) -> bool:
         """Whether :meth:`get` would hit; never solves."""
-        return self._key(plant, T) in self._entries
+        return self._key(plant, key) in self._entries
 
-    def get(self, plant, T: Optional[int]):
+    def get(self, plant, key):
         if isinstance(plant, LtvPlant):
             self.misses += 1
-            return self.solve(plant)
-        key = self._key(plant, T)
-        hit = self._entries.get(key)
+            return self.solve(plant, key)
+        entry = self._key(plant, key)
+        hit = self._entries.get(entry)
         if hit is not None:
             self.hits += 1
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(entry)
             return hit[0]
         self.misses += 1
-        if self.grid:
-            value = self.solve(plant, T)
-        else:  # on a copy, so that the value holds none of the caller's arrays
-            value = self.solve(copy.deepcopy(plant) if T is None else plant.to_ltv(T))
+        value = self.solve(plant, key)
         fields = value if isinstance(value, tuple) else vars(value).values()
         arrays = [a for a in fields if isinstance(a, np.ndarray)]
         for a in arrays:
             a.flags.writeable = False
         # the value and the key's raw bytes of (A, B_u, B_w, Q)
-        size = sum(a.nbytes for a in arrays) + sum(map(len, key[-4:]))
+        size = sum(a.nbytes for a in arrays) + sum(map(len, entry[-4:]))
         if size <= self.max_bytes:
-            self._entries[key] = (value, size)
+            self._entries[entry] = (value, size)
             self.held_bytes += size
             while self.held_bytes > self.max_bytes:
                 _, (_, dropped) = self._entries.popitem(last=False)
@@ -713,10 +705,9 @@ class PlantCache:
 
 
 #: The process's cache of clairvoyant schedules, read by :func:`_clairvoyant_law`.
-schedule_cache = PlantCache(_affine_schedule)
-#: The process's cache of synthetic plants, read by :func:`_pose`; it looks
-#: ``build_synthetic`` up at each miss.
-synthetic_cache = PlantCache(lambda plant: build_synthetic(plant))
+schedule_cache = PlantCache(lambda plant, T: _affine_schedule(_normalize_horizon(plant, T)))
+#: The process's cache of synthetic plants, read by :func:`_pose`.
+synthetic_cache = PlantCache(lambda plant, T: build_synthetic(_normalize_horizon(plant, T)))
 
 
 def _clairvoyant_law(plants, w: np.ndarray, t0: int = 0) -> list:
@@ -739,14 +730,14 @@ def _policy(K: np.ndarray, h: np.ndarray, t0: int) -> Law:
     """The :data:`Law` u_t = -K_t x_t - h_t, row 0 of K and h being step t0.
 
     The offsets are negated once, here, so a step is (-h_t) - K_t x_t, the
-    bits of -(K_t x_t) - h_t, its product taken by ``dot`` (see
+    bits of -(K_t x_t) - h_t, its product taken by ``_lone_dot`` (see
     :meth:`StateFeedbackController.bind`).
     """
-    nh = -h
+    nh, dot = -h, _lone_dot(K.shape[-1])
 
     def law(t, x, z):
         k = t - t0
-        return nh[k] - K[k].dot(x), z, None
+        return nh[k] - dot(K[k], x), z, None
 
     return law
 

@@ -384,7 +384,8 @@ def build_synthetic(plant: Union[LtiPlant, LtvPlant]) -> SyntheticSystem:
     The factors are chosen here: the whitening schedule (:func:`whitening_fh`)
     of an :class:`LtvPlant`, the spectral factor (:func:`spectral_factor_ih`)
     of an :class:`LtiPlant`, plus its outer factor (:func:`outer_factor_ih`)
-    when p < n.  The w' filter is the factor's own.
+    when p < n.  The w' filter is the factor's own, with a copy of B_w: no
+    array of the result is the plant's.
 
     The doubled plant: Ahat = [[A, K Sigma^{1/2}], [0, 0]], Buhat = [B_u; 0],
     Bwhat = [0; I], Qhat = U U' with U = [Q^{1/2}; Sigma^{1/2}] (PSD,
@@ -403,7 +404,7 @@ def build_synthetic(plant: Union[LtiPlant, LtvPlant]) -> SyntheticSystem:
     else:
         factor = spectral_factor_ih(plant)
         outer = outer_factor_ih(plant, factor) if plant.p < n else None
-    filt = dict(A_filter=factor.A_whiten, B_filter=plant.Bw, M_filter=factor.M_whiten)
+    filt = dict(A_filter=factor.A_whiten, B_filter=plant.Bw.copy(), M_filter=factor.M_whiten)
     if outer is not None:
         BwDi = np.linalg.solve(outer.D.T, plant.Bw.T).T  # B_w D^{-1}
         Z = np.zeros((n, n))

@@ -26,14 +26,14 @@ evaluated by one stacked call each (equal to the pointwise values; see
 BLOCK = 64 points, which bounds the stacks held at once.
 
 sweep takes the Gram's factor N^{-1/2}, which depends on the plant and the
-grid alone, from :data:`gram_cache`, so a process that sweeps one plant on
-one grid again solves no Gram; per_freq_cr solves it at every call.
+grid alone, from :data:`gram_cache`, where it is kept per block, so a
+process that sweeps one plant on one grid again solves no Gram;
+per_freq_cr solves it at every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -180,34 +180,11 @@ def _gram_inv_half(plant: LtiPlant, omegas: np.ndarray):
     return ok, (V / scale[:, None, :]) @ _herm(V), V * singular[:, None, :]
 
 
-class GramFactor(NamedTuple):
-    """The :func:`_gram_inv_half` of every block of a grid, joined: ``ok``
-    at each point, N^{-1/2} and ``null`` at the points flagged ``ok``."""
-
-    ok: np.ndarray
-    inv_half: np.ndarray
-    null: np.ndarray
-
-
-def _grid_gram(plant: LtiPlant, n_points: int) -> GramFactor:
-    """The :class:`GramFactor` of ``default_grid(n_points)``, solved block by
-    block as an uncached sweep solves it."""
-    omegas = default_grid(n_points)
-    parts = [_gram_inv_half(plant, omegas[b]) for b in _blocks(n_points)]
-    return GramFactor(*map(np.concatenate, zip(*parts)))
-
-
-#: The process's cache of sweep grids' Gram factors, per plant and grid size.
-gram_cache = PlantCache(_grid_gram, grid=True)
-
-
-def _block_grams(factor: GramFactor, blocks: list) -> list:
-    """The (ok, N^{-1/2}, null) of each block of a grid's factor."""
-    ends = np.cumsum([np.count_nonzero(factor.ok[b]) for b in blocks]).tolist()
-    return [
-        (factor.ok[b], factor.inv_half[i:j], factor.null[i:j])
-        for b, i, j in zip(blocks, [0] + ends, ends)
-    ]
+#: The process's cache of sweep grids' Gram factors, per plant and block: the
+#: key (n_points, start) is the block of ``default_grid(n_points)`` from start.
+gram_cache = PlantCache(
+    lambda plant, key: _gram_inv_half(plant, default_grid(key[0])[key[1] : key[1] + BLOCK])
+)
 
 
 def _ratios(gram: tuple, T: np.ndarray) -> list:
@@ -250,17 +227,15 @@ class SweepResult:
     names: list
     sigma_max: dict
     per_freq_cr: dict  # name -> list of float or "degenerate-frequency"
-    gram_cached: bool = False  # whether the Gram's factor came from gram_cache
+    gram_cached: bool = False  # whether every block's Gram factor came from gram_cache
 
 
 def sweep(plant: LtiPlant, named_controllers, n_points: int = 512) -> SweepResult:
     """Evaluate sigma_max and the per-frequency ratio on a uniform grid.
 
     The plant-only work (the clairvoyant Gram and its ``eigh``) is done once
-    per block for all loops, and kept in :data:`gram_cache` for the next
-    sweep of the plant on this grid; an empty grid, or one whose factor
-    could exceed the cache's bound (N nonzero at every point), is solved
-    block by block as it is swept, and not kept.  Each loop's transfer is
+    per block for all loops, and kept per block in :data:`gram_cache` for
+    the next sweep of the plant on this grid.  Each loop's transfer is
     solved once per block and read by both figures, with the values of
     :func:`sigma_max` and :func:`per_freq_cr`.
     """
@@ -273,21 +248,16 @@ def sweep(plant: LtiPlant, named_controllers, n_points: int = 512) -> SweepResul
     loops = {name: closed_loop(plant, ctrl) for name, ctrl in items}
     sig = {name: np.empty(omegas.size) for name in loops}
     cr = {name: [] for name in loops}
-    blocks = _blocks(omegas.size)
-    # the factor's bytes at most: ok, and N^{-1/2} and null (complex) at every
-    # point; a grid past the bound keeps to blocks, and peak memory flat
-    if 0 < omegas.size * (1 + 32 * plant.p**2) <= gram_cache.max_bytes:
-        cached = gram_cache.holds(plant, omegas.size)
-        grams = _block_grams(gram_cache.get(plant, omegas.size), blocks)
-    else:
-        cached, grams = False, (_gram_inv_half(plant, omegas[b]) for b in blocks)
-    for b, gram in zip(blocks, grams):
+    blocks, hits = _blocks(omegas.size), gram_cache.hits
+    for b in blocks:
+        gram = gram_cache.get(plant, (omegas.size, b.start))
         z = _on_circle(omegas[b])
         for name, loop in loops.items():
             T = transfer_at(loop, z)
             sig[name][b] = np.linalg.svd(T, compute_uv=False)[..., 0]
             cr[name] += _ratios(gram, T[gram[0]])
-    return SweepResult(omegas, names, sig, cr, gram_cached=cached)
+    every_hit = bool(blocks) and gram_cache.hits - hits == len(blocks)
+    return SweepResult(omegas, names, sig, cr, gram_cached=every_hit)
 
 
 def write_sweep_csv(path: str, result: SweepResult) -> None:

@@ -21,11 +21,14 @@ runs on each matrix of a stack the LAPACK routine, or the matrix-vector
 kernel, that a lone matrix gets, so each entry of a stacked result equals
 the lone call's, bit for bit.  (A block product ``v @ M.T`` runs a
 matrix-matrix kernel instead, which need not: :func:`rowwise` is the
-stacked form.)  A lone per-step product of a rollout is written
-``M.dot(v)``: it runs the gemv that ``M @ v`` and a row of a stacked matmul
-also run (ddot for x'x), with the same bits, at about half the call cost
-of the matmul ufunc.  Stacks keep ``@``, as ``ndarray.dot`` of N-D arrays
-is another product.
+stacked form.)  A lone per-step product of a rollout is taken by
+``np.ndarray.dot``: it runs the gemv that ``M @ v`` and a row of a stacked
+matmul also run (ddot for x'x), with the same bits, at about half the call
+cost of the matmul ufunc.  On a 1-state plant ``dot`` takes a 1x1 factor for
+a scalar, whose product with +0.0 can be -0.0 where gemv's is +0.0, so there
+the product is ``np.matmul``: :func:`_lone_dot` of the plant's n, chosen
+once per bind, never per step.  Stacks keep ``@``, as ``ndarray.dot`` of
+N-D arrays is another product.
 """
 
 from __future__ import annotations
@@ -110,6 +113,11 @@ def rowwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     the lone product ``M_t @ v_t`` (see the module docstring).
     """
     return (M @ v[:, :, None])[..., 0]
+
+
+def _lone_dot(n: int):
+    """The lone per-step product of an n-state plant (module docstring, "Stacks")."""
+    return np.matmul if n == 1 else np.ndarray.dot
 
 
 def step_costs(x: np.ndarray, u: np.ndarray, Q: np.ndarray) -> tuple:
@@ -209,11 +217,11 @@ class LtiPlant(_Plant):
         """The plant's step on the record w: ``advance(t, x, u)`` is
         A x + B_u u + B_w w_t, one step's matrices at every t (the type is the
         time-invariance), B_w w_t taken for every row at once and the other
-        two products by ``dot`` (module docstring, "Stacks")."""
-        A, Bu, bw = self.A, self.Bu, rowwise(self.Bw, w)
+        two products by :func:`_lone_dot`."""
+        A, Bu, bw, dot = self.A, self.Bu, rowwise(self.Bw, w), _lone_dot(self.n)
 
         def advance(t, x, u):
-            return A.dot(x) + Bu.dot(u) + bw[t]
+            return dot(A, x) + dot(Bu, u) + bw[t]
 
         return advance
 
@@ -237,10 +245,10 @@ class LtvPlant(_Plant):
         """The plant's step on the record w (T, p): ``advance(t, x, u)`` is
         A_t x + B_{u,t} u + B_{w,t} w_t, step t's matrices even when all steps
         are equal, B_{w,t} w_t taken for every row at once."""
-        A, Bu, bw = self.A, self.Bu, rowwise(self.Bw, w)
+        A, Bu, bw, dot = self.A, self.Bu, rowwise(self.Bw, w), _lone_dot(self.n)
 
         def advance(t, x, u):
-            return A[t].dot(x) + Bu[t].dot(u) + bw[t]
+            return dot(A[t], x) + dot(Bu[t], u) + bw[t]
 
         return advance
 

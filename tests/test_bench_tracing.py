@@ -5,7 +5,8 @@ under ``src/`` would break ``bench/run.py --trace 1`` with nothing else
 noticing.  This installs the tracer, runs a small Boeing comparison, the
 two Boeing competitive searches (infinite and finite horizon), a short
 pendulum run with its comparator and a competitive scheduled controller
-that meets an uncached bin, and checks the spans recorded.
+that meets an uncached bin, and checks the spans recorded; a second test
+does the same for a Boeing frequency sweep.
 """
 
 import importlib
@@ -87,3 +88,20 @@ def test_tracer_wraps_every_name_it_looks_for(tracing, boeing):
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["mpc.comparator_passes"][0] >= 1
     assert metrics["sim.rollout.steps"][0] == 100
+
+
+def test_tracer_wraps_the_sweep(tracing, boeing):
+    # the traced boeing-evaluate and cli-pipeline workloads sweep
+    named = {"h2": synth_h2_ih(boeing), "zero": compctrl.ZeroController(m=boeing.m)}
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, compctrl)
+    try:
+        compctrl.freq.sweep(boeing, named, 65)
+    finally:
+        undo()
+    spans = tracer.spans
+    assert {"freq.sweep", "freq.closed_loop"} <= set(tracing.span_names(spans))
+    assert tracing.check_nesting(spans) == []
+    loops = [s for s in spans if s[tracing.NAME] == "freq.closed_loop"]
+    assert [spans[s[tracing.PARENT]][tracing.NAME] for s in loops] == ["freq.sweep"] * 2
+    assert tracing.layer_metrics(spans)["freq.closed_loop.calls"][0] == 2

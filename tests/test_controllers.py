@@ -42,7 +42,7 @@ from compctrl.controllers import (
     synthetic_cache,
 )
 from compctrl.factorization import FactorizationError, build_synthetic
-from compctrl.freq import closed_loop, peak_gain
+from compctrl.freq import closed_loop, gram_cache, peak_gain
 from compctrl.model import load_bundled_plant
 from compctrl.mpc import PendulumParams, linearize_pendulum
 from compctrl.riccati import is_stable
@@ -431,7 +431,7 @@ def test_schedule_cache_keys_exactly(rng):
     # a hit needs the same T and the same bits of A, B_u, B_w and Q: one ulp
     # in one B_w entry, a -0.0 for a +0.0 or another horizon each miss, and
     # each miss is the schedule of its own plant
-    cache = PlantCache(_affine_schedule)
+    cache = PlantCache(schedule_cache.solve)
     base = random_lti(rng, n=3, m=1, p=2)
     Bw = base.Bw.copy()
     Bw[2, 1] = 0.0
@@ -457,7 +457,7 @@ def test_schedule_cache_keys_exactly(rng):
 def test_schedule_cache_computes_time_varying_plants_fresh(rng):
     # every LtvPlant is solved afresh, one whose steps are all equal too:
     # time-invariance is the LtiPlant type, not a property found in the data
-    cache = PlantCache(_affine_schedule)
+    cache = PlantCache(schedule_cache.solve)
     lti = random_lti(rng, n=2, m=1, p=1)
     ltv = random_ltv(rng, T=12, n=2, m=1, p=1)
     for plant in (ltv, lti.to_ltv(12), ltv, lti.to_ltv(12)):
@@ -472,11 +472,11 @@ def test_schedule_cache_computes_time_varying_plants_fresh(rng):
 
 def test_schedule_cache_evicts_least_recently_used(rng):
     plants = [random_lti(rng, n=3, m=1, p=1) for _ in range(6)]
-    probe = PlantCache(_affine_schedule)
+    probe = PlantCache(schedule_cache.solve)
     probe.get(plants[0], 50)
     one = probe.held_bytes
     bound = 3 * one + one // 2  # room for three entries
-    cache = PlantCache(_affine_schedule, max_bytes=bound)
+    cache = PlantCache(schedule_cache.solve, max_bytes=bound)
     got = [cache.get(plant, 50) for plant in plants[:1]]
     for plant in plants[1:]:
         got.append(cache.get(plant, 50))
@@ -491,7 +491,7 @@ def test_schedule_cache_evicts_least_recently_used(rng):
     assert cache.get(plants[0], 50) is not got[0]
     assert len(cache) == 3 and cache.held_bytes == 3 * one
     # an entry larger than the bound is computed but never kept
-    small = PlantCache(_affine_schedule, max_bytes=one - 1)
+    small = PlantCache(schedule_cache.solve, max_bytes=one - 1)
     assert _schedules_equal(small.get(plants[0], 50), got[0])
     assert len(small) == 0 and small.held_bytes == 0
     cache.clear()
@@ -500,7 +500,7 @@ def test_schedule_cache_evicts_least_recently_used(rng):
 
 def test_schedule_cache_bound_holds_a_pendulum_family():
     # a family of pendulum runs (T = 1001, quantum 0.01) visits about 21 bins
-    cache = PlantCache(_affine_schedule)
+    cache = PlantCache(schedule_cache.solve)
     cache.get(linearize_pendulum(PendulumParams(), 0.03), 1001)
     assert 21 * cache.held_bytes <= SCHEDULE_CACHE_BYTES == schedule_cache.max_bytes
 
@@ -517,7 +517,7 @@ def test_synthetic_cache_keys_exactly_and_shares_read_only_plants(rng):
     # B_u, B_w, Q): one ulp in one B_w entry or a -0.0 for a +0.0 misses, in
     # either horizon; each value is build_synthetic's on its own plant, its
     # arrays read-only and none of them the caller's
-    cache = PlantCache(build_synthetic)
+    cache = PlantCache(synthetic_cache.solve)
     base = random_lti(rng, n=3, m=1, p=2)  # p < n: the exact plant, with an outer factor
     Bw = base.Bw.copy()
     Bw[2, 1] = 0.0
@@ -545,7 +545,7 @@ def test_synthetic_cache_keys_exactly_and_shares_read_only_plants(rng):
 
 
 def test_synthetic_cache_builds_time_varying_plants_fresh_and_stores_no_failure(rng):
-    cache = PlantCache(build_synthetic)
+    cache = PlantCache(synthetic_cache.solve)
     ltv = random_ltv(rng, T=12, n=2, m=1, p=1)
     syn = cache.get(ltv, 12)
     assert cache.get(ltv, 12) is not syn and _synthetics_equal(syn, build_synthetic(ltv))
@@ -560,16 +560,40 @@ def test_synthetic_cache_builds_time_varying_plants_fresh_and_stores_no_failure(
 
 def test_synthetic_cache_evicts_least_recently_used(rng):
     plants = [random_lti(rng, n=3, m=1, p=1) for _ in range(3)]
-    probe = PlantCache(build_synthetic)
+    probe = PlantCache(synthetic_cache.solve)
     probe.get(plants[0], None)
     one = probe.held_bytes
-    cache = PlantCache(build_synthetic, max_bytes=2 * one + one // 2)  # room for two
+    cache = PlantCache(synthetic_cache.solve, max_bytes=2 * one + one // 2)  # room for two
     first = cache.get(plants[0], None)
     cache.get(plants[1], None)
     assert cache.get(plants[0], None) is first  # a hit makes it the most recent
     cache.get(plants[2], None)  # so 1 goes
     assert [cache.holds(plant, None) for plant in plants] == [True, False, True]
     assert len(cache) == 2 and cache.held_bytes == 2 * one
+
+
+@pytest.mark.parametrize("name", ["schedule", "synthetic", "gram"])
+def test_no_cached_value_aliases_the_plant(rng, name):
+    # a miss solves the caller's plant itself and makes only the value's
+    # arrays read-only: every array of the plant stays writeable, and no
+    # array of the value is one of the plant's or a view of one
+    cache, keys = {
+        "schedule": (schedule_cache, [20]),
+        "synthetic": (synthetic_cache, [None, 20]),
+        "gram": (gram_cache, [(100, 0), (100, 64)]),
+    }[name]
+    for p in (2, 3):  # p < n: the exact synthetic plant, with an outer factor
+        plant = random_lti(rng, n=3, m=1, p=p)
+        plant.Q_half  # a cached property: an array of the plant too
+        fresh = PlantCache(cache.solve)
+        for key in keys:
+            value = fresh.get(plant, key)
+            fields = value if isinstance(value, tuple) else vars(value).values()
+            held = [a for a in fields if isinstance(a, np.ndarray)]
+            own = [a for a in vars(plant).values() if isinstance(a, np.ndarray)]
+            assert len(own) == 7 and all(a.flags.writeable for a in own)
+            assert not any(np.shares_memory(a, b) for a in held for b in own)
+        assert (fresh.hits, fresh.misses) == (0, len(keys))
 
 
 def test_compare_cold_and_warm_cache_are_bit_identical(boeing):

@@ -29,7 +29,7 @@ from compctrl import (
     transfer_at,
     write_sweep_csv,
 )
-from compctrl.freq import _grid_gram, clairvoyant_gram, default_grid, gram_cache, open_loop_maps
+from compctrl.freq import _gram_inv_half, clairvoyant_gram, default_grid, gram_cache, open_loop_maps
 
 from conftest import random_lti, random_unstable_stabilizable
 from oracles import (
@@ -450,54 +450,67 @@ def test_warm_sweep_equals_cold(boeing, boeing_loops, tmp_path):
 
 
 def test_gram_cache_keys_plant_and_grid_exactly(boeing, boeing_loops):
-    # a hit needs the bits of A, B_u, B_w and Q and the grid size: one ulp
-    # in A misses, and so does another n_points, each with its own factor
+    # one entry per block of 64 points, so a 100-point grid is two; a hit
+    # needs the bits of A, B_u, B_w and Q, the grid size and the block: one
+    # ulp in A misses, and so does another n_points, each with its own factor
     named = {"h2": boeing_loops["h2"]}
     gram_cache.clear()
     hits, misses = gram_cache.hits, gram_cache.misses
     sweep(boeing, named, 100)
     assert sweep(boeing, named, 100).gram_cached
-    assert (gram_cache.hits - hits, gram_cache.misses - misses, len(gram_cache)) == (1, 1, 1)
+    assert (gram_cache.hits - hits, gram_cache.misses - misses, len(gram_cache)) == (2, 2, 2)
     A = boeing.A.copy()
     A[1, 2] = np.nextafter(A[1, 2], np.inf)
     for plant, n_points in ((dataclasses.replace(boeing, A=A), 100), (boeing, 101)):
         res = sweep(plant, named, n_points)
         assert not res.gram_cached
-        factor = gram_cache.get(plant, n_points)
-        assert all(map(np.array_equal, factor, _grid_gram(plant, n_points)))
-    assert (gram_cache.misses - misses, len(gram_cache)) == (3, 3)
+        omegas = default_grid(n_points)
+        for start in (0, 64):
+            factor = gram_cache.get(plant, (n_points, start))
+            fresh = _gram_inv_half(plant, omegas[start : start + 64])
+            assert all(map(np.array_equal, factor, fresh))
+    assert (gram_cache.misses - misses, len(gram_cache)) == (6, 6)
     assert sweep(boeing, named, 100).gram_cached
+    # gram_cached says that every block hit: one kept block of two is not
+    gram_cache.clear()
+    gram_cache.get(boeing, (100, 64))
+    assert not sweep(boeing, named, 100).gram_cached
 
 
 def test_gram_cache_holds_read_only_factors(boeing, boeing_loops):
     gram_cache.clear()
     sweep(boeing, {"h2": boeing_loops["h2"]}, 65)
-    [factor] = gram_cache.values()
-    for a in factor:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = a.flat[0]
-    # ok at every point, N^{-1/2} and the null space at those flagged
-    assert factor.ok.shape == (65,) and factor.inv_half.shape == (65, 4, 4)
+    blocks = gram_cache.values()
+    for factor in blocks:
+        for a in factor:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+    # per block: ok at each point, N^{-1/2} and the null space at those flagged
+    assert [[a.shape for a in factor] for factor in blocks] == [
+        [(64,), (64, 4, 4), (64, 4, 4)], [(1,), (1, 4, 4), (1, 4, 4)]
+    ]
 
 
-def test_gram_cache_keeps_no_grid_over_its_bound(boeing, boeing_loops, monkeypatch):
-    # an entry over the bound is solved and not kept; a grid whose factor
-    # could exceed it (N nonzero at every point) does not ask the cache
+def test_gram_cache_keeps_no_block_over_its_bound(boeing, boeing_loops, monkeypatch):
+    # a block whose entry is over the bound is solved and not kept, the
+    # sweep keeping the bits of one whose blocks were all kept
     named = {k: v for k, v in boeing_loops.items() if k != "zero"}
     gram_cache.clear()
-    kept = sweep(boeing, named, 130)
-    entry = gram_cache.held_bytes
-    for bound, asked in ((entry - 1, 1), (entry // 2, 0)):
-        monkeypatch.setattr(gram_cache, "max_bytes", bound)
-        gram_cache.clear()
-        hits, misses = gram_cache.hits, gram_cache.misses
-        for _ in range(2):
-            res = sweep(boeing, named, 130)
-            assert not res.gram_cached
-            assert_sweeps_equal(res, kept)
-            assert len(gram_cache) == gram_cache.held_bytes == 0
-        assert (gram_cache.hits - hits, gram_cache.misses - misses) == (0, 2 * asked)
+    sweep(boeing, named, 64)
+    full = gram_cache.held_bytes  # the entry of one 64-point block
+    gram_cache.clear()
+    kept = sweep(boeing, named, 130)  # blocks of 64, 64 and 2 points
+    assert len(gram_cache) == 3
+    monkeypatch.setattr(gram_cache, "max_bytes", full - 1)
+    gram_cache.clear()
+    hits, misses = gram_cache.hits, gram_cache.misses
+    for _ in range(2):
+        res = sweep(boeing, named, 130)
+        assert not res.gram_cached
+        assert_sweeps_equal(res, kept)
+        assert len(gram_cache) == 1 and gram_cache.held_bytes < full  # the 2-point block
+    assert (gram_cache.hits - hits, gram_cache.misses - misses) == (1, 5)
 
 
 @pytest.mark.parametrize("n_points", PARITY_POINTS)

@@ -548,10 +548,23 @@ def _rollout_cases(boeing, rng):
     cases["boeing-offline"] = (boeing, OfflineController())
     cases["ltv-zero"] = (ltv, ZeroController(m=2))
     cases["ltv-offline"] = (ltv, OfflineController())
+    # 1-state plants, whose records start with zero rows: x_t and u_t are
+    # +0.0 there, where a 1x1 dot's product with a negative gain is -0.0
+    for k, scalar in enumerate((scalar_lti(a=-0.5), scalar_lti(a=0.5, bu=-1.0, bw=-1.0))):
+        for c in ("causal", "strictly-causal"):
+            cases[f"scalar{k}-h2-{c}"] = (scalar, synth_h2_ih(scalar, c))
+            cases[f"scalar{k}-hinf-{c}"] = (scalar, synth_hinf(scalar, 5.0, c))
+            cases[f"scalar{k}-hinf-fh-{c}"] = (scalar, synth_hinf(scalar, 5.0, c, horizon=T))
+            cases[f"scalar{k}-competitive-{c}"] = (scalar, synth_competitive(scalar, 2.0, c))
+        cases[f"scalar{k}-competitive-fh"] = (scalar, synth_competitive(scalar, 2.0, horizon=T))
+        cases[f"scalar{k}-offline"] = (scalar, OfflineController())
     out = {}
     for name, (plant, ctrl) in cases.items():
         assert not isinstance(ctrl, Infeasible), name
-        out[name] = (plant, ctrl, generate(white, T, plant.p, seed=len(out)))
+        w = generate(white, T, plant.p, seed=len(out))
+        if name.startswith("scalar"):
+            w[:4] = 0.0
+        out[name] = (plant, ctrl, w)
     return out
 
 
