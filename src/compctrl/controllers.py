@@ -7,20 +7,15 @@ causal (one-step-delayed) where that distinction makes sense:
 * ``hinf``: disturbance attenuation at a fixed level gamma, finite or
   infinite horizon (:func:`synth_hinf`);
 * ``competitive``: ratio-optimal control, the ``hinf`` machinery run on the
-  synthetic plant of :mod:`compctrl.factorization`, its law folded once
-  into a :class:`Realization` (:func:`synth_competitive`);
+  synthetic plant of :mod:`compctrl.factorization` (:func:`synth_competitive`);
 * ``offline``: the clairvoyant minimizer itself, batch only
   (:func:`offline_optimal`).
 
-Synthesis returns either a controller or an :class:`Infeasible` verdict (a
-plain value with a reason code), never an exception, for every
-gamma-dependent failure.  ``hinf`` and ``competitive`` are posed once
-(:func:`_pose`: the causality and horizon checked, the synthetic plant
-taken from :data:`synthetic_cache`), then a verdict (:func:`_attenuation`,
-the existence test, which keeps the Riccati solve it passed) is mapped to
-its controller (:func:`_controller`).  A gamma search
-(:mod:`compctrl.search`) poses once, takes verdicts at many levels and
-builds one controller.
+Synthesis returns a controller or an :class:`Infeasible` verdict, never an
+exception, for every gamma-dependent failure: a problem is posed once
+(:func:`_pose`), and a verdict at a level (:func:`_attenuation`) maps to its
+controller (:func:`_controller`).  Every online controller steps by its
+:data:`Law`, bound to a record (``bind``) or to one w_t (``step``).
 """
 
 from __future__ import annotations
@@ -92,14 +87,13 @@ class ControllerState:
     z: Optional[np.ndarray] = None
 
 
-#: A controller's step law bound to a disturbance record (``bind(w, t0)``
-#: of every online controller, row 0 of w being step t0): ``law(t, x_t, z_t)``
-#: returns (u_t, z_{t+1}, w'_t) for a step t of the record, z being the
-#: internal state of :class:`ControllerState` (None, and w'_t None, for a
-#: memoryless law).  Binding takes each product with w (K_w w_t, D_z w_t,
-#: B_filter w_t) for every row at once, by
-#: :func:`~compctrl.model.rowwise`; a step then pays only the products with
-#: x_t and z_t.  The rollouts bind it once per record and call it per step.
+#: A controller's step law bound to a disturbance record (``bind(w, t0)``,
+#: row 0 of w being step t0): ``law(t, x_t, z_t)`` returns (u_t, z_{t+1},
+#: w'_t), z being the state of :class:`ControllerState` (None, and w'_t None,
+#: for a law without a filter).  Binding takes each product with w (K_w w_t,
+#: D_z w_t, B_filter w_t) for every row at once, by
+#: :func:`~compctrl.model.rowwise`, so a step pays only those with x_t and
+#: z_t.  A rollout binds once per record; :meth:`_Online.step`, per step.
 Law = Callable[[int, np.ndarray, Optional[np.ndarray]], tuple]
 
 
@@ -115,16 +109,20 @@ class _Online:
     def make_state(self) -> ControllerState:
         return ControllerState()
 
-    def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
-        """u_t at state x_t and disturbance w_t; advances ``state``.
+    def wprime(self, state: ControllerState) -> Optional[np.ndarray]:
+        """w'_t before the step from ``state``: None, a law without a filter."""
+        return None
 
-        The controller's :data:`Law` bound to the one row w_t.  A step past a
-        finite horizon raises IndexError, and a w_t whose length is not the
-        controller's p raises ValueError; neither changes ``state``.
-        """
+    def step(self, state: ControllerState, x_t, w_t) -> np.ndarray:
+        """u_t at state x_t and disturbance w_t by the :data:`Law` bound to
+        the one row w_t; advances ``state``.  A step past a finite horizon
+        raises IndexError; a missing w_t, or one whose length is not the
+        controller's p, raises ValueError; none changes ``state``."""
         t = state.t
         if self.horizon is not None and t >= self.horizon:
             raise IndexError(f"controller stepped past its horizon T={self.horizon}")
+        if w_t is None:
+            raise ValueError("step needs w_t")
         w_t = np.asarray(w_t, dtype=float).reshape(-1)
         p = self.dims.get("p", w_t.size)
         if w_t.size != p:
@@ -158,15 +156,13 @@ class StateFeedbackController(_Online):
         return {"n": n, "m": m, "p": p}
 
     def bind(self, w: np.ndarray, t0: int = 0) -> Law:
-        """The :data:`Law` on the record w (row 0 is step t0):
-        u_t = -Kx x_t - Kw w_t, no filter.
+        """The :data:`Law` u_t = -Kx x_t - Kw w_t on the record w (row 0 is
+        step t0).
 
-        -Kw w_t is taken for every row once, at binding, so a step is
-        (-Kw w_t) - Kx x_t: one product and one subtraction, and the bits of
-        -(Kx x_t) - Kw w_t, as IEEE negation is exact and addition
-        commutes.  Negating Kx instead would change the sign of a zero u_t
-        (-(Kx 0) is -0.0, (-Kx) 0 is +0.0).  The product is taken by
-        :func:`~compctrl.model._lone_dot`.
+        Negated offsets: -Kw w_t is taken for every row at binding, so a
+        step is (-Kw w_t) - Kx x_t, the bits of -(Kx x_t) - Kw w_t, as IEEE
+        negation is exact and addition commutes.  Negating Kx instead would
+        flip the sign of a zero u_t (-(Kx 0) is -0.0, (-Kx) 0 is +0.0).
         """
         dot = _lone_dot(self.Kx.shape[-1])
         if self.horizon is None:
@@ -191,13 +187,12 @@ class CompetitiveController(_Online):
     """Ratio-optimal controller: attenuation law on the synthetic plant.
 
     ``synthetic``, ``Kxi`` and ``Kwp`` are the law as synthesized (and
-    serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the state xi_hat
-    and disturbance w_hat of ``synthetic.as_plant()``, whose horizon is the
-    controller's.  Stepping reads :attr:`realization`, the same law on the
-    measured state x and the filter state z = nu, folded once
+    serialized): u_t = -(Kxi xi_hat_t + Kwp w_hat_t) on the plant
+    ``synthetic.as_plant()``.  Stepping reads :attr:`realization`, the same
+    law on the measured state x and the filter state z = nu
     (:meth:`SyntheticSystem.fold`).  The strictly causal variant has
-    Kwp = 0, so u_t never reads w_t.  At the final step of a finite horizon
-    u_{T-1} = 0 and nothing advances.
+    Kwp = 0; at the final step of a finite horizon u_{T-1} = 0 and nothing
+    advances.
     """
 
     kind: str  # "competitive"
@@ -711,12 +706,10 @@ synthetic_cache = PlantCache(lambda plant, T: build_synthetic(_normalize_horizon
 
 
 def _clairvoyant_law(plants, w: np.ndarray, t0: int = 0) -> list:
-    """The clairvoyant policy u_t = -K_t x_t - h_t of each plant as a
-    :data:`Law` on the record w (row 0 is step t0) over the horizon
-    t0 + len(w): K from :data:`schedule_cache`, h from one
-    :func:`_affine_pass` over w with one lane per schedule, so equal plants
-    share a law (the steps before t0 never read their offsets).  Each x0
-    must be 0."""
+    """The clairvoyant policy of each plant (:func:`_policy`) on the record
+    w (row 0 is step t0) over the horizon t0 + len(w): K from
+    :data:`schedule_cache`, h from one :func:`_affine_pass` over w with one
+    lane per schedule, so equal plants share a law.  Each x0 must be 0."""
     if any(np.any(p.x0 != 0.0) for p in plants):
         raise ValueError("offline optimal requires x0 = 0")
     held = [schedule_cache.get(p, t0 + len(w)) for p in plants]
@@ -727,12 +720,8 @@ def _clairvoyant_law(plants, w: np.ndarray, t0: int = 0) -> list:
 
 
 def _policy(K: np.ndarray, h: np.ndarray, t0: int) -> Law:
-    """The :data:`Law` u_t = -K_t x_t - h_t, row 0 of K and h being step t0.
-
-    The offsets are negated once, here, so a step is (-h_t) - K_t x_t, the
-    bits of -(K_t x_t) - h_t, its product taken by ``_lone_dot`` (see
-    :meth:`StateFeedbackController.bind`).
-    """
+    """The :data:`Law` u_t = -K_t x_t - h_t, row 0 of K and h being step
+    t0, its offsets negated (:meth:`StateFeedbackController.bind`)."""
     nh, dot = -h, _lone_dot(K.shape[-1])
 
     def law(t, x, z):
@@ -763,14 +752,12 @@ def _cost_of_controls(plant, u: np.ndarray, w: np.ndarray) -> float:
 def offline_optimal(
     plant, w: np.ndarray, method: Optional[str] = None
 ) -> tuple[np.ndarray, float]:
-    """Clairvoyant optimal controls and cost for a known disturbance.
+    """Clairvoyant optimal controls and cost (u_star (T, m), OPT) for a
+    known disturbance, on an :class:`LtiPlant` over T = len(w) or an
+    :class:`LtvPlant` of horizon T.
 
-    ``plant`` is an :class:`LtiPlant` over T = len(w) or an :class:`LtvPlant`
-    of horizon T.  Returns (u_star of shape (T, m), OPT) from the affine
-    backward Riccati sweep at every horizon, O(T n^3): the stacked Gram
-    matrix is block-banded in causal order, which the sweep factorizes
-    implicitly.  The forward pass steps :func:`_clairvoyant_law` against
-    ``plant.advance``, OPT taken from the step costs after it.
+    By default the forward pass of :func:`_clairvoyant_law` (an affine
+    backward Riccati sweep, O(T n^3)) against ``plant.advance``.
     ``method="dense"`` solves the stacked normal equations
     u* = -(I + F'F)^{-1} F'G w, OPT = w'G'(I + FF')^{-1}G w, O((T n)^3), as
     the independent oracle of ``compctrl verify`` and the cross-route tests.

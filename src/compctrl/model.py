@@ -21,14 +21,12 @@ runs on each matrix of a stack the LAPACK routine, or the matrix-vector
 kernel, that a lone matrix gets, so each entry of a stacked result equals
 the lone call's, bit for bit.  (A block product ``v @ M.T`` runs a
 matrix-matrix kernel instead, which need not: :func:`rowwise` is the
-stacked form.)  A lone per-step product of a rollout is taken by
-``np.ndarray.dot``: it runs the gemv that ``M @ v`` and a row of a stacked
-matmul also run (ddot for x'x), with the same bits, at about half the call
-cost of the matmul ufunc.  On a 1-state plant ``dot`` takes a 1x1 factor for
-a scalar, whose product with +0.0 can be -0.0 where gemv's is +0.0, so there
-the product is ``np.matmul``: :func:`_lone_dot` of the plant's n, chosen
-once per bind, never per step.  Stacks keep ``@``, as ``ndarray.dot`` of
-N-D arrays is another product.
+stacked form.)  A lone per-step product is ``np.ndarray.dot``, the gemv
+that ``M @ v`` and a row of a stacked matmul run (ddot for x'x), the same
+bits at about half the call cost; on a 1-state plant ``dot`` takes the 1x1
+factor for a scalar, whose product with +0.0 can be -0.0 where gemv's is
+not, so there it is ``np.matmul`` (:func:`_lone_dot`, chosen once per
+bind).  Stacks keep ``@``: ``ndarray.dot`` of N-D arrays is another product.
 """
 
 from __future__ import annotations

@@ -86,9 +86,8 @@ def _euler(theta, omega, torque, k1, k2, dt) -> np.ndarray:
 
 
 def pendulum_step(params: PendulumParams, x, u, w) -> np.ndarray:
-    """One forward-Euler step of the nonlinear dynamics; ``u`` and ``w`` are
-    length-1 sequences (arrays or lists).  The coefficients are computed at
-    each call; a rollout computes them once (:func:`_simulate`)."""
+    """One forward-Euler step of the nonlinear dynamics (:func:`_euler`);
+    ``u`` and ``w`` are length-1 sequences."""
     return _euler(float(x[0]), float(x[1]), float(u[0]) + float(w[0]), *_coefficients(params))
 
 
@@ -147,33 +146,22 @@ class MpcInfeasibleError(_StopRollout):
     status = "infeasible-linearization"
 
 
-#: w'_t of a bin whose law has no filter (read-only, shared by every step)
-_NO_WPRIME = np.zeros(2)
-_NO_WPRIME.flags.writeable = False
-
-
 class RelinearizingController:
     """Gain-scheduled controller: re-synthesized per quantized-angle bin.
 
-    ``kind`` is "competitive", "hinf", or "h2".  For the gamma-gated kinds
-    the level is resolved at construction from the linearization about
-    ``theta_init`` (bisection optimum times ``gamma_policy["margin"]``, or an
-    explicit ``gamma_policy["fixed"]`` level; another key is refused) and then
-    held fixed for every bin: a bin infeasible at it ends a run with status
-    "infeasible-linearization" rather than retuning.  Each bin's controller
-    is cached; each bin is synthesized from its own linearization alone, so
-    the cache is independent of the order in which bins are visited; the bin
-    width ``quantum`` must be finite and > 0.  Every bin's ratio-optimal
-    controller reads the measured state and steps the same filter state
-    z = nu through its own :class:`~compctrl.factorization.Realization`, so
-    the filter state persists across relinearizations.  After ``reset(w)``
-    the steps read the record w: each bin's law is bound to the tail of w
-    at the bin's first visit, and :meth:`step` needs no w; after ``reset()``
-    each step binds the law to its own w.
-    ``bins_synthesized`` counts the bins synthesized so far, the initial one
-    included; ``bin_cache_hits`` counts the steps whose bin was cached;
-    ``synth_s`` is the wall time spent in the level search and in the
-    synthesis of every bin, in seconds.
+    ``kind`` is "competitive", "hinf", or "h2".  A gamma-gated kind holds
+    one level for every bin, resolved at construction from the linearization
+    about ``theta_init``: ``gamma_policy["fixed"]``, or else the bisection
+    optimum times ``gamma_policy["margin"]`` (no other key); a bin
+    infeasible at it ends a run with status "infeasible-linearization".
+    Each bin's controller is synthesized from its own linearization and
+    cached, independent of the visit order; ``quantum``, the bin width, must
+    be finite and > 0.  Every bin steps the one filter state z = nu.  After
+    ``reset(w)`` :meth:`step` reads w_t from the record w and refuses a
+    given one; after ``reset()`` it must be given w_t.  ``bins_synthesized``
+    counts the bins synthesized, the initial one included;
+    ``bin_cache_hits`` the steps whose bin was cached; ``synth_s`` the
+    seconds spent in the level search and in synthesis.
     """
 
     def __init__(
@@ -236,10 +224,12 @@ class RelinearizingController:
         return synth(plant, self.gamma, causality=self.causality)
 
     def reset(self, w: Optional[np.ndarray] = None) -> None:
-        """Restart at step 0 with z = nu = 0; the coming steps read the
-        (T, 1) record ``w`` when it is given."""
+        """Restart at step 0 with z = nu = 0 and no w'.  Given the (T, 1)
+        record ``w``, each bin's law is bound to the record's tail from the
+        step of the bin's first visit, once per reset, and a step reads no
+        row of w."""
         self._state = ControllerState(z=np.zeros(2))  # z = nu
-        self.last_wprime = _NO_WPRIME
+        self.last_wprime = None
         self._record = w
         self._bound: dict = {}  # bin -> its law bound to the record's tail
 
@@ -266,35 +256,35 @@ class RelinearizingController:
         return ctrl
 
     def step(self, x, w=None) -> np.ndarray:
-        """u_t at the state x; ``w`` is w_t, read only after ``reset()``
-        without a record.  w'_t is left in ``last_wprime``."""
+        """u_t at the state x, leaving w'_t (None without a filter) in
+        ``last_wprime``: the bin controller's shared ``step`` on w_t = ``w``,
+        or, after ``reset(w)``, the bin's bound law, a given ``w`` refused.
+        A refused step changes neither the state nor ``last_wprime``."""
+        if w is not None and self._record is not None:
+            raise ValueError("step takes no w_t: reset(w) bound a record")
         b = _bin(x[0], self.quantum)
         state = self._state
-        law = self._bound.get(b)
-        if law is not None:
-            self.bin_cache_hits += 1
-        elif self._record is None:
-            if w is None:
-                raise ValueError("step needs w_t: reset() bound no record")
-            law = self._controller(b).bind(np.reshape(w, (1, -1)), state.t)
+        if self._record is None:
+            ctrl = self._controller(b)
+            wprime, u = ctrl.wprime(state), ctrl.step(state, x, w)  # w'_t before the step
         else:
-            law = self._bound[b] = self._controller(b).bind(self._record[state.t :], state.t)
-        u, state.z, wprime = law(state.t, x, state.z)
-        state.t += 1
-        self.last_wprime = _NO_WPRIME if wprime is None else wprime
+            law = self._bound.get(b)
+            if law is not None:
+                self.bin_cache_hits += 1
+            else:
+                law = self._bound[b] = self._controller(b).bind(self._record[state.t :], state.t)
+            u, state.z, wprime = law(state.t, x, state.z)
+            state.t += 1
+        self.last_wprime = wprime
         return u
 
 
 def _simulate(params, law, w, x0, dynamics, theta_lin=0.0) -> RolloutResult:
     """Roll the :data:`~compctrl.controllers.Law` ``law`` against the
-    pendulum, with unit cost weights.
-
-    ``w`` is a (T, 1) record (:func:`_disturbance_column`); ``dynamics`` is
-    "nonlinear" or "linear" (the linearization about theta_lin).  The
-    nonlinear step's coefficients (:func:`_coefficients`) and the record, as
-    Python floats, are bound once per run; a step reads x_t and u_t as
-    floats and does :func:`pendulum_step`'s float operations.
-    """
+    pendulum over the (T, 1) record ``w``, with unit cost weights.
+    ``dynamics`` is "nonlinear" (:func:`_euler`, its coefficients and the
+    record taken as floats once per run) or "linear" (the linearization
+    about theta_lin)."""
     if dynamics not in ("nonlinear", "linear"):
         raise ValueError("dynamics must be 'nonlinear' or 'linear'")
     if dynamics == "linear":
@@ -326,22 +316,16 @@ def run_pendulum(
     x0=(0.0, 0.0),
     dynamics: str = "nonlinear",
 ) -> RolloutResult:
-    """Roll the gain-scheduled controller against the pendulum.
-
-    The controller is reset to the record w, so each bin's law is bound to
-    it once, at the bin's first visit, and a step reads no row of w.  Only
-    a controller with a filter (kind "competitive") gives the loop its w';
-    the other kinds leave the rows of ``wprime`` at 0.
-    """
+    """Roll the gain-scheduled controller, reset to the record w
+    (:meth:`RelinearizingController.reset`), against the pendulum."""
     w = _disturbance_column(w)
     controller.reset(w)
-    step, filtered = controller.step, controller.kind == "competitive"
+    step = controller.step
 
     def law(t, x, z):
-        return step(x), z, controller.last_wprime if filtered else None
+        return step(x), z, controller.last_wprime
 
-    theta_lin = controller._bin_init * controller.quantum
-    return _simulate(params, law, w, x0, dynamics, theta_lin)
+    return _simulate(params, law, w, x0, dynamics, controller._bin_init * controller.quantum)
 
 
 def clairvoyant_comparator_run(
@@ -354,18 +338,15 @@ def clairvoyant_comparator_run(
     """Roll the receding-horizon clairvoyant comparator on the record ``w``
     ((T,) or (T, 1)); ``quantum`` must be finite and > 0.
 
-    Each step applies the first move of the clairvoyant law
-    (:func:`~compctrl.controllers.offline_optimal`'s policy) for the
-    linearization of the current bin, given the rest of the record.  A bin's
-    first visit binds that bin together with every not-yet-bound bin in the
-    contiguous run of neighbours whose schedules the schedule cache holds,
-    as lanes of one stacked pass.  While theta moves less than a bin per
-    step, the record reaches no bin beyond that run without first visiting
-    an uncached bin, which starts the next group: a warm cache binds a
-    record's bins in one pass, a cold one in one pass per bin.  Bins can
+    Each step applies the clairvoyant law of the current bin's
+    linearization (:func:`~compctrl.controllers._clairvoyant_law`), bound to
+    the rest of the record at the bin's first visit together with every
+    unbound bin in the contiguous run of neighbours whose schedules the
+    schedule cache holds, as lanes of one stacked pass: a warm cache binds
+    a record's bins in one pass, a cold one in one pass per bin.  Bins can
     share a linearization (it reads theta through cos alone), so each side
-    of the run is cut after as many bins as the cache holds schedules.  What
-    the cache holds never changes a run.
+    of the run stops after as many bins as the cache holds.  What the cache
+    holds never changes a run.
     """
     w = _disturbance_column(w)
     quantum = _check_quantum(quantum)

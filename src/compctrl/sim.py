@@ -6,11 +6,8 @@ and weighted mixtures of these).  Random kinds draw from the counter-based
 Philox generator so that runs are reproducible bit-for-bit from a seed and
 mixture components get independent streams via jumps.
 
-Rollouts step a controller against a plant for a disturbance realization,
-recording states, controls, per-step and cumulative costs, and (for
-ratio-optimal controllers) the internal filtered disturbance w'
-(:func:`rollout`).  A state norm above 1e6 ends the run with status
-"diverged" instead of raising.
+Rollouts (:func:`rollout`) step a controller against a plant through one
+loop, :func:`_rollout_loop`, recording states, controls, costs and w'.
 
 Trace CSVs are written atomically (temp file + rename) with %.17g floats and
 LF line endings so repeated runs are byte-identical.
@@ -171,10 +168,8 @@ class RolloutResult:
     """One closed-loop trajectory with per-step cost bookkeeping.
 
     ``x`` has ``steps_completed + 1`` rows (the terminal state is recorded
-    but never weighted); all other arrays have ``steps_completed`` rows.
-    ``wprime`` holds the filtered disturbance w'_t = M_filter nu_t of a
-    ratio-optimal controller's realization, row t being the value before
-    w_t is absorbed (zeros for every other controller).
+    but never weighted); all other arrays have ``steps_completed`` rows;
+    ``wprime`` holds the law's w'_t (:func:`_rollout_loop`).
     """
 
     w: np.ndarray
@@ -195,19 +190,17 @@ class _StopRollout(RuntimeError):
 
 
 def _rollout_loop(w, x0, m, Q, law, advance, z=None) -> RolloutResult:
-    """The loop of every rollout.
+    """The loop of every rollout: per step, only the recursion.
 
-    Per step, only the recursion: the :data:`~compctrl.controllers.Law`
-    ``law(t, x_t, z_t)`` gives (u_t, z_{t+1}, w'_t), z_0 = ``z``;
-    ``advance(t, x_t, u_t)`` gives x_{t+1}; a state whose x'x is not at most
-    ``DIVERGENCE_NORM`` squared (NaN included) or a :class:`_StopRollout`
-    from the law ends the run, and the arrays keep the steps completed.
-    With no square root per step, this decides as sqrt(x'x) <=
-    ``DIVERGENCE_NORM`` would: sqrt is correctly rounded and 1e6 squared is
-    exact.  x'x is taken by ``dot`` (:mod:`compctrl.model`, "Stacks").  The
-    step costs x_t'Q_t x_t + u_t'u_t, ``Q`` being one (n, n) weight or a
-    (T, n, n) stack, their running sum and the total are computed once,
-    after the loop, by :func:`~compctrl.model.step_costs`.
+    The :data:`~compctrl.controllers.Law` ``law(t, x_t, z_t)`` gives (u_t,
+    z_{t+1}, w'_t), z_0 = ``z``; row t of ``wprime`` is w'_t, or 0 where the
+    law gives None.  ``advance(t, x_t, u_t)`` gives x_{t+1}.  A
+    :class:`_StopRollout` from the law, or a state whose x'x (by ``dot``) is
+    not at most ``DIVERGENCE_NORM`` squared, NaN included, ends the run with
+    the steps completed: sqrt is correctly rounded and 1e6 squared is exact,
+    so this decides as ||x|| <= 1e6 would.  The step costs (``Q`` one (n, n)
+    weight or a (T, n, n) stack) come after the loop, from
+    :func:`~compctrl.model.step_costs`.
     """
     T, n = w.shape[0], x0.shape[0]
     x = np.zeros((T + 1, n))
@@ -260,15 +253,12 @@ def _check_fits(plant, controller, T: int) -> None:
 
 
 def rollout(plant, controller, w: np.ndarray) -> RolloutResult:
-    """Simulate the closed loop over the disturbance w (shape (T, p)).
-
-    ``plant`` is an LtiPlant over T = len(w) or an LtvPlant of horizon T,
-    and steps itself (``plant.advance``).  The controller's
-    :data:`~compctrl.controllers.Law` is bound to w once.  An
-    :class:`~compctrl.controllers.OfflineController` binds the clairvoyant
-    law: its run is :func:`~compctrl.controllers.offline_optimal`'s forward
-    pass, the same bits.  A controller made for another n, m, p or horizon
-    raises ValueError naming it, before the first step.
+    """Simulate the closed loop over the disturbance w (shape (T, p)) on an
+    LtiPlant over T = len(w) or an LtvPlant of horizon T, the controller's
+    :data:`~compctrl.controllers.Law` bound to w (for an
+    :class:`~compctrl.controllers.OfflineController`, the clairvoyant law).
+    A controller made for another n, m, p or horizon raises ValueError
+    naming it, before the first step.
     """
     w = _disturbance_record(plant, w)
     _check_fits(plant, controller, len(w))
@@ -314,13 +304,9 @@ def cost_ratio(alg: float, opt: float) -> Union[float, str]:
 
 
 def compare(plant, named_controllers, w: np.ndarray) -> ComparisonResult:
-    """Roll out each named controller on the same disturbance and rank costs.
-
-    ``named_controllers`` is a sequence of (name, controller) pairs or a
-    dict; ``plant`` is taken as given, as by :func:`rollout`.  The
-    clairvoyant optimum is computed once from the same plant and
-    disturbance; each rollout checks its controller against the plant.
-    """
+    """Roll out each named controller ((name, controller) pairs or a dict)
+    by :func:`rollout` on the same plant and disturbance, with its ratio to
+    the clairvoyant optimum, computed once."""
     items = list(named_controllers.items() if isinstance(named_controllers, dict)
                  else named_controllers)
     start = time.perf_counter()

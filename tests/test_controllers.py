@@ -139,6 +139,24 @@ def test_fixed_level_synthesis_validates_its_arguments_in_order(synth, rng):
         synth("plant", np.array([3.0, 4.0]))
 
 
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_a_converged_fixed_point_that_fails_acceptance_is_infeasible(causality):
+    # x_1 is unstable, uncontrollable and unweighted: value iteration leaves
+    # it at P = 0 and converges, but the closed loop keeps its eigenvalue 2,
+    # so the verdict is the acceptance check's, before any strictly causal test
+    from compctrl.model import LtiPlant
+
+    plant = LtiPlant(A=np.diag([2.0, 0.5]), Bu=np.array([[0.0], [1.0]]),
+                     Bw=np.array([[0.0], [1.0]]), Q=np.diag([0.0, 1.0]),
+                     R_half=np.eye(1), x0=np.zeros(2))
+    res = synth_hinf(plant, 10.0, causality=causality)
+    assert isinstance(res, Infeasible)
+    assert res.reason == "condition-violated"
+    assert res.details["closed_loop_radius"] == 2.0
+    assert res.details["inertia_match"] and res.details["psd"]
+    assert "strict_w_channel_ok" not in res.details
+
+
 def test_hinf_feasibility_bracket(rng):
     plant = random_lti(rng, n=3, m=1, p=1)
     found = min_gamma_hinf(plant, audit=False)
@@ -803,6 +821,31 @@ def test_every_online_controller_rejects_a_disturbance_of_another_length(rng):
         u, state = control_step(zero, state, np.zeros(3), w_t)
         assert np.array_equal(u, np.zeros(1))
     assert state.t == 3
+
+
+@pytest.mark.parametrize("kind", ["h2", "hinf", "competitive", "zero"])
+def test_every_online_step_refuses_a_missing_disturbance(kind, rng):
+    # np.asarray(None, dtype=float) is NaN: unrefused, a missing w_t would
+    # step as a NaN disturbance and return u = [nan] (u = 0 for the zero
+    # baseline, which reads no w_t but is refused the same way)
+    plant = random_lti(rng, n=3, m=1, p=4)
+    ctrl = {"h2": lambda: synth_h2_ih(plant), "hinf": lambda: synth_hinf(plant, 50.0),
+            "competitive": lambda: synth_competitive(plant, 6.0),
+            "zero": lambda: ZeroController(m=1)}[kind]()
+    assert not isinstance(ctrl, Infeasible)
+    state = ctrl.make_state()
+    control_step(ctrl, state, rng.standard_normal(3), rng.standard_normal(4))
+
+    def snapshot():  # t, z and w' as plain values
+        return state.t, *(None if a is None else a.tolist() for a in (state.z, ctrl.wprime(state)))
+
+    before = snapshot()
+    for step in (lambda: control_step(ctrl, state, np.ones(3), None),
+                 lambda: ctrl.step(state, np.ones(3), None)):
+        with pytest.raises(ValueError, match="^step needs w_t$"):
+            step()
+        assert snapshot() == before
+    assert (before[2] is None) == (kind != "competitive")
 
 
 def test_zero_controller_outputs_zero(rng):

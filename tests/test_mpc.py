@@ -204,6 +204,30 @@ def test_first_bin_failure_is_an_infeasible_linearization():
         )
 
 
+def test_a_level_search_without_a_feasible_level_fails_the_first_bin():
+    # at theta = pi/2 the input channel is cos(pi/2) dt, about 6e-20: the
+    # H-infinity search finds no level, and says why
+    with pytest.raises(MpcInfeasibleError, match="^initial linearization: unbounded-gamma$"):
+        RelinearizingController(
+            PendulumParams(), kind="hinf", quantum=math.pi / 2, theta_init=math.pi / 2
+        )
+
+
+def test_a_bin_whose_synthesis_raises_ends_the_run():
+    # x0 = 1.0 lies in bin 1, theta = pi/2, whose linearization LQR refuses
+    # as unstabilizable: the run ends there, at step 0, and a step names the bin
+    params = PendulumParams()
+    ctrl = RelinearizingController(params, kind="h2", quantum=math.pi / 2)
+    res = run_pendulum(params, ctrl, np.zeros((5, 1)), x0=(1.0, 0.0))
+    assert res.status == "infeasible-linearization"
+    assert res.steps_completed == 0
+    ctrl.reset(np.zeros((5, 1)))
+    with pytest.raises(MpcInfeasibleError,
+                       match=r"^bin 1: precondition failed: \(A, B_u\) not stabilizable$"):
+        ctrl.step(np.array([1.0, 0.0]))
+    assert ctrl.bins_synthesized == 1  # the initial bin alone
+
+
 def test_bad_arguments_are_argument_errors():
     # not a bin's failure, so not an MpcInfeasibleError
     with pytest.raises(ValueError, match="causality"):
@@ -280,7 +304,8 @@ def test_competitive_rollout_logs_wprime():
 @pytest.mark.parametrize("kind", ["competitive", "h2", "hinf"])
 def test_run_pendulum_is_bit_identical_to_stepping(kind):
     # run_pendulum calls each bin's bound law: the same bits, and the same
-    # bin counters, as a loop over the public step
+    # bin counters, as a loop over the public step; a law without a filter
+    # leaves no w' (None), which the rollout logs as a row of zeros
     params = PendulumParams()
     policy = {"competitive": {"fixed": 3.8}, "hinf": {"fixed": 5.0}}.get(kind)
     w = generate(DisturbanceSpec("step", {"levels": [1.5, -1.5], "switch_times": [150]}),
@@ -298,7 +323,8 @@ def test_run_pendulum_is_bit_identical_to_stepping(kind):
     xs, us, wps, costs, cums = [x], [], [], [], []
     for t in range(300):
         u = stepped.step(x, w[t])
-        wps.append(stepped.last_wprime)
+        assert (stepped.last_wprime is None) == (kind != "competitive")
+        wps.append(np.zeros(2) if stepped.last_wprime is None else stepped.last_wprime)
         cost = float(x @ np.eye(2) @ x + u @ u)
         running += cost
         us.append(u)
@@ -504,6 +530,47 @@ def test_a_step_reads_the_bound_record():
     given.reset()
     with pytest.raises(ValueError, match="needs w_t"):
         given.step(x)
+
+
+def test_a_refused_step_changes_neither_the_state_nor_last_wprime():
+    # a live step is the bin controller's shared step, which refuses a
+    # missing w_t and one of the wrong length by name; after reset(w) a
+    # step reads the record and refuses a given w_t instead of dropping it
+    params = PendulumParams()
+    w = generate(DisturbanceSpec("white-gaussian", {"sigma": 1.0}), 5, 1, seed=2)
+    x = np.array([0.01, -0.02])
+
+    def make():
+        return RelinearizingController(
+            params, kind="competitive", gamma_policy={"fixed": 3.8}, quantum=0.05)
+
+    ctrl, unrefused = make(), make()
+
+    def snapshot():
+        state = ctrl._state
+        return state.t, state.z.tolist(), ctrl.last_wprime.tolist()
+
+    refusals = {
+        "live": [(None, "^step needs w_t$"),
+                 ([1.0, 2.0], "^disturbance has dimension 2, expected 1$")],
+        "record": [([123.0], r"^step takes no w_t: reset\(w\) bound a record$")],
+    }
+    for mode, refused in refusals.items():
+        record = w if mode == "record" else None
+        ctrl.reset(record)
+        unrefused.reset(record)
+        for t in range(2):  # so that z and w' are nonzero
+            given = None if mode == "record" else w[t]
+            assert np.array_equal(ctrl.step(x, given), unrefused.step(x, given))
+        before = snapshot()
+        assert np.any(before[1]) and np.any(before[2])
+        for w_t, message in refused:
+            with pytest.raises(ValueError, match=message):
+                ctrl.step(x, w_t)
+            assert snapshot() == before
+        given = None if mode == "record" else w[2]
+        assert np.array_equal(ctrl.step(x, given), unrefused.step(x, given))
+        assert np.array_equal(ctrl.last_wprime, unrefused.last_wprime)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

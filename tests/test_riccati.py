@@ -143,6 +143,23 @@ def test_singular_pivot_detected():
     assert fp.reason == "singular-Htilde"
 
 
+def test_a_converged_p_with_a_singular_htilde_is_refused(monkeypatch):
+    # doubling declares convergence before it gates the new sample, so the
+    # acceptance step tests H~ itself.  Q = 1/3 - 1e-9 passes the gate; one
+    # doubling adds a^2 Q / (1 - 3Q) = 1e-9, within the tolerance, and lands
+    # on P = 1/3, where det(R~ + B~'PB~) = 3P - 1 = 0
+    A, Btil, Rtil = np.array([[3e-9]]), np.array([[1.0, 2.0]]), np.diag([1.0, -1.0])
+    Q = np.array([[1.0 / 3.0 - 1e-9]])
+    assert riccati._game_step_test(Rtil + Btil.T @ Q @ Btil, 1, 1)[0] == [None]
+    solves, sda = [], riccati._sda
+    monkeypatch.setattr(riccati, "_sda", lambda *a, **k: solves.append(sda(*a, **k)) or solves[-1])
+    fp = dare_fixed_point(A, Btil, Rtil, Q)
+    [(P, doublings, reason)] = solves
+    assert P is not None and reason is None and doublings == 1  # converged
+    assert not fp.converged and fp.P is None and fp.iterations == 1
+    assert fp.reason == "singular-Htilde"
+
+
 def test_unstabilizable_diverges():
     fp = dare_fixed_point(
         np.array([[2.0]]), np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]])
