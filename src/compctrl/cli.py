@@ -65,7 +65,7 @@ from .model import (
     shifted_solve,
 )
 from .mpc import MpcInfeasibleError, run_scenario, scenario_from_json_dict
-from .riccati import pbh_detectable, pbh_stabilizable, spectral_radius
+from .riccati import TINY, pbh_detectable, pbh_stabilizable, spectral_radius
 from .search import min_gamma_competitive, min_gamma_hinf
 from .sim import (
     DisturbanceSpec,
@@ -340,6 +340,12 @@ def _check(name, value, threshold):
     }
 
 
+def _relative(residual: float, M: np.ndarray) -> float:
+    """A fixed point's residual over max(TINY, ||M||_inf), its solution's
+    scale: an absolute residual reads small on any small solution."""
+    return residual / max(TINY, float(np.abs(M).max()))
+
+
 def run_verification(plant, horizon: int, seed: int) -> dict:
     """Machinery self-checks on one plant; returns a JSON-ready report.
 
@@ -422,6 +428,9 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
         factor = spectral_factor_ih(lti)
         info["whitening_closed_loop_radius"] = spectral_radius(factor.A_whiten)
         info["spectral_factor_residual"] = factor.residual
+        info["spectral_factor_residual_rel"] = _relative(factor.residual, factor.P)
+        checks.append(_check("spectral-factor-relative-residual",
+                             info["spectral_factor_residual_rel"], 1e-9))
         z = np.exp(1j * np.linspace(0.0, np.pi, 64))
 
         def worst(lhs, rhs):  # the largest relative gap over the grid
@@ -440,6 +449,9 @@ def run_verification(plant, horizon: int, seed: int) -> dict:
         if lti.p < lti.n:  # the exact reduction's outer factor: L*L = H*H
             outer = outer_factor_ih(lti, factor)
             info["outer_factor_residual"] = outer.residual
+            info["outer_factor_residual_rel"] = _relative(outer.residual, outer.X)
+            checks.append(_check("outer-factor-relative-residual",
+                                 info["outer_factor_residual_rel"], 1e-9))
             Hz = z[:, None, None] * delta_inv_transfer(lti, factor, z) @ Gz
             Lz = outer.D + outer.C @ shifted_solve(factor.A_whiten, lti.Bw, z)
             LL, HH = (M.conj().swapaxes(-1, -2) @ M for M in (Lz, Hz))

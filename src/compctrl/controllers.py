@@ -103,6 +103,17 @@ def _check_causality(causality: str, prefix: str = "") -> str:
     return causality
 
 
+def _disturbance(w_t, p: Optional[int]) -> np.ndarray:
+    """The w_t of one online step as a 1-D float array; a missing w_t, or
+    one whose length is not p (when p is known), raises ValueError."""
+    if w_t is None:
+        raise ValueError("step needs w_t")
+    w_t = np.asarray(w_t, dtype=float).reshape(-1)
+    if p is not None and w_t.size != p:
+        raise ValueError(f"disturbance has dimension {w_t.size}, expected {p}")
+    return w_t
+
+
 class _Online:
     """What the online controllers share: :meth:`step`, over their ``bind``."""
 
@@ -121,12 +132,7 @@ class _Online:
         t = state.t
         if self.horizon is not None and t >= self.horizon:
             raise IndexError(f"controller stepped past its horizon T={self.horizon}")
-        if w_t is None:
-            raise ValueError("step needs w_t")
-        w_t = np.asarray(w_t, dtype=float).reshape(-1)
-        p = self.dims.get("p", w_t.size)
-        if w_t.size != p:
-            raise ValueError(f"disturbance has dimension {w_t.size}, expected {p}")
+        w_t = _disturbance(w_t, self.dims.get("p"))
         x_t = np.asarray(x_t, dtype=float).reshape(-1)
         u, state.z, _ = self.bind(w_t[None], t)(t, x_t, state.z)
         state.t = t + 1

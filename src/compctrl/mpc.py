@@ -25,6 +25,7 @@ from .controllers import (
     Infeasible,
     _check_causality,
     _clairvoyant_law,
+    _disturbance,
     schedule_cache,
     synth_competitive,
     synth_h2_ih,
@@ -259,12 +260,14 @@ class RelinearizingController:
         """u_t at the state x, leaving w'_t (None without a filter) in
         ``last_wprime``: the bin controller's shared ``step`` on w_t = ``w``,
         or, after ``reset(w)``, the bin's bound law, a given ``w`` refused.
-        A refused step changes neither the state nor ``last_wprime``."""
+        A refused step changes neither the state, ``last_wprime`` nor the
+        bin counters: w_t is checked before the bin is looked up."""
         if w is not None and self._record is not None:
             raise ValueError("step takes no w_t: reset(w) bound a record")
         b = _bin(x[0], self.quantum)
         state = self._state
         if self._record is None:
+            _disturbance(w, 1)  # the pendulum's one disturbance channel
             ctrl = self._controller(b)
             wprime, u = ctrl.wprime(state), ctrl.step(state, x, w)  # w'_t before the step
         else:

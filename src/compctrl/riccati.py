@@ -514,8 +514,7 @@ def _sda(
     G: np.ndarray,
     H: np.ndarray,
     gate: Optional[tuple] = None,
-    tol_abs: float = 0.0,
-    tol_rel: float = 1e-12,
+    tol: float = 1e-12,
     defer: bool = False,
 ):
     """Structure-preserving doubling for X = A'XA + H - A'XB(R + B'XB)^{-1}B'XA.
@@ -541,7 +540,7 @@ def _sda(
     bisects the run's failures together at its end, or, with ``defer``,
     after the caller's other runs.  Convergence is declared, before the
     increment and gate checks, when the increment drops below
-    tol_abs + tol_rel * max(1, ||H||_inf).
+    tol * max(TINY, ||H||_inf); both tests are relative to the iterate.
 
     G and R~ may be stacks (k, ., .) of lanes that share A_0 and H_0.  They
     double together; each lane runs the checks above in the same order and
@@ -565,14 +564,14 @@ def _sda(
             if not norm <= DIVERGENCE_NORM:
                 return {0: "no-stabilizing-solution"}
             D = Hn - H
-            if np.abs(D).max() < tol_abs + tol_rel * max(1.0, norm):
+            if np.abs(D).max() < tol * max(TINY, norm):
                 return {0: None}
-            if np.linalg.eigvalsh(D).min() < -INCREMENT_TOL * max(1.0, norm):
+            if np.linalg.eigvalsh(D).min() < -INCREMENT_TOL * max(TINY, norm):
                 return {0: "condition-violated"}
             reason = None if gate is None else _gated(gate, Hn, Ellipsis)[0]
             return {} if reason is None else {0: reason}
         stacked_gate = None if gate is None else lambda X, idx: _gated(gate, X, lanes[idx])
-        return _sample_failures(Hn, Hn - H, stacked_gate, (tol_abs, tol_rel))
+        return _sample_failures(Hn, Hn - H, stacked_gate, tol)
 
     def failed(j: int, reason: str) -> _Bisection:
         # lane j's trials from its last good iterate H: its stored levels,
@@ -641,22 +640,22 @@ def _gated(gate: tuple, X: np.ndarray, rows) -> list:
 def _sample_failures(Y, D, gate, tol=None) -> dict:
     """{i: reason} of the samples Y[i] of a stack, with increments D[i],
     that :func:`_sda`'s checks end, in its order: divergence; convergence
-    (reason None), if ``tol`` = (tol_abs, tol_rel) is given; the increment;
-    ``gate(Y[rest], rest)``, which gives a reason or None each."""
+    (reason None), if ``tol`` is given; the increment; ``gate(Y[rest],
+    rest)``, a reason or None each.  Both tests scale by max(TINY, ||Y[i]||)."""
     norms = np.abs(Y).max(axis=(-2, -1)).tolist()
     steps = np.abs(D).max(axis=(-2, -1)).tolist() if tol else norms
     done, live = {}, []
     for i, (norm, step) in enumerate(zip(norms, steps)):
         if not norm <= DIVERGENCE_NORM:
             done[i] = "no-stabilizing-solution"
-        elif tol and step < tol[0] + tol[1] * max(1.0, norm):
+        elif tol and step < tol * max(TINY, norm):
             done[i] = None
         else:
             live.append(i)
     if live:
         low = np.linalg.eigvalsh(D[live]).min(axis=-1).tolist()
         for i, x in zip(live, low):
-            if x < -INCREMENT_TOL * max(1.0, norms[i]):
+            if x < -INCREMENT_TOL * max(TINY, norms[i]):
                 done[i] = "condition-violated"
         live = [i for i in live if i not in done]
     if gate is not None and live:
@@ -731,12 +730,12 @@ def dare_fixed_point(
     :func:`_sda` runs on (A, B~R~^{-1}B~', Q) and gates every sample with
     :func:`_game_step_test`, R~'s inertia counted on H~'s equilibrated
     scale.  Convergence is declared when the update norm drops below
-    1e-11 + 1e-9 * max(1, ||P||_inf); the relative term matters near the
-    feasibility boundary, where ||P|| grows without bound.  The converged P
-    then passes the residual step and the three acceptance checks.  For
-    several R~ at once, :func:`_dare_fixed_points`.  A B~ with a NaN or an
-    inf raises LinAlgError: the first step's R~ + B~'0B~ is not finite, and
-    its eigenvalues do not converge.
+    1e-9 * ||P||_inf, with no absolute term, so that scaling the cost scales
+    P alone.  The converged P then passes the residual step and the three
+    acceptance checks (P PSD to -1e-9 ||P||_inf).  For several R~ at once,
+    :func:`_dare_fixed_points`.  A B~ with a NaN or an inf raises
+    LinAlgError: the first step's R~ + B~'0B~ is not finite, and its
+    eigenvalues do not converge.
     """
     if not np.isfinite(Btil).all():
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -765,7 +764,7 @@ def _dare_fixed_points(A, Btil, Rtil, Q, defer: bool = False):
     if ok:
         R = Rtil if lone else Rtil[ok]
         G = sym(Btil @ solve_sym(R, Btil.T))
-        found = _sda(A, G, sym(Q), (Btil, R, signs_R), tol_abs=1e-11, tol_rel=1e-9, defer=defer)
+        found = _sda(A, G, sym(Q), (Btil, R, signs_R), tol=1e-9, defer=defer)
         for i, solve in zip(ok, [found] if lone else found):
             solves[i] = solve
     fps = [
@@ -793,6 +792,6 @@ def _accepted(A, Btil, Rtil, Q, signs_R, P, iterations, reason) -> RiccatiFixedP
     residual = float(np.abs(0.5 * (Pn + Pn.T) - P).max())
     return RiccatiFixedPoint(
         P, residual, iterations, converged=True,
-        closed_loop_radius=spectral_radius(A - Btil.dot(K)),
-        inertia_match=reason is None, psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9),
+        closed_loop_radius=spectral_radius(A - Btil.dot(K)), inertia_match=reason is None,
+        psd=bool(np.linalg.eigvalsh(P).min() >= -1e-9 * max(TINY, np.abs(P).max())),
     )

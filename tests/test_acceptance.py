@@ -7,6 +7,7 @@ the pendulum benchmark.  Wall-clock budgets are asserted where the check is
 expected to stay interactive on commodity hardware.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -112,6 +113,28 @@ def test_extreme_per_frequency_ratios(boeing, boeing_competitive, boeing_hinf_op
     vals_c = [per_freq_cr(boeing, loop_c, omega) for omega in grid]
     assert all(isinstance(r, float) for r in vals_c)
     assert max(vals_c) <= 1.79
+
+
+@pytest.mark.parametrize("causality", ["causal", "strictly-causal"])
+def test_certified_ratio_is_valid_at_every_cost_scale(boeing, causality):
+    """Q s with B_u / sqrt(s) poses the same ratio problem at every s.  The
+    doubling's stopping rule is relative, so the spectral factor takes its
+    10 doublings at every s; each certified level is the s = 1 one, bit for
+    bit, except the causal one at s = 1e10, which stays valid but is loose
+    (its s = 1 level is 1.774307); and no returned controller's ratio on an
+    8,193-point grid exceeds its certificate."""
+    grid, levels = default_grid(8193), {}
+    for s in (1e-6, 1.0, 1e7, 1e10):
+        plant = dataclasses.replace(boeing, Q=boeing.Q * s, Bu=boeing.Bu / np.sqrt(s))
+        assert spectral_factor_ih(plant).iterations == 10, s
+        found = min_gamma_competitive(plant, causality=causality)
+        assert found.ok, s
+        levels[s] = found.gamma
+        attained = max(per_freq_cr(plant, closed_loop(plant, found.controller), grid))
+        assert attained <= found.gamma**2, s
+    if causality == "causal":
+        assert levels.pop(1e10) ** 2 == pytest.approx(2.353707, abs=5e-7)
+    assert set(levels.values()) == {levels[1.0]}
 
 
 def test_cost_bounds_on_random_disturbances(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -475,10 +476,11 @@ def test_mpc_infeasible_scenario_exits_2(tmp_path):
 
 
 def test_mpc_failed_first_bin_exits_2(tmp_path):
-    # the level search's factorization fails at theta = pi/2, as a later
+    # the level search's factorization fails in the bin of theta = pi/2,
+    # where B_u = cos(pi/2) dt leaves (A, B_u) not stabilizable, as a later
     # bin's failure would: a verdict, not an error
-    scen = _scenario_file(tmp_path, kind="competitive", quantum=0.01,
-                          x0=(1.5708, 0.0), steps=20)
+    scen = _scenario_file(tmp_path, kind="competitive", quantum=math.pi / 2,
+                          x0=(math.pi / 2, 0.0), steps=20)
     proc = run_cli("mpc", "--scenario", scen)
     assert proc.returncode == 2, proc.stderr
     verdict = json.loads(proc.stdout)
@@ -681,6 +683,7 @@ def test_verify_builtin_plant():
     names = {c["name"] for c in report["checks"]}
     assert "fh-factorization-identity" in names
     assert "ih-factorization-identity" in names
+    assert "spectral-factor-relative-residual" in names
     assert "offline-route-agreement" in names
     assert all(c["ok"] for c in report["checks"])
     assert report["info"]["pbh_stabilizable"] is True
@@ -715,6 +718,26 @@ def test_verify_checks_the_outer_factor_when_p_is_below_n(tmp_path):
     check = {c["name"]: c for c in report["checks"]}["outer-factor-identity"]
     assert check["ok"] and check["threshold"] == 1e-7 and check["value"] < 1e-12
     assert 0.0 <= report["info"]["outer_factor_residual"] < 1e-10
+    check = {c["name"]: c for c in report["checks"]}["outer-factor-relative-residual"]
+    assert check["ok"] and check["threshold"] == 1e-9
+    assert check["value"] == report["info"]["outer_factor_residual_rel"] < 1e-12
+
+
+def test_verify_checks_the_relative_factor_residual_of_a_badly_scaled_plant(tmp_path):
+    # Boeing with Q s and B_u / sqrt(s) at s = 1e10 poses the ratio problem
+    # of s = 1, and its spectral factor's P is about 1e-9: an absolute
+    # residual reads small on any such P, a relative one does not
+    boeing, s = load_bundled_plant("boeing747"), 1e10
+    scaled = dataclasses.replace(boeing, Q=boeing.Q * s, Bu=boeing.Bu / np.sqrt(s))
+    path = tmp_path / "boeing_1e10.json"
+    path.write_text(json.dumps(plant_to_json_dict(scaled)))
+    proc = run_cli("verify", "--plant", str(path), "--horizon", "10", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    check = {c["name"]: c for c in report["checks"]}["spectral-factor-relative-residual"]
+    assert check["ok"] and check["threshold"] == 1e-9
+    assert check["value"] == report["info"]["spectral_factor_residual_rel"] < 1e-12
+    assert report["ok"] is True
 
 
 def test_verify_scalar_plant_file(plant_file):

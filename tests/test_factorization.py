@@ -84,6 +84,26 @@ def test_whitening_reports_its_first_singular_innovation(c, lam):
     )
 
 
+def test_whitening_reraises_a_singular_solve_the_guard_passes():
+    # Sigma_1 = I + B_u,0 B_u,0' with |B_u,0|^2 ~ 7e16, where the 1 of the
+    # larger diagonal entry rounds away: LU meets an exact zero pivot, yet
+    # the stored Sigma_1's smallest eigenvalue reads 1.0, so the guard
+    # passes and numpy's LinAlgError leaves the recursion as it is
+    T, v = 2, [235207481.0, 101700644.0]
+    plant = LtvPlant(
+        A=np.zeros((T, 2, 2)),
+        Bu=np.repeat(np.array([v]).T[None], T, axis=0),
+        Bw=np.ones((T, 2, 1)),
+        Q=np.repeat(np.eye(2)[None], T, axis=0),
+        R_half=np.ones((T, 1, 1)),
+        x0=np.zeros(2),
+    )
+    Sigma = sym(np.eye(2) + plant.Q_half[1] @ np.outer(v, v) @ plant.Q_half[1])
+    assert np.linalg.eigvalsh(Sigma).min() >= 1e-9
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        whitening_fh(plant)
+
+
 def test_whitening_scalar_frozen():
     plant = scalar_lti().to_ltv(2)
     sched = whitening_fh(plant)
@@ -177,6 +197,16 @@ def test_spectral_factor_pendulum_doubles():
     )
     assert_allclose(factor.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
     assert factor.residual < 1e-10 * np.abs(ref).max()
+
+
+def test_spectral_factor_reports_a_failed_fixed_point():
+    # a = 1.5 is seen through Q^{1/2} = 1e-8 only, at the PBH threshold:
+    # the filter's P is about b^2 + a^2/q = 2.25e16, so the doubling
+    # diverges past 1e12 and the factor names its doublings and reason
+    with pytest.raises(FactorizationError) as err:
+        spectral_factor_ih(scalar_lti(a=1.5, q=1e-16))
+    assert str(err.value) == ("no-stabilizing-solution: fixed point failed after 6 "
+                              "doublings (no-stabilizing-solution)")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -381,6 +411,25 @@ def test_outer_factor_rejects_a_singular_filter_gram():
     # is singular at the Riccati solution
     plant = rank_one_feedthrough_plant(q=(1.0, 0.0, 0.0))
     with pytest.raises(FactorizationError, match="feedthrough singular"):
+        outer_factor_ih(plant, spectral_factor_ih(plant))
+
+
+def test_outer_factor_rejects_a_filter_with_a_zero_on_the_circle():
+    # n = 2 > p = 1 with Q = diag(1, 0): the filter sees
+    # G(z) = (z - b + c)/((z - a)(z - b)), here with a zero at z = 1, where
+    # H*H vanishes: no outer factor has a stable inverse, and the doubling
+    # of Z = X_u - X stops on a failed sample
+    b = 0.8
+    plant = LtiPlant(
+        A=np.array([[0.0, 1.0], [0.0, b]]),
+        Bu=np.array([[0.0], [1.0]]),
+        Bw=np.array([[1.0], [b - 1.0]]),
+        Q=np.diag([1.0, 0.0]),
+        R_half=np.eye(1),
+        x0=np.zeros(2),
+    )
+    with pytest.raises(FactorizationError,
+                       match="^no-stabilizing-solution: outer factor did not converge$"):
         outer_factor_ih(plant, spectral_factor_ih(plant))
 
 

@@ -33,6 +33,15 @@ def test_sqrt_psd_clamps_tiny_negative_eigenvalues():
     assert_allclose(S, np.diag([1.0, 0.0]), atol=1e-6)
 
 
+def test_normalize_control_weight_clamps_q_onto_the_psd_cone():
+    # an eigenvalue in [-1e-10, 0) is rounding, not an error: it becomes 0
+    eye = np.eye(2)
+    plant = normalize_control_weight(eye, eye[:, :1], eye[:, :1], np.diag([1.0, -1e-12]))
+    assert np.array_equal(plant.Q, np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="Q must be PSD"):
+        normalize_control_weight(eye, eye[:, :1], eye[:, :1], np.diag([1.0, -1e-9]))
+
+
 def test_inv_sqrt_pd_inverts(rng):
     M = rng.standard_normal((4, 4))
     R = M.T @ M + 0.5 * np.eye(4)

@@ -195,12 +195,16 @@ def test_infeasible_fixed_gamma_raises_at_construction():
 
 
 def test_first_bin_failure_is_an_infeasible_linearization():
-    # at theta = pi/2 the linearization has no stabilizing whitening filter;
-    # the factorization error of the level search becomes the verdict a
-    # later bin's error becomes
-    with pytest.raises(MpcInfeasibleError, match="initial linearization: no-stabilizing-solution"):
+    # with quantum = theta_init = pi/2 the first bin's linearization has
+    # B_u = cos(pi/2) dt, about 6e-20, so (A, B_u) is not stabilizable; the
+    # factorization error of the level search becomes the verdict a later
+    # bin's error becomes
+    with pytest.raises(
+        MpcInfeasibleError,
+        match=r"^initial linearization: precondition failed: \(A, B_u\) not stabilizable$",
+    ):
         RelinearizingController(
-            PendulumParams(), kind="competitive", quantum=0.01, theta_init=1.5708
+            PendulumParams(), kind="competitive", quantum=math.pi / 2, theta_init=math.pi / 2
         )
 
 
@@ -535,10 +539,11 @@ def test_a_step_reads_the_bound_record():
 def test_a_refused_step_changes_neither_the_state_nor_last_wprime():
     # a live step is the bin controller's shared step, which refuses a
     # missing w_t and one of the wrong length by name; after reset(w) a
-    # step reads the record and refuses a given w_t instead of dropping it
+    # step reads the record and refuses a given w_t instead of dropping it.
+    # A refusal moves no bin counter, in a cached bin or an unvisited one
     params = PendulumParams()
     w = generate(DisturbanceSpec("white-gaussian", {"sigma": 1.0}), 5, 1, seed=2)
-    x = np.array([0.01, -0.02])
+    x, unvisited = np.array([0.01, -0.02]), np.array([0.5, 0.0])
 
     def make():
         return RelinearizingController(
@@ -548,12 +553,15 @@ def test_a_refused_step_changes_neither_the_state_nor_last_wprime():
 
     def snapshot():
         state = ctrl._state
-        return state.t, state.z.tolist(), ctrl.last_wprime.tolist()
+        counters = ctrl.bins_synthesized, ctrl.bin_cache_hits
+        return state.t, state.z.tolist(), ctrl.last_wprime.tolist(), counters
 
     refusals = {
-        "live": [(None, "^step needs w_t$"),
-                 ([1.0, 2.0], "^disturbance has dimension 2, expected 1$")],
-        "record": [([123.0], r"^step takes no w_t: reset\(w\) bound a record$")],
+        "live": [(x, None, "^step needs w_t$"),
+                 (x, [1.0, 2.0], "^disturbance has dimension 2, expected 1$"),
+                 (unvisited, None, "^step needs w_t$")],
+        "record": [(x, [123.0], r"^step takes no w_t: reset\(w\) bound a record$"),
+                   (unvisited, [123.0], r"^step takes no w_t: reset\(w\) bound a record$")],
     }
     for mode, refused in refusals.items():
         record = w if mode == "record" else None
@@ -564,9 +572,9 @@ def test_a_refused_step_changes_neither_the_state_nor_last_wprime():
             assert np.array_equal(ctrl.step(x, given), unrefused.step(x, given))
         before = snapshot()
         assert np.any(before[1]) and np.any(before[2])
-        for w_t, message in refused:
+        for x_t, w_t, message in refused:
             with pytest.raises(ValueError, match=message):
-                ctrl.step(x, w_t)
+                ctrl.step(x_t, w_t)
             assert snapshot() == before
         given = None if mode == "record" else w[2]
         assert np.array_equal(ctrl.step(x, given), unrefused.step(x, given))

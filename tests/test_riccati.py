@@ -48,6 +48,14 @@ def test_solve_sym_indefinite(rng):
     assert_allclose(solve_sym(H, B), np.linalg.solve(H, B), atol=1e-12)
 
 
+def test_solve_sym_refuses_a_singular_matrix_of_a_stack():
+    # the second matrix's equilibrated pivots are 1 and 0: the error names it
+    H = np.stack([np.diag([2.0, -3.0]), np.diag([1.0, 0.0])])
+    with pytest.raises(riccati.SingularHtildeError,
+                       match=r"^symmetric solve rejected: \|pivot\| ratio 0.000e\+00/1.000e\+00$"):
+        solve_sym(H, np.ones((2, 2, 1)))
+
+
 def test_sym_and_radius():
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     S = sym(M)
@@ -131,6 +139,17 @@ def test_scalar_game_condition_violated_below_threshold():
     assert fp.iterations < 100
 
 
+def test_a_converged_fixed_point_that_does_not_stabilize_is_condition_violated():
+    # LQR on a = 1, b = 1e-8, q = 1e-16, both at the PBH threshold: the
+    # doubling converges to P = 1, whose closed loop a/(1 + b^2 P) rounds to
+    # radius 1, so P fails acceptance with no reason of its own
+    fp = dare_fixed_point(np.array([[1.0]]), np.array([[1e-8]]), np.eye(1),
+                          np.array([[1e-16]]))
+    assert fp.converged and fp.reason is None and fp.inertia_match and fp.psd
+    assert fp.closed_loop_radius >= 1.0 - riccati.STABILITY_MARGIN
+    assert not fp.feasible and fp.failure_reason == "condition-violated"
+
+
 def test_singular_pivot_detected():
     # second iterate puts P = 1/3 making det(Rt + B'PB) = 0 exactly
     fp = dare_fixed_point(
@@ -145,11 +164,12 @@ def test_singular_pivot_detected():
 
 def test_a_converged_p_with_a_singular_htilde_is_refused(monkeypatch):
     # doubling declares convergence before it gates the new sample, so the
-    # acceptance step tests H~ itself.  Q = 1/3 - 1e-9 passes the gate; one
-    # doubling adds a^2 Q / (1 - 3Q) = 1e-9, within the tolerance, and lands
-    # on P = 1/3, where det(R~ + B~'PB~) = 3P - 1 = 0
-    A, Btil, Rtil = np.array([[3e-9]]), np.array([[1.0, 2.0]]), np.diag([1.0, -1.0])
-    Q = np.array([[1.0 / 3.0 - 1e-9]])
+    # acceptance step tests H~ itself.  Q = 1/3 - 1e-10 passes the gate; one
+    # doubling adds a^2 Q / (1 - 3Q) = 1e-10, below the relative tolerance
+    # 1e-9 * ||P|| = 3.3e-10, and lands on P = 1/3, where
+    # det(R~ + B~'PB~) = 3P - 1 = 0
+    A, Btil, Rtil = np.array([[3e-10]]), np.array([[1.0, 2.0]]), np.diag([1.0, -1.0])
+    Q = np.array([[1.0 / 3.0 - 1e-10]])
     assert riccati._game_step_test(Rtil + Btil.T @ Q @ Btil, 1, 1)[0] == [None]
     solves, sda = [], riccati._sda
     monkeypatch.setattr(riccati, "_sda", lambda *a, **k: solves.append(sda(*a, **k)) or solves[-1])

@@ -882,6 +882,16 @@ def test_trace_csv_overwrites_atomically(tmp_path):
     assert os.listdir(tmp_path) == ["trace.csv"]
 
 
+def test_a_failed_atomic_write_removes_its_temporary_file(tmp_path):
+    # replacing a directory by a file fails after the temporary file is
+    # written; the error propagates and the temporary file goes
+    target = tmp_path / "trace.csv"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_trace_csv(str(target), _tiny_result())
+    assert os.listdir(tmp_path) == ["trace.csv"] and target.is_dir()
+
+
 def test_comparison_json_file(rng, tmp_path):
     plant = random_lti(rng, n=2, m=1, p=1)
     res = compare(plant, {"zero": ZeroController(m=1)}, np.ones((10, 1)))
