@@ -80,3 +80,14 @@ def test_bench_pairs_claim_rule():
     verdict = bench_pairs.judge(metric(12.5, 9), "higher")
     assert verdict == {"parent_median": 10.0, "change_median": 12.5, "change_better": "9/10",
                        "parent_iqr": 2.0, "met": True}
+
+
+def test_bench_pairs_takes_the_environment_a_run_saved(tmp_path):
+    bench_pairs = _bench_pairs()
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    env = {"nproc": 2, "blas": "scipy-openblas 0.3.31.188.0",
+           "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}}
+    saved = {"workload": "pendulum", "environment": {**env, "git_commit": "unknown"}}
+    (out / "pendulum-seed7-trace0.json").write_text(json.dumps(saved))
+    assert bench_pairs.saved_environment(tmp_path, "pendulum", 7) == env

@@ -4,13 +4,14 @@ and write the comparison as a BENCH file.
 Usage, from the root of a git checkout::
 
     python3 tools/bench_pairs.py --parent REV [--change REV] \\
-        --workloads W[,W...] --seeds FIRST-LAST --seconds S \\
+        --workloads W[,W...] --seeds FIRST-LAST \\
         --out BENCH_N.json [--claim METRIC:W[,W...]]
 
 Both commits (the change defaults to HEAD) are exported by ``git archive``
 into a temporary directory.  Each tree runs its own, unmodified
-``bench/run.py --workload W --seed S --seconds S --trace 0`` from its root,
-and the last line of its stdout is the run.  The workload name ``tier1``
+``bench/run.py --workload W --seed S --seconds T --trace 0`` from its root,
+with T the ``run_seconds`` of BENCHMARK.json, and the last line of its
+stdout is the run.  The workload name ``tier1``
 times Tier-1 instead: ``python3 -m pytest`` on the tree's tests, run from a
 directory outside both trees, with the tree's ``src/`` on PYTHONPATH; its
 run records ``wall_s``, it is correct when pytest reached its summary, and
@@ -23,7 +24,10 @@ The output holds ``about``, ``command``, ``parent``, ``change``, ``claim``,
 gives each metric's quartiles on both sides, the pairs in which the change
 is better, the bound that BENCHMARK.json sets (None if it sets none) and
 the change's median relative to the parent's, plus the failed operations of
-each side and whether every run was correct.  A claim is met on a workload
+each side and whether every run was correct.  ``environment`` is the one that
+the change tree's last benchmark run saved under its ``.bench_out/``, less
+its ``git_commit`` (an exported tree has no ``.git``); it is None when only
+``tier1`` ran.  A claim is met on a workload
 when the change is better in at least 9 of 10 pairs and its median is
 better than the parent's by more than the parent's interquartile distance
 (:func:`judge`).
@@ -32,7 +36,6 @@ better than the parent's by more than the parent's interquartile distance
 import argparse
 import json
 import os
-import platform
 import re
 import statistics
 import subprocess
@@ -167,14 +170,11 @@ def seed_range(text: str) -> list:
     return list(range(int(first), int(last or first) + 1))
 
 
-def environment() -> dict:
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy_version, "blas_threads": 1}
+def saved_environment(tree: Path, workload: str, seed: int) -> dict:
+    """The environment record of a run that ``bench/run.py`` saved in tree."""
+    saved = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    saved["environment"].pop("git_commit", None)
+    return saved["environment"]
 
 
 def main(argv=None) -> int:
@@ -183,15 +183,15 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", help="the change's revision")
     parser.add_argument("--workloads", required=True, help="comma-separated; tier1 times Tier-1")
     parser.add_argument("--seeds", required=True, help="FIRST-LAST, one pair per seed")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--claim", default=None, help="METRIC:W[,W...] to judge")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     repo = Path.cwd()
-    specs = metric_specs(json.loads((repo / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((repo / "BENCHMARK.json").read_text())
+    specs, seconds = metric_specs(benchmark), benchmark["run_seconds"]
     workloads, seeds = args.workloads.split(","), seed_range(args.seeds)
-    runs = {}
+    runs, env = {}, None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         parent_commit = export(repo, args.parent, trees["parent"])
@@ -207,26 +207,28 @@ def main(argv=None) -> int:
                     if workload == TIER1:
                         record[side] = run_tier1(trees[side], outside)
                     else:
-                        record[side] = run_bench(trees[side], workload, seed, args.seconds)
+                        record[side] = run_bench(trees[side], workload, seed, seconds)
                 runs[workload].append(record)
                 print(f"{workload} seed {seed}: " + json.dumps(
                     {side: record[side]["metrics"] for side in order}), flush=True)
+            if workload != TIER1:
+                env = saved_environment(trees["change"], workload, seeds[-1])
     end_to_end = {w: {"summary": summarize(runs[w], specs)} for w in workloads}
     result = {
         "about": (
             f"Parent and change runs by tools/bench_pairs.py: {len(seeds)} alternated pairs "
             f"per workload on seeds {seeds[0]}-{seeds[-1]}, each commit exported by git "
-            f"archive and running its own bench/run.py (--seconds {args.seconds:g}); tier1 is "
+            f"archive and running its own bench/run.py (--seconds {seconds:g}); tier1 is "
             "the wall time of Tier-1 run from outside both trees. The side that runs first "
             "alternates from pair to pair, and 'first' names it. Quartiles are "
             "statistics.quantiles(n=4)."),
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "parent": {"commit": parent_commit},
         "change": {"commit": change_commit},
         "claim": claim_record(args.claim, end_to_end, specs),
         "end_to_end": end_to_end,
         "runs": runs,
-        "environment": environment(),
+        "environment": env,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
