@@ -240,7 +240,8 @@ def whitening_fh(plant: LtvPlant) -> SpectralFactor:
 
     Sigma_t >= I analytically; a numerically singular Sigma (an eigenvalue
     below 1e-9) raises a numeric failure naming its first step, checked once
-    after the recursion (or after a solve that met a singular Sigma).
+    after the recursion (or after a solve that met a singular Sigma, whose
+    step is named when every eigenvalue passes).
     """
     T, n = plant.T, plant.n
     P = np.zeros((T + 1, n, n))
@@ -264,9 +265,11 @@ def whitening_fh(plant: LtvPlant) -> SpectralFactor:
         AP = A @ P[t]
         try:
             K[t] = Kt = np.linalg.solve(Sig, (AP @ Qh).T).T
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError as err:
             guard(Sigma[: t + 1])
-            raise
+            raise FactorizationError(
+                f"numeric-failure: innovation matrix singular at t={t} (zero pivot)"
+            ) from err
         P[t + 1] = sym(AP @ A.T + plant.Bu[t] @ plant.Bu[t].T - Kt @ Sig @ Kt.T)
     guard(Sigma)
     return _spectral_factor(plant, P, K, Sigma)
@@ -297,7 +300,7 @@ def spectral_factor_ih(plant: LtiPlant) -> SpectralFactor:
     stabilizable and (A, Q^{1/2}) detectable.  The filter Riccati equation
     is the control one of the dual problem (A', Q^{1/2}', I, B_u B_u'), so
     the doubling core solves it; ``iterations`` counts doublings.  A failed solve
-    (singular, non-finite or divergent iterates, or the doubling cap) raises
+    (a singular step, a non-finite iterate or the doubling cap) raises
     "no-stabilizing-solution", as does a whitening closed loop A - K Q^{1/2}
     that is not stable.
     """

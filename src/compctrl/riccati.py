@@ -35,6 +35,7 @@ either route.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -67,8 +68,6 @@ STABILITY_MARGIN = 1e-9
 PIVOT_GUARD = 1e-12
 #: doubling cap; k doublings stand for 2^k value-iteration steps
 MAX_DOUBLINGS = 64
-#: a fixed-point iterate with ||P||_inf above this counts as divergent
-DIVERGENCE_NORM = 1e12
 #: relative tolerance on negative eigenvalues of a doubling's increment
 INCREMENT_TOL = 1e-9
 #: smallest positive normal float, the floor of scales and pivot magnitudes
@@ -530,7 +529,7 @@ def _sda(
     2^k steps, so H_k is the value-iteration iterate X_{2^k} from X_0 = 0.
 
     Each new iterate is checked as value iteration checks each step: a
-    non-finite value or ||H||_inf > 1e12 is "no-stabilizing-solution", and
+    non-finite value is "no-stabilizing-solution", and
     ``gate`` = (B~, R~, signs) runs :func:`_game_step_test` on R~ + B~'XB~.
     Value iteration from zero increases while every step is well posed, so
     an increment with a negative eigenvalue ("condition-violated") means a
@@ -561,7 +560,7 @@ def _sda(
         # {position: reason, None where converged} of the lanes that end here
         if lone:
             norm = np.abs(Hn).max()
-            if not norm <= DIVERGENCE_NORM:
+            if not math.isfinite(norm):
                 return {0: "no-stabilizing-solution"}
             D = Hn - H
             if np.abs(D).max() < tol * max(TINY, norm):
@@ -608,21 +607,22 @@ def _sda(
         if any(reasons):
             done = {j: (None, 0, reason) for j, reason in enumerate(reasons) if reason}
             A, G, H = leave(done, A, G, H)
-    for k in range(1, MAX_DOUBLINGS + 1):
-        if not len(lanes):
-            break
-        An, Gn, Hn = doubled(A, G, H)
-        done = settled(Hn)
-        if done:
-            done = {
-                j: (None, k, failed(j, reason)) if reason else (Hn if lone else Hn[j], k, None)
-                for j, reason in done.items()
-            }
-            A, G, H, An, Gn, Hn = leave(done, A, G, H, An, Gn, Hn)
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent run overflows
+        for k in range(1, MAX_DOUBLINGS + 1):
             if not len(lanes):
                 break
-        levels.append((A, G, H, lanes))
-        A, G, H = An, Gn, Hn
+            An, Gn, Hn = doubled(A, G, H)
+            done = settled(Hn)
+            if done:
+                done = {
+                    j: (None, k, failed(j, reason)) if reason else (Hn if lone else Hn[j], k, None)
+                    for j, reason in done.items()
+                }
+                A, G, H, An, Gn, Hn = leave(done, A, G, H, An, Gn, Hn)
+                if not len(lanes):
+                    break
+            levels.append((A, G, H, lanes))
+            A, G, H = An, Gn, Hn
     pending = [i for i, (_, _, reason) in enumerate(out) if isinstance(reason, _Bisection)]
     if pending and not defer:
         for i, reason in zip(pending, _first_failures([out[i][2] for i in pending])):
@@ -639,14 +639,15 @@ def _gated(gate: tuple, X: np.ndarray, rows) -> list:
 
 def _sample_failures(Y, D, gate, tol=None) -> dict:
     """{i: reason} of the samples Y[i] of a stack, with increments D[i],
-    that :func:`_sda`'s checks end, in its order: divergence; convergence
-    (reason None), if ``tol`` is given; the increment; ``gate(Y[rest],
-    rest)``, a reason or None each.  Both tests scale by max(TINY, ||Y[i]||)."""
+    that :func:`_sda`'s checks end, in its order: a non-finite Y[i];
+    convergence (reason None), if ``tol`` is given; the increment;
+    ``gate(Y[rest], rest)``, a reason or None each.  Both tests scale by
+    max(TINY, ||Y[i]||)."""
     norms = np.abs(Y).max(axis=(-2, -1)).tolist()
     steps = np.abs(D).max(axis=(-2, -1)).tolist() if tol else norms
     done, live = {}, []
     for i, (norm, step) in enumerate(zip(norms, steps)):
-        if not norm <= DIVERGENCE_NORM:
+        if not math.isfinite(norm):
             done[i] = "no-stabilizing-solution"
         elif tol and step < tol * max(TINY, norm):
             done[i] = None
@@ -706,16 +707,17 @@ def _first_failures(pending: list) -> list:
             return np.stack([step(*lane) for lane in zip(A, G, H, X)])
         return H + sym(A.swapaxes(-1, -2) @ X @ WA)
 
-    for r in range(depth.max()):
-        live = np.flatnonzero(depth > r)
-        Xs = X[live]
-        Y = step(*trials[first[live] + r].swapaxes(0, 1), Xs)
-        lane_gate = None if gate is None else lambda S, idx: _gated(gate, S, live[idx])
-        done = _sample_failures(Y, Y - Xs, lane_gate)
-        for i, j in enumerate(live.tolist()):
-            last[j] = done.get(i)
-            if last[j] is None:
-                X[j] = Y[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent trial overflows
+        for r in range(depth.max()):
+            live = np.flatnonzero(depth > r)
+            Xs = X[live]
+            Y = step(*trials[first[live] + r].swapaxes(0, 1), Xs)
+            lane_gate = None if gate is None else lambda S, idx: _gated(gate, S, live[idx])
+            done = _sample_failures(Y, Y - Xs, lane_gate)
+            for i, j in enumerate(live.tolist()):
+                last[j] = done.get(i)
+                if last[j] is None:
+                    X[j] = Y[i]
     return [reason or lane.reason for reason, lane in zip(last, pending)]
 
 

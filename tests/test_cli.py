@@ -31,7 +31,7 @@ from compctrl.mpc import (
 )
 from compctrl.sim import DisturbanceSpec
 
-from conftest import cli_env, scalar_lti
+from conftest import cli_env, random_lti, scalar_lti
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -683,7 +683,6 @@ def test_verify_builtin_plant():
     names = {c["name"] for c in report["checks"]}
     assert "fh-factorization-identity" in names
     assert "ih-factorization-identity" in names
-    assert "spectral-factor-relative-residual" in names
     assert "offline-route-agreement" in names
     assert all(c["ok"] for c in report["checks"])
     assert report["info"]["pbh_stabilizable"] is True
@@ -718,26 +717,21 @@ def test_verify_checks_the_outer_factor_when_p_is_below_n(tmp_path):
     check = {c["name"]: c for c in report["checks"]}["outer-factor-identity"]
     assert check["ok"] and check["threshold"] == 1e-7 and check["value"] < 1e-12
     assert 0.0 <= report["info"]["outer_factor_residual"] < 1e-10
-    check = {c["name"]: c for c in report["checks"]}["outer-factor-relative-residual"]
-    assert check["ok"] and check["threshold"] == 1e-9
-    assert check["value"] == report["info"]["outer_factor_residual_rel"] < 1e-12
 
 
-def test_verify_checks_the_relative_factor_residual_of_a_badly_scaled_plant(tmp_path):
-    # Boeing with Q s and B_u / sqrt(s) at s = 1e10 poses the ratio problem
-    # of s = 1, and its spectral factor's P is about 1e-9: an absolute
-    # residual reads small on any such P, a relative one does not
-    boeing, s = load_bundled_plant("boeing747"), 1e10
-    scaled = dataclasses.replace(boeing, Q=boeing.Q * s, Bu=boeing.Bu / np.sqrt(s))
-    path = tmp_path / "boeing_1e10.json"
+def test_verify_passes_every_check_on_a_badly_scaled_plant(tmp_path):
+    # Q s with B_u / sqrt(s) at s = 1e15 poses the factorization problems of
+    # s = 1, and the outer factor's X is about 1e15, which an absolute bound
+    # on the doubling's iterates refused ("outer factor did not converge")
+    base, s = random_lti(np.random.default_rng(7), n=3, m=1, p=1), 1e15
+    scaled = dataclasses.replace(base, Q=base.Q * s, Bu=base.Bu / np.sqrt(s))
+    path = tmp_path / "scaled.json"
     path.write_text(json.dumps(plant_to_json_dict(scaled)))
     proc = run_cli("verify", "--plant", str(path), "--horizon", "10", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    check = {c["name"]: c for c in report["checks"]}["spectral-factor-relative-residual"]
-    assert check["ok"] and check["threshold"] == 1e-9
-    assert check["value"] == report["info"]["spectral_factor_residual_rel"] < 1e-12
-    assert report["ok"] is True
+    assert "outer-factor-identity" in {c["name"] for c in report["checks"]}
+    assert all(c["ok"] for c in report["checks"]) and report["ok"] is True
 
 
 def test_verify_scalar_plant_file(plant_file):

@@ -203,12 +203,13 @@ def test_hinf_strictly_causal_attains_levels_below_the_old_gate():
 
 @pytest.mark.parametrize("a, bu, q, message", [
     (1.0, 1e-8, 1e-16, "^LQR closed loop is not stable$"),
-    (1.5, 1e-7, 1.0, "^LQR fixed point failed: no-stabilizing-solution$"),
+    (1e160, 1e-7, 1.0, "^LQR fixed point failed: no-stabilizing-solution$"),
 ], ids=["not-stabilizing", "diverged"])
 def test_synth_h2_ih_names_a_failed_fixed_point(a, bu, q, message):
     # both plants pass the PBH tests (threshold 1e-8).  The first's LQR
     # solve converges to a closed loop of radius 1 after rounding; the
-    # second's P is about (a^2 - 1)/b^2 = 1.25e14, past the divergence norm
+    # second's P is about a^2/b^2 = 1e334, past the largest double, and
+    # value iteration's second step a^2 q already overflows
     with pytest.raises(ValueError, match=message):
         synth_h2_ih(scalar_lti(a=a, bu=bu, q=q))
 

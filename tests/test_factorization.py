@@ -88,7 +88,7 @@ def test_whitening_reraises_a_singular_solve_the_guard_passes():
     # Sigma_1 = I + B_u,0 B_u,0' with |B_u,0|^2 ~ 7e16, where the 1 of the
     # larger diagonal entry rounds away: LU meets an exact zero pivot, yet
     # the stored Sigma_1's smallest eigenvalue reads 1.0, so the guard
-    # passes and numpy's LinAlgError leaves the recursion as it is
+    # passes and the failure names the step of the solve
     T, v = 2, [235207481.0, 101700644.0]
     plant = LtvPlant(
         A=np.zeros((T, 2, 2)),
@@ -100,8 +100,10 @@ def test_whitening_reraises_a_singular_solve_the_guard_passes():
     )
     Sigma = sym(np.eye(2) + plant.Q_half[1] @ np.outer(v, v) @ plant.Q_half[1])
     assert np.linalg.eigvalsh(Sigma).min() >= 1e-9
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+    with pytest.raises(FactorizationError) as err:
         whitening_fh(plant)
+    assert str(err.value) == "numeric-failure: innovation matrix singular at t=1 (zero pivot)"
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_whitening_scalar_frozen():
@@ -200,12 +202,11 @@ def test_spectral_factor_pendulum_doubles():
 
 
 def test_spectral_factor_reports_a_failed_fixed_point():
-    # a = 1.5 is seen through Q^{1/2} = 1e-8 only, at the PBH threshold:
-    # the filter's P is about b^2 + a^2/q = 2.25e16, so the doubling
-    # diverges past 1e12 and the factor names its doublings and reason
+    # the filter's P is about a^2 = 1e320, past the largest double: the
+    # first doubling overflows, and the factor names its doublings and reason
     with pytest.raises(FactorizationError) as err:
-        spectral_factor_ih(scalar_lti(a=1.5, q=1e-16))
-    assert str(err.value) == ("no-stabilizing-solution: fixed point failed after 6 "
+        spectral_factor_ih(scalar_lti(a=1e160))
+    assert str(err.value) == ("no-stabilizing-solution: fixed point failed after 1 "
                               "doublings (no-stabilizing-solution)")
 
 

@@ -298,8 +298,8 @@ def test_doubling_reports_the_first_failing_step():
 
     At gamma = 1 on the pendulum (B_u = B_w) the disturbance cancels the
     control exactly and P grows by about 0.2 % a step.  H~ loses its inertia
-    near step 9,740 while ||P||_inf stays below 1e12 until about step 11,060,
-    and the doublings sample P_8192 and then P_16384, past both.
+    near step 9,740, and the doublings sample P_8192 and then P_16384, past
+    it.
     """
     game = _hinf_game(linearize_pendulum(PendulumParams(), 0.0), 1.0)
     _, feasible, reason, _ = game_value_iteration(*game)
@@ -711,13 +711,18 @@ STACKED_SOLVE_CASES = {
     "pendulum": [
         (0.1, False, "condition-violated", 8),  # increment
         (0.5, False, "condition-violated", 10),  # increment
-        (1.0, False, "condition-violated", 14),  # norm, then the bisection
+        (1.0, False, "condition-violated", 14),  # gate, then the bisection
         (2.0, True, None, 15),
     ],
     "unstabilizable": [
-        (1e7, False, "no-stabilizing-solution", 5),  # norm
+        (1e7, False, "condition-violated", 5),  # increment: P passed gamma^2
         (2.0, False, "condition-violated", 1),
         (1e3, False, "condition-violated", 4),
+    ],
+    "marginal": [  # P_t is about gamma tan(t / gamma), past gamma^2 near t = 1.57 gamma
+        (1e20, False, "no-stabilizing-solution", 64),  # the doubling cap, 2^64 steps
+        (1e19, False, "condition-violated", 64),
+        (1e3, False, "condition-violated", 11),
     ],
     "weakly-controlled": [
         (1e3, False, "condition-violated", 4),
@@ -735,6 +740,7 @@ def test_stacked_fixed_points_equal_lone_solves(case, boeing):
         "boeing": boeing,
         "pendulum": linearize_pendulum(PendulumParams(), 0.0),
         "unstabilizable": scalar_lti(a=2.0, bu=0.0),
+        "marginal": scalar_lti(a=1.0, bu=0.0),
         "weakly-controlled": scalar_lti(a=2.0, bu=1e-4),
     }[case]
     levels = [row[0] for row in STACKED_SOLVE_CASES[case]]
@@ -820,10 +826,10 @@ def test_first_failures_survives_a_singular_trial():
 
 
 def test_first_failures_of_a_diverging_trial():
-    # the trial's iterate exceeds 1e12: the divergence check names it, before
-    # the increment check that named the sample
+    # the trial's iterate overflows to inf: the divergence check names it,
+    # before the increment check that named the sample
     eye = np.eye(2)
-    lane = _lane([(1e7 * eye, 0.0 * eye, eye)], eye)
+    lane = _lane([(1e160 * eye, 0.0 * eye, eye)], eye)
     assert riccati._first_failures([lane]) == ["no-stabilizing-solution"]
 
 
