@@ -123,8 +123,8 @@ def test_certified_ratio_is_valid_at_every_cost_scale(boeing, causality):
     certified level is the s = 1 one bit for bit, and on Boeing the LQR law
     exists and no returned controller's ratio on an 8,193-point grid exceeds
     its certificate.  The pendulum at theta = 0 keeps its level up to
-    s = 4^15 and at 1e8; from s = 1e10 its B_u / sqrt(s) falls below the PBH
-    test's threshold of 1e-8, and the factor refuses it."""
+    s = 4^15 and at 1e8; from s = 1e10 its B_u / sqrt(s) is at most 1e-8,
+    the PBH test's absolute threshold, and the factor refuses it."""
     rng = np.random.default_rng(7)
     plants = {
         "boeing": boeing,
